@@ -13,17 +13,6 @@
 //! `--jobs=1` forces the old serial behaviour). Results are identical
 //! for every N — runs are pure functions of their spec and seed.
 //!
-//! `--sched=heap|wheel` selects the event-scheduler backend (default
-//! `wheel`, the calendar queue). Runs are bit-identical across backends;
-//! the flag exists to prove exactly that and to benchmark the gap.
-//!
-//! `--shards=N` partitions every network's scheduler into N
-//! interference-domain queues (default 1, the serial queue). Runs are
-//! bit-identical for every N — shard assignment changes which internal
-//! queue an event waits in, never the merged pop order (DESIGN.md §12)
-//! — and snapshots gain `perf.shards` / `perf.cut_deliveries` /
-//! `perf.barrier_waits` gauges when N > 1.
-//!
 //! `--trace-dir=DIR` arms the per-packet flight recorder and writes each
 //! traced run's lifecycle JSONL as `DIR/<experiment>_<algo>.jsonl` — the
 //! input format of the `trace` inspector binary. The capture is bounded
@@ -125,12 +114,6 @@ fn main() -> ExitCode {
             s if s.starts_with("--jobs=") => {
                 scale.jobs = s["--jobs=".len()..].parse().expect("numeric job count");
             }
-            s if s.starts_with("--sched=") => {
-                scale.sched = s["--sched=".len()..].parse().expect("heap|wheel");
-            }
-            s if s.starts_with("--shards=") => {
-                scale.shards = s["--shards=".len()..].parse().expect("numeric shard count");
-            }
             s if s.starts_with("--csv=") => {
                 csv_dir = Some(std::path::PathBuf::from(&s["--csv=".len()..]));
             }
@@ -212,7 +195,7 @@ fn main() -> ExitCode {
             "usage: experiments [--quick] [--markdown] [--csv=DIR] [--json=FILE] [--trace-dir=DIR]\n\
              \x20                  [--flight-cap=N] [--telemetry-dir=DIR] [--telemetry-ms=N]\n\
              \x20                  [--audit-dir=DIR]\n\
-             \x20                  [--seed=N] [--time=F] [--jobs=N] [--sched=heap|wheel] [--shards=N]\n\
+             \x20                  [--seed=N] [--time=F] [--jobs=N]\n\
              \x20                  [--list] [--spec=FILE] [--emit-spec=NAME] <id>...\n\
              ids: fig1 table1 fig4 table2 scenario1 scenario2 table4 theorem1 ablations seeds all"
         );

@@ -4,8 +4,6 @@
 //! cargo run --release -p ezflow-bench --bin hotpath_bench               # measure + record
 //! cargo run --release -p ezflow-bench --bin hotpath_bench -- --check    # CI gate (non-flaky)
 //! cargo run --release -p ezflow-bench --bin hotpath_bench -- --bless    # refresh the golden
-//! cargo run --release -p ezflow-bench --bin hotpath_bench -- --sched=heap
-//! cargo run --release -p ezflow-bench --bin hotpath_bench -- --shards=4
 //! ```
 //!
 //! Times the two inner-loop workloads the repo optimises for:
@@ -35,19 +33,16 @@
 //! entries before they ever surface).
 //!
 //! The default mode writes a `"hotpath"` entry (before/after events/s,
-//! the per-run elision accounting, machine info) plus a
-//! `"sched_compare"` heap-vs-wheel entry into `BENCH_sim_speed.json`.
-//! `--sched=heap|wheel` picks the backend for the main runs.
+//! the per-run elision accounting, machine info) into
+//! `BENCH_sim_speed.json`.
 //!
 //! `--check` is the regression gate `scripts/check.sh` runs: it executes
-//! every workload under **both** scheduler backends and at shard counts
-//! 2 and 4, requires all perf-zeroed snapshots to be byte-identical to
-//! the serial wheel run's, and compares them byte-for-byte against the
-//! committed golden (`crates/bench/golden/hotpath.json`), failing on any
-//! drift; determinism makes this non-flaky. `--diff-dir=DIR` writes the
-//! mismatching sharded digests to `DIR` for CI to upload on failure. It then *warns* (never fails — CI
-//! machines vary) if events/s fell more than 20% below the recorded
-//! `"hotpath"` entry.
+//! every workload and compares the perf-zeroed snapshots byte-for-byte
+//! against the committed golden (`crates/bench/golden/hotpath.json`),
+//! failing on any drift; determinism makes this non-flaky. A mismatch
+//! names the first diverging snapshot key and both values on stderr. It
+//! then *warns* (never fails — CI machines vary) if events/s fell more
+//! than 20% below the recorded `"hotpath"` entry.
 //!
 //! These runs keep the flight recorder **off** (`flight_cap = 0`, the
 //! default), so the golden byte-compare doubles as the recorder's
@@ -71,7 +66,7 @@ use std::path::PathBuf;
 
 use ezflow_bench::experiments::{scenario1, Algo};
 use ezflow_bench::report::Scale;
-use ezflow_net::{topo, Network, PerfSnapshot, SchedKind};
+use ezflow_net::{topo, Network, PerfSnapshot};
 use ezflow_sim::{JsonValue, Time};
 
 /// Mean events/s of the two committed `scenario1/quick` baseline
@@ -162,24 +157,20 @@ fn timed(label: &str, mut net: Network, until: Time) -> Timed {
 
 /// The quick scenario-1 runs — the same topology, timeline, seed and
 /// controllers whose perf the committed baseline snapshots recorded.
-fn scenario1_runs(sched: SchedKind, shards: usize) -> Vec<Timed> {
-    scenario1_runs_with(sched, None, 0, shards)
+fn scenario1_runs() -> Vec<Timed> {
+    scenario1_runs_with(None, 0)
 }
 
-/// Same runs with an explicit telemetry interval (`Some` arms the bus),
-/// audit capacity (nonzero arms the ledger) and scheduler shard count:
-/// the overhead workloads and the on/off equivalence gates.
+/// Same runs with an explicit telemetry interval (`Some` arms the bus)
+/// and audit capacity (nonzero arms the ledger): the overhead workloads
+/// and the on/off equivalence gates.
 fn scenario1_runs_with(
-    sched: SchedKind,
     telemetry_every: Option<ezflow_sim::Duration>,
     audit_cap: usize,
-    shards: usize,
 ) -> Vec<Timed> {
     let mut scale = Scale::quick();
-    scale.sched = sched;
     scale.telemetry_every = telemetry_every;
     scale.audit_cap = audit_cap;
-    scale.shards = shards;
     let tl = scenario1::scale_timeline(scale, &[5, 605, 1805, 2504]);
     let (t0, t1, t2, t3) = (tl[0], tl[1], tl[2], tl[3]);
     let mut t = topo::scenario1();
@@ -197,13 +188,10 @@ fn scenario1_runs_with(
 }
 
 /// The dense-mesh stressor: every node senses every other.
-fn grid_run(sched: SchedKind, shards: usize) -> Timed {
+fn grid_run() -> Timed {
     let until = Time::from_secs(300);
     let t = topo::grid(4, 4, 140.0, Time::ZERO, until);
-    let mut scale = Scale::quick();
-    scale.sched = sched;
-    scale.shards = shards;
-    let net = Network::new(scale.spec(&t, 42), &*Algo::Plain.factory());
+    let net = Network::new(Scale::quick().spec(&t, 42), &*Algo::Plain.factory());
     timed("grid/4x4/140m", net, until)
 }
 
@@ -299,19 +287,18 @@ fn best_of<F: Fn() -> Vec<Timed>>(f: F) -> Vec<Timed> {
         .expect("PASSES >= 1")
 }
 
-fn measure(out: &PathBuf, sched: SchedKind, shards: usize) -> std::process::ExitCode {
-    let mut runs = best_of(|| scenario1_runs(sched, shards));
+fn measure(out: &PathBuf) -> std::process::ExitCode {
+    let mut runs = best_of(scenario1_runs);
     let scenario_eps = events_per_sec(&runs);
-    let grid = best_of(|| vec![grid_run(sched, shards)]).remove(0);
+    let grid = best_of(|| vec![grid_run()]).remove(0);
     let grid_eps = events_per_sec(std::slice::from_ref(&grid));
     runs.push(grid);
     let speedup = scenario_eps / BASELINE_EVENTS_PER_SEC;
     let speedup_pr4 = scenario_eps / PR4_EVENTS_PER_SEC;
     eprintln!(
-        "scenario1/quick [{}]: {scenario_eps:.0} events/s consumed \
+        "scenario1/quick: {scenario_eps:.0} events/s consumed \
          ({speedup:.2}x over the {BASELINE_EVENTS_PER_SEC:.0} baseline, \
-         {speedup_pr4:.2}x over the {PR4_EVENTS_PER_SEC:.0} PR 4 number)",
-        sched.name()
+         {speedup_pr4:.2}x over the {PR4_EVENTS_PER_SEC:.0} PR 4 number)"
     );
     eprintln!("grid/dense:      {grid_eps:.0} events/s consumed");
     for r in &runs {
@@ -329,30 +316,10 @@ fn measure(out: &PathBuf, sched: SchedKind, shards: usize) -> std::process::Exit
         );
     }
 
-    // Same workload, both backends, best-of-N each: the committed
-    // apples-to-apples heap-vs-wheel comparison.
-    let heap_eps = events_per_sec(&best_of(|| scenario1_runs(SchedKind::Heap, shards)));
-    let wheel_eps = events_per_sec(&best_of(|| scenario1_runs(SchedKind::Wheel, shards)));
-    eprintln!(
-        "sched compare:   heap {heap_eps:.0} vs wheel {wheel_eps:.0} events/s ({:.2}x)",
-        wheel_eps / heap_eps
-    );
-    let compare = JsonValue::obj(vec![
-        ("workload", JsonValue::Str("scenario1/quick".to_string())),
-        ("heap_events_per_sec", heap_eps.into()),
-        ("wheel_events_per_sec", wheel_eps.into()),
-        ("wheel_speedup", (wheel_eps / heap_eps).into()),
-    ]);
-
     // Same workload with the telemetry bus armed at its default 100 ms:
     // the recorded telemetry-on cost, gated advisorily at 10%.
     let tel_eps = events_per_sec(&best_of(|| {
-        scenario1_runs_with(
-            sched,
-            Some(ezflow_net::NetworkSpec::TELEMETRY_EVERY),
-            0,
-            shards,
-        )
+        scenario1_runs_with(Some(ezflow_net::NetworkSpec::TELEMETRY_EVERY), 0)
     }));
     let tel_overhead = 1.0 - tel_eps / scenario_eps;
     eprintln!(
@@ -379,7 +346,7 @@ fn measure(out: &PathBuf, sched: SchedKind, shards: usize) -> std::process::Exit
     // Same workload with the audit ledger armed at the CLI's default
     // capacity: the recorded audit-on cost, same 10% advisory budget.
     let audit_eps = events_per_sec(&best_of(|| {
-        scenario1_runs_with(sched, None, ezflow_net::NetworkSpec::AUDIT_CAP, shards)
+        scenario1_runs_with(None, ezflow_net::NetworkSpec::AUDIT_CAP)
     }));
     let audit_overhead = 1.0 - audit_eps / scenario_eps;
     eprintln!(
@@ -415,7 +382,6 @@ fn measure(out: &PathBuf, sched: SchedKind, shards: usize) -> std::process::Exit
         ("events_per_sec", scenario_eps.into()),
         ("speedup_vs_baseline", speedup.into()),
         ("speedup_vs_pr4", speedup_pr4.into()),
-        ("sched", JsonValue::Str(sched.name().to_string())),
         ("machine_parallelism", (machine as f64).into()),
         ("os", JsonValue::Str(std::env::consts::OS.to_string())),
         ("arch", JsonValue::Str(std::env::consts::ARCH.to_string())),
@@ -423,7 +389,6 @@ fn measure(out: &PathBuf, sched: SchedKind, shards: usize) -> std::process::Exit
     for r in &runs {
         fields.push((r.label.as_str(), run_entry(r)));
     }
-    fields.push(("sched_compare", compare));
     fields.push(("telemetry_overhead", telemetry));
     fields.push(("audit_overhead", audit));
     let entry = JsonValue::obj(fields);
@@ -446,93 +411,71 @@ fn measure(out: &PathBuf, sched: SchedKind, shards: usize) -> std::process::Exit
     std::process::ExitCode::SUCCESS
 }
 
-/// All gated workloads under one backend and shard count.
-fn all_runs(sched: SchedKind, shards: usize) -> Vec<Timed> {
-    let mut runs = scenario1_runs(sched, shards);
-    runs.push(grid_run(sched, shards));
+/// All gated workloads.
+fn all_runs() -> Vec<Timed> {
+    let mut runs = scenario1_runs();
+    runs.push(grid_run());
     runs
 }
 
-/// Writes the two mismatching digests (pretty-printed, one key per line
-/// — the flattened form CI uploads as its diff artifact) into `dir`.
-fn write_diff_artifact(dir: &std::path::Path, label: &str, want: &Timed, got: &Timed, tag: &str) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("failed to create {}: {e}", dir.display());
-        return;
-    }
-    let stem = label.replace('/', "_");
-    let pretty = |t: &Timed| {
-        let mut text = JsonValue::parse(&t.digest)
-            .expect("digest is valid JSON")
-            .to_pretty();
-        text.push('\n');
-        text
-    };
-    for (suffix, t) in [("serial", want), (tag, got)] {
-        let path = dir.join(format!("{stem}.{suffix}.json"));
-        match std::fs::write(&path, pretty(t)) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("failed to write {}: {e}", path.display()),
+/// Flattens a JSON document into `(dotted.path, compact leaf)` pairs in
+/// document order.
+fn flatten(v: &JsonValue, path: &str, out: &mut Vec<(String, String)>) {
+    match v {
+        JsonValue::Object(fields) => {
+            for (k, v) in fields {
+                let sep = if path.is_empty() { "" } else { "." };
+                flatten(v, &format!("{path}{sep}{k}"), out);
+            }
         }
+        JsonValue::Array(items) => {
+            for (i, v) in items.iter().enumerate() {
+                flatten(v, &format!("{path}[{i}]"), out);
+            }
+        }
+        leaf => out.push((path.to_string(), leaf.to_compact())),
     }
 }
 
-fn check(out: &PathBuf, diff_dir: Option<&std::path::Path>) -> std::process::ExitCode {
-    let wheel_runs = all_runs(SchedKind::Wheel, 1);
-    let heap_runs = all_runs(SchedKind::Heap, 1);
-    // Backend equivalence first: heap and wheel must leave byte-identical
-    // perf-zeroed snapshots behind on every workload.
-    for (w, h) in wheel_runs.iter().zip(&heap_runs) {
-        if w.digest != h.digest {
-            eprintln!(
-                "scheduler backends DIVERGED on {}: the wheel's snapshot does not\n\
-                 match the heap's. The backends must be observationally identical;\n\
-                 see crates/sim/tests/sched_equiv.rs for the reduced property.",
-                w.label
-            );
-            return std::process::ExitCode::FAILURE;
+/// Names the first snapshot key at which `got` departs from `want`, with
+/// both values — what a failed digest comparison prints so the failure
+/// explains itself from the log.
+fn first_divergence(want: &str, got: &str) -> String {
+    let (Ok(want), Ok(got)) = (JsonValue::parse(want), JsonValue::parse(got)) else {
+        return "one side is not a JSON document".to_string();
+    };
+    let (mut w, mut g) = (Vec::new(), Vec::new());
+    flatten(&want, "", &mut w);
+    flatten(&got, "", &mut g);
+    match w.iter().zip(&g).find(|(a, b)| a != b) {
+        Some(((wk, wv), (gk, gv))) if wk == gk => {
+            format!("first diverging key: {wk}\n  expected {wv}\n  got      {gv}")
         }
+        Some(((wk, wv), (gk, gv))) => {
+            format!("first diverging key: expected {wk} = {wv}, got {gk} = {gv}")
+        }
+        None => format!(
+            "documents agree on their first {} keys; expected {} keys, got {}",
+            w.len().min(g.len()),
+            w.len(),
+            g.len()
+        ),
     }
-    eprintln!("heap and wheel snapshots byte-identical on every workload");
+}
 
-    // Shard-count equivalence: partitioning the scheduler must leave the
-    // same simulation behind on every workload — the byte-identity
-    // contract of the sharded engine (crates/net/tests/shards.rs holds
-    // the same pin; this leg is what the CI 2-thread job runs, with
-    // `--diff-dir` capturing the mismatching digests as its artifact).
-    for shards in [2usize, 4] {
-        let sharded = all_runs(SchedKind::Wheel, shards);
-        for (s, w) in sharded.iter().zip(&wheel_runs) {
-            if s.digest != w.digest {
-                eprintln!(
-                    "sharded run DIVERGED on {} at shards={shards}: shard count must be\n\
-                     unobservable; see crates/net/src/partition.rs and\n\
-                     crates/sim/src/sched/sharded.rs.",
-                    s.label
-                );
-                if let Some(dir) = diff_dir {
-                    write_diff_artifact(dir, &s.label, w, s, &format!("shards{shards}"));
-                }
-                return std::process::ExitCode::FAILURE;
-            }
-        }
-    }
-    eprintln!("sharded (2, 4) snapshots byte-identical to serial on every workload");
+fn check(out: &PathBuf) -> std::process::ExitCode {
+    let runs = all_runs();
 
     // Telemetry-on equivalence: arming the bus must leave the same
     // simulation behind (perf zeroed, stability stripped by `timed`).
-    let tel_runs = scenario1_runs_with(
-        SchedKind::Wheel,
-        Some(ezflow_net::NetworkSpec::TELEMETRY_EVERY),
-        0,
-        1,
-    );
-    for (t, w) in tel_runs.iter().zip(&wheel_runs) {
+    let tel_runs = scenario1_runs_with(Some(ezflow_net::NetworkSpec::TELEMETRY_EVERY), 0);
+    for (t, w) in tel_runs.iter().zip(&runs) {
         if t.digest != w.digest {
             eprintln!(
                 "telemetry-on snapshot DIVERGED from telemetry-off on {}: the\n\
-                 sampler must never perturb the simulation; see crates/net/src/telemetry.rs.",
-                t.label
+                 sampler must never perturb the simulation; see crates/net/src/telemetry.rs.\n{}",
+                t.label,
+                first_divergence(&w.digest, &t.digest)
             );
             return std::process::ExitCode::FAILURE;
         }
@@ -543,26 +486,22 @@ fn check(out: &PathBuf, diff_dir: Option<&std::path::Path>) -> std::process::Exi
     // simulation behind (controller section stripped by `timed`; the
     // audit schedules nothing, so no counter compensation exists to get
     // wrong — any divergence is a probe writing where it should read).
-    let audit_runs = scenario1_runs_with(
-        SchedKind::Wheel,
-        None,
-        ezflow_net::NetworkSpec::AUDIT_CAP,
-        1,
-    );
-    for (a, w) in audit_runs.iter().zip(&wheel_runs) {
+    let audit_runs = scenario1_runs_with(None, ezflow_net::NetworkSpec::AUDIT_CAP);
+    for (a, w) in audit_runs.iter().zip(&runs) {
         if a.digest != w.digest {
             eprintln!(
                 "audit-on snapshot DIVERGED from audit-off on {}: the audit\n\
-                 ledger must never perturb the simulation; see crates/net/src/audit.rs.",
-                a.label
+                 ledger must never perturb the simulation; see crates/net/src/audit.rs.\n{}",
+                a.label,
+                first_divergence(&w.digest, &a.digest)
             );
             return std::process::ExitCode::FAILURE;
         }
     }
     eprintln!("audit-on snapshots byte-identical to audit-off");
 
-    let scenario_eps = events_per_sec(&wheel_runs[..2]);
-    let got = golden_doc(&wheel_runs);
+    let scenario_eps = events_per_sec(&runs[..2]);
+    let got = golden_doc(&runs);
     let golden = match std::fs::read_to_string(golden_path()) {
         Ok(text) => text,
         Err(e) => {
@@ -578,8 +517,9 @@ fn check(out: &PathBuf, diff_dir: Option<&std::path::Path>) -> std::process::Exi
             "hotpath snapshots DIVERGED from the committed golden ({}).\n\
              The hot-path optimisations must be observationally identical; if the\n\
              simulation's behaviour changed on purpose, re-bless with\n\
-             `cargo run --release -p ezflow-bench --bin hotpath_bench -- --bless`.",
-            golden_path().display()
+             `cargo run --release -p ezflow-bench --bin hotpath_bench -- --bless`.\n{}",
+            golden_path().display(),
+            first_divergence(&golden, &got)
         );
         return std::process::ExitCode::FAILURE;
     }
@@ -609,19 +549,7 @@ fn check(out: &PathBuf, diff_dir: Option<&std::path::Path>) -> std::process::Exi
 }
 
 fn bless() -> std::process::ExitCode {
-    let runs = all_runs(SchedKind::Wheel, 1);
-    // Refuse to bless a golden the heap backend cannot reproduce.
-    let heap_runs = all_runs(SchedKind::Heap, 1);
-    for (w, h) in runs.iter().zip(&heap_runs) {
-        if w.digest != h.digest {
-            eprintln!(
-                "refusing to bless: heap and wheel snapshots differ on {}",
-                w.label
-            );
-            return std::process::ExitCode::FAILURE;
-        }
-    }
-    let text = golden_doc(&runs);
+    let text = golden_doc(&all_runs());
     let path = golden_path();
     if let Some(dir) = path.parent() {
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -640,35 +568,42 @@ fn bless() -> std::process::ExitCode {
 fn main() -> std::process::ExitCode {
     let mut out = bench_json_path();
     let mut mode = "measure";
-    let mut sched = SchedKind::default();
-    let mut shards = 1usize;
-    let mut diff_dir: Option<PathBuf> = None;
     for a in std::env::args().skip(1) {
         match a.as_str() {
             "--check" => mode = "check",
             "--bless" => mode = "bless",
             s if s.starts_with("--out=") => out = s["--out=".len()..].into(),
-            s if s.starts_with("--sched=") => {
-                sched = s["--sched=".len()..].parse().expect("heap|wheel");
-            }
-            s if s.starts_with("--shards=") => {
-                shards = s["--shards=".len()..].parse().expect("a shard count");
-            }
-            s if s.starts_with("--diff-dir=") => {
-                diff_dir = Some(PathBuf::from(&s["--diff-dir=".len()..]));
-            }
             _ => {
-                eprintln!(
-                    "usage: hotpath_bench [--check | --bless] [--out=FILE] \
-                     [--sched=heap|wheel] [--shards=N] [--diff-dir=DIR]"
-                );
+                eprintln!("usage: hotpath_bench [--check | --bless] [--out=FILE]");
                 return std::process::ExitCode::from(2);
             }
         }
     }
     match mode {
-        "check" => check(&out, diff_dir.as_deref()),
+        "check" => check(&out),
         "bless" => bless(),
-        _ => measure(&out, sched, shards),
+        _ => measure(&out),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::first_divergence;
+
+    #[test]
+    fn first_divergence_names_the_key_and_both_values() {
+        let want = r#"{"a":1,"nodes":[{"mac":{"tx":5}},{"mac":{"tx":7,"rx":2}}]}"#;
+        let got = r#"{"a":1,"nodes":[{"mac":{"tx":5}},{"mac":{"tx":8,"rx":2}}]}"#;
+        let msg = first_divergence(want, got);
+        assert!(msg.contains("nodes[1].mac.tx"), "{msg}");
+        assert!(
+            msg.contains("expected 7") && msg.contains("got      8"),
+            "{msg}"
+        );
+        // A key present on one side only, and a plain length mismatch.
+        let renamed = first_divergence(r#"{"a":1,"b":2}"#, r#"{"a":1,"c":2}"#);
+        assert!(renamed.contains("expected b = 2, got c = 2"), "{renamed}");
+        let shorter = first_divergence(r#"{"a":1,"b":2}"#, r#"{"a":1}"#);
+        assert!(shorter.contains("expected 2 keys, got 1"), "{shorter}");
     }
 }

@@ -81,81 +81,17 @@ fn default_spec_path() -> PathBuf {
     ))
 }
 
-/// One measured mesh run at a given shard count.
-struct MeshRun {
-    shards: usize,
-    consumed: u64,
-    stale_fraction: f64,
-    wall: f64,
-    eps: f64,
-    /// Process VmHWM after this run — cumulative across runs in one
-    /// process (the high-water mark never shrinks), recorded honestly
-    /// as such.
-    rss: Option<u64>,
-    cut_fraction: f64,
-    cut_deliveries: u64,
-    barrier_waits: u64,
-    tput: f64,
-    p99: f64,
-    jain: (f64, f64),
-    arena_high_water: usize,
-}
-
-fn run_mesh(ns: ezflow_net::NetworkSpec, algo: Algo, flows: &[u32], until: Time) -> MeshRun {
-    let shards = ns.shards.max(1);
-    let mut net = Network::new(ns, &*algo.factory());
-    net.run_until(until);
-    let elided = net.sched_stale_elided();
-    let consumed = net.events_processed() + elided + net.sched_rescheduled();
-    let stale_fraction = if consumed > 0 {
-        elided as f64 / consumed as f64
-    } else {
-        0.0
-    };
-    let wall = net.wall_time().as_secs_f64();
-    let eps = if wall > 0.0 {
-        consumed as f64 / wall
-    } else {
-        0.0
-    };
-    let (tput, p99, jain) = spec::summarize(&net, flows, Time::ZERO, until);
-    MeshRun {
-        shards,
-        consumed,
-        stale_fraction,
-        wall,
-        eps,
-        rss: peak_rss_bytes(),
-        cut_fraction: net.cut_edge_fraction(),
-        cut_deliveries: net.sched_cut_deliveries(),
-        barrier_waits: net.sched_barrier_waits(),
-        tput,
-        p99,
-        jain,
-        arena_high_water: net.arena_high_water(),
-    }
-}
-
 fn main() -> std::process::ExitCode {
     let mut record = false;
-    let mut record_sharded = false;
-    let mut shards = 1usize;
     let mut spec_path = default_spec_path();
     for a in std::env::args().skip(1) {
         match a.as_str() {
             "--record" => record = true,
-            "--record-sharded" => record_sharded = true,
-            s if s.starts_with("--shards=") => {
-                shards = s["--shards=".len()..].parse().expect("a shard count");
-            }
             s if s.starts_with("--spec=") => {
                 spec_path = PathBuf::from(&s["--spec=".len()..]);
             }
             other => {
-                eprintln!(
-                    "unknown arg: {other}\n\
-                     usage: mesh_bench [--record] [--record-sharded] [--shards=N] [--spec=FILE]"
-                );
+                eprintln!("unknown arg: {other}\nusage: mesh_bench [--record] [--spec=FILE]");
                 return std::process::ExitCode::from(2);
             }
         }
@@ -182,8 +118,7 @@ fn main() -> std::process::ExitCode {
         eprintln!("unknown controller in spec: {}", point.controller);
         return std::process::ExitCode::FAILURE;
     };
-    let mut scale = Scale::full();
-    scale.shards = shards;
+    let scale = Scale::full();
     let mut ns = scale.spec(&compiled.topology, point.seed);
     ns.queue_cap = point.queue_cap;
 
@@ -198,115 +133,31 @@ fn main() -> std::process::ExitCode {
         point.label
     );
 
-    // The sharded sweep: the same canonical point at 1, 2 and 4
-    // partitions, recorded as the `"sharded"` BENCH entry. Execution at
-    // every shard count is the serial merge over K queues (bit-identical
-    // by construction — see DESIGN.md §12), so the interesting numbers
-    // are the PDES gauges: cut-edge fraction, cross-shard posts, and
-    // barrier-window advances per event.
-    if record_sharded {
-        let machine = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let mut runs = Vec::new();
-        for k in [1usize, 2, 4] {
-            let mut s = scale;
-            s.shards = k;
-            let mut kns = s.spec(&compiled.topology, point.seed);
-            kns.queue_cap = point.queue_cap;
-            let r = run_mesh(kns, algo, &flows, compiled.until);
-            eprintln!(
-                "  shards={k}: {:.0} events/s ({} consumed in {:.3} s), \
-                 cut fraction {:.4}, {} cut deliveries, {} barrier waits",
-                r.eps, r.consumed, r.wall, r.cut_fraction, r.cut_deliveries, r.barrier_waits
-            );
-            runs.push(r);
-        }
-        let serial_eps = runs[0].eps;
-        let entries: Vec<JsonValue> = runs
-            .iter()
-            .map(|r| {
-                JsonValue::obj(vec![
-                    ("shards", (r.shards as f64).into()),
-                    ("events_consumed", (r.consumed as f64).into()),
-                    ("wall_secs", r.wall.into()),
-                    ("events_per_sec", r.eps.into()),
-                    ("speedup_vs_serial", (r.eps / serial_eps).into()),
-                    (
-                        "peak_rss_bytes",
-                        r.rss.map(|b| (b as f64).into()).unwrap_or(JsonValue::Null),
-                    ),
-                    ("cut_edge_fraction", r.cut_fraction.into()),
-                    ("cut_deliveries", (r.cut_deliveries as f64).into()),
-                    ("barrier_waits", (r.barrier_waits as f64).into()),
-                ])
-            })
-            .collect();
-        let entry = JsonValue::obj(vec![
-            ("spec", JsonValue::Str("scenarios/mesh1k.json".to_string())),
-            ("label", JsonValue::Str(point.label.clone())),
-            ("nodes", (nodes as f64).into()),
-            ("sim_secs", (compiled.until.as_micros() as f64 / 1e6).into()),
-            (
-                "execution",
-                JsonValue::Str("serial merge over K shard queues (byte-identical)".to_string()),
-            ),
-            ("machine_parallelism", (machine as f64).into()),
-            (
-                "note",
-                JsonValue::Str(
-                    "peak_rss_bytes is the process high-water mark and is cumulative \
-                     across the runs of this sweep (shards=1 ran first)"
-                        .to_string(),
-                ),
-            ),
-            ("runs", JsonValue::Array(entries)),
-            ("os", JsonValue::Str(std::env::consts::OS.to_string())),
-            ("arch", JsonValue::Str(std::env::consts::ARCH.to_string())),
-        ]);
-        let out = bench_json_path();
-        let mut docjson = match std::fs::read_to_string(&out) {
-            Ok(text) => JsonValue::parse(&text).unwrap_or(JsonValue::Object(Vec::new())),
-            Err(_) => JsonValue::Object(Vec::new()),
-        };
-        if let JsonValue::Object(fields) = &mut docjson {
-            fields.retain(|(k, _)| k != "sharded");
-            fields.push(("sharded".to_string(), entry));
-        }
-        let mut text = docjson.to_pretty();
-        text.push('\n');
-        if let Err(e) = std::fs::write(&out, text) {
-            eprintln!("failed to write {}: {e}", out.display());
-            return std::process::ExitCode::FAILURE;
-        }
-        eprintln!("recorded sharded entry in {}", out.display());
-        return std::process::ExitCode::SUCCESS;
-    }
-
-    let r = run_mesh(ns, algo, &flows, compiled.until);
-    let MeshRun {
-        consumed,
-        stale_fraction,
-        wall,
-        eps,
-        rss,
-        tput,
-        p99,
-        jain,
-        ..
-    } = r;
+    let mut net = Network::new(ns, &*algo.factory());
+    net.run_until(compiled.until);
+    // Consumed = dispatched + stale-elided + keyed-rescheduled: every
+    // scheduler entry paid for, wherever it died (see hotpath_bench).
+    let elided = net.sched_stale_elided();
+    let consumed = net.events_processed() + elided + net.sched_rescheduled();
+    let stale_fraction = if consumed > 0 {
+        elided as f64 / consumed as f64
+    } else {
+        0.0
+    };
+    let wall = net.wall_time().as_secs_f64();
+    let eps = if wall > 0.0 {
+        consumed as f64 / wall
+    } else {
+        0.0
+    };
+    let (tput, p99, jain) = spec::summarize(&net, &flows, Time::ZERO, compiled.until);
+    let rss = peak_rss_bytes();
 
     eprintln!(
         "  {consumed} events consumed in {wall:.3} s = {eps:.0} events/s \
          (stale fraction {stale_fraction:.7}, arena high water {})",
-        r.arena_high_water
+        net.arena_high_water()
     );
-    if shards > 1 {
-        eprintln!(
-            "  shards={shards}: cut fraction {:.4}, {} cut deliveries, {} barrier waits",
-            r.cut_fraction, r.cut_deliveries, r.barrier_waits
-        );
-    }
     eprintln!(
         "  aggregate throughput {tput:.1} kb/s, e2e p99 {p99:.3} s, Jain min {:.2} (mean {:.2})",
         jain.0, jain.1
@@ -350,7 +201,7 @@ fn main() -> std::process::ExitCode {
             ("sim_secs", (compiled.until.as_micros() as f64 / 1e6).into()),
             ("events_consumed", (consumed as f64).into()),
             ("stale_fraction", stale_fraction.into()),
-            ("arena_high_water", (r.arena_high_water as f64).into()),
+            ("arena_high_water", (net.arena_high_water() as f64).into()),
             ("wall_secs", wall.into()),
             ("events_per_sec", eps.into()),
             ("min_events_per_sec_budget", MIN_EVENTS_PER_SEC.into()),

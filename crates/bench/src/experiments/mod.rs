@@ -77,15 +77,15 @@ impl Algo {
 }
 
 /// Builds and runs a topology to `until` under `algo`, with the scale's
-/// seed, flight-recorder capacity, telemetry interval and scheduler
-/// backend. `label` names the run for live exports: when the harness
-/// registered a telemetry directory (see [`crate::telemetry_out`]), the
-/// run streams one JSONL record per sample window to `<label>.jsonl`.
+/// seed, flight-recorder capacity and telemetry interval. `label` names
+/// the run for live exports: when the harness registered a telemetry
+/// directory (see [`crate::telemetry_out`]), the run streams one JSONL
+/// record per sample window to `<label>.jsonl`.
 ///
 /// [`Scale::flight_cap`] arms the per-packet flight recorder and
 /// [`Scale::telemetry_every`] the telemetry bus (both off by default).
-/// Neither recorder, telemetry nor the scheduler choice perturbs a run —
-/// the simulation content is bit-identical either way.
+/// Neither recorder nor telemetry perturbs a run — the simulation
+/// content is bit-identical either way.
 pub fn run_net(topo: &Topology, algo: Algo, until: Time, scale: &Scale, label: &str) -> Network {
     let mut spec = scale.spec(topo, scale.seed);
     spec.flight_cap = scale.flight_cap;

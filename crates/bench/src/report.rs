@@ -3,7 +3,7 @@
 
 use std::fmt::Write as _;
 
-use ezflow_net::{NetworkSpec, RunSnapshot, SchedKind};
+use ezflow_net::{NetworkSpec, RunSnapshot};
 use ezflow_sim::{Duration, JsonValue};
 
 /// How much of the paper's experiment duration to simulate.
@@ -23,10 +23,6 @@ pub struct Scale {
     /// on changes only what the scenario experiments *export*: per-packet
     /// lifecycle JSONL attached to their reports as [`Lifecycle`]s.
     pub flight_cap: usize,
-    /// Scheduler backend for every network the experiments build. Both
-    /// kinds give bit-identical results (pinned by the `sched_equiv`
-    /// regression test); `--sched=heap` exists to prove exactly that.
-    pub sched: SchedKind,
     /// Telemetry sampling interval (`None`, the default, leaves the
     /// telemetry bus off). Arming it never perturbs a run — snapshots
     /// gain a `stability` section and, when a streaming directory is set
@@ -40,13 +36,6 @@ pub struct Scale {
     /// directory is set via [`crate::audit_out`], each network streams
     /// one JSONL record per estimation sample and `CWmin` decision.
     pub audit_cap: usize,
-    /// Scheduler partitions per network (`1` = the serial queue). Any
-    /// value gives bit-identical runs — sharding changes which internal
-    /// queue an event waits in, never the merged pop order — so
-    /// `--shards=N` exists to exercise the PDES machinery and read its
-    /// cut/barrier counters, exactly like `--sched=heap` proves backend
-    /// equivalence.
-    pub shards: usize,
 }
 
 impl Scale {
@@ -57,10 +46,8 @@ impl Scale {
             seed: 42,
             jobs: 0,
             flight_cap: 0,
-            sched: SchedKind::default(),
             telemetry_every: None,
             audit_cap: 0,
-            shards: 1,
         }
     }
 
@@ -74,10 +61,8 @@ impl Scale {
             seed: 42,
             jobs: 0,
             flight_cap: 0,
-            sched: SchedKind::default(),
             telemetry_every: None,
             audit_cap: 0,
-            shards: 1,
         }
     }
 
@@ -91,15 +76,14 @@ impl Scale {
         crate::runner::SweepRunner::new(self.jobs)
     }
 
-    /// A [`NetworkSpec`] for `topo` carrying this scale's scheduler
-    /// choice. The one spot every experiment goes through, so
-    /// `--sched=heap` reaches every network any experiment builds.
+    /// A [`NetworkSpec`] for `topo` carrying this scale's observer
+    /// settings. The one spot every experiment goes through, so
+    /// `--telemetry-dir` / `--audit-dir` reach every network any
+    /// experiment builds.
     pub fn spec(&self, topo: &ezflow_net::Topology, seed: u64) -> NetworkSpec {
         let mut spec = NetworkSpec::from_topology(topo, seed);
-        spec.sched = self.sched;
         spec.telemetry_every = self.telemetry_every;
         spec.audit_cap = self.audit_cap;
-        spec.shards = self.shards;
         spec
     }
 }

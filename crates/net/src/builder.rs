@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 
 use ezflow_mac::{Mac, MacConfig, MacInput};
 use ezflow_phy::{Channel, ChannelConfig, LossModel, Position};
-use ezflow_sim::{Duration, SchedKind, ShardedScheduler, SimRng, Time, TraceRing};
+use ezflow_sim::{Duration, Scheduler, SimRng, Time, TraceRing};
 
 use crate::controller::Controller;
 use crate::engine::{Ev, EV_KINDS, PROFILE_KINDS};
@@ -189,17 +189,6 @@ pub struct NetworkSpec {
     /// `handler_ns_by_kind`. Perf-only — never observable in the
     /// deterministic part of a snapshot.
     pub profile: bool,
-    /// Scheduler backend. Both produce bit-identical runs (a property
-    /// `ezflow-bench`'s equivalence tests pin); the calendar-queue wheel
-    /// is the fast default, the heap the reference fallback.
-    pub sched: SchedKind,
-    /// Scheduler shards: the node set is partitioned into this many
-    /// interference-domain groups ([`crate::partition`]), one backend
-    /// queue each, merged back into the exact serial event order — a
-    /// sharded run's snapshot is byte-identical to the serial run's
-    /// (pinned by tests and `hotpath_bench --check`). `0` and `1` both
-    /// mean serial; values above the node count clamp down to it.
-    pub shards: usize,
 }
 
 impl NetworkSpec {
@@ -226,8 +215,6 @@ impl NetworkSpec {
             telemetry_cap: 1 << 16,
             audit_cap: 0,
             profile: false,
-            sched: SchedKind::default(),
-            shards: 1,
         }
     }
 
@@ -469,37 +456,19 @@ pub(crate) fn build(
         })
         .collect();
 
-    // Partition the node set along the carrier-sense graph and route
-    // every node's scheduler traffic to its shard's queue. The lookahead
-    // is DIFS + one slot: the shortest interval between sensing a
-    // cross-cut transition and the earliest MAC response it can provoke
-    // (propagation is zero in this model). The shard assignment affects
-    // only which queue an entry waits in — the merge restores the exact
-    // serial order — so the schedule calls below are byte-for-byte the
-    // serial builder's, in the same order, receiving the same seqs.
-    let part = crate::partition::partition_by_sensing(&channel, spec.shards.max(1));
-    let lookahead = spec.mac.difs + spec.mac.slot;
-    let mut hot = crate::hot::HotState::new(n);
-    hot.shard_of = part.shard_of;
-
-    let mut sched = ShardedScheduler::with_kind(spec.sched, part.shards, lookahead);
+    let mut sched = Scheduler::new();
     for (i, s) in sources.iter().enumerate() {
-        sched.schedule(hot.shard_of[s.src] as usize, s.start, Ev::Traffic(i));
+        sched.schedule(s.start, Ev::Traffic(i));
     }
     for (f, (_, t)) in spec.flows.iter().zip(transports.iter()) {
         let t = t.as_ref().expect("transport slot filled at build time");
         if let Some(p) = t.refresh_period() {
-            let src = hot.shard_of[f.path[0]] as usize;
-            sched.schedule(src, f.start + p, Ev::WindowRefresh(f.id));
+            sched.schedule(f.start + p, Ev::WindowRefresh(f.id));
         }
     }
-    sched.schedule(
-        crate::engine::GLOBAL_SHARD,
-        Time::ZERO + spec.sample_every,
-        Ev::Sample,
-    );
+    sched.schedule(Time::ZERO + spec.sample_every, Ev::Sample);
     if let Some(p) = backlog_every {
-        sched.schedule(crate::engine::GLOBAL_SHARD, Time::ZERO + p, Ev::Backlog);
+        sched.schedule(Time::ZERO + p, Ev::Backlog);
     }
     // The telemetry sampler is armed *last*: with its entry resident at
     // every subsequent push, the scheduler's depth high-water mark runs
@@ -507,11 +476,7 @@ pub(crate) fn build(
     // snapshot compensation subtracts (see `Network::snapshot`).
     let mut telemetry = Telemetry::new(n, &flow_ids, spec.telemetry_every, spec.telemetry_cap);
     if telemetry.enabled() {
-        sched.schedule(
-            crate::engine::GLOBAL_SHARD,
-            Time::ZERO + telemetry.every(),
-            Ev::Telemetry,
-        );
+        sched.schedule(Time::ZERO + telemetry.every(), Ev::Telemetry);
         telemetry.note_push();
     }
 
@@ -521,7 +486,7 @@ pub(crate) fn build(
         channel,
         arena,
         chan_rng,
-        hot,
+        hot: crate::hot::HotState::new(n),
         nodes,
         routing,
         sources,
@@ -549,7 +514,5 @@ pub(crate) fn build(
         end_report: ezflow_phy::EndReport::default(),
         mac_out_pool: Vec::new(),
         wall: std::time::Duration::ZERO,
-        cut_edges: part.cut_edges,
-        graph_edges: part.total_edges,
     }
 }

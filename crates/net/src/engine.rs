@@ -63,13 +63,6 @@ pub(crate) enum Ev {
     Telemetry,
 }
 
-/// Shard that hosts the global periodic events ([`Ev::Sample`],
-/// [`Ev::Backlog`], [`Ev::Telemetry`]): they scan *every* node, so they
-/// belong to no interference domain and are pinned to shard 0. Shard
-/// assignment never affects merged execution order — only which
-/// per-partition queue holds the entry — so this choice is free.
-pub(crate) const GLOBAL_SHARD: usize = 0;
-
 /// Number of *counted* [`Ev`] kinds, for the per-kind dispatch counters.
 /// `Ev::Telemetry` is deliberately not one of them: the sampler is
 /// intercepted before kind accounting (zero interference).
@@ -180,7 +173,7 @@ impl Network {
     /// dispatched, never worklisted — and counted in
     /// [`ezflow_sim::Scheduler::stale_drops`]. The elision decision reads
     /// only the owning MAC's current epoch, so it is a pure function of
-    /// simulation state and identical on either scheduler backend.
+    /// simulation state.
     pub fn run_until(&mut self, until: Time) {
         debug_assert!(self.worklist.is_empty());
         debug_assert!(self.rx_frames.is_empty());
@@ -321,12 +314,11 @@ impl Network {
     /// entries behind for pop-time elision.
     fn arm_tx_timer(&mut self, id: usize, after: Duration, epoch: u64) {
         let at = self.now + after;
-        let shard = self.hot.shard_of[id] as usize;
         let ev = Ev::MacTxPath { node: id, epoch };
         let h = match self.hot.tx_timer[id] {
-            TimerSlot::Armed { h, .. } => self.sched.reschedule(shard, Some(h), at, ev),
-            TimerSlot::Parked => self.sched.reschedule(shard, None, at, ev),
-            TimerSlot::Idle => self.sched.schedule_keyed(shard, at, ev),
+            TimerSlot::Armed { h, .. } => self.sched.reschedule(Some(h), at, ev),
+            TimerSlot::Parked => self.sched.reschedule(None, at, ev),
+            TimerSlot::Idle => self.sched.schedule_keyed(at, ev),
         };
         self.hot.tx_timer[id] = TimerSlot::Armed { h, epoch };
     }
@@ -334,12 +326,11 @@ impl Network {
     /// [`Network::arm_tx_timer`] for the ACK-job timer.
     fn arm_ack_timer(&mut self, id: usize, after: Duration, epoch: u64) {
         let at = self.now + after;
-        let shard = self.hot.shard_of[id] as usize;
         let ev = Ev::MacAckJob { node: id, epoch };
         let h = match self.hot.ack_timer[id] {
-            TimerSlot::Armed { h, .. } => self.sched.reschedule(shard, Some(h), at, ev),
-            TimerSlot::Parked => self.sched.reschedule(shard, None, at, ev),
-            TimerSlot::Idle => self.sched.schedule_keyed(shard, at, ev),
+            TimerSlot::Armed { h, .. } => self.sched.reschedule(Some(h), at, ev),
+            TimerSlot::Parked => self.sched.reschedule(None, at, ev),
+            TimerSlot::Idle => self.sched.schedule_keyed(at, ev),
         };
         self.hot.ack_timer[id] = TimerSlot::Armed { h, epoch };
     }
@@ -357,7 +348,7 @@ impl Network {
     fn park_stale_tx(&mut self, id: usize) {
         if let TimerSlot::Armed { h, epoch } = self.hot.tx_timer[id] {
             if epoch != self.nodes[id].mac.tx_epoch() {
-                let found = self.sched.remove(self.hot.shard_of[id] as usize, h);
+                let found = self.sched.remove(h);
                 debug_assert!(found, "armed slot held a dead handle");
                 self.hot.tx_timer[id] = TimerSlot::Parked;
             }
@@ -416,8 +407,7 @@ impl Network {
         }
         let next = self.now + self.source_intervals[i];
         if next < s.stop {
-            let shard = self.hot.shard_of[s.src] as usize;
-            self.sched.schedule(shard, next, Ev::Traffic(i));
+            self.sched.schedule(next, Ev::Traffic(i));
         }
     }
 
@@ -433,15 +423,7 @@ impl Network {
             self.drain();
         }
         if let Some(p) = rearm {
-            // Same routing rule the builder uses for the initial arm: the
-            // refresh timer lives with the flow's source node.
-            let shard = self
-                .sources
-                .iter()
-                .find(|s| s.flow == flow)
-                .map_or(GLOBAL_SHARD, |s| self.hot.shard_of[s.src] as usize);
-            self.sched
-                .schedule(shard, self.now + p, Ev::WindowRefresh(flow));
+            self.sched.schedule(self.now + p, Ev::WindowRefresh(flow));
         }
     }
 
@@ -684,7 +666,7 @@ impl Network {
             self.metrics.on_sample(self.now, id, occ, cw);
         }
         self.sched
-            .schedule(GLOBAL_SHARD, self.now + self.sample_every, Ev::Sample);
+            .schedule(self.now + self.sample_every, Ev::Sample);
     }
 
     fn on_backlog(&mut self) {
@@ -714,7 +696,7 @@ impl Network {
         }
         self.drain();
         if let Some(p) = self.backlog_every {
-            self.sched.schedule(GLOBAL_SHARD, self.now + p, Ev::Backlog);
+            self.sched.schedule(self.now + p, Ev::Backlog);
         }
     }
 
@@ -740,7 +722,7 @@ impl Network {
         self.telemetry.finish_window(self.now);
         let next = self.now + self.telemetry.every();
         self.telemetry.note_push();
-        self.sched.schedule(GLOBAL_SHARD, next, Ev::Telemetry);
+        self.sched.schedule(next, Ev::Telemetry);
     }
 
     /// Processes queued MAC inputs until quiescence.
@@ -832,7 +814,6 @@ impl Network {
                     &mut self.start_report,
                 );
                 self.sched.schedule(
-                    self.hot.shard_of[id] as usize,
                     end,
                     Ev::TxEnd {
                         tx: self.start_report.tx_id,
@@ -846,9 +827,8 @@ impl Network {
             MacOutput::SetTimerTxPath { after, epoch } => self.arm_tx_timer(id, after, epoch),
             MacOutput::SetTimerAckJob { after, epoch } => self.arm_ack_timer(id, after, epoch),
             MacOutput::SetTimerNav { after } => {
-                let shard = self.hot.shard_of[id] as usize;
                 self.sched
-                    .schedule(shard, self.now + after, Ev::MacNav { node: id });
+                    .schedule(self.now + after, Ev::MacNav { node: id });
             }
             MacOutput::TxSuccess { frame, .. } => {
                 // Terminal event: the MAC handed the id back; release it
@@ -1226,14 +1206,6 @@ impl Network {
                     handler_ns: self.handler_ns,
                     telemetry_windows: self.telemetry.windows(),
                     telemetry_windows_per_sec: per_wall(self.telemetry.windows() as f64),
-                    // 0 for a serial run (the JSON key is omitted below
-                    // shards=2, so 0 — not 1 — is what round-trips).
-                    shards: match self.sched.shards() as u64 {
-                        1 => 0,
-                        k => k,
-                    },
-                    cut_deliveries: self.sched.cut_deliveries(),
-                    barrier_waits: self.sched.barrier_waits(),
                 }
             },
             latency: LatencySnapshot::default(),

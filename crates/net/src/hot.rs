@@ -52,11 +52,6 @@ pub(crate) struct HotState {
     /// every node's queue `Vec`; `debug_assert`s in the sample path pin
     /// the mirror to the queues' ground truth.
     pub(crate) occupancy: Vec<u32>,
-    /// Partition (shard) of each node, from the interference-domain
-    /// partitioner ([`crate::partition`]). Every scheduler post for a
-    /// node's timer or transmission is routed to this shard's queue;
-    /// with one shard the array is all zeroes.
-    pub(crate) shard_of: Vec<u32>,
 }
 
 impl HotState {
@@ -65,7 +60,6 @@ impl HotState {
             tx_timer: vec![TimerSlot::Idle; n],
             ack_timer: vec![TimerSlot::Idle; n],
             occupancy: vec![0; n],
-            shard_of: vec![0; n],
         }
     }
 }

@@ -44,7 +44,6 @@ mod hot;
 pub mod metrics;
 pub mod network;
 pub mod node;
-pub mod partition;
 pub mod queue;
 pub mod routing;
 pub mod scenario;
@@ -62,9 +61,8 @@ pub use controller::{
 };
 pub use flight::{group_journeys, summarize_journey, FlightRecorder, FlightStats, JourneySummary};
 pub use metrics::Metrics;
-pub use network::{Network, NetworkSpec, SchedKind};
+pub use network::{Network, NetworkSpec};
 pub use node::Node;
-pub use partition::{partition_by_sensing, Partition};
 pub use queue::TxQueue;
 pub use routing::{GatewayRoutes, StaticRouting};
 pub use scenario::{CompiledScenario, ScenarioError, ScenarioSpec, SweepPoint};

@@ -34,11 +34,10 @@ use std::collections::VecDeque;
 
 use ezflow_mac::MacStats;
 use ezflow_phy::{Channel, ChannelStats, FrameArena};
-use ezflow_sim::{Duration, ShardedScheduler, SimRng, Time, TraceRing};
+use ezflow_sim::{Duration, Scheduler, SimRng, Time, TraceRing};
 
 pub use crate::builder::NetworkSpec;
 pub use crate::transport::TRANSPORT_ACK_FLOW;
-pub use ezflow_sim::SchedKind;
 
 use crate::audit::AuditLedger;
 use crate::controller::Controller;
@@ -60,12 +59,7 @@ use crate::transport::FlowTransport;
 /// the stable public surface (`new`, `run_until`, `snapshot`, `metrics`).
 pub struct Network {
     pub(crate) now: Time,
-    /// The event queue: one backend per interference-domain partition,
-    /// merged back into the exact serial `(at, seq)` order (see
-    /// [`ezflow_sim::ShardedScheduler`] and [`crate::partition`]). With
-    /// `spec.shards <= 1` this is one queue and behaves — byte for byte,
-    /// gauges included — like the serial scheduler it replaced.
-    pub(crate) sched: ShardedScheduler<Ev>,
+    pub(crate) sched: Scheduler<Ev>,
     pub(crate) channel: Channel,
     /// The single store of every live frame: queues, MACs and the
     /// channel trade 8-byte [`ezflow_phy::FrameId`] handles into this
@@ -142,11 +136,6 @@ pub struct Network {
     /// Wall-clock time spent inside `run_until` (perf accounting only;
     /// never fed back into the simulation).
     pub(crate) wall: std::time::Duration,
-    /// Sensing edges cut by the partition (endpoints in different
-    /// shards), for the bench report; 0 with one shard.
-    pub(crate) cut_edges: usize,
-    /// Total undirected sensing edges in the interference graph.
-    pub(crate) graph_edges: usize,
 }
 
 /// `Network` must stay `Send`: the sweep runner in `ezflow-bench` moves
@@ -190,11 +179,6 @@ impl Network {
         self.events
     }
 
-    /// Which scheduler backend this network runs on.
-    pub fn sched_kind(&self) -> SchedKind {
-        self.sched.kind()
-    }
-
     /// Stale timer events elided inside the scheduler's pop loop — never
     /// dispatched, never counted in [`Network::events_processed`].
     pub fn sched_stale_elided(&self) -> u64 {
@@ -211,35 +195,6 @@ impl Network {
     /// Timer entries physically removed (parked frozen countdowns).
     pub fn sched_removed(&self) -> u64 {
         self.sched.removed_total()
-    }
-
-    /// Number of scheduler shards (interference-domain partitions) this
-    /// network runs over; 1 means serial.
-    pub fn shards(&self) -> usize {
-        self.sched.shards()
-    }
-
-    /// Scheduler posts that crossed a partition boundary (zero when
-    /// serial); see [`ezflow_sim::ShardedScheduler::cut_deliveries`].
-    pub fn sched_cut_deliveries(&self) -> u64 {
-        self.sched.cut_deliveries()
-    }
-
-    /// Lookahead-epoch barrier synchronizations a conservative threaded
-    /// runtime would perform (zero when serial); see
-    /// [`ezflow_sim::ShardedScheduler::barrier_waits`].
-    pub fn sched_barrier_waits(&self) -> u64 {
-        self.sched.barrier_waits()
-    }
-
-    /// `cut edges / total edges` of the interference graph under the
-    /// active partition (0.0 when serial or edgeless).
-    pub fn cut_edge_fraction(&self) -> f64 {
-        if self.graph_edges == 0 {
-            0.0
-        } else {
-            self.cut_edges as f64 / self.graph_edges as f64
-        }
     }
 
     /// Frames currently live in the arena (queued + held by MACs + on

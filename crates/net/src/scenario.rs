@@ -354,6 +354,9 @@ impl ScenarioSpec {
         }
         let seed = opt_u64(v, "", "seed", 1)?;
         let queue_cap = opt_u64(v, "", "queue_cap", 50)? as usize;
+        if queue_cap == 0 {
+            return Err(field("queue_cap", "must be nonzero"));
+        }
         let topology = parse_topology(req(v, "", "topology")?)?;
         let duration = secs_to_time("duration_secs", duration_secs)?;
 
@@ -1457,6 +1460,13 @@ mod tests {
         let text = r#"{"name": "x", "topology": {"kind": "chain", "hops": 2}}"#;
         match ScenarioSpec::parse(text).unwrap_err() {
             ScenarioError::Field { path, .. } => assert_eq!(path, "duration_secs"),
+            other => panic!("expected field error, got {other:?}"),
+        }
+        // A zero-capacity queue used to reach the builder and abort there.
+        let text = r#"{"name": "x", "duration_secs": 10, "queue_cap": 0,
+                       "topology": {"kind": "chain", "hops": 2}}"#;
+        match ScenarioSpec::parse(text).unwrap_err() {
+            ScenarioError::Field { path, .. } => assert_eq!(path, "queue_cap"),
             other => panic!("expected field error, got {other:?}"),
         }
     }

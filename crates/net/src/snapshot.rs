@@ -269,17 +269,17 @@ pub struct SchedulerSnapshot {
     /// Events dispatched (popped and handled).
     pub dispatched_total: u64,
     /// Events elided inside the pop loop by the scheduler's stale-timer
-    /// hook — popped and counted, never dispatched. Deterministic and
-    /// identical across scheduler backends (unlike the wheel gauges in
-    /// [`PerfSnapshot`]), so it lives in this comparable block.
+    /// hook — popped and counted, never dispatched. Deterministic
+    /// simulation state (unlike the wheel gauges in [`PerfSnapshot`]), so
+    /// it lives in this comparable block.
     pub stale_elided: u64,
     /// Timer entries moved in place by keyed rescheduling — the successor
     /// of the schedule-new-then-elide pattern: each re-arm consumes the
     /// old entry exactly as a pop-time elision did, without the entry
-    /// ever sitting in the queue as churn. Deterministic across backends.
+    /// ever sitting in the queue as churn.
     pub rescheduled_total: u64,
     /// Timer entries physically removed (parked frozen countdowns
-    /// awaiting a later re-arm). Deterministic across backends.
+    /// awaiting a later re-arm).
     pub removed_total: u64,
     /// Events still pending at snapshot time.
     pub pending: usize,
@@ -357,14 +357,13 @@ pub struct PerfSnapshot {
     /// entries the simulation paid for but never used. The scheduler's
     /// pop-time elisions plus the MAC's own defensive count.
     pub stale_epoch_drops: u64,
-    /// Calendar-queue cursor advances, in buckets; zero on the heap
-    /// backend. A backend implementation gauge, not comparable state.
+    /// Calendar-queue cursor advances, in buckets. An implementation
+    /// gauge, not comparable state.
     pub sched_rotations: u64,
     /// Entries migrated from the calendar queue's overflow heap into
-    /// buckets on rotation; zero on the heap backend.
+    /// buckets on rotation.
     pub sched_overflow_refills: u64,
-    /// Deepest any single calendar-queue bucket ever got; zero on the
-    /// heap backend.
+    /// Deepest any single calendar-queue bucket ever got.
     pub sched_bucket_high_water: u64,
     /// Trace-ring records pushed but no longer held (evicted by the
     /// bounded ring, or never stored because tracing was disabled).
@@ -382,16 +381,6 @@ pub struct PerfSnapshot {
     pub telemetry_windows: u64,
     /// Telemetry sample windows per wall-clock second.
     pub telemetry_windows_per_sec: f64,
-    /// Scheduler partitions the run used. 1 (key omitted, along with the
-    /// two counters below) for a serial run — the pre-sharding schema is
-    /// preserved byte for byte.
-    pub shards: u64,
-    /// Scheduler posts whose target shard differed from the shard being
-    /// executed — the PDES cross-partition traffic.
-    pub cut_deliveries: u64,
-    /// Lookahead-epoch advances at the merge point: how often a
-    /// conservative parallel execution would have had to synchronize.
-    pub barrier_waits: u64,
 }
 
 impl PerfSnapshot {
@@ -416,9 +405,6 @@ impl PerfSnapshot {
             handler_ns: [0; crate::engine::PROFILE_KINDS],
             telemetry_windows: 0,
             telemetry_windows_per_sec: 0.0,
-            shards: 0,
-            cut_deliveries: 0,
-            barrier_waits: 0,
         }
     }
 
@@ -466,11 +452,6 @@ impl PerfSnapshot {
                 self.telemetry_windows_per_sec.into(),
             ));
         }
-        if self.shards > 1 {
-            fields.push(("shards", self.shards.into()));
-            fields.push(("cut_deliveries", self.cut_deliveries.into()));
-            fields.push(("barrier_waits", self.barrier_waits.into()));
-        }
         JsonValue::obj(fields)
     }
 
@@ -507,16 +488,6 @@ impl PerfSnapshot {
                 .get("telemetry_windows_per_sec")
                 .and_then(JsonValue::as_f64)
                 .unwrap_or(0.0),
-            // Absent in serial-run (and pre-sharding) documents.
-            shards: v.get("shards").and_then(JsonValue::as_u64).unwrap_or(0),
-            cut_deliveries: v
-                .get("cut_deliveries")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(0),
-            barrier_waits: v
-                .get("barrier_waits")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(0),
         })
     }
 }
@@ -1107,9 +1078,6 @@ mod tests {
                 handler_ns: [0; crate::engine::PROFILE_KINDS],
                 telemetry_windows: 0,
                 telemetry_windows_per_sec: 0.0,
-                shards: 0,
-                cut_deliveries: 0,
-                barrier_waits: 0,
             },
             latency: LatencySnapshot {
                 per_flow: vec![(0, {
@@ -1152,7 +1120,6 @@ mod tests {
         assert!(!text.contains("stability"));
         assert!(!text.contains("handler_ns_by_kind"));
         assert!(!text.contains("telemetry_windows"));
-        assert!(!text.contains("cut_deliveries"));
         // Structural probe, not text: each node serialises its controller
         // *name* under "controller" too, so look at the top level only.
         assert!(json.get("controller").is_none());
@@ -1184,9 +1151,6 @@ mod tests {
         snap.perf.handler_ns[crate::engine::PROFILE_KINDS - 1] = 456;
         snap.perf.telemetry_windows = 10;
         snap.perf.telemetry_windows_per_sec = 20.0;
-        snap.perf.shards = 4;
-        snap.perf.cut_deliveries = 77;
-        snap.perf.barrier_waits = 9;
         snap.stability = Some(StabilitySnapshot {
             interval_us: 100_000,
             windows: 10,
@@ -1293,9 +1257,6 @@ mod tests {
         let mut snap = sample();
         snap.perf.telemetry_windows = 4;
         snap.perf.telemetry_windows_per_sec = 8.0;
-        snap.perf.shards = 2;
-        snap.perf.cut_deliveries = 31;
-        snap.perf.barrier_waits = 5;
         let mut json = snap.to_json();
         strip(
             &mut json,
@@ -1305,9 +1266,6 @@ mod tests {
                 "arena_high_water",
                 "telemetry_windows",
                 "telemetry_windows_per_sec",
-                "shards",
-                "cut_deliveries",
-                "barrier_waits",
             ],
         );
         // "controller" collides with each node's controller-name field,
@@ -1322,8 +1280,6 @@ mod tests {
         assert_eq!(back.nodes, snap.nodes);
         assert_eq!(back.perf.arena_high_water, 0, "lenient default");
         assert_eq!(back.perf.telemetry_windows, 0, "lenient default");
-        assert_eq!(back.perf.shards, 0, "lenient default");
-        assert_eq!(back.perf.cut_deliveries, 0, "lenient default");
         assert_eq!(back.stability, None);
         assert_eq!(back.controller, None);
     }

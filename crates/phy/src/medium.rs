@@ -422,10 +422,7 @@ impl Channel {
 
     /// The nodes (ascending, `s` excluded) inside `s`'s carrier-sense
     /// range — the static interference adjacency. Geometry is fixed at
-    /// construction, so these lists never change; they are the edge set
-    /// the sharded engine partitions over, and an edge whose endpoints
-    /// land in different partitions is a *cut link*: every delivery the
-    /// engine routes across it enters another partition's queue.
+    /// construction, so these lists never change.
     pub fn sensing_neighbors(&self, s: usize) -> &[usize] {
         &self.sense_from[s]
     }

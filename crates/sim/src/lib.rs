@@ -33,9 +33,7 @@ pub mod trace;
 
 pub use json::{JsonError, JsonValue};
 pub use rng::SimRng;
-pub use sched::{
-    Cancelable, EventId, SchedKind, Scheduler, ShardedScheduler, TimerHandle, WheelStats,
-};
+pub use sched::{Cancelable, EventId, SchedKind, Scheduler, TimerHandle, WheelStats};
 pub use time::{Duration, Time};
 pub use trace::{
     BoeVerdict, DropCause, FrameClass, RxOutcome, TraceEvent, TraceFilter, TraceKind, TracePayload,

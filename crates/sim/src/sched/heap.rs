@@ -2,10 +2,9 @@
 //!
 //! O(log n) push/pop with the inverted `Entry` ordering (earliest
 //! `(at, seq)` first). This is the original scheduler implementation,
-//! kept selectable forever: it has no tuning parameters and no geometry,
-//! so it serves as the oracle the calendar-queue backend is
-//! property-tested against (`tests/sched_equiv.rs`) and as the fallback
-//! if a workload ever degenerates the wheel.
+//! kept as a test reference only: it has no tuning parameters and no
+//! geometry, so it is the oracle the calendar queue is checked against
+//! in lock-step (`tests/sched_equiv.rs`). No network runs on it.
 
 use std::collections::BinaryHeap;
 
@@ -65,12 +64,5 @@ impl<E> HeapQueue<E> {
 
     pub(crate) fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|e| e.at)
-    }
-
-    /// The full `(at, seq)` key of the earliest pending entry — what the
-    /// sharded façade's merge point compares across per-partition queues
-    /// (time alone cannot break same-instant ties deterministically).
-    pub(crate) fn peek_key(&self) -> Option<(Time, u64)> {
-        self.heap.peek().map(|e| (e.at, e.seq))
     }
 }

@@ -7,19 +7,20 @@
 //! RNG seed. This determinism is what makes the EXPERIMENTS.md numbers
 //! regenerable to the last digit.
 //!
-//! Two interchangeable backends implement that order (select one with
-//! [`Scheduler::with_kind`]; the equivalence is property-tested):
+//! The scheduler is a hierarchical calendar queue ([`wheel`],
+//! [`SchedKind::Wheel`], what [`Scheduler::new`] builds): an array of
+//! fixed-width near-future buckets (width tuned to the 802.11 slot time)
+//! rotated as time advances, plus an overflow min-heap for far-future
+//! events that refills buckets on rotation. Amortised O(1) push/pop under
+//! the short-horizon timer churn of the DCF (Brown's calendar queue — the
+//! same structure ns-2, the paper's own substrate, uses for its event
+//! list).
 //!
-//! * [`SchedKind::Heap`] — the reference implementation, a plain binary
-//!   heap ([`heap`]). O(log n) push/pop, no tuning knobs, obviously
-//!   correct.
-//! * [`SchedKind::Wheel`] — the default, a hierarchical calendar queue
-//!   ([`wheel`]): an array of fixed-width near-future buckets (width
-//!   tuned to the 802.11 slot time) rotated as time advances, plus an
-//!   overflow min-heap for far-future events that refills buckets on
-//!   rotation. Amortised O(1) push/pop under the short-horizon timer
-//!   churn of the DCF (Brown's calendar queue — the same structure ns-2,
-//!   the paper's own substrate, uses for its event list).
+//! A plain binary heap ([`heap`], [`SchedKind::Heap`]) implements the same
+//! order in O(log n) with no tuning knobs. It is the test reference: the
+//! unit tests below and `tests/sched_equiv.rs` build it through
+//! [`Scheduler::with_kind`] and drive it in lock-step with the wheel.
+//! Nothing outside this crate's tests constructs it.
 //!
 //! Both backends also support **pop-time stale elision** through the
 //! [`Cancelable`] hook: events whose owner has moved on (the MAC's
@@ -33,10 +34,7 @@ use crate::time::Time;
 use core::cmp::Ordering;
 
 pub mod heap;
-pub mod sharded;
 pub mod wheel;
-
-pub use sharded::ShardedScheduler;
 
 use heap::HeapQueue;
 use wheel::WheelQueue;
@@ -79,7 +77,8 @@ impl TimerHandle {
 }
 
 /// Which queue backend a [`Scheduler`] uses. Both produce identical pop
-/// sequences and statistics; they differ only in wall-clock cost.
+/// sequences and statistics; the wheel is the scheduler, the heap the
+/// reference the tests compare it against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SchedKind {
     /// Reference binary heap (O(log n), no tuning).
@@ -90,7 +89,7 @@ pub enum SchedKind {
 }
 
 impl SchedKind {
-    /// Stable lower-case name (`"heap"` / `"wheel"`), the CLI vocabulary.
+    /// Stable lower-case name (`"heap"` / `"wheel"`).
     pub fn name(self) -> &'static str {
         match self {
             SchedKind::Heap => "heap",

@@ -370,23 +370,6 @@ impl<E> WheelQueue<E> {
         let bucket = &self.buckets[idx];
         Some(bucket.items[bucket.head].at)
     }
-
-    /// The full `(at, seq)` key of the earliest pending entry — what the
-    /// sharded façade's merge point compares across per-partition queues
-    /// (time alone cannot break same-instant ties deterministically).
-    /// Same head-location argument as [`WheelQueue::peek_time`]: buckets
-    /// drain before overflow, cross-bucket order is time order, and the
-    /// head of the first occupied bucket is its minimum.
-    pub(crate) fn peek_key(&self) -> Option<(Time, u64)> {
-        if self.in_buckets == 0 {
-            return self.overflow.peek().map(|e| (e.at, e.seq));
-        }
-        let offset = self.next_occupied_offset()?;
-        let idx = (self.cursor + offset) & MASK;
-        let bucket = &self.buckets[idx];
-        let head = &bucket.items[bucket.head];
-        Some((head.at, head.seq))
-    }
 }
 
 #[cfg(test)]

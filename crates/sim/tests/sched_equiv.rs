@@ -8,8 +8,9 @@
 //! DCF-like timers, same-instant FIFO ties, deep-overflow events past the
 //! wheel horizon, epoch-token cancel storms, and `pop_before` horizons
 //! that slice the run arbitrarily — and asserts lock-step equality after
-//! every operation. `scripts/check.sh` runs this file explicitly so the
-//! heap fallback can never rot.
+//! every operation. No network can be built on the heap, so this file is
+//! the only place the wheel is checked against it; `scripts/check.sh`
+//! runs it explicitly.
 
 use ezflow_sim::{SchedKind, Scheduler, SimRng, Time, TimerHandle};
 use proptest::prelude::*;
@@ -203,44 +204,106 @@ impl Pair {
     }
 }
 
-/// One randomized workload: schedule-heavy, with cancel storms and
-/// arbitrary pop horizons.
-fn run_workload(seed: u64, ops: usize) {
+/// Which operation generator [`run_workload`] draws from.
+#[derive(Clone, Copy)]
+enum Mix {
+    /// Schedule-heavy, with cancel storms and arbitrary pop horizons.
+    Uniform,
+    /// The engine's shape: one slot-granular backoff timer per owner.
+    Dcf,
+}
+
+/// One [`Mix::Uniform`] operation.
+fn uniform_op(pair: &mut Pair, rng: &mut SimRng) {
+    // Shared delta mix: mostly short DCF-like horizons, with tie
+    // pressure, around-the-horizon and deep-overflow tails.
+    let delta = match below(rng, 10) {
+        0..=4 => below(rng, 2_048),          // slots, SIFS/DIFS, ACK timeouts
+        5..=6 => below(rng, 4) * 20,         // same-instant / same-slot ties
+        7..=8 => 61_000 + below(rng, 9_000), // straddles the 65.536 ms horizon
+        _ => below(rng, 3_000_000),          // far future (overflow heap)
+    };
+    let owner = below(rng, OWNERS as u64) as usize;
+    match below(rng, 100) {
+        0..=39 => pair.schedule(delta, owner),
+        40..=49 => pair.schedule_keyed(delta, owner),
+        // In-place reschedule storm: move a live keyed entry,
+        // possibly across the bucket/overflow boundary.
+        50..=61 => {
+            let pick = below(rng, 1 << 30) as usize;
+            pair.reschedule(pick, delta);
+        }
+        62..=66 => {
+            let pick = below(rng, 1 << 30) as usize;
+            pair.park(pick);
+        }
+        67..=69 => pair.resume(delta, owner),
+        70..=79 => {
+            // Cancel storm: invalidate one owner's outstanding timers.
+            pair.bump(owner);
+        }
+        _ => {
+            let until = Time::from_micros(pair.now + below(rng, 100_000));
+            pair.pop_before(until);
+        }
+    }
+}
+
+/// One [`Mix::Dcf`] operation. [`OWNERS`] logical backoff timers, each
+/// idle, armed or parked like the engine's per-MAC timer slot: arming
+/// one picks the verb the engine would (`reschedule(Some)` for an armed
+/// slot, `reschedule(None)` for a parked one, `schedule_keyed` for an
+/// idle one) at DIFS plus a whole number of 20 µs slots, so several
+/// countdowns started from one `now` expire at the same instant. Around
+/// them: medium-busy freezes (`remove`), epoch-token frame timers, and
+/// source arrivals past the 65.536 ms wheel horizon, so the overflow
+/// heap refills buckets while the timers churn.
+fn dcf_op(pair: &mut Pair, rng: &mut SimRng) {
+    const SLOT: u64 = 20;
+    const DIFS: u64 = 50;
+    let timer = below(rng, OWNERS as u64) as usize;
+    match below(rng, 16) {
+        0..=6 => {
+            let backoff = DIFS + below(rng, 16) * SLOT;
+            let armed = pair.handles.len();
+            if timer < armed {
+                pair.reschedule(timer, backoff);
+            } else if timer < armed + pair.parked {
+                pair.resume(backoff, timer);
+            } else {
+                pair.schedule_keyed(backoff, timer);
+            }
+        }
+        7..=8 => pair.park(timer),
+        // ACK timeout or end of a data frame, cancelled by epoch bump.
+        9 => pair.schedule(304 + below(rng, 2) * 8_192, timer),
+        10 => pair.bump(timer),
+        // Next source arrival: far enough out to land in the overflow heap
+        // even when the cursor has run ahead of `now` to a frame timer.
+        11 => pair.schedule(70_000 + below(rng, 30_000), timer),
+        _ => {
+            let until = Time::from_micros(pair.now + below(rng, 2_000));
+            while pair.pop_before(until).is_some() {}
+        }
+    }
+}
+
+/// One randomized workload of `ops` operations drawn from `mix`, then a
+/// full drain.
+fn run_workload(seed: u64, ops: usize, mix: Mix) {
     let mut rng = SimRng::new(seed);
     let mut pair = Pair::new();
     for _ in 0..ops {
-        // Shared delta mix: mostly short DCF-like horizons, with tie
-        // pressure, around-the-horizon and deep-overflow tails.
-        let delta = match below(&mut rng, 10) {
-            0..=4 => below(&mut rng, 2_048),  // slots, SIFS/DIFS, ACK timeouts
-            5..=6 => below(&mut rng, 4) * 20, // same-instant / same-slot ties
-            7..=8 => 61_000 + below(&mut rng, 9_000), // straddles the 65.536 ms horizon
-            _ => below(&mut rng, 3_000_000),  // far future (overflow heap)
-        };
-        let owner = below(&mut rng, OWNERS as u64) as usize;
-        match below(&mut rng, 100) {
-            0..=39 => pair.schedule(delta, owner),
-            40..=49 => pair.schedule_keyed(delta, owner),
-            // In-place reschedule storm: move a live keyed entry,
-            // possibly across the bucket/overflow boundary.
-            50..=61 => {
-                let pick = below(&mut rng, 1 << 30) as usize;
-                pair.reschedule(pick, delta);
-            }
-            62..=66 => {
-                let pick = below(&mut rng, 1 << 30) as usize;
-                pair.park(pick);
-            }
-            67..=69 => pair.resume(delta, owner),
-            70..=79 => {
-                // Cancel storm: invalidate one owner's outstanding timers.
-                pair.bump(owner);
-            }
-            _ => {
-                let until = Time::from_micros(pair.now + below(&mut rng, 100_000));
-                pair.pop_before(until);
-            }
+        match mix {
+            Mix::Uniform => uniform_op(&mut pair, &mut rng),
+            Mix::Dcf => dcf_op(&mut pair, &mut rng),
         }
+    }
+    if let Mix::Dcf = mix {
+        // The point of the mix: all three timer verbs ran, and overflow
+        // entries came back into buckets before the final drain.
+        assert!(pair.wheel.rescheduled_total() > 0 && pair.wheel.removed_total() > 0);
+        assert!(pair.wheel.wheel_stats().overflow_refills > 0);
     }
     pair.drain();
 }
@@ -248,15 +311,14 @@ fn run_workload(seed: u64, ops: usize) {
 proptest! {
     #[test]
     fn heap_and_wheel_agree_on_random_workloads(seed in any::<u64>()) {
-        run_workload(seed, 400);
+        run_workload(seed, 400, Mix::Uniform);
+        run_workload(seed, 400, Mix::Dcf);
     }
 
     /// Keyed churn under horizon slicing: `remove`/`reschedule` storms
     /// interleaved with small `pop_before` horizons, so entries are moved
     /// and parked *while* the wheel rotates bucket by bucket instead of
-    /// draining in one sweep. This is the seam the sharded façade leans
-    /// on — it pops single entries per merge step, which makes every pop
-    /// a tiny horizon slice from the backend's point of view.
+    /// draining in one sweep.
     #[test]
     fn keyed_churn_under_horizon_slicing_stays_in_lock_step(
         seed in any::<u64>(),

@@ -22,19 +22,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet "${DOC_FLAGS[@]}"
 echo "== parallel sweep smoke (seeds, --quick --jobs=2) =="
 cargo run --release -q -p ezflow-bench --bin experiments -- --quick --jobs=2 seeds >/dev/null
 
-echo "== heap-backend fallback smoke (seeds, --sched=heap) =="
-# The wheel is the default everywhere; this keeps the heap fallback
-# path exercised end-to-end so it can never rot.
-cargo run --release -q -p ezflow-bench --bin experiments -- --quick --jobs=2 --sched=heap seeds >/dev/null
-
-echo "== sharded-engine smoke (seeds, --shards=2) =="
-# The conservative-PDES shard path must run end-to-end; byte-identity to
-# serial is pinned by crates/net/tests/shards.rs and hotpath_bench --check.
-cargo run --release -q -p ezflow-bench --bin experiments -- --quick --jobs=2 --shards=2 seeds >/dev/null
-
 echo "== scheduler equivalence proptests (heap vs wheel) =="
-# Randomized schedule/cancel workloads must pop identically from both
-# backends (exact (at, seq) order, same high-water stats).
+# Randomized schedule/cancel workloads must pop identically from the
+# wheel and the heap reference (exact (at, seq) order, same high-water
+# stats) — the only place the heap runs.
 cargo test -q -p ezflow-sim --test sched_equiv
 
 echo "== hot-path determinism gate (hotpath_bench --check) =="
@@ -43,8 +34,7 @@ echo "== hot-path determinism gate (hotpath_bench --check) =="
 # events/s fell >20% below the recorded BENCH_sim_speed.json entry.
 # These runs leave the flight recorder off, so this is also the
 # recorder-off byte-identity gate: disabled-recorder code must not
-# change a single counter. The same gate re-runs every workload at
-# shards=2 and shards=4 and requires byte-identity to the serial run.
+# change a single counter.
 cargo run --release -q -p ezflow-bench --bin hotpath_bench -- --check
 
 echo "== mesh scale budget smoke (mesh_bench, non-recording) =="
