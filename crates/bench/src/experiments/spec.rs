@@ -117,7 +117,7 @@ pub fn run_spec(spec: &ScenarioSpec, scale: &Scale) -> Result<Report, String> {
 
 /// Aggregate throughput (kb/s, summed over flows), p99 network latency
 /// across all flows' merged histograms (seconds) and windowed Jain
-/// fairness `(min, mean)` over `[from, until)`. Public so `mesh_bench`
+/// fairness `(min, mean)` over `[from, until)`. Public so `benchmark/`
 /// reports the exact numbers the spec harness would.
 pub fn summarize(
     net: &ezflow_net::Network,

@@ -3,15 +3,16 @@
 //! One module per artifact of the paper's evaluation (see DESIGN.md §5 for
 //! the experiment index). Every experiment is a plain function taking a
 //! [`Scale`] and returning a [`report::Report`], so that the same code
-//! backs three frontends:
+//! backs both scales of one frontend:
 //!
 //! * `cargo run --release -p ezflow-bench --bin experiments -- all`
 //!   — full-length reproductions, printed as paper-vs-measured tables and
 //!   ASCII figures (the source of EXPERIMENTS.md);
-//! * `cargo bench -p ezflow-bench --bench paper_experiments`
-//!   — scaled-down versions of every experiment, for CI-sized validation;
-//! * the Criterion benches (`sim_speed`, `mechanism`) — raw performance
-//!   of the simulator and of the BOE/CAA hot paths.
+//! * the same with `--quick` — scaled-down versions of every
+//!   experiment, for CI-sized validation.
+//!
+//! Speed is measured by the standalone `benchmark/` harness
+//! (`BENCHMARK.json`), which calls these crates' public items.
 
 #![forbid(unsafe_code)]
 

@@ -51,7 +51,7 @@ impl Scale {
         }
     }
 
-    /// Quick runs for `cargo bench` / CI. Half the paper's durations: the
+    /// Quick runs for CI. Half the paper's durations: the
     /// CAA needs a few hundred simulated seconds to converge (50-sample
     /// rounds at tens of packets per second), so cutting deeper than this
     /// turns adaptation transients into spurious check failures.

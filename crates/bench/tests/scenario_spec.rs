@@ -14,6 +14,7 @@
 use std::path::PathBuf;
 
 use ezflow_bench::experiments::{spec, Algo};
+use ezflow_bench::report::Scale;
 use ezflow_net::{topo, Network, NetworkSpec, PerfSnapshot, ScenarioSpec, Topology};
 use ezflow_sim::Time;
 
@@ -97,22 +98,42 @@ fn mesh1k_spec_compiles_to_the_advertised_mesh() {
         .map(|f| *f.path.last().unwrap())
         .collect();
     assert!(gateways.len() >= 4, "traffic must drain to >= 4 gateways");
-    let kinds: std::collections::BTreeSet<&str> = compiled
-        .topology
-        .flows
-        .iter()
-        .map(|f| match f.transport {
-            ezflow_net::Transport::Cbr => "cbr",
-            ezflow_net::Transport::Windowed { .. } => "windowed",
-            ezflow_net::Transport::OnOff { .. } => "onoff",
-        })
-        .collect();
+    let kind_of = |f: &ezflow_net::FlowSpec| match f.transport {
+        ezflow_net::Transport::Cbr => "cbr",
+        ezflow_net::Transport::Windowed { .. } => "windowed",
+        ezflow_net::Transport::OnOff { .. } => "onoff",
+    };
+    let kinds: std::collections::BTreeSet<&str> =
+        compiled.topology.flows.iter().map(kind_of).collect();
     assert_eq!(kinds.len(), 3, "mixed CBR / windowed / on-off traffic");
     // Compiling twice yields the identical mesh: placement and source
     // selection are pure functions of the topology seed.
     let again = doc.compile().unwrap();
     assert_eq!(compiled.topology.positions, again.topology.positions);
     assert_eq!(compiled.topology.flows, again.topology.flows);
+
+    // The compiled mesh also runs: a slice past the 1 s flow start
+    // delivers on every transport kind, and every node's airtime buckets
+    // partition the elapsed time exactly.
+    let point = &compiled.points[0];
+    let mut ns = Scale::full().spec(&compiled.topology, point.seed);
+    ns.queue_cap = point.queue_cap;
+    let algo = Algo::from_name(&point.controller).unwrap();
+    let mut net = Network::new(ns, &*algo.factory());
+    net.run_until(Time::from_secs(3));
+    let delivering: std::collections::BTreeSet<&str> = compiled
+        .topology
+        .flows
+        .iter()
+        .filter(|f| net.metrics.delivered.get(&f.id).is_some_and(|&n| n > 0))
+        .map(kind_of)
+        .collect();
+    assert_eq!(delivering, kinds, "every transport kind delivered traffic");
+    let snap = net.snapshot("mesh1k");
+    assert_eq!(snap.nodes.len(), compiled.topology.positions.len());
+    for (i, node) in snap.nodes.iter().enumerate() {
+        assert_eq!(node.airtime.total_us(), snap.at_us, "node {i} airtime");
+    }
 }
 
 #[test]

@@ -1072,17 +1072,6 @@ impl Network {
         &self.by_kind_cache
     }
 
-    /// Scratch-buffer reuses in the channel — allocations the hot path
-    /// avoided (see the `hotpath_bench` gate).
-    pub fn buffer_reuses(&self) -> u64 {
-        self.channel.buffer_reuses()
-    }
-
-    /// Wall-clock time spent inside [`Network::run_until`] so far.
-    pub fn wall_time(&self) -> std::time::Duration {
-        self.wall
-    }
-
     /// Takes a [`RunSnapshot`] of the whole network at the current
     /// simulated instant. Mutable because the channel's airtime accounts
     /// are brought up to date first.

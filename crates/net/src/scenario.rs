@@ -900,6 +900,24 @@ fn parse_transport(v: &JsonValue, path: &str) -> Result<Transport, ScenarioError
     }
 }
 
+/// `payload_bytes` (default 1000) of a flow or traffic block; a value
+/// past the engine's `u32` is rejected rather than wrapped.
+fn parse_payload_bytes(v: &JsonValue, path: &str) -> Result<u32, ScenarioError> {
+    u32::try_from(opt_u64(v, path, "payload_bytes", 1000)?)
+        .map_err(|_| field(&join(path, "payload_bytes"), "must fit in 32 bits"))
+}
+
+/// `(start_secs, stop_secs)` of a flow or traffic block, in order.
+fn parse_active_window(v: &JsonValue, path: &str) -> Result<(Time, Time), ScenarioError> {
+    let start = secs_to_time(&join(path, "start_secs"), req_f64(v, path, "start_secs")?)?;
+    let stop_path = join(path, "stop_secs");
+    let stop = secs_to_time(&stop_path, req_f64(v, path, "stop_secs")?)?;
+    if stop < start {
+        return Err(field(&stop_path, "must not precede start_secs"));
+    }
+    Ok((start, stop))
+}
+
 fn parse_flow(v: &JsonValue, i: usize) -> Result<FlowSpec, ScenarioError> {
     let p = format!("flows[{i}]");
     let path_arr = req(v, &p, "path")?
@@ -917,13 +935,14 @@ fn parse_flow(v: &JsonValue, i: usize) -> Result<FlowSpec, ScenarioError> {
         None => Transport::Cbr,
         Some(t) => parse_transport(t, &join(&p, "transport"))?,
     };
+    let (start, stop) = parse_active_window(v, &p)?;
     Ok(FlowSpec {
         id: i as u32,
         path,
         rate_bps: opt_u64(v, &p, "rate_bps", 2_000_000)?,
-        payload_bytes: opt_u64(v, &p, "payload_bytes", 1000)? as u32,
-        start: secs_to_time(&join(&p, "start_secs"), req_f64(v, &p, "start_secs")?)?,
-        stop: secs_to_time(&join(&p, "stop_secs"), req_f64(v, &p, "stop_secs")?)?,
+        payload_bytes: parse_payload_bytes(v, &p)?,
+        start,
+        stop,
         transport,
     })
 }
@@ -941,12 +960,13 @@ fn parse_traffic(v: &JsonValue) -> Result<TrafficMix, ScenarioError> {
             transport: parse_transport(req(m, &mp, "transport")?, &join(&mp, "transport"))?,
         });
     }
+    let (start, stop) = parse_active_window(v, p)?;
     Ok(TrafficMix {
         flows: req_u64(v, p, "flows")? as usize,
         rate_bps: req_u64(v, p, "rate_bps")?,
-        payload_bytes: opt_u64(v, p, "payload_bytes", 1000)? as u32,
-        start: secs_to_time("traffic.start_secs", req_f64(v, p, "start_secs")?)?,
-        stop: secs_to_time("traffic.stop_secs", req_f64(v, p, "stop_secs")?)?,
+        payload_bytes: parse_payload_bytes(v, p)?,
+        start,
+        stop,
         mix,
     })
 }
@@ -1468,6 +1488,35 @@ mod tests {
         match ScenarioSpec::parse(text).unwrap_err() {
             ScenarioError::Field { path, .. } => assert_eq!(path, "queue_cap"),
             other => panic!("expected field error, got {other:?}"),
+        }
+        // A window that ends before it starts, and a payload that would
+        // wrap the engine's u32, used to parse silently.
+        let spec_with = |section: &str| {
+            format!(
+                r#"{{"name": "x", "duration_secs": 10,
+                    "topology": {{"kind": "chain", "hops": 2}}, {section}}}"#
+            )
+        };
+        for (section, want) in [
+            (
+                r#""flows": [{"path": [0, 1], "start_secs": 5, "stop_secs": 4}]"#,
+                "flows[0].stop_secs",
+            ),
+            (
+                r#""traffic": {"flows": 1, "rate_bps": 1000, "start_secs": 5,
+                               "stop_secs": 4, "mix": []}"#,
+                "traffic.stop_secs",
+            ),
+            (
+                r#""flows": [{"path": [0, 1], "start_secs": 0, "stop_secs": 4,
+                              "payload_bytes": 5e9}]"#,
+                "flows[0].payload_bytes",
+            ),
+        ] {
+            match ScenarioSpec::parse(&spec_with(section)).unwrap_err() {
+                ScenarioError::Field { path, .. } => assert_eq!(path, want),
+                other => panic!("expected field error at {want}, got {other:?}"),
+            }
         }
     }
 

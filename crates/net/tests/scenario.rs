@@ -22,6 +22,11 @@ fn time_st() -> impl Strategy<Value = Time> {
     (0u64..2_000_000_000_000).prop_map(Time::from_micros)
 }
 
+/// An activity window `(start, stop)`; the parser rejects `stop < start`.
+fn window_st() -> impl Strategy<Value = (Time, Time)> {
+    (time_st(), time_st()).prop_map(|(a, b)| (a.min(b), a.max(b)))
+}
+
 fn duration_st() -> impl Strategy<Value = Duration> {
     (1u64..100_000_000_000).prop_map(Duration::from_micros)
 }
@@ -84,8 +89,7 @@ fn flows_st() -> impl Strategy<Value = Vec<FlowSpec>> {
             prop::collection::vec(0usize..64, 2..8),
             1u64..10_000_000,
             1u32..4000,
-            time_st(),
-            time_st(),
+            window_st(),
             transport_st(),
         ),
         0..5,
@@ -94,7 +98,7 @@ fn flows_st() -> impl Strategy<Value = Vec<FlowSpec>> {
         raw.into_iter()
             .enumerate()
             .map(
-                |(i, (path, rate_bps, payload_bytes, start, stop, transport))| FlowSpec {
+                |(i, (path, rate_bps, payload_bytes, (start, stop), transport))| FlowSpec {
                     id: i as u32,
                     path,
                     rate_bps,
@@ -199,8 +203,7 @@ fn spec_st() -> impl Strategy<Value = ScenarioSpec> {
             1usize..20,
             1u64..10_000_000,
             1u32..4000,
-            time_st(),
-            time_st(),
+            window_st(),
             prop::collection::vec((0u32..100, transport_st()), 1..4),
         )),
         loss_st(),
@@ -223,7 +226,7 @@ fn spec_st() -> impl Strategy<Value = ScenarioSpec> {
                 // exclusive; keep whichever the strategy filled first.
                 let traffic = if flows.is_empty() {
                     traffic.map(
-                        |(n, rate_bps, payload_bytes, start, stop, mix)| TrafficMix {
+                        |(n, rate_bps, payload_bytes, (start, stop), mix)| TrafficMix {
                             flows: n,
                             rate_bps,
                             payload_bytes,

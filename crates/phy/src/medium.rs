@@ -444,8 +444,7 @@ impl Channel {
         self.dist[interferer][receiver] < self.cfg.capture_ratio * self.dist[sender][receiver]
     }
 
-    /// Times a pooled scratch buffer was reused instead of allocated —
-    /// the "allocations avoided" counter the hot-path bench records.
+    /// Times a pooled scratch buffer was reused instead of allocated.
     pub fn buffer_reuses(&self) -> u64 {
         self.pool_reuses
     }
