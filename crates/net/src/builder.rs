@@ -267,13 +267,14 @@ impl NetworkSpec {
                 }
             }
             for w in f.path.windows(2) {
-                let dist = self.positions[w[0]].distance(&self.positions[w[1]]);
-                if dist > self.channel.tx_range {
+                // `within` is the channel's decode test: valid here ⇒ decodes there.
+                let (a, b) = (&self.positions[w[0]], &self.positions[w[1]]);
+                if !a.within(b, self.channel.tx_range) {
                     return Err(SpecError::UndecodableHop {
                         flow: f.id,
                         a: w[0],
                         b: w[1],
-                        dist,
+                        dist: a.distance(b),
                     });
                 }
             }

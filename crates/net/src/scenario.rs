@@ -53,6 +53,13 @@ const PLACEMENT_STREAM: u64 = 0x746f_706f; // "topo"
 /// Stream tag for traffic-source selection.
 const SOURCE_STREAM: u64 = 0x7472_6166; // "traf"
 
+/// Largest node count a spec may ask for. The neighbour pass
+/// (`ezflow_phy::geom::neighbors_within`) is still quadratic in time —
+/// a 16 k-node mesh sets up and runs 1 s in ~0.5 s, a 64 k-node one in
+/// ~4 s — so anything larger reads as a hang (or, for a grid, aborts in
+/// the allocator). Raise it when that pass becomes a spatial grid.
+const MAX_NODES: usize = 1 << 16;
+
 /// Why a scenario document was rejected.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ScenarioError {
@@ -600,8 +607,7 @@ impl ScenarioSpec {
         // a generated mesh where some node cannot drain is a spec bug,
         // reported with the offending node rather than silently routed
         // around.
-        let tx_range = ChannelConfig::default().tx_range;
-        let adj = decode_adjacency(positions, tx_range);
+        let adj = ezflow_phy::geom::neighbors_within(positions, ChannelConfig::default().tx_range);
         let gw: Vec<usize> = (0..*gateways).collect();
         let routes = GatewayRoutes::compute(&adj, &gw);
         let stranded = routes.unreachable();
@@ -699,22 +705,6 @@ impl ScenarioSpec {
         }
         points
     }
-}
-
-/// The decode-graph adjacency of a layout (symmetric by construction).
-pub fn decode_adjacency(positions: &[Position], tx_range: f64) -> Vec<Vec<usize>> {
-    let n = positions.len();
-    let range_sq = tx_range * tx_range;
-    let mut adj = vec![Vec::new(); n];
-    for a in 0..n {
-        for b in (a + 1)..n {
-            if positions[a].distance_sq(&positions[b]) <= range_sq {
-                adj[a].push(b);
-                adj[b].push(a);
-            }
-        }
-    }
-    adj
 }
 
 /// File-label slug of a controller name (same scrub the bench layer
@@ -831,6 +821,7 @@ fn parse_topology(v: &JsonValue) -> Result<TopologySpec, ScenarioError> {
             let arr = req(v, p, "positions")?
                 .as_array()
                 .ok_or_else(|| field("topology.positions", "must be an array of [x, y] pairs"))?;
+            check_node_count("topology.positions", Some(arr.len()))?;
             let mut positions = Vec::with_capacity(arr.len());
             for (i, pv) in arr.iter().enumerate() {
                 let pair = pv.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
@@ -849,22 +840,38 @@ fn parse_topology(v: &JsonValue) -> Result<TopologySpec, ScenarioError> {
             }
             Ok(TopologySpec::Explicit { positions })
         }
-        "chain" => Ok(TopologySpec::Chain {
-            hops: req_u64(v, p, "hops")? as usize,
-            spacing: opt_f64(v, p, "spacing", crate::topo::SPACING)?,
-        }),
-        "grid" => Ok(TopologySpec::Grid {
-            rows: req_u64(v, p, "rows")? as usize,
-            cols: req_u64(v, p, "cols")? as usize,
-            spacing: req_f64(v, p, "spacing")?,
-        }),
-        "random_geometric" => Ok(TopologySpec::RandomGeometric {
-            nodes: req_u64(v, p, "nodes")? as usize,
-            width: req_f64(v, p, "width")?,
-            height: req_f64(v, p, "height")?,
-            gateways: req_u64(v, p, "gateways")? as usize,
-            seed: req_u64(v, p, "seed")?,
-        }),
+        "chain" => {
+            let hops = req_u64(v, p, "hops")? as usize;
+            check_node_count("topology.hops", hops.checked_add(1))?;
+            Ok(TopologySpec::Chain {
+                hops,
+                spacing: positive_meters(
+                    "spacing",
+                    opt_f64(v, p, "spacing", crate::topo::SPACING)?,
+                )?,
+            })
+        }
+        "grid" => {
+            let rows = req_u64(v, p, "rows")? as usize;
+            let cols = req_u64(v, p, "cols")? as usize;
+            check_node_count("topology.rows", rows.checked_mul(cols))?;
+            Ok(TopologySpec::Grid {
+                rows,
+                cols,
+                spacing: positive_meters("spacing", req_f64(v, p, "spacing")?)?,
+            })
+        }
+        "random_geometric" => {
+            let nodes = req_u64(v, p, "nodes")? as usize;
+            check_node_count("topology.nodes", Some(nodes))?;
+            Ok(TopologySpec::RandomGeometric {
+                nodes,
+                width: positive_meters("width", req_f64(v, p, "width")?)?,
+                height: positive_meters("height", req_f64(v, p, "height")?)?,
+                gateways: req_u64(v, p, "gateways")? as usize,
+                seed: req_u64(v, p, "seed")?,
+            })
+        }
         other => Err(field(
             "topology.kind",
             &format!(
@@ -874,13 +881,37 @@ fn parse_topology(v: &JsonValue) -> Result<TopologySpec, ScenarioError> {
     }
 }
 
+/// Rejects a layout of more than [`MAX_NODES`] nodes (`None`: the count
+/// overflowed) before anything is sized by it.
+fn check_node_count(path: &str, nodes: Option<usize>) -> Result<(), ScenarioError> {
+    match nodes {
+        Some(n) if n <= MAX_NODES => Ok(()),
+        _ => Err(field(
+            path,
+            &format!("layout exceeds the {MAX_NODES}-node limit"),
+        )),
+    }
+}
+
+/// A `topology.<key>` length in meters: finite and positive, or the
+/// layout is degenerate (co-located nodes, an empty area).
+fn positive_meters(key: &str, meters: f64) -> Result<f64, ScenarioError> {
+    if !(meters.is_finite() && meters > 0.0) {
+        return Err(field(
+            &join("topology", key),
+            "must be a positive number of meters",
+        ));
+    }
+    Ok(meters)
+}
+
 fn parse_transport(v: &JsonValue, path: &str) -> Result<Transport, ScenarioError> {
     let kind = req_str(v, path, "kind")?;
     match kind.as_str() {
         "cbr" => Ok(Transport::Cbr),
         "windowed" => Ok(Transport::Windowed {
             window: req_u64(v, path, "window")? as usize,
-            ack_payload: opt_u64(v, path, "ack_payload", 40)? as u32,
+            ack_payload: opt_u32(v, path, "ack_payload", 40)?,
         }),
         "onoff" => Ok(Transport::OnOff {
             mean_on: secs_to_duration(
@@ -900,11 +931,11 @@ fn parse_transport(v: &JsonValue, path: &str) -> Result<Transport, ScenarioError
     }
 }
 
-/// `payload_bytes` (default 1000) of a flow or traffic block; a value
-/// past the engine's `u32` is rejected rather than wrapped.
-fn parse_payload_bytes(v: &JsonValue, path: &str) -> Result<u32, ScenarioError> {
-    u32::try_from(opt_u64(v, path, "payload_bytes", 1000)?)
-        .map_err(|_| field(&join(path, "payload_bytes"), "must fit in 32 bits"))
+/// A byte count the engine holds in a `u32` (`payload_bytes`,
+/// `ack_payload`); a value past that is rejected rather than wrapped.
+fn opt_u32(v: &JsonValue, path: &str, key: &str, default: u32) -> Result<u32, ScenarioError> {
+    u32::try_from(opt_u64(v, path, key, default.into())?)
+        .map_err(|_| field(&join(path, key), "must fit in 32 bits"))
 }
 
 /// `(start_secs, stop_secs)` of a flow or traffic block, in order.
@@ -940,7 +971,7 @@ fn parse_flow(v: &JsonValue, i: usize) -> Result<FlowSpec, ScenarioError> {
         id: i as u32,
         path,
         rate_bps: opt_u64(v, &p, "rate_bps", 2_000_000)?,
-        payload_bytes: parse_payload_bytes(v, &p)?,
+        payload_bytes: opt_u32(v, &p, "payload_bytes", 1000)?,
         start,
         stop,
         transport,
@@ -964,7 +995,7 @@ fn parse_traffic(v: &JsonValue) -> Result<TrafficMix, ScenarioError> {
     Ok(TrafficMix {
         flows: req_u64(v, p, "flows")? as usize,
         rate_bps: req_u64(v, p, "rate_bps")?,
-        payload_bytes: parse_payload_bytes(v, p)?,
+        payload_bytes: opt_u32(v, p, "payload_bytes", 1000)?,
         start,
         stop,
         mix,
@@ -1512,12 +1543,68 @@ mod tests {
                               "payload_bytes": 5e9}]"#,
                 "flows[0].payload_bytes",
             ),
+            (
+                r#""flows": [{"path": [0, 1], "start_secs": 0, "stop_secs": 4,
+                              "transport": {"kind": "windowed", "window": 4,
+                                            "ack_payload": 5e9}}]"#,
+                "flows[0].transport.ack_payload",
+            ),
         ] {
             match ScenarioSpec::parse(&spec_with(section)).unwrap_err() {
                 ScenarioError::Field { path, .. } => assert_eq!(path, want),
                 other => panic!("expected field error at {want}, got {other:?}"),
             }
         }
+        // Layouts past MAX_NODES used to abort in the allocator (grid) or
+        // hang in the all-pairs pass; degenerate lengths used to build
+        // co-located nodes and report success.
+        let rg = |nodes: &str, width: &str, height: &str| {
+            format!(
+                r#"{{"kind": "random_geometric", "nodes": {nodes}, "width": {width},
+                    "height": {height}, "gateways": 1, "seed": 1}}"#
+            )
+        };
+        let too_many = format!(
+            r#"{{"kind": "explicit", "positions": [{}[0, 0]]}}"#,
+            "[0, 0], ".repeat(MAX_NODES)
+        );
+        for (topology, want) in [
+            (
+                r#"{"kind": "grid", "rows": 1000000, "cols": 1000000, "spacing": 100}"#,
+                "topology.rows",
+            ),
+            // rows × cols wraps a 64-bit usize.
+            (
+                r#"{"kind": "grid", "rows": 4294967296, "cols": 4294967296, "spacing": 100}"#,
+                "topology.rows",
+            ),
+            (r#"{"kind": "chain", "hops": 65536}"#, "topology.hops"),
+            (rg("1e8", "100", "100").as_str(), "topology.nodes"),
+            (too_many.as_str(), "topology.positions"),
+            (
+                r#"{"kind": "chain", "hops": 4, "spacing": 0}"#,
+                "topology.spacing",
+            ),
+            (
+                r#"{"kind": "chain", "hops": 4, "spacing": -200}"#,
+                "topology.spacing",
+            ),
+            (
+                r#"{"kind": "grid", "rows": 2, "cols": 2, "spacing": 0}"#,
+                "topology.spacing",
+            ),
+            (rg("9", "0", "100").as_str(), "topology.width"),
+            (rg("9", "-100", "100").as_str(), "topology.width"),
+            (rg("9", "100", "0").as_str(), "topology.height"),
+            (rg("9", "100", "-100").as_str(), "topology.height"),
+        ] {
+            match ScenarioSpec::parse(&minimal(topology)).unwrap_err() {
+                ScenarioError::Field { path, .. } => assert_eq!(path, want, "{topology:.60}"),
+                other => panic!("expected field error at {want}, got {other:?}"),
+            }
+        }
+        // Exactly MAX_NODES is still a layout.
+        ScenarioSpec::parse(&minimal(r#"{"kind": "chain", "hops": 65535}"#)).unwrap();
     }
 
     #[test]

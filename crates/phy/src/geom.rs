@@ -33,6 +33,25 @@ impl Position {
     }
 }
 
+/// Per node, the other nodes [`Position::within`] `range` meters of it:
+/// rows ascending, self excluded, symmetric. Every "who is in range of
+/// whom" decision in the workspace (carrier-sense and decode rows of the
+/// channel, the scenario compiler's routing graph) is a call to this one
+/// all-pairs pass, so a spatial index would replace exactly this body.
+pub fn neighbors_within(positions: &[Position], range: f64) -> Vec<Vec<usize>> {
+    let n = positions.len();
+    let mut rows = vec![Vec::new(); n];
+    for a in 0..n {
+        for b in (a + 1)..n {
+            if positions[a].within(&positions[b], range) {
+                rows[a].push(b);
+                rows[b].push(a);
+            }
+        }
+    }
+    rows
+}
+
 /// Places `n` nodes on a straight east-west line with constant `spacing`
 /// meters between neighbours — the canonical K-hop chain of the paper.
 pub fn line_positions(n: usize, spacing: f64) -> Vec<Position> {
@@ -59,6 +78,38 @@ mod tests {
         let b = Position::new(250.0, 0.0);
         assert!(a.within(&b, 250.0));
         assert!(!a.within(&b, 249.999));
+    }
+
+    #[test]
+    fn neighbors_within_matches_the_full_scan() {
+        // Random layout with a lattice-snapped half, so pairs at exactly
+        // the range (250 m) occur alongside generic ones.
+        let mut rng = ezflow_sim::SimRng::new(17);
+        let ps: Vec<Position> = (0..80)
+            .map(|i| {
+                let (x, y) = (rng.gen_f64() * 1500.0, rng.gen_f64() * 1500.0);
+                if i % 2 == 0 {
+                    Position::new((x / 50.0).round() * 50.0, (y / 50.0).round() * 50.0)
+                } else {
+                    Position::new(x, y)
+                }
+            })
+            .collect();
+        let rows = neighbors_within(&ps, 250.0);
+        assert_eq!(rows.len(), ps.len());
+        let mut on_boundary = 0;
+        for (s, row) in rows.iter().enumerate() {
+            let scan: Vec<usize> = (0..ps.len())
+                .filter(|&r| r != s && ps[s].within(&ps[r], 250.0))
+                .collect();
+            assert_eq!(row, &scan, "row {s}: ascending, self-free, complete");
+            for &r in row {
+                assert!(rows[r].contains(&s), "{s} lists {r} but not back");
+                on_boundary += usize::from(ps[s].distance_sq(&ps[r]) == 250.0 * 250.0);
+            }
+        }
+        assert!(on_boundary > 0, "layout must exercise the inclusive edge");
+        assert!(neighbors_within(&[], 250.0).is_empty());
     }
 
     #[test]

@@ -28,11 +28,18 @@
 //! relay's service share and turbulence appears as *queue growth* rather
 //! than as collision losses. An interferer one hop from the receiver
 //! (200 m < 355.7 m) still destroys the frame.
+//!
+//! ## Geometry
+//!
+//! Node positions are the only geometric state: rules 1 and 2 are
+//! evaluated from them on demand, and the per-sender rows the channel
+//! caches ([`crate::geom::neighbors_within`]) say only *whom to visit* when
+//! a transmission starts or ends — O(N · degree), no per-pair table.
 
 use ezflow_sim::{SimRng, Time};
 
 use crate::arena::FrameId;
-use crate::geom::Position;
+use crate::geom::{neighbors_within, Position};
 use crate::loss::LossModel;
 
 /// Identifier of an in-flight transmission.
@@ -222,22 +229,23 @@ pub struct EndReport {
 pub struct Channel {
     cfg: ChannelConfig,
     loss: LossModel,
-    n: usize,
-    /// `decode[s][r]`: r can decode s's frames.
-    decode: Vec<Vec<bool>>,
-    /// `sense[s][r]`: s's transmissions raise r's carrier sense (and can
-    /// corrupt receptions at r). Excludes `s == r`.
-    sense: Vec<Vec<bool>>,
-    /// Pairwise distances, meters.
-    dist: Vec<Vec<f64>>,
+    /// Node positions: the single source of geometric truth. Decode,
+    /// sense and capture are computed from these on demand; the rows
+    /// below only cache *whom to visit* per sender.
+    positions: Vec<Position>,
     /// Per sender: the nodes (ascending, sender excluded) inside decode
-    /// range — the only rows of `decode[s]` that are ever true. Geometry is
-    /// fixed at construction, so these lists never change.
+    /// range. Geometry is fixed at construction, so these lists never
+    /// change.
     decode_from: Vec<Vec<usize>>,
     /// Per sender: the nodes (ascending, sender excluded) inside
     /// carrier-sense range. A superset of `decode_from[s]` because
     /// `cs_range >= tx_range` is asserted at construction.
     sense_from: Vec<Vec<usize>>,
+    /// Aligned with `sense_from`: `sense_decodes[s][k]` iff
+    /// `sense_from[s][k]` is also in `decode_from[s]`, so the one pass
+    /// over a sense row knows each neighbour's decode bit without a
+    /// second lookup.
+    sense_decodes: Vec<Vec<bool>>,
     active: Vec<ActiveTx>,
     /// Recycled per-node `corrupted` buffers from completed transmissions.
     corrupted_pool: Vec<Vec<bool>>,
@@ -320,39 +328,27 @@ impl Channel {
             "carrier-sense range must cover the decode range"
         );
         assert!(cfg.capture_ratio > 0.0, "capture ratio must be positive");
-        let n = positions.len();
-        let mut decode = vec![vec![false; n]; n];
-        let mut sense = vec![vec![false; n]; n];
-        let mut dist = vec![vec![0.0; n]; n];
-        for s in 0..n {
-            for r in 0..n {
-                dist[s][r] = positions[s].distance(&positions[r]);
-                if s == r {
-                    continue;
-                }
-                decode[s][r] = positions[s].within(&positions[r], cfg.tx_range);
-                sense[s][r] = positions[s].within(&positions[r], cfg.cs_range);
-            }
-        }
-        let decode_from: Vec<Vec<usize>> = (0..n)
-            .map(|s| (0..n).filter(|&r| decode[s][r]).collect())
+        let sense_from = neighbors_within(positions, cfg.cs_range);
+        // decode range ⊆ sense range: the decode rows are filtered from
+        // the sense rows, not found by a second all-pairs pass.
+        let decodes = |s: usize, r: usize| positions[s].within(&positions[r], cfg.tx_range);
+        let sense_decodes = (sense_from.iter().enumerate())
+            .map(|(s, row)| row.iter().map(|&r| decodes(s, r)).collect())
             .collect();
-        let sense_from: Vec<Vec<usize>> = (0..n)
-            .map(|s| (0..n).filter(|&r| sense[s][r]).collect())
+        let decode_from = (sense_from.iter().enumerate())
+            .map(|(s, row)| row.iter().copied().filter(|&r| decodes(s, r)).collect())
             .collect();
         Channel {
             cfg,
             loss,
-            n,
-            decode,
-            sense,
-            dist,
+            positions: positions.to_vec(),
             decode_from,
             sense_from,
+            sense_decodes,
             active: Vec::new(),
             corrupted_pool: Vec::new(),
             pool_reuses: 0,
-            radio: vec![RadioState::new(); n],
+            radio: vec![RadioState::new(); positions.len()],
             next_tx: 0,
             stats: ChannelStats::default(),
         }
@@ -395,7 +391,7 @@ impl Channel {
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.n
+        self.positions.len()
     }
 
     /// Counters.
@@ -412,12 +408,13 @@ impl Channel {
 
     /// True iff `r` can decode frames from `s`.
     pub fn can_decode(&self, s: usize, r: usize) -> bool {
-        self.decode[s][r]
+        s != r && self.positions[s].within(&self.positions[r], self.cfg.tx_range)
     }
 
-    /// True iff `s`'s transmissions are sensed at `r`.
+    /// True iff `s`'s transmissions are sensed at `r` (and can corrupt
+    /// receptions there). Never true for `s == r`.
     pub fn can_sense(&self, s: usize, r: usize) -> bool {
-        self.sense[s][r]
+        senses(&self.positions, &self.cfg, s, r)
     }
 
     /// The nodes (ascending, `s` excluded) inside `s`'s carrier-sense
@@ -435,13 +432,7 @@ impl Channel {
     /// Whether a transmission by `interferer` destroys the reception of a
     /// frame from `sender` at `receiver` (capture rule; see module docs).
     pub fn corrupts(&self, interferer: usize, sender: usize, receiver: usize) -> bool {
-        if interferer == receiver {
-            return true; // half-duplex: cannot receive while transmitting
-        }
-        if !self.sense[interferer][receiver] {
-            return false; // negligible signal at the receiver
-        }
-        self.dist[interferer][receiver] < self.cfg.capture_ratio * self.dist[sender][receiver]
+        corrupts(&self.positions, &self.cfg, interferer, sender, receiver)
     }
 
     /// Times a pooled scratch buffer was reused instead of allocated.
@@ -486,7 +477,7 @@ impl Channel {
         report: &mut StartReport,
     ) {
         debug_assert!(end > now, "zero-length transmission");
-        debug_assert!(src < self.n, "unknown transmitter");
+        debug_assert!(src < self.node_count(), "unknown transmitter");
         // Only the sender and its sense neighborhood change radio state;
         // settle exactly those nodes' airtime buckets, not all N. The
         // neighbours are settled in the counter pass below — the
@@ -500,7 +491,7 @@ impl Channel {
                 buf.fill(false);
                 buf
             }
-            None => vec![false; self.n],
+            None => vec![false; self.node_count()],
         };
         // The sender cannot receive anything, including its own frame.
         corrupted[src] = true;
@@ -512,14 +503,8 @@ impl Channel {
         // overlaps (its `end_tx` is being delivered in this same instant).
         // Only nodes inside a sender's decode range can have a reception
         // destroyed, so each direction visits that sender's neighbor list.
+        let (positions, cfg) = (&self.positions[..], &self.cfg);
         let decode_from = &self.decode_from;
-        let sense = &self.sense;
-        let dist = &self.dist;
-        let ratio = self.cfg.capture_ratio;
-        // Row references are hoisted per overlapping pair — the matrices
-        // are row-major Vec-of-Vec, so indexing `[i][r]` in the inner
-        // loops would re-chase the outer pointer every receiver.
-        let (sense_src, dist_src) = (&sense[src], &dist[src]);
         for a in &mut self.active {
             if a.end <= now {
                 continue;
@@ -527,23 +512,20 @@ impl Channel {
             overlapped = true;
             a.overlapped = true;
             let other = a.src;
-            let (sense_other, dist_other) = (&sense[other], &dist[other]);
-            // New tx destroys `a`'s reception at r? (corrupt iff the
-            // interferer is the receiver itself, or is sensed by it and
-            // not far enough away for capture.)
+            // New tx destroys `a`'s reception at r?
             for &r in &decode_from[other] {
-                if src == r || (sense_src[r] && dist_src[r] < ratio * dist_other[r]) {
+                if corrupts(positions, cfg, src, other, r) {
                     a.corrupted[r] = true;
-                    if r == a.dst && src != r && !sense_src[other] {
+                    if r == a.dst && src != r && !senses(positions, cfg, src, other) {
                         a.hidden_hit = true;
                     }
                 }
             }
             // `a` destroys the new tx's reception at r?
             for &r in &decode_from[src] {
-                if other == r || (sense_other[r] && dist_other[r] < ratio * dist_src[r]) {
+                if corrupts(positions, cfg, other, src, r) {
                     corrupted[r] = true;
-                    if r == dst && other != r && !sense_other[src] {
+                    if r == dst && other != r && !senses(positions, cfg, other, src) {
                         hidden_hit = true;
                     }
                 }
@@ -569,11 +551,10 @@ impl Channel {
         // decode range ⊆ sense range, so one pass over the sense list
         // (ascending, keeping `became_busy` sorted) covers the airtime
         // settle and both counters.
-        let decode_src = &self.decode[src];
-        for &r in &self.sense_from[src] {
+        for (&r, &decodes) in self.sense_from[src].iter().zip(&self.sense_decodes[src]) {
             let radio = &mut self.radio[r];
             radio.touch_air(now);
-            if decode_src[r] {
+            if decodes {
                 radio.rx_count += 1;
             }
             radio.sense_count += 1;
@@ -639,11 +620,9 @@ impl Channel {
         report.became_idle.clear();
         report.deliveries.clear();
         report.sensed_dirty.clear();
-        let decode_src = &self.decode[src];
-        for &r in &self.sense_from[src] {
+        for (&r, &decodes) in self.sense_from[src].iter().zip(&self.sense_decodes[src]) {
             let radio = &mut self.radio[r];
             radio.touch_air(now);
-            let decodes = decode_src[r];
             if decodes {
                 debug_assert!(radio.rx_count > 0);
                 radio.rx_count -= 1;
@@ -699,6 +678,22 @@ impl Channel {
         report.frame = frame;
         self.corrupted_pool.push(corrupted);
     }
+}
+
+// The sense and capture rules on bare fields, so `start_tx_into` can apply
+// them while it holds the active set mutably.
+
+fn senses(positions: &[Position], cfg: &ChannelConfig, s: usize, r: usize) -> bool {
+    s != r && positions[s].within(&positions[r], cfg.cs_range)
+}
+
+/// Corrupt iff the interferer `i` is the receiver itself (half-duplex), or
+/// is sensed there and not far enough beyond the sender `s` for capture.
+fn corrupts(positions: &[Position], cfg: &ChannelConfig, i: usize, s: usize, r: usize) -> bool {
+    let at = &positions[r];
+    i == r
+        || (positions[i].within(at, cfg.cs_range)
+            && positions[i].distance(at) < cfg.capture_ratio * positions[s].distance(at))
 }
 
 #[cfg(test)]
@@ -1174,13 +1169,23 @@ mod tests {
     proptest::proptest! {
         /// On random topologies and densities the neighbor-list channel
         /// produces reports identical — same contents, same (sorted) order,
-        /// same RNG consumption — to the reference full scan.
+        /// same RNG consumption — to the reference full scan, and its
+        /// computed point queries equal the reference's dense matrices.
+        /// The second layout arm snaps to a 50 m lattice, so pairs at
+        /// exactly 250 m and 550 m, 150/200/250 triangles, co-located
+        /// nodes and equal-distance capture ties all occur.
         #[test]
         fn neighbor_lists_match_full_scan(
             seed in proptest::prelude::any::<u64>(),
-            coords in proptest::collection::vec((0.0f64..1200.0, 0.0f64..1200.0), 2..9),
+            coords in proptest::prelude::prop_oneof![
+                proptest::collection::vec((0.0f64..1200.0, 0.0f64..1200.0), 2..9),
+                proptest::prelude::Strategy::prop_map(
+                    proptest::collection::vec((0u32..=24, 0u32..=24), 2..25),
+                    |cells| cells.into_iter().map(|(x, y)| (x as f64 * 50.0, y as f64 * 50.0)).collect(),
+                ),
+            ],
             txs in proptest::collection::vec(
-                (0usize..8, 0usize..8, 0u64..600, 1u64..400),
+                (0usize..24, 0usize..24, 0u64..600, 1u64..400),
                 1..30
             ),
             loss_p in 0.0f64..0.6,
@@ -1205,6 +1210,22 @@ mod tests {
             let mut rng_fast = SimRng::new(seed);
             let mut rng_slow = SimRng::new(seed);
 
+            for s in 0..n {
+                let sensed: Vec<usize> = (0..n).filter(|&r| slow.sense[s][r]).collect();
+                prop_assert_eq!(fast.sensing_neighbors(s), &sensed[..]);
+                for r in 0..n {
+                    prop_assert_eq!(fast.can_decode(s, r), slow.decode[s][r], "decode {}->{}", s, r);
+                    prop_assert_eq!(fast.can_sense(s, r), slow.sense[s][r], "sense {}->{}", s, r);
+                    for i in 0..n {
+                        prop_assert_eq!(
+                            fast.corrupts(i, s, r),
+                            slow.corrupts(i, s, r),
+                            "{} corrupts {}->{}", i, s, r
+                        );
+                    }
+                }
+            }
+
             #[derive(Clone, Copy)]
             enum Ev { Start(usize), End(usize) }
             let mut events: Vec<(u64, Ev)> = Vec::new();
@@ -1220,7 +1241,8 @@ mod tests {
                 match ev {
                     Ev::Start(i) => {
                         let (src, dst, start, dur) = txs[i];
-                        if src == dst || src >= n || dst >= n { continue; }
+                        let (src, dst) = (src % n, dst % n);
+                        if src == dst { continue; }
                         let mut f = Frame::data(i as u64, 0, src, dst, 1000, Time::ZERO);
                         f.src = src;
                         f.dst = dst;

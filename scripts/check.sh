@@ -114,6 +114,16 @@ cargo run --release -q -p ezflow-bench --bin experiments -- \
   --quick --time=0.01 --spec=scenarios/scenario1.json >/dev/null
 echo "scenario1.json ran end-to-end"
 
+echo "== no-per-pair-state memory guard (mesh16k under ulimit -v 512 MB) =="
+# At 16,384 nodes one N×N byte table is 268 MB and one of f64 is 2.1 GB
+# (the two bool + one f64 matrices Channel used to keep: 2.6 GB, exit
+# 134 here), while O(N·degree) rows need ~45 MB. The built binary is
+# invoked directly so the limit binds the simulator, not cargo.
+cargo build --release -q -p ezflow-bench --bin experiments
+( ulimit -v 524288
+  target/release/experiments --jobs=1 --spec=scenarios/mesh16k.json >/dev/null )
+echo "mesh16k.json ran inside 512 MB of address space"
+
 echo "== scenario spec schema-error smoke =="
 # A malformed spec must fail loudly: nonzero exit plus a message that
 # points at the offending field, not a panic or a silent zero.
