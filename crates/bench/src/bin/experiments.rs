@@ -42,9 +42,10 @@
 //! reporting pipeline: every sweep point in the file becomes one run, and
 //! `--csv` / `--json` / `--trace-dir` / `--telemetry-dir` all apply.
 //! `--list` prints the named experiment ids plus every spec discovered
-//! under `scenarios/`, one line each. `--emit-spec=NAME` prints the named
-//! built-in topology re-expressed as a spec document (the generator of
-//! the committed `scenarios/scenario1.json` etc.).
+//! under `scenarios/`, one line each.
+//!
+//! A malformed flag value (`--seed=abc`, `--telemetry-ms=0`) is a usage
+//! error: one line on stderr naming the flag, exit 2.
 //!
 //! Ids: fig1, table1, fig4, table2, scenario1 (fig6/fig7/fig8),
 //! scenario2 (fig10/fig11/table3), table4, theorem1, ablations, all.
@@ -78,6 +79,15 @@ const NAMED: &[(&str, &str)] = &[
     ("all", "every experiment above, in order"),
 ];
 
+/// The value of `--flag=VALUE`; one that does not parse is the user's
+/// typo, reported as usage (exit 2) rather than a panic.
+fn flag_value<T: std::str::FromStr>(flag: &str, value: &str, expected: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("bad value for {flag}: '{value}' (expected {expected})");
+        std::process::exit(2)
+    })
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::full();
@@ -92,7 +102,6 @@ fn main() -> ExitCode {
     let mut ids = Vec::new();
     let mut specs: Vec<std::path::PathBuf> = Vec::new();
     let mut list = false;
-    let mut emit: Option<String> = None;
     for a in &args {
         match a.as_str() {
             "--quick" => scale = Scale::quick(),
@@ -100,19 +109,16 @@ fn main() -> ExitCode {
             s if s.starts_with("--spec=") => {
                 specs.push(std::path::PathBuf::from(&s["--spec=".len()..]));
             }
-            s if s.starts_with("--emit-spec=") => {
-                emit = Some(s["--emit-spec=".len()..].to_string());
-            }
             "--markdown" => markdown = true,
             "--seed" => {}
             s if s.starts_with("--seed=") => {
-                scale.seed = s["--seed=".len()..].parse().expect("numeric seed");
+                scale.seed = flag_value("--seed", &s["--seed=".len()..], "a non-negative integer");
             }
             s if s.starts_with("--time=") => {
-                scale.time = s["--time=".len()..].parse().expect("numeric factor");
+                scale.time = flag_value("--time", &s["--time=".len()..], "a number");
             }
             s if s.starts_with("--jobs=") => {
-                scale.jobs = s["--jobs=".len()..].parse().expect("numeric job count");
+                scale.jobs = flag_value("--jobs", &s["--jobs=".len()..], "a non-negative integer");
             }
             s if s.starts_with("--csv=") => {
                 csv_dir = Some(std::path::PathBuf::from(&s["--csv=".len()..]));
@@ -124,17 +130,19 @@ fn main() -> ExitCode {
                 trace_dir = Some(std::path::PathBuf::from(&s["--trace-dir=".len()..]));
             }
             s if s.starts_with("--flight-cap=") => {
-                flight_cap = Some(s["--flight-cap=".len()..].parse().expect("numeric cap"));
+                let cap = &s["--flight-cap=".len()..];
+                flight_cap = Some(flag_value("--flight-cap", cap, "a non-negative integer"));
             }
             s if s.starts_with("--telemetry-dir=") => {
                 telemetry_dir = Some(std::path::PathBuf::from(&s["--telemetry-dir=".len()..]));
             }
             s if s.starts_with("--telemetry-ms=") => {
-                let ms: u64 = s["--telemetry-ms=".len()..]
-                    .parse()
-                    .expect("numeric interval");
-                assert!(ms > 0, "telemetry interval must be nonzero");
-                telemetry_ms = Some(ms);
+                let ms: std::num::NonZeroU64 = flag_value(
+                    "--telemetry-ms",
+                    &s["--telemetry-ms=".len()..],
+                    "a positive integer",
+                );
+                telemetry_ms = Some(ms.get());
             }
             s if s.starts_with("--audit-dir=") => {
                 audit_dir = Some(std::path::PathBuf::from(&s["--audit-dir=".len()..]));
@@ -179,24 +187,13 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    if let Some(name) = &emit {
-        let Some(spec) = experiments::spec::emit(name) else {
-            eprintln!(
-                "unknown --emit-spec name: {name} (known: {})",
-                experiments::spec::EMITTABLE.join(", ")
-            );
-            return ExitCode::from(2);
-        };
-        println!("{}", spec.to_json().to_pretty());
-        return ExitCode::SUCCESS;
-    }
     if ids.is_empty() && specs.is_empty() {
         eprintln!(
             "usage: experiments [--quick] [--markdown] [--csv=DIR] [--json=FILE] [--trace-dir=DIR]\n\
              \x20                  [--flight-cap=N] [--telemetry-dir=DIR] [--telemetry-ms=N]\n\
              \x20                  [--audit-dir=DIR]\n\
              \x20                  [--seed=N] [--time=F] [--jobs=N]\n\
-             \x20                  [--list] [--spec=FILE] [--emit-spec=NAME] <id>...\n\
+             \x20                  [--list] [--spec=FILE] <id>...\n\
              ids: fig1 table1 fig4 table2 scenario1 scenario2 table4 theorem1 ablations seeds all"
         );
         return ExitCode::from(2);

@@ -14,7 +14,7 @@
 
 use std::path::{Path, PathBuf};
 
-use ezflow_net::{topo, ScenarioSpec, Topology};
+use ezflow_net::ScenarioSpec;
 use ezflow_sim::Time;
 
 use super::{fairness_windows, Algo};
@@ -148,41 +148,6 @@ fn spec_title(spec: &ScenarioSpec) -> String {
     }
 }
 
-/// The named specs `--emit-spec` can regenerate: each is the hand-built
-/// constructor re-expressed as data. The committed `scenarios/*.json`
-/// files are exactly these, pretty-printed — pinned by the byte-identity
-/// tests in `tests/scenario_spec.rs`.
-pub fn emit(name: &str) -> Option<ScenarioSpec> {
-    let (topo, desc, until): (Topology, &str, Time) = match name {
-        "scenario1" => (
-            topo::scenario1(),
-            "Fig. 5: two 8-hop flows merging toward a gateway (Figs. 6-8)",
-            topo::scenario1_end(),
-        ),
-        "scenario2" => (
-            topo::scenario2(),
-            "Fig. 9: 25-node mesh, 2 gateways, staggered flow arrivals (Figs. 10-11)",
-            topo::scenario2_end(),
-        ),
-        "grid4x4" => (
-            topo::grid(4, 4, 140.0, Time::ZERO, Time::from_secs(60)),
-            "4x4 lattice, one west-to-east flow per row",
-            Time::from_secs(60),
-        ),
-        _ => return None,
-    };
-    Some(ScenarioSpec::from_topology(
-        &topo,
-        desc,
-        until,
-        42,
-        &["802.11", "EZ-flow"],
-    ))
-}
-
-/// Names [`emit`] accepts, for `--list` and usage messages.
-pub const EMITTABLE: &[&str] = &["scenario1", "scenario2", "grid4x4"];
-
 /// Discovers `*.json` files under `dir` (sorted by file name) and reads
 /// each one's name and description, tolerating unparsable files by
 /// listing the error instead — `--list` must never die on one bad spec.
@@ -218,6 +183,14 @@ pub fn discover(dir: &Path) -> Vec<(PathBuf, String)> {
 mod tests {
     use super::*;
 
+    fn grid4x4() -> ScenarioSpec {
+        load(Path::new(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../scenarios/grid4x4.json"
+        )))
+        .unwrap()
+    }
+
     #[test]
     fn from_name_resolves_every_display_name_and_slug() {
         for algo in [Algo::Plain, Algo::EzFlow, Algo::EzFlowTestbed] {
@@ -228,16 +201,8 @@ mod tests {
     }
 
     #[test]
-    fn emit_covers_exactly_the_advertised_names() {
-        for name in EMITTABLE {
-            assert!(emit(name).is_some(), "{name} must be emittable");
-        }
-        assert!(emit("fig1").is_none());
-    }
-
-    #[test]
     fn spec_run_reports_throughput_latency_and_fairness() {
-        let spec = emit("grid4x4").unwrap();
+        let spec = grid4x4();
         let mut scale = Scale::quick();
         scale.time = 0.1; // 6 s simulated — enough for packets to land
         let rep = run_spec(&spec, &scale).unwrap();
@@ -253,7 +218,7 @@ mod tests {
 
     #[test]
     fn unknown_controller_is_a_message_not_a_panic() {
-        let mut spec = emit("grid4x4").unwrap();
+        let mut spec = grid4x4();
         spec.sweep.controllers = vec!["tcp-reno".into()];
         let err = run_spec(&spec, &Scale::quick()).unwrap_err();
         assert!(err.contains("unknown controller 'tcp-reno'"), "{err}");

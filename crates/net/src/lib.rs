@@ -22,12 +22,13 @@
 //!   behind the [`transport::FlowTransport`] trait). `Network` is `Send`,
 //!   so independent runs parallelise across plain threads.
 //! * [`topo`] — the paper's topologies: K-hop chains (Fig. 1), the 9-node
-//!   campus testbed (Fig. 3, calibrated to Table 1), scenario 1 (Fig. 5)
-//!   and scenario 2 (Fig. 9).
+//!   campus testbed (Fig. 3, calibrated to Table 1), and scenario 1
+//!   (Fig. 5) and scenario 2 (Fig. 9), loaded from their committed
+//!   documents under `scenarios/`.
 //! * [`scenario`] — declarative scenario specs: JSON documents describing
 //!   a topology (explicit or generative), traffic mix, loss schedule and
-//!   sweep axes, compiled to the same [`topo::Topology`] /
-//!   [`builder::NetworkSpec`] the hand-built constructors produce.
+//!   sweep axes, compiled one way to a [`topo::Topology`] /
+//!   [`builder::NetworkSpec`].
 //! * [`metrics`] — per-flow throughput/delay series, per-node buffer and
 //!   `CWmin` traces: everything needed to regenerate the paper's figures.
 

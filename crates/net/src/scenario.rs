@@ -6,9 +6,10 @@
 //! family), a traffic mix (CBR, windowed, bursty on-off), a loss
 //! schedule (uniform, per-link, Gilbert-Elliott, link churn) and sweep
 //! axes (queue capacity, seed, controller). [`ScenarioSpec::compile`]
-//! lowers one into the same [`Topology`] the hand-built constructors in
-//! [`crate::topo`] produce — provably so: the committed spec files under
-//! `scenarios/` are pinned byte-identical to the constructors by test.
+//! lowers one into a [`Topology`]. Data flows one way — text → spec →
+//! topology → network: the committed documents under `scenarios/` are
+//! the canonical form of the paper's layouts, and
+//! [`crate::topo::scenario1`] / [`crate::topo::scenario2`] load them.
 //!
 //! ## Determinism
 //!
@@ -59,6 +60,13 @@ const SOURCE_STREAM: u64 = 0x7472_6166; // "traf"
 /// ~4 s — so anything larger reads as a hang (or, for a grid, aborts in
 /// the allocator). Raise it when that pass becomes a spatial grid.
 const MAX_NODES: usize = 1 << 16;
+
+/// Largest value any `*_secs` field may hold: 10⁷ s ≈ 116 simulated
+/// days, over 2,000× the paper's longest run (4,500 s). A run is paced
+/// by simulated time, so a `duration_secs` of 1e12 is not a long run but
+/// a silent hang; below the bound `secs_to_time` is also exact and no
+/// `Time + Duration` sum can wrap.
+const MAX_DURATION_SECS: f64 = 1e7;
 
 /// Why a scenario document was rejected.
 #[derive(Clone, Debug, PartialEq)]
@@ -359,13 +367,13 @@ impl ScenarioSpec {
         if !(duration_secs.is_finite() && duration_secs > 0.0) {
             return Err(field("duration_secs", "must be a positive number"));
         }
+        secs_to_time("duration_secs", duration_secs)?;
         let seed = opt_u64(v, "", "seed", 1)?;
         let queue_cap = opt_u64(v, "", "queue_cap", 50)? as usize;
         if queue_cap == 0 {
             return Err(field("queue_cap", "must be nonzero"));
         }
         let topology = parse_topology(req(v, "", "topology")?)?;
-        let duration = secs_to_time("duration_secs", duration_secs)?;
 
         let mut flows = Vec::new();
         if let Some(fv) = v.get("flows") {
@@ -391,7 +399,6 @@ impl ScenarioSpec {
             Some(s) => parse_sweep(s)?,
             None => SweepSpec::default(),
         };
-        let _ = duration; // range-checked above; compile re-derives it
         Ok(ScenarioSpec {
             name,
             description,
@@ -406,68 +413,12 @@ impl ScenarioSpec {
         })
     }
 
-    /// The canonical JSON form of the spec. `parse(to_json().to_pretty())`
-    /// round-trips to an equal spec (pinned by proptest).
-    pub fn to_json(&self) -> JsonValue {
-        let mut fields: Vec<(&str, JsonValue)> = vec![
-            ("name", JsonValue::str(&self.name)),
-            ("description", JsonValue::str(&self.description)),
-            ("duration_secs", JsonValue::from(self.duration_secs)),
-            ("seed", JsonValue::from(self.seed)),
-            ("queue_cap", JsonValue::from(self.queue_cap)),
-            ("topology", topology_json(&self.topology)),
-        ];
-        if !self.flows.is_empty() {
-            fields.push((
-                "flows",
-                JsonValue::Array(self.flows.iter().map(flow_json).collect()),
-            ));
-        }
-        if let Some(t) = &self.traffic {
-            fields.push(("traffic", traffic_json(t)));
-        }
-        fields.push(("loss", loss_json(&self.loss)));
-        fields.push(("sweep", sweep_json(&self.sweep)));
-        JsonValue::obj(fields)
-    }
-
-    /// Re-expresses a hand-built [`Topology`] as a spec with explicit
-    /// positions and flows — the generator behind `experiments
-    /// --emit-spec`, and the bridge that lets every legacy constructor
-    /// be pinned byte-identical against its spec file.
-    pub fn from_topology(
-        topo: &Topology,
-        description: &str,
-        duration: Time,
-        seed: u64,
-        controllers: &[&str],
-    ) -> ScenarioSpec {
-        ScenarioSpec {
-            name: topo.name.clone(),
-            description: description.to_string(),
-            duration_secs: time_to_secs(duration),
-            seed,
-            queue_cap: 50,
-            topology: TopologySpec::Explicit {
-                positions: topo.positions.clone(),
-            },
-            flows: topo.flows.clone(),
-            traffic: None,
-            loss: loss_spec_of(&topo.loss),
-            sweep: SweepSpec {
-                queue_caps: Vec::new(),
-                seeds: Vec::new(),
-                controllers: controllers.iter().map(|c| c.to_string()).collect(),
-            },
-        }
-    }
-
     /// Compiles the spec: generates the layout and flows, lowers the
     /// loss schedule, validates the result and expands the sweep.
     pub fn compile(&self) -> Result<CompiledScenario, ScenarioError> {
         let until = secs_to_time("duration_secs", self.duration_secs)?;
-        let positions = self.build_positions()?;
-        let flows = self.build_flows(&positions, until)?;
+        let (positions, builtin) = self.build_layout(until)?;
+        let flows = self.build_flows(&positions, builtin)?;
         let topology = Topology {
             name: self.name.clone(),
             positions,
@@ -484,14 +435,21 @@ impl ScenarioSpec {
         })
     }
 
-    fn build_positions(&self) -> Result<Vec<Position>, ScenarioError> {
+    /// The node positions plus, for the generative families that have
+    /// one, the family's built-in workload over `[0, until)` — what runs
+    /// when the document gives neither `flows` nor `traffic`.
+    fn build_layout(&self, until: Time) -> Result<(Vec<Position>, Vec<FlowSpec>), ScenarioError> {
         match &self.topology {
-            TopologySpec::Explicit { positions } => Ok(positions.clone()),
+            TopologySpec::Explicit { positions } => Ok((positions.clone(), Vec::new())),
             TopologySpec::Chain { hops, spacing } => {
                 if *hops == 0 {
                     return Err(field("topology.hops", "must be at least 1"));
                 }
-                Ok(ezflow_phy::geom::line_positions(hops + 1, *spacing))
+                let flow = FlowSpec::saturating(0, (0..=*hops).collect(), Time::ZERO, until);
+                Ok((
+                    ezflow_phy::geom::line_positions(hops + 1, *spacing),
+                    vec![flow],
+                ))
             }
             TopologySpec::Grid {
                 rows,
@@ -504,13 +462,8 @@ impl ScenarioSpec {
                         "grid needs rows >= 1 and cols >= 2 (each row carries a flow)",
                     ));
                 }
-                let mut positions = Vec::with_capacity(rows * cols);
-                for r in 0..*rows {
-                    for c in 0..*cols {
-                        positions.push(Position::new(c as f64 * spacing, r as f64 * spacing));
-                    }
-                }
-                Ok(positions)
+                let grid = crate::topo::grid(*rows, *cols, *spacing, Time::ZERO, until);
+                Ok((grid.positions, grid.flows))
             }
             TopologySpec::RandomGeometric {
                 nodes,
@@ -544,7 +497,7 @@ impl ScenarioSpec {
                     let y = rng.gen_f64() * height;
                     positions.push(Position::new(x, y));
                 }
-                Ok(positions)
+                Ok((positions, Vec::new()))
             }
         }
     }
@@ -552,7 +505,7 @@ impl ScenarioSpec {
     fn build_flows(
         &self,
         positions: &[Position],
-        until: Time,
+        builtin: Vec<FlowSpec>,
     ) -> Result<Vec<FlowSpec>, ScenarioError> {
         if !self.flows.is_empty() {
             return Ok(self.flows.clone());
@@ -561,25 +514,14 @@ impl ScenarioSpec {
             return self.build_mix_flows(mix, positions);
         }
         // No explicit flows, no mix: the generative families fall back
-        // to their constructors' built-in workloads.
-        match &self.topology {
-            TopologySpec::Chain { hops, .. } => Ok(vec![FlowSpec::saturating(
-                0,
-                (0..=*hops).collect(),
-                Time::ZERO,
-                until,
-            )]),
-            TopologySpec::Grid { rows, cols, .. } => Ok((0..*rows)
-                .map(|r| {
-                    let path: Vec<usize> = (0..*cols).map(|c| r * cols + c).collect();
-                    FlowSpec::saturating(r as u32, path, Time::ZERO, until)
-                })
-                .collect()),
-            _ => Err(field(
+        // to their built-in workloads.
+        if builtin.is_empty() {
+            return Err(field(
                 "flows",
                 "explicit topologies need explicit flows (or a traffic mix on random_geometric)",
-            )),
+            ));
         }
+        Ok(builtin)
     }
 
     fn build_mix_flows(
@@ -795,22 +737,17 @@ fn opt_bool(v: &JsonValue, path: &str, key: &str, default: bool) -> Result<bool,
 /// any whole-microsecond duration below ~2·10⁹ s: the f64 relative
 /// error stays under half a microsecond, and the round recovers it.
 fn secs_to_time(path: &str, secs: f64) -> Result<Time, ScenarioError> {
-    if !(secs.is_finite() && secs >= 0.0) {
-        return Err(field(path, "must be a non-negative number of seconds"));
+    if !(0.0..=MAX_DURATION_SECS).contains(&secs) {
+        return Err(field(
+            path,
+            &format!("must be a number of seconds in [0, {MAX_DURATION_SECS:e}]"),
+        ));
     }
     Ok(Time::from_micros((secs * 1e6).round() as u64))
 }
 
 fn secs_to_duration(path: &str, secs: f64) -> Result<Duration, ScenarioError> {
     Ok(Duration::from_micros(secs_to_time(path, secs)?.as_micros()))
-}
-
-fn time_to_secs(t: Time) -> f64 {
-    t.as_micros() as f64 / 1e6
-}
-
-fn duration_to_secs(d: Duration) -> f64 {
-    d.as_micros() as f64 / 1e6
 }
 
 fn parse_topology(v: &JsonValue) -> Result<TopologySpec, ScenarioError> {
@@ -1155,281 +1092,6 @@ fn parse_sweep(v: &JsonValue) -> Result<SweepSpec, ScenarioError> {
     Ok(sweep)
 }
 
-// ---- serialisation helpers ----------------------------------------------
-
-fn topology_json(t: &TopologySpec) -> JsonValue {
-    match t {
-        TopologySpec::Explicit { positions } => JsonValue::obj(vec![
-            ("kind", JsonValue::str("explicit")),
-            (
-                "positions",
-                JsonValue::Array(
-                    positions
-                        .iter()
-                        .map(|p| JsonValue::Array(vec![JsonValue::from(p.x), JsonValue::from(p.y)]))
-                        .collect(),
-                ),
-            ),
-        ]),
-        TopologySpec::Chain { hops, spacing } => JsonValue::obj(vec![
-            ("kind", JsonValue::str("chain")),
-            ("hops", JsonValue::from(*hops)),
-            ("spacing", JsonValue::from(*spacing)),
-        ]),
-        TopologySpec::Grid {
-            rows,
-            cols,
-            spacing,
-        } => JsonValue::obj(vec![
-            ("kind", JsonValue::str("grid")),
-            ("rows", JsonValue::from(*rows)),
-            ("cols", JsonValue::from(*cols)),
-            ("spacing", JsonValue::from(*spacing)),
-        ]),
-        TopologySpec::RandomGeometric {
-            nodes,
-            width,
-            height,
-            gateways,
-            seed,
-        } => JsonValue::obj(vec![
-            ("kind", JsonValue::str("random_geometric")),
-            ("nodes", JsonValue::from(*nodes)),
-            ("width", JsonValue::from(*width)),
-            ("height", JsonValue::from(*height)),
-            ("gateways", JsonValue::from(*gateways)),
-            ("seed", JsonValue::from(*seed)),
-        ]),
-    }
-}
-
-fn transport_json(t: &Transport) -> JsonValue {
-    match t {
-        Transport::Cbr => JsonValue::obj(vec![("kind", JsonValue::str("cbr"))]),
-        Transport::Windowed {
-            window,
-            ack_payload,
-        } => JsonValue::obj(vec![
-            ("kind", JsonValue::str("windowed")),
-            ("window", JsonValue::from(*window)),
-            ("ack_payload", JsonValue::from(*ack_payload)),
-        ]),
-        Transport::OnOff {
-            mean_on,
-            mean_off,
-            alpha,
-        } => JsonValue::obj(vec![
-            ("kind", JsonValue::str("onoff")),
-            ("mean_on_secs", JsonValue::from(duration_to_secs(*mean_on))),
-            (
-                "mean_off_secs",
-                JsonValue::from(duration_to_secs(*mean_off)),
-            ),
-            ("alpha", JsonValue::from(*alpha)),
-        ]),
-    }
-}
-
-fn flow_json(f: &FlowSpec) -> JsonValue {
-    JsonValue::obj(vec![
-        (
-            "path",
-            JsonValue::Array(f.path.iter().map(|&n| JsonValue::from(n)).collect()),
-        ),
-        ("rate_bps", JsonValue::from(f.rate_bps)),
-        ("payload_bytes", JsonValue::from(f.payload_bytes)),
-        ("start_secs", JsonValue::from(time_to_secs(f.start))),
-        ("stop_secs", JsonValue::from(time_to_secs(f.stop))),
-        ("transport", transport_json(&f.transport)),
-    ])
-}
-
-fn traffic_json(t: &TrafficMix) -> JsonValue {
-    JsonValue::obj(vec![
-        ("flows", JsonValue::from(t.flows)),
-        ("rate_bps", JsonValue::from(t.rate_bps)),
-        ("payload_bytes", JsonValue::from(t.payload_bytes)),
-        ("start_secs", JsonValue::from(time_to_secs(t.start))),
-        ("stop_secs", JsonValue::from(time_to_secs(t.stop))),
-        (
-            "mix",
-            JsonValue::Array(
-                t.mix
-                    .iter()
-                    .map(|m| {
-                        JsonValue::obj(vec![
-                            ("weight", JsonValue::from(m.weight)),
-                            ("transport", transport_json(&m.transport)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn ge_fields(ge: &GilbertElliott) -> Vec<(&'static str, JsonValue)> {
-    vec![
-        ("p_g2b", JsonValue::from(ge.p_g2b)),
-        ("p_b2g", JsonValue::from(ge.p_b2g)),
-        ("p_good", JsonValue::from(ge.p_good)),
-        ("p_bad", JsonValue::from(ge.p_bad)),
-    ]
-}
-
-fn loss_json(l: &LossSpec) -> JsonValue {
-    let custom = !l.links.is_empty()
-        || l.burst.is_some()
-        || !l.burst_links.is_empty()
-        || !l.churn.is_empty();
-    if !custom {
-        if l.default_per == 0.0 {
-            return JsonValue::obj(vec![("kind", JsonValue::str("ideal"))]);
-        }
-        return JsonValue::obj(vec![
-            ("kind", JsonValue::str("uniform")),
-            ("per", JsonValue::from(l.default_per)),
-        ]);
-    }
-    let mut fields: Vec<(&str, JsonValue)> = vec![
-        ("kind", JsonValue::str("custom")),
-        ("default_per", JsonValue::from(l.default_per)),
-    ];
-    if !l.links.is_empty() {
-        fields.push((
-            "links",
-            JsonValue::Array(
-                l.links
-                    .iter()
-                    .map(|lp| {
-                        JsonValue::obj(vec![
-                            ("a", JsonValue::from(lp.a)),
-                            ("b", JsonValue::from(lp.b)),
-                            ("per", JsonValue::from(lp.per)),
-                            ("symmetric", JsonValue::from(lp.symmetric)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    if let Some(ge) = &l.burst {
-        fields.push(("burst", JsonValue::obj(ge_fields(ge))));
-    }
-    if !l.burst_links.is_empty() {
-        fields.push((
-            "burst_links",
-            JsonValue::Array(
-                l.burst_links
-                    .iter()
-                    .map(|lb| {
-                        let mut f =
-                            vec![("a", JsonValue::from(lb.a)), ("b", JsonValue::from(lb.b))];
-                        f.extend(ge_fields(&lb.ge));
-                        f.push(("symmetric", JsonValue::from(lb.symmetric)));
-                        JsonValue::obj(f)
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    if !l.churn.is_empty() {
-        fields.push((
-            "churn",
-            JsonValue::Array(
-                l.churn
-                    .iter()
-                    .map(|lc| {
-                        JsonValue::obj(vec![
-                            ("a", JsonValue::from(lc.a)),
-                            ("b", JsonValue::from(lc.b)),
-                            ("up_secs", JsonValue::from(duration_to_secs(lc.window.up))),
-                            (
-                                "down_secs",
-                                JsonValue::from(duration_to_secs(lc.window.down)),
-                            ),
-                            (
-                                "phase_secs",
-                                JsonValue::from(duration_to_secs(lc.window.phase)),
-                            ),
-                            ("symmetric", JsonValue::from(lc.symmetric)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    JsonValue::obj(fields)
-}
-
-fn sweep_json(s: &SweepSpec) -> JsonValue {
-    let mut fields: Vec<(&str, JsonValue)> = Vec::new();
-    if !s.queue_caps.is_empty() {
-        fields.push((
-            "queue_caps",
-            JsonValue::Array(s.queue_caps.iter().map(|&q| JsonValue::from(q)).collect()),
-        ));
-    }
-    if !s.seeds.is_empty() {
-        fields.push((
-            "seeds",
-            JsonValue::Array(s.seeds.iter().map(|&q| JsonValue::from(q)).collect()),
-        ));
-    }
-    if !s.controllers.is_empty() {
-        fields.push((
-            "controllers",
-            JsonValue::Array(s.controllers.iter().map(JsonValue::str).collect()),
-        ));
-    }
-    JsonValue::obj(fields)
-}
-
-/// Reconstructs a [`LossSpec`] from a compiled [`LossModel`] (directed
-/// entries, sorted) — the inverse `--emit-spec` needs.
-fn loss_spec_of(m: &LossModel) -> LossSpec {
-    let mut links: Vec<LinkPer> = m
-        .per_link
-        .iter()
-        .map(|(&(a, b), &per)| LinkPer {
-            a,
-            b,
-            per,
-            symmetric: false,
-        })
-        .collect();
-    links.sort_by_key(|l| (l.a, l.b));
-    let mut burst_links: Vec<LinkBurst> = m
-        .burst_link
-        .iter()
-        .map(|(&(a, b), &ge)| LinkBurst {
-            a,
-            b,
-            ge,
-            symmetric: false,
-        })
-        .collect();
-    burst_links.sort_by_key(|l| (l.a, l.b));
-    let mut churn: Vec<LinkChurn> = m
-        .churn
-        .iter()
-        .map(|(&(a, b), &window)| LinkChurn {
-            a,
-            b,
-            window,
-            symmetric: false,
-        })
-        .collect();
-    churn.sort_by_key(|l| (l.a, l.b));
-    LossSpec {
-        default_per: m.default_per,
-        links,
-        burst: m.burst,
-        burst_links,
-        churn,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1605,6 +1267,47 @@ mod tests {
         }
         // Exactly MAX_NODES is still a layout.
         ScenarioSpec::parse(&minimal(r#"{"kind": "chain", "hops": 65535}"#)).unwrap();
+        // Times past MAX_DURATION_SECS used to parse, then spin: a run is
+        // paced by simulated time, so 1e12 s never ends.
+        let timed = |duration: &str, section: &str| {
+            format!(
+                r#"{{"name": "x", "duration_secs": {duration},
+                    "topology": {{"kind": "chain", "hops": 2}}{section}}}"#
+            )
+        };
+        for (duration, section, want) in [
+            ("1e12", "", "duration_secs"),
+            ("10000001", "", "duration_secs"),
+            (
+                "10",
+                r#", "flows": [{"path": [0, 1], "start_secs": 1e12, "stop_secs": 2e12}]"#,
+                "flows[0].start_secs",
+            ),
+            (
+                "10",
+                r#", "flows": [{"path": [0, 1], "start_secs": 0, "stop_secs": 1e12}]"#,
+                "flows[0].stop_secs",
+            ),
+            (
+                "10",
+                r#", "traffic": {"flows": 1, "rate_bps": 1000, "start_secs": 1e12,
+                                 "stop_secs": 2e12, "mix": []}"#,
+                "traffic.start_secs",
+            ),
+            (
+                "10",
+                r#", "traffic": {"flows": 1, "rate_bps": 1000, "start_secs": 0,
+                                 "stop_secs": 1e12, "mix": []}"#,
+                "traffic.stop_secs",
+            ),
+        ] {
+            match ScenarioSpec::parse(&timed(duration, section)).unwrap_err() {
+                ScenarioError::Field { path, .. } => assert_eq!(path, want),
+                other => panic!("expected field error at {want}, got {other:?}"),
+            }
+        }
+        // Exactly the bound is still a run.
+        ScenarioSpec::parse(&timed("1e7", "")).unwrap();
     }
 
     #[test]
@@ -1680,8 +1383,39 @@ mod tests {
                                                  "symmetric": false}],
                                 "churn": [{"a": 2, "b": 3, "up_secs": 5, "down_secs": 1}]}}"#;
         let spec = ScenarioSpec::parse(text).unwrap();
-        let round = ScenarioSpec::parse(&spec.to_json().to_pretty()).unwrap();
-        assert_eq!(spec, round);
+        let ge = |p_g2b, p_b2g, p_bad| GilbertElliott {
+            p_g2b,
+            p_b2g,
+            p_good: 0.0,
+            p_bad,
+        };
+        let want = LossSpec {
+            default_per: 0.01,
+            links: vec![LinkPer {
+                a: 0,
+                b: 1,
+                per: 0.3,
+                symmetric: true,
+            }],
+            burst: Some(ge(0.02, 0.1, 0.8)),
+            burst_links: vec![LinkBurst {
+                a: 1,
+                b: 2,
+                ge: ge(0.05, 0.2, 0.9),
+                symmetric: false,
+            }],
+            churn: vec![LinkChurn {
+                a: 2,
+                b: 3,
+                window: ChurnWindow::new(
+                    Duration::from_secs(5),
+                    Duration::from_secs(1),
+                    Duration::ZERO,
+                ),
+                symmetric: true,
+            }],
+        };
+        assert_eq!(spec.loss, want);
         let m = spec.loss.compile();
         assert_eq!(m.loss_prob(0, 1), 0.3);
         assert_eq!(m.loss_prob(1, 0), 0.3, "symmetric by default");
@@ -1689,33 +1423,75 @@ mod tests {
         assert!(m.burst.is_some());
         assert_eq!(m.burst_link.len(), 1, "directed burst override");
         assert_eq!(m.churn.len(), 2, "symmetric churn covers both directions");
+
+        // The two closed-form kinds.
+        let loss_of = |loss: &str| {
+            let text = format!(
+                r#"{{"name": "l", "duration_secs": 10,
+                    "topology": {{"kind": "chain", "hops": 3}}, "loss": {loss}}}"#
+            );
+            ScenarioSpec::parse(&text).unwrap().loss
+        };
+        assert_eq!(loss_of(r#"{"kind": "ideal"}"#), LossSpec::default());
+        let uniform = LossSpec {
+            default_per: 0.25,
+            ..LossSpec::default()
+        };
+        assert_eq!(loss_of(r#"{"kind": "uniform", "per": 0.25}"#), uniform);
+        assert_eq!(uniform.compile(), LossModel::uniform(0.25));
     }
 
     #[test]
-    fn emitted_spec_round_trips_scenario1_exactly() {
-        let hand = crate::topo::scenario1();
-        let spec = ScenarioSpec::from_topology(
-            &hand,
-            "Fig. 5",
-            crate::topo::scenario1_end(),
-            1,
-            &["802.11", "EZ-flow"],
+    fn explicit_flows_parse_every_transport_kind() {
+        let text = r#"{"name": "e", "duration_secs": 10, "seed": 7, "queue_cap": 25,
+                       "topology": {"kind": "explicit", "positions": [[0, 0], [150.5, -20]]},
+                       "flows": [
+                         {"path": [0, 1], "start_secs": 0.5, "stop_secs": 10,
+                          "transport": {"kind": "cbr"}},
+                         {"path": [1, 0], "rate_bps": 500000, "payload_bytes": 512,
+                          "start_secs": 1, "stop_secs": 9,
+                          "transport": {"kind": "windowed", "window": 8, "ack_payload": 60}},
+                         {"path": [0, 1], "start_secs": 0, "stop_secs": 10,
+                          "transport": {"kind": "onoff", "mean_on_secs": 0.25,
+                                        "mean_off_secs": 2, "alpha": 1.5}}]}"#;
+        let spec = ScenarioSpec::parse(text).unwrap();
+        assert_eq!((spec.seed, spec.queue_cap), (7, 25));
+        let positions = vec![Position::new(0.0, 0.0), Position::new(150.5, -20.0)];
+        assert_eq!(
+            spec.topology,
+            TopologySpec::Explicit {
+                positions: positions.clone()
+            }
         );
-        let text = spec.to_json().to_pretty();
-        let c = ScenarioSpec::parse(&text).unwrap().compile().unwrap();
-        // Bit-exact positions (shortest-repr f64 round trip) and flows.
-        assert_eq!(c.topology.positions, hand.positions);
-        assert_eq!(c.topology.flows.len(), hand.flows.len());
-        for (a, b) in c.topology.flows.iter().zip(hand.flows.iter()) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.path, b.path);
-            assert_eq!(a.rate_bps, b.rate_bps);
-            assert_eq!(a.payload_bytes, b.payload_bytes);
-            assert_eq!(a.start, b.start);
-            assert_eq!(a.stop, b.stop);
-            assert_eq!(a.transport, b.transport);
-        }
-        assert_eq!(c.topology.loss, hand.loss);
+        let ms = Time::from_millis;
+        let windowed = FlowSpec {
+            rate_bps: 500_000,
+            payload_bytes: 512,
+            transport: Transport::Windowed {
+                window: 8,
+                ack_payload: 60,
+            },
+            ..FlowSpec::saturating(1, vec![1, 0], ms(1000), ms(9000))
+        };
+        let onoff = FlowSpec {
+            transport: Transport::OnOff {
+                mean_on: Duration::from_millis(250),
+                mean_off: Duration::from_secs(2),
+                alpha: 1.5,
+            },
+            ..FlowSpec::saturating(2, vec![0, 1], ms(0), ms(10_000))
+        };
+        let want = vec![
+            FlowSpec::saturating(0, vec![0, 1], ms(500), ms(10_000)),
+            windowed,
+            onoff,
+        ];
+        assert_eq!(spec.flows, want);
+        // An explicit document compiles to exactly what it says.
+        let c = spec.compile().unwrap();
+        assert_eq!(c.topology.positions, positions);
+        assert_eq!(c.topology.flows, want);
+        assert_eq!(c.topology.loss, LossModel::ideal());
     }
 
     #[test]

@@ -18,12 +18,18 @@
 //!   hidden from N0 and carrier-senses only N11 and N12; the lower parts
 //!   of F2 and F3 share the medium with F1's chain; node ids match the
 //!   `cw` labels of Fig. 11 (F2 = N10..N15, F3 = N19..N24).
+//!
+//! Scenarios 1 and 2 are data: `scenarios/scenario1.json` and
+//! `scenarios/scenario2.json` are their only definition, compiled into
+//! this crate and loaded by [`scenario1`] / [`scenario2`]; the doc
+//! comments there record how the coordinates were derived.
 
 use ezflow_mac::MacConfig;
 use ezflow_phy::{LossModel, Position};
 use ezflow_sim::Time;
 
 use crate::calibrate::per_for_capacity;
+use crate::scenario::{CompiledScenario, ScenarioSpec};
 use crate::traffic::Transport;
 
 /// One unidirectional flow over a fixed multi-hop path.
@@ -186,51 +192,39 @@ pub fn testbed(f1: bool, f2: bool, start: Time, stop: Time) -> Topology {
     }
 }
 
-/// Fig. 5: two 8-hop flows merging at N4 toward the gateway N0.
+/// The paper's two evaluation layouts, as committed under `scenarios/`.
+const SCENARIO1_JSON: &str = include_str!("../../../scenarios/scenario1.json");
+const SCENARIO2_JSON: &str = include_str!("../../../scenarios/scenario2.json");
+
+/// Compiles one of the committed `scenarios/*.json` documents.
+fn committed(document: &str) -> CompiledScenario {
+    ScenarioSpec::parse(document)
+        .and_then(|spec| spec.compile())
+        .expect("committed scenario documents are valid")
+}
+
+/// Fig. 5: two 8-hop flows merging at N4 toward the gateway N0, loaded
+/// from `scenarios/scenario1.json`.
+///
+/// The shared chain N4..N0 runs east along the x axis, N4 at the origin
+/// and a node every 200 m; two branches leave N4 westward at ±15° from
+/// the trunk's line (165° and 195° from the x axis), again a node every
+/// 200 m — N6, N8, N10, N12 to the north, N5, N7, N9, N11 to the south.
 ///
 /// F1 (N12→N10→N8→N6→N4→N3→N2→N1→N0) runs 5 s – 2504 s;
 /// F2 (N11→N9→N7→N5→N4→…→N0) runs 605 s – 1804 s.
 pub fn scenario1() -> Topology {
-    let mut positions = vec![Position::default(); 13];
-    // Shared chain N4..N0 going east.
-    #[allow(clippy::needless_range_loop)] // k is the node id, not an index
-    for k in 0..=4usize {
-        positions[k] = Position::new((4 - k) as f64 * SPACING, 0.0);
-    }
-    // Two branches leaving N4 westward at ±15 degrees.
-    let (dx, dy) = ((165f64).to_radians().cos(), (165f64).to_radians().sin());
-    for j in 1..=4usize {
-        let r = j as f64 * SPACING;
-        positions[4 + 2 * j] = Position::new(r * dx, r * dy); // N6,N8,N10,N12
-        positions[3 + 2 * j] = Position::new(r * dx, -r * dy); // N5,N7,N9,N11
-    }
-    let f1 = FlowSpec::saturating(
-        0,
-        vec![12, 10, 8, 6, 4, 3, 2, 1, 0],
-        Time::from_secs(5),
-        Time::from_secs(2504),
-    );
-    let f2 = FlowSpec::saturating(
-        1,
-        vec![11, 9, 7, 5, 4, 3, 2, 1, 0],
-        Time::from_secs(605),
-        Time::from_secs(1804),
-    );
-    Topology {
-        name: "scenario1".into(),
-        positions,
-        loss: LossModel::ideal(),
-        flows: vec![f1, f2],
-    }
+    committed(SCENARIO1_JSON).topology
 }
 
 /// End of the scenario-1 run.
 pub fn scenario1_end() -> Time {
-    Time::from_secs(2504)
+    committed(SCENARIO1_JSON).until
 }
 
 /// A dense `rows × cols` grid mesh with one saturating west→east flow per
-/// row, all active over `[start, stop)`.
+/// row, all active over `[start, stop)` — also what a scenario document's
+/// `"kind": "grid"` topology compiles to.
 ///
 /// Nodes sit every `spacing` meters in both directions, so tight spacings
 /// put *every* node inside every other's carrier-sense range — the
@@ -259,75 +253,29 @@ pub fn grid(rows: usize, cols: usize, spacing: f64, start: Time, stop: Time) -> 
     }
 }
 
-/// Fig. 9 (reconstruction): three flows with hidden sources.
+/// Fig. 9 (reconstruction): three flows with hidden sources, loaded
+/// from `scenarios/scenario2.json`.
 ///
 /// * F1: N0→N1→…→N9 (9 hops along the x axis), 5 s – 4500 s.
 /// * F2: N10→N11→N12→N13→N14→N15 (descending from the north, lower hops
 ///   sharing the medium with F1's head), 5 s – 3605 s.
 /// * F3: N19→N20→N21→N22→N23→N24 (ascending from the south near F1's
-///   middle), 1805 s – 3605 s.
+///   middle, F2's chain mirrored), 1805 s – 3605 s.
 ///
 /// Properties from the paper preserved: N10 is hidden from N0
-/// (dist ≈ 1077 m > 550 m) and carrier-senses only N11 and N12; the flows
-/// share the wireless resource on parts of their paths; node ids match the
-/// `cw` labels of Fig. 11. Nodes 16–18 exist but are idle (parked far
-/// away), keeping the paper's numbering.
+/// (dist ≈ 1077 m > 550 m) and carrier-senses only N11 and N12 — the hop
+/// N12→N13 stretches to 240 m so that N13 stays outside N10's
+/// carrier-sense range; the flows share the wireless resource on parts of
+/// their paths; node ids match the `cw` labels of Fig. 11. Nodes 16–18
+/// exist but are idle (parked far away, distinct), keeping the paper's
+/// numbering.
 pub fn scenario2() -> Topology {
-    let mut positions = vec![Position::new(50_000.0, 50_000.0); 25];
-    #[allow(clippy::needless_range_loop)] // k is the node id, not an index
-    for k in 0..=9usize {
-        positions[k] = Position::new(k as f64 * SPACING, 0.0);
-    }
-    // F2: chain descending from the north toward the F1 chain. The hop
-    // N12 -> N13 stretches to 240 m so that N13 stays outside N10's
-    // carrier-sense range (the paper: N10 competes only with N11, N12).
-    positions[10] = Position::new(400.0, 1000.0);
-    positions[11] = Position::new(400.0, 800.0);
-    positions[12] = Position::new(400.0, 600.0);
-    positions[13] = Position::new(400.0, 360.0);
-    positions[14] = Position::new(480.0, 140.0);
-    positions[15] = Position::new(640.0, 40.0);
-    // F3: mirrored chain ascending from the south near F1's middle.
-    positions[19] = Position::new(800.0, -1000.0);
-    positions[20] = Position::new(800.0, -800.0);
-    positions[21] = Position::new(800.0, -600.0);
-    positions[22] = Position::new(800.0, -360.0);
-    positions[23] = Position::new(880.0, -140.0);
-    positions[24] = Position::new(1040.0, -40.0);
-    // Idle spares 16..18 parked far away but distinct.
-    for (i, k) in (16..=18usize).enumerate() {
-        positions[k] = Position::new(50_000.0 + 1_000.0 * i as f64, 50_000.0);
-    }
-
-    let f1 = FlowSpec::saturating(
-        0,
-        (0..=9).collect(),
-        Time::from_secs(5),
-        Time::from_secs(4500),
-    );
-    let f2 = FlowSpec::saturating(
-        1,
-        vec![10, 11, 12, 13, 14, 15],
-        Time::from_secs(5),
-        Time::from_secs(3605),
-    );
-    let f3 = FlowSpec::saturating(
-        2,
-        vec![19, 20, 21, 22, 23, 24],
-        Time::from_secs(1805),
-        Time::from_secs(3605),
-    );
-    Topology {
-        name: "scenario2".into(),
-        positions,
-        loss: LossModel::ideal(),
-        flows: vec![f1, f2, f3],
-    }
+    committed(SCENARIO2_JSON).topology
 }
 
 /// End of the scenario-2 run.
 pub fn scenario2_end() -> Time {
-    Time::from_secs(4500)
+    committed(SCENARIO2_JSON).until
 }
 
 #[cfg(test)]
@@ -375,6 +323,38 @@ mod tests {
         // Branch heads are 2 hops of distance from the junction's chain.
         assert!(ch.can_sense(6, 4));
         assert!(ch.can_sense(8, 4));
+    }
+
+    /// The derivation the `scenario1` doc comment records, checked on the
+    /// loaded document: nothing else ties the committed coordinates to it.
+    #[test]
+    fn scenario1_document_has_the_documented_geometry() {
+        let t = scenario1();
+        assert_eq!(t.name, "scenario1");
+        assert_eq!(t.positions.len(), 13);
+        assert_eq!(t.loss, LossModel::ideal());
+        for f in &t.flows {
+            for w in f.path.windows(2) {
+                let d = t.positions[w[0]].distance(&t.positions[w[1]]);
+                assert!((d - SPACING).abs() < 1e-9, "hop {}->{}: {d} m", w[0], w[1]);
+            }
+        }
+        // The trunk runs east from N4 at the origin; each branch leaves
+        // N4 westward, 15 degrees off the trunk's line, on its own side.
+        assert_eq!(t.positions[4], Position::new(0.0, 0.0));
+        assert_eq!(t.positions[0], Position::new(4.0 * SPACING, 0.0));
+        for (branch, side) in [([6, 8, 10, 12], 1.0), ([5, 7, 9, 11], -1.0)] {
+            for k in branch {
+                let p = t.positions[k];
+                let off_trunk = (side * p.y).atan2(-p.x).to_degrees();
+                assert!((off_trunk - 15.0).abs() < 1e-9, "N{k}: {off_trunk} deg");
+            }
+        }
+        let s = Time::from_secs;
+        let f1 = FlowSpec::saturating(0, vec![12, 10, 8, 6, 4, 3, 2, 1, 0], s(5), s(2504));
+        let f2 = FlowSpec::saturating(1, vec![11, 9, 7, 5, 4, 3, 2, 1, 0], s(605), s(1804));
+        assert_eq!(t.flows, vec![f1, f2]);
+        assert_eq!(scenario1_end(), s(2504));
     }
 
     #[test]

@@ -36,6 +36,5 @@ pub use rng::SimRng;
 pub use sched::{Cancelable, EventId, SchedKind, Scheduler, TimerHandle, WheelStats};
 pub use time::{Duration, Time};
 pub use trace::{
-    BoeVerdict, DropCause, FrameClass, RxOutcome, TraceEvent, TraceFilter, TraceKind, TracePayload,
-    TraceRing,
+    BoeVerdict, DropCause, FrameClass, RxOutcome, TraceEvent, TraceKind, TracePayload, TraceRing,
 };

@@ -10,8 +10,7 @@
 //!
 //! For offline analysis the ring exports JSONL (one JSON object per line)
 //! via [`TraceRing::to_jsonl`], and [`TraceRing::parse_jsonl`] reads the
-//! same format back. [`TraceFilter`] narrows a ring by kind, node, and
-//! time window.
+//! same format back.
 
 use crate::json::JsonValue;
 use crate::time::Time;
@@ -29,12 +28,8 @@ pub enum TraceKind {
     Collision,
     /// A packet was dropped (queue overflow or retry limit).
     Drop,
-    /// A queue changed occupancy in a way worth noting.
-    Queue,
     /// A controller changed a contention-window parameter.
     CwChange,
-    /// A buffer-occupancy estimate was produced by the BOE.
-    BoeSample,
     /// A packet was admitted at its source (flight-recorder lifecycle).
     Admit,
     /// A packet entered a per-hop forwarding queue.
@@ -49,8 +44,6 @@ pub enum TraceKind {
     BoeOverhear,
     /// A packet reached its final destination.
     Deliver,
-    /// Anything else.
-    Misc,
 }
 
 impl TraceKind {
@@ -61,9 +54,7 @@ impl TraceKind {
             TraceKind::TxEnd => "TxEnd",
             TraceKind::Collision => "Collision",
             TraceKind::Drop => "Drop",
-            TraceKind::Queue => "Queue",
             TraceKind::CwChange => "CwChange",
-            TraceKind::BoeSample => "BoeSample",
             TraceKind::Admit => "Admit",
             TraceKind::Enqueue => "Enqueue",
             TraceKind::Dequeue => "Dequeue",
@@ -71,7 +62,6 @@ impl TraceKind {
             TraceKind::RxOutcome => "RxOutcome",
             TraceKind::BoeOverhear => "BoeOverhear",
             TraceKind::Deliver => "Deliver",
-            TraceKind::Misc => "Misc",
         }
     }
 
@@ -81,9 +71,7 @@ impl TraceKind {
             "TxEnd" => TraceKind::TxEnd,
             "Collision" => TraceKind::Collision,
             "Drop" => TraceKind::Drop,
-            "Queue" => TraceKind::Queue,
             "CwChange" => TraceKind::CwChange,
-            "BoeSample" => TraceKind::BoeSample,
             "Admit" => TraceKind::Admit,
             "Enqueue" => TraceKind::Enqueue,
             "Dequeue" => TraceKind::Dequeue,
@@ -91,7 +79,6 @@ impl TraceKind {
             "RxOutcome" => TraceKind::RxOutcome,
             "BoeOverhear" => TraceKind::BoeOverhear,
             "Deliver" => TraceKind::Deliver,
-            "Misc" => TraceKind::Misc,
             _ => return None,
         })
     }
@@ -245,10 +232,6 @@ impl BoeVerdict {
 /// The typed, allocation-free body of a trace record.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum TracePayload {
-    /// No extra detail.
-    Empty,
-    /// A fixed annotation (for `Misc` records).
-    Text(&'static str),
     /// A frame identified by class, sequence number, flow, and endpoints.
     Frame {
         /// MAC-level class.
@@ -278,26 +261,12 @@ pub enum TracePayload {
         /// Sequence number of the dropped packet.
         seq: u64,
     },
-    /// A queue occupancy observation.
-    Queue {
-        /// Packets currently queued.
-        occupancy: u32,
-        /// Queue capacity.
-        cap: u32,
-    },
     /// A contention-window move.
     CwChange {
         /// Previous CWmin.
         from: u32,
         /// New CWmin.
         to: u32,
-    },
-    /// A buffer-occupancy estimate from the BOE.
-    BoeSample {
-        /// The successor the estimate concerns.
-        successor: usize,
-        /// Estimated backlog (packets).
-        estimate: u32,
     },
     /// A packet admitted at its source (the flight recorder's first
     /// lifecycle record for a packet id).
@@ -366,8 +335,6 @@ pub enum TracePayload {
 impl fmt::Display for TracePayload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TracePayload::Empty => Ok(()),
-            TracePayload::Text(s) => f.write_str(s),
             TracePayload::Frame {
                 class,
                 seq,
@@ -382,12 +349,7 @@ impl fmt::Display for TracePayload {
             ),
             TracePayload::Collision { seq, src } => write!(f, "seq={seq} from {src}"),
             TracePayload::Drop { cause, seq } => write!(f, "{} seq={seq}", cause.name()),
-            TracePayload::Queue { occupancy, cap } => write!(f, "{occupancy}/{cap}"),
             TracePayload::CwChange { from, to } => write!(f, "{from} -> {to}"),
-            TracePayload::BoeSample {
-                successor,
-                estimate,
-            } => write!(f, "succ {successor} b={estimate}"),
             TracePayload::Admit { seq, flow } => write!(f, "seq={seq} flow={flow}"),
             TracePayload::Enqueue {
                 seq,
@@ -418,11 +380,6 @@ impl fmt::Display for TracePayload {
 impl TracePayload {
     fn to_json(self) -> JsonValue {
         match self {
-            TracePayload::Empty => JsonValue::obj(vec![("type", JsonValue::str("empty"))]),
-            TracePayload::Text(s) => JsonValue::obj(vec![
-                ("type", JsonValue::str("text")),
-                ("text", JsonValue::str(s)),
-            ]),
             TracePayload::Frame {
                 class,
                 seq,
@@ -449,23 +406,10 @@ impl TracePayload {
                 ("cause", JsonValue::str(cause.name())),
                 ("seq", seq.into()),
             ]),
-            TracePayload::Queue { occupancy, cap } => JsonValue::obj(vec![
-                ("type", JsonValue::str("queue")),
-                ("occupancy", occupancy.into()),
-                ("cap", cap.into()),
-            ]),
             TracePayload::CwChange { from, to } => JsonValue::obj(vec![
                 ("type", JsonValue::str("cw_change")),
                 ("from", from.into()),
                 ("to", to.into()),
-            ]),
-            TracePayload::BoeSample {
-                successor,
-                estimate,
-            } => JsonValue::obj(vec![
-                ("type", JsonValue::str("boe_sample")),
-                ("successor", successor.into()),
-                ("estimate", estimate.into()),
             ]),
             TracePayload::Admit { seq, flow } => JsonValue::obj(vec![
                 ("type", JsonValue::str("admit")),
@@ -535,10 +479,6 @@ impl TracePayload {
                 .ok_or_else(|| format!("payload missing numeric '{name}'"))
         };
         Ok(match ty {
-            "empty" => TracePayload::Empty,
-            // &'static str cannot be reconstituted from parsed text; an
-            // imported text payload keeps only its presence.
-            "text" => TracePayload::Text(""),
             "frame" => {
                 let class = v
                     .get("class")
@@ -569,17 +509,9 @@ impl TracePayload {
                     seq: u64_field("seq")?,
                 }
             }
-            "queue" => TracePayload::Queue {
-                occupancy: u64_field("occupancy")? as u32,
-                cap: u64_field("cap")? as u32,
-            },
             "cw_change" => TracePayload::CwChange {
                 from: u64_field("from")? as u32,
                 to: u64_field("to")? as u32,
-            },
-            "boe_sample" => TracePayload::BoeSample {
-                successor: u64_field("successor")? as usize,
-                estimate: u64_field("estimate")? as u32,
             },
             "admit" => TracePayload::Admit {
                 seq: u64_field("seq")?,
@@ -652,11 +584,7 @@ impl TracePayload {
             | TracePayload::RxOutcome { seq, .. }
             | TracePayload::BoeOverhear { seq, .. }
             | TracePayload::Deliver { seq, .. } => Some(seq),
-            TracePayload::Empty
-            | TracePayload::Text(_)
-            | TracePayload::Queue { .. }
-            | TracePayload::CwChange { .. }
-            | TracePayload::BoeSample { .. } => None,
+            TracePayload::CwChange { .. } => None,
         }
     }
 }
@@ -725,67 +653,6 @@ impl TraceEvent {
     }
 }
 
-/// A conjunctive filter over trace records: every constraint set must
-/// hold. Built fluently: `TraceFilter::new().kind(..).node(..)`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TraceFilter {
-    kind: Option<TraceKind>,
-    node: Option<usize>,
-    from: Option<Time>,
-    until: Option<Time>,
-}
-
-impl TraceFilter {
-    /// A filter matching everything.
-    pub fn new() -> Self {
-        TraceFilter::default()
-    }
-
-    /// Keep only records of `kind`.
-    pub fn kind(mut self, kind: TraceKind) -> Self {
-        self.kind = Some(kind);
-        self
-    }
-
-    /// Keep only records concerning `node`.
-    pub fn node(mut self, node: usize) -> Self {
-        self.node = Some(node);
-        self
-    }
-
-    /// Keep only records in the half-open window `[from, until)`.
-    pub fn between(mut self, from: Time, until: Time) -> Self {
-        self.from = Some(from);
-        self.until = Some(until);
-        self
-    }
-
-    /// Whether `ev` passes every constraint.
-    pub fn matches(&self, ev: &TraceEvent) -> bool {
-        if let Some(k) = self.kind {
-            if ev.kind != k {
-                return false;
-            }
-        }
-        if let Some(n) = self.node {
-            if ev.node != n {
-                return false;
-            }
-        }
-        if let Some(from) = self.from {
-            if ev.at < from {
-                return false;
-            }
-        }
-        if let Some(until) = self.until {
-            if ev.at >= until {
-                return false;
-            }
-        }
-        true
-    }
-}
-
 /// A bounded ring of [`TraceEvent`]s.
 pub struct TraceRing {
     cap: usize,
@@ -843,11 +710,6 @@ impl TraceRing {
         self.ring.iter()
     }
 
-    /// Records passing `filter`, oldest first.
-    pub fn filtered(&self, filter: TraceFilter) -> impl Iterator<Item = &TraceEvent> {
-        self.ring.iter().filter(move |ev| filter.matches(ev))
-    }
-
     /// Number of records currently held.
     pub fn len(&self) -> usize {
         self.ring.len()
@@ -882,11 +744,6 @@ impl TraceRing {
             out.push('\n');
         }
         out
-    }
-
-    /// Drops all held records (the counter is preserved).
-    pub fn clear(&mut self) {
-        self.ring.clear();
     }
 
     /// Parses records from JSONL produced by [`TraceRing::to_jsonl`].
@@ -970,60 +827,14 @@ mod tests {
         ring.push(
             t(2_000_000),
             usize::MAX,
-            TraceKind::Misc,
-            TracePayload::Text("global"),
+            TraceKind::CwChange,
+            TracePayload::CwChange { from: 32, to: 64 },
         );
         let text = ring.render();
         assert!(text.contains("n2 Collision: seq=7 from 3"), "{text}");
-        assert!(text.contains("Misc: global"), "{text}");
+        assert!(text.contains("] CwChange: 32 -> 64"), "{text}");
         // The node field is omitted for global records.
         assert!(!text.contains("n18446744073709551615"), "{text}");
-    }
-
-    #[test]
-    fn clear_preserves_counter() {
-        let mut ring = TraceRing::new(2);
-        ring.push(t(0), 0, TraceKind::Misc, TracePayload::Empty);
-        ring.clear();
-        assert!(ring.is_empty());
-        assert_eq!(ring.pushed_total(), 1);
-    }
-
-    #[test]
-    fn filters_by_kind_node_and_window() {
-        let mut ring = TraceRing::new(64);
-        for i in 0..10u64 {
-            let kind = if i % 2 == 0 {
-                TraceKind::TxStart
-            } else {
-                TraceKind::TxEnd
-            };
-            ring.push(t(i * 100), (i % 3) as usize, kind, frame(i));
-        }
-        let starts: Vec<_> = ring
-            .filtered(TraceFilter::new().kind(TraceKind::TxStart))
-            .collect();
-        assert_eq!(starts.len(), 5);
-        assert!(starts.iter().all(|e| e.kind == TraceKind::TxStart));
-
-        let on_node_1: Vec<_> = ring.filtered(TraceFilter::new().node(1)).collect();
-        assert_eq!(on_node_1.len(), 3, "i = 1, 4, 7");
-
-        // Half-open window: 300 included, 600 excluded.
-        let windowed: Vec<_> = ring
-            .filtered(TraceFilter::new().between(t(300), t(600)))
-            .collect();
-        assert_eq!(windowed.len(), 3, "i = 3, 4, 5");
-
-        let combined: Vec<_> = ring
-            .filtered(
-                TraceFilter::new()
-                    .kind(TraceKind::TxEnd)
-                    .node(1)
-                    .between(t(0), t(500)),
-            )
-            .collect();
-        assert_eq!(combined.len(), 1, "only i = 1");
     }
 
     #[test]
@@ -1046,15 +857,6 @@ mod tests {
             },
         );
         ring.push(
-            t(4),
-            0,
-            TraceKind::Queue,
-            TracePayload::Queue {
-                occupancy: 12,
-                cap: 50,
-            },
-        );
-        ring.push(
             t(5),
             0,
             TraceKind::CwChange,
@@ -1062,14 +864,10 @@ mod tests {
         );
         ring.push(
             t(6),
-            1,
-            TraceKind::BoeSample,
-            TracePayload::BoeSample {
-                successor: 2,
-                estimate: 7,
-            },
+            usize::MAX,
+            TraceKind::Deliver,
+            TracePayload::Deliver { seq: 6, flow: 1 },
         );
-        ring.push(t(7), usize::MAX, TraceKind::Misc, TracePayload::Empty);
 
         let jsonl = ring.to_jsonl();
         assert_eq!(jsonl.lines().count(), ring.len());
@@ -1083,8 +881,16 @@ mod tests {
         assert!(TraceRing::parse_jsonl("{oops")
             .unwrap_err()
             .contains("line 1"));
-        let missing_kind = r#"{"at_us": 1, "payload": {"type": "empty"}}"#;
-        assert!(TraceRing::parse_jsonl(missing_kind).is_err());
+        let missing_kind = r#"{"at_us": 1, "payload": {"type": "cw_change", "from": 1, "to": 2}}"#;
+        assert!(TraceRing::parse_jsonl(missing_kind)
+            .unwrap_err()
+            .contains("bad 'kind'"));
+        // A payload type the vocabulary no longer has is an error, not a
+        // silently dropped record.
+        let removed = r#"{"at_us": 1, "kind": "TxStart", "payload": {"type": "boe_sample"}}"#;
+        assert!(TraceRing::parse_jsonl(removed)
+            .unwrap_err()
+            .contains("unknown payload type 'boe_sample'"));
         // Blank lines are fine.
         assert_eq!(TraceRing::parse_jsonl("\n\n").unwrap().len(), 0);
     }

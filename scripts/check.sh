@@ -42,13 +42,21 @@ echo "== benchmark harness build + tests (benchmark/, its own workspace) =="
 # a removed or renamed item fails this gate, not the next benchmark run.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
+# The observer smokes below run scenario 1 for a sliver of its timeline,
+# where its qualitative checks may legitimately fail (exit 1); what they
+# smoke is the export. Anything else — usage (2), an abort (134) — fails.
+observed_run() {
+  local status=0
+  cargo run --release -q -p ezflow-bench --bin experiments -- "$@" >/dev/null 2>&1 || status=$?
+  [ "$status" -le 1 ] || { echo "experiments $* exited $status"; exit 1; }
+}
+
 echo "== flight recorder + trace CLI smoke =="
 # A short traced scenario-1 run exports lifecycle JSONL; the trace
 # inspector must reconstruct journeys and a drop census from it.
 TRACE_TMP="$(mktemp -d)"
 trap 'rm -rf "$TRACE_TMP"' EXIT
-cargo run --release -q -p ezflow-bench --bin experiments -- \
-  --quick --time=0.02 --trace-dir="$TRACE_TMP" scenario1 >/dev/null 2>&1 || true
+observed_run --quick --time=0.02 --trace-dir="$TRACE_TMP" scenario1
 JSONL="$TRACE_TMP/scenario1_80211.jsonl"
 [ -s "$JSONL" ] || { echo "trace smoke: no lifecycle export at $JSONL"; exit 1; }
 cargo run --release -q -p ezflow-bench --bin trace -- drops --by-cause "$JSONL" >/dev/null
@@ -69,9 +77,8 @@ echo "== telemetry bus + trace telemetry smoke =="
 # TRACE_TMP and its EXIT trap; the subdir keeps the telemetry stream
 # apart from the same-named lifecycle export above.)
 TEL_DIR="$TRACE_TMP/telemetry"
-cargo run --release -q -p ezflow-bench --bin experiments -- \
-  --quick --time=0.02 --telemetry-dir="$TEL_DIR" --json="$TRACE_TMP/snap.json" \
-  scenario1 >/dev/null 2>&1 || true
+observed_run --quick --time=0.02 --telemetry-dir="$TEL_DIR" --json="$TRACE_TMP/snap.json" \
+  scenario1
 TEL_JSONL="$TEL_DIR/scenario1_80211.jsonl"
 [ -s "$TEL_JSONL" ] || { echo "telemetry smoke: no stream at $TEL_JSONL"; exit 1; }
 WINDOWS="$(wc -l < "$TEL_JSONL")"
@@ -89,9 +96,8 @@ echo "== controller audit + trace controller smoke =="
 # render through the controller inspector. (Shares TRACE_TMP and its
 # EXIT trap.)
 AUD_DIR="$TRACE_TMP/audit"
-cargo run --release -q -p ezflow-bench --bin experiments -- \
-  --quick --time=0.02 --audit-dir="$AUD_DIR" --json="$TRACE_TMP/audit_snap.json" \
-  scenario1 >/dev/null 2>&1 || true
+observed_run --quick --time=0.02 --audit-dir="$AUD_DIR" --json="$TRACE_TMP/audit_snap.json" \
+  scenario1
 AUD_JSONL="$AUD_DIR/scenario1_EZ-flow.audit.jsonl"
 [ -s "$AUD_JSONL" ] || { echo "audit smoke: no stream at $AUD_JSONL"; exit 1; }
 grep -q '"kind":"sample"' "$AUD_JSONL" \
@@ -105,14 +111,24 @@ cargo run --release -q -p ezflow-bench --bin trace -- drops --by-link "$JSONL" >
 RECORDS="$(wc -l < "$AUD_JSONL")"
 echo "controller audit streamed $RECORDS records"
 
-echo "== scenario spec smoke (--spec=scenarios/scenario1.json) =="
+echo "== scenario spec smoke (--list, --spec=scenarios/{scenario1,grid4x4}.json) =="
+# Every committed spec must be listable: --list tolerates an unparsable
+# file by printing UNREADABLE in its place, so that word is the failure.
+LISTING="$(cargo run --release -q -p ezflow-bench --bin experiments -- --list)"
+if echo "$LISTING" | grep UNREADABLE; then
+  echo "spec smoke: --list found an unreadable spec"; exit 1
+fi
 # A committed spec must drive the full parse -> compile -> sweep -> report
 # pipeline and exit 0. time=0.01 simulates ~25 s — past scenario 1's t=5 s
 # flow starts, so the "traffic flowed" check is real, not vacuous.
-# (Shares TRACE_TMP and its EXIT trap.)
 cargo run --release -q -p ezflow-bench --bin experiments -- \
   --quick --time=0.01 --spec=scenarios/scenario1.json >/dev/null
 echo "scenario1.json ran end-to-end"
+# The generative form: grid4x4.json names a family and its parameters,
+# the compiler supplies the lattice and one flow per row.
+cargo run --release -q -p ezflow-bench --bin experiments -- \
+  --quick --time=0.1 --spec=scenarios/grid4x4.json >/dev/null
+echo "grid4x4.json ran end-to-end"
 
 echo "== no-per-pair-state memory guard (mesh16k under ulimit -v 512 MB) =="
 # At 16,384 nodes one N×N byte table is 268 MB and one of f64 is 2.1 GB
@@ -136,5 +152,14 @@ fi
 echo "$ERR" | grep -q 'topology.kind' \
   || { echo "schema smoke: error did not name the bad field: $ERR"; exit 1; }
 echo "malformed spec rejected with a pointed message"
+# Likewise a malformed flag value: usage (exit 2) naming the flag, not an
+# abort, and before any experiment runs.
+FLAG_STATUS=0
+ERR="$(cargo run --release -q -p ezflow-bench --bin experiments -- \
+    --seed=abc fig1 2>&1 >/dev/null)" || FLAG_STATUS=$?
+[ "$FLAG_STATUS" -eq 2 ] || { echo "flag smoke: --seed=abc exited $FLAG_STATUS"; exit 1; }
+echo "$ERR" | grep -q -- '--seed' \
+  || { echo "flag smoke: error did not name the flag: $ERR"; exit 1; }
+echo "malformed flag value rejected with a pointed message"
 
 echo "all checks passed"
