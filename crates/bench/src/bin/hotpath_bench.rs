@@ -5,13 +5,20 @@
 //! cargo run --release -p ezflow-bench --bin hotpath_bench -- --bless    # refresh the golden
 //! ```
 //!
-//! Runs the two inner-loop workloads every hot-path change must leave
+//! Runs the inner-loop workloads every hot-path change must leave
 //! observationally identical:
 //!
 //! * **scenario1/quick** — the paper's two merging 8-hop flows at the
 //!   `--quick` scale, under both 802.11 and EZ-flow.
 //! * **grid/dense** — a 4×4 grid where every node carrier-senses every
 //!   other (degree ≈ N), the worst case for the neighbor-list path.
+//! * **scenario1+eifs+rts/quick** — the same two flows with `mac.eifs`
+//!   and `mac.rts_cts` on: NAV freezes and EIFS marks are what no other
+//!   gated run (and no `benchmark/` workload) arms.
+//! * **mesh1k/3s** — a 3-simulated-second slice of
+//!   `scenarios/mesh1k.json`: 1,024 nodes at sensing degree ≈ 67, where
+//!   most transmissions overlap others they cannot interfere with — the
+//!   only run that pins a mesh byte for byte.
 //!
 //! `--check` (also what a bare invocation runs, so nothing but `--bless`
 //! ever writes a committed file) is the regression gate
@@ -44,7 +51,7 @@ use std::path::PathBuf;
 
 use ezflow_bench::experiments::{scenario1, Algo};
 use ezflow_bench::report::Scale;
-use ezflow_net::{topo, Network, PerfSnapshot};
+use ezflow_net::{topo, Network, PerfSnapshot, ScenarioSpec};
 use ezflow_sim::{JsonValue, Time};
 
 /// One gated run: label + the deterministic digest it left behind.
@@ -54,7 +61,29 @@ struct Run {
     digest: String,
 }
 
-fn digest_of(label: &str, mut net: Network, until: Time) -> Run {
+/// FNV-1a, 64-bit: the per-node fold of [`digest_of`] needs a fixed,
+/// dependency-free hash, not a strong one.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Replaces every element of a per-node array by the hash of its compact
+/// JSON: the bytes stay pinned and a divergence still names the node
+/// (`nodes[417]`), at 18 bytes per node instead of ~700.
+fn fold_elements(v: &mut JsonValue) {
+    if let JsonValue::Array(items) = v {
+        for item in items {
+            *item = JsonValue::str(format!("{:016x}", fnv1a64(item.to_compact().as_bytes())));
+        }
+    }
+}
+
+/// Runs `net` to `until` and digests its snapshot. `fold_nodes` is for
+/// the 1,024-node run, whose per-node sections would otherwise put
+/// 700 KB into the golden.
+fn digest_of(label: &str, mut net: Network, until: Time, fold_nodes: bool) -> Run {
     net.run_until(until);
     // `snapshot_json` serialises the latency histograms from borrows —
     // the digest epilogue charges the run no per-flow/per-hop clones.
@@ -68,6 +97,14 @@ fn digest_of(label: &str, mut net: Network, until: Time) -> Run {
             if k == "perf" {
                 *v = PerfSnapshot::zeroed().to_json();
             }
+            if fold_nodes && k == "nodes" {
+                fold_elements(v);
+            }
+            if let (true, "latency", JsonValue::Object(lat)) = (fold_nodes, k.as_str(), &mut *v) {
+                for (_, per_hop) in lat.iter_mut().filter(|(k, _)| k == "per_hop") {
+                    fold_elements(per_hop);
+                }
+            }
         }
         fields.retain(|(k, _)| k != "stability" && k != "controller");
     }
@@ -80,8 +117,13 @@ fn digest_of(label: &str, mut net: Network, until: Time) -> Run {
 /// The quick scenario-1 runs with an explicit telemetry interval (`Some`
 /// arms the bus) and audit capacity (nonzero arms the ledger): `(None, 0)`
 /// is the golden pair, the armed variants feed the on/off equivalence
-/// gates.
-fn scenario1_runs(telemetry_every: Option<ezflow_sim::Duration>, audit_cap: usize) -> Vec<Run> {
+/// gates. `eifs_rts` turns on EIFS and the RTS/CTS handshake (its own
+/// golden pair, labelled apart).
+fn scenario1_runs(
+    telemetry_every: Option<ezflow_sim::Duration>,
+    audit_cap: usize,
+    eifs_rts: bool,
+) -> Vec<Run> {
     let mut scale = Scale::quick();
     scale.telemetry_every = telemetry_every;
     scale.audit_cap = audit_cap;
@@ -95,8 +137,12 @@ fn scenario1_runs(telemetry_every: Option<ezflow_sim::Duration>, audit_cap: usiz
     [Algo::Plain, Algo::EzFlow]
         .into_iter()
         .map(|algo| {
-            let net = Network::new(scale.spec(&t, scale.seed), &*algo.factory());
-            digest_of(&format!("scenario1/{}", algo.name()), net, t3)
+            let mut spec = scale.spec(&t, scale.seed);
+            spec.mac.eifs = eifs_rts;
+            spec.mac.rts_cts = eifs_rts;
+            let net = Network::new(spec, &*algo.factory());
+            let arms = if eifs_rts { "+eifs+rts" } else { "" };
+            digest_of(&format!("scenario1{arms}/{}", algo.name()), net, t3, false)
         })
         .collect()
 }
@@ -106,7 +152,21 @@ fn grid_run() -> Run {
     let until = Time::from_secs(300);
     let t = topo::grid(4, 4, 140.0, Time::ZERO, until);
     let net = Network::new(Scale::quick().spec(&t, 42), &*Algo::Plain.factory());
-    digest_of("grid/4x4/140m", net, until)
+    digest_of("grid/4x4/140m", net, until, false)
+}
+
+/// The committed 1,024-node mesh, first sweep point, for 3 simulated
+/// seconds (flows start at 1 s) — built the way `--spec` builds it.
+fn mesh_run() -> Run {
+    let doc = ScenarioSpec::parse(include_str!("../../../../scenarios/mesh1k.json"))
+        .expect("scenarios/mesh1k.json parses");
+    let compiled = doc.compile().expect("scenarios/mesh1k.json compiles");
+    let point = &compiled.points[0];
+    let mut spec = Scale::quick().spec(&compiled.topology, point.seed);
+    spec.queue_cap = point.queue_cap;
+    let algo = Algo::from_name(&point.controller).expect("mesh1k.json names a known controller");
+    let net = Network::new(spec, &*algo.factory());
+    digest_of("mesh1k/3s", net, Time::from_secs(3), true)
 }
 
 fn golden_path() -> PathBuf {
@@ -131,10 +191,13 @@ fn golden_doc(runs: &[Run]) -> String {
     text
 }
 
-/// All gated workloads, every observer off.
+/// All gated workloads, every observer off. New runs are appended, so
+/// the entries before them keep their bytes in the golden.
 fn all_runs() -> Vec<Run> {
-    let mut runs = scenario1_runs(None, 0);
+    let mut runs = scenario1_runs(None, 0, false);
     runs.push(grid_run());
+    runs.extend(scenario1_runs(None, 0, true));
+    runs.push(mesh_run());
     runs
 }
 
@@ -188,7 +251,7 @@ fn check() -> std::process::ExitCode {
 
     // Telemetry-on equivalence: arming the bus must leave the same
     // simulation behind (perf zeroed, stability stripped by `digest_of`).
-    let tel_runs = scenario1_runs(Some(ezflow_net::NetworkSpec::TELEMETRY_EVERY), 0);
+    let tel_runs = scenario1_runs(Some(ezflow_net::NetworkSpec::TELEMETRY_EVERY), 0, false);
     for (t, w) in tel_runs.iter().zip(&runs) {
         if t.digest != w.digest {
             eprintln!(
@@ -206,7 +269,7 @@ fn check() -> std::process::ExitCode {
     // simulation behind (controller section stripped by `digest_of`; the
     // audit schedules nothing, so no counter compensation exists to get
     // wrong — any divergence is a probe writing where it should read).
-    let audit_runs = scenario1_runs(None, ezflow_net::NetworkSpec::AUDIT_CAP);
+    let audit_runs = scenario1_runs(None, ezflow_net::NetworkSpec::AUDIT_CAP, false);
     for (a, w) in audit_runs.iter().zip(&runs) {
         if a.digest != w.digest {
             eprintln!(
