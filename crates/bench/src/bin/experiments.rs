@@ -44,8 +44,11 @@
 //! `--list` prints the named experiment ids plus every spec discovered
 //! under `scenarios/`, one line each.
 //!
-//! A malformed flag value (`--seed=abc`, `--telemetry-ms=0`) is a usage
-//! error: one line on stderr naming the flag, exit 2.
+//! The whole command line is checked before the first experiment starts:
+//! a malformed flag value (`--seed=abc`, `--telemetry-ms=0`), an unknown
+//! `--flag`, an unknown id, an unreadable spec or a `--time` factor that
+//! scales a spec's duration out of bounds is a usage error — one line on
+//! stderr naming the culprit, exit 2, nothing run.
 //!
 //! Ids: fig1, table1, fig4, table2, scenario1 (fig6/fig7/fig8),
 //! scenario2 (fig10/fig11/table3), table4, theorem1, ablations, all.
@@ -147,6 +150,10 @@ fn main() -> ExitCode {
             s if s.starts_with("--audit-dir=") => {
                 audit_dir = Some(std::path::PathBuf::from(&s["--audit-dir=".len()..]));
             }
+            s if s.starts_with("--") => {
+                eprintln!("unknown flag: {s}");
+                return ExitCode::from(2);
+            }
             other => ids.push(other.to_string()),
         }
     }
@@ -199,74 +206,87 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let mut all_ok = true;
-    let mut with_snapshots = Vec::new();
-    let mut reports_by_id: Vec<(String, Vec<ezflow_bench::report::Report>)> = Vec::new();
+    // Resolve everything that can be wrong with the command line before
+    // anything runs: an experiment takes seconds to minutes, and a typo
+    // after it should not cost that.
+    let mut runners = Vec::with_capacity(ids.len());
     for id in &ids {
-        let Some(reports) = experiments::by_id(id, scale) else {
+        let Some(run) = experiments::by_id(id) else {
             eprintln!("unknown experiment id: {id}");
             return ExitCode::from(2);
         };
-        reports_by_id.push((id.clone(), reports));
+        runners.push(run);
     }
+    let mut loaded = Vec::with_capacity(specs.len());
     for path in &specs {
-        let spec = match experiments::spec::load(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("spec error: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        match experiments::spec::run_spec(&spec, &scale) {
-            Ok(rep) => reports_by_id.push((format!("spec:{}", spec.name), vec![rep])),
+        let checked = experiments::spec::load(path).and_then(|spec| {
+            experiments::spec::check_scale(&spec, &scale)?;
+            Ok(spec)
+        });
+        match checked {
+            Ok(spec) => loaded.push(spec),
             Err(e) => {
                 eprintln!("spec error: {e}");
                 return ExitCode::from(2);
             }
         }
     }
-    for (_, reports) in reports_by_id {
-        for rep in reports {
-            if markdown {
-                print!("{}", rep.render_markdown());
-            } else {
-                print!("{}", rep.render());
+
+    let mut all_ok = true;
+    let mut with_snapshots = Vec::new();
+    let mut all_reports: Vec<ezflow_bench::report::Report> = Vec::new();
+    for run in runners {
+        all_reports.extend(run(scale));
+    }
+    for spec in &loaded {
+        match experiments::spec::run_spec(spec, &scale) {
+            Ok(rep) => all_reports.push(rep),
+            Err(e) => {
+                eprintln!("spec error: {e}");
+                return ExitCode::from(2);
             }
-            if let Some(dir) = &csv_dir {
-                match rep.write_csv(dir) {
-                    Ok(files) => eprintln!("wrote {} CSV files to {}", files.len(), dir.display()),
-                    Err(e) => eprintln!("CSV export failed: {e}"),
-                }
+        }
+    }
+    for rep in all_reports {
+        if markdown {
+            print!("{}", rep.render_markdown());
+        } else {
+            print!("{}", rep.render());
+        }
+        if let Some(dir) = &csv_dir {
+            match rep.write_csv(dir) {
+                Ok(files) => eprintln!("wrote {} CSV files to {}", files.len(), dir.display()),
+                Err(e) => eprintln!("CSV export failed: {e}"),
             }
-            if let Some(dir) = &trace_dir {
-                match rep.write_lifecycles(dir) {
-                    Ok(files) => {
-                        for (path, st) in files {
+        }
+        if let Some(dir) = &trace_dir {
+            match rep.write_lifecycles(dir) {
+                Ok(files) => {
+                    for (path, st) in files {
+                        eprintln!(
+                            "wrote lifecycle JSONL {} ({} journeys kept)",
+                            path.display(),
+                            st.tracked - st.evicted
+                        );
+                        if st.stride > 1 || st.evicted > 0 {
                             eprintln!(
-                                "wrote lifecycle JSONL {} ({} journeys kept)",
-                                path.display(),
-                                st.tracked - st.evicted
+                                "  PARTIAL capture: cap bound hit — sampling 1/{} \
+                                 ({} packets skipped, {} journeys evicted); \
+                                 raise --flight-cap for a fuller census",
+                                st.stride, st.skipped, st.evicted
                             );
-                            if st.stride > 1 || st.evicted > 0 {
-                                eprintln!(
-                                    "  PARTIAL capture: cap bound hit — sampling 1/{} \
-                                     ({} packets skipped, {} journeys evicted); \
-                                     raise --flight-cap for a fuller census",
-                                    st.stride, st.skipped, st.evicted
-                                );
-                            }
                         }
                     }
-                    Err(e) => {
-                        eprintln!("lifecycle export failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
+                }
+                Err(e) => {
+                    eprintln!("lifecycle export failed: {e}");
+                    return ExitCode::FAILURE;
                 }
             }
-            all_ok &= rep.all_ok();
-            if !rep.snapshots.is_empty() {
-                with_snapshots.push(rep);
-            }
+        }
+        all_ok &= rep.all_ok();
+        if !rep.snapshots.is_empty() {
+            with_snapshots.push(rep);
         }
     }
     if let Some(path) = &json_path {

@@ -94,16 +94,15 @@ fn digest_of(label: &str, mut net: Network, until: Time, fold_nodes: bool) -> Ru
         // the feature-off runs), so on- and off-digests are comparable.
         // Top-level keys only: each node's controller *name* field stays.
         for (k, v) in fields.iter_mut() {
-            if k == "perf" {
-                *v = PerfSnapshot::zeroed().to_json();
-            }
-            if fold_nodes && k == "nodes" {
-                fold_elements(v);
-            }
-            if let (true, "latency", JsonValue::Object(lat)) = (fold_nodes, k.as_str(), &mut *v) {
-                for (_, per_hop) in lat.iter_mut().filter(|(k, _)| k == "per_hop") {
-                    fold_elements(per_hop);
+            match (k.as_str(), v) {
+                ("perf", v) => *v = PerfSnapshot::zeroed().to_json(),
+                ("nodes", v) if fold_nodes => fold_elements(v),
+                ("latency", JsonValue::Object(latency)) if fold_nodes => {
+                    for (_, per_hop) in latency.iter_mut().filter(|(k, _)| k == "per_hop") {
+                        fold_elements(per_hop);
+                    }
                 }
+                _ => {}
             }
         }
         fields.retain(|(k, _)| k != "stability" && k != "controller");

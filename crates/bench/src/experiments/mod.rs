@@ -140,21 +140,23 @@ pub fn run_all(scale: Scale) -> Vec<Report> {
     ]
 }
 
-/// Experiment ids accepted by the CLI, with their runners.
-pub fn by_id(id: &str, scale: Scale) -> Option<Vec<Report>> {
-    let r = match id {
-        "fig1" => vec![fig1::run(scale)],
-        "table1" => vec![table1::run(scale)],
-        "fig4" => vec![fig4::run(scale)],
-        "table2" => vec![table2::run(scale)],
-        "fig6" | "fig7" | "fig8" | "scenario1" => vec![scenario1::run(scale)],
-        "fig10" | "fig11" | "table3" | "scenario2" => vec![scenario2::run(scale)],
-        "table4" => vec![analysis_exps::table4(scale)],
-        "theorem1" => vec![analysis_exps::theorem1(scale)],
-        "ablations" => vec![ablations::run(scale)],
-        "seeds" => vec![seeds::run(scale)],
-        "all" => run_all(scale),
+/// Experiment ids accepted by the CLI, each resolved to its runner without
+/// running it — so a command line can be rejected whole (`None`: unknown
+/// id) before its first experiment starts.
+pub fn by_id(id: &str) -> Option<fn(Scale) -> Vec<Report>> {
+    let run: fn(Scale) -> Vec<Report> = match id {
+        "fig1" => |scale| vec![fig1::run(scale)],
+        "table1" => |scale| vec![table1::run(scale)],
+        "fig4" => |scale| vec![fig4::run(scale)],
+        "table2" => |scale| vec![table2::run(scale)],
+        "fig6" | "fig7" | "fig8" | "scenario1" => |scale| vec![scenario1::run(scale)],
+        "fig10" | "fig11" | "table3" | "scenario2" => |scale| vec![scenario2::run(scale)],
+        "table4" => |scale| vec![analysis_exps::table4(scale)],
+        "theorem1" => |scale| vec![analysis_exps::theorem1(scale)],
+        "ablations" => |scale| vec![ablations::run(scale)],
+        "seeds" => |scale| vec![seeds::run(scale)],
+        "all" => run_all,
         _ => return None,
     };
-    Some(r)
+    Some(run)
 }

@@ -14,6 +14,7 @@
 
 use std::path::{Path, PathBuf};
 
+use ezflow_net::scenario::MAX_DURATION_SECS;
 use ezflow_net::ScenarioSpec;
 use ezflow_sim::Time;
 
@@ -31,9 +32,26 @@ pub fn load(path: &Path) -> Result<ScenarioSpec, String> {
 /// Scales a nominal spec duration the way `--quick` / `--time=F` demand.
 /// Spec durations are the author's own, not the paper's multi-kilosecond
 /// timelines, so the floor is 1 s — not the 30 s the named experiments
-/// use to protect the CAA's convergence.
-fn scaled_until(until: Time, scale: &Scale) -> Time {
-    Time::from_micros(((until.as_micros() as f64 * scale.time) as u64).max(1_000_000))
+/// use to protect the CAA's convergence. The ceiling is the parser's own:
+/// a factor that takes `duration_secs` past it is the same silent hang
+/// the parser refuses, arrived at by another road.
+fn scaled_until(until: Time, scale: &Scale) -> Result<Time, String> {
+    let micros = until.as_micros() as f64 * scale.time;
+    if !(0.0..=MAX_DURATION_SECS * 1e6).contains(&micros) {
+        return Err(format!(
+            "--time={:?} scales the spec's {until} to {:e} s; must stay in [0, {MAX_DURATION_SECS:e}]",
+            scale.time,
+            micros / 1e6
+        ));
+    }
+    Ok(Time::from_micros((micros as u64).max(1_000_000)))
+}
+
+/// Whether `scale` can run `spec` at all: what [`run_spec`] would refuse
+/// before simulating anything, without compiling — for a caller that
+/// wants to reject its whole command line up front.
+pub fn check_scale(spec: &ScenarioSpec, scale: &Scale) -> Result<(), String> {
+    scaled_until(Time::from_micros((spec.duration_secs * 1e6) as u64), scale).map(drop)
 }
 
 /// Compiles and runs every sweep point of `spec`, returning one report.
@@ -41,7 +59,7 @@ fn scaled_until(until: Time, scale: &Scale) -> Time {
 /// names a controller this harness doesn't have.
 pub fn run_spec(spec: &ScenarioSpec, scale: &Scale) -> Result<Report, String> {
     let compiled = spec.compile().map_err(|e| e.to_string())?;
-    let until = scaled_until(compiled.until, scale);
+    let until = scaled_until(compiled.until, scale)?;
 
     let mut jobs = Vec::with_capacity(compiled.points.len());
     for point in &compiled.points {

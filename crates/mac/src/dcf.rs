@@ -4,7 +4,10 @@
 //! (the network layer) is responsible for:
 //!
 //! * feeding carrier-sense transitions ([`MacInput::MediumBusy`] /
-//!   [`MacInput::MediumIdle`]) derived from the shared channel,
+//!   [`MacInput::MediumIdle`]) derived from the shared channel — at least
+//!   while [`Mac::counting_phase`] holds, the only time a transition does
+//!   anything but update the carrier mirror; a caller that skips the rest
+//!   refreshes the mirror with [`Mac::sync_carrier`] before its next input,
 //! * arming the timers the MAC requests and feeding them back
 //!   ([`MacInput::TimerTxPath`] / [`MacInput::TimerAckJob`]) — stale timers
 //!   are filtered by epoch, so the caller never needs to cancel anything,
@@ -56,11 +59,10 @@ pub enum MacInput {
         /// Epoch recorded when the timer was armed.
         epoch: u64,
     },
-    /// The frame this MAC was transmitting has left the air.
-    TxEnded {
-        /// Whether the carrier is busy now that our own energy is gone.
-        medium_busy: bool,
-    },
+    /// The frame this MAC was transmitting has left the air. Whether the
+    /// carrier is busy now that our own energy is gone is read from the
+    /// mirror ([`Mac::sync_carrier`]).
+    TxEnded,
     /// A clean data frame addressed to this node arrived. The MAC takes
     /// ownership of the handle: it either re-emits it as
     /// [`MacOutput::Deliver`] or releases it (duplicate).
@@ -271,7 +273,9 @@ pub struct Mac {
     cw_min: u32,
     phase: Phase,
     cur: Option<Current>,
-    /// Carrier-sense mirror (other transmitters only).
+    /// Carrier-sense mirror (other transmitters only): kept current by
+    /// the busy/idle inputs while counting, by [`Mac::sync_carrier`]
+    /// otherwise.
     medium_busy: bool,
     /// True while this radio is itself transmitting (data or ACK).
     radio_busy: bool,
@@ -400,7 +404,7 @@ impl Mac {
             MacInput::MediumIdle => self.on_medium_idle(now, out),
             MacInput::TimerTxPath { epoch } => self.on_timer_tx(now, epoch, rng, arena, out),
             MacInput::TimerAckJob { epoch } => self.on_timer_ack(now, epoch, arena, out),
-            MacInput::TxEnded { medium_busy } => self.on_tx_ended(now, medium_busy, out),
+            MacInput::TxEnded => self.on_tx_ended(now, out),
             MacInput::RxData { frame } => self.on_rx_data(now, frame, arena, out),
             MacInput::RxAck { frame } => self.on_rx_ack(now, frame, rng, arena, out),
             MacInput::RxRts { frame } => self.on_rx_rts(frame, arena, out),
@@ -434,8 +438,28 @@ impl Mac {
         }
     }
 
-    fn counting_phase(&self) -> bool {
+    /// True while a backoff countdown is owed (contending for a frame, or
+    /// in post-transmission backoff) — the only phases in which a carrier
+    /// transition freezes or resumes anything. In every other phase
+    /// [`Mac::medium_busy`] / [`Mac::medium_idle`] merely write the
+    /// mirror, so a caller may skip them there and call
+    /// [`Mac::sync_carrier`] before the next input instead.
+    pub fn counting_phase(&self) -> bool {
         matches!(self.phase, Phase::Contend | Phase::PostBackoff)
+    }
+
+    /// Overwrites the carrier-sense mirror with the channel's truth. To be
+    /// called immediately before any input that may read the carrier, by a
+    /// caller that delivers busy/idle transitions only while
+    /// [`Mac::counting_phase`] holds. A counting MAC has been told every
+    /// transition, so for it the write must be a no-op.
+    pub fn sync_carrier(&mut self, busy: bool) {
+        debug_assert!(
+            !self.counting_phase() || self.medium_busy == busy,
+            "node {}: a counting MAC missed a carrier transition",
+            self.node
+        );
+        self.medium_busy = busy;
     }
 
     /// Starts (or restarts) the DIFS + remaining-slots countdown at `now`.
@@ -766,9 +790,8 @@ impl Mac {
         });
     }
 
-    fn on_tx_ended(&mut self, now: Time, medium_busy: bool, out: &mut Vec<MacOutput>) {
+    fn on_tx_ended(&mut self, now: Time, out: &mut Vec<MacOutput>) {
         self.radio_busy = false;
-        self.medium_busy = medium_busy;
         match self.txing_kind.take() {
             Some(FrameKind::Data) => {
                 debug_assert_eq!(self.phase, Phase::TxData);
@@ -1017,12 +1040,7 @@ mod tests {
 
         // Frame leaves the air: ACK timeout armed.
         let end = t(DIFS) + air;
-        let out = mac.input(
-            t(end.as_micros()),
-            MacInput::TxEnded { medium_busy: false },
-            &mut rng,
-            &mut arena,
-        );
+        let out = mac.input(t(end.as_micros()), MacInput::TxEnded, &mut rng, &mut arena);
         let (after, _epoch2) = timer_delay(&out);
         assert_eq!(after, Duration::from_micros(SIFS + 304 + SLOT));
 
@@ -1178,12 +1196,7 @@ mod tests {
             }) {
                 attempts_seen += 1;
                 now += air.as_micros();
-                let out = mac.input(
-                    t(now),
-                    MacInput::TxEnded { medium_busy: false },
-                    &mut rng,
-                    &mut arena,
-                );
+                let out = mac.input(t(now), MacInput::TxEnded, &mut rng, &mut arena);
                 let (a, e) = timer_delay(&out);
                 after = a;
                 epoch = e;
@@ -1247,12 +1260,7 @@ mod tests {
             }
             o => panic!("expected ack StartTx, got {o:?}"),
         }
-        mac.input(
-            t(100 + SIFS + 304),
-            MacInput::TxEnded { medium_busy: false },
-            &mut rng,
-            &mut arena,
-        );
+        mac.input(t(100 + SIFS + 304), MacInput::TxEnded, &mut rng, &mut arena);
 
         // Duplicate (retry) arrives: re-ACK, no second Deliver.
         let mut dup = f;
@@ -1352,12 +1360,7 @@ mod tests {
         assert!(out.is_empty());
         // ACK done: countdown resumes with the same remaining slots.
         let ack_done = rx_end + SIFS + 304;
-        let out = mac.input(
-            t(ack_done),
-            MacInput::TxEnded { medium_busy: false },
-            &mut rng,
-            &mut arena,
-        );
+        let out = mac.input(t(ack_done), MacInput::TxEnded, &mut rng, &mut arena);
         let (resume2, _) = timer_delay(&out);
         assert_eq!((resume2.as_micros() - DIFS) / SLOT, total_slots - 1);
     }
@@ -1394,12 +1397,7 @@ mod tests {
             MacOutput::StartTx { air, .. } => *air,
             _ => panic!(),
         };
-        mac.input(
-            t(DIFS) + air,
-            MacInput::TxEnded { medium_busy: false },
-            &mut rng,
-            &mut arena,
-        );
+        mac.input(t(DIFS) + air, MacInput::TxEnded, &mut rng, &mut arena);
         let wrong = arena.alloc(Frame::ack_for(&data(2, 0, 1)));
         let out = mac.input(
             t(DIFS) + air + Duration::from_micros(100),
@@ -1428,6 +1426,36 @@ mod tests {
         let out = mac.input(t(500), MacInput::MediumIdle, &mut rng, &mut arena);
         let (after, _) = timer_delay(&out);
         assert_eq!(after.as_micros(), DIFS);
+    }
+
+    #[test]
+    fn synced_carrier_stands_in_for_transitions_missed_while_not_counting() {
+        // An idle MAC is not in a counting phase and may be told nothing;
+        // the carrier state it needs arrives by `sync_carrier` instead.
+        let (mut mac, mut rng, mut arena) = det_mac(0);
+        assert!(!mac.counting_phase());
+        mac.sync_carrier(true);
+        let out = mac.input(
+            t(5),
+            MacInput::Enqueue {
+                frame: arena.alloc(data(1, 0, 1)),
+                queue: 0,
+            },
+            &mut rng,
+            &mut arena,
+        );
+        assert!(out.is_empty(), "no timer while busy");
+        // Now contending: transitions are delivered, and a sync that
+        // agrees with them is a no-op.
+        assert!(mac.counting_phase());
+        mac.sync_carrier(true);
+        let (after, epoch) = mac.medium_idle(t(500)).expect("resumes on idle");
+        assert_eq!(after.as_micros(), DIFS);
+        mac.sync_carrier(false);
+        let at = t(500) + after;
+        let out = mac.input(at, MacInput::TimerTxPath { epoch }, &mut rng, &mut arena);
+        assert!(matches!(out[0], MacOutput::StartTx { .. }));
+        assert!(!mac.counting_phase(), "transmitting: nothing to freeze");
     }
 
     #[test]

@@ -199,7 +199,7 @@ impl Harness {
                 EvKind::TimerTx(epoch) => MacInput::TimerTxPath { epoch },
                 EvKind::TimerAck(epoch) => MacInput::TimerAckJob { epoch },
                 EvKind::TimerNav => MacInput::TimerNav,
-                EvKind::TxEnded => MacInput::TxEnded { medium_busy: false },
+                EvKind::TxEnded => MacInput::TxEnded,
                 EvKind::Rx(bits) => {
                     let f = unpack(&bits);
                     if f.dst != who {

@@ -92,12 +92,7 @@ fn full_four_way_handshake() {
         "RTS reserves CTS+DATA+ACK"
     );
     let rts_end = DIFS + RTS_AIR;
-    let out = snd.input(
-        t(rts_end),
-        MacInput::TxEnded { medium_busy: false },
-        &mut rng,
-        &mut arena,
-    );
+    let out = snd.input(t(rts_end), MacInput::TxEnded, &mut rng, &mut arena);
     let (cts_to, _) = tx_timer(&out);
     assert_eq!(cts_to.as_micros(), SIFS + CTS_AIR + SLOT);
 
@@ -130,12 +125,7 @@ fn full_four_way_handshake() {
     assert_eq!(ctsf.dst, 0);
     assert_eq!(ctsf.nav_micros, 2 * SIFS + DATA_AIR + ACK_AIR);
     let cts_end = rts_end + SIFS + CTS_AIR;
-    rcv.input(
-        t(cts_end),
-        MacInput::TxEnded { medium_busy: false },
-        &mut rng2,
-        &mut arena,
-    );
+    rcv.input(t(cts_end), MacInput::TxEnded, &mut rng2, &mut arena);
 
     // Sender gets the CTS, waits SIFS, sends the data.
     let out = snd.input(
@@ -156,12 +146,7 @@ fn full_four_way_handshake() {
     let df = *arena.get(d);
     assert_eq!(df.kind, FrameKind::Data);
     let data_end = cts_end + SIFS + DATA_AIR;
-    let out = snd.input(
-        t(data_end),
-        MacInput::TxEnded { medium_busy: false },
-        &mut rng,
-        &mut arena,
-    );
+    let out = snd.input(t(data_end), MacInput::TxEnded, &mut rng, &mut arena);
     let (ack_to, _) = tx_timer(&out);
     assert_eq!(ack_to.as_micros(), SIFS + ACK_AIR + SLOT);
 
@@ -211,12 +196,7 @@ fn cts_timeout_retries_the_rts() {
     );
     assert_eq!(arena.get(started(&out)).kind, FrameKind::Rts);
     now += RTS_AIR;
-    let out = snd.input(
-        t(now),
-        MacInput::TxEnded { medium_busy: false },
-        &mut rng,
-        &mut arena,
-    );
+    let out = snd.input(t(now), MacInput::TxEnded, &mut rng, &mut arena);
     let (to, epoch) = tx_timer(&out);
     now += to.as_micros();
     // No CTS arrives: timeout -> back to contention with attempt 2.
@@ -379,12 +359,7 @@ fn rx_data_while_waiting_for_cts_is_served() {
         &mut arena,
     );
     now += RTS_AIR;
-    snd.input(
-        t(now),
-        MacInput::TxEnded { medium_busy: false },
-        &mut rng,
-        &mut arena,
-    );
+    snd.input(t(now), MacInput::TxEnded, &mut rng, &mut arena);
     // While waiting for the CTS, a data frame from node 0 arrives.
     let out = snd.input(
         t(now + 2),

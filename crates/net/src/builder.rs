@@ -332,7 +332,12 @@ pub(crate) fn build(
     }
     let n = spec.positions.len();
     let master = SimRng::new(spec.seed);
-    let channel = Channel::new(&spec.positions, spec.channel, spec.loss.clone());
+    let mut channel = Channel::new(&spec.positions, spec.channel, spec.loss.clone());
+    // A fresh MAC owes no countdown, so nobody listens yet; from here on
+    // the engine keeps each bit equal to `Mac::counting_phase`.
+    for id in 0..n {
+        channel.set_listening(id, false);
+    }
     let chan_rng = master.derive(u64::MAX);
 
     let mut routing = StaticRouting::new();

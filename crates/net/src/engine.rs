@@ -335,24 +335,54 @@ impl Network {
         self.hot.ack_timer[id] = TimerSlot::Armed { h, epoch };
     }
 
-    /// Parks node `id`'s transmit-path timer if the MAC has invalidated
-    /// it (epoch moved on) without re-arming: the scheduler entry is
-    /// physically removed now, instead of sitting in the queue until its
-    /// instant arrives just to be elided. Called after every MAC
-    /// interaction that can freeze a countdown; a live or empty slot is a
-    /// two-word compare and fall-through.
+    /// The step that follows every MAC interaction, bringing the two pieces
+    /// of engine state that mirror node `id`'s MAC back in line with it.
     ///
-    /// The ACK-job timer needs no counterpart: `ack_epoch` only ever
-    /// advances in the same input that arms the replacement timer, so an
-    /// armed ACK slot is always current.
-    fn park_stale_tx(&mut self, id: usize) {
+    /// *Timer slot.* If the MAC has invalidated its transmit-path timer
+    /// (epoch moved on) without re-arming, the scheduler entry is
+    /// physically removed now, instead of sitting in the queue until its
+    /// instant arrives just to be elided; a live or empty slot is a
+    /// two-word compare and fall-through. The ACK-job timer needs no
+    /// counterpart: `ack_epoch` only ever advances in the same input that
+    /// arms the replacement timer, so an armed ACK slot is always current.
+    ///
+    /// *Listening bit.* The channel reports a node's busy/idle transitions
+    /// only while [`Mac::counting_phase`](ezflow_mac::Mac::counting_phase)
+    /// holds — the one time they freeze or resume a countdown (and bump
+    /// `cca_busy`); every other phase would only write the carrier mirror,
+    /// which [`Network::mac_input`] refreshes from the channel instead.
+    fn after_mac(&mut self, id: usize) {
+        let mac = &self.nodes[id].mac;
         if let TimerSlot::Armed { h, epoch } = self.hot.tx_timer[id] {
-            if epoch != self.nodes[id].mac.tx_epoch() {
+            if epoch != mac.tx_epoch() {
                 let found = self.sched.remove(h);
                 debug_assert!(found, "armed slot held a dead handle");
                 self.hot.tx_timer[id] = TimerSlot::Parked;
             }
         }
+        self.channel.set_listening(id, mac.counting_phase());
+    }
+
+    /// Feeds node `id`'s MAC one input that may read the carrier, after
+    /// pulling the carrier state from the channel — the single
+    /// `input_into` site for such inputs.
+    ///
+    /// Why the pull is exact, not approximately right: the channel's busy
+    /// count only moves in `start_tx_into` / `end_tx_into`. A `StartTx` is
+    /// only ever produced by a timer event dispatched through `mac_event`
+    /// on an empty worklist, and the busy toggles it raises — which
+    /// produce no outputs — are all that is drained before control
+    /// returns; `on_tx_end` delivers its idle transitions before it issues
+    /// any input. So whenever an input reaches a MAC, a mirror fed every
+    /// transition would equal `Channel::is_busy` already; a MAC that was
+    /// only fed transitions while counting gets the same value written
+    /// here, and a counting MAC has it written over itself
+    /// (`Mac::sync_carrier` asserts that in debug builds).
+    fn mac_input(&mut self, id: usize, input: MacInput, outs: &mut Vec<MacOutput>) {
+        let node = &mut self.nodes[id];
+        node.mac.sync_carrier(self.channel.is_busy(id));
+        node.mac
+            .input_into(self.now, input, &mut node.rng, &mut self.arena, outs);
     }
 
     /// Feeds one `MacInput` straight to a node — the direct-dispatch
@@ -363,11 +393,7 @@ impl Network {
     /// (a `StartTx` busy fan-out) — minus the deque round trip.
     fn mac_event(&mut self, id: usize, input: MacInput, feed: bool) {
         let mut outs = self.mac_out_pool.pop().unwrap_or_default();
-        {
-            let node = &mut self.nodes[id];
-            node.mac
-                .input_into(self.now, input, &mut node.rng, &mut self.arena, &mut outs);
-        }
+        self.mac_input(id, input, &mut outs);
         for o in outs.drain(..) {
             self.handle_output(id, o);
         }
@@ -375,7 +401,7 @@ impl Network {
         if feed {
             self.try_feed(id);
         }
-        self.park_stale_tx(id);
+        self.after_mac(id);
         if !self.worklist.is_empty() {
             self.drain();
         }
@@ -643,8 +669,12 @@ impl Network {
         // inline for `MediumIdle`), so no output buffer is needed; the
         // receiver markers queued above still drain *after* `TxEnded`,
         // through `mac_event`'s trailing drain.
+        //
+        // An EIFS mark is sticky until the station's next deferral, so it
+        // goes to every station that sensed the frame without decoding it,
+        // listening or not; the idle transitions go to the listeners only.
         if self.eifs {
-            for &r in &report.sensed_dirty {
+            for r in self.channel.undecoded(frame.src, &report.deliveries) {
                 self.nodes[r].mac.eifs_mark();
             }
         }
@@ -653,15 +683,19 @@ impl Network {
                 self.arm_tx_timer(r, after, epoch);
             }
         }
-        let medium_busy = self.channel.is_busy(node);
         self.end_report = report;
-        self.mac_event(node, MacInput::TxEnded { medium_busy }, true);
+        self.mac_event(node, MacInput::TxEnded, true);
     }
 
     fn on_sample(&mut self) {
         for id in 0..self.nodes.len() {
             let occ = self.hot.occupancy[id] as usize;
             debug_assert_eq!(occ, self.nodes[id].occupancy(), "occupancy mirror drift");
+            debug_assert_eq!(
+                self.channel.listening(id),
+                self.nodes[id].mac.counting_phase(),
+                "listening bit drift at node {id}"
+            );
             let cw = self.nodes[id].mac.cw_min();
             self.metrics.on_sample(self.now, id, occ, cw);
         }
@@ -729,17 +763,17 @@ impl Network {
     fn drain(&mut self) {
         let mut outs = self.mac_out_pool.pop().unwrap_or_default();
         while let Some((id, work)) = self.worklist.pop_front() {
-            // Carrier-sense busy toggles are the bulk of the worklist
-            // (every transmission raises one at every sensing neighbour),
-            // can never produce an output, and never change `Mac::is_idle`
-            // (a pure function of phase + held frame) — dispatched inline
-            // with no `MacInput` build, no output loop, no feed probe.
+            // Carrier-sense busy toggles (one per *listening* neighbour of
+            // a new transmission) can never produce an output, and never
+            // change `Mac::is_idle` (a pure function of phase + held
+            // frame) — dispatched inline with no `MacInput` build, no
+            // output loop, no feed probe.
             if let WorkInput::MediumBusy = work {
                 self.nodes[id].mac.medium_busy(self.now);
                 // A busy toggle freezes any running countdown: park the
                 // invalidated timer entry instead of leaving it to be
                 // elided at pop time (the bulk of the old stale churn).
-                self.park_stale_tx(id);
+                self.after_mac(id);
                 continue;
             }
             // NAV reservations pause a countdown but cannot change
@@ -758,18 +792,14 @@ impl Network {
                 WorkInput::RxRts => MacInput::RxRts { frame: rx() },
                 WorkInput::RxCts => MacInput::RxCts { frame: rx() },
             };
-            {
-                let node = &mut self.nodes[id];
-                node.mac
-                    .input_into(self.now, input, &mut node.rng, &mut self.arena, &mut outs);
-            }
+            self.mac_input(id, input, &mut outs);
             for o in outs.drain(..) {
                 self.handle_output(id, o);
             }
             if feed {
                 self.try_feed(id);
             }
-            self.park_stale_tx(id);
+            self.after_mac(id);
         }
         self.mac_out_pool.push(outs);
     }
@@ -1012,23 +1042,15 @@ impl Network {
             }
         }
         let mut outs = self.mac_out_pool.pop().unwrap_or_default();
-        {
-            let node = &mut self.nodes[id];
-            node.mac.input_into(
-                self.now,
-                MacInput::Enqueue { frame, queue: qidx },
-                &mut node.rng,
-                &mut self.arena,
-                &mut outs,
-            );
-        }
+        self.mac_input(id, MacInput::Enqueue { frame, queue: qidx }, &mut outs);
         for o in outs.drain(..) {
             self.handle_output(id, o);
         }
         self.mac_out_pool.push(outs);
         // An enqueue into a running post-backoff freezes the countdown
-        // (the frame attaches to the remaining slots) — park it.
-        self.park_stale_tx(id);
+        // (the frame attaches to the remaining slots) — park it; one from
+        // `Idle` starts contending — listen.
+        self.after_mac(id);
     }
 
     fn apply_cw(&mut self, id: usize, cmd: Option<u32>) {

@@ -13,6 +13,15 @@
 //! at most one pending transmit-path entry and one pending ACK-job entry,
 //! and the slot holds the live [`TimerHandle`] so a re-arm *moves* the
 //! entry instead of abandoning it to pop-time elision.
+//!
+//! One more per-node word mirrors MAC state but lives where it is read,
+//! in the channel's 8-byte carrier column rather than here: the
+//! *listening* bit ([`ezflow_phy::Channel::set_listening`]), equal to
+//! `Mac::counting_phase()`. It and the transmit-path slot are brought
+//! back in line with the MAC by the same engine step after every MAC
+//! interaction (`Network::after_mac`), so the hot fan-out of a
+//! transmission — which nodes to tell, whose timer to move — never
+//! dereferences a `Node` that has nothing to do.
 
 use ezflow_sim::TimerHandle;
 

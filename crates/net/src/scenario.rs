@@ -66,7 +66,7 @@ const MAX_NODES: usize = 1 << 16;
 /// by simulated time, so a `duration_secs` of 1e12 is not a long run but
 /// a silent hang; below the bound `secs_to_time` is also exact and no
 /// `Time + Duration` sum can wrap.
-const MAX_DURATION_SECS: f64 = 1e7;
+pub const MAX_DURATION_SECS: f64 = 1e7;
 
 /// Why a scenario document was rejected.
 #[derive(Clone, Debug, PartialEq)]

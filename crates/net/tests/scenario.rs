@@ -84,3 +84,52 @@ fn onoff_flow_shapes_offered_load_end_to_end() {
         "shaped {shaped} vs cbr {cbr}: expected roughly half"
     );
 }
+
+/// A 100-node mesh slice (mesh1k's density) with EIFS and RTS/CTS both on
+/// — the two MAC features no committed spec arms — run under the debug
+/// profile's engine invariants: the carrier mirror of every counting MAC
+/// equals the channel's busy count at each pull (`Mac::sync_carrier`),
+/// the listening bits equal `Mac::counting_phase` at every sample, and
+/// each node's airtime buckets, settled only on class changes, partition
+/// the elapsed time.
+#[test]
+fn mesh_slice_with_eifs_and_rts_cts_holds_the_carrier_invariants() {
+    let text = r#"{"name": "mesh100", "duration_secs": 4, "seed": 5,
+                   "topology": {"kind": "random_geometric", "nodes": 100,
+                                "width": 1250, "height": 1250, "gateways": 3, "seed": 7},
+                   "traffic": {"flows": 12, "rate_bps": 400000,
+                               "start_secs": 0, "stop_secs": 4,
+                               "mix": [{"weight": 2, "transport": {"kind": "cbr"}},
+                                       {"weight": 1, "transport": {"kind": "windowed",
+                                         "window": 8, "ack_payload": 40}},
+                                       {"weight": 1, "transport": {"kind": "onoff",
+                                         "mean_on_secs": 1, "mean_off_secs": 1,
+                                         "alpha": 1.5}}]}}"#;
+    let compiled = ScenarioSpec::parse(text).unwrap().compile().unwrap();
+    let mut spec = NetworkSpec::from_topology(&compiled.topology, 5);
+    spec.mac.eifs = true;
+    spec.mac.rts_cts = true;
+    spec.sample_every = Duration::from_millis(50);
+    let mut net = Network::new(spec, &|_| Box::new(ezflow_net::FixedController::standard()));
+    net.run_until(compiled.until);
+
+    let snap = net.snapshot("mesh100");
+    assert_eq!(snap.nodes.len(), 100);
+    for node in &snap.nodes {
+        assert_eq!(node.airtime.total_us(), snap.at_us, "node {}", node.id);
+    }
+    // The run must actually have gone through what it is here to guard.
+    let sum =
+        |f: fn(&ezflow_mac::MacStats) -> u64| snap.nodes.iter().map(|n| f(&n.mac)).sum::<u64>();
+    assert!(sum(|m| m.cts_sent) > 0, "no RTS/CTS handshake completed");
+    assert!(sum(|m| m.eifs_starts) > 0, "no deferral ever used EIFS");
+    assert!(sum(|m| m.cca_busy) > 0, "no countdown was ever frozen");
+    assert!(
+        snap.channel.collisions_at_dst > 0,
+        "no overlap ever collided"
+    );
+    assert!(
+        net.metrics.delivered.values().sum::<u64>() > 0,
+        "no traffic flowed"
+    );
+}

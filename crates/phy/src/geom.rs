@@ -38,14 +38,23 @@ impl Position {
 /// whom" decision in the workspace (carrier-sense and decode rows of the
 /// channel, the scenario compiler's routing graph) is a call to this one
 /// all-pairs pass, so a spatial index would replace exactly this body.
-pub fn neighbors_within(positions: &[Position], range: f64) -> Vec<Vec<usize>> {
+///
+/// The rows come out in the id width `I` the caller keeps them in
+/// (`usize` for the routing graph, `u32` for the channel's hot rows), so
+/// nobody re-copies them to narrow them; panics if a node id does not
+/// fit `I`.
+pub fn neighbors_within<I>(positions: &[Position], range: f64) -> Vec<Vec<I>>
+where
+    I: Copy + TryFrom<usize>,
+{
     let n = positions.len();
+    let id = |i| I::try_from(i).unwrap_or_else(|_| panic!("node id {i} overflows the row type"));
     let mut rows = vec![Vec::new(); n];
     for a in 0..n {
         for b in (a + 1)..n {
             if positions[a].within(&positions[b], range) {
-                rows[a].push(b);
-                rows[b].push(a);
+                rows[a].push(id(b));
+                rows[b].push(id(a));
             }
         }
     }
@@ -95,7 +104,7 @@ mod tests {
                 }
             })
             .collect();
-        let rows = neighbors_within(&ps, 250.0);
+        let rows: Vec<Vec<usize>> = neighbors_within(&ps, 250.0);
         assert_eq!(rows.len(), ps.len());
         let mut on_boundary = 0;
         for (s, row) in rows.iter().enumerate() {
@@ -109,7 +118,7 @@ mod tests {
             }
         }
         assert!(on_boundary > 0, "layout must exercise the inclusive edge");
-        assert!(neighbors_within(&[], 250.0).is_empty());
+        assert!(neighbors_within::<usize>(&[], 250.0).is_empty());
     }
 
     #[test]

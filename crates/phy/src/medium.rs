@@ -35,6 +35,24 @@
 //! evaluated from them on demand, and the per-sender rows the channel
 //! caches ([`crate::geom::neighbors_within`]) say only *whom to visit* when
 //! a transmission starts or ends — O(N · degree), no per-pair table.
+//!
+//! ## What a transmission costs
+//!
+//! A frame costs its sender's neighbourhood, not the network:
+//!
+//! * **Interference is range-bounded.** A start scans the transmissions on
+//!   the air (a handful of words each) to flag temporal overlap, but
+//!   evaluates the capture rule only against senders within
+//!   `cs_range + tx_range` — beyond that neither can reach a receiver of
+//!   the other (proof at [`Channel::start_tx_into`]).
+//! * **Carrier sense is pulled.** The per-node busy count is the truth
+//!   ([`Channel::is_busy`]); a node appears in `became_busy` /
+//!   `became_idle` only while its [`Channel::set_listening`] bit is set,
+//!   so a station with no countdown to freeze or resume costs the caller
+//!   nothing and reads the count when it next needs it.
+//! * **The row walk stays in cache.** Live carrier state is one 8-byte
+//!   word per node; the 48-byte airtime ledger beside it is touched only
+//!   when the node's tx > rx > busy > idle class actually changes.
 
 use ezflow_sim::{SimRng, Time};
 
@@ -145,7 +163,8 @@ struct ActiveTx {
     dst: usize,
     start: Time,
     end: Time,
-    /// Per node: reception already destroyed by interference.
+    /// Aligned with `decode_from[src]`: reception at that receiver already
+    /// destroyed by interference.
     corrupted: Vec<bool>,
     /// Another transmission overlapped this one in time.
     overlapped: bool,
@@ -163,7 +182,8 @@ struct ActiveTx {
 pub struct StartReport {
     /// Handle to pass back to [`Channel::end_tx`].
     pub tx_id: TxId,
-    /// Nodes whose medium went idle -> busy because of this transmission.
+    /// Listening nodes (ascending; see [`Channel::set_listening`]) whose
+    /// medium went idle -> busy because of this transmission.
     pub became_busy: Vec<usize>,
 }
 
@@ -217,13 +237,21 @@ pub struct EndReport {
     /// All nodes in decode range, with their reception outcome.
     /// The intended receiver, if in range, appears here too.
     pub deliveries: Vec<Delivery>,
-    /// Nodes whose medium went busy -> idle because this transmission ended.
+    /// Listening nodes (ascending) whose medium went busy -> idle because
+    /// this transmission ended.
     pub became_idle: Vec<usize>,
-    /// Nodes that sensed this transmission but obtained no clean decode —
-    /// either out of decode range, or the reception was corrupted/lost.
-    /// These are the stations the standard's EIFS rule applies to.
-    pub sensed_dirty: Vec<usize>,
 }
+
+/// Top bit of a packed sense-row entry: the neighbour is also inside
+/// decode range. The low 31 bits are the node id.
+const DECODES: u32 = 1 << 31;
+
+/// Relative margin on the interference reach `cs_range + tx_range`.
+/// `within` compares rounded squares, so a collinear sender pair at
+/// exactly the reach is one rounding (≈1e-16 relative) from either side
+/// of the cut; 1e-9 puts every such pair on the evaluated side, where the
+/// capture rule itself says "no effect".
+const REACH_MARGIN: f64 = 1e-9;
 
 /// The shared broadcast medium.
 pub struct Channel {
@@ -233,85 +261,89 @@ pub struct Channel {
     /// sense and capture are computed from these on demand; the rows
     /// below only cache *whom to visit* per sender.
     positions: Vec<Position>,
-    /// Per sender: the nodes (ascending, sender excluded) inside decode
-    /// range. Geometry is fixed at construction, so these lists never
-    /// change.
-    decode_from: Vec<Vec<usize>>,
     /// Per sender: the nodes (ascending, sender excluded) inside
-    /// carrier-sense range. A superset of `decode_from[s]` because
-    /// `cs_range >= tx_range` is asserted at construction.
-    sense_from: Vec<Vec<usize>>,
-    /// Aligned with `sense_from`: `sense_decodes[s][k]` iff
-    /// `sense_from[s][k]` is also in `decode_from[s]`, so the one pass
-    /// over a sense row knows each neighbour's decode bit without a
-    /// second lookup.
-    sense_decodes: Vec<Vec<bool>>,
+    /// carrier-sense range, each with [`DECODES`] set iff it is also
+    /// inside decode range (`cs_range >= tx_range` is asserted at
+    /// construction, so decode range ⊆ sense range). Geometry is fixed at
+    /// construction, so these lists never change.
+    sense_rows: Vec<Vec<u32>>,
+    /// Per sender: the [`DECODES`] entries of its sense row, bit cleared —
+    /// the receivers the capture rule is evaluated at.
+    decode_from: Vec<Vec<u32>>,
+    /// `(cs_range + tx_range) · (1 + REACH_MARGIN)`: senders farther apart
+    /// cannot interfere (see [`Channel::start_tx_into`]).
+    reach: f64,
     active: Vec<ActiveTx>,
-    /// Recycled per-node `corrupted` buffers from completed transmissions.
+    /// Recycled `corrupted` buffers from completed transmissions.
     corrupted_pool: Vec<Vec<bool>>,
     /// Times a pooled buffer was reused instead of freshly allocated.
     pool_reuses: u64,
-    /// Per node: live radio state plus its airtime ledger, packed into one
-    /// 64-byte struct so each carrier-sense transition touches a single
-    /// cache line instead of five parallel arrays ([`RadioState`]).
-    radio: Vec<RadioState>,
+    /// Capture-rule evaluations performed so far, counted per in-reach
+    /// pair of overlapping transmissions as the two decode-row lengths.
+    /// Not part of [`ChannelStats`] (never serialised): it measures the
+    /// channel's own work, which tests pin as independent of network size.
+    capture_evals: u64,
+    /// Per node: the live carrier word the start/end walks update.
+    carrier: Vec<Carrier>,
+    /// Per node: the airtime ledger, settled only on class changes.
+    ledger: Vec<Ledger>,
     next_tx: u64,
     stats: ChannelStats,
 }
 
-/// One node's radio-state counters and airtime ledger, kept together: the
-/// start/end hot loops bump a counter and settle the ledger for the same
-/// node back-to-back, so colocating them turns five scattered array loads
-/// per neighbor into one cache line.
+/// One node's live radio counters, 8 bytes, so the walk over a sense row
+/// of ~70 neighbours stays in L1 (48 KB for 6,144 nodes).
+///
+/// The counts are `u16`, which is exactly enough: a node never senses
+/// itself and a radio has one frame on the air at a time, so with
+/// `MAX_NODES` = 65,536 at most 65,535 = `u16::MAX` transmissions can be
+/// sensed at once. Every increment is checked all the same — callers that
+/// stack transmissions on one sender (tests do) fail loudly, never wrap.
 #[derive(Clone, Copy, Debug)]
-struct RadioState {
+struct Carrier {
     /// Number of active transmissions this node senses.
-    sense_count: u32,
-    /// Number of own active transmissions (0 or 1 in practice).
-    tx_count: u32,
-    /// Number of active transmissions this node could decode.
-    rx_count: u32,
-    /// Cumulative time spent transmitting, microseconds.
-    airtime_us: u64,
-    /// tx/rx/busy/idle split, accrued lazily at transitions.
-    air: Airtime,
-    /// Instant up to which `air` has been accrued. A node's radio-state
-    /// class (tx > rx > busy > idle) only changes when one of its counters
-    /// does, so each node is settled independently, right before such a
-    /// change ([`RadioState::touch_air`]) — events never pay an O(N)
-    /// sweep for nodes whose state cannot have moved.
-    since: Time,
+    sense: u16,
+    /// Number of active transmissions this node could decode (≤ `sense`).
+    rx: u16,
+    /// Number of own active transmissions (0 or 1 under a MAC).
+    tx: u16,
+    /// Whether busy/idle transitions of this node are reported.
+    listening: bool,
 }
 
-impl RadioState {
-    fn new() -> Self {
-        RadioState {
-            sense_count: 0,
-            tx_count: 0,
-            rx_count: 0,
-            airtime_us: 0,
-            air: Airtime::default(),
-            since: Time::ZERO,
-        }
-    }
+const _: () = assert!(std::mem::size_of::<Carrier>() == 8);
 
-    /// Settles this node's airtime bucket up to `now` under its *current*
-    /// radio-state class. Must be called before any of the node's
-    /// tx/rx/sense counters change; the bucket sums are then identical to
-    /// an every-event full sweep, because the class is piecewise constant
-    /// between counter changes and interval lengths add exactly in
-    /// integer microseconds.
+/// One node's airtime accounts. Kept apart from [`Carrier`] because a
+/// transmission touches every neighbour's counters but changes the radio
+/// class (tx > rx > busy > idle) of only some of them.
+#[derive(Clone, Copy, Debug)]
+struct Ledger {
+    /// Instant up to which `air` has been accrued. The class is piecewise
+    /// constant between class changes and interval lengths add exactly in
+    /// integer microseconds, so settling only at class changes (and at
+    /// [`Channel::accrue_airtime`]) yields the same buckets as settling at
+    /// every event.
+    since: Time,
+    /// tx/rx/busy/idle split.
+    air: Airtime,
+    /// Cumulative time spent transmitting (completed transmissions), µs.
+    airtime_us: u64,
+}
+
+impl Ledger {
+    /// Attributes `[since, now)` to the class `c` describes. Must run
+    /// *before* a counter change that moves the node to another class.
     #[inline]
-    fn touch_air(&mut self, now: Time) {
+    fn settle(&mut self, c: Carrier, now: Time) {
         if now <= self.since {
             return;
         }
         let span = now.since(self.since).as_micros();
-        if self.tx_count > 0 {
+        if c.tx > 0 {
             self.air.tx_us += span;
-        } else if self.rx_count > 0 {
+        } else if c.rx > 0 {
             self.air.rx_us += span;
-        } else if self.sense_count > 0 {
+        } else if c.sense > 0 {
             self.air.busy_us += span;
         } else {
             self.air.idle_us += span;
@@ -320,59 +352,97 @@ impl RadioState {
     }
 }
 
+#[inline]
+fn unpack(entry: u32) -> (usize, bool) {
+    ((entry & !DECODES) as usize, entry & DECODES != 0)
+}
+
+#[inline]
+fn bump(count: u16, by: u16) -> u16 {
+    count.checked_add(by).expect("radio counter overflow")
+}
+
 impl Channel {
-    /// Builds a channel over fixed node positions.
+    /// Builds a channel over fixed node positions. Every node starts out
+    /// listening (see [`Channel::set_listening`]).
     pub fn new(positions: &[Position], cfg: ChannelConfig, loss: LossModel) -> Self {
         assert!(
             cfg.cs_range >= cfg.tx_range,
             "carrier-sense range must cover the decode range"
         );
         assert!(cfg.capture_ratio > 0.0, "capture ratio must be positive");
-        let sense_from = neighbors_within(positions, cfg.cs_range);
-        // decode range ⊆ sense range: the decode rows are filtered from
-        // the sense rows, not found by a second all-pairs pass.
-        let decodes = |s: usize, r: usize| positions[s].within(&positions[r], cfg.tx_range);
-        let sense_decodes = (sense_from.iter().enumerate())
-            .map(|(s, row)| row.iter().map(|&r| decodes(s, r)).collect())
+        assert!(
+            positions.len() <= DECODES as usize,
+            "node ids must fit the packed rows"
+        );
+        // decode range ⊆ sense range: the decode bit is a second range
+        // test on the sense rows — set in place, not a second all-pairs
+        // pass and not a second copy of the rows.
+        let mut sense_rows: Vec<Vec<u32>> = neighbors_within(positions, cfg.cs_range);
+        for (s, row) in sense_rows.iter_mut().enumerate() {
+            for entry in row {
+                if positions[s].within(&positions[*entry as usize], cfg.tx_range) {
+                    *entry |= DECODES;
+                }
+            }
+        }
+        let decoding = |&e: &u32| (e & DECODES != 0).then_some(e & !DECODES);
+        let decode_from = (sense_rows.iter())
+            .map(|row| row.iter().filter_map(decoding).collect())
             .collect();
-        let decode_from = (sense_from.iter().enumerate())
-            .map(|(s, row)| row.iter().copied().filter(|&r| decodes(s, r)).collect())
-            .collect();
+        let n = positions.len();
         Channel {
             cfg,
             loss,
             positions: positions.to_vec(),
+            sense_rows,
             decode_from,
-            sense_from,
-            sense_decodes,
+            reach: (cfg.cs_range + cfg.tx_range) * (1.0 + REACH_MARGIN),
             active: Vec::new(),
             corrupted_pool: Vec::new(),
             pool_reuses: 0,
-            radio: vec![RadioState::new(); positions.len()],
+            capture_evals: 0,
+            carrier: vec![
+                Carrier {
+                    sense: 0,
+                    rx: 0,
+                    tx: 0,
+                    listening: true,
+                };
+                n
+            ],
+            ledger: vec![
+                Ledger {
+                    since: Time::ZERO,
+                    air: Airtime::default(),
+                    airtime_us: 0,
+                };
+                n
+            ],
             next_tx: 0,
             stats: ChannelStats::default(),
         }
     }
 
     /// Advances the per-node airtime ledger to `now`: every node's time
-    /// since the last accrual is attributed to its current radio state.
-    /// Called internally at each transmission start/end; call it once more
-    /// with the final simulation instant before reading
+    /// since its last settle is attributed to its current radio state.
+    /// Transmission starts and ends settle only the nodes whose class they
+    /// change; call this with the final simulation instant before reading
     /// [`Channel::airtime_breakdown`], so the buckets cover the whole run.
     pub fn accrue_airtime(&mut self, now: Time) {
-        for r in &mut self.radio {
-            r.touch_air(now);
+        for (ledger, &c) in self.ledger.iter_mut().zip(&self.carrier) {
+            ledger.settle(c, now);
         }
     }
 
     /// The tx/rx/busy/idle time split of `node`, as accrued so far.
     pub fn airtime_breakdown(&self, node: usize) -> Airtime {
-        self.radio[node].air
+        self.ledger[node].air
     }
 
     /// Cumulative transmit airtime of `node` (completed transmissions).
     pub fn airtime(&self, node: usize) -> ezflow_sim::Duration {
-        ezflow_sim::Duration::from_micros(self.radio[node].airtime_us)
+        ezflow_sim::Duration::from_micros(self.ledger[node].airtime_us)
     }
 
     /// Fraction of `elapsed` that `node` spent transmitting.
@@ -380,7 +450,7 @@ impl Channel {
         if elapsed.is_zero() {
             0.0
         } else {
-            self.radio[node].airtime_us as f64 / elapsed.as_micros() as f64
+            self.ledger[node].airtime_us as f64 / elapsed.as_micros() as f64
         }
     }
 
@@ -401,9 +471,24 @@ impl Channel {
 
     /// True iff `node` currently senses the medium busy (own transmissions
     /// excluded — a radio cannot carrier-sense while transmitting, and the
-    /// MAC does not consult the medium during its own transmission).
+    /// MAC does not consult the medium during its own transmission). This
+    /// count is the truth for every node, listening or not.
     pub fn is_busy(&self, node: usize) -> bool {
-        self.radio[node].sense_count > 0
+        self.carrier[node].sense > 0
+    }
+
+    /// Whether `node`'s busy/idle transitions are reported.
+    pub fn listening(&self, node: usize) -> bool {
+        self.carrier[node].listening
+    }
+
+    /// Opts `node` in or out of the `became_busy` / `became_idle` reports.
+    /// A station that would do nothing with a transition (no countdown to
+    /// freeze or resume) opts out and reads [`Channel::is_busy`] when it
+    /// next cares; everyone listens by default, so forgetting to opt out
+    /// is slow, never wrong.
+    pub fn set_listening(&mut self, node: usize, on: bool) {
+        self.carrier[node].listening = on;
     }
 
     /// True iff `r` can decode frames from `s`.
@@ -420,8 +505,30 @@ impl Channel {
     /// The nodes (ascending, `s` excluded) inside `s`'s carrier-sense
     /// range — the static interference adjacency. Geometry is fixed at
     /// construction, so these lists never change.
-    pub fn sensing_neighbors(&self, s: usize) -> &[usize] {
-        &self.sense_from[s]
+    pub fn sensing_neighbors(&self, s: usize) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.sense_rows[s].iter().map(|&e| unpack(e).0)
+    }
+
+    /// The nodes (ascending) that sensed a transmission by `src` but got no
+    /// clean decode out of it — out of decode range, or the reception was
+    /// corrupted or lost. These are the stations the standard's EIFS rule
+    /// applies to. `deliveries` is the transmission's
+    /// [`EndReport::deliveries`]: a subset of the sense row in the same
+    /// order, so one merge subtracts its clean entries.
+    pub fn undecoded<'a>(
+        &'a self,
+        src: usize,
+        deliveries: &'a [Delivery],
+    ) -> impl Iterator<Item = usize> + 'a {
+        let mut clean = deliveries.iter().filter(|d| d.clean).map(|d| d.node);
+        let mut next_clean = clean.next();
+        self.sensing_neighbors(src).filter(move |&r| {
+            let decoded = next_clean == Some(r);
+            if decoded {
+                next_clean = clean.next();
+            }
+            !decoded
+        })
     }
 
     /// Number of transmissions currently on the air.
@@ -438,6 +545,13 @@ impl Channel {
     /// Times a pooled scratch buffer was reused instead of allocated.
     pub fn buffer_reuses(&self) -> u64 {
         self.pool_reuses
+    }
+
+    /// Capture-rule evaluations so far: for every pair of overlapping
+    /// transmissions whose senders are within reach of each other, the two
+    /// decode-row lengths. A work counter, not a simulation result.
+    pub fn capture_evaluations(&self) -> u64 {
+        self.capture_evals
     }
 
     /// Puts the frame behind `frame` on the air from `src` until `end`.
@@ -462,11 +576,24 @@ impl Channel {
     /// touches the arena — `frame` is an opaque token it returns in the
     /// matching [`EndReport`].
     ///
-    /// Marks interference both ways against every already-active
-    /// transmission and reports which nodes newly sense a busy medium.
-    /// Only the sender's static neighbor lists are visited, so the cost is
-    /// O(degree), not O(N), and a reused `report` allocates nothing once
-    /// its vector has grown to the densest neighborhood.
+    /// Marks interference both ways against the already-active
+    /// transmissions and reports which listening nodes newly sense a busy
+    /// medium. Three costs, none of them O(N): a scan of the active set
+    /// that only compares end times and one sender distance each; the
+    /// capture rule over two decode rows per *in-reach* overlapping
+    /// transmission; one walk of the sender's sense row. A reused `report`
+    /// allocates nothing once its vector has grown to the densest
+    /// neighbourhood, and the per-transmission scratch is one pooled
+    /// buffer the length of the sender's decode row.
+    ///
+    /// Why senders farther apart than `cs_range + tx_range` are skipped:
+    /// a transmission by `i` can only corrupt a reception at `r` if `i`
+    /// is `r` or is sensed there, `d(i, r) <= cs_range`; `r` receives from
+    /// `s` only if `d(s, r) <= tx_range`; so by the triangle inequality
+    /// `d(i, s) <= d(i, r) + d(r, s) <= cs_range + tx_range` whenever
+    /// anything can happen, in either direction. A 1e-9 relative margin
+    /// (`REACH_MARGIN`) keeps rounding on the safe side; the `overlapped` flag (which feeds
+    /// [`DecodeOutcome::Capture`]) is temporal and set regardless.
     pub fn start_tx_into(
         &mut self,
         now: Time,
@@ -478,23 +605,21 @@ impl Channel {
     ) {
         debug_assert!(end > now, "zero-length transmission");
         debug_assert!(src < self.node_count(), "unknown transmitter");
-        // Only the sender and its sense neighborhood change radio state;
-        // settle exactly those nodes' airtime buckets, not all N. The
-        // neighbours are settled in the counter pass below — the
-        // interference loop in between never reads radio state.
-        self.radio[src].touch_air(now);
         self.stats.tx_started += 1;
 
+        let (positions, cfg) = (&self.positions[..], &self.cfg);
+        let decode_from = &self.decode_from;
         let mut corrupted = match self.corrupted_pool.pop() {
             Some(mut buf) => {
                 self.pool_reuses += 1;
-                buf.fill(false);
+                buf.clear();
                 buf
             }
-            None => vec![false; self.node_count()],
+            None => Vec::new(),
         };
-        // The sender cannot receive anything, including its own frame.
-        corrupted[src] = true;
+        // A sender is never in its own decode row, so "cannot receive its
+        // own frame" needs no entry.
+        corrupted.resize(decode_from[src].len(), false);
         let mut overlapped = false;
         let mut hidden_hit = false;
 
@@ -502,9 +627,7 @@ impl Channel {
         // directions. A transmission whose end is exactly `now` no longer
         // overlaps (its `end_tx` is being delivered in this same instant).
         // Only nodes inside a sender's decode range can have a reception
-        // destroyed, so each direction visits that sender's neighbor list.
-        let (positions, cfg) = (&self.positions[..], &self.cfg);
-        let decode_from = &self.decode_from;
+        // destroyed, so each direction visits that sender's decode row.
         for a in &mut self.active {
             if a.end <= now {
                 continue;
@@ -512,19 +635,25 @@ impl Channel {
             overlapped = true;
             a.overlapped = true;
             let other = a.src;
+            if !positions[src].within(&positions[other], self.reach) {
+                continue;
+            }
+            self.capture_evals += (decode_from[other].len() + decode_from[src].len()) as u64;
             // New tx destroys `a`'s reception at r?
-            for &r in &decode_from[other] {
+            for (hit, &r) in a.corrupted.iter_mut().zip(&decode_from[other]) {
+                let r = r as usize;
                 if corrupts(positions, cfg, src, other, r) {
-                    a.corrupted[r] = true;
+                    *hit = true;
                     if r == a.dst && src != r && !senses(positions, cfg, src, other) {
                         a.hidden_hit = true;
                     }
                 }
             }
             // `a` destroys the new tx's reception at r?
-            for &r in &decode_from[src] {
+            for (hit, &r) in corrupted.iter_mut().zip(&decode_from[src]) {
+                let r = r as usize;
                 if corrupts(positions, cfg, other, src, r) {
-                    corrupted[r] = true;
+                    *hit = true;
                     if r == dst && other != r && !senses(positions, cfg, other, src) {
                         hidden_hit = true;
                     }
@@ -546,19 +675,27 @@ impl Channel {
             hidden_hit,
         });
 
-        self.radio[src].tx_count += 1;
+        // Each node's ledger is settled only if this start moves it to
+        // another class: the sender unless already transmitting, a
+        // neighbour that was idle, or was merely busy and now decodes.
+        let (carrier, ledger) = (&mut self.carrier[..], &mut self.ledger[..]);
+        let own = &mut carrier[src];
+        if own.tx == 0 {
+            ledger[src].settle(*own, now);
+        }
+        own.tx = bump(own.tx, 1);
         report.became_busy.clear();
-        // decode range ⊆ sense range, so one pass over the sense list
-        // (ascending, keeping `became_busy` sorted) covers the airtime
-        // settle and both counters.
-        for (&r, &decodes) in self.sense_from[src].iter().zip(&self.sense_decodes[src]) {
-            let radio = &mut self.radio[r];
-            radio.touch_air(now);
-            if decodes {
-                radio.rx_count += 1;
+        // decode range ⊆ sense range, so one pass over the sense row
+        // (ascending, keeping `became_busy` sorted) covers both counters.
+        for &entry in &self.sense_rows[src] {
+            let (r, decodes) = unpack(entry);
+            let c = &mut carrier[r];
+            if c.tx == 0 && c.rx == 0 && (decodes || c.sense == 0) {
+                ledger[r].settle(*c, now);
             }
-            radio.sense_count += 1;
-            if radio.sense_count == 1 {
+            c.rx = bump(c.rx, decodes as u16);
+            c.sense = bump(c.sense, 1);
+            if c.sense == 1 && c.listening {
                 report.became_busy.push(r);
             }
         }
@@ -605,38 +742,43 @@ impl Channel {
             hidden_hit,
             ..
         } = self.active.swap_remove(idx);
-        self.radio[src].airtime_us += end.since(start).as_micros();
 
-        // As in `start_tx_into`: settle the airtime of exactly the nodes
-        // whose counters are about to move. One ascending pass over the
-        // sense list does the airtime settle, the busy/idle bookkeeping
-        // and the decode resolution together — the loss-model RNG is
-        // still consulted for decode-range nodes in ascending order,
-        // exactly as the separate passes (and the full scan before them)
-        // did, so the random stream stays bit-identical.
-        self.radio[src].touch_air(now);
-        debug_assert!(self.radio[src].tx_count > 0);
-        self.radio[src].tx_count -= 1;
+        // As in `start_tx_into`, a ledger is settled only where the class
+        // changes: the sender's last transmission ends, a neighbour's last
+        // decodable frame ends, or a merely-busy neighbour goes idle. One
+        // ascending pass over the sense row does that, the busy/idle
+        // bookkeeping and the decode resolution together — the loss-model
+        // RNG is still consulted for decode-range nodes in ascending
+        // order, so the random stream stays bit-identical.
+        let (carrier, ledger) = (&mut self.carrier[..], &mut self.ledger[..]);
+        ledger[src].airtime_us += end.since(start).as_micros();
+        let own = &mut carrier[src];
+        debug_assert!(own.tx > 0);
+        if own.tx == 1 {
+            ledger[src].settle(*own, now);
+        }
+        own.tx -= 1;
         report.became_idle.clear();
         report.deliveries.clear();
-        report.sensed_dirty.clear();
-        for (&r, &decodes) in self.sense_from[src].iter().zip(&self.sense_decodes[src]) {
-            let radio = &mut self.radio[r];
-            radio.touch_air(now);
-            if decodes {
-                debug_assert!(radio.rx_count > 0);
-                radio.rx_count -= 1;
+        // `corrupted` is aligned with the decode row, i.e. with the
+        // decoding entries of the sense row in order.
+        let mut corrupted_at = corrupted.iter();
+        for &entry in &self.sense_rows[src] {
+            let (r, decodes) = unpack(entry);
+            let c = &mut carrier[r];
+            debug_assert!(c.sense > 0 && c.rx >= decodes as u16);
+            if c.tx == 0 && ((decodes && c.rx == 1) || (c.rx == 0 && c.sense == 1)) {
+                ledger[r].settle(*c, now);
             }
-            debug_assert!(radio.sense_count > 0);
-            radio.sense_count -= 1;
-            if radio.sense_count == 0 {
+            c.rx -= decodes as u16;
+            c.sense -= 1;
+            if c.sense == 0 && c.listening {
                 report.became_idle.push(r);
             }
             if !decodes {
-                report.sensed_dirty.push(r);
                 continue;
             }
-            let mut clean = !corrupted[r];
+            let mut clean = !corrupted_at.next().expect("one flag per decode-row entry");
             let outcome;
             if clean && self.loss.drops(now, src, r, rng) {
                 clean = false;
@@ -664,9 +806,6 @@ impl Channel {
                         self.stats.hidden_losses += 1;
                     }
                 }
-            }
-            if !clean {
-                report.sensed_dirty.push(r);
             }
             report.deliveries.push(Delivery {
                 node: r,
@@ -699,7 +838,6 @@ fn corrupts(positions: &[Position], cfg: &ChannelConfig, i: usize, s: usize, r: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::Frame;
     use crate::geom::line_positions;
 
     fn chan(n: usize) -> Channel {
@@ -883,27 +1021,23 @@ mod tests {
     }
 
     #[test]
-    fn sensed_dirty_lists_eifs_candidates() {
+    fn undecoded_lists_eifs_candidates() {
         // Node 2 senses node 0's frame (400 m) but cannot decode it.
         let mut ch = chan(5);
         let mut rng = SimRng::new(30);
         let a = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
         let end = ch.end_tx(t(100), a.tx_id, &mut rng);
-        assert!(end.sensed_dirty.contains(&2), "{:?}", end.sensed_dirty);
-        assert!(
-            !end.sensed_dirty.contains(&1),
-            "the clean receiver is not an EIFS candidate"
-        );
-        assert!(
-            !end.sensed_dirty.contains(&3),
-            "a 600 m node senses nothing at the 550 m default"
-        );
+        // The clean receiver (1) is not an EIFS candidate, and a 600 m
+        // node (3) senses nothing at the 550 m default.
+        let dirty: Vec<usize> = ch.undecoded(0, &end.deliveries).collect();
+        assert_eq!(dirty, vec![2]);
         // A corrupted in-range reception is also an EIFS candidate.
         let mut ch = chan(5);
         let a = ch.start_tx(t(0), FrameId::default(), 1, 2, t(100));
         let _b = ch.start_tx(t(5), FrameId::default(), 3, 4, t(105));
         let end = ch.end_tx(t(100), a.tx_id, &mut rng);
-        assert!(end.sensed_dirty.contains(&2), "corrupted rx -> EIFS");
+        let dirty: Vec<usize> = ch.undecoded(1, &end.deliveries).collect();
+        assert_eq!(dirty, vec![2, 3], "corrupted rx -> EIFS; 0 decoded");
     }
 
     #[test]
@@ -1028,9 +1162,22 @@ mod tests {
         assert_eq!(ch.stats().hidden_losses, 0, "1 senses 3 at 400 m");
     }
 
-    /// The original O(N)-per-transmission channel, kept verbatim as a test
-    /// oracle: every loop scans all nodes, every report allocates. The
-    /// optimised neighbor-list path must be observationally identical.
+    /// One transmission on the reference channel's air.
+    struct RefTx {
+        id: u64,
+        src: usize,
+        dst: usize,
+        end: Time,
+        corrupted: Vec<bool>,
+        overlapped: bool,
+        hidden_hit: bool,
+    }
+
+    /// The original O(N)-per-transmission channel as a test oracle: every
+    /// loop scans all nodes and all active transmissions, every report
+    /// allocates, every node is told every transition, and the airtime
+    /// ledger is a full sweep at every event. The optimised channel must
+    /// be observationally identical.
     struct RefChannel {
         n: usize,
         decode: Vec<Vec<bool>>,
@@ -1039,8 +1186,13 @@ mod tests {
         ratio: f64,
         loss: LossModel,
         sense_count: Vec<u32>,
-        active: Vec<(u64, Frame, Time, Vec<bool>, bool, bool)>,
+        rx_count: Vec<u32>,
+        tx_count: Vec<u32>,
+        air: Vec<Airtime>,
+        swept: Time,
+        active: Vec<RefTx>,
         next_tx: u64,
+        stats: ChannelStats,
     }
 
     impl RefChannel {
@@ -1067,8 +1219,13 @@ mod tests {
                 ratio: cfg.capture_ratio,
                 loss,
                 sense_count: vec![0; n],
+                rx_count: vec![0; n],
+                tx_count: vec![0; n],
+                air: vec![Airtime::default(); n],
+                swept: Time::ZERO,
                 active: Vec::new(),
                 next_tx: 0,
+                stats: ChannelStats::default(),
             }
         }
 
@@ -1076,26 +1233,48 @@ mod tests {
             i == r || (self.sense[i][r] && self.dist[i][r] < self.ratio * self.dist[s][r])
         }
 
+        /// The every-event ledger: all N nodes, whether or not this event
+        /// concerns them.
+        fn sweep(&mut self, now: Time) {
+            let span = now.saturating_since(self.swept).as_micros();
+            for r in 0..self.n {
+                let air = &mut self.air[r];
+                if self.tx_count[r] > 0 {
+                    air.tx_us += span;
+                } else if self.rx_count[r] > 0 {
+                    air.rx_us += span;
+                } else if self.sense_count[r] > 0 {
+                    air.busy_us += span;
+                } else {
+                    air.idle_us += span;
+                }
+            }
+            self.swept = self.swept.max(now);
+        }
+
         // Written in plain index style on purpose: this is the oracle the
         // neighbor-list fast path is checked against.
         #[allow(clippy::needless_range_loop)]
-        fn start_tx(&mut self, now: Time, frame: Frame, end: Time) -> (u64, Vec<usize>) {
-            let src = frame.src;
+        fn start_tx(&mut self, now: Time, src: usize, dst: usize, end: Time) -> (u64, Vec<usize>) {
+            self.sweep(now);
+            self.stats.tx_started += 1;
             let mut corrupted = vec![false; self.n];
             corrupted[src] = true;
+            let mut overlapped = false;
             let mut hidden_hit = false;
-            let dst = frame.dst;
             for a_idx in 0..self.active.len() {
-                if self.active[a_idx].2 <= now {
+                if self.active[a_idx].end <= now {
                     continue;
                 }
-                let other = self.active[a_idx].1.src;
-                let a_dst = self.active[a_idx].1.dst;
+                overlapped = true;
+                self.active[a_idx].overlapped = true;
+                let other = self.active[a_idx].src;
+                let a_dst = self.active[a_idx].dst;
                 for r in 0..self.n {
                     if self.decode[other][r] && self.corrupts(src, other, r) {
-                        self.active[a_idx].3[r] = true;
+                        self.active[a_idx].corrupted[r] = true;
                         if r == a_dst && src != r && !self.sense[src][other] {
-                            self.active[a_idx].5 = true;
+                            self.active[a_idx].hidden_hit = true;
                         }
                     }
                     if self.decode[src][r] && self.corrupts(other, src, r) {
@@ -1104,16 +1283,24 @@ mod tests {
                             hidden_hit = true;
                         }
                     }
-                    self.active[a_idx].4 = true;
                 }
             }
             let id = self.next_tx;
             self.next_tx += 1;
-            self.active
-                .push((id, frame, end, corrupted, false, hidden_hit));
+            self.active.push(RefTx {
+                id,
+                src,
+                dst,
+                end,
+                corrupted,
+                overlapped,
+                hidden_hit,
+            });
+            self.tx_count[src] += 1;
             let mut became_busy = Vec::new();
             for r in 0..self.n {
                 if self.sense[src][r] {
+                    self.rx_count[r] += u32::from(self.decode[src][r]);
                     self.sense_count[r] += 1;
                     if self.sense_count[r] == 1 {
                         became_busy.push(r);
@@ -1123,18 +1310,22 @@ mod tests {
             (id, became_busy)
         }
 
+        /// `(deliveries, became_idle, dirty)`.
         #[allow(clippy::type_complexity, clippy::needless_range_loop)]
         fn end_tx(
             &mut self,
             id: u64,
             rng: &mut SimRng,
-        ) -> (Vec<(usize, bool)>, Vec<usize>, Vec<usize>) {
-            let idx = self.active.iter().position(|a| a.0 == id).unwrap();
-            let (_, frame, end, corrupted, _, _) = self.active.swap_remove(idx);
-            let src = frame.src;
+        ) -> (Vec<(usize, DecodeOutcome)>, Vec<usize>, Vec<usize>) {
+            let idx = self.active.iter().position(|a| a.id == id).unwrap();
+            let tx = self.active.swap_remove(idx);
+            let (src, end) = (tx.src, tx.end);
+            self.sweep(end);
+            self.tx_count[src] -= 1;
             let mut became_idle = Vec::new();
             for r in 0..self.n {
                 if self.sense[src][r] {
+                    self.rx_count[r] -= u32::from(self.decode[src][r]);
                     self.sense_count[r] -= 1;
                     if self.sense_count[r] == 0 {
                         became_idle.push(r);
@@ -1142,38 +1333,74 @@ mod tests {
                 }
             }
             let mut deliveries = Vec::new();
-            let mut sensed_dirty = Vec::new();
+            let mut dirty = Vec::new();
             for r in 0..self.n {
                 if r == src {
                     continue;
                 }
                 if !self.decode[src][r] {
                     if self.sense[src][r] {
-                        sensed_dirty.push(r);
+                        dirty.push(r);
                     }
                     continue;
                 }
-                let mut clean = !corrupted[r];
-                if clean && self.loss.drops(end, src, r, rng) {
-                    clean = false;
+                let at_dst = u64::from(r == tx.dst);
+                let outcome = if tx.corrupted[r] {
+                    self.stats.collisions_at_dst += at_dst;
+                    self.stats.hidden_losses += at_dst * u64::from(tx.hidden_hit);
+                    DecodeOutcome::Collision
+                } else if self.loss.drops(end, src, r, rng) {
+                    self.stats.bernoulli_losses += at_dst;
+                    DecodeOutcome::Loss
+                } else {
+                    self.stats.clean_deliveries += at_dst;
+                    self.stats.captures += at_dst * u64::from(tx.overlapped);
+                    if tx.overlapped {
+                        DecodeOutcome::Capture
+                    } else {
+                        DecodeOutcome::Clean
+                    }
+                };
+                if matches!(outcome, DecodeOutcome::Collision | DecodeOutcome::Loss) {
+                    dirty.push(r);
                 }
-                if !clean {
-                    sensed_dirty.push(r);
-                }
-                deliveries.push((r, clean));
+                deliveries.push((r, outcome));
             }
-            (deliveries, became_idle, sensed_dirty)
+            (deliveries, became_idle, dirty)
         }
     }
 
+    /// Two senders `apart` lattice steps (50 m) from each other on one
+    /// line, with a receiver 250 m from the first and between them: at 16
+    /// steps the senders sit at exactly `cs_range + tx_range` (800 m) and
+    /// the second is exactly `cs_range` from the receiver; 15 and 17 are
+    /// one step either side of the interference cut.
+    fn collinear_triple((x, y, apart, vertical): (u32, u32, u32, bool)) -> [(f64, f64); 3] {
+        let at = |along: u32| {
+            let (dx, dy) = if vertical { (0, along) } else { (along, 0) };
+            ((x + dx) as f64 * 50.0, (y + dy) as f64 * 50.0)
+        };
+        [at(0), at(5), at(apart)]
+    }
+
     proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
         /// On random topologies and densities the neighbor-list channel
         /// produces reports identical — same contents, same (sorted) order,
         /// same RNG consumption — to the reference full scan, and its
         /// computed point queries equal the reference's dense matrices.
         /// The second layout arm snaps to a 50 m lattice, so pairs at
         /// exactly 250 m and 550 m, 150/200/250 triangles, co-located
-        /// nodes and equal-distance capture ties all occur.
+        /// nodes and equal-distance capture ties all occur; the third
+        /// spreads over 3,000 m, so most sender pairs are beyond the
+        /// interference reach; the fourth is collinear triples on and one
+        /// step around that reach. A random subset of nodes listens: the
+        /// reported transitions are the reference's filtered by it, while
+        /// `is_busy` (the pull path) matches for every node after every
+        /// event. Per-node airtime equals the reference's every-event
+        /// full-sweep ledger, and the EIFS set derived from the sense row
+        /// minus clean deliveries equals the reference's dirty list.
         #[test]
         fn neighbor_lists_match_full_scan(
             seed in proptest::prelude::any::<u64>(),
@@ -1183,12 +1410,22 @@ mod tests {
                     proptest::collection::vec((0u32..=24, 0u32..=24), 2..25),
                     |cells| cells.into_iter().map(|(x, y)| (x as f64 * 50.0, y as f64 * 50.0)).collect(),
                 ),
+                proptest::collection::vec((0.0f64..3000.0, 0.0f64..3000.0), 2..25),
+                proptest::prelude::Strategy::prop_map(
+                    proptest::collection::vec(
+                        (0u32..=43, 0u32..=43, 15u32..=17, proptest::prelude::any::<bool>()),
+                        1..5,
+                    ),
+                    |triples| triples.into_iter().flat_map(collinear_triple).collect(),
+                ),
             ],
             txs in proptest::collection::vec(
                 (0usize..24, 0usize..24, 0u64..600, 1u64..400),
                 1..30
             ),
             loss_p in 0.0f64..0.6,
+            listens in proptest::collection::vec(proptest::prelude::any::<bool>(), 24),
+            capture in proptest::prelude::any::<bool>(),
         ) {
             use proptest::prelude::{prop_assert_eq, prop_assert};
             let pos: Vec<crate::geom::Position> = coords
@@ -1204,15 +1441,27 @@ mod tests {
                     }
                 }
             }
-            let cfg = ChannelConfig::default();
+            // Without capture every sensed interferer corrupts, so the
+            // boundary geometry decides outcomes instead of being
+            // captured over.
+            let cfg = ChannelConfig {
+                capture_ratio: if capture { CAPTURE_RATIO_10DB } else { f64::INFINITY },
+                ..ChannelConfig::default()
+            };
             let mut fast = Channel::new(&pos, cfg, loss.clone());
             let mut slow = RefChannel::new(&pos, cfg, loss);
             let mut rng_fast = SimRng::new(seed);
             let mut rng_slow = SimRng::new(seed);
+            let listening = |r: &usize| listens[*r];
+            for (r, &on) in listens.iter().enumerate().take(n) {
+                prop_assert!(fast.listening(r), "everyone listens by default");
+                fast.set_listening(r, on);
+            }
 
             for s in 0..n {
                 let sensed: Vec<usize> = (0..n).filter(|&r| slow.sense[s][r]).collect();
-                prop_assert_eq!(fast.sensing_neighbors(s), &sensed[..]);
+                prop_assert_eq!(fast.sensing_neighbors(s).len(), sensed.len());
+                prop_assert_eq!(fast.sensing_neighbors(s).collect::<Vec<_>>(), sensed);
                 for r in 0..n {
                     prop_assert_eq!(fast.can_decode(s, r), slow.decode[s][r], "decode {}->{}", s, r);
                     prop_assert_eq!(fast.can_sense(s, r), slow.sense[s][r], "sense {}->{}", s, r);
@@ -1237,15 +1486,13 @@ mod tests {
 
             let mut ids = vec![None; txs.len()];
             let mut end_report = EndReport::default();
+            let mut last = 0;
             for (t, ev) in events {
                 match ev {
                     Ev::Start(i) => {
                         let (src, dst, start, dur) = txs[i];
                         let (src, dst) = (src % n, dst % n);
                         if src == dst { continue; }
-                        let mut f = Frame::data(i as u64, 0, src, dst, 1000, Time::ZERO);
-                        f.src = src;
-                        f.dst = dst;
                         let rep = fast.start_tx(
                             Time::from_micros(start),
                             FrameId::default(),
@@ -1253,31 +1500,100 @@ mod tests {
                             dst,
                             Time::from_micros(start + dur),
                         );
-                        let (ref_id, ref_busy) =
-                            slow.start_tx(Time::from_micros(start), f, Time::from_micros(start + dur));
+                        let (ref_id, mut ref_busy) = slow.start_tx(
+                            Time::from_micros(start),
+                            src,
+                            dst,
+                            Time::from_micros(start + dur),
+                        );
+                        ref_busy.retain(listening);
                         prop_assert_eq!(&rep.became_busy, &ref_busy);
-                        ids[i] = Some((rep.tx_id, ref_id));
+                        ids[i] = Some((rep.tx_id, ref_id, src));
                     }
                     Ev::End(i) => {
-                        let Some((id, ref_id)) = ids[i] else { continue };
+                        let Some((id, ref_id, src)) = ids[i] else { continue };
                         fast.end_tx_into(Time::from_micros(t), id, &mut rng_fast, &mut end_report);
-                        let (ref_del, ref_idle, ref_dirty) = slow.end_tx(ref_id, &mut rng_slow);
-                        let got: Vec<(usize, bool)> = end_report
+                        let (ref_del, mut ref_idle, ref_dirty) = slow.end_tx(ref_id, &mut rng_slow);
+                        let got: Vec<(usize, DecodeOutcome)> = end_report
                             .deliveries
                             .iter()
-                            .map(|d| (d.node, d.clean))
+                            .map(|d| (d.node, d.outcome))
                             .collect();
                         prop_assert_eq!(&got, &ref_del);
+                        prop_assert!(end_report.deliveries.iter().all(|d| {
+                            d.clean == matches!(d.outcome, DecodeOutcome::Clean | DecodeOutcome::Capture)
+                        }));
+                        ref_idle.retain(listening);
                         prop_assert_eq!(&end_report.became_idle, &ref_idle);
-                        prop_assert_eq!(&end_report.sensed_dirty, &ref_dirty);
+                        let dirty: Vec<usize> = fast.undecoded(src, &end_report.deliveries).collect();
+                        prop_assert_eq!(&dirty, &ref_dirty);
                         prop_assert!(
                             end_report.became_idle.windows(2).all(|w| w[0] < w[1]),
                             "became_idle must stay sorted"
                         );
                     }
                 }
+                for r in 0..n {
+                    prop_assert_eq!(fast.is_busy(r), slow.sense_count[r] > 0, "is_busy({})", r);
+                }
+                last = t;
             }
             prop_assert_eq!(fast.active_count(), slow.active.len());
+            prop_assert_eq!(fast.stats(), slow.stats);
+            // The lazy ledger against the every-event sweep, brought to a
+            // common instant past the last event.
+            let close = Time::from_micros(last + 7);
+            fast.accrue_airtime(close);
+            slow.sweep(close);
+            for r in 0..n {
+                prop_assert_eq!(fast.airtime_breakdown(r), slow.air[r], "airtime of {}", r);
+                prop_assert_eq!(slow.air[r].total_us(), last + 7);
+            }
+        }
+    }
+
+    /// Work is local, as an exact count: with K transmissions already on
+    /// the air, pairwise farther apart than the interference reach, one
+    /// more start evaluates the capture rule against the same number of
+    /// receivers for every K — and against none when nothing is within
+    /// reach. The regression guard for "cost does not grow with the
+    /// network", with no timing in it.
+    #[test]
+    fn capture_work_is_independent_of_distant_transmissions() {
+        const SIDE: usize = 64;
+        let pos: Vec<Position> = (0..SIDE * SIDE)
+            .map(|i| Position::new((i % SIDE) as f64 * 200.0, (i / SIDE) as f64 * 200.0))
+            .collect();
+        let node = |col: usize, row: usize| row * SIDE + col;
+        // Senders on an 8×8 sub-lattice 1,400 m apart (reach: 800 m).
+        let far: Vec<usize> = (0..64)
+            .map(|k| node(4 + 7 * (k % 8), 4 + 7 * (k / 8)))
+            .collect();
+        let evals_of_one_more = |k: usize, src: usize| {
+            let mut ch = Channel::new(&pos, ChannelConfig::default(), LossModel::ideal());
+            for &s in &far[..k] {
+                ch.start_tx(t(0), FrameId::default(), s, s + 1, t(100));
+            }
+            assert_eq!(
+                ch.capture_evaluations(),
+                0,
+                "the {k} are out of each other's reach"
+            );
+            ch.start_tx(t(10), FrameId::default(), src, src + 1, t(90));
+            assert_eq!(ch.active_count(), k + 1);
+            ch.capture_evaluations()
+        };
+        // Two hops east of the first far sender: within its reach, and
+        // beyond every other's.
+        let near = evals_of_one_more(1, far[0] + 2);
+        assert_eq!(near, 8, "two interior decode rows of four neighbours");
+        for k in [16, 64] {
+            assert_eq!(evals_of_one_more(k, far[0] + 2), near, "K = {k}");
+        }
+        // Midway between four far senders (≥ 849 m from each): nothing
+        // within reach, nothing evaluated, however many are on the air.
+        for k in [1, 16, 64] {
+            assert_eq!(evals_of_one_more(k, node(7, 7)), 0, "K = {k}");
         }
     }
 
