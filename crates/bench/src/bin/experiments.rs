@@ -47,8 +47,9 @@
 //! The whole command line is checked before the first experiment starts:
 //! a malformed flag value (`--seed=abc`, `--telemetry-ms=0`), an unknown
 //! `--flag`, an unknown id, an unreadable spec or a `--time` factor that
-//! scales a spec's duration out of bounds is a usage error — one line on
-//! stderr naming the culprit, exit 2, nothing run.
+//! scales a spec's duration — or the named experiments' longest
+//! timeline — out of bounds is a usage error: one line on stderr naming
+//! the culprit, exit 2, nothing run.
 //!
 //! Ids: fig1, table1, fig4, table2, scenario1 (fig6/fig7/fig8),
 //! scenario2 (fig10/fig11/table3), table4, theorem1, ablations, all.
@@ -216,6 +217,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         };
         runners.push(run);
+    }
+    // Spec runs bound `--time` against their own duration below; the
+    // named experiments scale the paper's timelines, so bound the factor.
+    if !runners.is_empty() {
+        if let Err(e) = scale.check_time() {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
     }
     let mut loaded = Vec::with_capacity(specs.len());
     for path in &specs {

@@ -3,8 +3,13 @@
 
 use std::fmt::Write as _;
 
+use ezflow_net::scenario::MAX_DURATION_SECS;
 use ezflow_net::{NetworkSpec, RunSnapshot};
 use ezflow_sim::{Duration, JsonValue};
+
+/// The longest timeline a named experiment scales, in seconds of paper
+/// time: scenario 2 (Figs. 10–11) ends at 4,500 s.
+pub const LONGEST_PAPER_SECS: u64 = 4_500;
 
 /// How much of the paper's experiment duration to simulate.
 #[derive(Clone, Copy, Debug)]
@@ -69,6 +74,24 @@ impl Scale {
     /// Scales a duration in seconds, keeping a sane floor.
     pub fn secs(&self, paper_secs: u64) -> u64 {
         ((paper_secs as f64 * self.time) as u64).max(30)
+    }
+
+    /// Whether `time` can scale the named experiments at all: finite,
+    /// positive, and keeping the longest of them ([`LONGEST_PAPER_SECS`])
+    /// inside the simulator's own horizon. [`Scale::secs`] saturates, so
+    /// `--time=1e300` would otherwise ask for `u64::MAX` seconds — a run
+    /// paced by simulated time that never ends — and a NaN would run
+    /// silently at the floor. The message names the `--time` flag.
+    pub fn check_time(&self) -> Result<(), String> {
+        let longest = LONGEST_PAPER_SECS as f64 * self.time;
+        if self.time.is_finite() && self.time > 0.0 && longest <= MAX_DURATION_SECS {
+            return Ok(());
+        }
+        Err(format!(
+            "--time={:?} must be a positive factor that keeps the longest named run \
+             ({LONGEST_PAPER_SECS} s at 1.0) within {MAX_DURATION_SECS:e} s",
+            self.time
+        ))
     }
 
     /// The sweep runner this scale asks for.
@@ -380,6 +403,26 @@ pub fn secs(s: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn check_time_bounds_the_longest_named_run() {
+        let at = |time| Scale {
+            time,
+            ..Scale::full()
+        };
+        for ok in [
+            1.0,
+            0.5,
+            0.01,
+            MAX_DURATION_SECS / LONGEST_PAPER_SECS as f64,
+        ] {
+            assert_eq!(at(ok).check_time(), Ok(()), "{ok}");
+        }
+        for bad in [0.0, -1.0, 2_223.0, 1e300, f64::INFINITY, f64::NAN] {
+            let err = at(bad).check_time().unwrap_err();
+            assert!(err.contains("--time"), "{bad}: {err}");
+        }
+    }
 
     #[test]
     fn scale_floors_duration() {

@@ -51,6 +51,19 @@ fn a_time_factor_that_scales_a_spec_out_of_bounds_exits_2_naming_time() {
 }
 
 #[test]
+fn a_time_factor_no_named_experiment_can_run_at_exits_2_naming_time() {
+    // `Scale::secs` saturates: 1e300 used to ask fig1 for u64::MAX
+    // simulated seconds (a hang), and NaN ran silently at the 30 s floor.
+    for time in ["--time=1e300", "--time=nan"] {
+        let out = experiments(&[time, "fig1"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{time}: {stderr}");
+        assert!(stderr.contains("--time"), "{time}: {stderr}");
+        assert!(out.stdout.is_empty(), "{time} ran fig1");
+    }
+}
+
+#[test]
 fn every_argument_is_validated_before_the_first_experiment_runs() {
     // Reports are printed after the last run, so an empty stdout proves
     // nothing here; a telemetry stream is written while a run is in

@@ -13,6 +13,7 @@
 use std::collections::VecDeque;
 
 use ezflow_mac::{Mac, MacConfig, MacInput};
+use ezflow_phy::geom::{distance_tests, MAX_DISTANCE_TESTS};
 use ezflow_phy::{Channel, ChannelConfig, LossModel, Position};
 use ezflow_sim::{Duration, Scheduler, SimRng, Time, TraceRing};
 
@@ -39,6 +40,13 @@ pub enum SpecError {
     NonFinitePosition {
         /// The offending node.
         node: usize,
+    },
+    /// The layout packs so many nodes into carrier-sense range of each
+    /// other that the channel's neighbour rows would not fit in memory.
+    TooDense {
+        /// Distance tests the neighbour walk would make at the
+        /// carrier-sense range (an upper bound on its row entries).
+        tests: u64,
     },
     /// The interface queue capacity is zero (nothing could ever send).
     ZeroQueueCap,
@@ -114,6 +122,12 @@ impl std::fmt::Display for SpecError {
             SpecError::NonFinitePosition { node } => {
                 write!(f, "node {node} has a non-finite position")
             }
+            SpecError::TooDense { tests } => write!(
+                f,
+                "layout too dense: the neighbour walk would make {tests} distance tests at \
+                 carrier-sense range, over the budget of {MAX_DISTANCE_TESTS} — spread the \
+                 nodes out or use fewer"
+            ),
             SpecError::ZeroQueueCap => write!(f, "queue_cap must be nonzero"),
             SpecError::ShortPath { flow } => {
                 write!(f, "flow {flow}: path needs at least two nodes")
@@ -228,7 +242,7 @@ impl NetworkSpec {
     pub const AUDIT_CAP: usize = 1 << 16;
 
     /// Checks that the spec can actually be built and run: positions
-    /// finite, queue capacity nonzero, every flow path in bounds,
+    /// finite and not too dense, queue capacity nonzero, every flow path in bounds,
     /// loop-free and decodable hop by hop, flow ids unique and outside
     /// the reserved ACK space, and transport parameters sane. Returns
     /// the first problem found (fields in declaration order, flows in
@@ -243,6 +257,7 @@ impl NetworkSpec {
                 return Err(SpecError::NonFinitePosition { node });
             }
         }
+        check_density(&self.positions, self.channel.cs_range)?;
         if self.queue_cap == 0 {
             return Err(SpecError::ZeroQueueCap);
         }
@@ -319,6 +334,22 @@ impl NetworkSpec {
     /// [`Network::new`].
     pub fn build(self, make_controller: &dyn Fn(usize) -> Box<dyn Controller>) -> Network {
         build(self, make_controller)
+    }
+}
+
+/// Holds a layout against the density budget: O(N + cells), before any
+/// neighbour row exists. A layout over it used to abort in the allocator
+/// (65,536 nodes in 300 × 300 m ask for 2³² row entries).
+pub(crate) fn check_density(positions: &[Position], cs_range: f64) -> Result<(), SpecError> {
+    // N nodes cost at most N² tests (everyone in one cell), so a layout of
+    // up to 11,585 nodes is inside the budget wherever its nodes are.
+    let n = positions.len() as u64;
+    if n * n <= MAX_DISTANCE_TESTS {
+        return Ok(());
+    }
+    match distance_tests(positions, cs_range) {
+        tests if tests > MAX_DISTANCE_TESTS => Err(SpecError::TooDense { tests }),
+        _ => Ok(()),
     }
 }
 

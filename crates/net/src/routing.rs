@@ -3,6 +3,8 @@
 //! change, isolating the MAC-layer phenomena under study from routing
 //! dynamics.
 
+use ezflow_phy::Neighbors;
+
 /// A static next-hop table.
 ///
 /// Stored as per-node sorted `(final destination, next hop)` lists rather
@@ -110,10 +112,10 @@ pub struct GatewayRoutes {
 impl GatewayRoutes {
     /// Runs the multi-source BFS. `adj` is the (symmetric) decode
     /// adjacency, `gateways` the drain set. Determinism: gateways are
-    /// seeded in ascending id order and each adjacency list is scanned
-    /// in ascending order, so first-come-wins tie-breaking is a pure
-    /// function of the graph.
-    pub fn compute(adj: &[Vec<usize>], gateways: &[usize]) -> Self {
+    /// seeded in ascending id order and each adjacency row is ascending
+    /// ([`Neighbors`]' invariant), so first-come-wins tie-breaking is a
+    /// pure function of the graph.
+    pub fn compute(adj: &Neighbors, gateways: &[usize]) -> Self {
         let n = adj.len();
         let mut parent = vec![usize::MAX; n];
         let mut dist = vec![usize::MAX; n];
@@ -129,9 +131,8 @@ impl GatewayRoutes {
             frontier.push_back(g);
         }
         while let Some(v) = frontier.pop_front() {
-            let mut next: Vec<usize> = adj[v].clone();
-            next.sort_unstable();
-            for w in next {
+            for &w in adj.row(v) {
+                let w = w as usize;
                 if dist[w] == usize::MAX {
                     dist[w] = dist[v] + 1;
                     parent[w] = v;
@@ -239,8 +240,8 @@ mod tests {
     }
 
     /// Chain 0-1-2-3-4 plus a spur 5 hanging off node 2, node 6 isolated.
-    fn spur_adj() -> Vec<Vec<usize>> {
-        vec![
+    fn spur_adj() -> Neighbors {
+        Neighbors::from_rows(&[
             vec![1],
             vec![0, 2],
             vec![1, 3, 5],
@@ -248,7 +249,7 @@ mod tests {
             vec![3],
             vec![2],
             vec![],
-        ]
+        ])
     }
 
     #[test]

@@ -54,12 +54,14 @@ const PLACEMENT_STREAM: u64 = 0x746f_706f; // "topo"
 /// Stream tag for traffic-source selection.
 const SOURCE_STREAM: u64 = 0x7472_6166; // "traf"
 
-/// Largest node count a spec may ask for. The neighbour pass
-/// (`ezflow_phy::geom::neighbors_within`) is still quadratic in time —
-/// a 16 k-node mesh sets up and runs 1 s in ~0.5 s, a 64 k-node one in
-/// ~4 s — so anything larger reads as a hang (or, for a grid, aborts in
-/// the allocator). Raise it when that pass becomes a spatial grid.
-const MAX_NODES: usize = 1 << 16;
+/// Largest node count a spec may ask for. Set-up is linear in nodes at
+/// bounded density (`ezflow_phy::geom::neighbors_within` is a grid walk,
+/// and `compile` holds the layout against its density budget): a
+/// 64 k-node mesh sets up and runs 1 s in ~0.3 s and ~0.1 GB, one at
+/// this ceiling in ~1.2 s and ~0.4 GB. Beyond it per-node state (queues,
+/// MACs, metrics, the report) is what fills the box, and a `rows × cols`
+/// typo should read as a spec error rather than as a hang.
+const MAX_NODES: usize = 1 << 18;
 
 /// Largest value any `*_secs` field may hold: 10⁷ s ≈ 116 simulated
 /// days, over 2,000× the paper's longest run (4,500 s). A run is paced
@@ -418,6 +420,10 @@ impl ScenarioSpec {
     pub fn compile(&self) -> Result<CompiledScenario, ScenarioError> {
         let until = secs_to_time("duration_secs", self.duration_secs)?;
         let (positions, builtin) = self.build_layout(until)?;
+        // Before the routing pass walks the layout: `validate` below
+        // repeats the check for specs built in code.
+        crate::builder::check_density(&positions, crate::topo::CS_RANGE)
+            .map_err(|e| field("topology", &e.to_string()))?;
         let flows = self.build_flows(&positions, builtin)?;
         let topology = Topology {
             name: self.name.clone(),
@@ -1218,7 +1224,7 @@ mod tests {
             }
         }
         // Layouts past MAX_NODES used to abort in the allocator (grid) or
-        // hang in the all-pairs pass; degenerate lengths used to build
+        // hang in an all-pairs pass; degenerate lengths used to build
         // co-located nodes and report success.
         let rg = |nodes: &str, width: &str, height: &str| {
             format!(
@@ -1240,7 +1246,7 @@ mod tests {
                 r#"{"kind": "grid", "rows": 4294967296, "cols": 4294967296, "spacing": 100}"#,
                 "topology.rows",
             ),
-            (r#"{"kind": "chain", "hops": 65536}"#, "topology.hops"),
+            (r#"{"kind": "chain", "hops": 262144}"#, "topology.hops"),
             (rg("1e8", "100", "100").as_str(), "topology.nodes"),
             (too_many.as_str(), "topology.positions"),
             (
@@ -1266,7 +1272,7 @@ mod tests {
             }
         }
         // Exactly MAX_NODES is still a layout.
-        ScenarioSpec::parse(&minimal(r#"{"kind": "chain", "hops": 65535}"#)).unwrap();
+        ScenarioSpec::parse(&minimal(r#"{"kind": "chain", "hops": 262143}"#)).unwrap();
         // Times past MAX_DURATION_SECS used to parse, then spin: a run is
         // paced by simulated time, so 1e12 s never ends.
         let timed = |duration: &str, section: &str| {
@@ -1322,6 +1328,52 @@ mod tests {
             }
             other => panic!("expected spec error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn dense_layouts_are_a_spec_error_not_an_allocation() {
+        // 65,536 nodes inside one carrier-sense cell ask for 2³² row
+        // entries: this used to parse, then abort in the allocator.
+        let text = r#"{"name": "x", "duration_secs": 1,
+                       "topology": {"kind": "random_geometric", "nodes": 65536,
+                                    "width": 300, "height": 300, "gateways": 4, "seed": 1},
+                       "traffic": {"flows": 4, "rate_bps": 200000,
+                                   "start_secs": 0, "stop_secs": 1,
+                                   "mix": [{"transport": {"kind": "cbr"}}]}}"#;
+        match ScenarioSpec::parse(text).unwrap().compile().unwrap_err() {
+            ScenarioError::Field { path, message } => {
+                assert_eq!(path, "topology");
+                assert!(message.contains("4294967296"), "the count: {message}");
+                assert!(message.contains("134217728"), "the budget: {message}");
+            }
+            other => panic!("expected field error, got {other:?}"),
+        }
+        // A layout built in code meets the same check in `validate`, at
+        // exactly the budget: co-located nodes cost n² tests.
+        let colocated = |n: usize| Topology {
+            name: "x".into(),
+            positions: vec![Position::default(); n],
+            loss: LossModel::ideal(),
+            flows: vec![FlowSpec::saturating(
+                0,
+                vec![0, 1],
+                Time::ZERO,
+                Time::from_secs(1),
+            )],
+        };
+        use crate::builder::{check_density, SpecError};
+        assert_eq!(
+            colocated(65_536).validate(),
+            Err(SpecError::TooDense { tests: 1 << 32 })
+        );
+        let at = |n: usize| check_density(&colocated(n).positions, crate::topo::CS_RANGE);
+        assert_eq!(at(11_585), Ok(()), "11,585² ≤ 2²⁷");
+        assert_eq!(
+            at(11_586),
+            Err(SpecError::TooDense {
+                tests: 11_586 * 11_586
+            })
+        );
     }
 
     #[test]

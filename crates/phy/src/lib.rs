@@ -36,7 +36,7 @@ pub mod timing;
 
 pub use arena::{FrameArena, FrameId};
 pub use frame::{Frame, FrameKind};
-pub use geom::Position;
+pub use geom::{Neighbors, Position};
 pub use loss::{ChurnWindow, GilbertElliott, LossModel};
 pub use medium::{
     Airtime, Channel, ChannelConfig, ChannelStats, DecodeOutcome, Delivery, EndReport, StartReport,

@@ -33,8 +33,11 @@
 //!
 //! Node positions are the only geometric state: rules 1 and 2 are
 //! evaluated from them on demand, and the per-sender rows the channel
-//! caches ([`crate::geom::neighbors_within`]) say only *whom to visit* when
-//! a transmission starts or ends — O(N · degree), no per-pair table.
+//! caches say only *whom to visit* when a transmission starts or ends —
+//! O(N · degree), no per-pair table. One grid walk
+//! ([`crate::geom::neighbors_within_marking`]) builds them in time linear
+//! in the nodes, packed ([`Neighbors`]: one offsets array, one id array)
+//! and with the decode bit already set.
 //!
 //! ## What a transmission costs
 //!
@@ -57,7 +60,7 @@
 use ezflow_sim::{SimRng, Time};
 
 use crate::arena::FrameId;
-use crate::geom::{neighbors_within, Position};
+use crate::geom::{neighbors_within_marking, Neighbors, Position, MARK};
 use crate::loss::LossModel;
 
 /// Identifier of an in-flight transmission.
@@ -163,8 +166,8 @@ struct ActiveTx {
     dst: usize,
     start: Time,
     end: Time,
-    /// Aligned with `decode_from[src]`: reception at that receiver already
-    /// destroyed by interference.
+    /// Aligned with `src`'s row of `decode_from`: reception at that
+    /// receiver already destroyed by interference.
     corrupted: Vec<bool>,
     /// Another transmission overlapped this one in time.
     overlapped: bool,
@@ -244,7 +247,7 @@ pub struct EndReport {
 
 /// Top bit of a packed sense-row entry: the neighbour is also inside
 /// decode range. The low 31 bits are the node id.
-const DECODES: u32 = 1 << 31;
+const DECODES: u32 = MARK;
 
 /// Relative margin on the interference reach `cs_range + tx_range`.
 /// `within` compares rounded squares, so a collinear sender pair at
@@ -266,10 +269,10 @@ pub struct Channel {
     /// inside decode range (`cs_range >= tx_range` is asserted at
     /// construction, so decode range ⊆ sense range). Geometry is fixed at
     /// construction, so these lists never change.
-    sense_rows: Vec<Vec<u32>>,
+    sense_rows: Neighbors,
     /// Per sender: the [`DECODES`] entries of its sense row, bit cleared —
     /// the receivers the capture rule is evaluated at.
-    decode_from: Vec<Vec<u32>>,
+    decode_from: Neighbors,
     /// `(cs_range + tx_range) · (1 + REACH_MARGIN)`: senders farther apart
     /// cannot interfere (see [`Channel::start_tx_into`]).
     reach: f64,
@@ -294,11 +297,12 @@ pub struct Channel {
 /// One node's live radio counters, 8 bytes, so the walk over a sense row
 /// of ~70 neighbours stays in L1 (48 KB for 6,144 nodes).
 ///
-/// The counts are `u16`, which is exactly enough: a node never senses
-/// itself and a radio has one frame on the air at a time, so with
-/// `MAX_NODES` = 65,536 at most 65,535 = `u16::MAX` transmissions can be
-/// sensed at once. Every increment is checked all the same — callers that
-/// stack transmissions on one sender (tests do) fail loudly, never wrap.
+/// The counts are `u16`, which is enough: a radio has one frame on the
+/// air at a time, so a count is at most the node's sense-row length, and
+/// the walk that builds the rows refuses a layout dense enough to give
+/// any node 34,755 neighbours ([`crate::geom::MAX_DISTANCE_TESTS`]).
+/// Every increment is checked all the same — callers that stack
+/// transmissions on one sender (tests do) fail loudly, never wrap.
 #[derive(Clone, Copy, Debug)]
 struct Carrier {
     /// Number of active transmissions this node senses.
@@ -371,25 +375,12 @@ impl Channel {
             "carrier-sense range must cover the decode range"
         );
         assert!(cfg.capture_ratio > 0.0, "capture ratio must be positive");
-        assert!(
-            positions.len() <= DECODES as usize,
-            "node ids must fit the packed rows"
-        );
-        // decode range ⊆ sense range: the decode bit is a second range
-        // test on the sense rows — set in place, not a second all-pairs
-        // pass and not a second copy of the rows.
-        let mut sense_rows: Vec<Vec<u32>> = neighbors_within(positions, cfg.cs_range);
-        for (s, row) in sense_rows.iter_mut().enumerate() {
-            for entry in row {
-                if positions[s].within(&positions[*entry as usize], cfg.tx_range) {
-                    *entry |= DECODES;
-                }
-            }
-        }
-        let decoding = |&e: &u32| (e & DECODES != 0).then_some(e & !DECODES);
-        let decode_from = (sense_rows.iter())
-            .map(|row| row.iter().filter_map(decoding).collect())
-            .collect();
+        // decode range ⊆ sense range: the decode bit is `within(tx_range)`
+        // decided by the sense-row walk from the d² it already holds —
+        // not a second pass over the rows, and not a second walk.
+        let decode_limit = cfg.tx_range * cfg.tx_range;
+        let sense_rows = neighbors_within_marking(positions, cfg.cs_range, |d2| d2 <= decode_limit);
+        let decode_from = sense_rows.marked();
         let n = positions.len();
         Channel {
             cfg,
@@ -506,7 +497,7 @@ impl Channel {
     /// range — the static interference adjacency. Geometry is fixed at
     /// construction, so these lists never change.
     pub fn sensing_neighbors(&self, s: usize) -> impl ExactSizeIterator<Item = usize> + '_ {
-        self.sense_rows[s].iter().map(|&e| unpack(e).0)
+        self.sense_rows.row(s).iter().map(|&e| unpack(e).0)
     }
 
     /// The nodes (ascending) that sensed a transmission by `src` but got no
@@ -619,7 +610,7 @@ impl Channel {
         };
         // A sender is never in its own decode row, so "cannot receive its
         // own frame" needs no entry.
-        corrupted.resize(decode_from[src].len(), false);
+        corrupted.resize(decode_from.row(src).len(), false);
         let mut overlapped = false;
         let mut hidden_hit = false;
 
@@ -638,9 +629,10 @@ impl Channel {
             if !positions[src].within(&positions[other], self.reach) {
                 continue;
             }
-            self.capture_evals += (decode_from[other].len() + decode_from[src].len()) as u64;
+            let (theirs, ours) = (decode_from.row(other), decode_from.row(src));
+            self.capture_evals += (theirs.len() + ours.len()) as u64;
             // New tx destroys `a`'s reception at r?
-            for (hit, &r) in a.corrupted.iter_mut().zip(&decode_from[other]) {
+            for (hit, &r) in a.corrupted.iter_mut().zip(theirs) {
                 let r = r as usize;
                 if corrupts(positions, cfg, src, other, r) {
                     *hit = true;
@@ -650,7 +642,7 @@ impl Channel {
                 }
             }
             // `a` destroys the new tx's reception at r?
-            for (hit, &r) in corrupted.iter_mut().zip(&decode_from[src]) {
+            for (hit, &r) in corrupted.iter_mut().zip(ours) {
                 let r = r as usize;
                 if corrupts(positions, cfg, other, src, r) {
                     *hit = true;
@@ -687,7 +679,7 @@ impl Channel {
         report.became_busy.clear();
         // decode range ⊆ sense range, so one pass over the sense row
         // (ascending, keeping `became_busy` sorted) covers both counters.
-        for &entry in &self.sense_rows[src] {
+        for &entry in self.sense_rows.row(src) {
             let (r, decodes) = unpack(entry);
             let c = &mut carrier[r];
             if c.tx == 0 && c.rx == 0 && (decodes || c.sense == 0) {
@@ -763,7 +755,7 @@ impl Channel {
         // `corrupted` is aligned with the decode row, i.e. with the
         // decoding entries of the sense row in order.
         let mut corrupted_at = corrupted.iter();
-        for &entry in &self.sense_rows[src] {
+        for &entry in self.sense_rows.row(src) {
             let (r, decodes) = unpack(entry);
             let c = &mut carrier[r];
             debug_assert!(c.sense > 0 && c.rx >= decodes as u16);

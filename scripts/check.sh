@@ -130,15 +130,20 @@ cargo run --release -q -p ezflow-bench --bin experiments -- \
   --quick --time=0.1 --spec=scenarios/grid4x4.json >/dev/null
 echo "grid4x4.json ran end-to-end"
 
-echo "== no-per-pair-state memory guard (mesh16k under ulimit -v 512 MB) =="
+echo "== no-per-pair-state memory guard (mesh16k, mesh64k under ulimit -v 512 MB) =="
 # At 16,384 nodes one N×N byte table is 268 MB and one of f64 is 2.1 GB
 # (the two bool + one f64 matrices Channel used to keep: 2.6 GB, exit
 # 134 here), while O(N·degree) rows need ~45 MB. The built binary is
 # invoked directly so the limit binds the simulator, not cargo.
+# mesh64k is the same shape at 65,536 nodes: ~0.3 s now that set-up is a
+# grid walk (an all-pairs pass took 4-7 s). The timeout is a hang guard,
+# not a speed gate — that is geom.rs's counted linear-work test.
 cargo build --release -q -p ezflow-bench --bin experiments
-( ulimit -v 524288
-  target/release/experiments --jobs=1 --spec=scenarios/mesh16k.json >/dev/null )
-echo "mesh16k.json ran inside 512 MB of address space"
+for mesh in mesh16k mesh64k; do
+  ( ulimit -v 524288
+    timeout 20 target/release/experiments --jobs=1 --spec="scenarios/$mesh.json" >/dev/null )
+  echo "$mesh.json ran inside 512 MB of address space"
+done
 
 echo "== scenario spec schema-error smoke =="
 # A malformed spec must fail loudly: nonzero exit plus a message that
@@ -152,6 +157,21 @@ fi
 echo "$ERR" | grep -q 'topology.kind' \
   || { echo "schema smoke: error did not name the bad field: $ERR"; exit 1; }
 echo "malformed spec rejected with a pointed message"
+# A layout too dense for its neighbour rows is a spec error too (65,536
+# nodes in one carrier-sense cell: 2^32 row entries, once an OOM abort),
+# found before any row is built — so inside the same 512 MB.
+printf '%s\n' '{"name": "dense", "duration_secs": 1,' \
+  '"topology": {"kind": "random_geometric", "nodes": 65536, "width": 300,' \
+  '             "height": 300, "gateways": 4, "seed": 1},' \
+  '"traffic": {"flows": 4, "rate_bps": 200000, "start_secs": 0, "stop_secs": 1,' \
+  '            "mix": [{"transport": {"kind": "cbr"}}]}}' >"$BAD_SPEC"
+DENSE_STATUS=0
+ERR="$( ulimit -v 524288
+  target/release/experiments --jobs=1 --spec="$BAD_SPEC" 2>&1 >/dev/null )" || DENSE_STATUS=$?
+[ "$DENSE_STATUS" -eq 2 ] || { echo "dense smoke: exited $DENSE_STATUS: $ERR"; exit 1; }
+echo "$ERR" | grep -q 'topology' \
+  || { echo "dense smoke: error did not name the topology: $ERR"; exit 1; }
+echo "over-dense layout rejected with a pointed message"
 # Likewise a malformed flag value: usage (exit 2) naming the flag, not an
 # abort, and before any experiment runs.
 FLAG_STATUS=0
