@@ -19,6 +19,12 @@
 //!   `scenarios/mesh1k.json`: 1,024 nodes at sensing degree ≈ 67, where
 //!   most transmissions overlap others they cannot interfere with — the
 //!   only run that pins a mesh byte for byte.
+//! * **exports/…** — scenario 1 under EZ-flow with PER + Gilbert–Elliott
+//!   loss and every observer armed (flight recorder at 256 journeys, so
+//!   it evicts *and* samples; trace ring; telemetry and audit streaming
+//!   into memory). Its golden entry is not a snapshot but the line count
+//!   and FNV-1a of each JSONL export — the byte-for-byte pin on what the
+//!   observers write.
 //!
 //! `--check` (also what a bare invocation runs, so nothing but `--bless`
 //! ever writes a committed file) is the regression gate
@@ -47,17 +53,21 @@
 //! audit is pull-based — no events, no RNG — so nothing needs
 //! compensating).
 
+use std::io::Write;
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 use ezflow_bench::experiments::{scenario1, Algo};
 use ezflow_bench::report::Scale;
-use ezflow_net::{topo, Network, PerfSnapshot, ScenarioSpec};
+use ezflow_net::{topo, Network, NetworkSpec, PerfSnapshot, ScenarioSpec, Topology};
+use ezflow_phy::{GilbertElliott, LossModel};
 use ezflow_sim::{JsonValue, Time};
 
 /// One gated run: label + the deterministic digest it left behind.
 struct Run {
     label: String,
-    /// Snapshot JSON, perf zeroed.
+    /// Snapshot JSON, perf zeroed (for the exports run: its export
+    /// digests), compact.
     digest: String,
 }
 
@@ -113,6 +123,18 @@ fn digest_of(label: &str, mut net: Network, until: Time, fold_nodes: bool) -> Ru
     }
 }
 
+/// Scenario 1 on `scale`'s timeline, and the instant its last flow stops.
+fn scenario1_quick(scale: Scale) -> (Topology, Time) {
+    let tl = scenario1::scale_timeline(scale, &[5, 605, 1805, 2504]);
+    let (t0, t1, t2, t3) = (tl[0], tl[1], tl[2], tl[3]);
+    let mut t = topo::scenario1();
+    t.flows[0].start = t0;
+    t.flows[0].stop = t3;
+    t.flows[1].start = t1;
+    t.flows[1].stop = t2;
+    (t, t3)
+}
+
 /// The quick scenario-1 runs with an explicit telemetry interval (`Some`
 /// arms the bus) and audit capacity (nonzero arms the ledger): `(None, 0)`
 /// is the golden pair, the armed variants feed the on/off equivalence
@@ -126,13 +148,7 @@ fn scenario1_runs(
     let mut scale = Scale::quick();
     scale.telemetry_every = telemetry_every;
     scale.audit_cap = audit_cap;
-    let tl = scenario1::scale_timeline(scale, &[5, 605, 1805, 2504]);
-    let (t0, t1, t2, t3) = (tl[0], tl[1], tl[2], tl[3]);
-    let mut t = topo::scenario1();
-    t.flows[0].start = t0;
-    t.flows[0].stop = t3;
-    t.flows[1].start = t1;
-    t.flows[1].stop = t2;
+    let (t, t3) = scenario1_quick(scale);
     [Algo::Plain, Algo::EzFlow]
         .into_iter()
         .map(|algo| {
@@ -168,6 +184,89 @@ fn mesh_run() -> Run {
     digest_of("mesh1k/3s", net, Time::from_secs(3), true)
 }
 
+/// An in-memory JSONL sink for the streaming observers.
+#[derive(Clone, Default)]
+struct MemSink(Arc<Mutex<Vec<u8>>>);
+
+impl Write for MemSink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0
+            .lock()
+            .expect("sink writer panicked")
+            .extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Line count and hash of one JSONL export — its golden entry.
+fn export_digest(bytes: &[u8]) -> JsonValue {
+    JsonValue::obj(vec![
+        (
+            "lines",
+            bytes.iter().filter(|&&b| b == b'\n').count().into(),
+        ),
+        (
+            "fnv1a64",
+            JsonValue::str(format!("{:016x}", fnv1a64(bytes))),
+        ),
+    ])
+}
+
+/// Every observer armed on a lossy scenario 1 (the loss process of
+/// `benchmark/workloads/observed_lossy.json`), digesting what each one
+/// writes. 256 journeys against ~650 queue slots forces the recorder
+/// through eviction and stride doubling; the returned stats pin that it
+/// did.
+fn exports_run() -> Run {
+    let mut scale = Scale::quick();
+    scale.telemetry_every = Some(NetworkSpec::TELEMETRY_EVERY);
+    scale.audit_cap = NetworkSpec::AUDIT_CAP;
+    let (t, until) = scenario1_quick(scale);
+    let mut spec = scale.spec(&t, scale.seed);
+    spec.loss = LossModel::uniform(0.05).with_burst(GilbertElliott {
+        p_g2b: 0.02,
+        p_b2g: 0.25,
+        p_good: 0.0,
+        p_bad: 0.6,
+    });
+    spec.flight_cap = 256;
+    spec.trace_cap = 4096;
+    let mut net = Network::new(spec, &*Algo::EzFlow.factory());
+    let (telemetry, audit) = (MemSink::default(), MemSink::default());
+    net.telemetry.set_sink(Box::new(telemetry.clone()));
+    net.audit.set_sink(Box::new(audit.clone()));
+    net.run_until(until);
+    let stats = net.flight.stats();
+    assert!(
+        stats.evicted > 0 && stats.stride > 1,
+        "exports run must exercise eviction and sampling: {stats:?}"
+    );
+    let sunk = |s: &MemSink| export_digest(&s.0.lock().expect("sink writer panicked"));
+    let doc = JsonValue::obj(vec![
+        ("lifecycle", export_digest(net.flight.to_jsonl().as_bytes())),
+        ("trace_ring", export_digest(net.trace.to_jsonl().as_bytes())),
+        ("telemetry", sunk(&telemetry)),
+        ("audit", sunk(&audit)),
+        (
+            "flight_stats",
+            JsonValue::obj(vec![
+                ("tracked", stats.tracked.into()),
+                ("skipped", stats.skipped.into()),
+                ("evicted", stats.evicted.into()),
+                ("stride", stats.stride.into()),
+            ]),
+        ),
+    ]);
+    Run {
+        label: format!("exports/scenario1+loss/{}", Algo::EzFlow.name()),
+        digest: doc.to_compact(),
+    }
+}
+
 fn golden_path() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/golden/hotpath.json"))
 }
@@ -190,13 +289,15 @@ fn golden_doc(runs: &[Run]) -> String {
     text
 }
 
-/// All gated workloads, every observer off. New runs are appended, so
-/// the entries before them keep their bytes in the golden.
+/// All gated workloads — every observer off but for the last, which pins
+/// the observers' own output. New runs are appended, so the entries
+/// before them keep their bytes in the golden.
 fn all_runs() -> Vec<Run> {
     let mut runs = scenario1_runs(None, 0, false);
     runs.push(grid_run());
     runs.extend(scenario1_runs(None, 0, true));
     runs.push(mesh_run());
+    runs.push(exports_run());
     runs
 }
 
@@ -250,7 +351,7 @@ fn check() -> std::process::ExitCode {
 
     // Telemetry-on equivalence: arming the bus must leave the same
     // simulation behind (perf zeroed, stability stripped by `digest_of`).
-    let tel_runs = scenario1_runs(Some(ezflow_net::NetworkSpec::TELEMETRY_EVERY), 0, false);
+    let tel_runs = scenario1_runs(Some(NetworkSpec::TELEMETRY_EVERY), 0, false);
     for (t, w) in tel_runs.iter().zip(&runs) {
         if t.digest != w.digest {
             eprintln!(
@@ -268,7 +369,7 @@ fn check() -> std::process::ExitCode {
     // simulation behind (controller section stripped by `digest_of`; the
     // audit schedules nothing, so no counter compensation exists to get
     // wrong — any divergence is a probe writing where it should read).
-    let audit_runs = scenario1_runs(None, ezflow_net::NetworkSpec::AUDIT_CAP, false);
+    let audit_runs = scenario1_runs(None, NetworkSpec::AUDIT_CAP, false);
     for (a, w) in audit_runs.iter().zip(&runs) {
         if a.digest != w.digest {
             eprintln!(
