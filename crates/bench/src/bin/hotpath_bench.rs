@@ -38,8 +38,8 @@
 //! (`BENCHMARK.json`, workload `paper_chain` for these runs'
 //! `run_ns_per_frame`, `observed_lossy` for the observers-armed cost).
 //!
-//! These runs keep the flight recorder **off** (`flight_cap = 0`, the
-//! default), so the golden byte-compare doubles as the recorder's
+//! The snapshot runs keep the flight recorder **off** (`flight_cap = 0`,
+//! the default), so the golden byte-compare doubles as the recorder's
 //! zero-interference gate: any recorder code leaking into the disabled
 //! path — consuming RNG draws, perturbing scheduling — shows up as
 //! snapshot drift. (`crates/net/tests/flight.rs` proves the

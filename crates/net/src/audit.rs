@@ -8,7 +8,10 @@
 //! bounded ring like the flight recorder (oldest evicted first, totals
 //! never lost), fed into per-link [`EstimationTracker`]s for the
 //! snapshot's error summaries, and optionally streamed as JSONL while
-//! the run is in flight (`experiments --audit-dir=DIR`).
+//! the run is in flight (`experiments --audit-dir=DIR`): each record is
+//! written into one line buffer the ledger owns and reuses, then handed
+//! to the sink in a single `write_all` — a record costs its ≈ 80–170
+//! bytes and no allocation.
 //!
 //! ## Zero interference
 //!
@@ -38,7 +41,9 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 
-use ezflow_sim::{JsonValue, Time};
+#[cfg(test)]
+use ezflow_sim::JsonValue;
+use ezflow_sim::{JsonWriter, Time};
 use ezflow_stats::{EstimationTracker, StabilityConfig};
 
 use crate::controller::DecisionRecord;
@@ -75,8 +80,44 @@ pub struct AuditRecord {
 }
 
 impl AuditRecord {
-    /// Compact JSON form — one JSONL line of the `--audit-dir` export.
-    pub fn to_json(&self) -> JsonValue {
+    /// Streams the record's compact JSON object — one JSONL line of the
+    /// `--audit-dir` export, without the newline — into `w`.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field("at_us", self.at.as_micros());
+        w.field("node", self.node);
+        match self.event {
+            AuditEvent::Sample {
+                successor,
+                estimate,
+                truth,
+            } => {
+                w.field("kind", "sample");
+                w.field("successor", successor);
+                w.field("estimate", estimate);
+                w.field("truth", truth);
+            }
+            AuditEvent::Decision(d) => {
+                w.field("kind", d.kind.name());
+                if let Some(s) = d.successor {
+                    w.field("successor", s);
+                }
+                w.field("avg", d.avg);
+                w.field("countup", d.countup);
+                w.field("countdown", d.countdown);
+                w.field("up_threshold", d.up_threshold);
+                w.field("down_threshold", d.down_threshold);
+                w.field("cw_before", d.cw_before);
+                w.field("cw_after", d.cw_after);
+            }
+        }
+        w.end_object();
+    }
+
+    /// The same record as a document — the oracle the streamed bytes are
+    /// tested against.
+    #[cfg(test)]
+    fn to_json(self) -> JsonValue {
         let mut fields = vec![
             ("at_us", JsonValue::from(self.at.as_micros())),
             ("node", self.node.into()),
@@ -127,6 +168,8 @@ pub struct AuditLedger {
     /// Per-(node → successor) estimation-error trackers, in
     /// deterministic key order.
     links: BTreeMap<(usize, usize), EstimationTracker>,
+    /// The streamed record's line buffer, reused across records.
+    line: JsonWriter,
     sink: Option<Box<dyn Write + Send>>,
 }
 
@@ -141,6 +184,7 @@ impl AuditLedger {
             evicted: 0,
             cw_changes: if cap > 0 { vec![0; n] } else { Vec::new() },
             links: BTreeMap::new(),
+            line: JsonWriter::new(),
             sink: None,
         }
     }
@@ -186,15 +230,18 @@ impl AuditLedger {
     }
 
     /// Attaches a JSONL sink: one compact record per audit entry, written
-    /// while the run is in flight. Write errors are ignored (the audit
-    /// must never fail a run).
+    /// while the run is in flight — one `write_all` per record. Write
+    /// errors are ignored (the audit must never fail a run).
     pub fn set_sink(&mut self, sink: Box<dyn Write + Send>) {
         self.sink = Some(sink);
     }
 
     fn push(&mut self, rec: AuditRecord) {
         if let Some(sink) = self.sink.as_mut() {
-            let _ = writeln!(sink, "{}", rec.to_json().to_compact());
+            self.line.clear();
+            rec.write_json(&mut self.line);
+            self.line.end_line();
+            let _ = sink.write_all(self.line.as_str().as_bytes());
         }
         if self.records.len() == self.cap {
             self.records.pop_front();
@@ -301,6 +348,60 @@ impl AuditLedger {
 mod tests {
     use super::*;
     use crate::controller::{DecisionKind, DecisionRecord};
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The streamed line is, byte for byte, the compact form of the
+        /// record's document — samples and every decision kind, with and
+        /// without a successor, node ids and times on both sides of 2^53,
+        /// and an `avg` that is an integer, a short or a long fraction,
+        /// past the integer branch, or not a number at all.
+        #[test]
+        fn streamed_record_equals_its_tree_form(
+            at in prop_oneof![any::<u64>(), 0u64..1 << 53],
+            node in prop_oneof![any::<usize>(), 0usize..4096],
+            successor in prop::option::of(prop_oneof![any::<usize>(), 0usize..4096]),
+            avg in prop_oneof![
+                (0u32..100_000).prop_map(f64::from),
+                Just(0.05),
+                Just(1e-7),
+                Just(1e21),
+                Just(-0.0),
+                Just(f64::NAN),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                -1e6f64..1e6
+            ],
+            words in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>())
+        ) {
+            let (countup, countdown, up_threshold, down_threshold, cw_before, cw_after) = words;
+            let mut events = vec![AuditEvent::Sample {
+                successor: successor.unwrap_or(node),
+                estimate: cw_before,
+                truth: cw_after,
+            }];
+            for kind in [DecisionKind::Increase, DecisionKind::Decrease, DecisionKind::Assign] {
+                events.push(AuditEvent::Decision(DecisionRecord {
+                    kind,
+                    successor,
+                    avg,
+                    countup,
+                    countdown,
+                    up_threshold,
+                    down_threshold,
+                    cw_before,
+                    cw_after,
+                }));
+            }
+            let mut w = JsonWriter::new();
+            for event in events {
+                let rec = AuditRecord { at: Time::from_micros(at), node, event };
+                w.clear();
+                rec.write_json(&mut w);
+                prop_assert_eq!(w.as_str(), rec.to_json().to_compact());
+            }
+        }
+    }
 
     fn decision(cw_before: u32, cw_after: u32) -> DecisionRecord {
         DecisionRecord {

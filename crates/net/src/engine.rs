@@ -407,22 +407,6 @@ impl Network {
         }
     }
 
-    /// Appends one lifecycle record to packet `seq`'s journey. No-op when
-    /// the packet is not tracked — callers still guard with
-    /// `flight.enabled()` / `flight.is_tracked()` where building the
-    /// payload costs anything.
-    fn flight_record(&mut self, seq: u64, node: usize, kind: TraceKind, payload: TracePayload) {
-        self.flight.record(
-            seq,
-            TraceEvent {
-                at: self.now,
-                node,
-                kind,
-                payload,
-            },
-        );
-    }
-
     fn on_traffic(&mut self, i: usize) {
         let s = self.sources[i]; // Copy — no per-tick clone
         if s.active_at(self.now) {
@@ -470,13 +454,25 @@ impl Network {
             .routing
             .next_hop(src, dst)
             .expect("source must be routed");
-        // Saturated-source fast path: when the own queue is already full
-        // and neither recorder is on, the drop's only observable effects
-        // are the consumed seq, the queue and flow drop counters and the
-        // feed probe — all of which happen below in exactly the order the
-        // slow path keeps, so the frame never needs to be built at all.
-        if !self.flight.enabled() && !self.trace.enabled() && self.nodes[src].own_queue_drop(nh) {
+        // Born into a full source queue: the drop's only observable
+        // effects are the consumed seq, the queue and flow drop counters,
+        // the observers' records and the feed probe — all of which happen
+        // here in the order an enqueue attempt would produce them, so the
+        // frame is never built and the arena never touched.
+        if self.nodes[src].own_queue_drop(nh) {
             *self.metrics.source_drops.entry(flow).or_insert(0) += 1;
+            let drop = TracePayload::Drop {
+                cause: DropCause::SourceQueueFull,
+                seq,
+            };
+            if self.trace.enabled() {
+                self.trace.push(self.now, src, TraceKind::Drop, drop);
+            }
+            self.flight_admit(seq, flow, src);
+            if let Some(mut j) = self.flight.journey_mut(seq) {
+                j.push(self.now, src, TraceKind::Drop, drop);
+                j.complete();
+            }
             self.try_feed(src);
             return seq;
         }
@@ -484,6 +480,32 @@ impl Network {
         frame.ack_ref = ack_ref;
         frame.src = src;
         frame.dst = nh;
+        self.flight_admit(seq, flow, src);
+        let id = self.arena.alloc(frame);
+        let accepted = self.nodes[src].enqueue(true, id, &self.arena);
+        debug_assert!(accepted, "own_queue_drop found room in the source queue");
+        self.hot.occupancy[src] += 1;
+        if let Some(mut j) = self.flight.journey_mut(seq) {
+            let (occ, cap) = self.nodes[src].queue_depth(true, nh);
+            j.push(
+                self.now,
+                src,
+                TraceKind::Enqueue,
+                TracePayload::Enqueue {
+                    seq,
+                    flow,
+                    occupancy: occ as u32,
+                    cap: cap as u32,
+                },
+            );
+        }
+        self.try_feed(src);
+        seq
+    }
+
+    /// Offers a new packet to the flight recorder with its `Admit` record.
+    /// One branch while the recorder is off.
+    fn flight_admit(&mut self, seq: u64, flow: u32, src: usize) {
         if self.flight.enabled() {
             self.flight.admit(
                 seq,
@@ -495,40 +517,6 @@ impl Network {
                 },
             );
         }
-        let id = self.arena.alloc(frame);
-        if self.nodes[src].enqueue(true, id, &self.arena) {
-            self.hot.occupancy[src] += 1;
-            if self.flight.is_tracked(seq) {
-                let (occ, cap) = self.nodes[src].queue_depth(true, nh);
-                self.flight_record(
-                    seq,
-                    src,
-                    TraceKind::Enqueue,
-                    TracePayload::Enqueue {
-                        seq,
-                        flow,
-                        occupancy: occ as u32,
-                        cap: cap as u32,
-                    },
-                );
-            }
-        } else {
-            self.arena.release(id);
-            *self.metrics.source_drops.entry(flow).or_insert(0) += 1;
-            let payload = TracePayload::Drop {
-                cause: DropCause::SourceQueueFull,
-                seq,
-            };
-            if self.trace.enabled() {
-                self.trace.push(self.now, src, TraceKind::Drop, payload);
-            }
-            if self.flight.is_tracked(seq) {
-                self.flight_record(seq, src, TraceKind::Drop, payload);
-                self.flight.complete(seq);
-            }
-        }
-        self.try_feed(src);
-        seq
     }
 
     fn on_tx_end(&mut self, tx: TxId, node: usize) {
@@ -552,17 +540,19 @@ impl Network {
         for d in &report.deliveries {
             // Decode-outcome attribution at the addressed receiver: where
             // the PHY says what actually happened to this transmission.
-            if d.node == frame.dst && self.flight.is_tracked(frame.seq) {
-                self.flight_record(
-                    frame.seq,
-                    d.node,
-                    TraceKind::RxOutcome,
-                    TracePayload::RxOutcome {
-                        seq: frame.seq,
-                        class: frame_class(frame.kind),
-                        outcome: rx_outcome(d.outcome),
-                    },
-                );
+            if d.node == frame.dst {
+                if let Some(mut j) = self.flight.journey_mut(frame.seq) {
+                    j.push(
+                        self.now,
+                        d.node,
+                        TraceKind::RxOutcome,
+                        TracePayload::RxOutcome {
+                            seq: frame.seq,
+                            class: frame_class(frame.kind),
+                            outcome: rx_outcome(d.outcome),
+                        },
+                    );
+                }
             }
             if !d.clean {
                 if self.trace.enabled() && d.node == frame.dst {
@@ -599,14 +589,14 @@ impl Network {
                         // free. For tracked packets, the BOE's verdict is
                         // read back as a counter delta — the controller
                         // interface stays untouched.
-                        let before = self
-                            .flight
-                            .is_tracked(frame.seq)
+                        let mut journey = self.flight.journey_mut(frame.seq);
+                        let before = journey
+                            .is_some()
                             .then(|| self.nodes[d.node].controller.counters());
                         let cmd = self.nodes[d.node]
                             .controller
                             .on_event(self.now, ControllerEvent::Overheard { frame });
-                        if let Some(b) = before {
+                        if let (Some(j), Some(b)) = (journey.as_mut(), before) {
                             let a = self.nodes[d.node].controller.counters();
                             let verdict = if a.boe_hits > b.boe_hits {
                                 Some(BoeVerdict::Hit)
@@ -618,8 +608,8 @@ impl Network {
                                 None
                             };
                             if let Some(verdict) = verdict {
-                                self.flight_record(
-                                    frame.seq,
+                                j.push(
+                                    self.now,
                                     d.node,
                                     TraceKind::BoeOverhear,
                                     TracePayload::BoeOverhear {
@@ -744,6 +734,7 @@ impl Network {
     /// and the one push this makes is compensated in [`Network::snapshot`].
     fn on_telemetry(&mut self) {
         self.channel.accrue_airtime(self.now);
+        self.telemetry.begin_window(self.now);
         for id in 0..self.nodes.len() {
             let occ = self.hot.occupancy[id] as f64;
             let air = self.channel.airtime_breakdown(id);
@@ -753,7 +744,7 @@ impl Network {
         for (i, series) in self.metrics.throughput.values().enumerate() {
             self.telemetry.flow_sample(i, series.total_bits());
         }
-        self.telemetry.finish_window(self.now);
+        self.telemetry.finish_window();
         let next = self.now + self.telemetry.every();
         self.telemetry.note_push();
         self.sched.schedule(next, Ev::Telemetry);
@@ -815,10 +806,10 @@ impl Network {
                 // One DCF attempt with its contention state. Recorded for
                 // the data frame only (an RTS preceding it shares the same
                 // attempt; SIFS responses carry no contention info).
-                if let Some(i) = info {
-                    if f.is_data() && self.flight.is_tracked(f.seq) {
-                        self.flight_record(
-                            f.seq,
+                if let Some(i) = info.filter(|_| f.is_data()) {
+                    if let Some(mut j) = self.flight.journey_mut(f.seq) {
+                        j.push(
+                            self.now,
                             id,
                             TraceKind::Attempt,
                             TracePayload::Attempt {
@@ -895,9 +886,9 @@ impl Network {
                 if self.trace.enabled() {
                     self.trace.push(self.now, id, TraceKind::Drop, payload);
                 }
-                if self.flight.is_tracked(f.seq) {
-                    self.flight_record(f.seq, id, TraceKind::Drop, payload);
-                    self.flight.complete(f.seq);
+                if let Some(mut j) = self.flight.journey_mut(f.seq) {
+                    j.push(self.now, id, TraceKind::Drop, payload);
+                    j.complete();
                 }
             }
             MacOutput::Deliver { frame } => self.on_deliver(id, frame),
@@ -913,9 +904,9 @@ impl Network {
             self.arena.release(frame);
             // Terminal record for the packet's journey — transport ACKs
             // are packets too and end theirs here.
-            if self.flight.is_tracked(f.seq) {
-                self.flight_record(
-                    f.seq,
+            if let Some(mut j) = self.flight.journey_mut(f.seq) {
+                j.push(
+                    self.now,
                     id,
                     TraceKind::Deliver,
                     TracePayload::Deliver {
@@ -923,7 +914,7 @@ impl Network {
                         flow: f.flow,
                     },
                 );
-                self.flight.complete(f.seq);
+                j.complete();
             }
             if f.flow >= TRANSPORT_ACK_FLOW {
                 // A transport ACK made it back to the source.
@@ -948,9 +939,9 @@ impl Network {
             if self.trace.enabled() {
                 self.trace.push(self.now, id, TraceKind::Drop, payload);
             }
-            if self.flight.is_tracked(f.seq) {
-                self.flight_record(f.seq, id, TraceKind::Drop, payload);
-                self.flight.complete(f.seq);
+            if let Some(mut j) = self.flight.journey_mut(f.seq) {
+                j.push(self.now, id, TraceKind::Drop, payload);
+                j.complete();
             }
             return;
         };
@@ -975,16 +966,16 @@ impl Network {
             if self.trace.enabled() {
                 self.trace.push(self.now, id, TraceKind::Drop, payload);
             }
-            if self.flight.is_tracked(seq) {
-                self.flight_record(seq, id, TraceKind::Drop, payload);
-                self.flight.complete(seq);
+            if let Some(mut j) = self.flight.journey_mut(seq) {
+                j.push(self.now, id, TraceKind::Drop, payload);
+                j.complete();
             }
         } else {
             self.hot.occupancy[id] += 1;
-            if self.flight.is_tracked(seq) {
+            if let Some(mut j) = self.flight.journey_mut(seq) {
                 let (occ, cap) = self.nodes[id].queue_depth(false, nh);
-                self.flight_record(
-                    seq,
+                j.push(
+                    self.now,
                     id,
                     TraceKind::Enqueue,
                     TracePayload::Enqueue {
@@ -1015,9 +1006,9 @@ impl Network {
             }
             *g
         };
-        if self.flight.is_tracked(f.seq) {
-            self.flight_record(
-                f.seq,
+        if let Some(mut j) = self.flight.journey_mut(f.seq) {
+            j.push(
+                self.now,
                 id,
                 TraceKind::Dequeue,
                 TracePayload::Dequeue {

@@ -60,7 +60,9 @@ pub use controller::{
     Controller, ControllerCounters, ControllerEvent, ControllerFactory, DecisionKind,
     DecisionRecord, FixedController,
 };
-pub use flight::{group_journeys, summarize_journey, FlightRecorder, FlightStats, JourneySummary};
+pub use flight::{
+    group_journeys, summarize_journey, FlightRecorder, FlightStats, JourneyMut, JourneySummary,
+};
 pub use metrics::Metrics;
 pub use network::{Network, NetworkSpec};
 pub use node::Node;

@@ -61,7 +61,7 @@ const SOURCE_STREAM: u64 = 0x7472_6166; // "traf"
 /// this ceiling in ~1.2 s and ~0.4 GB. Beyond it per-node state (queues,
 /// MACs, metrics, the report) is what fills the box, and a `rows × cols`
 /// typo should read as a spec error rather than as a hang.
-const MAX_NODES: usize = 1 << 18;
+pub const MAX_NODES: usize = 1 << 18;
 
 /// Largest value any `*_secs` field may hold: 10⁷ s ≈ 116 simulated
 /// days, over 2,000× the paper's longest run (4,500 s). A run is paced

@@ -8,6 +8,13 @@
 //! integers up to 2^53, far beyond any counter this simulator produces
 //! in practice), and object key order is preserved as written rather
 //! than hashed, so output is deterministic and diffs are stable.
+//!
+//! Records that are written far more often than they are read — trace
+//! events, telemetry windows, audit entries, one JSONL line each — skip
+//! the document model on the way out: a [`JsonWriter`] appends the same
+//! bytes [`JsonValue::to_compact`] would produce straight into a reused
+//! buffer, through the same number and string formatters, so a line
+//! costs its bytes and no allocation.
 
 use std::fmt;
 
@@ -205,31 +212,218 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
+/// The largest magnitude below which every integer is an exact `f64`.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0; // 2^53
+
 fn write_num(out: &mut String, n: f64) {
     if !n.is_finite() {
         // JSON has no Inf/NaN; null is the conventional stand-in.
         out.push_str("null");
-    } else if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) {
-        fmt::write(out, format_args!("{}", n as i64)).unwrap();
+    } else if n.fract() == 0.0 && n.abs() <= MAX_EXACT_INT {
+        write_int(out, n as i64);
     } else {
         fmt::write(out, format_args!("{n}")).unwrap();
     }
 }
 
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => fmt::write(out, format_args!("\\u{:04x}", c as u32)).unwrap(),
-            c => out.push(c),
+/// Decimal digits of `n`, as `{}` prints them, without the `fmt`
+/// machinery — nearly every number the observers write is a counter.
+fn write_int(out: &mut String, n: i64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
+    if n < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
+/// Whether `b` cannot appear as itself inside a JSON string. Every such
+/// byte is ASCII, so cutting a `str` around one stays on character
+/// boundaries.
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
+
+fn write_str(out: &mut String, s: &str) {
     out.push('"');
+    // Runs that need no escaping are copied whole — for the names and
+    // labels this crate writes, that is the entire string.
+    let mut rest = s;
+    while let Some(i) = rest.bytes().position(needs_escape) {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => fmt::write(out, format_args!("\\u{b:04x}")).unwrap(),
+        }
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
+    out.push('"');
+}
+
+/// A scalar a [`JsonWriter`] can emit. Integers print as their `From`
+/// conversions into [`JsonValue`] would — widened to `f64`, so above 2^53
+/// both routes round the same way.
+pub trait JsonScalar {
+    /// Appends the value's compact JSON form to `out`.
+    fn write_json(self, out: &mut String);
+}
+
+impl JsonScalar for f64 {
+    fn write_json(self, out: &mut String) {
+        write_num(out, self);
+    }
+}
+
+impl JsonScalar for u64 {
+    fn write_json(self, out: &mut String) {
+        // Up to 2^53 the widening is exact and `write_num` would print
+        // these same digits; past it, let it round as a document would.
+        if self <= MAX_EXACT_INT as u64 {
+            write_int(out, self as i64);
+        } else {
+            write_num(out, self as f64);
+        }
+    }
+}
+
+impl JsonScalar for u32 {
+    fn write_json(self, out: &mut String) {
+        u64::from(self).write_json(out);
+    }
+}
+
+impl JsonScalar for usize {
+    fn write_json(self, out: &mut String) {
+        (self as u64).write_json(out);
+    }
+}
+
+impl JsonScalar for &str {
+    fn write_json(self, out: &mut String) {
+        write_str(out, self);
+    }
+}
+
+/// Streams compact JSON into a buffer it owns, token by token: the bytes
+/// of `JsonValue::obj(..).to_compact()` without building the value.
+///
+/// The writer only tracks where commas go; the caller is trusted to
+/// balance `begin_*` / `end_*` and to alternate keys and values inside
+/// objects (each record type's unit tests compare its streamed bytes with
+/// its tree form). The buffer is meant to be reused: [`JsonWriter::clear`]
+/// keeps the capacity, so after the first few records a line allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    /// Whether the next key or element must be preceded by a comma.
+    comma: bool,
+}
+
+impl JsonWriter {
+    /// An empty writer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty writer whose buffer holds `bytes` without reallocating.
+    pub fn with_capacity(bytes: usize) -> Self {
+        JsonWriter {
+            out: String::with_capacity(bytes),
+            comma: false,
+        }
+    }
+
+    fn open(&mut self, bracket: char) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.out.push(bracket);
+        self.comma = false;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.comma = true;
+    }
+
+    /// Opens an object, as an array element or after [`JsonWriter::key`].
+    pub fn begin_object(&mut self) {
+        self.open('{');
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) {
+        self.close('}');
+    }
+
+    /// Opens an array, as an array element or after [`JsonWriter::key`].
+    pub fn begin_array(&mut self) {
+        self.open('[');
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) {
+        self.close(']');
+    }
+
+    /// Writes an object key; the next call supplies its value. Keys are
+    /// this crate's own field names and are copied as they are: one that
+    /// needed escaping would be a bug here, not data (debug builds check).
+    pub fn key(&mut self, key: &str) {
+        debug_assert!(!key.bytes().any(needs_escape), "key {key:?} needs escaping");
+        if self.comma {
+            self.out.push(',');
+        }
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        self.comma = false;
+    }
+
+    /// Writes one `key: scalar` pair of the innermost object.
+    pub fn field(&mut self, key: &str, value: impl JsonScalar) {
+        self.key(key);
+        value.write_json(&mut self.out);
+        self.comma = true;
+    }
+
+    /// Ends a JSONL line: a newline, and the next value starts afresh.
+    pub fn end_line(&mut self) {
+        self.out.push('\n');
+        self.comma = false;
+    }
+
+    /// Everything written since the last [`JsonWriter::clear`].
+    pub fn as_str(&self) -> &str {
+        &self.out
+    }
+
+    /// Empties the buffer, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.out.clear();
+        self.comma = false;
+    }
+
+    /// The buffer itself.
+    pub fn into_string(self) -> String {
+        self.out
+    }
 }
 
 /// A parse failure, with the byte offset where it occurred.
@@ -515,6 +709,91 @@ mod tests {
         let flat = "[1, @]";
         let err = JsonValue::parse(flat).unwrap_err();
         assert_eq!(err.line_col(flat), (1, 5));
+    }
+
+    #[test]
+    fn writer_streams_the_bytes_of_the_compact_tree() {
+        let doc = JsonValue::obj(vec![
+            ("name", JsonValue::str("chain \"3\"\n\u{1}\\ é")),
+            ("count", JsonValue::from(42u64)),
+            ("huge", JsonValue::from(u64::MAX)),
+            ("ratio", JsonValue::from(0.25)),
+            ("nan", JsonValue::from(f64::NAN)),
+            (
+                "items",
+                JsonValue::Array(vec![
+                    JsonValue::obj(vec![("id", JsonValue::from(0usize))]),
+                    JsonValue::obj(vec![("id", JsonValue::from(1usize))]),
+                    JsonValue::Array(vec![]),
+                ]),
+            ),
+            ("empty", JsonValue::Object(vec![])),
+            ("last", JsonValue::from(7u32)),
+        ]);
+        let mut w = JsonWriter::new();
+        for _ in 0..2 {
+            w.begin_object();
+            w.field("name", "chain \"3\"\n\u{1}\\ é");
+            w.field("count", 42u64);
+            w.field("huge", u64::MAX);
+            w.field("ratio", 0.25);
+            w.field("nan", f64::NAN);
+            w.key("items");
+            w.begin_array();
+            for id in 0..2usize {
+                w.begin_object();
+                w.field("id", id);
+                w.end_object();
+            }
+            w.begin_array();
+            w.end_array();
+            w.end_array();
+            w.key("empty");
+            w.begin_object();
+            w.end_object();
+            w.field("last", 7u32);
+            w.end_object();
+            w.end_line();
+        }
+        let line = doc.to_compact() + "\n";
+        assert_eq!(w.as_str(), format!("{line}{line}"));
+        w.clear();
+        assert_eq!(w.as_str(), "");
+    }
+
+    #[test]
+    fn integer_digits_match_display() {
+        for n in [
+            0i64,
+            -1,
+            9,
+            10,
+            -10,
+            1_234_567_890,
+            1 << 53,
+            -(1 << 53),
+            i64::MAX,
+            i64::MIN,
+        ] {
+            let mut out = String::new();
+            write_int(&mut out, n);
+            assert_eq!(out, n.to_string());
+        }
+        // Both sides of the exact-integer boundary, as a document prints
+        // them: 2^53 + 1 rounds to 2^53, the next values leave the
+        // integer branch.
+        for n in [
+            (1u64 << 53) - 1,
+            1 << 53,
+            (1 << 53) + 1,
+            (1 << 53) + 2,
+            u64::MAX,
+        ] {
+            let mut out = String::new();
+            n.write_json(&mut out);
+            assert_eq!(out, JsonValue::from(n).to_compact(), "{n}");
+        }
+        assert_eq!(JsonValue::Num(-0.0).to_compact(), "0");
     }
 
     #[test]

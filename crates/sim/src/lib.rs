@@ -31,7 +31,7 @@ pub mod sched;
 pub mod time;
 pub mod trace;
 
-pub use json::{JsonError, JsonValue};
+pub use json::{JsonError, JsonScalar, JsonValue, JsonWriter};
 pub use rng::SimRng;
 pub use sched::{Cancelable, EventId, SchedKind, Scheduler, TimerHandle, WheelStats};
 pub use time::{Duration, Time};

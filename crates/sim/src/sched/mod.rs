@@ -88,28 +88,6 @@ pub enum SchedKind {
     Wheel,
 }
 
-impl SchedKind {
-    /// Stable lower-case name (`"heap"` / `"wheel"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedKind::Heap => "heap",
-            SchedKind::Wheel => "wheel",
-        }
-    }
-}
-
-impl core::str::FromStr for SchedKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "heap" => Ok(SchedKind::Heap),
-            "wheel" => Ok(SchedKind::Wheel),
-            other => Err(format!("unknown scheduler kind '{other}' (heap|wheel)")),
-        }
-    }
-}
-
 /// Pop-time cancellation hook: the generalisation of the MAC's
 /// epoch-token pattern to the scheduler itself.
 ///
@@ -252,14 +230,6 @@ impl<E> Scheduler<E> {
             stale_drops: 0,
             rescheduled: 0,
             removed: 0,
-        }
-    }
-
-    /// Which backend this scheduler runs on.
-    pub fn kind(&self) -> SchedKind {
-        match self.backend {
-            Backend::Heap(_) => SchedKind::Heap,
-            Backend::Wheel(_) => SchedKind::Wheel,
         }
     }
 
@@ -464,21 +434,6 @@ mod tests {
     fn for_both(test: impl Fn(Scheduler<u64>)) {
         test(Scheduler::with_kind(SchedKind::Heap));
         test(Scheduler::with_kind(SchedKind::Wheel));
-    }
-
-    #[test]
-    fn default_kind_is_wheel() {
-        let s: Scheduler<()> = Scheduler::new();
-        assert_eq!(s.kind(), SchedKind::Wheel);
-        assert_eq!(s.wheel_stats(), WheelStats::default());
-    }
-
-    #[test]
-    fn kind_parses_and_names_round_trip() {
-        for kind in [SchedKind::Heap, SchedKind::Wheel] {
-            assert_eq!(kind.name().parse::<SchedKind>().unwrap(), kind);
-        }
-        assert!("calendar".parse::<SchedKind>().is_err());
     }
 
     #[test]

@@ -10,9 +10,12 @@
 //!
 //! For offline analysis the ring exports JSONL (one JSON object per line)
 //! via [`TraceRing::to_jsonl`], and [`TraceRing::parse_jsonl`] reads the
-//! same format back.
+//! same format back. Records go out through [`TraceEvent::write_json`],
+//! which streams a line's bytes into a [`JsonWriter`] without building a
+//! document; the tree form the parser reads back exists on the write side
+//! only as the tests' oracle for those bytes.
 
-use crate::json::JsonValue;
+use crate::json::{JsonValue, JsonWriter};
 use crate::time::Time;
 use core::fmt;
 use std::collections::VecDeque;
@@ -378,6 +381,102 @@ impl fmt::Display for TracePayload {
 }
 
 impl TracePayload {
+    /// Streams the payload object — the bytes of the tree form below.
+    fn write_json(self, w: &mut JsonWriter) {
+        w.begin_object();
+        match self {
+            TracePayload::Frame {
+                class,
+                seq,
+                flow,
+                src,
+                dst,
+                retry,
+            } => {
+                w.field("type", "frame");
+                w.field("class", class.name());
+                w.field("seq", seq);
+                w.field("flow", flow);
+                w.field("src", src);
+                w.field("dst", dst);
+                w.field("retry", retry);
+            }
+            TracePayload::Collision { seq, src } => {
+                w.field("type", "collision");
+                w.field("seq", seq);
+                w.field("src", src);
+            }
+            TracePayload::Drop { cause, seq } => {
+                w.field("type", "drop");
+                w.field("cause", cause.name());
+                w.field("seq", seq);
+            }
+            TracePayload::CwChange { from, to } => {
+                w.field("type", "cw_change");
+                w.field("from", from);
+                w.field("to", to);
+            }
+            TracePayload::Admit { seq, flow } => {
+                w.field("type", "admit");
+                w.field("seq", seq);
+                w.field("flow", flow);
+            }
+            TracePayload::Enqueue {
+                seq,
+                flow,
+                occupancy,
+                cap,
+            } => {
+                w.field("type", "enqueue");
+                w.field("seq", seq);
+                w.field("flow", flow);
+                w.field("occupancy", occupancy);
+                w.field("cap", cap);
+            }
+            TracePayload::Dequeue { seq, flow } => {
+                w.field("type", "dequeue");
+                w.field("seq", seq);
+                w.field("flow", flow);
+            }
+            TracePayload::Attempt {
+                seq,
+                attempt,
+                cw,
+                slots,
+            } => {
+                w.field("type", "attempt");
+                w.field("seq", seq);
+                w.field("attempt", attempt);
+                w.field("cw", cw);
+                w.field("slots", slots);
+            }
+            TracePayload::RxOutcome {
+                seq,
+                class,
+                outcome,
+            } => {
+                w.field("type", "rx_outcome");
+                w.field("seq", seq);
+                w.field("class", class.name());
+                w.field("outcome", outcome.name());
+            }
+            TracePayload::BoeOverhear { seq, verdict } => {
+                w.field("type", "boe_overhear");
+                w.field("seq", seq);
+                w.field("verdict", verdict.name());
+            }
+            TracePayload::Deliver { seq, flow } => {
+                w.field("type", "deliver");
+                w.field("seq", seq);
+                w.field("flow", flow);
+            }
+        }
+        w.end_object();
+    }
+
+    /// The tree form [`TracePayload::from_json`] reads — kept as the
+    /// oracle the streamed bytes are tested against.
+    #[cfg(test)]
     fn to_json(self) -> JsonValue {
         match self {
             TracePayload::Frame {
@@ -617,7 +716,28 @@ impl fmt::Display for TraceEvent {
 }
 
 impl TraceEvent {
-    /// The JSONL representation of one record.
+    /// What a JSONL export reserves per record, so its buffer is sized
+    /// once: lifecycle lines average about 105 bytes and the longest
+    /// (`Frame`) is about 130.
+    pub const LINE_BYTES: usize = 128;
+
+    /// Streams the record's JSONL object (no trailing newline) into `w`:
+    /// `at_us`, `node` unless the record is global, `kind`, `payload`.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field("at_us", self.at.as_micros());
+        if self.node != usize::MAX {
+            w.field("node", self.node);
+        }
+        w.field("kind", self.kind.name());
+        w.key("payload");
+        self.payload.write_json(w);
+        w.end_object();
+    }
+
+    /// The tree form [`TraceEvent::from_json`] reads — kept as the oracle
+    /// the streamed bytes are tested against.
+    #[cfg(test)]
     pub fn to_json(&self) -> JsonValue {
         let mut fields = vec![("at_us", JsonValue::from(self.at.as_micros()))];
         if self.node != usize::MAX {
@@ -738,12 +858,12 @@ impl TraceRing {
     /// Exports the held records as JSONL: one compact JSON object per
     /// line, oldest first.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut w = JsonWriter::with_capacity(self.ring.len() * TraceEvent::LINE_BYTES);
         for ev in &self.ring {
-            out.push_str(&ev.to_json().to_compact());
-            out.push('\n');
+            ev.write_json(&mut w);
+            w.end_line();
         }
-        out
+        w.into_string()
     }
 
     /// Parses records from JSONL produced by [`TraceRing::to_jsonl`].
@@ -764,9 +884,135 @@ impl TraceRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(us: u64) -> Time {
         Time::from_micros(us)
+    }
+
+    /// One payload of every variant from four raw draws, fields at full
+    /// width — `seq`, `src` and `dst` are mostly above 2^53, where a JSON
+    /// number rounds.
+    fn payloads(a: u64, b: u64, c: u64, d: u64) -> [TracePayload; 11] {
+        let classes = [
+            FrameClass::Data,
+            FrameClass::Ack,
+            FrameClass::Rts,
+            FrameClass::Cts,
+        ];
+        let causes = [
+            DropCause::RetryLimit,
+            DropCause::QueueFull,
+            DropCause::SourceQueueFull,
+            DropCause::Unroutable,
+            DropCause::StaleEpoch,
+        ];
+        let outcomes = [
+            RxOutcome::Clean,
+            RxOutcome::Capture,
+            RxOutcome::Collision,
+            RxOutcome::Loss,
+        ];
+        let verdicts = [BoeVerdict::Hit, BoeVerdict::Miss, BoeVerdict::Ambiguous];
+        let (seq, flow, class) = (a, b as u32, classes[(c % 4) as usize]);
+        [
+            TracePayload::Frame {
+                class,
+                seq,
+                flow,
+                src: c as usize,
+                dst: d as usize,
+                retry: (d >> 32) as u32,
+            },
+            TracePayload::Collision {
+                seq,
+                src: c as usize,
+            },
+            TracePayload::Drop {
+                cause: causes[(c % 5) as usize],
+                seq,
+            },
+            TracePayload::CwChange {
+                from: c as u32,
+                to: d as u32,
+            },
+            TracePayload::Admit { seq, flow },
+            TracePayload::Enqueue {
+                seq,
+                flow,
+                occupancy: c as u32,
+                cap: d as u32,
+            },
+            TracePayload::Dequeue { seq, flow },
+            TracePayload::Attempt {
+                seq,
+                attempt: (b >> 32) as u32,
+                cw: c as u32,
+                slots: d as u32,
+            },
+            TracePayload::RxOutcome {
+                seq,
+                class,
+                outcome: outcomes[(d % 4) as usize],
+            },
+            TracePayload::BoeOverhear {
+                seq,
+                verdict: verdicts[(d % 3) as usize],
+            },
+            TracePayload::Deliver { seq, flow },
+        ]
+    }
+
+    /// Whether every number in `ev` survives a trip through an `f64`.
+    fn representable(ev: &TraceEvent) -> bool {
+        const MAX: u64 = 1 << 53;
+        let fits = |n: usize| n as u64 <= MAX;
+        ev.at.as_micros() <= MAX
+            && (ev.node == usize::MAX || fits(ev.node))
+            && ev.payload.packet().is_none_or(|seq| seq <= MAX)
+            && match ev.payload {
+                TracePayload::Frame { src, dst, .. } => fits(src) && fits(dst),
+                TracePayload::Collision { src, .. } => fits(src),
+                _ => true,
+            }
+    }
+
+    proptest! {
+        /// The streamed line is, byte for byte, the compact form of the
+        /// tree the reader expects — for every payload variant, global
+        /// and node-specific records, and numbers on both sides of 2^53
+        /// — and where every number is representable the line parses
+        /// back to the record.
+        #[test]
+        fn streamed_record_equals_its_tree_form(
+            at in prop_oneof![any::<u64>(), 0u64..1 << 53],
+            node in prop_oneof![Just(usize::MAX), any::<usize>(), 0usize..4096],
+            small in any::<bool>(),
+            draws in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            kind in 0usize..12
+        ) {
+            let kinds = [
+                TraceKind::TxStart, TraceKind::TxEnd, TraceKind::Collision, TraceKind::Drop,
+                TraceKind::CwChange, TraceKind::Admit, TraceKind::Enqueue, TraceKind::Dequeue,
+                TraceKind::Attempt, TraceKind::RxOutcome, TraceKind::BoeOverhear,
+                TraceKind::Deliver,
+            ];
+            let (a, b, c, d) = draws;
+            // Half the cases keep every field an exact f64, so the
+            // parse-back half of the property is exercised too.
+            let cut = |n: u64| if small { n % (1 << 53) } else { n };
+            let mut w = JsonWriter::new();
+            for payload in payloads(cut(a), b, cut(c), cut(d)) {
+                let ev = TraceEvent { at: t(at), node, kind: kinds[kind], payload };
+                w.clear();
+                ev.write_json(&mut w);
+                prop_assert_eq!(w.as_str(), ev.to_json().to_compact());
+                if representable(&ev) {
+                    let doc = JsonValue::parse(w.as_str()).unwrap();
+                    prop_assert_eq!(TraceEvent::from_json(&doc), Ok(ev));
+                }
+            }
+        }
     }
 
     fn frame(seq: u64) -> TracePayload {

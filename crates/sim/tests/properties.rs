@@ -1,8 +1,8 @@
 //! Property-based tests for the simulation kernel.
 
 use ezflow_sim::{
-    BoeVerdict, DropCause, FrameClass, RxOutcome, Scheduler, SimRng, Time, TraceEvent, TraceKind,
-    TracePayload, TraceRing,
+    BoeVerdict, DropCause, FrameClass, JsonValue, JsonWriter, RxOutcome, Scheduler, SimRng, Time,
+    TraceEvent, TraceKind, TracePayload, TraceRing,
 };
 use proptest::prelude::*;
 
@@ -198,8 +198,8 @@ proptest! {
 
     /// pick_weighted only ever picks indices with positive weight.
     /// Every `TracePayload` variant — including the flight-recorder
-    /// lifecycle ones — survives a JSON round-trip (`to_json`/`from_json`
-    /// at the event level), for arbitrary field values.
+    /// lifecycle ones — survives a JSON round-trip (`write_json`, parse,
+    /// `from_json` at the event level), for arbitrary field values.
     #[test]
     fn trace_event_json_round_trips_all_variants(
         at in 0u64..MAX_EXACT,
@@ -218,7 +218,9 @@ proptest! {
                 kind: kind_of(k),
                 payload: payload_of(i as u64, a, b, c, d),
             };
-            let back = TraceEvent::from_json(&ev.to_json());
+            let mut line = JsonWriter::new();
+            ev.write_json(&mut line);
+            let back = TraceEvent::from_json(&JsonValue::parse(line.as_str()).unwrap());
             prop_assert_eq!(back.as_ref(), Ok(&ev), "payload {}", i % 11);
         }
     }

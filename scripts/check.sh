@@ -111,6 +111,29 @@ cargo run --release -q -p ezflow-bench --bin trace -- drops --by-link "$JSONL" >
 RECORDS="$(wc -l < "$AUD_JSONL")"
 echo "controller audit streamed $RECORDS records"
 
+echo "== repeated-export identity (--trace-dir twice, cmp) =="
+# The lifecycle export is ordered by (time, packet, position) — a total
+# order — so the recorder's hash index and slot reuse must never reach a
+# byte: two identical invocations write identical files.
+observed_run --quick --time=0.02 --trace-dir="$TRACE_TMP/again" scenario1
+for f in scenario1_80211.jsonl scenario1_EZ-flow.jsonl; do
+  cmp "$TRACE_TMP/$f" "$TRACE_TMP/again/$f" \
+    || { echo "export identity: $f differs between two identical runs"; exit 1; }
+done
+echo "two identical invocations exported identical lifecycles"
+
+echo "== EXPERIMENTS.md is the recorded output (experiments --markdown all, cmp) =="
+# Everything below the "Recorded full-scale output" heading must be what
+# the command prints today (~20 s): its 45 verdicts then guard the
+# paper's numbers on every push. To re-record after a deliberate change,
+# redirect the left-hand side of the cmp into EXPERIMENTS.md.
+cargo run --release -q -p ezflow-bench --bin experiments -- --markdown all \
+  >"$TRACE_TMP/recorded.md" 2>/dev/null
+{ sed -n '1,/^# Recorded full-scale output$/p' EXPERIMENTS.md; echo; cat "$TRACE_TMP/recorded.md"; } \
+  | cmp - EXPERIMENTS.md \
+  || { echo "EXPERIMENTS.md is behind \`experiments --markdown all\`"; exit 1; }
+echo "EXPERIMENTS.md matches the full-scale run"
+
 echo "== scenario spec smoke (--list, --spec=scenarios/{scenario1,grid4x4}.json) =="
 # Every committed spec must be listable: --list tolerates an unparsable
 # file by printing UNREADABLE in its place, so that word is the failure.

@@ -12,10 +12,15 @@
 //! per-flow / per-node summary (plus, with `--trace N`, the last N on-air
 //! events). `model` runs the §6 slotted random walk. `topologies` lists
 //! what `--topo` accepts.
+//!
+//! `run` holds its flags to the limits a scenario spec is held to
+//! (`scenario::{MAX_NODES, MAX_DURATION_SECS}`) and validates the network
+//! before building it: a value out of range exits 2 naming the flag.
 
 use std::process::ExitCode;
 
 use ezflow::analysis::{ModelConfig, SlottedModel};
+use ezflow::net::scenario::{MAX_DURATION_SECS, MAX_NODES};
 use ezflow::prelude::*;
 
 fn main() -> ExitCode {
@@ -64,11 +69,26 @@ fn parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
     }
 }
 
+/// Reports a bad `run` argument and yields the usage exit code.
+fn rejected(complaint: String) -> ExitCode {
+    eprintln!("{complaint}");
+    ExitCode::from(2)
+}
+
 fn cmd_run(args: &[String]) -> ExitCode {
     let topo_name = flag_value(args, "--topo").unwrap_or("chain");
     let hops: usize = parse(args, "--hops", 4);
+    // A K-hop chain has K + 1 nodes; checked before one is allocated.
+    if !(1..MAX_NODES).contains(&hops) {
+        return rejected(format!(
+            "--hops {hops}: must be in 1..{MAX_NODES} (the {MAX_NODES}-node limit)"
+        ));
+    }
     let seed: u64 = parse(args, "--seed", 42);
     let loss: f64 = parse(args, "--loss", 0.0);
+    if !(0.0..=1.0).contains(&loss) {
+        return rejected(format!("--loss {loss}: must be a probability in [0, 1]"));
+    }
     let trace: usize = parse(args, "--trace", 0);
     let controller = flag_value(args, "--controller").unwrap_or("ezflow");
     let window: usize = parse(args, "--window", 0);
@@ -80,6 +100,12 @@ fn cmd_run(args: &[String]) -> ExitCode {
         _ => 300,
     };
     let secs: u64 = parse(args, "--secs", default_secs);
+    // A run is paced by simulated time: past the bound it is a hang.
+    if !(1..=MAX_DURATION_SECS as u64).contains(&secs) {
+        return rejected(format!(
+            "--secs {secs}: must be in 1..={MAX_DURATION_SECS:e}"
+        ));
+    }
     let until = Time::from_secs(secs);
 
     let mut topo = match topo_name {
@@ -134,6 +160,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
     }
     spec.mac.rts_cts = flag_present(args, "--rts-cts");
     spec.trace_cap = trace;
+    if let Err(e) = spec.validate() {
+        return rejected(format!("cannot build this network: {e}"));
+    }
     let mut net = Network::new(spec, &*make);
 
     let wall = std::time::Instant::now();
