@@ -103,11 +103,6 @@ impl MacConfig {
         self.sifs * 3 + self.cts_air() + self.data_air(payload) + self.ack_air()
     }
 
-    /// NAV a CTS announces: DATA + ACK + 2 SIFS.
-    pub fn cts_nav(&self, payload: u32) -> Duration {
-        self.sifs * 2 + self.data_air(payload) + self.ack_air()
-    }
-
     /// How long the sender waits for an ACK after its data frame left the
     /// air before declaring the attempt failed: SIFS + ACK air time + one
     /// slot of scheduling slack.

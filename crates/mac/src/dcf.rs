@@ -223,9 +223,9 @@ pub struct MacStats {
     /// Countdowns that started with EIFS instead of DIFS (penalty after
     /// an undecodable frame).
     pub eifs_starts: u64,
-    /// Timer firings ignored because their epoch token was stale — the
-    /// cancellation-free scheduler's "cancelled" events, a direct read on
-    /// how many heap entries were scheduled and then abandoned.
+    /// Timer firings ignored because their epoch token was stale: timers
+    /// the caller fed back after the MAC had moved on. Zero under a caller
+    /// that removes an invalidated timer before it fires.
     pub stale_epochs: u64,
 }
 
@@ -357,8 +357,10 @@ impl Mac {
     }
 
     /// Current tx-path epoch token. A pending [`MacInput::TimerTxPath`]
-    /// carrying an older epoch is dead: the scheduler's pop-time elision
-    /// hook compares against this to drop it without dispatching.
+    /// carrying an older epoch is dead: a caller that tracks its pending
+    /// timer compares against this to remove the entry early, and one that
+    /// feeds it back anyway has it ignored and counted in
+    /// [`MacStats::stale_epochs`].
     pub fn tx_epoch(&self) -> u64 {
         self.tx_epoch
     }

@@ -23,9 +23,10 @@ use crate::metrics::Metrics;
 use crate::network::Network;
 use crate::node::Node;
 use crate::routing::StaticRouting;
+use crate::scenario::{MAX_QUEUE_CAP, MAX_WINDOW};
 use crate::telemetry::Telemetry;
 use crate::topo::{FlowSpec, Topology};
-use crate::traffic::{CbrSource, Transport};
+use crate::traffic::{sub_microsecond_interval, CbrSource, Transport};
 use crate::transport::{build_transport, FlowTransport};
 
 /// Why a [`NetworkSpec`] (or the [`Topology`] it came from) cannot be
@@ -50,6 +51,11 @@ pub enum SpecError {
     },
     /// The interface queue capacity is zero (nothing could ever send).
     ZeroQueueCap,
+    /// The interface queue capacity is over [`MAX_QUEUE_CAP`].
+    QueueCapTooLarge {
+        /// The offending capacity.
+        cap: usize,
+    },
     /// A flow path has fewer than two nodes.
     ShortPath {
         /// The offending flow.
@@ -95,6 +101,14 @@ pub enum SpecError {
         /// The offending flow.
         flow: u32,
     },
+    /// A flow's packets would be under a microsecond apart (the tick
+    /// interval would round to zero and the source never let time move).
+    RateTooHigh {
+        /// The offending flow.
+        flow: u32,
+        /// The inter-packet interval its rate and payload work out to, µs.
+        interval_us: f64,
+    },
     /// A flow's payload is zero bytes.
     ZeroPayload {
         /// The offending flow.
@@ -104,6 +118,13 @@ pub enum SpecError {
     ZeroWindow {
         /// The offending flow.
         flow: u32,
+    },
+    /// A windowed transport's window is over [`MAX_WINDOW`].
+    WindowTooLarge {
+        /// The offending flow.
+        flow: u32,
+        /// The offending window.
+        window: usize,
     },
     /// An on-off transport with a non-heavy-tail-able shape or a zero
     /// mean period.
@@ -129,6 +150,10 @@ impl std::fmt::Display for SpecError {
                  nodes out or use fewer"
             ),
             SpecError::ZeroQueueCap => write!(f, "queue_cap must be nonzero"),
+            SpecError::QueueCapTooLarge { cap } => write!(
+                f,
+                "queue_cap {cap} exceeds the {MAX_QUEUE_CAP}-packet limit"
+            ),
             SpecError::ShortPath { flow } => {
                 write!(f, "flow {flow}: path needs at least two nodes")
             }
@@ -149,12 +174,21 @@ impl std::fmt::Display for SpecError {
                 crate::transport::TRANSPORT_ACK_FLOW
             ),
             SpecError::ZeroRate { flow } => write!(f, "flow {flow}: rate_bps must be nonzero"),
+            SpecError::RateTooHigh { flow, interval_us } => write!(
+                f,
+                "flow {flow}: rate_bps puts packets {interval_us} us apart, under the clock's 1 us \
+                 resolution"
+            ),
             SpecError::ZeroPayload { flow } => {
                 write!(f, "flow {flow}: payload_bytes must be nonzero")
             }
             SpecError::ZeroWindow { flow } => {
                 write!(f, "flow {flow}: window must be nonzero")
             }
+            SpecError::WindowTooLarge { flow, window } => write!(
+                f,
+                "flow {flow}: window {window} exceeds the {MAX_WINDOW}-packet limit"
+            ),
             SpecError::BadOnOff { flow, why } => write!(f, "flow {flow}: {why}"),
         }
     }
@@ -242,9 +276,10 @@ impl NetworkSpec {
     pub const AUDIT_CAP: usize = 1 << 16;
 
     /// Checks that the spec can actually be built and run: positions
-    /// finite and not too dense, queue capacity nonzero, every flow path in bounds,
-    /// loop-free and decodable hop by hop, flow ids unique and outside
-    /// the reserved ACK space, and transport parameters sane. Returns
+    /// finite and not too dense, queue capacity nonzero and bounded,
+    /// every flow path in bounds, loop-free and decodable hop by hop, flow
+    /// ids unique and outside the reserved ACK space, packets at least a
+    /// clock tick apart, and transport parameters sane. Returns
     /// the first problem found (fields in declaration order, flows in
     /// flow order), so the message always points at one concrete field.
     pub fn validate(&self) -> Result<(), SpecError> {
@@ -260,6 +295,11 @@ impl NetworkSpec {
         check_density(&self.positions, self.channel.cs_range)?;
         if self.queue_cap == 0 {
             return Err(SpecError::ZeroQueueCap);
+        }
+        if self.queue_cap > MAX_QUEUE_CAP {
+            return Err(SpecError::QueueCapTooLarge {
+                cap: self.queue_cap,
+            });
         }
         let mut seen_ids = std::collections::BTreeSet::new();
         for f in &self.flows {
@@ -299,11 +339,20 @@ impl NetworkSpec {
             if f.payload_bytes == 0 {
                 return Err(SpecError::ZeroPayload { flow: f.id });
             }
+            if let Some(interval_us) = sub_microsecond_interval(f.rate_bps, f.payload_bytes) {
+                return Err(SpecError::RateTooHigh {
+                    flow: f.id,
+                    interval_us,
+                });
+            }
             match f.transport {
                 Transport::Cbr => {}
                 Transport::Windowed { window, .. } => {
                     if window == 0 {
                         return Err(SpecError::ZeroWindow { flow: f.id });
+                    }
+                    if window > MAX_WINDOW {
+                        return Err(SpecError::WindowTooLarge { flow: f.id, window });
                     }
                 }
                 Transport::OnOff {
@@ -546,10 +595,65 @@ pub(crate) fn build(
         next_seq: 0,
         events: 0,
         dispatched: [0; EV_KINDS],
-        by_kind_cache: [("", 0); EV_KINDS],
         start_report: ezflow_phy::StartReport::default(),
         end_report: ezflow_phy::EndReport::default(),
         mac_out_pool: Vec::new(),
         wall: std::time::Duration::ZERO,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `validate()` of a 2-hop chain after `edit` changed one field.
+    fn validated(edit: impl FnOnce(&mut NetworkSpec)) -> Result<(), SpecError> {
+        let topo = crate::topo::chain(2, Time::ZERO, Time::from_secs(1));
+        let mut spec = NetworkSpec::from_topology(&topo, 1);
+        edit(&mut spec);
+        spec.validate()
+    }
+
+    #[test]
+    fn validate_bounds_the_queue_capacity() {
+        assert_eq!(validated(|s| s.queue_cap = MAX_QUEUE_CAP), Ok(()));
+        let cap = MAX_QUEUE_CAP + 1;
+        assert_eq!(
+            validated(|s| s.queue_cap = cap),
+            Err(SpecError::QueueCapTooLarge { cap })
+        );
+    }
+
+    #[test]
+    fn validate_bounds_the_window() {
+        let windowed = |window| {
+            validated(|s| {
+                s.flows[0].transport = Transport::Windowed {
+                    window,
+                    ack_payload: 40,
+                }
+            })
+        };
+        assert_eq!(windowed(MAX_WINDOW), Ok(()));
+        let window = MAX_WINDOW + 1;
+        assert_eq!(
+            windowed(window),
+            Err(SpecError::WindowTooLarge { flow: 0, window })
+        );
+    }
+
+    #[test]
+    fn validate_rejects_packets_under_a_microsecond_apart() {
+        // 1,000-byte packets: 8 Gb/s is exactly one per microsecond.
+        let at_rate = |rate_bps| validated(|s| s.flows[0].rate_bps = rate_bps);
+        assert_eq!(at_rate(8_000_000_000), Ok(()));
+        let err = at_rate(20_000_000_000).unwrap_err();
+        let (flow, interval_us) = (0, 0.4);
+        assert_eq!(err, SpecError::RateTooHigh { flow, interval_us });
+        let message = err.to_string();
+        assert!(
+            message.contains("flow 0") && message.contains("0.4 us"),
+            "{message}"
+        );
     }
 }

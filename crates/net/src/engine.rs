@@ -164,78 +164,21 @@ fn rx_outcome(o: DecodeOutcome) -> RxOutcome {
     }
 }
 
+/// Frees `slot` when the timer entry just dispatched under `epoch` is the
+/// one it holds: the entry's handle died with the pop.
+fn release_slot(slot: &mut TimerSlot, epoch: u64) {
+    if matches!(*slot, TimerSlot::Armed { epoch: e, .. } if e == epoch) {
+        *slot = TimerSlot::Idle;
+    }
+}
+
 impl Network {
     /// Runs the simulation up to and including instant `until`.
-    ///
-    /// The pop loop delegates stale-timer detection to the scheduler's
-    /// [`ezflow_sim::Cancelable`] hook: a MAC timer whose epoch token no
-    /// longer matches its owner is elided *inside* the pop — never
-    /// dispatched, never worklisted — and counted in
-    /// [`ezflow_sim::Scheduler::stale_drops`]. The elision decision reads
-    /// only the owning MAC's current epoch, so it is a pure function of
-    /// simulation state.
     pub fn run_until(&mut self, until: Time) {
         debug_assert!(self.worklist.is_empty());
         debug_assert!(self.rx_frames.is_empty());
         let t0 = std::time::Instant::now();
-        loop {
-            // Disjoint-field borrows: the hook reads `nodes` and writes
-            // `trace` and `hot` while `sched` is mutably borrowed by the
-            // pop.
-            let next = {
-                let nodes = &self.nodes;
-                let trace = &mut self.trace;
-                let hot = &mut self.hot;
-                self.sched.pop_before(until, |at: Time, ev: &Ev| {
-                    let (node, epoch, current, slot) = match *ev {
-                        Ev::MacTxPath { node, epoch } => (
-                            node,
-                            epoch,
-                            nodes[node].mac.tx_epoch(),
-                            &mut hot.tx_timer[node],
-                        ),
-                        Ev::MacAckJob { node, epoch } => (
-                            node,
-                            epoch,
-                            nodes[node].mac.ack_epoch(),
-                            &mut hot.ack_timer[node],
-                        ),
-                        // The periodic sampler re-arms itself on every
-                        // dispatch, so it is never stale — listed
-                        // explicitly so the hook stays audited against
-                        // the full event vocabulary.
-                        Ev::Telemetry => return false,
-                        _ => return false,
-                    };
-                    if epoch == current {
-                        return false;
-                    }
-                    // Defensive: with eager parking the engine removes an
-                    // invalidated timer before the pop loop ever sees it,
-                    // so this elision path should be dry. If it does fire,
-                    // the slot holding this entry's handle must be
-                    // cleared — the entry is consumed by the elision.
-                    if matches!(*slot, TimerSlot::Armed { epoch: e, .. } if e == epoch) {
-                        *slot = TimerSlot::Idle;
-                    }
-                    // An *event* drop, not a packet drop: the record goes
-                    // to the trace ring only and `seq` carries the dead
-                    // epoch token.
-                    if trace.enabled() {
-                        trace.push(
-                            at,
-                            node,
-                            TraceKind::Drop,
-                            TracePayload::Drop {
-                                cause: DropCause::StaleEpoch,
-                                seq: epoch,
-                            },
-                        );
-                    }
-                    true
-                })
-            };
-            let Some((at, ev)) = next else { break };
+        while let Some((at, ev)) = self.sched.pop_before(until) {
             debug_assert!(at >= self.now, "time went backwards");
             self.now = at;
             // Zero-interference dispatch: the telemetry sampler never
@@ -287,14 +230,20 @@ impl Network {
         match ev {
             Ev::Traffic(i) => self.on_traffic(i),
             Ev::WindowRefresh(flow) => self.on_window_refresh(flow),
+            // A timer that dispatches is its slot's one pending entry and
+            // carries its MAC's current epoch: `after_mac` removes an
+            // invalidated entry before control returns to the pop loop.
+            // Checked here in debug builds; in release a stale timer that
+            // got through is ignored by the MAC, which counts it in
+            // `MacStats::stale_epochs`.
             Ev::MacTxPath { node, epoch } => {
-                // The dispatched entry is this slot's entry (one pending
-                // per logical timer); its handle dies with the pop.
-                self.hot.tx_timer[node] = TimerSlot::Idle;
+                debug_assert_eq!(epoch, self.nodes[node].mac.tx_epoch());
+                release_slot(&mut self.hot.tx_timer[node], epoch);
                 self.mac_event(node, MacInput::TimerTxPath { epoch }, true)
             }
             Ev::MacAckJob { node, epoch } => {
-                self.hot.ack_timer[node] = TimerSlot::Idle;
+                debug_assert_eq!(epoch, self.nodes[node].mac.ack_epoch());
+                release_slot(&mut self.hot.ack_timer[node], epoch);
                 self.mac_event(node, MacInput::TimerAckJob { epoch }, true)
             }
             Ev::MacNav { node } => self.mac_event(node, MacInput::TimerNav, false),
@@ -310,8 +259,8 @@ impl Network {
     /// Arms (or re-arms) node `id`'s transmit-path timer `after` from
     /// now. The slot decides the scheduler verb: a pending entry is moved
     /// in place, a parked one revived, and only a truly idle slot pays a
-    /// fresh schedule — so freeze/restart churn never leaves abandoned
-    /// entries behind for pop-time elision.
+    /// fresh schedule — so freeze/restart churn never leaves an abandoned
+    /// entry in the queue.
     fn arm_tx_timer(&mut self, id: usize, after: Duration, epoch: u64) {
         let at = self.now + after;
         let ev = Ev::MacTxPath { node: id, epoch };
@@ -340,11 +289,11 @@ impl Network {
     ///
     /// *Timer slot.* If the MAC has invalidated its transmit-path timer
     /// (epoch moved on) without re-arming, the scheduler entry is
-    /// physically removed now, instead of sitting in the queue until its
-    /// instant arrives just to be elided; a live or empty slot is a
-    /// two-word compare and fall-through. The ACK-job timer needs no
-    /// counterpart: `ack_epoch` only ever advances in the same input that
-    /// arms the replacement timer, so an armed ACK slot is always current.
+    /// physically removed now, so no stale timer is ever dispatched
+    /// (`handle` asserts it); a live or empty slot is a two-word compare
+    /// and fall-through. The ACK-job timer needs no counterpart:
+    /// `ack_epoch` only ever advances in the same input that arms the
+    /// replacement timer, so an armed ACK slot is always current.
     ///
     /// *Listening bit.* The channel reports a node's busy/idle transitions
     /// only while [`Mac::counting_phase`](ezflow_mac::Mac::counting_phase)
@@ -762,8 +711,7 @@ impl Network {
             if let WorkInput::MediumBusy = work {
                 self.nodes[id].mac.medium_busy(self.now);
                 // A busy toggle freezes any running countdown: park the
-                // invalidated timer entry instead of leaving it to be
-                // elided at pop time (the bulk of the old stale churn).
+                // invalidated timer entry.
                 self.after_mac(id);
                 continue;
             }
@@ -1070,21 +1018,6 @@ impl Network {
         debug_assert!(outs.is_empty());
     }
 
-    /// Dispatch counts per event kind, `(name, count)`, in dispatch order.
-    ///
-    /// Returns a slice into a cache refreshed on each call — repeated
-    /// polling (progress displays, per-round sweeps) never allocates.
-    pub fn dispatched_by_kind(&mut self) -> &[(&'static str, u64)] {
-        for (slot, (&name, &n)) in self
-            .by_kind_cache
-            .iter_mut()
-            .zip(EV_NAMES.iter().zip(self.dispatched.iter()))
-        {
-            *slot = (name, n);
-        }
-        &self.by_kind_cache
-    }
-
     /// Takes a [`RunSnapshot`] of the whole network at the current
     /// simulated instant. Mutable because the channel's airtime accounts
     /// are brought up to date first.
@@ -1162,6 +1095,9 @@ impl Network {
         // schedule() calls. Subtracting all three makes the scheduler
         // block *equal* to a telemetry-off run's, not just close.
         let tel_resident = self.telemetry.enabled() as usize;
+        // The MAC's epoch check is the one place a stale timer can be
+        // seen; both stale keys of the schema carry its count.
+        let stale_timers: u64 = self.nodes.iter().map(|n| n.mac.stats().stale_epochs).sum();
         RunSnapshot {
             label: label.to_string(),
             at_us: self.now.as_micros(),
@@ -1170,7 +1106,7 @@ impl Network {
             scheduler: SchedulerSnapshot {
                 scheduled_total: self.sched.scheduled_total() - self.telemetry.pushes(),
                 dispatched_total: self.events,
-                stale_elided: self.sched.stale_drops(),
+                stale_elided: stale_timers,
                 rescheduled_total: self.sched.rescheduled_total(),
                 removed_total: self.sched.removed_total(),
                 pending: self.sched.len() - tel_resident,
@@ -1186,20 +1122,10 @@ impl Network {
                 PerfSnapshot {
                     wall_secs,
                     sim_secs,
-                    events_per_sec: per_wall(
-                        (self.events + self.sched.stale_drops() + self.sched.rescheduled_total())
-                            as f64,
-                    ),
+                    events_per_sec: per_wall((self.events + self.sched.rescheduled_total()) as f64),
                     sim_rate: per_wall(sim_secs),
                     sched_depth_high_water: (self.sched.depth_high_water() - tel_resident) as u64,
-                    // Elided timers plus the MAC's own defensive count (the
-                    // latter is zero when elision is doing its job).
-                    stale_epoch_drops: self.sched.stale_drops()
-                        + self
-                            .nodes
-                            .iter()
-                            .map(|n| n.mac.stats().stale_epochs)
-                            .sum::<u64>(),
+                    stale_epoch_drops: stale_timers,
                     sched_rotations: wheel.rotations,
                     sched_overflow_refills: wheel.overflow_refills,
                     sched_bucket_high_water: wheel.bucket_high_water,

@@ -12,7 +12,8 @@
 //! rescheduling ([`ezflow_sim::Scheduler::reschedule`]): each MAC keeps
 //! at most one pending transmit-path entry and one pending ACK-job entry,
 //! and the slot holds the live [`TimerHandle`] so a re-arm *moves* the
-//! entry instead of abandoning it to pop-time elision.
+//! entry and a freeze *removes* it — nothing is ever abandoned in the
+//! queue.
 //!
 //! One more per-node word mirrors MAC state but lives where it is read,
 //! in the channel's 8-byte carrier column rather than here: the
@@ -30,11 +31,13 @@ use ezflow_sim::TimerHandle;
 /// The invariant the engine maintains: whenever control returns to the
 /// pop loop, an `Armed` slot's `epoch` equals its MAC's current epoch —
 /// a countdown the MAC invalidated without re-arming is parked (the
-/// scheduler entry physically removed) before the next pop, so stale
-/// entries never accumulate in the queue.
+/// scheduler entry physically removed) before the next pop, so a stale
+/// entry is never dispatched. The engine's dispatch arms assert that in
+/// debug builds; in release the MAC's own epoch check ignores a stale
+/// timer and counts it in `MacStats::stale_epochs`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum TimerSlot {
-    /// No pending scheduler entry (the last one dispatched or was elided).
+    /// No pending scheduler entry (the last one dispatched).
     Idle,
     /// One pending entry, keyed by `h`, armed under epoch token `epoch`.
     Armed {

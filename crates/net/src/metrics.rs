@@ -123,15 +123,6 @@ impl Metrics {
             .get(&flow)
             .map_or(0.0, |ts| ts.average_kbps(from, to))
     }
-
-    /// Per-flow mean throughputs (kb/s) over a window, in flow-id order —
-    /// the input to Jain's index. (The map is ordered, so no sort.)
-    pub fn all_kbps(&self, from: Time, to: Time) -> Vec<(u32, f64)> {
-        self.throughput
-            .keys()
-            .map(|&f| (f, self.mean_kbps(f, from, to)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -177,18 +168,5 @@ mod tests {
         assert!((sm.mean - 15.0).abs() < 1e-9);
         let cw = m.cw[0].window(Time::ZERO, Time::from_secs(10));
         assert!((cw.mean - 48.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn all_kbps_is_flow_ordered() {
-        let mut m = Metrics::new(1, &[2, 0, 1], Duration::from_secs(1));
-        let mut f = frame_with_times(0, 0);
-        f.flow = 2;
-        m.on_delivery(Time::from_millis(500), &f);
-        let all = m.all_kbps(Time::ZERO, Time::from_secs(1));
-        assert_eq!(all.len(), 3);
-        assert_eq!(all[0].0, 0);
-        assert_eq!(all[2].0, 2);
-        assert!(all[2].1 > 0.0);
     }
 }

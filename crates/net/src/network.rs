@@ -119,9 +119,6 @@ pub struct Network {
     pub(crate) events: u64,
     /// Dispatch counts per event kind.
     pub(crate) dispatched: [u64; EV_KINDS],
-    /// Cached `(name, count)` view of `dispatched`, refreshed on read by
-    /// [`Network::dispatched_by_kind`] so the getter never allocates.
-    pub(crate) by_kind_cache: [(&'static str, u64); EV_KINDS],
     /// Scratch channel reports, refilled in place by `start_tx_into` /
     /// `end_tx_into` on every transmission — the steady state of the
     /// event loop allocates nothing for them.
@@ -179,22 +176,11 @@ impl Network {
         self.events
     }
 
-    /// Stale timer events elided inside the scheduler's pop loop — never
-    /// dispatched, never counted in [`Network::events_processed`].
-    pub fn sched_stale_elided(&self) -> u64 {
-        self.sched.stale_drops()
-    }
-
     /// Timer entries moved in place by keyed rescheduling — each one is a
-    /// scheduler entry consumed without a dispatch, exactly as a pop-time
-    /// elision used to be (see [`ezflow_sim::Scheduler::reschedule`]).
+    /// scheduler entry consumed without a dispatch (see
+    /// [`ezflow_sim::Scheduler::reschedule`]).
     pub fn sched_rescheduled(&self) -> u64 {
         self.sched.rescheduled_total()
-    }
-
-    /// Timer entries physically removed (parked frozen countdowns).
-    pub fn sched_removed(&self) -> u64 {
-        self.sched.removed_total()
     }
 
     /// Frames currently live in the arena (queued + held by MACs + on
@@ -255,11 +241,6 @@ impl Network {
     /// Fraction of `elapsed` that `node` spent transmitting.
     pub fn utilization(&self, node: usize, elapsed: Duration) -> f64 {
         self.channel.utilization(node, elapsed)
-    }
-
-    /// Controller name of `node`.
-    pub fn controller_name(&self, node: usize) -> &'static str {
-        self.nodes[node].controller.name()
     }
 
     /// Read-only access to a node (tests and experiments).

@@ -47,7 +47,7 @@ use ezflow_sim::{Duration, SimRng, Time};
 
 use crate::routing::GatewayRoutes;
 use crate::topo::{FlowSpec, Topology};
-use crate::traffic::Transport;
+use crate::traffic::{sub_microsecond_interval, Transport};
 
 /// Stream tag for random-geometric node placement.
 const PLACEMENT_STREAM: u64 = 0x746f_706f; // "topo"
@@ -69,6 +69,22 @@ pub const MAX_NODES: usize = 1 << 18;
 /// a silent hang; below the bound `secs_to_time` is also exact and no
 /// `Time + Duration` sum can wrap.
 pub const MAX_DURATION_SECS: f64 = 1e7;
+
+/// Largest interface-queue capacity, in packets. A queue reserves its
+/// capacity up front at 8 bytes a slot, so the ceiling costs 512 KiB per
+/// queue. It is 1,300× the paper's 50-packet hardware and about nine
+/// minutes of a saturated 1 Mb/s link's output (≈ 120 packets/s), so a
+/// larger queue already behaves as an unbounded one — while a `queue_cap`
+/// of 10¹⁴ is an 800 TB allocation that aborts the process.
+pub const MAX_QUEUE_CAP: usize = 1 << 16;
+
+/// Largest window of a windowed transport, in packets. A flow tops itself
+/// up to its window at one instant and tracks every outstanding packet, so
+/// the window is work done without time moving: 65,536 packets (64 MB in
+/// flight at the default payload, against a bandwidth-delay product of
+/// tens of packets on a 1 Mb/s mesh) refill in milliseconds, a window of
+/// 10¹⁴ never finishes its first fill.
+pub const MAX_WINDOW: usize = 1 << 16;
 
 /// Why a scenario document was rejected.
 #[derive(Clone, Debug, PartialEq)]
@@ -371,10 +387,7 @@ impl ScenarioSpec {
         }
         secs_to_time("duration_secs", duration_secs)?;
         let seed = opt_u64(v, "", "seed", 1)?;
-        let queue_cap = opt_u64(v, "", "queue_cap", 50)? as usize;
-        if queue_cap == 0 {
-            return Err(field("queue_cap", "must be nonzero"));
-        }
+        let queue_cap = queue_cap_in_range("queue_cap", opt_u64(v, "", "queue_cap", 50)?)?;
         let topology = parse_topology(req(v, "", "topology")?)?;
 
         let mut flows = Vec::new();
@@ -836,6 +849,32 @@ fn check_node_count(path: &str, nodes: Option<usize>) -> Result<(), ScenarioErro
     }
 }
 
+/// An interface-queue capacity: nonzero and at most [`MAX_QUEUE_CAP`].
+fn queue_cap_in_range(path: &str, cap: u64) -> Result<usize, ScenarioError> {
+    if !(1..=MAX_QUEUE_CAP as u64).contains(&cap) {
+        return Err(field(
+            path,
+            &format!("must be in 1..={MAX_QUEUE_CAP} packets"),
+        ));
+    }
+    Ok(cap as usize)
+}
+
+/// A flow's `rate_bps` beside its payload: packets must be at least one
+/// clock tick apart (zero is left to `validate`, which names the flow).
+fn rate_in_range(path: &str, rate_bps: u64, payload_bytes: u32) -> Result<u64, ScenarioError> {
+    match sub_microsecond_interval(rate_bps, payload_bytes) {
+        None => Ok(rate_bps),
+        Some(us) => Err(field(
+            &join(path, "rate_bps"),
+            &format!(
+                "puts {payload_bytes}-byte packets {us} us apart, under the clock's \
+                 1 us resolution"
+            ),
+        )),
+    }
+}
+
 /// A `topology.<key>` length in meters: finite and positive, or the
 /// layout is degenerate (co-located nodes, an empty area).
 fn positive_meters(key: &str, meters: f64) -> Result<f64, ScenarioError> {
@@ -852,10 +891,20 @@ fn parse_transport(v: &JsonValue, path: &str) -> Result<Transport, ScenarioError
     let kind = req_str(v, path, "kind")?;
     match kind.as_str() {
         "cbr" => Ok(Transport::Cbr),
-        "windowed" => Ok(Transport::Windowed {
-            window: req_u64(v, path, "window")? as usize,
-            ack_payload: opt_u32(v, path, "ack_payload", 40)?,
-        }),
+        "windowed" => {
+            // Zero is left to `validate`, which names the flow.
+            let window = req_u64(v, path, "window")?;
+            if window > MAX_WINDOW as u64 {
+                return Err(field(
+                    &join(path, "window"),
+                    &format!("exceeds the {MAX_WINDOW}-packet limit"),
+                ));
+            }
+            Ok(Transport::Windowed {
+                window: window as usize,
+                ack_payload: opt_u32(v, path, "ack_payload", 40)?,
+            })
+        }
         "onoff" => Ok(Transport::OnOff {
             mean_on: secs_to_duration(
                 &join(path, "mean_on_secs"),
@@ -910,11 +959,12 @@ fn parse_flow(v: &JsonValue, i: usize) -> Result<FlowSpec, ScenarioError> {
         Some(t) => parse_transport(t, &join(&p, "transport"))?,
     };
     let (start, stop) = parse_active_window(v, &p)?;
+    let payload_bytes = opt_u32(v, &p, "payload_bytes", 1000)?;
     Ok(FlowSpec {
         id: i as u32,
         path,
-        rate_bps: opt_u64(v, &p, "rate_bps", 2_000_000)?,
-        payload_bytes: opt_u32(v, &p, "payload_bytes", 1000)?,
+        rate_bps: rate_in_range(&p, opt_u64(v, &p, "rate_bps", 2_000_000)?, payload_bytes)?,
+        payload_bytes,
         start,
         stop,
         transport,
@@ -935,10 +985,11 @@ fn parse_traffic(v: &JsonValue) -> Result<TrafficMix, ScenarioError> {
         });
     }
     let (start, stop) = parse_active_window(v, p)?;
+    let payload_bytes = opt_u32(v, p, "payload_bytes", 1000)?;
     Ok(TrafficMix {
         flows: req_u64(v, p, "flows")? as usize,
-        rate_bps: req_u64(v, p, "rate_bps")?,
-        payload_bytes: opt_u32(v, p, "payload_bytes", 1000)?,
+        rate_bps: rate_in_range(p, req_u64(v, p, "rate_bps")?, payload_bytes)?,
+        payload_bytes,
         start,
         stop,
         mix,
@@ -1058,16 +1109,11 @@ fn parse_sweep(v: &JsonValue) -> Result<SweepSpec, ScenarioError> {
             .as_array()
             .ok_or_else(|| field("sweep.queue_caps", "must be an array of integers"))?;
         for (i, q) in arr.iter().enumerate() {
-            let cap = q.as_u64().ok_or_else(|| {
-                field(
-                    &format!("sweep.queue_caps[{i}]"),
-                    "must be a positive integer",
-                )
-            })? as usize;
-            if cap == 0 {
-                return Err(field(&format!("sweep.queue_caps[{i}]"), "must be nonzero"));
-            }
-            sweep.queue_caps.push(cap);
+            let path = format!("sweep.queue_caps[{i}]");
+            let cap = q
+                .as_u64()
+                .ok_or_else(|| field(&path, "must be a positive integer"))?;
+            sweep.queue_caps.push(queue_cap_in_range(&path, cap)?);
         }
     }
     if let Some(ss) = v.get("seeds") {
@@ -1217,12 +1263,56 @@ mod tests {
                                             "ack_payload": 5e9}}]"#,
                 "flows[0].transport.ack_payload",
             ),
+            // A window that never finishes its first fill, packets less
+            // than a clock tick apart (the tick re-armed at `now` forever)
+            // and a queue the allocator cannot serve: two hangs and an
+            // abort, once.
+            (
+                r#""flows": [{"path": [0, 1], "start_secs": 0, "stop_secs": 4,
+                              "transport": {"kind": "windowed", "window": 99999999999999}}]"#,
+                "flows[0].transport.window",
+            ),
+            (
+                r#""traffic": {"flows": 1, "rate_bps": 1000, "start_secs": 0, "stop_secs": 4,
+                               "mix": [{"transport": {"kind": "windowed", "window": 65537}}]}"#,
+                "traffic.mix[0].transport.window",
+            ),
+            (
+                r#""flows": [{"path": [0, 1], "start_secs": 0, "stop_secs": 4,
+                              "rate_bps": 20000000000}]"#,
+                "flows[0].rate_bps",
+            ),
+            (
+                r#""flows": [{"path": [0, 1], "start_secs": 0, "stop_secs": 4,
+                              "rate_bps": 1e15, "payload_bytes": 1}]"#,
+                "flows[0].rate_bps",
+            ),
+            (
+                r#""traffic": {"flows": 1, "rate_bps": 8000000001, "start_secs": 0,
+                               "stop_secs": 4, "mix": []}"#,
+                "traffic.rate_bps",
+            ),
+            (r#""queue_cap": 99999999999999"#, "queue_cap"),
+            (
+                r#""sweep": {"queue_caps": [50, 65537]}"#,
+                "sweep.queue_caps[1]",
+            ),
+            (r#""sweep": {"queue_caps": [0]}"#, "sweep.queue_caps[0]"),
         ] {
             match ScenarioSpec::parse(&spec_with(section)).unwrap_err() {
                 ScenarioError::Field { path, .. } => assert_eq!(path, want),
                 other => panic!("expected field error at {want}, got {other:?}"),
             }
         }
+        // The limits themselves are legal: 8 Gb/s of 1,000-byte packets is
+        // one packet per microsecond.
+        ScenarioSpec::parse(&spec_with(
+            r#""queue_cap": 65536, "sweep": {"queue_caps": [65536]},
+               "flows": [{"path": [0, 1], "start_secs": 0, "stop_secs": 4,
+                          "rate_bps": 8000000000,
+                          "transport": {"kind": "windowed", "window": 65536}}]"#,
+        ))
+        .expect("the ceilings are inclusive");
         // Layouts past MAX_NODES used to abort in the allocator (grid) or
         // hang in an all-pairs pass; degenerate lengths used to build
         // co-located nodes and report success.

@@ -268,15 +268,15 @@ pub struct SchedulerSnapshot {
     pub scheduled_total: u64,
     /// Events dispatched (popped and handled).
     pub dispatched_total: u64,
-    /// Events elided inside the pop loop by the scheduler's stale-timer
-    /// hook — popped and counted, never dispatched. Deterministic
-    /// simulation state (unlike the wheel gauges in [`PerfSnapshot`]), so
-    /// it lives in this comparable block.
+    /// MAC timers that dispatched after their owner had moved on: the sum
+    /// of [`MacStats::stale_epochs`] over all nodes, the one place a stale
+    /// timer can be seen (the scheduler itself never drops an entry).
+    /// Zero while the engine's eager parking holds. Same value as
+    /// [`PerfSnapshot::stale_epoch_drops`]; the key keeps its name until
+    /// the next schema bump retires it.
     pub stale_elided: u64,
-    /// Timer entries moved in place by keyed rescheduling — the successor
-    /// of the schedule-new-then-elide pattern: each re-arm consumes the
-    /// old entry exactly as a pop-time elision did, without the entry
-    /// ever sitting in the queue as churn.
+    /// Timer entries moved in place by keyed rescheduling: each re-arm
+    /// consumes the old entry without a dispatch.
     pub rescheduled_total: u64,
     /// Timer entries physically removed (parked frozen countdowns
     /// awaiting a later re-arm).
@@ -344,18 +344,18 @@ pub struct PerfSnapshot {
     pub wall_secs: f64,
     /// Simulated seconds covered.
     pub sim_secs: f64,
-    /// Events *consumed* (dispatched plus stale-elided) per wall-clock
-    /// second — the apples-to-apples throughput metric across scheduler
-    /// generations, since elision turns former dispatches into pops.
+    /// Scheduler entries *consumed* (dispatched plus moved in place by a
+    /// keyed reschedule) per wall-clock second.
     pub events_per_sec: f64,
     /// Simulated seconds per wall-clock second.
     pub sim_rate: f64,
     /// Deepest the scheduler's pending-event heap ever got — the working
     /// set the event loop keeps alive.
     pub sched_depth_high_water: u64,
-    /// Timer events discarded as stale (epoch-token cancellation): queue
-    /// entries the simulation paid for but never used. The scheduler's
-    /// pop-time elisions plus the MAC's own defensive count.
+    /// Timer events the MACs discarded as stale: Σ
+    /// [`MacStats::stale_epochs`], a duplicate of
+    /// [`SchedulerSnapshot::stale_elided`] that retires with it at the
+    /// next schema bump.
     pub stale_epoch_drops: u64,
     /// Calendar-queue cursor advances, in buckets. An implementation
     /// gauge, not comparable state.

@@ -217,11 +217,6 @@ pub fn scenario1() -> Topology {
     committed(SCENARIO1_JSON).topology
 }
 
-/// End of the scenario-1 run.
-pub fn scenario1_end() -> Time {
-    committed(SCENARIO1_JSON).until
-}
-
 /// A dense `rows × cols` grid mesh with one saturating west→east flow per
 /// row, all active over `[start, stop)` — also what a scenario document's
 /// `"kind": "grid"` topology compiles to.
@@ -271,11 +266,6 @@ pub fn grid(rows: usize, cols: usize, spacing: f64, start: Time, stop: Time) -> 
 /// numbering.
 pub fn scenario2() -> Topology {
     committed(SCENARIO2_JSON).topology
-}
-
-/// End of the scenario-2 run.
-pub fn scenario2_end() -> Time {
-    committed(SCENARIO2_JSON).until
 }
 
 #[cfg(test)]
@@ -354,7 +344,7 @@ mod tests {
         let f1 = FlowSpec::saturating(0, vec![12, 10, 8, 6, 4, 3, 2, 1, 0], s(5), s(2504));
         let f2 = FlowSpec::saturating(1, vec![11, 9, 7, 5, 4, 3, 2, 1, 0], s(605), s(1804));
         assert_eq!(t.flows, vec![f1, f2]);
-        assert_eq!(scenario1_end(), s(2504));
+        assert_eq!(committed(SCENARIO1_JSON).until, s(2504));
     }
 
     #[test]

@@ -65,8 +65,17 @@ pub struct CbrSource {
     pub stop: Time,
 }
 
+/// The exact inter-packet interval in µs of `payload_bytes`-byte packets
+/// at `rate_bps`, when it is under the clock's 1 µs resolution: such a
+/// source would re-arm its tick at the instant it fired, forever.
+pub(crate) fn sub_microsecond_interval(rate_bps: u64, payload_bytes: u32) -> Option<f64> {
+    let bit_micros = payload_bytes as u64 * 8 * 1_000_000;
+    (rate_bps > bit_micros).then(|| bit_micros as f64 / rate_bps as f64)
+}
+
 impl CbrSource {
-    /// Inter-packet interval.
+    /// Inter-packet interval; at least 1 µs for any source that passed
+    /// [`NetworkSpec::validate`](crate::builder::NetworkSpec::validate).
     pub fn interval(&self) -> Duration {
         debug_assert!(self.rate_bps > 0);
         let bits = self.payload_bytes as u64 * 8;

@@ -33,7 +33,7 @@ pub mod trace;
 
 pub use json::{JsonError, JsonScalar, JsonValue, JsonWriter};
 pub use rng::SimRng;
-pub use sched::{Cancelable, EventId, SchedKind, Scheduler, TimerHandle, WheelStats};
+pub use sched::{SchedKind, Scheduler, TimerHandle, WheelStats};
 pub use time::{Duration, Time};
 pub use trace::{
     BoeVerdict, DropCause, FrameClass, RxOutcome, TraceEvent, TraceKind, TracePayload, TraceRing,

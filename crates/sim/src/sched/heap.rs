@@ -8,7 +8,7 @@
 
 use std::collections::BinaryHeap;
 
-use super::{Cancelable, Entry};
+use super::Entry;
 use crate::time::Time;
 
 /// Binary-heap event queue (see the module docs).
@@ -37,29 +37,13 @@ impl<E> HeapQueue<E> {
         self.heap.len() != before
     }
 
-    /// Removes and returns the earliest *live* entry at or before `until`,
-    /// consulting `cancel` on each entry in `(at, seq)` order and counting
-    /// the stale ones it consumes into `skipped` (their `len` and
-    /// `stale_drops` accounting stays with the wrapper). Mirrors the wheel
-    /// backend's method of the same name so the wrapper's pop loop is a
-    /// single backend call either way.
-    pub(crate) fn pop_live_before<C: Cancelable<E>>(
-        &mut self,
-        until: Time,
-        cancel: &mut C,
-        skipped: &mut u64,
-    ) -> Option<Entry<E>> {
-        loop {
-            if self.heap.peek()?.at > until {
-                return None;
-            }
-            let entry = self.heap.pop().expect("peeked");
-            if cancel.is_stale(entry.at, &entry.event) {
-                *skipped += 1;
-                continue;
-            }
-            return Some(entry);
+    /// Removes and returns the earliest entry if it is at or before
+    /// `until`.
+    pub(crate) fn pop_before(&mut self, until: Time) -> Option<Entry<E>> {
+        if self.heap.peek()?.at > until {
+            return None;
         }
+        self.heap.pop()
     }
 
     pub(crate) fn peek_time(&self) -> Option<Time> {

@@ -22,13 +22,11 @@
 //! [`Scheduler::with_kind`] and drive it in lock-step with the wheel.
 //! Nothing outside this crate's tests constructs it.
 //!
-//! Both backends also support **pop-time stale elision** through the
-//! [`Cancelable`] hook: events whose owner has moved on (the MAC's
-//! epoch-token pattern) are dropped inside the pop loop, in earliest-first
-//! order, without ever being dispatched. Elisions are counted
-//! ([`Scheduler::stale_drops`]) and, because both backends visit entries
-//! in exactly the same `(at, seq)` order, the elision decisions — and
-//! therefore every observable statistic — are identical across backends.
+//! A pending entry is cancelled or moved in exactly one way: through the
+//! [`TimerHandle`] that [`Scheduler::schedule_keyed`] returned
+//! ([`Scheduler::remove`], [`Scheduler::reschedule`]). The pop side asks no
+//! questions — whatever is still queued when its instant arrives is
+//! delivered.
 
 use crate::time::Time;
 use core::cmp::Ordering;
@@ -39,41 +37,16 @@ pub mod wheel;
 use heap::HeapQueue;
 use wheel::WheelQueue;
 
-/// Identifier of a scheduled event, unique within one [`Scheduler`].
-///
-/// Components that need to abandon a pending timer have two tools: the
-/// *epoch token* pattern (the event carries an epoch, the owner bumps its
-/// epoch, and stale events are elided at pop time through the
-/// [`Cancelable`] hook) and keyed in-place rescheduling through a
-/// [`TimerHandle`] ([`Scheduler::reschedule`] / [`Scheduler::remove`]),
-/// which moves a pending entry instead of abandoning it — the entry never
-/// becomes churn for the pop loop at all. `EventId` exists so that
-/// callers can correlate trace output.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId(pub u64);
-
 /// Handle to one *pending* entry, for keyed removal and in-place
 /// rescheduling. Returned by [`Scheduler::schedule_keyed`] and
-/// [`Scheduler::reschedule`]; dead the moment the entry is popped, elided
-/// or removed — the owner must drop its copy on those events (the engine
-/// keeps one slot per MAC timer and clears it from the pop loop and the
-/// [`Cancelable`] hook), so a held handle always refers to a live entry.
+/// [`Scheduler::reschedule`]; dead the moment the entry is popped or
+/// removed — the owner must drop its copy on those events (the engine
+/// keeps one slot per MAC timer and clears it when the timer dispatches),
+/// so a held handle always refers to a live entry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TimerHandle {
     at: Time,
     seq: u64,
-}
-
-impl TimerHandle {
-    /// The instant the underlying entry is scheduled for.
-    pub fn at(self) -> Time {
-        self.at
-    }
-
-    /// The entry's event id (for trace correlation).
-    pub fn id(self) -> EventId {
-        EventId(self.seq)
-    }
 }
 
 /// Which queue backend a [`Scheduler`] uses. Both produce identical pop
@@ -86,30 +59,6 @@ pub enum SchedKind {
     /// Calendar-queue wheel with an overflow heap (amortised O(1)).
     #[default]
     Wheel,
-}
-
-/// Pop-time cancellation hook: the generalisation of the MAC's
-/// epoch-token pattern to the scheduler itself.
-///
-/// [`Scheduler::pop_before`] asks this hook about each entry it is about
-/// to deliver, earliest first; a `true` answer elides the entry inside
-/// the pop loop — it is never returned to the caller — and increments
-/// [`Scheduler::stale_drops`]. Any `FnMut(Time, &E) -> bool` closure is a
-/// `Cancelable`.
-///
-/// Determinism contract: the answer must depend only on simulation state,
-/// not on which backend is asking — both backends present entries in the
-/// identical `(at, seq)` order, so a well-behaved hook yields identical
-/// elision decisions on either.
-pub trait Cancelable<E> {
-    /// True if the entry scheduled for `at` is dead and must be elided.
-    fn is_stale(&mut self, at: Time, event: &E) -> bool;
-}
-
-impl<E, F: FnMut(Time, &E) -> bool> Cancelable<E> for F {
-    fn is_stale(&mut self, at: Time, event: &E) -> bool {
-        self(at, event)
-    }
 }
 
 /// Wheel-backend accounting (all zero for the heap backend). These are
@@ -186,15 +135,14 @@ enum Backend<E> {
 /// ```
 ///
 /// All bookkeeping every caller observes (`len`, `scheduled_total`,
-/// `depth_high_water`, `stale_drops`) lives here in the wrapper, *not* in
-/// the backends, so the two implementations cannot drift in how they
-/// account for it.
+/// `depth_high_water`, `rescheduled_total`, `removed_total`) lives here in
+/// the wrapper, *not* in the backends, so the two implementations cannot
+/// drift in how they account for it.
 pub struct Scheduler<E> {
     backend: Backend<E>,
     next_seq: u64,
     len: usize,
     depth_high_water: usize,
-    stale_drops: u64,
     /// Entries created by [`Scheduler::reschedule`] — re-arms of a logical
     /// timer that already paid its fresh [`Scheduler::schedule`].
     rescheduled: u64,
@@ -227,19 +175,32 @@ impl<E> Scheduler<E> {
             next_seq: 0,
             len: 0,
             depth_high_water: 0,
-            stale_drops: 0,
             rescheduled: 0,
             removed: 0,
         }
     }
 
-    /// Schedules `event` for instant `at`. Returns an id usable for tracing.
+    /// Schedules `event` for instant `at`.
     ///
     /// Inlined across the crate boundary: the engine calls this once per
     /// MAC timer and transmission, and the wheel's common case is a bitmap
     /// update plus a bucket push.
     #[inline]
-    pub fn schedule(&mut self, at: Time, event: E) -> EventId {
+    pub fn schedule(&mut self, at: Time, event: E) {
+        self.push(at, event);
+    }
+
+    /// [`Scheduler::schedule`], returning a [`TimerHandle`] for later
+    /// keyed rescheduling or removal.
+    #[inline]
+    pub fn schedule_keyed(&mut self, at: Time, event: E) -> TimerHandle {
+        let seq = self.push(at, event);
+        TimerHandle { at, seq }
+    }
+
+    /// Queues one entry under the next sequence number, which it returns.
+    #[inline]
+    fn push(&mut self, at: Time, event: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         let entry = Entry { at, seq, event };
@@ -252,15 +213,7 @@ impl<E> Scheduler<E> {
         // the accounting identical across backends by construction.
         self.len += 1;
         self.depth_high_water = self.depth_high_water.max(self.len);
-        EventId(seq)
-    }
-
-    /// [`Scheduler::schedule`], returning a [`TimerHandle`] for later
-    /// keyed rescheduling or removal.
-    #[inline]
-    pub fn schedule_keyed(&mut self, at: Time, event: E) -> TimerHandle {
-        let EventId(seq) = self.schedule(at, event);
-        TimerHandle { at, seq }
+        seq
     }
 
     /// Moves a pending entry to a new instant in place: removes `prev`
@@ -270,12 +223,9 @@ impl<E> Scheduler<E> {
     ///
     /// The fresh seq is deliberate: it is exactly the `(at, seq)` key a
     /// plain [`Scheduler::schedule`] call would assign at this moment, so
-    /// converting a schedule-new-then-elide-old caller to reschedule
-    /// leaves the pop order — and therefore the whole simulation —
-    /// bit-identical. Only the churn accounting moves: the entry counts in
-    /// [`Scheduler::rescheduled_total`], not [`Scheduler::scheduled_total`],
-    /// and the abandoned predecessor never sits in the queue waiting to be
-    /// elided.
+    /// the pop order is the one a cancel-then-schedule-new caller would
+    /// see. Only the churn accounting differs: the entry counts in
+    /// [`Scheduler::rescheduled_total`], not [`Scheduler::scheduled_total`].
     #[inline]
     pub fn reschedule(&mut self, prev: Option<TimerHandle>, at: Time, event: E) -> TimerHandle {
         if let Some(h) = prev {
@@ -285,16 +235,8 @@ impl<E> Scheduler<E> {
                 self.len -= 1;
             }
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.rescheduled += 1;
-        let entry = Entry { at, seq, event };
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(entry),
-            Backend::Wheel(w) => w.push(entry),
-        }
-        self.len += 1;
-        self.depth_high_water = self.depth_high_water.max(self.len);
+        let seq = self.push(at, event);
         TimerHandle { at, seq }
     }
 
@@ -320,8 +262,7 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// The instant of the earliest pending event, if any (stale entries
-    /// included — staleness is only decided at pop time).
+    /// The instant of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
         match &self.backend {
             Backend::Heap(h) => h.peek_time(),
@@ -329,8 +270,7 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Number of pending events (stale entries included until they are
-    /// elided by a pop).
+    /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -343,9 +283,7 @@ impl<E> Scheduler<E> {
     /// Total number of *fresh* events ever scheduled (diagnostic).
     /// Re-arms through [`Scheduler::reschedule`] are counted separately in
     /// [`Scheduler::rescheduled_total`]: a logical timer that is armed
-    /// once and then moved N times contributes 1 here and N there, so this
-    /// count converges toward `dispatched + pending` as callers adopt
-    /// in-place rescheduling over schedule-and-abandon.
+    /// once and then moved N times contributes 1 here and N there.
     pub fn scheduled_total(&self) -> u64 {
         self.next_seq - self.rescheduled
     }
@@ -367,12 +305,6 @@ impl<E> Scheduler<E> {
         self.depth_high_water
     }
 
-    /// Entries elided at pop time by the [`Cancelable`] hook: heap/bucket
-    /// slots the simulation paid for but never dispatched.
-    pub fn stale_drops(&self) -> u64 {
-        self.stale_drops
-    }
-
     /// Wheel-backend gauges (bucket rotations, overflow refills, bucket
     /// high water); all zero on the heap backend.
     pub fn wheel_stats(&self) -> WheelStats {
@@ -390,37 +322,19 @@ impl<E> Scheduler<E> {
 impl<E: Clone> Scheduler<E> {
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        self.pop_before(Time::MAX, |_: Time, _: &E| false)
+        self.pop_before(Time::MAX)
     }
 
-    /// Removes and returns the earliest *live* event scheduled at or
-    /// before `until`, eliding stale entries on the way.
-    ///
-    /// Entries are visited earliest-first. Each one at or before `until`
-    /// is either returned (live) or dropped and counted in
-    /// [`Scheduler::stale_drops`] (the hook said stale) — stale entries
-    /// beyond `until` are left untouched, so both backends always make
-    /// the same elision decisions regardless of how a run is sliced into
-    /// `pop_before` horizons. Returns `None` when no event at or before
-    /// `until` remains.
-    pub fn pop_before<C: Cancelable<E>>(
-        &mut self,
-        until: Time,
-        mut cancel: C,
-    ) -> Option<(Time, E)> {
-        // The elision loop runs *inside* the backend (the wheel drains a
-        // stale run in place, one bucket positioning per bucket rather
-        // than per entry); the backends only report how many entries they
-        // consumed as stale, and the `len` / `stale_drops` bookkeeping
-        // every caller observes still happens here, identically for both.
-        let mut skipped = 0u64;
-        let popped = match &mut self.backend {
-            Backend::Heap(h) => h.pop_live_before(until, &mut cancel, &mut skipped),
-            Backend::Wheel(w) => w.pop_live_before(until, &mut cancel, &mut skipped),
-        };
-        self.stale_drops += skipped;
-        self.len -= skipped as usize + popped.is_some() as usize;
-        popped.map(|entry| (entry.at, entry.event))
+    /// Removes and returns the earliest event scheduled at or before
+    /// `until`; `None` when no such event remains (later ones stay
+    /// queued).
+    pub fn pop_before(&mut self, until: Time) -> Option<(Time, E)> {
+        let entry = match &mut self.backend {
+            Backend::Heap(h) => h.pop_before(until),
+            Backend::Wheel(w) => w.pop_before(until),
+        }?;
+        self.len -= 1;
+        Some((entry.at, entry.event))
     }
 }
 
@@ -532,81 +446,29 @@ mod tests {
     }
 
     #[test]
-    fn depth_high_water_counts_elided_entries_identically() {
-        // The high water is sampled on push in the wrapper, so entries
-        // later elided as stale still contribute to the peak — on both
-        // backends, identically.
-        let run = |kind| {
-            let mut s: Scheduler<u64> = Scheduler::with_kind(kind);
-            for i in 0..8u64 {
-                s.schedule(Time::from_micros(10 + i), i);
-            }
-            // Everything odd is stale.
-            while s
-                .pop_before(Time::MAX, |_: Time, e: &u64| e % 2 == 1)
-                .is_some()
-            {}
-            (s.depth_high_water(), s.stale_drops(), s.len())
-        };
-        let heap = run(SchedKind::Heap);
-        let wheel = run(SchedKind::Wheel);
-        assert_eq!(heap, wheel);
-        assert_eq!(heap, (8, 4, 0));
-    }
-
-    #[test]
     fn pop_before_respects_the_horizon() {
         for_both(|mut s| {
             s.schedule(Time::from_micros(10), 1);
             s.schedule(Time::from_micros(30), 3);
-            let none_stale = |_: Time, _: &u64| false;
             assert_eq!(
-                s.pop_before(Time::from_micros(20), none_stale),
+                s.pop_before(Time::from_micros(20)),
                 Some((Time::from_micros(10), 1))
             );
-            assert_eq!(s.pop_before(Time::from_micros(20), none_stale), None);
+            assert_eq!(s.pop_before(Time::from_micros(20)), None);
             assert_eq!(s.len(), 1, "the later event must stay queued");
             assert_eq!(
-                s.pop_before(Time::from_micros(30), none_stale),
+                s.pop_before(Time::from_micros(30)),
                 Some((Time::from_micros(30), 3))
             );
         });
     }
 
     #[test]
-    fn stale_entries_beyond_the_horizon_are_left_alone() {
-        for_both(|mut s| {
-            s.schedule(Time::from_micros(50), 5);
-            let all_stale = |_: Time, _: &u64| true;
-            assert_eq!(s.pop_before(Time::from_micros(10), all_stale), None);
-            assert_eq!(s.stale_drops(), 0, "not visited, not elided");
-            assert_eq!(s.len(), 1);
-            assert_eq!(s.pop_before(Time::from_micros(50), all_stale), None);
-            assert_eq!(s.stale_drops(), 1);
-            assert!(s.is_empty());
-        });
-    }
-
-    #[test]
-    fn elision_skips_stale_runs_in_one_pop() {
-        for_both(|mut s| {
-            for i in 0..6u64 {
-                s.schedule(Time::from_micros(i), i);
-            }
-            // Only the last event is live: one pop call elides the rest.
-            let got = s.pop_before(Time::MAX, |_: Time, e: &u64| *e != 5);
-            assert_eq!(got, Some((Time::from_micros(5), 5)));
-            assert_eq!(s.stale_drops(), 5);
-            assert!(s.is_empty());
-        });
-    }
-
-    #[test]
     fn event_ids_are_unique_and_monotone() {
         for_both(|mut s| {
-            let a = s.schedule(Time::from_micros(1), 0);
-            let b = s.schedule(Time::from_micros(1), 0);
-            assert!(b > a);
+            let a = s.schedule_keyed(Time::from_micros(1), 0);
+            let b = s.schedule_keyed(Time::from_micros(1), 0);
+            assert!(b.seq > a.seq);
         });
     }
 
@@ -619,15 +481,13 @@ mod tests {
             // Move the first entry past the second: it must pop second,
             // and under the seq a fresh schedule would have received.
             let h2 = s.reschedule(Some(h), Time::from_micros(30), 3);
-            assert_eq!(h2.id(), EventId(2));
-            assert_eq!(h2.at(), Time::from_micros(30));
+            assert_eq!((h2.at, h2.seq), (Time::from_micros(30), 2));
             assert_eq!(s.len(), 2);
             assert_eq!(s.scheduled_total(), 2, "re-arm is not a fresh schedule");
             assert_eq!(s.rescheduled_total(), 1);
             assert_eq!(s.pop(), Some((Time::from_micros(20), 2)));
             assert_eq!(s.pop(), Some((Time::from_micros(30), 3)));
             assert_eq!(s.pop(), None);
-            assert_eq!(s.stale_drops(), 0, "nothing was abandoned");
         });
     }
 
@@ -641,7 +501,7 @@ mod tests {
             assert_eq!(s.removed_total(), 1);
             assert_eq!(s.pop(), Some((Time::from_micros(15), 2)));
             let h2 = s.reschedule(None, Time::from_micros(40), 4);
-            assert_eq!(h2.id(), EventId(2));
+            assert_eq!(h2.seq, 2);
             assert_eq!(s.pop(), Some((Time::from_micros(40), 4)));
             assert!(s.is_empty());
             assert_eq!(s.scheduled_total(), 2);
@@ -682,45 +542,6 @@ mod tests {
             assert_eq!(s.peek_time(), Some(Time::from_micros(9)));
             assert_eq!(s.pop(), Some((Time::from_micros(9), 1)));
         });
-    }
-
-    #[test]
-    fn reschedule_storm_matches_fresh_schedule_order() {
-        // A timer moved many times must dispatch exactly where a chain of
-        // fresh schedule + elide-the-old would have put it.
-        let run_keyed = |kind| {
-            let mut s: Scheduler<u64> = Scheduler::with_kind(kind);
-            let mut h = s.schedule_keyed(Time::from_micros(100), 0);
-            for i in 1..50u64 {
-                s.schedule(Time::from_micros(i * 3), 1000 + i);
-                h = s.reschedule(Some(h), Time::from_micros(100 + i), i);
-            }
-            let mut out = Vec::new();
-            while let Some((t, e)) = s.pop() {
-                out.push((t, e));
-            }
-            out
-        };
-        let run_epoch = |kind| {
-            let mut s: Scheduler<u64> = Scheduler::with_kind(kind);
-            let mut live = 0u64;
-            s.schedule(Time::from_micros(100), 0);
-            for i in 1..50u64 {
-                s.schedule(Time::from_micros(i * 3), 1000 + i);
-                live = i;
-                s.schedule(Time::from_micros(100 + i), i);
-            }
-            let mut out = Vec::new();
-            while let Some((t, e)) =
-                s.pop_before(Time::MAX, |_: Time, e: &u64| *e < 1000 && *e != live)
-            {
-                out.push((t, e));
-            }
-            out
-        };
-        for kind in [SchedKind::Heap, SchedKind::Wheel] {
-            assert_eq!(run_keyed(kind), run_epoch(kind));
-        }
     }
 
     #[test]

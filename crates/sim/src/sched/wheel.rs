@@ -2,8 +2,9 @@
 //!
 //! The 802.11 DCF schedules almost everything within a few hundred slot
 //! times of *now* — DIFS/backoff expiries, SIFS responses, ACK timeouts,
-//! frame airtimes — and cancels timers constantly via epoch tokens. That
-//! short-horizon churn is the textbook case for Brown's calendar queue:
+//! frame airtimes — and moves or removes its countdown timers constantly
+//! (every freeze and resume of a backoff). That short-horizon churn is the
+//! textbook case for Brown's calendar queue:
 //!
 //! * **Near future** — an array of [`NUM_BUCKETS`] fixed-width buckets,
 //!   each [`BUCKET_WIDTH_US`] µs wide (64 µs ≈ 3 slot times of 20 µs:
@@ -281,84 +282,42 @@ impl<E> WheelQueue<E> {
     /// Removes and returns the earliest entry if it is at or before
     /// `until`; leaves the queue untouched otherwise (the cursor may
     /// still advance — pure bookkeeping, invisible to the total order).
-    #[cfg(test)]
-    pub(crate) fn pop_head_before(&mut self, until: Time) -> Option<Entry<E>>
+    pub(crate) fn pop_before(&mut self, until: Time) -> Option<Entry<E>>
     where
         E: Clone,
     {
-        let mut skipped = 0;
-        self.pop_live_before(until, &mut |_: Time, _: &E| false, &mut skipped)
-    }
-
-    /// Removes and returns the earliest *live* entry at or before `until`,
-    /// consulting `cancel` on each entry in `(at, seq)` order and counting
-    /// the stale ones it consumes into `skipped` (their `len` and
-    /// `stale_drops` accounting stays with the wrapper).
-    ///
-    /// Doing the elision loop here — rather than popping one entry per
-    /// wrapper call — lets a run of stale entries drain in place: the
-    /// cursor positioning and bitmap scan happen once per *bucket*, not
-    /// once per entry, and stale entries are never cloned out at all,
-    /// only stepped over by growing the dead prefix.
-    pub(crate) fn pop_live_before<C: super::Cancelable<E>>(
-        &mut self,
-        until: Time,
-        cancel: &mut C,
-        skipped: &mut u64,
-    ) -> Option<Entry<E>>
-    where
-        E: Clone,
-    {
-        loop {
-            if self.in_buckets == 0 {
-                let head_at = self.overflow.peek()?.at;
-                if head_at > until {
-                    return None;
-                }
-                self.jump_to(head_at.as_micros());
-                debug_assert!(self.in_buckets > 0, "jump_to must refill the head");
+        if self.in_buckets == 0 {
+            let head_at = self.overflow.peek()?.at;
+            if head_at > until {
+                return None;
             }
-            let offset = self
-                .next_occupied_offset()
-                .expect("in_buckets > 0 implies an occupied bucket");
-            if offset > 0 {
-                self.advance(offset);
-            }
-            let cur = self.cursor;
-            // Drain this bucket's stale prefix in place; leave the inner
-            // loop when the bucket empties (reposition) or a live entry
-            // (or the horizon) surfaces.
-            loop {
-                let bucket = &mut self.buckets[cur];
-                if bucket.head == bucket.items.len() {
-                    break;
-                }
-                let head = &bucket.items[bucket.head];
-                if head.at > until {
-                    return None;
-                }
-                // Clone live entries out and grow the dead prefix; the
-                // backing Vec is reclaimed in one `clear` once the bucket
-                // drains. Events are small enum payloads, so the clone is
-                // a plain copy in practice.
-                let entry = if cancel.is_stale(head.at, &head.event) {
-                    None
-                } else {
-                    Some(head.clone())
-                };
-                bucket.head += 1;
-                if bucket.head == bucket.items.len() {
-                    bucket.items.clear();
-                    bucket.head = 0;
-                    self.occupied[cur >> 6] &= !(1u64 << (cur & 63));
-                }
-                self.in_buckets -= 1;
-                match entry {
-                    Some(e) => return Some(e),
-                    None => *skipped += 1,
-                }
-            }
+            self.jump_to(head_at.as_micros());
+            debug_assert!(self.in_buckets > 0, "jump_to must refill the head");
         }
+        let offset = self
+            .next_occupied_offset()
+            .expect("in_buckets > 0 implies an occupied bucket");
+        if offset > 0 {
+            self.advance(offset);
+        }
+        let cur = self.cursor;
+        let bucket = &mut self.buckets[cur];
+        let head = &bucket.items[bucket.head];
+        if head.at > until {
+            return None;
+        }
+        // Clone the entry out and grow the dead prefix; the backing Vec is
+        // reclaimed in one `clear` once the bucket drains. Events are small
+        // enum payloads, so the clone is a plain copy in practice.
+        let entry = head.clone();
+        bucket.head += 1;
+        if bucket.head == bucket.items.len() {
+            bucket.items.clear();
+            bucket.head = 0;
+            self.occupied[cur >> 6] &= !(1u64 << (cur & 63));
+        }
+        self.in_buckets -= 1;
+        Some(entry)
     }
 
     pub(crate) fn peek_time(&self) -> Option<Time> {
@@ -399,7 +358,7 @@ mod tests {
         w.push(entry(5, 2));
         w.push(entry(10, 0));
         let order: Vec<u64> =
-            std::iter::from_fn(|| w.pop_head_before(Time::MAX).map(|e| e.seq)).collect();
+            std::iter::from_fn(|| w.pop_before(Time::MAX).map(|e| e.seq)).collect();
         assert_eq!(order, vec![2, 0, 1], "(at, seq) order within the bucket");
     }
 
@@ -408,10 +367,10 @@ mod tests {
         let mut w: WheelQueue<u64> = WheelQueue::new();
         w.push(entry(HORIZON_US + 5, 0)); // overflow
         w.push(entry(3, 1)); // bucket
-        assert_eq!(w.pop_head_before(Time::MAX).unwrap().seq, 1);
-        assert_eq!(w.pop_head_before(Time::MAX).unwrap().seq, 0);
+        assert_eq!(w.pop_before(Time::MAX).unwrap().seq, 1);
+        assert_eq!(w.pop_before(Time::MAX).unwrap().seq, 0);
         assert_eq!(w.stats().overflow_refills, 1);
-        assert!(w.pop_head_before(Time::MAX).is_none());
+        assert!(w.pop_before(Time::MAX).is_none());
     }
 
     #[test]
@@ -419,12 +378,12 @@ mod tests {
         let mut w: WheelQueue<u64> = WheelQueue::new();
         // Advance the wheel deep into its second lap.
         w.push(entry(2 * HORIZON_US + 100, 0));
-        assert_eq!(w.pop_head_before(Time::MAX).unwrap().seq, 0);
+        assert_eq!(w.pop_before(Time::MAX).unwrap().seq, 0);
         // A "late" push behind the wheel's base must still pop, and first.
         w.push(entry(7, 2));
         w.push(entry(2 * HORIZON_US + 120, 1));
-        assert_eq!(w.pop_head_before(Time::MAX).unwrap().seq, 2);
-        assert_eq!(w.pop_head_before(Time::MAX).unwrap().seq, 1);
+        assert_eq!(w.pop_before(Time::MAX).unwrap().seq, 2);
+        assert_eq!(w.pop_before(Time::MAX).unwrap().seq, 1);
     }
 
     #[test]
@@ -437,7 +396,7 @@ mod tests {
             w.push(entry(us, i as u64));
         }
         let order: Vec<u64> =
-            std::iter::from_fn(|| w.pop_head_before(Time::MAX).map(|e| e.seq)).collect();
+            std::iter::from_fn(|| w.pop_before(Time::MAX).map(|e| e.seq)).collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
         assert_eq!(w.peek_time(), None);
     }

@@ -135,9 +135,6 @@ pub enum DropCause {
     SourceQueueFull,
     /// A relay had no route toward the packet's final destination.
     Unroutable,
-    /// A MAC timer from a superseded transmission epoch was discarded
-    /// (an event drop, not a packet drop; `seq` carries the stale epoch).
-    StaleEpoch,
 }
 
 impl DropCause {
@@ -148,7 +145,6 @@ impl DropCause {
             DropCause::QueueFull => "queue_full",
             DropCause::SourceQueueFull => "source_queue_full",
             DropCause::Unroutable => "unroutable",
-            DropCause::StaleEpoch => "stale_epoch",
         }
     }
 
@@ -158,7 +154,6 @@ impl DropCause {
             "queue_full" => DropCause::QueueFull,
             "source_queue_full" => DropCause::SourceQueueFull,
             "unroutable" => DropCause::Unroutable,
-            "stale_epoch" => DropCause::StaleEpoch,
             _ => return None,
         })
     }
@@ -905,7 +900,6 @@ mod tests {
             DropCause::QueueFull,
             DropCause::SourceQueueFull,
             DropCause::Unroutable,
-            DropCause::StaleEpoch,
         ];
         let outcomes = [
             RxOutcome::Clean,
@@ -929,7 +923,7 @@ mod tests {
                 src: c as usize,
             },
             TracePayload::Drop {
-                cause: causes[(c % 5) as usize],
+                cause: causes[(c % 4) as usize],
                 seq,
             },
             TracePayload::CwChange {

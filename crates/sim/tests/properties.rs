@@ -19,12 +19,11 @@ fn class_of(i: u64) -> FrameClass {
 }
 
 fn cause_of(i: u64) -> DropCause {
-    match i % 5 {
+    match i % 4 {
         0 => DropCause::RetryLimit,
         1 => DropCause::QueueFull,
         2 => DropCause::SourceQueueFull,
-        3 => DropCause::Unroutable,
-        _ => DropCause::StaleEpoch,
+        _ => DropCause::Unroutable,
     }
 }
 

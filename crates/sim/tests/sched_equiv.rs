@@ -1,36 +1,28 @@
 //! Heap vs calendar-queue equivalence.
 //!
 //! The two scheduler backends must be observationally indistinguishable:
-//! identical pop sequences (times, payloads and `EventId`s), identical
-//! stale-elision decisions, and identical bookkeeping (`len`,
-//! `depth_high_water`, `stale_drops`, `peek_time`). This harness drives
-//! both with the same randomized schedule/cancel workload — short
+//! identical pop sequences (times and payloads), identical keyed handles,
+//! and identical bookkeeping (`len`, `depth_high_water`, `scheduled_total`,
+//! `rescheduled_total`, `removed_total`, `peek_time`). This harness drives
+//! both with the same randomized schedule/move/remove workload — short
 //! DCF-like timers, same-instant FIFO ties, deep-overflow events past the
-//! wheel horizon, epoch-token cancel storms, and `pop_before` horizons
-//! that slice the run arbitrarily — and asserts lock-step equality after
-//! every operation. No network can be built on the heap, so this file is
-//! the only place the wheel is checked against it; `scripts/check.sh`
-//! runs it explicitly.
+//! wheel horizon, keyed reschedule and park storms, and `pop_before`
+//! horizons that slice the run arbitrarily — and asserts lock-step
+//! equality after every operation. No network can be built on the heap,
+//! so this file is the only place the wheel is checked against it;
+//! `scripts/check.sh` runs it explicitly.
 
 use ezflow_sim::{SchedKind, Scheduler, SimRng, Time, TimerHandle};
 use proptest::prelude::*;
 
-/// Event payload: an owner with the epoch token it was scheduled under
-/// (the MAC's cancellation pattern) plus a unique tag for identity checks.
-/// Keyed entries — the ones moved in place through [`TimerHandle`]s —
-/// carry [`KEYED`] instead of an epoch: per the engine's handle
-/// discipline they are never abandoned to the stale hook.
+/// Event payload: an owner plus a unique tag for identity checks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Ev {
     owner: usize,
-    epoch: u64,
     tag: u64,
 }
 
 const OWNERS: usize = 8;
-
-/// Epoch sentinel for handle-managed entries (exempt from stale elision).
-const KEYED: u64 = u64::MAX;
 
 /// `rng.gen_range` with u64 ergonomics for this file's workload mixes.
 fn below(rng: &mut SimRng, bound: u64) -> u64 {
@@ -40,9 +32,6 @@ fn below(rng: &mut SimRng, bound: u64) -> u64 {
 struct Pair {
     heap: Scheduler<Ev>,
     wheel: Scheduler<Ev>,
-    /// Current epoch per owner; events scheduled under an older epoch are
-    /// stale and must be elided at pop time by both backends.
-    epochs: [u64; OWNERS],
     /// Live handle pairs `(tag, heap handle, wheel handle)` for keyed
     /// entries still pending in both queues.
     handles: Vec<(u64, TimerHandle, TimerHandle)>,
@@ -57,7 +46,6 @@ impl Pair {
         Pair {
             heap: Scheduler::with_kind(SchedKind::Heap),
             wheel: Scheduler::with_kind(SchedKind::Wheel),
-            epochs: [0; OWNERS],
             handles: Vec::new(),
             parked: 0,
             now: 0,
@@ -65,29 +53,25 @@ impl Pair {
         }
     }
 
+    /// The next event for `owner`, under a fresh tag.
+    fn ev(&mut self, owner: usize) -> Ev {
+        let tag = self.next_tag;
+        self.next_tag += 1;
+        Ev { owner, tag }
+    }
+
     fn schedule(&mut self, delta_us: u64, owner: usize) {
         let at = Time::from_micros(self.now + delta_us);
-        let ev = Ev {
-            owner,
-            epoch: self.epochs[owner],
-            tag: self.next_tag,
-        };
-        self.next_tag += 1;
-        let a = self.heap.schedule(at, ev);
-        let b = self.wheel.schedule(at, ev);
-        assert_eq!(a, b, "EventIds must match");
+        let ev = self.ev(owner);
+        self.heap.schedule(at, ev);
+        self.wheel.schedule(at, ev);
         self.check();
     }
 
     /// Schedules a keyed entry and tracks its handles.
     fn schedule_keyed(&mut self, delta_us: u64, owner: usize) {
         let at = Time::from_micros(self.now + delta_us);
-        let ev = Ev {
-            owner,
-            epoch: KEYED,
-            tag: self.next_tag,
-        };
-        self.next_tag += 1;
+        let ev = self.ev(owner);
         let a = self.heap.schedule_keyed(at, ev);
         let b = self.wheel.schedule_keyed(at, ev);
         assert_eq!(a, b, "handles must match");
@@ -103,13 +87,7 @@ impl Pair {
         let i = pick % self.handles.len();
         let (_, ha, hb) = self.handles[i];
         let at = Time::from_micros(self.now + delta_us);
-        let owner = pick % OWNERS;
-        let ev = Ev {
-            owner,
-            epoch: KEYED,
-            tag: self.next_tag,
-        };
-        self.next_tag += 1;
+        let ev = self.ev(pick % OWNERS);
         let a = self.heap.reschedule(Some(ha), at, ev);
         let b = self.wheel.reschedule(Some(hb), at, ev);
         assert_eq!(a, b, "rescheduled handles must match");
@@ -138,12 +116,7 @@ impl Pair {
         }
         self.parked -= 1;
         let at = Time::from_micros(self.now + delta_us);
-        let ev = Ev {
-            owner,
-            epoch: KEYED,
-            tag: self.next_tag,
-        };
-        self.next_tag += 1;
+        let ev = self.ev(owner);
         let a = self.heap.reschedule(None, at, ev);
         let b = self.wheel.reschedule(None, at, ev);
         assert_eq!(a, b);
@@ -151,25 +124,18 @@ impl Pair {
         self.check();
     }
 
-    fn bump(&mut self, owner: usize) {
-        self.epochs[owner] += 1;
-    }
-
     /// Pops one event from each backend up to `until`, asserting both
-    /// return the same thing and elide the same stale entries.
+    /// return the same thing.
     fn pop_before(&mut self, until: Time) -> Option<(Time, Ev)> {
-        let epochs = self.epochs;
-        let stale = |_: Time, e: &Ev| e.epoch != KEYED && epochs[e.owner] != e.epoch;
-        let a = self.heap.pop_before(until, stale);
-        let b = self.wheel.pop_before(until, stale);
+        let a = self.heap.pop_before(until);
+        let b = self.wheel.pop_before(until);
         assert_eq!(a, b, "pop sequences must match");
         if let Some((t, ev)) = a {
             assert!(t.as_micros() >= self.now, "time went backwards");
             self.now = t.as_micros();
-            if ev.epoch == KEYED {
-                // The entry left the queue: its handles are dead.
-                self.handles.retain(|(tag, _, _)| *tag != ev.tag);
-            }
+            // The entry left the queue: if it was keyed, its handles are
+            // dead.
+            self.handles.retain(|(tag, _, _)| *tag != ev.tag);
         } else if until != Time::MAX {
             self.now = until.as_micros();
         }
@@ -177,8 +143,7 @@ impl Pair {
         a
     }
 
-    /// Lock-step bookkeeping equality (the `depth_high_water` satellite:
-    /// maintained identically by both backends, elisions included).
+    /// Lock-step bookkeeping equality.
     fn check(&self) {
         assert_eq!(self.heap.len(), self.wheel.len());
         assert_eq!(self.heap.is_empty(), self.wheel.is_empty());
@@ -188,7 +153,6 @@ impl Pair {
             self.wheel.depth_high_water(),
             "high-water accounting diverged"
         );
-        assert_eq!(self.heap.stale_drops(), self.wheel.stale_drops());
         assert_eq!(
             self.heap.rescheduled_total(),
             self.wheel.rescheduled_total()
@@ -207,7 +171,7 @@ impl Pair {
 /// Which operation generator [`run_workload`] draws from.
 #[derive(Clone, Copy)]
 enum Mix {
-    /// Schedule-heavy, with cancel storms and arbitrary pop horizons.
+    /// Schedule-heavy, with keyed churn and arbitrary pop horizons.
     Uniform,
     /// The engine's shape: one slot-granular backoff timer per owner.
     Dcf,
@@ -224,7 +188,7 @@ fn uniform_op(pair: &mut Pair, rng: &mut SimRng) {
         _ => below(rng, 3_000_000),          // far future (overflow heap)
     };
     let owner = below(rng, OWNERS as u64) as usize;
-    match below(rng, 100) {
+    match below(rng, 90) {
         0..=39 => pair.schedule(delta, owner),
         40..=49 => pair.schedule_keyed(delta, owner),
         // In-place reschedule storm: move a live keyed entry,
@@ -238,10 +202,6 @@ fn uniform_op(pair: &mut Pair, rng: &mut SimRng) {
             pair.park(pick);
         }
         67..=69 => pair.resume(delta, owner),
-        70..=79 => {
-            // Cancel storm: invalidate one owner's outstanding timers.
-            pair.bump(owner);
-        }
         _ => {
             let until = Time::from_micros(pair.now + below(rng, 100_000));
             pair.pop_before(until);
@@ -255,14 +215,14 @@ fn uniform_op(pair: &mut Pair, rng: &mut SimRng) {
 /// slot, `reschedule(None)` for a parked one, `schedule_keyed` for an
 /// idle one) at DIFS plus a whole number of 20 µs slots, so several
 /// countdowns started from one `now` expire at the same instant. Around
-/// them: medium-busy freezes (`remove`), epoch-token frame timers, and
+/// them: medium-busy freezes (`remove`), unkeyed frame timers, and
 /// source arrivals past the 65.536 ms wheel horizon, so the overflow
 /// heap refills buckets while the timers churn.
 fn dcf_op(pair: &mut Pair, rng: &mut SimRng) {
     const SLOT: u64 = 20;
     const DIFS: u64 = 50;
     let timer = below(rng, OWNERS as u64) as usize;
-    match below(rng, 16) {
+    match below(rng, 15) {
         0..=6 => {
             let backoff = DIFS + below(rng, 16) * SLOT;
             let armed = pair.handles.len();
@@ -275,12 +235,11 @@ fn dcf_op(pair: &mut Pair, rng: &mut SimRng) {
             }
         }
         7..=8 => pair.park(timer),
-        // ACK timeout or end of a data frame, cancelled by epoch bump.
+        // ACK timeout or end of a data frame.
         9 => pair.schedule(304 + below(rng, 2) * 8_192, timer),
-        10 => pair.bump(timer),
         // Next source arrival: far enough out to land in the overflow heap
         // even when the cursor has run ahead of `now` to a frame timer.
-        11 => pair.schedule(70_000 + below(rng, 30_000), timer),
+        10 => pair.schedule(70_000 + below(rng, 30_000), timer),
         _ => {
             let until = Time::from_micros(pair.now + below(rng, 2_000));
             while pair.pop_before(until).is_some() {}
@@ -339,13 +298,12 @@ proptest! {
                 3 => 65_536 + below(&mut rng, 128),
                 _ => below(&mut rng, 1_500_000),
             };
-            match below(&mut rng, 10) {
+            match below(&mut rng, 9) {
                 0..=3 => pair.reschedule(below(&mut rng, 1 << 30) as usize, delta),
                 4 => pair.park(below(&mut rng, 1 << 30) as usize),
                 5 => pair.resume(delta, step % OWNERS),
                 6 => pair.schedule_keyed(delta, step % OWNERS),
                 7 => pair.schedule(delta, step % OWNERS),
-                8 => pair.bump(step % OWNERS),
                 _ => {
                     // Advance through several thin horizon slices rather
                     // than one big drain: rotation happens under churn.
@@ -363,13 +321,8 @@ proptest! {
 #[test]
 fn same_instant_fifo_ties_pop_identically() {
     let mut pair = Pair::new();
-    // A burst of ties at one instant, interleaved with bumps so some of
-    // the tied entries are stale.
     for i in 0..64 {
         pair.schedule(100, i % OWNERS);
-        if i % 5 == 0 {
-            pair.bump(i % OWNERS);
-        }
     }
     let mut tags = Vec::new();
     while let Some((at, ev)) = pair.pop_before(Time::from_micros(100)) {
@@ -378,33 +331,16 @@ fn same_instant_fifo_ties_pop_identically() {
     }
     let mut sorted = tags.clone();
     sorted.sort_unstable();
+    assert_eq!(tags.len(), 64);
     assert_eq!(tags, sorted, "ties must pop in schedule (FIFO) order");
-    assert!(
-        pair.heap.stale_drops() > 0,
-        "the storm must elide something"
-    );
-}
-
-#[test]
-fn cancel_storm_elides_everything_identically() {
-    let mut pair = Pair::new();
-    for i in 0..200u64 {
-        pair.schedule(i * 7, (i % OWNERS as u64) as usize);
-    }
-    for o in 0..OWNERS {
-        pair.bump(o);
-    }
-    pair.drain();
-    assert_eq!(pair.heap.stale_drops(), 200, "every entry was stale");
-    assert_eq!(pair.heap.depth_high_water(), 200);
 }
 
 #[test]
 fn reschedule_storm_stays_in_lock_step() {
     // A dense in-place reschedule storm — every keyed entry moved many
     // times, crossing the wheel's bucket/overflow boundary in both
-    // directions and mixing with parks, revivals and epoch-stale
-    // bystanders — must keep both backends byte-identical.
+    // directions and mixing with parks, revivals and unkeyed bystanders
+    // — must keep both backends byte-identical.
     let mut rng = SimRng::new(77);
     let mut pair = Pair::new();
     for i in 0..24 {
@@ -418,11 +354,10 @@ fn reschedule_storm_stays_in_lock_step() {
             2 => 60_000 + below(&mut rng, 12_000),
             _ => below(&mut rng, 1_000_000),
         };
-        match below(&mut rng, 10) {
+        match below(&mut rng, 9) {
             0..=5 => pair.reschedule(below(&mut rng, 1 << 30) as usize, delta),
             6 => pair.park(below(&mut rng, 1 << 30) as usize),
             7 => pair.resume(delta, step % OWNERS),
-            8 => pair.bump(step % OWNERS),
             _ => {
                 let until = Time::from_micros(pair.now + below(&mut rng, 5_000));
                 pair.pop_before(until);
@@ -439,8 +374,7 @@ fn reschedule_storm_stays_in_lock_step() {
 #[test]
 fn horizon_slicing_never_changes_decisions() {
     // Slicing the same workload into many tiny pop_before horizons must
-    // give the same final accounting as one big drain (stale entries
-    // beyond the horizon are left alone by contract).
+    // give the same pop sequence and final accounting as one big drain.
     let run = |slice_us: u64| {
         let mut rng = SimRng::new(9);
         let mut pair = Pair::new();
@@ -448,9 +382,6 @@ fn horizon_slicing_never_changes_decisions() {
             let delta = below(&mut rng, 50_000);
             let owner = below(&mut rng, OWNERS as u64) as usize;
             pair.schedule(delta, owner);
-            if below(&mut rng, 3) == 0 {
-                pair.bump(below(&mut rng, OWNERS as u64) as usize);
-            }
         }
         let mut popped = Vec::new();
         let mut until = 0;
@@ -460,7 +391,8 @@ fn horizon_slicing_never_changes_decisions() {
                 popped.push((t, ev.tag));
             }
         }
-        (popped, pair.heap.stale_drops())
+        assert_eq!(popped.len(), 100);
+        (popped, pair.wheel.depth_high_water())
     };
     assert_eq!(run(100), run(1_000_000));
 }

@@ -111,36 +111,6 @@ impl<T> TimeSeries<T> {
             .enumerate()
             .map(|(i, v)| (self.dropped + i as u64, v))
     }
-
-    /// Merges two aligned series (same `interval`) element-wise over the
-    /// overlap of their retained index ranges. The result is anchored at
-    /// the first overlapping window and capped at the smaller of the two
-    /// capacities — deterministic for any push history.
-    pub fn merge_with<U, V>(
-        &self,
-        other: &TimeSeries<U>,
-        mut f: impl FnMut(&T, &U) -> V,
-    ) -> TimeSeries<V> {
-        assert_eq!(
-            self.interval, other.interval,
-            "merged series must share a window width"
-        );
-        let first = self.first_index().max(other.first_index());
-        let next = self.next_index().min(other.next_index());
-        let mut out = TimeSeries {
-            interval: self.interval,
-            cap: self.cap.min(other.cap),
-            dropped: first.min(next),
-            values: VecDeque::new(),
-        };
-        for i in first..next {
-            let (Some(a), Some(b)) = (self.get(i), other.get(i)) else {
-                continue;
-            };
-            out.push(f(a, b));
-        }
-        out
-    }
 }
 
 impl TimeSeries<f64> {
@@ -469,37 +439,6 @@ mod tests {
         let pts = ts.points();
         assert_eq!(pts.len(), 5);
         assert!((pts[0].0 - 1.0).abs() < 1e-12, "window end, seconds");
-    }
-
-    #[test]
-    fn time_series_merge_is_deterministic_over_the_overlap() {
-        // a retains windows 6..10, b retains 0..8: overlap is 6..8, and the
-        // merged values are a pure function of the two inputs regardless of
-        // push history.
-        let mut a = TimeSeries::new(Duration::from_millis(100), 4);
-        for v in 0..10 {
-            a.push(v as f64);
-        }
-        let mut b = TimeSeries::new(Duration::from_millis(100), 16);
-        for v in 0..8 {
-            b.push(10.0 * v as f64);
-        }
-        let m = a.merge_with(&b, |x, y| x + y);
-        assert_eq!(m.first_index(), 6);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.get(6), Some(&66.0));
-        assert_eq!(m.get(7), Some(&77.0));
-        // Merging in either order pairs the same windows.
-        let m2 = b.merge_with(&a, |y, x| x + y);
-        assert_eq!(m2.get(6), Some(&66.0));
-        assert_eq!(m2.get(7), Some(&77.0));
-        // Disjoint ranges produce an empty series, not a panic.
-        let mut c = TimeSeries::new(Duration::from_millis(100), 2);
-        for v in 0..20 {
-            c.push(v as f64);
-        }
-        let empty = b.merge_with(&c, |x, y| x + y);
-        assert!(empty.is_empty());
     }
 
     #[test]

@@ -23,7 +23,7 @@ echo "== parallel sweep smoke (seeds, --quick --jobs=2) =="
 cargo run --release -q -p ezflow-bench --bin experiments -- --quick --jobs=2 seeds >/dev/null
 
 echo "== scheduler equivalence proptests (heap vs wheel) =="
-# Randomized schedule/cancel workloads must pop identically from the
+# Randomized schedule/move/remove workloads must pop identically from the
 # wheel and the heap reference (exact (at, seq) order, same high-water
 # stats) — the only place the heap runs.
 cargo test -q -p ezflow-sim --test sched_equiv

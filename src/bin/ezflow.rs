@@ -14,14 +14,23 @@
 //! what `--topo` accepts.
 //!
 //! `run` holds its flags to the limits a scenario spec is held to
-//! (`scenario::{MAX_NODES, MAX_DURATION_SECS}`) and validates the network
-//! before building it: a value out of range exits 2 naming the flag.
+//! (`scenario::{MAX_NODES, MAX_DURATION_SECS, MAX_WINDOW}`) and validates
+//! the network before building it; `model` holds `--hops` and `--slots`
+//! to work that ends. A value out of range exits 2 naming the flag.
 
 use std::process::ExitCode;
 
 use ezflow::analysis::{ModelConfig, SlottedModel};
-use ezflow::net::scenario::{MAX_DURATION_SECS, MAX_NODES};
+use ezflow::net::scenario::{MAX_DURATION_SECS, MAX_NODES, MAX_WINDOW};
 use ezflow::prelude::*;
+
+/// Longest chain `model` walks. The §6 analysis is about K ≤ 4 hops and
+/// a slot costs O(K) (≈ 0.1 µs per hop), so 1,024 is generous.
+const MODEL_MAX_HOPS: usize = 1024;
+
+/// Most hop·slots `model` simulates — a few minutes of work: 10⁹ slots
+/// of the default 4-hop chain, 5,000× the default run.
+const MODEL_MAX_HOP_SLOTS: u64 = 4_000_000_000;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -69,7 +78,7 @@ fn parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
     }
 }
 
-/// Reports a bad `run` argument and yields the usage exit code.
+/// Reports a bad argument and yields the usage exit code.
 fn rejected(complaint: String) -> ExitCode {
     eprintln!("{complaint}");
     ExitCode::from(2)
@@ -79,7 +88,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let topo_name = flag_value(args, "--topo").unwrap_or("chain");
     let hops: usize = parse(args, "--hops", 4);
     // A K-hop chain has K + 1 nodes; checked before one is allocated.
-    if !(1..MAX_NODES).contains(&hops) {
+    // The other topologies have their own shape and ignore the flag.
+    if topo_name == "chain" && !(1..MAX_NODES).contains(&hops) {
         return rejected(format!(
             "--hops {hops}: must be in 1..{MAX_NODES} (the {MAX_NODES}-node limit)"
         ));
@@ -92,6 +102,11 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let trace: usize = parse(args, "--trace", 0);
     let controller = flag_value(args, "--controller").unwrap_or("ezflow");
     let window: usize = parse(args, "--window", 0);
+    if window > MAX_WINDOW {
+        return rejected(format!(
+            "--window {window}: must be at most {MAX_WINDOW} packets"
+        ));
+    }
 
     let default_secs = match topo_name {
         "scenario1" => 2504,
@@ -240,7 +255,18 @@ fn clamp_flows(t: &mut Topology, until: Time) {
 
 fn cmd_model(args: &[String]) -> ExitCode {
     let hops: usize = parse(args, "--hops", 4);
+    // The model needs a relay buffer to walk: two hops at least.
+    if !(2..=MODEL_MAX_HOPS).contains(&hops) {
+        return rejected(format!("--hops {hops}: must be in 2..={MODEL_MAX_HOPS}"));
+    }
     let slots: u64 = parse(args, "--slots", 200_000);
+    let max_slots = MODEL_MAX_HOP_SLOTS / hops as u64;
+    if !(1..=max_slots).contains(&slots) {
+        return rejected(format!(
+            "--slots {slots}: must be in 1..={max_slots} for {hops} hops \
+             (hops x slots <= {MODEL_MAX_HOP_SLOTS})"
+        ));
+    }
     let seed: u64 = parse(args, "--seed", 42);
     let adaptive = !flag_present(args, "--fixed");
     let mut m = SlottedModel::new(ModelConfig {

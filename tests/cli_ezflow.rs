@@ -4,21 +4,13 @@
 //! never a panic (SIGABRT under the release profile's `panic = "abort"`),
 //! never a run that cannot end.
 
-use std::process::{Command, Output};
+#[path = "support/budget.rs"]
+mod budget;
 
-fn ezflow(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_ezflow"))
-        .args(args)
-        .output()
-        .expect("the ezflow binary runs")
-}
+const EZFLOW: &str = env!("CARGO_BIN_EXE_ezflow");
 
 fn assert_rejected(args: &[&str], flag: &str) {
-    let out = ezflow(args);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-    assert!(stderr.contains(flag), "{args:?}: {stderr}");
-    assert!(out.stdout.is_empty(), "{args:?} ran a simulation");
+    budget::assert_rejected(EZFLOW, args, flag);
 }
 
 #[test]
@@ -53,7 +45,44 @@ fn the_largest_accepted_values_still_parse() {
     // The limits are inclusive where the spec path's are: one simulated
     // second of a 2-hop chain at the extremes of --loss runs and exits 0.
     for loss in ["0", "1"] {
-        let out = ezflow(&["run", "--hops", "2", "--secs", "1", "--loss", loss]);
+        let out = budget::run(
+            EZFLOW,
+            &["run", "--hops", "2", "--secs", "1", "--loss", loss],
+        );
         assert_eq!(out.status.code(), Some(0), "--loss {loss}");
     }
+}
+
+#[test]
+fn a_window_past_the_limit_exits_2_naming_window() {
+    // Once a hang: the first fill of the window never finished.
+    assert_rejected(&["run", "--window", "99999999999999"], "--window");
+    assert_rejected(&["run", "--window", "65537"], "--window");
+}
+
+#[test]
+fn hops_bind_only_the_chain() {
+    // The other topologies ignore the flag, so it cannot be wrong there.
+    let out = budget::run(
+        EZFLOW,
+        &["run", "--topo", "testbed", "--hops", "0", "--secs", "1"],
+    );
+    assert_eq!(out.status.code(), Some(0), "testbed with --hops 0");
+}
+
+#[test]
+fn a_model_that_cannot_step_or_cannot_end_exits_2_naming_the_flag() {
+    // Once an assertion in `SlottedModel::new` (no relay to walk)...
+    assert_rejected(&["model", "--hops", "0"], "--hops");
+    assert_rejected(&["model", "--hops", "1"], "--hops");
+    // ...and a loop of O(hops) steps nothing bounded.
+    assert_rejected(&["model", "--hops", "100000000"], "--hops");
+    assert_rejected(&["model", "--slots", "99999999999999"], "--slots");
+    assert_rejected(
+        &["model", "--hops", "1024", "--slots", "4000000"],
+        "--slots",
+    );
+    assert_rejected(&["model", "--slots", "0"], "--slots");
+    let out = budget::run(EZFLOW, &["model", "--hops", "2", "--slots", "1000"]);
+    assert_eq!(out.status.code(), Some(0), "the smallest model runs");
 }
