@@ -10,43 +10,34 @@
 //!
 //! `--jobs=N` fans each experiment's independent runs across N worker
 //! threads (`--jobs=0`, the default, uses the machine's parallelism;
-//! `--jobs=1` forces the old serial behaviour). Results are identical
-//! for every N — runs are pure functions of their spec and seed.
+//! `--jobs=1` runs them in line). Results and exports are identical for
+//! every N — runs are pure functions of their spec and seed.
 //!
-//! `--trace-dir=DIR` arms the per-packet flight recorder and writes each
-//! traced run's lifecycle JSONL as `DIR/<experiment>_<algo>.jsonl` — the
-//! input format of the `trace` inspector binary. The capture is bounded
-//! (`--flight-cap=N` journeys, default 4096): past the bound the recorder
-//! samples admissions deterministically and evicts finished journeys, and
-//! this harness reports exactly how much was kept — a partial capture is
-//! always labelled, never silent. Recording never changes the simulation:
-//! runs are bit-identical with or without it.
-//!
-//! `--telemetry-dir=DIR` arms the telemetry bus on every network the
-//! experiments build and streams one JSONL record per sample window to
-//! `DIR/<experiment>_<algo>.jsonl` *while each run is in flight* — the
-//! input format of `trace telemetry`. The sampling interval defaults to
-//! 100 ms of simulated time; `--telemetry-ms=N` overrides it, and also
-//! arms the bus on its own (rings + the snapshots' `stability` section,
-//! no streaming). Telemetry never changes the simulation either.
-//!
-//! `--audit-dir=DIR` arms the controller-provenance audit ledger on every
-//! network and streams one JSONL record per BOE estimation sample and per
-//! `CWmin` decision to `DIR/<experiment>_<algo>.audit.jsonl` — the input
-//! format of `trace controller`. Snapshots from the same runs gain a
-//! `controller` section (per-node CW-change counts, per-link estimation
-//! error). The audit is pull-based and never changes the simulation.
+//! `--trace-dir=DIR` (flight recorder, at most `--flight-cap=N` journeys,
+//! default 4096), `--telemetry-dir=DIR` (telemetry bus, one window per
+//! `--telemetry-ms=N`, default 100; that flag alone arms the bus without
+//! streaming) and `--audit-dir=DIR` (controller audit ledger) each arm
+//! an observer on every network every experiment or spec runs and export
+//! it, one file per run: `<stem>.jsonl`, `<stem>.jsonl` and
+//! `<stem>.audit.jsonl`, the stem being the run's label scrubbed
+//! (`scenario1/802.11` is `scenario1_80211`) — see
+//! [`ezflow_bench::export`]. The first two write same-named files, so
+//! they must name different directories. No observer changes the
+//! simulation: runs are bit-identical armed or not, and a capture the
+//! flight cap made partial is labelled so on stderr. An export that
+//! cannot be written is named there and the process exits 1.
 //!
 //! `--spec=FILE` runs a declarative scenario document (see DESIGN.md §9
 //! and the committed examples under `scenarios/`) through the same
 //! reporting pipeline: every sweep point in the file becomes one run, and
-//! `--csv` / `--json` / `--trace-dir` / `--telemetry-dir` all apply.
+//! `--csv` / `--json` and the three export flags all apply.
 //! `--list` prints the named experiment ids plus every spec discovered
 //! under `scenarios/`, one line each.
 //!
 //! The whole command line is checked before the first experiment starts:
 //! a malformed flag value (`--seed=abc`, `--telemetry-ms=0`), an unknown
-//! `--flag`, an unknown id, an unreadable spec or a `--time` factor that
+//! `--flag`, an unknown id, an unreadable spec, one directory given to
+//! both `--trace-dir` and `--telemetry-dir`, or a `--time` factor that
 //! scales a spec's duration — or the named experiments' longest
 //! timeline — out of bounds is a usage error: one line on stderr naming
 //! the culprit, exit 2, nothing run.
@@ -98,11 +89,9 @@ fn main() -> ExitCode {
     let mut markdown = false;
     let mut csv_dir: Option<std::path::PathBuf> = None;
     let mut json_path: Option<std::path::PathBuf> = None;
-    let mut trace_dir: Option<std::path::PathBuf> = None;
+    let mut dirs = ezflow_bench::export::Dirs::default();
     let mut flight_cap: Option<usize> = None;
-    let mut telemetry_dir: Option<std::path::PathBuf> = None;
     let mut telemetry_ms: Option<u64> = None;
-    let mut audit_dir: Option<std::path::PathBuf> = None;
     let mut ids = Vec::new();
     let mut specs: Vec<std::path::PathBuf> = Vec::new();
     let mut list = false;
@@ -131,14 +120,14 @@ fn main() -> ExitCode {
                 json_path = Some(std::path::PathBuf::from(&s["--json=".len()..]));
             }
             s if s.starts_with("--trace-dir=") => {
-                trace_dir = Some(std::path::PathBuf::from(&s["--trace-dir=".len()..]));
+                dirs.trace = Some(std::path::PathBuf::from(&s["--trace-dir=".len()..]));
             }
             s if s.starts_with("--flight-cap=") => {
                 let cap = &s["--flight-cap=".len()..];
                 flight_cap = Some(flag_value("--flight-cap", cap, "a non-negative integer"));
             }
             s if s.starts_with("--telemetry-dir=") => {
-                telemetry_dir = Some(std::path::PathBuf::from(&s["--telemetry-dir=".len()..]));
+                dirs.telemetry = Some(std::path::PathBuf::from(&s["--telemetry-dir=".len()..]));
             }
             s if s.starts_with("--telemetry-ms=") => {
                 let ms: std::num::NonZeroU64 = flag_value(
@@ -149,7 +138,7 @@ fn main() -> ExitCode {
                 telemetry_ms = Some(ms.get());
             }
             s if s.starts_with("--audit-dir=") => {
-                audit_dir = Some(std::path::PathBuf::from(&s["--audit-dir=".len()..]));
+                dirs.audit = Some(std::path::PathBuf::from(&s["--audit-dir=".len()..]));
             }
             s if s.starts_with("--") => {
                 eprintln!("unknown flag: {s}");
@@ -159,26 +148,20 @@ fn main() -> ExitCode {
         }
     }
     // The recorder only runs when there is somewhere to write its export.
-    if trace_dir.is_some() {
+    if dirs.trace.is_some() {
         scale.flight_cap = flight_cap.unwrap_or(4096);
     } else if flight_cap.is_some() {
         eprintln!("--flight-cap has no effect without --trace-dir=DIR");
     }
     // Either telemetry flag arms the bus; the dir adds live streaming.
-    if telemetry_dir.is_some() || telemetry_ms.is_some() {
+    if dirs.telemetry.is_some() || telemetry_ms.is_some() {
         scale.telemetry_every = Some(match telemetry_ms {
             Some(ms) => ezflow_sim::Duration::from_millis(ms),
             None => ezflow_net::NetworkSpec::TELEMETRY_EVERY,
         });
     }
-    if let Some(dir) = &telemetry_dir {
-        ezflow_bench::telemetry_out::set_dir(dir);
-    }
-    // The audit-dir flag arms the ledger and streams decisions live;
-    // snapshots gain their `controller` section from the same runs.
-    if let Some(dir) = &audit_dir {
+    if dirs.audit.is_some() {
         scale.audit_cap = ezflow_net::NetworkSpec::AUDIT_CAP;
-        ezflow_bench::audit_out::set_dir(dir);
     }
     if list {
         println!("named experiments:");
@@ -226,6 +209,21 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
+    // A lifecycle and a telemetry stream are both `<stem>.jsonl`: in one
+    // directory the first would overwrite the second. The audit stream's
+    // suffix differs, so `--audit-dir` may share.
+    if let Some(dir) = dirs
+        .trace
+        .as_ref()
+        .filter(|d| dirs.telemetry.as_ref() == Some(d))
+    {
+        eprintln!(
+            "--trace-dir and --telemetry-dir both name {}: they write same-named files \
+             and need a directory each",
+            dir.display()
+        );
+        return ExitCode::from(2);
+    }
     let mut loaded = Vec::with_capacity(specs.len());
     for path in &specs {
         let checked = experiments::spec::load(path).and_then(|spec| {
@@ -241,6 +239,7 @@ fn main() -> ExitCode {
         }
     }
 
+    ezflow_bench::export::set_dirs(dirs);
     let mut all_ok = true;
     let mut with_snapshots = Vec::new();
     let mut all_reports: Vec<ezflow_bench::report::Report> = Vec::new();
@@ -268,31 +267,6 @@ fn main() -> ExitCode {
                 Err(e) => eprintln!("CSV export failed: {e}"),
             }
         }
-        if let Some(dir) = &trace_dir {
-            match rep.write_lifecycles(dir) {
-                Ok(files) => {
-                    for (path, st) in files {
-                        eprintln!(
-                            "wrote lifecycle JSONL {} ({} journeys kept)",
-                            path.display(),
-                            st.tracked - st.evicted
-                        );
-                        if st.stride > 1 || st.evicted > 0 {
-                            eprintln!(
-                                "  PARTIAL capture: cap bound hit — sampling 1/{} \
-                                 ({} packets skipped, {} journeys evicted); \
-                                 raise --flight-cap for a fuller census",
-                                st.stride, st.skipped, st.evicted
-                            );
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("lifecycle export failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
         all_ok &= rep.all_ok();
         if !rep.snapshots.is_empty() {
             with_snapshots.push(rep);
@@ -310,9 +284,12 @@ fn main() -> ExitCode {
     }
     if all_ok {
         println!("\nall qualitative checks PASSED");
-        ExitCode::SUCCESS
     } else {
         println!("\nsome qualitative checks FAILED");
+    }
+    if all_ok && !ezflow_bench::export::failed() {
+        ExitCode::SUCCESS
+    } else {
         ExitCode::FAILURE
     }
 }

@@ -6,8 +6,9 @@
 use ezflow_sim::{Duration, Time};
 use ezflow_stats::render_series;
 
-use super::{run_net, Algo};
+use super::Algo;
 use crate::report::{Report, Scale};
+use crate::runner::Job;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
@@ -19,16 +20,19 @@ pub fn run(scale: Scale) -> Report {
         "saturated single flow, standard 802.11, {secs} s per run (paper: 1800 s)"
     ));
 
-    let mut means = Vec::new();
-    for hops in [3usize, 4] {
+    let chains = [3usize, 4];
+    let jobs = chains.map(|hops| {
         let topo = ezflow_net::topo::chain(hops, Time::ZERO, until);
-        let net = run_net(
-            &topo,
-            Algo::Plain,
+        let spec = scale.spec(&topo, scale.seed);
+        Job::new(
+            format!("fig1/{hops}hop"),
+            spec,
             until,
-            &scale,
-            &format!("fig1_{hops}hop"),
-        );
+            Algo::Plain.factory(),
+        )
+    });
+    let mut means = Vec::new();
+    for (hops, net) in chains.into_iter().zip(scale.runner().run(jobs.into())) {
         for node in 1..hops.min(3) {
             let series = net.metrics.buffer[node].binned_mean(Duration::from_secs(30));
             rep.figures.push(render_series(

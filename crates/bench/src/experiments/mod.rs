@@ -16,7 +16,7 @@ pub mod table2;
 
 use ezflow_core::EzFlowController;
 use ezflow_net::controller::{ControllerFactory, FixedController};
-use ezflow_net::{topo::Topology, Network};
+use ezflow_net::Network;
 use ezflow_sim::Time;
 
 use crate::report::{Report, Scale};
@@ -57,14 +57,8 @@ impl Algo {
         }
     }
 
-    /// File-friendly name (the display name minus path-hostile
-    /// characters), used for lifecycle and telemetry export filenames.
-    pub fn slug(self) -> String {
-        self.name().replace(['.', ' ', '(', ')'], "")
-    }
-
     /// Resolves a controller name from a scenario spec's `sweep.controllers`
-    /// list. Accepts the display name, its slug, and the obvious aliases;
+    /// list. Accepts the display name, its file stem and the obvious aliases;
     /// `None` means the spec names a controller this harness doesn't have.
     pub fn from_name(name: &str) -> Option<Algo> {
         match name {
@@ -76,33 +70,13 @@ impl Algo {
     }
 }
 
-/// Builds and runs a topology to `until` under `algo`, with the scale's
-/// seed, flight-recorder capacity and telemetry interval. `label` names
-/// the run for live exports: when the harness registered a telemetry
-/// directory (see [`crate::telemetry_out`]), the run streams one JSONL
-/// record per sample window to `<label>.jsonl`.
-///
-/// [`Scale::flight_cap`] arms the per-packet flight recorder and
-/// [`Scale::telemetry_every`] the telemetry bus (both off by default).
-/// Neither recorder nor telemetry perturbs a run — the simulation
-/// content is bit-identical either way.
-pub fn run_net(topo: &Topology, algo: Algo, until: Time, scale: &Scale, label: &str) -> Network {
-    let mut spec = scale.spec(topo, scale.seed);
-    spec.flight_cap = scale.flight_cap;
-    let mut net = Network::new(spec, &*algo.factory());
-    crate::telemetry_out::attach(&mut net, label);
-    crate::audit_out::attach(&mut net, label);
-    net.run_until(until);
-    net
-}
-
 /// Windowed Jain fairness of `flows` over `[from, to)`: each metric bin
 /// yields the flows' per-bin throughputs and a Jain index; the returned
 /// pair is the *minimum* (the fairness floor a mean would hide) and the
 /// mean across bins. Bins in which no listed flow moved a bit are
 /// skipped; with no scored bins both values degenerate to 1.0.
 pub fn fairness_windows(net: &Network, flows: &[u32], from: Time, to: Time) -> (f64, f64) {
-    let bin = net.metrics.bin;
+    let bin = ezflow_net::Metrics::BIN;
     let (mut t, mut min, mut sum, mut n) = (from, f64::INFINITY, 0.0f64, 0u32);
     while t + bin <= to {
         let kb: Vec<f64> = flows

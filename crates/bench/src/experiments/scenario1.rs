@@ -14,8 +14,9 @@ use ezflow_net::topo;
 use ezflow_sim::{Duration, Time};
 use ezflow_stats::render_series;
 
-use super::{run_net, Algo};
+use super::Algo;
 use crate::report::{secs as fsecs, Report, Scale};
+use crate::runner::Job;
 
 /// Scales the paper's absolute timeline, keeping period order.
 pub fn scale_timeline(scale: Scale, boundaries: &[u64]) -> Vec<Time> {
@@ -52,21 +53,13 @@ pub fn run(scale: Scale) -> Report {
         t0, t3, t1, t2
     ));
 
+    let algos = [Algo::Plain, Algo::EzFlow];
+    let label = |algo: Algo| format!("scenario1/{}", algo.name());
+    let spec = scale.spec(&topo, scale.seed);
+    let jobs = algos.map(|algo| Job::new(label(algo), spec.clone(), t3, algo.factory()));
     let mut per_algo = std::collections::HashMap::new();
-    for algo in [Algo::Plain, Algo::EzFlow] {
-        let mut net = run_net(
-            &topo,
-            algo,
-            t3,
-            &scale,
-            &format!("scenario1_{}", algo.slug()),
-        );
-        rep.snapshots
-            .push(net.snapshot(&format!("scenario1/{}", algo.name())));
-        if scale.flight_cap > 0 {
-            rep.lifecycle(algo.slug(), net.flight.to_jsonl(), net.flight.stats());
-        }
-        let net = net;
+    for (algo, mut net) in algos.into_iter().zip(scale.runner().run(jobs.into())) {
+        rep.snapshots.push(net.snapshot(&label(algo)));
         // Fig. 6: throughput series.
         for f in [0u32, 1] {
             let pts = net.metrics.throughput[&f].points_kbps();

@@ -15,8 +15,9 @@ use ezflow_sim::Duration;
 use ezflow_stats::{jain_index, render_series};
 
 use super::scenario1::scale_timeline;
-use super::{run_net, Algo};
+use super::Algo;
 use crate::report::{Report, Scale};
+use crate::runner::Job;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Report {
@@ -40,18 +41,14 @@ pub fn run(scale: Scale) -> Report {
         t0, t3, t0, t2, t1, t2
     ));
 
+    let algos = [Algo::Plain, Algo::EzFlow];
+    let spec = scale.spec(&topo, scale.seed);
+    let jobs = algos.map(|algo| {
+        let label = format!("scenario2/{}", algo.name());
+        Job::new(label, spec.clone(), t3, algo.factory())
+    });
     let mut per_algo = std::collections::HashMap::new();
-    for algo in [Algo::Plain, Algo::EzFlow] {
-        let net = run_net(
-            &topo,
-            algo,
-            t3,
-            &scale,
-            &format!("scenario2_{}", algo.slug()),
-        );
-        if scale.flight_cap > 0 {
-            rep.lifecycle(algo.slug(), net.flight.to_jsonl(), net.flight.stats());
-        }
+    for (algo, net) in algos.into_iter().zip(scale.runner().run(jobs.into())) {
         for f in [0u32, 1, 2] {
             rep.figures.push(render_series(
                 &format!("Fig10 {}: delay of F{} [s]", algo.name(), f + 1),

@@ -5,12 +5,11 @@
 //! The 20 runs (2 algorithms × 10 seeds) are completely independent, so
 //! they go through the [`crate::runner::SweepRunner`] as one batch.
 
-use ezflow_core::EzFlowController;
-use ezflow_net::controller::{ControllerFactory, FixedController};
 use ezflow_net::topo;
 use ezflow_sim::Time;
 use ezflow_stats::mean_std;
 
+use super::Algo;
 use crate::report::{Report, Scale};
 use crate::runner::Job;
 
@@ -28,22 +27,13 @@ pub fn run(scale: Scale) -> Report {
     rep.note(format!("{secs} s per run, seeds {:?}", seeds));
 
     // One batch: [802.11 × seeds..., EZ-flow × seeds...], in that order.
-    let algos: [(&str, bool); 2] = [("802.11", false), ("EZ-flow", true)];
+    let algos = [Algo::Plain, Algo::EzFlow];
     let mut jobs = Vec::new();
-    for (name, ez) in algos {
+    for algo in algos {
         for &seed in &seeds {
             let t = topo::chain(4, Time::ZERO, until);
-            let make: ControllerFactory = if ez {
-                Box::new(|_| Box::new(EzFlowController::with_defaults()))
-            } else {
-                Box::new(|_| Box::new(FixedController::standard()))
-            };
-            jobs.push(Job::new(
-                format!("seeds/{name}/{seed}"),
-                scale.spec(&t, seed),
-                until,
-                make,
-            ));
+            let label = format!("seeds/{}/{seed}", algo.name());
+            jobs.push(Job::new(label, scale.spec(&t, seed), until, algo.factory()));
         }
     }
     // Reduce each run to its three numbers on the worker thread.
@@ -57,7 +47,8 @@ pub fn run(scale: Scale) -> Report {
 
     let mut stable_everywhere = true;
     let mut ez_wins_everywhere = true;
-    for (a, (name, ez)) in algos.iter().enumerate() {
+    for (a, algo) in algos.iter().enumerate() {
+        let (name, ez) = (algo.name(), *algo == Algo::EzFlow);
         let runs = &outcomes[a * seeds.len()..(a + 1) * seeds.len()];
         let b1s: Vec<f64> = runs.iter().map(|r| r.0).collect();
         let kbps: Vec<f64> = runs.iter().map(|r| r.1).collect();
@@ -67,7 +58,7 @@ pub fn run(scale: Scale) -> Report {
         let d = mean_std(&delays);
         rep.row(
             format!("{name}: b1 over seeds"),
-            if *ez { "always ~empty" } else { "always ~50" },
+            if ez { "always ~empty" } else { "always ~50" },
             format!(
                 "{:.1} ± {:.1} (range {:.1}..{:.1})",
                 b1.mean, b1.std, b1.min, b1.max
@@ -83,7 +74,7 @@ pub fn run(scale: Scale) -> Report {
             "",
             format!("{:.2} ± {:.2} s (max {:.2})", d.mean, d.std, d.max),
         );
-        if *ez {
+        if ez {
             stable_everywhere &= b1.max < 10.0;
             ez_wins_everywhere &= d.max < 1.0;
         } else {

@@ -7,10 +7,8 @@
 //! experiment. Each run reports aggregate throughput, end-to-end p99
 //! latency (from the per-flow log histograms) and windowed Jain fairness
 //! (floor and mean), and attaches the usual cross-layer
-//! [`RunSnapshot`](ezflow_net::RunSnapshot)
-//! plus, when the flight recorder is armed, the per-packet lifecycle
-//! export — so `--trace-dir` / `--telemetry-dir` / `--json` work on spec
-//! runs exactly as they do on the named experiments.
+//! [`RunSnapshot`](ezflow_net::RunSnapshot); being [`Job`]s, the runs
+//! export their observers exactly as the named experiments' do.
 
 use std::path::{Path, PathBuf};
 
@@ -71,14 +69,7 @@ pub fn run_spec(spec: &ScenarioSpec, scale: &Scale) -> Result<Report, String> {
         })?;
         let mut ns = scale.spec(&compiled.topology, point.seed);
         ns.queue_cap = point.queue_cap;
-        ns.flight_cap = scale.flight_cap;
-        let label = point.label.replace('/', "_");
-        jobs.push(
-            Job::new(point.label.clone(), ns, until, algo.factory()).with_setup(move |net| {
-                crate::telemetry_out::attach(net, &label);
-                crate::audit_out::attach(net, &label);
-            }),
-        );
+        jobs.push(Job::new(point.label.clone(), ns, until, algo.factory()));
     }
 
     let mut rep = Report::new(compiled.name.clone(), spec_title(spec));
@@ -102,13 +93,6 @@ pub fn run_spec(spec: &ScenarioSpec, scale: &Scale) -> Result<Report, String> {
     let nets = scale.runner().run(jobs);
     for (point, mut net) in compiled.points.iter().zip(nets) {
         rep.snapshots.push(net.snapshot(&point.label));
-        if scale.flight_cap > 0 {
-            rep.lifecycle(
-                point.label.replace('/', "_"),
-                net.flight.to_jsonl(),
-                net.flight.stats(),
-            );
-        }
         let (tput, p99, jain) = summarize(&net, &flows, from, until);
         rep.row(
             format!("{}: aggregate throughput", point.label),
@@ -213,7 +197,10 @@ mod tests {
     fn from_name_resolves_every_display_name_and_slug() {
         for algo in [Algo::Plain, Algo::EzFlow, Algo::EzFlowTestbed] {
             assert_eq!(Algo::from_name(algo.name()), Some(algo));
-            assert_eq!(Algo::from_name(&algo.slug()), Some(algo));
+            assert_eq!(
+                Algo::from_name(&crate::export::stem(algo.name())),
+                Some(algo)
+            );
         }
         assert_eq!(Algo::from_name("diffserv"), None);
     }

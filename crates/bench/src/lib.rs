@@ -16,11 +16,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod audit_out;
 pub mod experiments;
+pub mod export;
 pub mod report;
 pub mod runner;
-pub mod telemetry_out;
 
 pub use report::{Report, Row, Scale};
 pub use runner::{Job, SweepRunner};

@@ -23,23 +23,19 @@ pub struct Scale {
     /// for any value — see [`crate::runner::SweepRunner`].
     pub jobs: usize,
     /// Flight-recorder capacity in packet journeys (`0`, the default,
-    /// leaves the recorder off). Recording never perturbs a run — the
-    /// simulation content is bit-identical either way — so turning this
-    /// on changes only what the scenario experiments *export*: per-packet
-    /// lifecycle JSONL attached to their reports as [`Lifecycle`]s.
+    /// leaves the recorder off; `--trace-dir` arms it).
     pub flight_cap: usize,
-    /// Telemetry sampling interval (`None`, the default, leaves the
-    /// telemetry bus off). Arming it never perturbs a run — snapshots
-    /// gain a `stability` section and, when a streaming directory is set
-    /// via [`crate::telemetry_out`], each network streams one JSONL
-    /// record per sample window while it runs.
+    /// Telemetry sampling interval (`None`, the default, leaves the bus
+    /// off; `--telemetry-dir` / `--telemetry-ms` arm it). Snapshots from
+    /// armed runs gain a `stability` section.
     pub telemetry_every: Option<Duration>,
     /// Controller-audit ledger capacity in records (`0`, the default,
-    /// leaves the ledger off). Arming it never perturbs a run — the
-    /// audit is pull-based, touching no scheduler state and no RNG —
-    /// snapshots gain a `controller` section and, when a streaming
-    /// directory is set via [`crate::audit_out`], each network streams
-    /// one JSONL record per estimation sample and `CWmin` decision.
+    /// leaves the ledger off; `--audit-dir` arms it). Snapshots from
+    /// armed runs gain a `controller` section.
+    ///
+    /// No observer perturbs a run — the simulation content is
+    /// bit-identical armed or not; where each writes is
+    /// [`crate::export`]'s business.
     pub audit_cap: usize,
 }
 
@@ -100,11 +96,11 @@ impl Scale {
     }
 
     /// A [`NetworkSpec`] for `topo` carrying this scale's observer
-    /// settings. The one spot every experiment goes through, so
-    /// `--telemetry-dir` / `--audit-dir` reach every network any
-    /// experiment builds.
+    /// settings: the one arming point, which every experiment's every
+    /// network goes through.
     pub fn spec(&self, topo: &ezflow_net::Topology, seed: u64) -> NetworkSpec {
         let mut spec = NetworkSpec::from_topology(topo, seed);
+        spec.flight_cap = self.flight_cap;
         spec.telemetry_every = self.telemetry_every;
         spec.audit_cap = self.audit_cap;
         spec
@@ -148,21 +144,6 @@ pub struct Series {
     pub points: Vec<(f64, f64)>,
 }
 
-/// A per-packet lifecycle export from one simulated network: the flight
-/// recorder's JSONL dump plus the admission stats needed to report how
-/// bounded the capture was. Written out by [`Report::write_lifecycles`].
-#[derive(Clone, Debug)]
-pub struct Lifecycle {
-    /// File-friendly run label, e.g. "scenario1_80211".
-    pub label: String,
-    /// One JSON [`ezflow_sim::TraceEvent`] per line, the `trace` CLI's
-    /// input format.
-    pub jsonl: String,
-    /// The recorder's admission accounting (tracked / skipped / evicted /
-    /// sampling stride) — surfaced so a bounded capture is never silent.
-    pub stats: ezflow_net::FlightStats,
-}
-
 /// The result of one experiment.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
@@ -183,10 +164,6 @@ pub struct Report {
     /// Cross-layer run snapshots (one per simulated network), for JSON
     /// export via [`write_snapshots_json`].
     pub snapshots: Vec<RunSnapshot>,
-    /// Per-packet lifecycle exports (one per traced network), for JSONL
-    /// export via [`Report::write_lifecycles`]. Empty unless the run's
-    /// [`Scale::flight_cap`] was non-zero.
-    pub lifecycles: Vec<Lifecycle>,
 }
 
 impl Report {
@@ -243,42 +220,6 @@ impl Report {
             let rows: Vec<Vec<f64>> = s.points.iter().map(|&(x, y)| vec![x, y]).collect();
             ezflow_stats::write_csv(&path, &[&s.headers.0, &s.headers.1], &rows)?;
             written.push(path);
-        }
-        Ok(written)
-    }
-
-    /// Attaches a per-packet lifecycle export from a traced run. The
-    /// recorder's stats ride along so the writer can report sampling and
-    /// eviction instead of dropping packets silently.
-    pub fn lifecycle(
-        &mut self,
-        label: impl Into<String>,
-        jsonl: String,
-        stats: ezflow_net::FlightStats,
-    ) {
-        self.lifecycles.push(Lifecycle {
-            label: label.into(),
-            jsonl,
-            stats,
-        });
-    }
-
-    /// Writes every attached lifecycle as `<dir>/<id>_<label>.jsonl` and
-    /// returns `(path, stats)` pairs for the caller to log. The capture is
-    /// bounded by the recorder's journey cap — when the bound forced
-    /// sampling (`stats.stride > 1`) or eviction, the returned stats say
-    /// so; callers must surface that, never silently pretend the file is a
-    /// full census.
-    pub fn write_lifecycles(
-        &self,
-        dir: &std::path::Path,
-    ) -> std::io::Result<Vec<(std::path::PathBuf, ezflow_net::FlightStats)>> {
-        std::fs::create_dir_all(dir)?;
-        let mut written = Vec::new();
-        for lc in &self.lifecycles {
-            let path = dir.join(format!("{}_{}.jsonl", self.id, lc.label));
-            std::fs::write(&path, &lc.jsonl)?;
-            written.push((path, lc.stats));
         }
         Ok(written)
     }

@@ -8,27 +8,25 @@
 //! wall-clock time. [`SweepRunner`] packages exactly that:
 //!
 //! * a [`Job`] is the closed description of one run (spec + controller
-//!   factory + end time + label);
+//!   factory + end time + label) and the only way the harness builds a
+//!   network; it exports its own observers (see [`crate::export`]);
 //! * [`SweepRunner::run`] executes a batch of jobs across plain
 //!   [`std::thread::scope`] workers and returns the finished networks
 //!   **in job order**, regardless of which worker finished when;
 //! * `--jobs=1` (or a single job) short-circuits to plain in-line
-//!   execution on the caller's thread — byte-for-byte the old serial
-//!   behaviour, with no threads spawned at all.
+//!   execution on the caller's thread, with no threads spawned at all.
 //!
 //! No work queues, no channels, no dependencies: a shared atomic cursor
 //! hands out job indices, and each worker writes its results into
 //! pre-allocated per-job slots. `Network: Send` (asserted at its
 //! definition) is what makes the whole scheme safe.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use ezflow_net::{ControllerFactory, Network, NetworkSpec};
 use ezflow_sim::Time;
-
-/// A pre-run observer hook (see [`Job::setup`]).
-pub type SetupHook = Box<dyn Fn(&mut Network) + Send + Sync>;
 
 /// One independent simulation run, fully described: everything a worker
 /// thread needs to build, run, and hand back a [`Network`].
@@ -42,11 +40,6 @@ pub struct Job {
     pub until: Time,
     /// Per-node controller factory.
     pub make: ControllerFactory,
-    /// Optional hook run on the freshly-built network before the event
-    /// loop starts — the place to attach observers (telemetry streaming,
-    /// extra probes). Observers never perturb a run, so the hook cannot
-    /// change results, only what the run exports.
-    pub setup: Option<SetupHook>,
 }
 
 impl Job {
@@ -62,23 +55,17 @@ impl Job {
             spec,
             until,
             make,
-            setup: None,
         }
     }
 
-    /// Attaches a pre-run hook (see [`Job::setup`]).
-    pub fn with_setup(mut self, setup: impl Fn(&mut Network) + Send + Sync + 'static) -> Self {
-        self.setup = Some(Box::new(setup));
-        self
-    }
-
-    /// Builds and runs the network to completion (what a worker executes).
+    /// Builds the network, runs it to completion and exports what its
+    /// armed observers saw under the label's [`crate::export::stem`] —
+    /// the only place the harness builds a network.
     pub fn run(self) -> Network {
         let mut net = Network::new(self.spec, &*self.make);
-        if let Some(setup) = &self.setup {
-            setup(&mut net);
-        }
+        crate::export::attach(&mut net, &self.label);
         net.run_until(self.until);
+        crate::export::finish(&net, &self.label);
         net
     }
 }
@@ -125,9 +112,16 @@ impl SweepRunner {
         T: Send,
         F: Fn(usize, Network) -> T + Send + Sync,
     {
+        debug_assert_eq!(
+            (jobs.iter().map(|j| crate::export::stem(&j.label)))
+                .collect::<BTreeSet<_>>()
+                .len(),
+            jobs.len(),
+            "two jobs of a batch would write the same export files"
+        );
         if self.workers <= 1 || jobs.len() <= 1 {
-            // Serial fast path: the caller's thread, in order — identical
-            // to the pre-runner code, and what `--jobs=1` guarantees.
+            // Serial fast path: the caller's thread, in order — what
+            // `--jobs=1` guarantees.
             return jobs
                 .into_iter()
                 .enumerate()

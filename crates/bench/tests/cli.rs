@@ -2,7 +2,15 @@
 //! built binary: whatever the user typed or pointed `--spec` at, the
 //! process ends with a one-line message and exit 2 — never a panic
 //! (SIGABRT under the release profile's `panic = "abort"`), never a run
-//! that cannot end. Every child runs under `budget`'s wall budget.
+//! that cannot end — and its observer exports: which files a run leaves
+//! under `--trace-dir` / `--telemetry-dir` / `--audit-dir`, named how.
+//! Every child runs under `budget`'s wall budget.
+
+use std::path::{Path, PathBuf};
+use std::process::Output;
+use std::time::Duration;
+
+use ezflow_sim::JsonValue;
 
 #[path = "../../../tests/support/budget.rs"]
 mod budget;
@@ -11,6 +19,169 @@ const EXPERIMENTS: &str = env!("CARGO_BIN_EXE_experiments");
 
 fn assert_rejected(args: &[&str], complaint: &str) {
     budget::assert_rejected(EXPERIMENTS, args, complaint);
+}
+
+/// Wall budget of an export test's child: a sliver of a paper experiment
+/// with every observer armed, ~1.5 s unoptimised on an idle machine.
+const SIMULATING: Duration = Duration::from_secs(30);
+
+/// A scratch directory of this process's own, empty.
+fn scratch(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ezflow-{test}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// `experiments --quick --time=0.02 <args>` with the three observers
+/// exporting to `root/{tr,tel,aud}`.
+fn observed(root: &Path, args: &[&str]) -> Output {
+    let dirs = [
+        format!("--trace-dir={}", root.join("tr").display()),
+        format!("--telemetry-dir={}", root.join("tel").display()),
+        format!("--audit-dir={}", root.join("aud").display()),
+    ];
+    let mut all = vec!["--quick", "--time=0.02"];
+    all.extend(dirs.iter().map(String::as_str));
+    all.extend(args);
+    let out = budget::run_within(SIMULATING, EXPERIMENTS, &all);
+    // A 2 % timeline may fail an experiment's qualitative checks (1).
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.code() <= Some(1), "{args:?}: {stderr}");
+    out
+}
+
+/// The file names under `dir`, sorted.
+fn names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// Asserts that `root` holds exactly one lifecycle, one telemetry stream
+/// and one audit stream per stem, each line of each a JSON value, and
+/// none empty but the audit of a run whose controller decides nothing.
+fn assert_exports(root: &Path, stems: &[&str]) {
+    for (dir, suffix) in [("tr", ".jsonl"), ("tel", ".jsonl"), ("aud", ".audit.jsonl")] {
+        let mut want: Vec<String> = stems.iter().map(|s| format!("{s}{suffix}")).collect();
+        want.sort();
+        assert_eq!(names(&root.join(dir)), want, "{dir}");
+        for name in want {
+            let text = std::fs::read_to_string(root.join(dir).join(&name)).unwrap();
+            assert!(
+                !text.is_empty() || (dir == "aud" && name.contains("80211")),
+                "{dir}/{name} is empty"
+            );
+            for line in text.lines() {
+                JsonValue::parse(line).unwrap_or_else(|e| panic!("{dir}/{name}: {e}: {line}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn every_run_of_a_named_experiment_exports_all_three_observers() {
+    // table2 builds its six networks as runner jobs.
+    let root = scratch("table2");
+    observed(&root, &["--jobs=2", "table2"]);
+    assert_exports(
+        &root,
+        &[
+            "table2_F1alone_80211",
+            "table2_F1alone_EZ-flow2^10cap",
+            "table2_F2alone_80211",
+            "table2_F2alone_EZ-flow2^10cap",
+            "table2_F1+F2_80211",
+            "table2_F1+F2_EZ-flow2^10cap",
+        ],
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn a_spec_run_names_its_lifecycle_like_its_streams() {
+    // grid4x4.json's scenario is named `grid`: labels `grid/<controller>`.
+    let root = scratch("grid4x4");
+    let spec = concat!(
+        "--spec=",
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/grid4x4.json"
+    );
+    observed(&root, &["--jobs=2", spec]);
+    assert_exports(&root, &["grid_80211", "grid_EZ-flow"]);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn scenario1_reports_and_exports_the_same_bytes_for_any_jobs_value() {
+    let (serial, parallel) = (scratch("scenario1-j1"), scratch("scenario1-j2"));
+    let one = observed(&serial, &["--jobs=1", "scenario1"]);
+    let two = observed(&parallel, &["--jobs=2", "scenario1"]);
+    assert!(!one.stdout.is_empty() && one.stdout == two.stdout);
+    assert_exports(&serial, &["scenario1_80211", "scenario1_EZ-flow"]);
+    for dir in ["tr", "tel", "aud"] {
+        assert_eq!(names(&serial.join(dir)), names(&parallel.join(dir)));
+        for name in names(&serial.join(dir)) {
+            let read = |root: &Path| std::fs::read(root.join(dir).join(&name)).unwrap();
+            assert!(read(&serial) == read(&parallel), "{dir}/{name} differs");
+        }
+    }
+    std::fs::remove_dir_all(&serial).ok();
+    std::fs::remove_dir_all(&parallel).ok();
+}
+
+#[test]
+fn one_directory_for_trace_and_telemetry_exits_2_naming_both_flags() {
+    // Both write `<stem>.jsonl`: the lifecycle would replace the stream.
+    let dir = scratch("shared");
+    let (trace, telemetry, audit) = (
+        format!("--trace-dir={}", dir.display()),
+        format!("--telemetry-dir={}", dir.display()),
+        format!("--audit-dir={}", dir.display()),
+    );
+    assert_rejected(&[&trace, &telemetry, "scenario1"], "--trace-dir");
+    assert_rejected(&[&trace, &telemetry, "scenario1"], "--telemetry-dir");
+    assert!(!dir.exists(), "nothing ran");
+    // The audit stream's suffix differs, so it may share.
+    let out = budget::run(EXPERIMENTS, &["--quick", &trace, &audit, "table4"]);
+    assert_eq!(out.status.code(), Some(0));
+}
+
+#[test]
+fn an_export_that_cannot_be_written_exits_1_naming_it_after_the_reports() {
+    // A directory under a regular file can never be created. fig1 passes
+    // its checks at this scale, so the 1 is the export's.
+    let file = scratch("not-a-dir");
+    std::fs::write(&file, "").unwrap();
+    let under = file.join("sub");
+    for flag in ["--trace-dir", "--telemetry-dir", "--audit-dir"] {
+        let out = budget::run_within(
+            SIMULATING,
+            EXPERIMENTS,
+            &[
+                "--quick",
+                "--time=0.02",
+                &format!("{flag}={}", under.display()),
+                "fig1",
+            ],
+        );
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&under.display().to_string()),
+            "{flag}: {stderr}"
+        );
+        assert!(
+            stdout.contains("all qualitative checks PASSED"),
+            "{flag}: {stdout}"
+        );
+    }
+    std::fs::remove_file(&file).ok();
 }
 
 #[test]

@@ -65,3 +65,14 @@ fn repeated_parallel_runs_agree_with_each_other() {
     let b = digests(SweepRunner::new(2), until);
     assert_eq!(a, b);
 }
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "same export files")]
+fn a_batch_whose_labels_share_a_file_stem_is_refused() {
+    // Exports are named by the label's stem: `/` and `_` meet, `.` goes.
+    let mut jobs = batch(Time::from_secs(1));
+    jobs[0].label = "chain/a.b".into();
+    jobs[1].label = "chain_ab".into();
+    SweepRunner::new(1).run(jobs);
+}

@@ -2,8 +2,9 @@
 //! harness round-trip through the file the CLI writes, carrying per-node
 //! airtime fractions, per-layer counters and scheduler stats.
 
-use ezflow_bench::experiments::{run_net, Algo};
+use ezflow_bench::experiments::Algo;
 use ezflow_bench::report::{self, Report, Scale};
+use ezflow_bench::Job;
 use ezflow_net::{topo, RunSnapshot};
 use ezflow_sim::{JsonValue, Time};
 
@@ -17,7 +18,9 @@ fn json_export_round_trips_with_cross_layer_stats() {
     let until = Time::from_secs(30);
     for algo in [Algo::Plain, Algo::EzFlow] {
         let topo = topo::chain(3, Time::from_secs(1), until);
-        let mut net = run_net(&topo, algo, until, &Scale::quick(), "snapshot_smoke");
+        let scale = Scale::quick();
+        let spec = scale.spec(&topo, scale.seed);
+        let mut net = Job::new("snapshot_smoke", spec, until, algo.factory()).run();
         rep.snapshots
             .push(net.snapshot(&format!("smoke/{}", algo.name())));
     }

@@ -213,8 +213,6 @@ pub struct NetworkSpec {
     pub flows: Vec<FlowSpec>,
     /// Metric sampling period for buffer/cw traces.
     pub sample_every: Duration,
-    /// Throughput bin width for the metric series.
-    pub metric_bin: Duration,
     /// Master random seed.
     pub seed: u64,
     /// Trace ring capacity (0 disables tracing).
@@ -255,7 +253,6 @@ impl NetworkSpec {
             queue_cap: 50,
             flows: topo.flows.clone(),
             sample_every: Duration::from_secs(1),
-            metric_bin: Duration::from_secs(10),
             seed,
             trace_cap: 0,
             flight_cap: 0,
@@ -528,7 +525,7 @@ pub(crate) fn build(
         .min();
 
     let flow_ids: Vec<u32> = spec.flows.iter().map(|f| f.id).collect();
-    let metrics = Metrics::new(n, &flow_ids, spec.metric_bin);
+    let metrics = Metrics::new(n, &flow_ids);
 
     // Transport RNG streams live above the per-node id space (`1 << 32`
     // + flow id): `derive` is pure, so handing a stream to a stochastic

@@ -410,18 +410,8 @@ impl Network {
         // frame is never built and the arena never touched.
         if self.nodes[src].own_queue_drop(nh) {
             *self.metrics.source_drops.entry(flow).or_insert(0) += 1;
-            let drop = TracePayload::Drop {
-                cause: DropCause::SourceQueueFull,
-                seq,
-            };
-            if self.trace.enabled() {
-                self.trace.push(self.now, src, TraceKind::Drop, drop);
-            }
             self.flight_admit(seq, flow, src);
-            if let Some(mut j) = self.flight.journey_mut(seq) {
-                j.push(self.now, src, TraceKind::Drop, drop);
-                j.complete();
-            }
+            self.record_drop(src, DropCause::SourceQueueFull, seq);
             self.try_feed(src);
             return seq;
         }
@@ -434,20 +424,7 @@ impl Network {
         let accepted = self.nodes[src].enqueue(true, id, &self.arena);
         debug_assert!(accepted, "own_queue_drop found room in the source queue");
         self.hot.occupancy[src] += 1;
-        if let Some(mut j) = self.flight.journey_mut(seq) {
-            let (occ, cap) = self.nodes[src].queue_depth(true, nh);
-            j.push(
-                self.now,
-                src,
-                TraceKind::Enqueue,
-                TracePayload::Enqueue {
-                    seq,
-                    flow,
-                    occupancy: occ as u32,
-                    cap: cap as u32,
-                },
-            );
-        }
+        self.record_enqueue(src, true, nh, seq, flow);
         self.try_feed(src);
         seq
     }
@@ -465,6 +442,59 @@ impl Network {
                     payload: TracePayload::Admit { seq, flow },
                 },
             );
+        }
+    }
+
+    /// The `Drop` record: to the trace ring if armed and, ending it, to
+    /// the packet's journey if tracked.
+    fn record_drop(&mut self, node: usize, cause: DropCause, seq: u64) {
+        let payload = TracePayload::Drop { cause, seq };
+        if self.trace.enabled() {
+            self.trace.push(self.now, node, TraceKind::Drop, payload);
+        }
+        if let Some(mut j) = self.flight.journey_mut(seq) {
+            j.push(self.now, node, TraceKind::Drop, payload);
+            j.complete();
+        }
+    }
+
+    /// The `Enqueue` record of a tracked packet just queued at `node`
+    /// toward `nh`, with the depth of the queue it joined.
+    fn record_enqueue(&mut self, node: usize, own: bool, nh: usize, seq: u64, flow: u32) {
+        if let Some(mut j) = self.flight.journey_mut(seq) {
+            let (occ, cap) = self.nodes[node].queue_depth(own, nh);
+            j.push(
+                self.now,
+                node,
+                TraceKind::Enqueue,
+                TracePayload::Enqueue {
+                    seq,
+                    flow,
+                    occupancy: occ as u32,
+                    cap: cap as u32,
+                },
+            );
+        }
+    }
+
+    /// Pulls the estimate `node`'s controller just made, if any, into the
+    /// audit ledger beside the true occupancy of the successor it names.
+    fn audit_sample(&mut self, node: usize) {
+        if self.audit.enabled() {
+            if let Some((succ, est)) = self.nodes[node].controller.take_estimate() {
+                let truth = self.hot.occupancy[succ];
+                self.audit.record_sample(self.now, node, succ, est, truth);
+            }
+        }
+    }
+
+    /// Pulls the `CWmin` decision `node`'s controller just took, if any,
+    /// into the audit ledger.
+    fn audit_decision(&mut self, node: usize) {
+        if self.audit.enabled() {
+            if let Some(rec) = self.nodes[node].controller.take_decision() {
+                self.audit.record_decision(self.now, node, rec);
+            }
         }
     }
 
@@ -572,16 +602,8 @@ impl Network {
                         // overhearing happened *before* the transmitter's
                         // own `TxEnded`, so the occupancy mirror still
                         // holds exactly the queue depth the BOE estimated.
-                        if self.audit.enabled() {
-                            if let Some((succ, est)) = self.nodes[d.node].controller.take_estimate()
-                            {
-                                let truth = self.hot.occupancy[succ];
-                                self.audit.record_sample(self.now, d.node, succ, est, truth);
-                            }
-                            if let Some(rec) = self.nodes[d.node].controller.take_decision() {
-                                self.audit.record_decision(self.now, d.node, rec);
-                            }
-                        }
+                        self.audit_sample(d.node);
+                        self.audit_decision(d.node);
                         self.apply_cw(d.node, cmd);
                     }
                     // Virtual carrier sense: overheard RTS/CTS reserve the
@@ -659,11 +681,7 @@ impl Network {
                         own_backlog,
                     },
                 );
-                if self.audit.enabled() {
-                    if let Some(rec) = self.nodes[id].controller.take_decision() {
-                        self.audit.record_decision(self.now, id, rec);
-                    }
-                }
+                self.audit_decision(id);
                 self.apply_cw(id, cmd);
             }
         }
@@ -817,27 +835,13 @@ impl Network {
                 // Sink successors never transmit, so their zero-backlog
                 // samples arrive through this event; a CAA round can
                 // complete (and decide) here just as on an overhearing.
-                if self.audit.enabled() {
-                    if let Some(rec) = self.nodes[id].controller.take_decision() {
-                        self.audit.record_decision(self.now, id, rec);
-                    }
-                }
+                self.audit_decision(id);
                 self.apply_cw(id, cmd);
             }
             MacOutput::TxDropped { frame, .. } => {
                 let f = self.arena.release(frame);
                 self.metrics.retry_drops[id] += 1;
-                let payload = TracePayload::Drop {
-                    cause: DropCause::RetryLimit,
-                    seq: f.seq,
-                };
-                if self.trace.enabled() {
-                    self.trace.push(self.now, id, TraceKind::Drop, payload);
-                }
-                if let Some(mut j) = self.flight.journey_mut(f.seq) {
-                    j.push(self.now, id, TraceKind::Drop, payload);
-                    j.complete();
-                }
+                self.record_drop(id, DropCause::RetryLimit, f.seq);
             }
             MacOutput::Deliver { frame } => self.on_deliver(id, frame),
             MacOutput::NeedFrame => self.try_feed(id),
@@ -880,17 +884,7 @@ impl Network {
             // A frame we cannot route: topology bug; count as a drop.
             self.arena.release(frame);
             self.metrics.queue_drops[id] += 1;
-            let payload = TracePayload::Drop {
-                cause: DropCause::Unroutable,
-                seq: f.seq,
-            };
-            if self.trace.enabled() {
-                self.trace.push(self.now, id, TraceKind::Drop, payload);
-            }
-            if let Some(mut j) = self.flight.journey_mut(f.seq) {
-                j.push(self.now, id, TraceKind::Drop, payload);
-                j.complete();
-            }
+            self.record_drop(id, DropCause::Unroutable, f.seq);
             return;
         };
         // Hop rewrite in place — the frame never leaves its slot.
@@ -907,33 +901,10 @@ impl Network {
         if !self.nodes[id].enqueue(false, frame, &self.arena) {
             self.arena.release(frame);
             self.metrics.queue_drops[id] += 1;
-            let payload = TracePayload::Drop {
-                cause: DropCause::QueueFull,
-                seq,
-            };
-            if self.trace.enabled() {
-                self.trace.push(self.now, id, TraceKind::Drop, payload);
-            }
-            if let Some(mut j) = self.flight.journey_mut(seq) {
-                j.push(self.now, id, TraceKind::Drop, payload);
-                j.complete();
-            }
+            self.record_drop(id, DropCause::QueueFull, seq);
         } else {
             self.hot.occupancy[id] += 1;
-            if let Some(mut j) = self.flight.journey_mut(seq) {
-                let (occ, cap) = self.nodes[id].queue_depth(false, nh);
-                j.push(
-                    self.now,
-                    id,
-                    TraceKind::Enqueue,
-                    TracePayload::Enqueue {
-                        seq,
-                        flow,
-                        occupancy: occ as u32,
-                        cap: cap as u32,
-                    },
-                );
-            }
+            self.record_enqueue(id, false, nh, seq, flow);
         }
         self.try_feed(id);
     }

@@ -274,11 +274,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Whether packet `seq`'s journey is being recorded.
-    pub fn is_tracked(&self, seq: u64) -> bool {
-        self.index.contains_key(&seq)
-    }
-
     /// The recorded journey of packet `seq`, oldest event first.
     pub fn journey(&self, seq: u64) -> Option<Vec<TraceEvent>> {
         let j = &self.journeys[*self.index.get(&seq)? as usize];
@@ -625,7 +620,6 @@ mod tests {
             prop_assert_eq!(fr.to_jsonl(), model.to_jsonl());
             for seq in 0..next_seq + 2 {
                 let held = model.journeys.iter().find(|j| j.0 == seq).map(|j| j.1.clone());
-                prop_assert_eq!(fr.is_tracked(seq), held.is_some());
                 prop_assert_eq!(fr.journey(seq), held);
             }
         }
@@ -769,7 +763,6 @@ mod tests {
         let j = fr.journey(7).unwrap();
         assert_eq!(j.len(), 3);
         assert!(j.windows(2).all(|w| w[0].at <= w[1].at));
-        assert!(fr.is_tracked(7));
         assert_eq!(fr.stats().tracked, 1);
     }
 

@@ -23,8 +23,6 @@ use ezflow_stats::{LogHistogram, SampleSeries, ThroughputSeries};
 
 /// All series recorded during one run.
 pub struct Metrics {
-    /// Throughput bin width.
-    pub bin: Duration,
     /// Per-flow delivered-bits series.
     pub throughput: BTreeMap<u32, ThroughputSeries>,
     /// Per-flow delay from first dequeue at the source (seconds).
@@ -52,8 +50,11 @@ pub struct Metrics {
 }
 
 impl Metrics {
+    /// Throughput bin width of every flow's series.
+    pub const BIN: Duration = Duration::from_secs(10);
+
     /// Creates metrics for `nodes` nodes and the given flow ids.
-    pub fn new(nodes: usize, flows: &[u32], bin: Duration) -> Self {
+    pub fn new(nodes: usize, flows: &[u32]) -> Self {
         let mut throughput = BTreeMap::new();
         let mut delay_net = BTreeMap::new();
         let mut delay_e2e = BTreeMap::new();
@@ -61,7 +62,7 @@ impl Metrics {
         let mut source_drops = BTreeMap::new();
         let mut flow_latency = BTreeMap::new();
         for &f in flows {
-            throughput.insert(f, ThroughputSeries::new(bin));
+            throughput.insert(f, ThroughputSeries::new(Self::BIN));
             delay_net.insert(f, SampleSeries::new());
             delay_e2e.insert(f, SampleSeries::new());
             delivered.insert(f, 0);
@@ -69,7 +70,6 @@ impl Metrics {
             flow_latency.insert(f, LogHistogram::new());
         }
         Metrics {
-            bin,
             throughput,
             delay_net,
             delay_e2e,
@@ -137,7 +137,7 @@ mod tests {
 
     #[test]
     fn delivery_updates_all_series() {
-        let mut m = Metrics::new(5, &[0], Duration::from_secs(10));
+        let mut m = Metrics::new(5, &[0]);
         let f = frame_with_times(1, 3);
         m.on_delivery(Time::from_secs(7), &f);
         assert_eq!(m.delivered[&0], 1);
@@ -150,7 +150,7 @@ mod tests {
 
     #[test]
     fn unknown_flow_is_ignored() {
-        let mut m = Metrics::new(2, &[0], Duration::from_secs(1));
+        let mut m = Metrics::new(2, &[0]);
         let mut f = frame_with_times(0, 0);
         f.flow = 99;
         m.on_delivery(Time::from_secs(1), &f);
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn samples_and_window_means() {
-        let mut m = Metrics::new(2, &[0, 1], Duration::from_secs(10));
+        let mut m = Metrics::new(2, &[0, 1]);
         m.on_sample(Time::from_secs(1), 0, 10, 32);
         m.on_sample(Time::from_secs(2), 0, 20, 64);
         let sm = m.buffer[0].window(Time::ZERO, Time::from_secs(10));

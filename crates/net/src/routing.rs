@@ -100,13 +100,11 @@ impl StaticRouting {
 /// [`StaticRouting::install_path`] asserts.
 #[derive(Debug, Clone)]
 pub struct GatewayRoutes {
-    /// `parent[v]` = next hop toward `gateway[v]` (`usize::MAX` at
+    /// `parent[v]` = next hop toward `v`'s gateway (`usize::MAX` at
     /// gateways and unreachable nodes).
     parent: Vec<usize>,
     /// Hop distance to the assigned gateway (`usize::MAX` if unreachable).
     dist: Vec<usize>,
-    /// The gateway each node drains to (`usize::MAX` if unreachable).
-    gateway: Vec<usize>,
 }
 
 impl GatewayRoutes {
@@ -119,7 +117,6 @@ impl GatewayRoutes {
         let n = adj.len();
         let mut parent = vec![usize::MAX; n];
         let mut dist = vec![usize::MAX; n];
-        let mut gateway = vec![usize::MAX; n];
         let mut sorted: Vec<usize> = gateways.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
@@ -127,7 +124,6 @@ impl GatewayRoutes {
         for &g in &sorted {
             assert!(g < n, "gateway {g} out of bounds for {n} nodes");
             dist[g] = 0;
-            gateway[g] = g;
             frontier.push_back(g);
         }
         while let Some(v) = frontier.pop_front() {
@@ -136,16 +132,11 @@ impl GatewayRoutes {
                 if dist[w] == usize::MAX {
                     dist[w] = dist[v] + 1;
                     parent[w] = v;
-                    gateway[w] = gateway[v];
                     frontier.push_back(w);
                 }
             }
         }
-        GatewayRoutes {
-            parent,
-            dist,
-            gateway,
-        }
+        GatewayRoutes { parent, dist }
     }
 
     /// The path from `src` to its assigned gateway (inclusive), or
@@ -168,14 +159,6 @@ impl GatewayRoutes {
         match self.dist[v] {
             usize::MAX => None,
             d => Some(d),
-        }
-    }
-
-    /// The gateway `v` drains to (`None` if unreachable).
-    pub fn gateway_of(&self, v: usize) -> Option<usize> {
-        match self.gateway[v] {
-            usize::MAX => None,
-            g => Some(g),
         }
     }
 
@@ -257,8 +240,6 @@ mod tests {
         let g = GatewayRoutes::compute(&spur_adj(), &[0, 4]);
         assert_eq!(g.path_from(1), Some(vec![1, 0]));
         assert_eq!(g.path_from(3), Some(vec![3, 4]));
-        assert_eq!(g.gateway_of(1), Some(0));
-        assert_eq!(g.gateway_of(3), Some(4));
         assert_eq!(g.dist(0), Some(0));
         assert_eq!(
             g.path_from(0),
@@ -274,7 +255,6 @@ mod tests {
         // Node 2 is 2 hops from both gateways; the BFS seeds gateways
         // ascending, so gateway 0's wavefront claims it first.
         let g = GatewayRoutes::compute(&spur_adj(), &[0, 4]);
-        assert_eq!(g.gateway_of(2), Some(0));
         assert_eq!(g.path_from(2), Some(vec![2, 1, 0]));
         assert_eq!(g.path_from(5), Some(vec![5, 2, 1, 0]));
     }

@@ -668,8 +668,8 @@ impl ScenarioSpec {
     }
 }
 
-/// File-label slug of a controller name (same scrub the bench layer
-/// applies to algorithm names).
+/// File-label slug of a controller name (the scrub `ezflow-bench`'s
+/// export stems apply to whole labels).
 fn slug(name: &str) -> String {
     name.replace(['.', ' ', '(', ')'], "")
 }

@@ -19,8 +19,21 @@ DOC_FLAGS=(-p ezflow)
 for d in crates/*/; do DOC_FLAGS+=(-p "ezflow-$(basename "$d")"); done
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet "${DOC_FLAGS[@]}"
 
-echo "== parallel sweep smoke (seeds, --quick --jobs=2) =="
-cargo run --release -q -p ezflow-bench --bin experiments -- --quick --jobs=2 seeds >/dev/null
+echo "== unused pub items (scripts/dead_pub.sh against scripts/dead_pub.allow) =="
+scripts/dead_pub.sh
+
+echo "== parallel sweep smoke (seeds, --quick --jobs=2, every observer exporting) =="
+# Every run of every experiment exports through its runner job: twenty
+# runs, twenty files per directory, or some job path stopped exporting.
+TRACE_TMP="$(mktemp -d)"
+trap 'rm -rf "$TRACE_TMP"' EXIT
+cargo run --release -q -p ezflow-bench --bin experiments -- --quick --jobs=2 \
+  --trace-dir="$TRACE_TMP/seeds/tr" --telemetry-dir="$TRACE_TMP/seeds/tel" \
+  --audit-dir="$TRACE_TMP/seeds/aud" seeds >/dev/null 2>&1
+for d in tr tel aud; do
+  FILES="$(find "$TRACE_TMP/seeds/$d" -name 'seeds_*.jsonl' | wc -l)"
+  [ "$FILES" -eq 20 ] || { echo "seeds smoke: $FILES files under $d, expected 20"; exit 1; }
+done
 
 echo "== scheduler equivalence proptests (heap vs wheel) =="
 # Randomized schedule/move/remove workloads must pop identically from the
@@ -42,25 +55,32 @@ echo "== benchmark harness build + tests (benchmark/, its own workspace) =="
 # a removed or renamed item fails this gate, not the next benchmark run.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-# The observer smokes below run scenario 1 for a sliver of its timeline,
-# where its qualitative checks may legitimately fail (exit 1); what they
-# smoke is the export. Anything else — usage (2), an abort (134) — fails.
+# The observer smoke below runs scenario 1 for a sliver of its timeline,
+# where its qualitative checks may legitimately fail (exit 1); what it
+# smokes is the export. Anything else — usage (2), an abort (134) — fails.
+# The lifecycle and the telemetry stream of a run share a file name, so
+# `--trace-dir` and `--telemetry-dir` never share a directory (the CLI
+# refuses it: exit 2, see `bin/experiments.rs`).
 observed_run() {
-  local status=0
-  cargo run --release -q -p ezflow-bench --bin experiments -- "$@" >/dev/null 2>&1 || status=$?
+  local out="$1" status=0
+  shift
+  cargo run --release -q -p ezflow-bench --bin experiments -- --quick --time=0.02 \
+    --trace-dir="$out/tr" --telemetry-dir="$out/tel" --audit-dir="$out/aud" "$@" \
+    >/dev/null 2>&1 || status=$?
   [ "$status" -le 1 ] || { echo "experiments $* exited $status"; exit 1; }
 }
 
+echo "== observer exports: one scenario-1 run, all three directories =="
+observed_run "$TRACE_TMP" --json="$TRACE_TMP/snap.json" scenario1
+
 echo "== flight recorder + trace CLI smoke =="
-# A short traced scenario-1 run exports lifecycle JSONL; the trace
-# inspector must reconstruct journeys and a drop census from it.
-TRACE_TMP="$(mktemp -d)"
-trap 'rm -rf "$TRACE_TMP"' EXIT
-observed_run --quick --time=0.02 --trace-dir="$TRACE_TMP" scenario1
-JSONL="$TRACE_TMP/scenario1_80211.jsonl"
+# The traced run exported lifecycle JSONL; the trace inspector must
+# reconstruct journeys and a drop census from it.
+JSONL="$TRACE_TMP/tr/scenario1_80211.jsonl"
 [ -s "$JSONL" ] || { echo "trace smoke: no lifecycle export at $JSONL"; exit 1; }
 cargo run --release -q -p ezflow-bench --bin trace -- drops --by-cause "$JSONL" >/dev/null
 cargo run --release -q -p ezflow-bench --bin trace -- drops --by-node "$JSONL" >/dev/null
+cargo run --release -q -p ezflow-bench --bin trace -- drops --by-link "$JSONL" >/dev/null
 cargo run --release -q -p ezflow-bench --bin trace -- worst --flow=0 --top=3 "$JSONL" >/dev/null
 PKT="$(cargo run --release -q -p ezflow-bench --bin trace -- worst --flow=0 --top=1 "$JSONL" \
   | awk 'NR==3 {print $1}')"
@@ -71,15 +91,10 @@ cargo run --release -q -p ezflow-bench --bin trace -- journey --packet="$PKT" "$
 echo "trace CLI reconstructed packet $PKT's journey"
 
 echo "== telemetry bus + trace telemetry smoke =="
-# A short telemetry-armed scenario-1 run must stream at least one
-# sample-window JSONL record, surface a stability section in its JSON
-# snapshots, and render through the telemetry inspector. (Shares
-# TRACE_TMP and its EXIT trap; the subdir keeps the telemetry stream
-# apart from the same-named lifecycle export above.)
-TEL_DIR="$TRACE_TMP/telemetry"
-observed_run --quick --time=0.02 --telemetry-dir="$TEL_DIR" --json="$TRACE_TMP/snap.json" \
-  scenario1
-TEL_JSONL="$TEL_DIR/scenario1_80211.jsonl"
+# The telemetry-armed run must have streamed at least one sample-window
+# JSONL record, surfaced a stability section in its JSON snapshots, and
+# render through the telemetry inspector.
+TEL_JSONL="$TRACE_TMP/tel/scenario1_80211.jsonl"
 [ -s "$TEL_JSONL" ] || { echo "telemetry smoke: no stream at $TEL_JSONL"; exit 1; }
 WINDOWS="$(wc -l < "$TEL_JSONL")"
 [ "$WINDOWS" -ge 1 ] || { echo "telemetry smoke: zero sample windows"; exit 1; }
@@ -91,36 +106,34 @@ cargo run --release -q -p ezflow-bench --bin trace -- telemetry --top=3 "$TEL_JS
 echo "telemetry stream captured $WINDOWS sample windows"
 
 echo "== controller audit + trace controller smoke =="
-# A short audit-armed scenario-1 run must stream decision/sample JSONL
-# records, surface a controller section in its JSON snapshots, and
-# render through the controller inspector. (Shares TRACE_TMP and its
-# EXIT trap.)
-AUD_DIR="$TRACE_TMP/audit"
-observed_run --quick --time=0.02 --audit-dir="$AUD_DIR" --json="$TRACE_TMP/audit_snap.json" \
-  scenario1
-AUD_JSONL="$AUD_DIR/scenario1_EZ-flow.audit.jsonl"
+# The audit-armed run must have streamed decision/sample JSONL records,
+# surfaced a controller section in its JSON snapshots, and render through
+# the controller inspector.
+AUD_JSONL="$TRACE_TMP/aud/scenario1_EZ-flow.audit.jsonl"
 [ -s "$AUD_JSONL" ] || { echo "audit smoke: no stream at $AUD_JSONL"; exit 1; }
 grep -q '"kind":"sample"' "$AUD_JSONL" \
   || { echo "audit smoke: no estimation samples in stream"; exit 1; }
-grep -Eq '"schema": ?2' "$TRACE_TMP/audit_snap.json" \
+grep -Eq '"schema": ?2' "$TRACE_TMP/snap.json" \
   || { echo "audit smoke: snapshots lack the schema version"; exit 1; }
-grep -q '"decisions_total"' "$TRACE_TMP/audit_snap.json" \
+grep -q '"decisions_total"' "$TRACE_TMP/snap.json" \
   || { echo "audit smoke: snapshots lack a controller section"; exit 1; }
 cargo run --release -q -p ezflow-bench --bin trace -- controller --top=3 "$AUD_JSONL" >/dev/null
-cargo run --release -q -p ezflow-bench --bin trace -- drops --by-link "$JSONL" >/dev/null
 RECORDS="$(wc -l < "$AUD_JSONL")"
 echo "controller audit streamed $RECORDS records"
 
-echo "== repeated-export identity (--trace-dir twice, cmp) =="
+echo "== repeated-export identity (the same run twice, cmp in all three directories) =="
 # The lifecycle export is ordered by (time, packet, position) — a total
 # order — so the recorder's hash index and slot reuse must never reach a
-# byte: two identical invocations write identical files.
-observed_run --quick --time=0.02 --trace-dir="$TRACE_TMP/again" scenario1
-for f in scenario1_80211.jsonl scenario1_EZ-flow.jsonl; do
+# byte, and the two streams are pure functions of the run: two identical
+# invocations write identical files.
+observed_run "$TRACE_TMP/again" scenario1
+for f in tr/scenario1_80211.jsonl tr/scenario1_EZ-flow.jsonl \
+    tel/scenario1_80211.jsonl tel/scenario1_EZ-flow.jsonl \
+    aud/scenario1_80211.audit.jsonl aud/scenario1_EZ-flow.audit.jsonl; do
   cmp "$TRACE_TMP/$f" "$TRACE_TMP/again/$f" \
     || { echo "export identity: $f differs between two identical runs"; exit 1; }
 done
-echo "two identical invocations exported identical lifecycles"
+echo "two identical invocations exported identical lifecycles, telemetry and audit streams"
 
 echo "== EXPERIMENTS.md is the recorded output (experiments --markdown all, cmp) =="
 # Everything below the "Recorded full-scale output" heading must be what

@@ -21,6 +21,12 @@ pub const BUDGET: Duration = Duration::from_secs(5);
 /// wrote and how it exited (always with an exit code: see the module
 /// docs).
 pub fn run(bin: &str, args: &[&str]) -> Output {
+    run_within(BUDGET, bin, args)
+}
+
+/// [`run`] under a budget of the caller's choosing, for a child that is
+/// meant to simulate.
+pub fn run_within(budget: Duration, bin: &str, args: &[&str]) -> Output {
     let mut child = Command::new(bin)
         .args(args)
         .stdin(Stdio::null())
@@ -36,10 +42,10 @@ pub fn run(bin: &str, args: &[&str]) -> Output {
     let status = loop {
         match child.try_wait().expect("the child can be polled") {
             Some(status) => break status,
-            None if started.elapsed() > BUDGET => {
+            None if started.elapsed() > budget => {
                 // Reap it too, so the readers see end-of-file.
                 child.kill().and_then(|()| child.wait()).ok();
-                panic!("{args:?}: still running after {BUDGET:?}, killed");
+                panic!("{args:?}: still running after {budget:?}, killed");
             }
             None => std::thread::sleep(Duration::from_millis(5)),
         }
