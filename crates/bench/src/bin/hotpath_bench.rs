@@ -25,6 +25,11 @@
 //!   into memory). Its golden entry is not a snapshot but the line count
 //!   and FNV-1a of each JSONL export — the byte-for-byte pin on what the
 //!   observers write.
+//! * **exports/testbed+links** — the calibrated testbed (a different PER
+//!   on every link) under a global Gilbert–Elliott overlay, one link's own
+//!   burst chain and two links' up/down schedules, observers armed the
+//!   same way: the pin on per-link loss resolution, digested like the
+//!   run above plus the channel's loss counters.
 //!
 //! `--check` (also what a bare invocation runs, so nothing but `--bless`
 //! ever writes a committed file) is the regression gate
@@ -60,7 +65,7 @@ use std::sync::{Arc, Mutex};
 use ezflow_bench::experiments::{scenario1, Algo};
 use ezflow_bench::report::Scale;
 use ezflow_net::{topo, Network, NetworkSpec, PerfSnapshot, ScenarioSpec, Topology};
-use ezflow_phy::{GilbertElliott, LossModel};
+use ezflow_phy::{ChurnWindow, GilbertElliott, LossModel};
 use ezflow_sim::{JsonValue, Time};
 
 /// One gated run: label + the deterministic digest it left behind.
@@ -223,18 +228,84 @@ fn export_digest(bytes: &[u8]) -> JsonValue {
 /// did.
 fn exports_run() -> Run {
     let mut scale = Scale::quick();
-    scale.telemetry_every = Some(NetworkSpec::TELEMETRY_EVERY);
-    scale.audit_cap = NetworkSpec::AUDIT_CAP;
     let (t, until) = scenario1_quick(scale);
-    let mut spec = scale.spec(&t, scale.seed);
+    let mut spec = observed_spec(&mut scale, &t);
     spec.loss = LossModel::uniform(0.05).with_burst(GilbertElliott {
         p_g2b: 0.02,
         p_b2g: 0.25,
         p_good: 0.0,
         p_bad: 0.6,
     });
+    let (_, digests) = observed_run(spec, until);
+    Run {
+        label: format!("exports/scenario1+loss/{}", Algo::EzFlow.name()),
+        digest: JsonValue::obj(digests).to_compact(),
+    }
+}
+
+/// The calibrated testbed with both flows, every link on its own PER, a
+/// global burst overlay, the bottleneck `l2` on its own (harsher) burst
+/// chain, F2's access link N0′ → N4 down one second in four (data
+/// direction only) and `l5` down half a second in seven (both ways) —
+/// every way a link's loss process can differ from its neighbours'.
+fn loss_links_run() -> Run {
+    let mut scale = Scale::quick();
+    let until = Time::from_secs(60);
+    let t = topo::testbed(true, true, Time::from_secs(1), until);
+    let mut spec = observed_spec(&mut scale, &t);
+    spec.loss = spec.loss.with_burst(GilbertElliott::classic());
+    spec.loss.set_link_burst_symmetric(
+        2,
+        3,
+        GilbertElliott {
+            p_g2b: 0.05,
+            p_b2g: 0.2,
+            p_good: 0.01,
+            p_bad: 0.9,
+        },
+    );
+    let s = ezflow_sim::Duration::from_secs;
+    let ms = ezflow_sim::Duration::from_millis;
+    spec.loss.set_link_churn(
+        topo::TESTBED_F2_SRC,
+        4,
+        ChurnWindow::new(s(3), s(1), ms(500)),
+    );
+    spec.loss
+        .set_link_churn_symmetric(5, 6, ChurnWindow::new(s(7), ms(500), s(2)));
+    let (net, mut digests) = observed_run(spec, until);
+    let c = net.channel_stats();
+    digests.push((
+        "channel",
+        JsonValue::obj(vec![
+            ("tx_started", c.tx_started.into()),
+            ("losses", c.bernoulli_losses.into()),
+            ("collisions", c.collisions_at_dst.into()),
+            ("clean", c.clean_deliveries.into()),
+        ]),
+    ));
+    Run {
+        label: format!("exports/testbed+links/{}", Algo::EzFlow.name()),
+        digest: JsonValue::obj(digests).to_compact(),
+    }
+}
+
+/// `t`'s network spec on `scale` with every observer armed: telemetry and
+/// audit at their defaults, 256 journeys (against hundreds of queue
+/// slots, so the recorder evicts and samples) and a 4,096-record ring.
+fn observed_spec(scale: &mut Scale, t: &Topology) -> NetworkSpec {
+    scale.telemetry_every = Some(NetworkSpec::TELEMETRY_EVERY);
+    scale.audit_cap = NetworkSpec::AUDIT_CAP;
+    let mut spec = scale.spec(t, scale.seed);
     spec.flight_cap = 256;
     spec.trace_cap = 4096;
+    spec
+}
+
+/// Runs `spec` under EZ-flow to `until` with the two streams sunk into
+/// memory; returns the finished network and the digest of every export
+/// plus the recorder's stats.
+fn observed_run(spec: NetworkSpec, until: Time) -> (Network, Vec<(&'static str, JsonValue)>) {
     let mut net = Network::new(spec, &*Algo::EzFlow.factory());
     let (telemetry, audit) = (MemSink::default(), MemSink::default());
     net.telemetry.set_sink(Box::new(telemetry.clone()));
@@ -243,10 +314,10 @@ fn exports_run() -> Run {
     let stats = net.flight.stats();
     assert!(
         stats.evicted > 0 && stats.stride > 1,
-        "exports run must exercise eviction and sampling: {stats:?}"
+        "an exports run must exercise eviction and sampling: {stats:?}"
     );
     let sunk = |s: &MemSink| export_digest(&s.0.lock().expect("sink writer panicked"));
-    let doc = JsonValue::obj(vec![
+    let digests = vec![
         ("lifecycle", export_digest(net.flight.to_jsonl().as_bytes())),
         ("trace_ring", export_digest(net.trace.to_jsonl().as_bytes())),
         ("telemetry", sunk(&telemetry)),
@@ -260,11 +331,8 @@ fn exports_run() -> Run {
                 ("stride", stats.stride.into()),
             ]),
         ),
-    ]);
-    Run {
-        label: format!("exports/scenario1+loss/{}", Algo::EzFlow.name()),
-        digest: doc.to_compact(),
-    }
+    ];
+    (net, digests)
 }
 
 fn golden_path() -> PathBuf {
@@ -298,6 +366,7 @@ fn all_runs() -> Vec<Run> {
     runs.extend(scenario1_runs(None, 0, true));
     runs.push(mesh_run());
     runs.push(exports_run());
+    runs.push(loss_links_run());
     runs
 }
 
