@@ -227,9 +227,9 @@ fn export_digest(bytes: &[u8]) -> JsonValue {
 /// through eviction and stride doubling; the returned stats pin that it
 /// did.
 fn exports_run() -> Run {
-    let mut scale = Scale::quick();
+    let scale = Scale::quick();
     let (t, until) = scenario1_quick(scale);
-    let mut spec = observed_spec(&mut scale, &t);
+    let mut spec = observed_spec(scale, &t);
     spec.loss = LossModel::uniform(0.05).with_burst(GilbertElliott {
         p_g2b: 0.02,
         p_b2g: 0.25,
@@ -249,10 +249,9 @@ fn exports_run() -> Run {
 /// direction only) and `l5` down half a second in seven (both ways) —
 /// every way a link's loss process can differ from its neighbours'.
 fn loss_links_run() -> Run {
-    let mut scale = Scale::quick();
     let until = Time::from_secs(60);
     let t = topo::testbed(true, true, Time::from_secs(1), until);
-    let mut spec = observed_spec(&mut scale, &t);
+    let mut spec = observed_spec(Scale::quick(), &t);
     spec.loss = spec.loss.with_burst(GilbertElliott::classic());
     spec.loss.set_link_burst_symmetric(
         2,
@@ -293,7 +292,7 @@ fn loss_links_run() -> Run {
 /// `t`'s network spec on `scale` with every observer armed: telemetry and
 /// audit at their defaults, 256 journeys (against hundreds of queue
 /// slots, so the recorder evicts and samples) and a 4,096-record ring.
-fn observed_spec(scale: &mut Scale, t: &Topology) -> NetworkSpec {
+fn observed_spec(mut scale: Scale, t: &Topology) -> NetworkSpec {
     scale.telemetry_every = Some(NetworkSpec::TELEMETRY_EVERY);
     scale.audit_cap = NetworkSpec::AUDIT_CAP;
     let mut spec = scale.spec(t, scale.seed);

@@ -297,3 +297,50 @@ fn specs_that_could_not_run_or_could_not_end_exit_2_naming_the_field() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn loss_specs_naming_impossible_links_or_probabilities_exit_2_naming_the_field() {
+    // Scenario 1 with its ideal loss replaced. Each of these once ran to
+    // "all qualitative checks PASSED": the entries named no node, no
+    // probability, or (nodes 0 and 12, ~1,590 m apart) no link any frame
+    // crosses, so they silently did nothing.
+    let scenario1 = include_str!("../../../scenarios/scenario1.json");
+    let ideal = "\"loss\": {\n    \"kind\": \"ideal\"\n  }";
+    assert!(
+        scenario1.contains(ideal),
+        "scenario1.json's loss section moved"
+    );
+    let ge = r#""p_g2b": 0.1, "p_b2g": 0.2, "p_bad": 0.5"#;
+    let cases = [
+        (
+            "loss.links[0].a",
+            r#"{"kind": "custom", "links": [{"a": 999, "b": 4000, "per": 0.5}]}"#.to_string(),
+        ),
+        (
+            "loss.burst.p_g2b",
+            r#"{"kind": "custom", "burst": {"p_g2b": -3, "p_b2g": 7, "p_bad": 1e300}}"#.to_string(),
+        ),
+        (
+            "loss.burst_links[0]",
+            format!(r#"{{"kind": "custom", "burst_links": [{{"a": 0, "b": 12, {ge}}}]}}"#),
+        ),
+        (
+            "loss.links[0]",
+            r#"{"kind": "custom", "links": [{"a": 4, "b": 4, "per": 0.5}]}"#.to_string(),
+        ),
+        (
+            "loss.churn[0]",
+            r#"{"kind": "custom", "churn": [{"a": 0, "b": 12, "up_secs": 1, "down_secs": 1}]}"#
+                .to_string(),
+        ),
+    ];
+    let dir = std::env::temp_dir().join(format!("ezflow-loss-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    for (i, (path, loss)) in cases.iter().enumerate() {
+        let file = dir.join(format!("{i}.json"));
+        let document = scenario1.replace(ideal, &format!("\"loss\": {loss}"));
+        std::fs::write(&file, document).expect("the document is written");
+        assert_rejected(&["--quick", &format!("--spec={}", file.display())], path);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

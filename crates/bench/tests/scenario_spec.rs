@@ -11,7 +11,9 @@ use std::path::PathBuf;
 
 use ezflow_bench::experiments::{spec, Algo};
 use ezflow_bench::report::Scale;
-use ezflow_net::{topo, CompiledScenario, Network, NetworkSpec, PerfSnapshot, ScenarioSpec};
+use ezflow_net::{
+    topo, CompiledScenario, Network, NetworkSpec, PerfSnapshot, ScenarioError, ScenarioSpec,
+};
 use ezflow_sim::Time;
 
 fn scenario_path(name: &str) -> PathBuf {
@@ -136,4 +138,109 @@ fn malformed_specs_fail_with_pointed_messages() {
         err.contains("topology.kind") && err.contains("donut"),
         "{err}"
     );
+}
+
+#[test]
+fn loss_entries_outside_the_layout_or_its_decode_links_are_field_errors() {
+    // A 3-hop chain, 200 m spacing: 0-1 is a decode link, 0-2 (400 m)
+    // is not, and node 4 does not exist.
+    let with_loss = |loss: &str| {
+        format!(
+            r#"{{"name": "l", "duration_secs": 10,
+                "topology": {{"kind": "chain", "hops": 3}},
+                "loss": {{"kind": "custom", {loss}}}}}"#
+        )
+    };
+    let ge = r#""p_g2b": 0.1, "p_b2g": 0.1, "p_bad": 0.5"#;
+    let parse_errors = [
+        (
+            r#""burst": {"p_g2b": -3, "p_b2g": 0.1, "p_bad": 0.5}"#.to_string(),
+            "loss.burst.p_g2b",
+        ),
+        (
+            r#""burst": {"p_g2b": 0.1, "p_b2g": 7, "p_bad": 0.5}"#.to_string(),
+            "loss.burst.p_b2g",
+        ),
+        (
+            r#""burst": {"p_g2b": 0.1, "p_b2g": 0.1, "p_bad": 1e300}"#.to_string(),
+            "loss.burst.p_bad",
+        ),
+        (
+            r#""burst": {"p_g2b": 0.1, "p_b2g": 0.1, "p_good": -0.5, "p_bad": 0.5}"#.to_string(),
+            "loss.burst.p_good",
+        ),
+        (
+            r#""burst_links": [{"a": 0, "b": 1, "p_g2b": 2, "p_b2g": 0.1, "p_bad": 0.5}]"#
+                .to_string(),
+            "loss.burst_links[0].p_g2b",
+        ),
+        (
+            r#""links": [{"a": 1, "b": 1, "per": 0.5}]"#.to_string(),
+            "loss.links[0]",
+        ),
+        (
+            format!(r#""burst_links": [{{"a": 2, "b": 2, {ge}}}]"#),
+            "loss.burst_links[0]",
+        ),
+        (
+            r#""churn": [{"a": 3, "b": 3, "up_secs": 1, "down_secs": 1}]"#.to_string(),
+            "loss.churn[0]",
+        ),
+    ];
+    for (loss, want) in parse_errors {
+        match ScenarioSpec::parse(&with_loss(&loss)).unwrap_err() {
+            ScenarioError::Field { path, .. } => assert_eq!(path, want, "{loss}"),
+            other => panic!("expected a field error at {want}, got {other:?}"),
+        }
+    }
+    let compile_errors = [
+        (
+            r#""links": [{"a": 999, "b": 4000, "per": 0.5}]"#.to_string(),
+            "loss.links[0].a",
+            "out of bounds",
+        ),
+        (
+            r#""links": [{"a": 0, "b": 4, "per": 0.5}]"#.to_string(),
+            "loss.links[0].b",
+            "out of bounds",
+        ),
+        (
+            r#""links": [{"a": 0, "b": 2, "per": 0.5}]"#.to_string(),
+            "loss.links[0]",
+            "400 m apart",
+        ),
+        (
+            format!(
+                r#""links": [{{"a": 0, "b": 1, "per": 0.5}}], "burst_links": [{{"a": 1, "b": 3, {ge}}}]"#
+            ),
+            "loss.burst_links[0]",
+            "decode range",
+        ),
+        (
+            r#""churn": [{"a": 3, "b": 0, "up_secs": 1, "down_secs": 1}]"#.to_string(),
+            "loss.churn[0]",
+            "600 m apart",
+        ),
+    ];
+    for (loss, want, says) in compile_errors {
+        let spec = ScenarioSpec::parse(&with_loss(&loss)).expect("parses");
+        match spec.compile().unwrap_err() {
+            ScenarioError::Field { path, message } => {
+                assert_eq!(path, want, "{loss}");
+                assert!(message.contains(says), "{message}");
+            }
+            other => panic!("expected a field error at {want}, got {other:?}"),
+        }
+    }
+    // The bounds are inclusive, and a decode link of every kind compiles.
+    let fine = format!(
+        r#""default_per": 1, "links": [{{"a": 0, "b": 1, "per": 0}}],
+           "burst": {{"p_g2b": 0, "p_b2g": 1, "p_good": 1, "p_bad": 0}},
+           "burst_links": [{{"a": 2, "b": 1, {ge}}}],
+           "churn": [{{"a": 3, "b": 2, "up_secs": 1, "down_secs": 1}}]"#
+    );
+    ScenarioSpec::parse(&with_loss(&fine))
+        .unwrap()
+        .compile()
+        .unwrap();
 }

@@ -81,21 +81,27 @@ pub struct AuditRecord {
 
 impl AuditRecord {
     /// Streams the record's compact JSON object — one JSONL line of the
-    /// `--audit-dir` export, without the newline — into `w`.
+    /// `--audit-dir` export, without the newline — into `w`. The fixed
+    /// text of the head and of an estimation sample (the common record)
+    /// goes out as whole tokens.
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
-        w.field("at_us", self.at.as_micros());
-        w.field("node", self.node);
+        w.raw(r#""at_us":"#);
+        w.value(self.at.as_micros());
+        w.raw(r#","node":"#);
+        w.value(self.node);
         match self.event {
             AuditEvent::Sample {
                 successor,
                 estimate,
                 truth,
             } => {
-                w.field("kind", "sample");
-                w.field("successor", successor);
-                w.field("estimate", estimate);
-                w.field("truth", truth);
+                w.raw(r#","kind":"sample","successor":"#);
+                w.value(successor);
+                w.raw(r#","estimate":"#);
+                w.value(estimate);
+                w.raw(r#","truth":"#);
+                w.value(truth);
             }
             AuditEvent::Decision(d) => {
                 w.field("kind", d.kind.name());
@@ -241,7 +247,7 @@ impl AuditLedger {
             self.line.clear();
             rec.write_json(&mut self.line);
             self.line.end_line();
-            let _ = sink.write_all(self.line.as_str().as_bytes());
+            let _ = sink.write_all(self.line.as_bytes());
         }
         if self.records.len() == self.cap {
             self.records.pop_front();

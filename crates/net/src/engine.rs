@@ -20,7 +20,7 @@
 use ezflow_mac::{MacInput, MacOutput};
 use ezflow_phy::{DecodeOutcome, Frame, FrameId, FrameKind, TxId};
 use ezflow_sim::{
-    BoeVerdict, DropCause, Duration, FrameClass, JsonValue, RxOutcome, Time, TraceEvent, TraceKind,
+    BoeVerdict, DropCause, Duration, FrameClass, JsonValue, RxOutcome, Time, TraceKind,
     TracePayload,
 };
 
@@ -410,8 +410,18 @@ impl Network {
         // frame is never built and the arena never touched.
         if self.nodes[src].own_queue_drop(nh) {
             *self.metrics.source_drops.entry(flow).or_insert(0) += 1;
-            self.flight_admit(seq, flow, src);
-            self.record_drop(src, DropCause::SourceQueueFull, seq);
+            let dropped = TracePayload::Drop {
+                cause: DropCause::SourceQueueFull,
+                seq,
+            };
+            if self.trace.enabled() {
+                self.trace.push(self.now, src, TraceKind::Drop, dropped);
+            }
+            // The journey the admission opens is the one the drop ends.
+            if let Some(mut j) = self.flight.admit(self.now, src, seq, flow) {
+                j.push(self.now, src, TraceKind::Drop, dropped);
+                j.complete();
+            }
             self.try_feed(src);
             return seq;
         }
@@ -419,7 +429,7 @@ impl Network {
         frame.ack_ref = ack_ref;
         frame.src = src;
         frame.dst = nh;
-        self.flight_admit(seq, flow, src);
+        self.flight.admit(self.now, src, seq, flow);
         let id = self.arena.alloc(frame);
         let accepted = self.nodes[src].enqueue(true, id, &self.arena);
         debug_assert!(accepted, "own_queue_drop found room in the source queue");
@@ -427,22 +437,6 @@ impl Network {
         self.record_enqueue(src, true, nh, seq, flow);
         self.try_feed(src);
         seq
-    }
-
-    /// Offers a new packet to the flight recorder with its `Admit` record.
-    /// One branch while the recorder is off.
-    fn flight_admit(&mut self, seq: u64, flow: u32, src: usize) {
-        if self.flight.enabled() {
-            self.flight.admit(
-                seq,
-                TraceEvent {
-                    at: self.now,
-                    node: src,
-                    kind: TraceKind::Admit,
-                    payload: TracePayload::Admit { seq, flow },
-                },
-            );
-        }
     }
 
     /// The `Drop` record: to the trace ring if armed and, ending it, to

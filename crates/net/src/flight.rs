@@ -12,45 +12,184 @@
 //! Budget discipline: the recorder is bounded by a packet cap, and an
 //! armed recorder costs what it keeps. A journey is found through a
 //! `seq → slot` hash index in one O(1) probe — the engine looks a packet
-//! up once per record ([`FlightRecorder::journey_mut`]) and builds the
-//! payload only if somebody is watching. Events live in one store of
-//! fixed four-event blocks chained per journey; evicting a
-//! journey splices its whole chain onto the free list in O(1), so a
-//! two-event source drop that recycles a sixty-event delivery's slot
-//! holds one block, not the delivery's buffer: bytes reserved stay within
-//! 2.5× the bytes of the events held (1.4–1.7× on the benchmark's
-//! `observed_lossy`: 2.3 MB at 4,096 journeys). When the cap is hit
-//! with no finished journey to evict the recorder **samples** — the
-//! admission stride doubles and the skip is counted in [`FlightStats`],
-//! never silent. With `cap == 0` the recorder is disabled and every call
-//! is a no-op behind one branch, keeping the hot path cost-free.
+//! up once per record ([`FlightRecorder::journey_mut`], or the handle
+//! [`FlightRecorder::admit`] returns) and builds the payload only if
+//! somebody is watching. A held event is a 32-byte record — the journey
+//! keeps the packet id once, a record the rest, node as 32 bits — decoded
+//! back into a [`TraceEvent`] only by [`FlightRecorder::to_jsonl`] and
+//! [`FlightRecorder::journey`]. Records live in one store of fixed
+//! four-record blocks chained per journey; evicting a journey splices its
+//! whole chain onto the free list in O(1), so a two-event source drop that
+//! recycles a sixty-event delivery's slot holds one block, not the
+//! delivery's buffer: bytes reserved stay within 2.5× the bytes of the
+//! records held (1.4–1.8× on the benchmark's `observed_lossy`: 1.2 MB at
+//! 4,096 journeys). When the cap is hit with no finished journey
+//! to evict the recorder **samples** — the admission stride doubles and
+//! the skip is counted in [`FlightStats`], never silent. With `cap == 0`
+//! the recorder is disabled and every call is a no-op behind one branch,
+//! keeping the hot path cost-free.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use ezflow_sim::{DropCause, JsonWriter, Time, TraceEvent, TraceKind, TracePayload};
+use ezflow_sim::{
+    BoeVerdict, DropCause, FrameClass, JsonWriter, RxOutcome, Time, TraceEvent, TraceKind,
+    TracePayload,
+};
 
-/// Events per storage block. Most journeys are either a source drop (two
-/// events) or a multi-hop delivery (dozens): four keeps the first kind to
+/// Records per storage block. Most journeys are either a source drop (two
+/// records) or a multi-hop delivery (dozens): four keeps the first kind to
 /// one block and the per-block link under 2 % of the second.
 const BLOCK_EVENTS: usize = 4;
 
 /// "No block": the end of a chain, or an empty free list.
 const NIL: u32 = u32::MAX;
 
+/// What a held record says beyond its packet id, which its journey keeps:
+/// the lifecycle variants of [`TracePayload`], `seq` taken out.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Admit {
+        flow: u32,
+    },
+    Enqueue {
+        flow: u32,
+        occupancy: u32,
+        cap: u32,
+    },
+    Dequeue {
+        flow: u32,
+    },
+    Attempt {
+        attempt: u32,
+        cw: u32,
+        slots: u32,
+    },
+    RxOutcome {
+        class: FrameClass,
+        outcome: RxOutcome,
+    },
+    BoeOverhear {
+        verdict: BoeVerdict,
+    },
+    Deliver {
+        flow: u32,
+    },
+    Drop {
+        cause: DropCause,
+    },
+}
+
+impl Step {
+    /// A lifecycle payload as its packet id and the rest; `None` for the
+    /// variants no journey records (frames, collisions, window moves).
+    fn split(payload: TracePayload) -> Option<(u64, Step)> {
+        Some(match payload {
+            TracePayload::Admit { seq, flow } => (seq, Step::Admit { flow }),
+            TracePayload::Enqueue {
+                seq,
+                flow,
+                occupancy,
+                cap,
+            } => (
+                seq,
+                Step::Enqueue {
+                    flow,
+                    occupancy,
+                    cap,
+                },
+            ),
+            TracePayload::Dequeue { seq, flow } => (seq, Step::Dequeue { flow }),
+            TracePayload::Attempt {
+                seq,
+                attempt,
+                cw,
+                slots,
+            } => (seq, Step::Attempt { attempt, cw, slots }),
+            TracePayload::RxOutcome {
+                seq,
+                class,
+                outcome,
+            } => (seq, Step::RxOutcome { class, outcome }),
+            TracePayload::BoeOverhear { seq, verdict } => (seq, Step::BoeOverhear { verdict }),
+            TracePayload::Deliver { seq, flow } => (seq, Step::Deliver { flow }),
+            TracePayload::Drop { cause, seq } => (seq, Step::Drop { cause }),
+            TracePayload::Frame { .. }
+            | TracePayload::Collision { .. }
+            | TracePayload::CwChange { .. } => return None,
+        })
+    }
+
+    /// The payload again, packet id `seq` put back.
+    fn payload(self, seq: u64) -> TracePayload {
+        match self {
+            Step::Admit { flow } => TracePayload::Admit { seq, flow },
+            Step::Enqueue {
+                flow,
+                occupancy,
+                cap,
+            } => TracePayload::Enqueue {
+                seq,
+                flow,
+                occupancy,
+                cap,
+            },
+            Step::Dequeue { flow } => TracePayload::Dequeue { seq, flow },
+            Step::Attempt { attempt, cw, slots } => TracePayload::Attempt {
+                seq,
+                attempt,
+                cw,
+                slots,
+            },
+            Step::RxOutcome { class, outcome } => TracePayload::RxOutcome {
+                seq,
+                class,
+                outcome,
+            },
+            Step::BoeOverhear { verdict } => TracePayload::BoeOverhear { seq, verdict },
+            Step::Deliver { flow } => TracePayload::Deliver { seq, flow },
+            Step::Drop { cause } => TracePayload::Drop { cause, seq },
+        }
+    }
+}
+
+/// One held lifecycle record: a [`TraceEvent`] less its packet id.
+#[derive(Clone, Copy, Debug)]
+struct Record {
+    at: Time,
+    node: u32,
+    kind: TraceKind,
+    step: Step,
+}
+
+// Half a `TraceEvent`: four records and a block's link in 136 bytes.
+const _: () = assert!(std::mem::size_of::<Record>() <= 32);
+
+impl Record {
+    /// The event this record holds, of packet `seq`.
+    fn event(self, seq: u64) -> TraceEvent {
+        TraceEvent {
+            at: self.at,
+            node: self.node as usize,
+            kind: self.kind,
+            payload: self.step.payload(seq),
+        }
+    }
+}
+
 /// What an unused block entry holds (never read: `Journey::len` bounds
 /// every walk).
-const UNUSED: TraceEvent = TraceEvent {
+const UNUSED: Record = Record {
     at: Time::ZERO,
     node: 0,
     kind: TraceKind::Admit,
-    payload: TracePayload::Admit { seq: 0, flow: 0 },
+    step: Step::Admit { flow: 0 },
 };
 
-/// [`BLOCK_EVENTS`] consecutive events of one journey, linked to the
+/// [`BLOCK_EVENTS`] consecutive records of one journey, linked to the
 /// journey's next block (or, on the free list, to the next free block).
 struct Block {
-    events: [TraceEvent; BLOCK_EVENTS],
+    records: [Record; BLOCK_EVENTS],
     next: u32,
 }
 
@@ -60,7 +199,7 @@ struct Journey {
     seq: u64,
     head: u32,
     tail: u32,
-    /// Events recorded; the last `len % BLOCK_EVENTS` (or a full block's
+    /// Records held; the last `len % BLOCK_EVENTS` (or a full block's
     /// worth) sit in `tail`.
     len: u32,
     done: bool,
@@ -112,11 +251,11 @@ pub struct FlightRecorder {
     /// The journeys held, at most `cap`. A slot is vacated only by the
     /// admission that refills it, so every entry is live.
     journeys: Vec<Journey>,
-    /// The event store every journey's chain lives in.
+    /// The record store every journey's chain lives in.
     blocks: Vec<Block>,
     /// Head of the free-block list (linked through `Block::next`).
     free: u32,
-    /// Events currently held across all journeys.
+    /// Records currently held across all journeys.
     held: usize,
     /// Slots of finished journeys, oldest first — the eviction queue.
     done_order: VecDeque<u32>,
@@ -135,28 +274,34 @@ const _: () = {
 };
 
 /// A tracked packet's journey, found once and open for appending — what
-/// [`FlightRecorder::journey_mut`] returns. Holding the recorder borrowed
-/// is what makes the single lookup safe: no admission can recycle the
-/// slot while the handle lives.
+/// [`FlightRecorder::journey_mut`] and [`FlightRecorder::admit`] return.
+/// Holding the recorder borrowed is what makes the single lookup safe: no
+/// admission can recycle the slot while the handle lives.
 pub struct JourneyMut<'a> {
     recorder: &'a mut FlightRecorder,
     slot: u32,
 }
 
 impl JourneyMut<'_> {
-    /// Appends one lifecycle record. Finished journeys are sealed: the
-    /// terminal delivery/drop is the packet's last word, and trailing MAC
-    /// bookkeeping that reuses its sequence number (the final hop ACK's
-    /// decode outcome, duplicate deliveries of a retransmission) is not
-    /// appended.
+    /// Appends one lifecycle record: `payload` is a lifecycle variant
+    /// (admit, enqueue, dequeue, attempt, rx_outcome, boe_overhear,
+    /// deliver, drop) naming this journey's packet, and `node` a node id.
+    /// Finished journeys are sealed: the terminal delivery/drop is the
+    /// packet's last word, and trailing MAC bookkeeping that reuses its
+    /// sequence number (the final hop ACK's decode outcome, duplicate
+    /// deliveries of a retransmission) is not appended.
     pub fn push(&mut self, at: Time, node: usize, kind: TraceKind, payload: TracePayload) {
+        let (seq, step) = Step::split(payload).expect("journeys hold lifecycle records only");
+        let journey = self.recorder.journeys[self.slot as usize];
+        assert_eq!(seq, journey.seq, "a record of another packet's journey");
+        let node = u32::try_from(node).expect("node ids fit 32 bits");
         self.recorder.append(
             self.slot,
-            TraceEvent {
+            Record {
                 at,
                 node,
                 kind,
-                payload,
+                step,
             },
         );
     }
@@ -175,7 +320,7 @@ impl JourneyMut<'_> {
 impl FlightRecorder {
     /// Creates a recorder keeping at most `cap` packet journeys;
     /// `cap == 0` disables recording entirely. Allocates nothing: the
-    /// index, the slots and the event store grow with the journeys held.
+    /// index, the slots and the record store grow with the journeys held.
     pub fn new(cap: usize) -> Self {
         FlightRecorder {
             cap,
@@ -198,24 +343,26 @@ impl FlightRecorder {
         self.cap > 0
     }
 
-    /// Offers a newly admitted packet for tracking and, if accepted,
-    /// records `event` (normally the `Admit` record) as the journey's
-    /// first entry. Returns whether the packet is now tracked. `seq` must
-    /// not name a journey already held (packet ids are unique).
+    /// Offers packet `seq` of `flow`, just admitted at `node`, for
+    /// tracking and, if accepted, opens its journey with the `Admit`
+    /// record and hands it back — a packet that dies at once (born into a
+    /// full source queue) records its drop through the handle, with no
+    /// second lookup. `seq` must not name a journey already held (packet
+    /// ids are unique).
     ///
     /// Acceptance is deterministic: every `stride`-th offered packet is
     /// taken. When the cap is reached, the oldest *finished* journey is
     /// evicted; if every tracked journey is still in flight the stride
     /// doubles instead and this packet is skipped (counted, never silent).
-    pub fn admit(&mut self, seq: u64, event: TraceEvent) -> bool {
+    pub fn admit(&mut self, at: Time, node: usize, seq: u64, flow: u32) -> Option<JourneyMut<'_>> {
         if self.cap == 0 {
-            return false;
+            return None;
         }
         let offer = self.offered;
         self.offered += 1;
         if !offer.is_multiple_of(self.stride) {
             self.skipped += 1;
-            return false;
+            return None;
         }
         let fresh = Journey {
             seq,
@@ -234,13 +381,22 @@ impl FlightRecorder {
         } else {
             self.stride = self.stride.saturating_mul(2);
             self.skipped += 1;
-            return false;
+            return None;
         };
         let clash = self.index.insert(seq, slot);
         debug_assert!(clash.is_none(), "packet {seq} admitted twice");
-        self.append(slot, event);
         self.tracked += 1;
-        true
+        let mut journey = JourneyMut {
+            recorder: self,
+            slot,
+        };
+        journey.push(
+            at,
+            node,
+            TraceKind::Admit,
+            TracePayload::Admit { seq, flow },
+        );
+        Some(journey)
     }
 
     /// The journey of packet `seq`, if it is tracked, open for appending:
@@ -258,26 +414,10 @@ impl FlightRecorder {
         })
     }
 
-    /// Appends `event` to the journey of packet `seq`, if it is tracked
-    /// and not yet finished (see [`JourneyMut::push`]).
-    pub fn record(&mut self, seq: u64, event: TraceEvent) {
-        if let Some(&slot) = self.index.get(&seq) {
-            self.append(slot, event);
-        }
-    }
-
-    /// Marks packet `seq`'s journey as finished (delivered or dropped),
-    /// making it eligible for eviction under budget pressure.
-    pub fn complete(&mut self, seq: u64) {
-        if let Some(j) = self.journey_mut(seq) {
-            j.complete();
-        }
-    }
-
     /// The recorded journey of packet `seq`, oldest event first.
     pub fn journey(&self, seq: u64) -> Option<Vec<TraceEvent>> {
         let j = &self.journeys[*self.index.get(&seq)? as usize];
-        Some(self.chain(j).map(|(_, ev)| *ev).collect())
+        Some(self.chain(j).map(|(_, r)| r.event(seq)).collect())
     }
 
     /// Number of journeys currently held.
@@ -307,25 +447,26 @@ impl FlightRecorder {
     pub fn to_jsonl(&self) -> String {
         let mut order: Vec<(u64, u64, u32, u32)> = Vec::with_capacity(self.held);
         for j in &self.journeys {
-            for (i, (pos, ev)) in self.chain(j).enumerate() {
-                order.push((ev.at.as_micros(), j.seq, i as u32, pos));
+            for (i, (pos, r)) in self.chain(j).enumerate() {
+                order.push((r.at.as_micros(), j.seq, i as u32, pos));
             }
         }
         // The first three fields are unique, so the store position never
         // decides an order.
         order.sort_unstable();
         let mut w = JsonWriter::with_capacity(order.len() * TraceEvent::LINE_BYTES);
-        for (_, _, _, pos) in order {
+        for (_, seq, _, pos) in order {
             let pos = pos as usize;
-            self.blocks[pos / BLOCK_EVENTS].events[pos % BLOCK_EVENTS].write_json(&mut w);
+            let record = self.blocks[pos / BLOCK_EVENTS].records[pos % BLOCK_EVENTS];
+            record.event(seq).write_json(&mut w);
             w.end_line();
         }
         w.into_string()
     }
 
-    /// Walks `j`'s chain oldest event first, yielding each event with its
+    /// Walks `j`'s chain oldest record first, yielding each record with its
     /// position in the store (`block * BLOCK_EVENTS + offset`).
-    fn chain<'a>(&'a self, j: &Journey) -> impl Iterator<Item = (u32, &'a TraceEvent)> + 'a {
+    fn chain<'a>(&'a self, j: &Journey) -> impl Iterator<Item = (u32, &'a Record)> + 'a {
         let mut block = j.head;
         (0..j.len as usize).map(move |i| {
             let off = i % BLOCK_EVENTS;
@@ -334,12 +475,12 @@ impl FlightRecorder {
             }
             (
                 block * BLOCK_EVENTS as u32 + off as u32,
-                &self.blocks[block as usize].events[off],
+                &self.blocks[block as usize].records[off],
             )
         })
     }
 
-    fn append(&mut self, slot: u32, event: TraceEvent) {
+    fn append(&mut self, slot: u32, record: Record) {
         let j = self.journeys[slot as usize];
         if j.done {
             return;
@@ -355,7 +496,7 @@ impl FlightRecorder {
             }
             self.journeys[slot as usize].tail = tail;
         }
-        self.blocks[tail as usize].events[off] = event;
+        self.blocks[tail as usize].records[off] = record;
         self.journeys[slot as usize].len += 1;
         self.held += 1;
     }
@@ -372,13 +513,13 @@ impl FlightRecorder {
         let n = self.blocks.len();
         assert!(
             n < (NIL as usize) / BLOCK_EVENTS,
-            "flight recorder event store exhausted its 32-bit positions"
+            "flight recorder store exhausted its 32-bit positions"
         );
         if n == self.blocks.capacity() {
             self.blocks.reserve_exact(n / 4 + 64);
         }
         self.blocks.push(Block {
-            events: [UNUSED; BLOCK_EVENTS],
+            records: [UNUSED; BLOCK_EVENTS],
             next: NIL,
         });
         n as u32
@@ -593,7 +734,7 @@ mod tests {
                         // Packet ids are unique and rising, with gaps.
                         next_seq += 1 + pick % 3;
                         let ev = admit_ev(at, (pick % 5) as usize, next_seq);
-                        prop_assert_eq!(fr.admit(next_seq, ev), model.admit(next_seq, ev));
+                        prop_assert_eq!(admit(&mut fr, ev), model.admit(next_seq, ev));
                     }
                     3..=5 => {
                         let ev = ev(
@@ -602,11 +743,11 @@ mod tests {
                             TraceKind::Dequeue,
                             TracePayload::Dequeue { seq: target, flow: (pick >> 8) as u32 },
                         );
-                        fr.record(target, ev);
+                        record(&mut fr, target, ev);
                         model.record(target, ev);
                     }
                     _ => {
-                        fr.complete(target);
+                        complete(&mut fr, target);
                         model.complete(target);
                     }
                 }
@@ -625,6 +766,28 @@ mod tests {
         }
     }
 
+    /// Offers `ev`'s packet with `ev` (an `Admit`) as its first record.
+    fn admit(fr: &mut FlightRecorder, ev: TraceEvent) -> bool {
+        let TracePayload::Admit { seq, flow } = ev.payload else {
+            panic!("not an admission: {ev:?}");
+        };
+        fr.admit(ev.at, ev.node, seq, flow).is_some()
+    }
+
+    /// Appends `ev` to packet `seq`'s journey, if it is tracked.
+    fn record(fr: &mut FlightRecorder, seq: u64, ev: TraceEvent) {
+        if let Some(mut j) = fr.journey_mut(seq) {
+            j.push(ev.at, ev.node, ev.kind, ev.payload);
+        }
+    }
+
+    /// Finishes packet `seq`'s journey, if it is tracked.
+    fn complete(fr: &mut FlightRecorder, seq: u64) {
+        if let Some(j) = fr.journey_mut(seq) {
+            j.complete();
+        }
+    }
+
     /// Drives `fr` through the admissions `seqs` in the benchmark's mix:
     /// seven in ten are born into a full queue (two events), the rest take
     /// sixty events to cross the mesh, one per step, while later packets
@@ -632,28 +795,30 @@ mod tests {
     fn mixed_generations(fr: &mut FlightRecorder, seqs: std::ops::Range<u64>) {
         let mut open: VecDeque<(u64, u32)> = VecDeque::new();
         for seq in seqs {
-            assert!(fr.admit(seq, admit_ev(seq, 0, seq)));
+            let mut journey = fr
+                .admit(t(seq), 0, seq, 1)
+                .expect("stride 1 takes every packet");
             if seq.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 60 < 11 {
                 let drop = TracePayload::Drop {
                     cause: DropCause::SourceQueueFull,
                     seq,
                 };
-                fr.record(seq, ev(seq, 0, TraceKind::Drop, drop));
-                fr.complete(seq);
+                journey.push(t(seq), 0, TraceKind::Drop, drop);
+                journey.complete();
             } else {
                 open.push_back((seq, 1));
             }
             for (s, n) in open.iter_mut() {
                 let hop = TracePayload::Dequeue { seq: *s, flow: 0 };
-                fr.record(*s, ev(seq, 1, TraceKind::Dequeue, hop));
+                record(fr, *s, ev(seq, 1, TraceKind::Dequeue, hop));
                 *n += 1;
             }
             while open.front().is_some_and(|&(_, n)| n == 60) {
-                fr.complete(open.pop_front().unwrap().0);
+                complete(fr, open.pop_front().unwrap().0);
             }
         }
         for (seq, _) in open {
-            fr.complete(seq);
+            complete(fr, seq);
         }
     }
 
@@ -668,11 +833,16 @@ mod tests {
             1,
             "every packet of the ten generations tracked"
         );
+        assert_eq!(
+            std::mem::size_of::<Block>(),
+            136,
+            "four 32-byte records and a link"
+        );
         let reserved = fr.blocks.capacity() * std::mem::size_of::<Block>();
-        let held = fr.events() * std::mem::size_of::<TraceEvent>();
+        let held = fr.events() * std::mem::size_of::<Record>();
         assert!(
             reserved as f64 <= 2.5 * held as f64,
-            "{reserved} bytes reserved for {held} bytes of events held"
+            "{reserved} bytes reserved for {held} bytes of records held"
         );
         assert_eq!(fr.to_jsonl().lines().count(), fr.events());
     }
@@ -725,8 +895,8 @@ mod tests {
     fn disabled_recorder_is_inert() {
         let mut fr = FlightRecorder::new(0);
         assert!(!fr.enabled());
-        assert!(!fr.admit(1, admit_ev(0, 0, 1)));
-        fr.record(1, admit_ev(0, 0, 1));
+        assert!(!admit(&mut fr, admit_ev(0, 0, 1)));
+        assert!(fr.journey_mut(1).is_none());
         assert_eq!(fr.packets(), 0);
         assert_eq!(fr.stats().tracked, 0);
         assert_eq!(fr.stats().skipped, 0, "disabled != sampled");
@@ -735,8 +905,9 @@ mod tests {
     #[test]
     fn records_full_journey_in_order() {
         let mut fr = FlightRecorder::new(8);
-        assert!(fr.admit(7, admit_ev(0, 0, 7)));
-        fr.record(
+        assert!(admit(&mut fr, admit_ev(0, 0, 7)));
+        record(
+            &mut fr,
             7,
             ev(
                 1,
@@ -750,7 +921,8 @@ mod tests {
                 },
             ),
         );
-        fr.record(
+        record(
+            &mut fr,
             7,
             ev(
                 2,
@@ -759,7 +931,7 @@ mod tests {
                 TracePayload::Deliver { seq: 7, flow: 1 },
             ),
         );
-        fr.complete(7);
+        complete(&mut fr, 7);
         let j = fr.journey(7).unwrap();
         assert_eq!(j.len(), 3);
         assert!(j.windows(2).all(|w| w[0].at <= w[1].at));
@@ -769,7 +941,7 @@ mod tests {
     #[test]
     fn untracked_records_are_dropped() {
         let mut fr = FlightRecorder::new(4);
-        fr.record(99, admit_ev(0, 0, 99));
+        record(&mut fr, 99, admit_ev(0, 0, 99));
         assert_eq!(fr.packets(), 0);
         assert_eq!(fr.events(), 0);
     }
@@ -777,12 +949,12 @@ mod tests {
     #[test]
     fn evicts_oldest_finished_journey_when_full() {
         let mut fr = FlightRecorder::new(2);
-        assert!(fr.admit(1, admit_ev(0, 0, 1)));
-        fr.complete(1);
-        assert!(fr.admit(2, admit_ev(1, 0, 2)));
-        fr.complete(2);
+        assert!(admit(&mut fr, admit_ev(0, 0, 1)));
+        complete(&mut fr, 1);
+        assert!(admit(&mut fr, admit_ev(1, 0, 2)));
+        complete(&mut fr, 2);
         // Cap reached; the next admission evicts seq 1 (oldest finished).
-        assert!(fr.admit(3, admit_ev(2, 0, 3)));
+        assert!(admit(&mut fr, admit_ev(2, 0, 3)));
         assert!(fr.journey(1).is_none());
         assert!(fr.journey(2).is_some());
         assert!(fr.journey(3).is_some());
@@ -794,28 +966,60 @@ mod tests {
     #[test]
     fn samples_by_doubling_stride_when_nothing_evictable() {
         let mut fr = FlightRecorder::new(2);
-        assert!(fr.admit(1, admit_ev(0, 0, 1)));
-        assert!(fr.admit(2, admit_ev(1, 0, 2)));
+        assert!(admit(&mut fr, admit_ev(0, 0, 1)));
+        assert!(admit(&mut fr, admit_ev(1, 0, 2)));
         // Both journeys in flight: cap hit, nothing evictable -> stride 2,
         // packet skipped.
-        assert!(!fr.admit(3, admit_ev(2, 0, 3)));
+        assert!(!admit(&mut fr, admit_ev(2, 0, 3)));
         assert_eq!(fr.stats().stride, 2);
         assert_eq!(fr.stats().skipped, 1);
         // Next offer lands on an odd slot and is sampled away.
-        assert!(!fr.admit(4, admit_ev(3, 0, 4)));
+        assert!(!admit(&mut fr, admit_ev(3, 0, 4)));
         assert_eq!(fr.stats().skipped, 2);
         // Finish one journey; the next even slot admits again.
-        fr.complete(1);
-        assert!(fr.admit(5, admit_ev(4, 0, 5)));
+        complete(&mut fr, 1);
+        assert!(admit(&mut fr, admit_ev(4, 0, 5)));
         assert_eq!(fr.stats().evicted, 1);
+    }
+
+    #[test]
+    fn admission_hands_back_the_journey_it_opened() {
+        // A packet born into a full source queue: admitted and dropped
+        // through one handle.
+        let mut fr = FlightRecorder::new(1);
+        let drop = TracePayload::Drop {
+            cause: DropCause::SourceQueueFull,
+            seq: 4,
+        };
+        let mut j = fr.admit(t(3), 2, 4, 1).expect("an empty recorder takes it");
+        j.push(t(3), 2, TraceKind::Drop, drop);
+        j.complete();
+        let want = vec![admit_ev(3, 2, 4), ev(3, 2, TraceKind::Drop, drop)];
+        assert_eq!(fr.journey(4), Some(want));
+        // Completed through the handle, so the next admission may evict it.
+        assert!(fr.admit(t(4), 2, 5, 1).is_some());
+        assert_eq!(fr.stats().evicted, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "lifecycle records only")]
+    fn a_journey_refuses_records_that_are_not_lifecycle_steps() {
+        let mut fr = FlightRecorder::new(1);
+        let mut j = fr.admit(t(0), 0, 1, 0).unwrap();
+        j.push(
+            t(1),
+            0,
+            TraceKind::CwChange,
+            TracePayload::CwChange { from: 16, to: 32 },
+        );
     }
 
     #[test]
     fn pool_recycles_event_buffers() {
         let mut fr = FlightRecorder::new(1);
-        assert!(fr.admit(1, admit_ev(0, 0, 1)));
-        fr.complete(1);
-        assert!(fr.admit(2, admit_ev(1, 0, 2)));
+        assert!(admit(&mut fr, admit_ev(0, 0, 1)));
+        complete(&mut fr, 1);
+        assert!(admit(&mut fr, admit_ev(1, 0, 2)));
         // Seq 1's buffer was recycled; the new journey holds only its own
         // admit record.
         assert_eq!(fr.journey(2).unwrap().len(), 1);
@@ -824,9 +1028,10 @@ mod tests {
     #[test]
     fn jsonl_export_is_time_ordered_and_parseable() {
         let mut fr = FlightRecorder::new(8);
-        fr.admit(2, admit_ev(5, 0, 2));
-        fr.admit(1, admit_ev(3, 0, 1));
-        fr.record(
+        admit(&mut fr, admit_ev(5, 0, 2));
+        admit(&mut fr, admit_ev(3, 0, 1));
+        record(
+            &mut fr,
             1,
             ev(
                 9,
@@ -835,7 +1040,8 @@ mod tests {
                 TracePayload::Deliver { seq: 1, flow: 1 },
             ),
         );
-        fr.record(
+        record(
+            &mut fr,
             2,
             ev(
                 7,

@@ -259,6 +259,43 @@ pub struct LossSpec {
 }
 
 impl LossSpec {
+    /// Holds every per-link entry to the layout: both ends are nodes of
+    /// it, and within `tx_range` of each other — a decode link, the only
+    /// kind a loss process ever samples (the channel keeps loss state for
+    /// decode links alone), so an entry anywhere else would be a silent
+    /// no-op. The error names the entry.
+    fn check_links(&self, positions: &[Position], tx_range: f64) -> Result<(), ScenarioError> {
+        let ends = (self.links.iter().enumerate())
+            .map(|(i, l)| (format!("loss.links[{i}]"), l.a, l.b))
+            .chain(
+                (self.burst_links.iter().enumerate())
+                    .map(|(i, l)| (format!("loss.burst_links[{i}]"), l.a, l.b)),
+            )
+            .chain(
+                (self.churn.iter().enumerate())
+                    .map(|(i, l)| (format!("loss.churn[{i}]"), l.a, l.b)),
+            );
+        let n = positions.len();
+        for (path, a, b) in ends {
+            for (key, node) in [("a", a), ("b", b)] {
+                if node >= n {
+                    let message = format!("node {node} is out of bounds (the layout has {n})");
+                    return Err(field(&join(&path, key), &message));
+                }
+            }
+            let (pa, pb) = (&positions[a], &positions[b]);
+            if !pa.within(pb, tx_range) {
+                let message = format!(
+                    "nodes {a} and {b} are {:.0} m apart, beyond the {tx_range} m decode range: \
+                     no frame crosses this link",
+                    pa.distance(pb)
+                );
+                return Err(field(&path, &message));
+            }
+        }
+        Ok(())
+    }
+
     /// Lowers the schedule onto a [`LossModel`].
     pub fn compile(&self) -> LossModel {
         let mut m = if self.default_per > 0.0 {
@@ -437,6 +474,8 @@ impl ScenarioSpec {
         // repeats the check for specs built in code.
         crate::builder::check_density(&positions, crate::topo::CS_RANGE)
             .map_err(|e| field("topology", &e.to_string()))?;
+        self.loss
+            .check_links(&positions, ChannelConfig::default().tx_range)?;
         let flows = self.build_flows(&positions, builtin)?;
         let topology = Topology {
             name: self.name.clone(),
@@ -996,34 +1035,51 @@ fn parse_traffic(v: &JsonValue) -> Result<TrafficMix, ScenarioError> {
     })
 }
 
+/// `p` if it is a probability (in `[0, 1]`, so finite), else a field
+/// error at `path`.
+fn probability(path: &str, p: f64) -> Result<f64, ScenarioError> {
+    if (0.0..=1.0).contains(&p) {
+        Ok(p)
+    } else {
+        Err(field(path, "must be a probability in [0, 1]"))
+    }
+}
+
 fn parse_ge(v: &JsonValue, path: &str) -> Result<GilbertElliott, ScenarioError> {
+    let p = |key: &str, value: f64| probability(&join(path, key), value);
     Ok(GilbertElliott {
-        p_g2b: req_f64(v, path, "p_g2b")?,
-        p_b2g: req_f64(v, path, "p_b2g")?,
-        p_good: opt_f64(v, path, "p_good", 0.0)?,
-        p_bad: req_f64(v, path, "p_bad")?,
+        p_g2b: p("p_g2b", req_f64(v, path, "p_g2b")?)?,
+        p_b2g: p("p_b2g", req_f64(v, path, "p_b2g")?)?,
+        p_good: p("p_good", opt_f64(v, path, "p_good", 0.0)?)?,
+        p_bad: p("p_bad", req_f64(v, path, "p_bad")?)?,
     })
+}
+
+/// The `a` and `b` of a per-link loss entry at `path`: two different
+/// nodes. That they exist and are in decode range of each other is
+/// checked at compile, once the layout is known ([`LossSpec::check_links`]).
+fn parse_link_ends(v: &JsonValue, path: &str) -> Result<(usize, usize), ScenarioError> {
+    let (a, b) = (req_u64(v, path, "a")?, req_u64(v, path, "b")?);
+    if a == b {
+        return Err(field(
+            path,
+            &format!("a link needs two nodes; a and b are both {a}"),
+        ));
+    }
+    Ok((a as usize, b as usize))
 }
 
 fn parse_loss(v: &JsonValue) -> Result<LossSpec, ScenarioError> {
     let kind = req_str(v, "loss", "kind")?;
     match kind.as_str() {
         "ideal" => Ok(LossSpec::default()),
-        "uniform" => {
-            let per = req_f64(v, "loss", "per")?;
-            if !(0.0..=1.0).contains(&per) {
-                return Err(field("loss.per", "must be a probability in [0, 1]"));
-            }
-            Ok(LossSpec {
-                default_per: per,
-                ..LossSpec::default()
-            })
-        }
+        "uniform" => Ok(LossSpec {
+            default_per: probability("loss.per", req_f64(v, "loss", "per")?)?,
+            ..LossSpec::default()
+        }),
         "custom" => {
-            let default_per = opt_f64(v, "loss", "default_per", 0.0)?;
-            if !(0.0..=1.0).contains(&default_per) {
-                return Err(field("loss.default_per", "must be a probability in [0, 1]"));
-            }
+            let default_per =
+                probability("loss.default_per", opt_f64(v, "loss", "default_per", 0.0)?)?;
             let mut links = Vec::new();
             if let Some(ls) = v.get("links") {
                 let arr = ls
@@ -1031,14 +1087,11 @@ fn parse_loss(v: &JsonValue) -> Result<LossSpec, ScenarioError> {
                     .ok_or_else(|| field("loss.links", "must be an array"))?;
                 for (i, l) in arr.iter().enumerate() {
                     let lp = format!("loss.links[{i}]");
-                    let per = req_f64(l, &lp, "per")?;
-                    if !(0.0..=1.0).contains(&per) {
-                        return Err(field(&join(&lp, "per"), "must be a probability in [0, 1]"));
-                    }
+                    let (a, b) = parse_link_ends(l, &lp)?;
                     links.push(LinkPer {
-                        a: req_u64(l, &lp, "a")? as usize,
-                        b: req_u64(l, &lp, "b")? as usize,
-                        per,
+                        a,
+                        b,
+                        per: probability(&join(&lp, "per"), req_f64(l, &lp, "per")?)?,
                         symmetric: opt_bool(l, &lp, "symmetric", true)?,
                     });
                 }
@@ -1054,9 +1107,10 @@ fn parse_loss(v: &JsonValue) -> Result<LossSpec, ScenarioError> {
                     .ok_or_else(|| field("loss.burst_links", "must be an array"))?;
                 for (i, l) in arr.iter().enumerate() {
                     let lp = format!("loss.burst_links[{i}]");
+                    let (a, b) = parse_link_ends(l, &lp)?;
                     burst_links.push(LinkBurst {
-                        a: req_u64(l, &lp, "a")? as usize,
-                        b: req_u64(l, &lp, "b")? as usize,
+                        a,
+                        b,
                         ge: parse_ge(l, &lp)?,
                         symmetric: opt_bool(l, &lp, "symmetric", true)?,
                     });
@@ -1079,9 +1133,10 @@ fn parse_loss(v: &JsonValue) -> Result<LossSpec, ScenarioError> {
                         &join(&lp, "phase_secs"),
                         opt_f64(l, &lp, "phase_secs", 0.0)?,
                     )?;
+                    let (a, b) = parse_link_ends(l, &lp)?;
                     churn.push(LinkChurn {
-                        a: req_u64(l, &lp, "a")? as usize,
-                        b: req_u64(l, &lp, "b")? as usize,
+                        a,
+                        b,
                         window: ChurnWindow::new(up, down, phase),
                         symmetric: opt_bool(l, &lp, "symmetric", true)?,
                     });

@@ -193,20 +193,24 @@ impl Telemetry {
         self.active_frac[node].push(active);
         if self.sink.is_some() {
             let prev = &self.prev_mac[node];
-            let tx_frac = if d_total > 0 {
-                d_tx as f64 / d_total as f64
-            } else {
-                0.0
-            };
+            // The two fractions as integer ratios over the window: a
+            // 100 ms window's are printed without the float formatter. An
+            // empty window reads 0 / 1, the 0.0 above.
+            let den = d_total.max(1);
             let w = &mut self.line;
             w.begin_object();
-            w.field("id", node);
-            w.field("queue", queue);
-            w.field("active_frac", active);
-            w.field("tx_frac", tx_frac);
-            w.field("mac_tx", mac.tx_attempts - prev.tx_attempts);
-            w.field("mac_success", mac.tx_success - prev.tx_success);
-            w.field("mac_retries", mac.retries - prev.retries);
+            w.raw(r#""id":"#);
+            w.value(node);
+            w.raw(r#","queue":"#);
+            w.value(queue);
+            w.field_ratio("active_frac", d_total - d_idle, den);
+            w.field_ratio("tx_frac", d_tx, den);
+            w.raw(r#","mac_tx":"#);
+            w.value(mac.tx_attempts - prev.tx_attempts);
+            w.raw(r#","mac_success":"#);
+            w.value(mac.tx_success - prev.tx_success);
+            w.raw(r#","mac_retries":"#);
+            w.value(mac.retries - prev.retries);
             w.end_object();
         }
         self.prev_air[node] = air;
@@ -243,7 +247,7 @@ impl Telemetry {
         w.end_array();
         w.end_object();
         w.end_line();
-        let _ = sink.write_all(w.as_str().as_bytes());
+        let _ = sink.write_all(w.as_bytes());
     }
 
     /// The stability section of a [`crate::snapshot::RunSnapshot`]:

@@ -73,6 +73,14 @@ impl Neighbors {
         &self.ids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
+    /// Where node `i`'s row starts among all rows' entries: a side table
+    /// aligned with the rows keeps entry `k` of row `i` at
+    /// `row_start(i) + k`.
+    #[inline]
+    pub(crate) fn row_start(&self, i: usize) -> usize {
+        self.offsets[i] as usize
+    }
+
     /// Packs hand-written rows, panicking unless they are ascending,
     /// self-free and symmetric — for graphs that do not come from a
     /// layout (tests of the readers, mostly).

@@ -11,10 +11,19 @@
 //!   assigning each *directed* link a packet-error rate, so that the
 //!   isolated saturation throughput of the simulated link matches the
 //!   measured one.
+//!
+//! A [`LossModel`] is configuration only: a default and per-link
+//! overrides, keyed by node pair. The channel resolves it once, when it is
+//! built, into `LinkLosses` — per directed decode link, the index of its
+//! process and its Gilbert–Elliott state in one 4-byte word — so a
+//! reception samples its link by position, never through a hashed map.
+//! An ideal model resolves to nothing at all.
 
 use std::collections::HashMap;
 
 use ezflow_sim::{Duration, SimRng, Time};
+
+use crate::geom::Neighbors;
 
 /// A two-state Gilbert-Elliott burst-loss process: the channel alternates
 /// between a Good state (loss `p_good`, usually ~0) and a Bad state (loss
@@ -97,7 +106,8 @@ impl ChurnWindow {
     }
 }
 
-/// Packet-error process applied to otherwise-successful receptions.
+/// Packet-error process applied to otherwise-successful receptions:
+/// configuration only (see the module docs for where its state lives).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LossModel {
     /// Loss probability applied to every (src, dst) pair not listed in
@@ -106,7 +116,7 @@ pub struct LossModel {
     /// Per-directed-link loss probability overrides.
     pub per_link: HashMap<(usize, usize), f64>,
     /// Optional burst-loss overlay applied to every link on top of the
-    /// Bernoulli process. State is tracked per directed link.
+    /// Bernoulli process. Each directed link runs its own chain.
     pub burst: Option<GilbertElliott>,
     /// Per-directed-link Gilbert-Elliott overrides: links listed here run
     /// their own burst parameters instead of the global `burst` overlay.
@@ -114,9 +124,6 @@ pub struct LossModel {
     /// Per-directed-link deterministic up/down schedules; a frame sent
     /// while its link is down is destroyed outright (no RNG consumed).
     pub churn: HashMap<(usize, usize), ChurnWindow>,
-    /// Per-directed-link Gilbert-Elliott state (true = Bad). Interior
-    /// bookkeeping; serialized runs re-derive it deterministically.
-    burst_state: HashMap<(usize, usize), bool>,
 }
 
 impl LossModel {
@@ -180,49 +187,64 @@ impl LossModel {
         self.set_link_churn(b, a, w);
     }
 
-    /// Samples the loss process at `now`: true means the frame is
-    /// destroyed.
-    pub fn drops(&mut self, now: Time, src: usize, dst: usize, rng: &mut SimRng) -> bool {
-        // Ideal-link fast path: with no per-link overrides, no default PER,
-        // no burst overlay and no churn schedule, none of the processes
-        // below can fire or consume an RNG draw, so the per-reception map
-        // lookups are skipped entirely.
-        if self.default_per == 0.0
+    /// Whether no link can ever lose a frame: no default PER, no burst
+    /// overlay, no override of any kind.
+    fn is_ideal(&self) -> bool {
+        self.default_per == 0.0
             && self.burst.is_none()
             && self.per_link.is_empty()
             && self.burst_link.is_empty()
             && self.churn.is_empty()
-        {
-            return false;
+    }
+
+    /// The process of the directed link `src -> dst` — its PER, its burst
+    /// chain's parameters and its schedule, overrides applied — if any
+    /// override names the link; `None` means it runs the default process.
+    fn overridden(&self, src: usize, dst: usize) -> Option<LinkProcess> {
+        let link = (src, dst);
+        let listed = self.per_link.contains_key(&link)
+            || self.burst_link.contains_key(&link)
+            || self.churn.contains_key(&link);
+        listed.then(|| LinkProcess {
+            per: self.loss_prob(src, dst),
+            burst: self.burst_link.get(&link).copied().or(self.burst),
+            churn: self.churn.get(&link).copied(),
+        })
+    }
+}
+
+/// One directed link's loss process, resolved from a [`LossModel`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct LinkProcess {
+    per: f64,
+    burst: Option<GilbertElliott>,
+    churn: Option<ChurnWindow>,
+}
+
+impl LinkProcess {
+    /// Samples the process for one frame at `now`: true means the frame is
+    /// destroyed. `bad` is the link's Gilbert–Elliott state, advanced in
+    /// place.
+    ///
+    /// A down link kills the frame before any stochastic process runs;
+    /// the schedule is time-driven, so no RNG draw is consumed and the
+    /// streams of the processes below stay aligned with a churn-free
+    /// model. Then, in this order: one Bernoulli draw if the PER is
+    /// positive, and with a burst chain one draw to advance it and one
+    /// for the new state's loss if that is positive.
+    fn drops(&self, now: Time, bad: &mut bool, rng: &mut SimRng) -> bool {
+        if self.churn.is_some_and(|w| w.is_down(now)) {
+            return true;
         }
-        // A down link kills the frame before any stochastic process runs;
-        // the schedule is time-driven, so no RNG draw is consumed and the
-        // streams of the processes below stay aligned with a churn-free
-        // model.
-        if !self.churn.is_empty() {
-            if let Some(w) = self.churn.get(&(src, dst)) {
-                if w.is_down(now) {
-                    return true;
-                }
-            }
-        }
-        let p = self.loss_prob(src, dst);
-        let bernoulli = p > 0.0 && rng.gen_bool(p);
-        let ge = if self.burst_link.is_empty() {
-            self.burst
-        } else {
-            self.burst_link.get(&(src, dst)).copied().or(self.burst)
-        };
-        let bursty = match ge {
+        let bernoulli = self.per > 0.0 && rng.gen_bool(self.per);
+        let bursty = match self.burst {
             None => false,
             Some(ge) => {
-                let state = self.burst_state.entry((src, dst)).or_insert(false);
-                // Advance the chain one frame, then sample the state's loss.
-                let flip = if *state { ge.p_b2g } else { ge.p_g2b };
+                let flip = if *bad { ge.p_b2g } else { ge.p_g2b };
                 if rng.gen_bool(flip) {
-                    *state = !*state;
+                    *bad = !*bad;
                 }
-                let p = if *state { ge.p_bad } else { ge.p_good };
+                let p = if *bad { ge.p_bad } else { ge.p_good };
                 p > 0.0 && rng.gen_bool(p)
             }
         };
@@ -230,25 +252,100 @@ impl LossModel {
     }
 }
 
+/// The loss processes of a channel's decode links, resolved once from a
+/// [`LossModel`]: a table of processes — the default first, then one per
+/// overridden link — and per directed decode link, in decode-row order,
+/// one word: the index of its process above a Gilbert–Elliott state bit
+/// (set = Bad).
+pub(crate) struct LinkLosses {
+    processes: Vec<LinkProcess>,
+    links: Vec<u32>,
+}
+
+impl LinkLosses {
+    /// Resolves `model` over the decode rows `decode`; `None` for an ideal
+    /// model, which can drop nothing and so keeps no state.
+    pub(crate) fn resolve(model: &LossModel, decode: &Neighbors) -> Option<LinkLosses> {
+        if model.is_ideal() {
+            return None;
+        }
+        let mut processes = vec![LinkProcess {
+            per: model.default_per,
+            burst: model.burst,
+            churn: None,
+        }];
+        let mut links = Vec::with_capacity(decode.row_start(decode.len()));
+        for src in 0..decode.len() {
+            for &dst in decode.row(src) {
+                let index = match model.overridden(src, dst as usize) {
+                    Some(process) => {
+                        processes.push(process);
+                        processes.len() - 1
+                    }
+                    None => 0,
+                };
+                let word = u32::try_from(index << 1).expect("under 2^31 overridden links");
+                links.push(word);
+            }
+        }
+        Some(LinkLosses { processes, links })
+    }
+
+    /// Samples the loss process of decode link `link` (its position across
+    /// the decode rows) for one frame at `now`: true means the frame is
+    /// destroyed.
+    pub(crate) fn drops(&mut self, link: usize, now: Time, rng: &mut SimRng) -> bool {
+        let word = &mut self.links[link];
+        let mut bad = *word & 1 == 1;
+        let dropped = self.processes[(*word >> 1) as usize].drops(now, &mut bad, rng);
+        *word = (*word & !1) | u32::from(bad);
+        dropped
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Nodes in the tests' decode graph: every ordered pair is a link.
+    const NODES: usize = 4;
+
+    /// `m` as a channel resolves it over a 4-node clique.
+    fn resolved(m: &LossModel) -> Option<LinkLosses> {
+        let rows: Vec<Vec<u32>> = (0..NODES as u32)
+            .map(|s| (0..NODES as u32).filter(|&r| r != s).collect())
+            .collect();
+        LinkLosses::resolve(m, &Neighbors::from_rows(&rows))
+    }
+
+    /// Samples `src -> dst` in `links` (rows are ascending, sender left
+    /// out, so `dst`'s place in `src`'s row is `dst` less one past `src`).
+    fn drops(links: &mut LinkLosses, now: Time, src: usize, dst: usize, rng: &mut SimRng) -> bool {
+        let link = src * (NODES - 1) + dst - usize::from(dst > src);
+        links.drops(link, now, rng)
+    }
+
     #[test]
     fn ideal_never_drops() {
+        assert!(resolved(&LossModel::ideal()).is_none(), "no state at all");
+        // A non-ideal model whose links are all lossless draws nothing.
         let mut m = LossModel::ideal();
+        m.set_link(0, 1, 0.0);
+        let mut links = resolved(&m).expect("an override resolves");
         let mut rng = SimRng::new(1);
-        assert!((0..1000).all(|_| !m.drops(Time::ZERO, 0, 1, &mut rng)));
+        let before = rng.clone().next_u64();
+        assert!((0..1000).all(|_| !drops(&mut links, Time::ZERO, 0, 1, &mut rng)));
+        assert_eq!(rng.next_u64(), before);
     }
 
     #[test]
     fn gilbert_elliott_long_run_rate_and_burstiness() {
         let ge = GilbertElliott::classic();
-        let mut m = LossModel::ideal().with_burst(ge);
+        let mut links = resolved(&LossModel::ideal().with_burst(ge)).unwrap();
         let mut rng = SimRng::new(9);
         let n = 200_000;
         let outcomes: Vec<bool> = (0..n)
-            .map(|_| m.drops(Time::ZERO, 0, 1, &mut rng))
+            .map(|_| drops(&mut links, Time::ZERO, 0, 1, &mut rng))
             .collect();
         let losses = outcomes.iter().filter(|&&d| d).count() as f64;
         let expect = ge.mean_loss();
@@ -277,31 +374,47 @@ mod tests {
     }
 
     #[test]
-    fn burst_states_are_per_link() {
-        let ge = GilbertElliott {
+    fn gilbert_elliott_chains_are_per_link() {
+        // Enters Bad on its first frame, never leaves, always drops there.
+        let sticky = GilbertElliott {
             p_g2b: 1.0,
             p_b2g: 0.0,
             p_good: 0.0,
             p_bad: 1.0,
         };
-        let mut m = LossModel::ideal().with_burst(ge);
+        // Flips state on every frame: drops exactly on odd frames.
+        let flipping = GilbertElliott {
+            p_g2b: 1.0,
+            p_b2g: 1.0,
+            p_good: 0.0,
+            p_bad: 1.0,
+        };
+        let mut m = LossModel::ideal().with_burst(flipping);
+        m.set_link_burst(2, 3, sticky);
+        let mut links = resolved(&m).unwrap();
         let mut rng = SimRng::new(2);
-        // Link (0,1) enters Bad immediately and stays there.
-        assert!(m.drops(Time::ZERO, 0, 1, &mut rng));
-        // A different link has its own chain (also enters Bad, but
-        // independently -- just verify it tracks separate state).
-        assert!(m.drops(Time::ZERO, 2, 3, &mut rng));
-        assert!(m.drops(Time::ZERO, 0, 1, &mut rng));
+        let mut at = |src, dst| drops(&mut links, Time::ZERO, src, dst, &mut rng);
+        // Each directed link keeps its own chain, however the frames of
+        // different links interleave: (0,1) alternates, (1,0) alternates
+        // on its own count, (2,3) stays Bad.
+        assert!(at(0, 1), "(0,1) frame 1: Bad");
+        assert!(at(2, 3));
+        assert!(!at(0, 1), "(0,1) frame 2: Good again");
+        assert!(at(1, 0), "(1,0) frame 1: its own chain starts Good");
+        assert!(at(2, 3));
+        assert!(at(0, 1), "(0,1) frame 3: Bad");
+        assert!(!at(1, 0));
+        assert!(at(2, 3));
     }
 
     #[test]
     fn uniform_rate_is_respected() {
-        let mut m = LossModel::uniform(0.25);
+        let mut links = resolved(&LossModel::uniform(0.25)).unwrap();
         let mut rng = SimRng::new(2);
-        let drops = (0..100_000)
-            .filter(|_| m.drops(Time::ZERO, 3, 4, &mut rng))
+        let dropped = (0..100_000)
+            .filter(|_| drops(&mut links, Time::ZERO, 3, 2, &mut rng))
             .count();
-        assert!((24_000..26_000).contains(&drops), "drops {drops}");
+        assert!((24_000..26_000).contains(&dropped), "drops {dropped}");
     }
 
     #[test]
@@ -313,6 +426,11 @@ mod tests {
         m.set_link_symmetric(1, 2, 0.1);
         assert_eq!(m.loss_prob(1, 2), 0.1);
         assert_eq!(m.loss_prob(2, 1), 0.1);
+        // Resolved: the overridden link never drops, the default one does.
+        let mut links = resolved(&m).unwrap();
+        let mut rng = SimRng::new(3);
+        assert!((0..200).all(|_| !drops(&mut links, Time::ZERO, 0, 1, &mut rng)));
+        assert!((0..200).any(|_| drops(&mut links, Time::ZERO, 1, 0, &mut rng)));
     }
 
     #[test]
@@ -352,12 +470,13 @@ mod tests {
                 Duration::ZERO,
             ),
         );
+        let mut links = resolved(&m).unwrap();
         let mut rng = SimRng::new(4);
         let before = rng.clone().next_u64();
-        assert!(!m.drops(Time::from_millis(500), 0, 1, &mut rng));
-        assert!(m.drops(Time::from_millis(1500), 0, 1, &mut rng));
+        assert!(!drops(&mut links, Time::from_millis(500), 0, 1, &mut rng));
+        assert!(drops(&mut links, Time::from_millis(1500), 0, 1, &mut rng));
         // Other links are untouched by the schedule.
-        assert!(!m.drops(Time::from_millis(1500), 1, 2, &mut rng));
+        assert!(!drops(&mut links, Time::from_millis(1500), 1, 2, &mut rng));
         assert_eq!(
             rng.next_u64(),
             before,
@@ -376,9 +495,10 @@ mod tests {
         // No global overlay: only the listed link fades.
         let mut m = LossModel::ideal();
         m.set_link_burst(0, 1, always_bad);
+        let mut links = resolved(&m).unwrap();
         let mut rng = SimRng::new(6);
-        assert!(m.drops(Time::ZERO, 0, 1, &mut rng));
-        assert!(!m.drops(Time::ZERO, 1, 2, &mut rng));
+        assert!(drops(&mut links, Time::ZERO, 0, 1, &mut rng));
+        assert!(!drops(&mut links, Time::ZERO, 1, 2, &mut rng));
         // With a global overlay, the per-link entry still wins on its link.
         let never_bad = GilbertElliott {
             p_g2b: 0.0,
@@ -388,7 +508,8 @@ mod tests {
         };
         let mut m = LossModel::ideal().with_burst(never_bad);
         m.set_link_burst(0, 1, always_bad);
-        assert!(m.drops(Time::ZERO, 0, 1, &mut rng));
-        assert!(!m.drops(Time::ZERO, 1, 2, &mut rng));
+        let mut links = resolved(&m).unwrap();
+        assert!(drops(&mut links, Time::ZERO, 0, 1, &mut rng));
+        assert!(!drops(&mut links, Time::ZERO, 1, 2, &mut rng));
     }
 }

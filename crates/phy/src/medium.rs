@@ -18,7 +18,7 @@
 //!    `(d(i,r)/d(s,r))^4` exceeds the 10 dB capture threshold — i.e.
 //!    `d(i,r) >= 10^(1/4) · d(s,r)`. The receiver itself transmitting
 //!    always destroys the reception (half-duplex radio),
-//! 3. the Bernoulli per-link loss process does not drop it.
+//! 3. the link's loss process (see [`crate::loss`]) does not drop it.
 //!
 //! Rule 2 is ns-2's capture model and it is *essential* to the paper's
 //! phenomena: with 200 m spacing, a frame over one hop (200 m) survives a
@@ -61,7 +61,7 @@ use ezflow_sim::{SimRng, Time};
 
 use crate::arena::FrameId;
 use crate::geom::{neighbors_within_marking, Neighbors, Position, MARK};
-use crate::loss::LossModel;
+use crate::loss::{LinkLosses, LossModel};
 
 /// Identifier of an in-flight transmission.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -259,7 +259,9 @@ const REACH_MARGIN: f64 = 1e-9;
 /// The shared broadcast medium.
 pub struct Channel {
     cfg: ChannelConfig,
-    loss: LossModel,
+    /// Each decode link's loss process and state, aligned with
+    /// `decode_from`; `None` under an ideal model.
+    losses: Option<LinkLosses>,
     /// Node positions: the single source of geometric truth. Decode,
     /// sense and capture are computed from these on demand; the rows
     /// below only cache *whom to visit* per sender.
@@ -384,7 +386,7 @@ impl Channel {
         let n = positions.len();
         Channel {
             cfg,
-            loss,
+            losses: LinkLosses::resolve(&loss, &decode_from),
             positions: positions.to_vec(),
             sense_rows,
             decode_from,
@@ -710,7 +712,8 @@ impl Channel {
     /// hear the sender need no bookkeeping. The loss-model RNG is consulted
     /// for decode-range nodes in ascending order, exactly as the full scan
     /// did, so the random stream — and with it every downstream draw — is
-    /// bit-identical.
+    /// bit-identical. Each decode link's loss process and state sit at its
+    /// position in the decode rows, so sampling one is an indexed load.
     pub fn end_tx_into(
         &mut self,
         now: Time,
@@ -753,8 +756,10 @@ impl Channel {
         report.became_idle.clear();
         report.deliveries.clear();
         // `corrupted` is aligned with the decode row, i.e. with the
-        // decoding entries of the sense row in order.
+        // decoding entries of the sense row in order; so is the link the
+        // loss state of the next decoding entry sits at.
         let mut corrupted_at = corrupted.iter();
+        let mut link = self.decode_from.row_start(src);
         for &entry in self.sense_rows.row(src) {
             let (r, decodes) = unpack(entry);
             let c = &mut carrier[r];
@@ -771,8 +776,10 @@ impl Channel {
                 continue;
             }
             let mut clean = !corrupted_at.next().expect("one flag per decode-row entry");
+            let at = link;
+            link += 1;
             let outcome;
-            if clean && self.loss.drops(now, src, r, rng) {
+            if clean && self.losses.as_mut().is_some_and(|l| l.drops(at, now, rng)) {
                 clean = false;
                 outcome = DecodeOutcome::Loss;
                 if r == dst {
@@ -831,6 +838,7 @@ fn corrupts(positions: &[Position], cfg: &ChannelConfig, i: usize, s: usize, r: 
 mod tests {
     use super::*;
     use crate::geom::line_positions;
+    use crate::loss::{ChurnWindow, GilbertElliott};
 
     fn chan(n: usize) -> Channel {
         Channel::new(
@@ -1167,9 +1175,11 @@ mod tests {
 
     /// The original O(N)-per-transmission channel as a test oracle: every
     /// loop scans all nodes and all active transmissions, every report
-    /// allocates, every node is told every transition, and the airtime
-    /// ledger is a full sweep at every event. The optimised channel must
-    /// be observationally identical.
+    /// allocates, every node is told every transition, the airtime ledger
+    /// is a full sweep at every event, and every reception looks its loss
+    /// process up by node pair in the model's maps, with each link's
+    /// Gilbert–Elliott state in a map of its own. The optimised channel
+    /// must be observationally identical.
     struct RefChannel {
         n: usize,
         decode: Vec<Vec<bool>>,
@@ -1177,6 +1187,8 @@ mod tests {
         dist: Vec<Vec<f64>>,
         ratio: f64,
         loss: LossModel,
+        /// Per directed link, its burst chain's state (true = Bad).
+        chain_state: std::collections::HashMap<(usize, usize), bool>,
         sense_count: Vec<u32>,
         rx_count: Vec<u32>,
         tx_count: Vec<u32>,
@@ -1210,6 +1222,7 @@ mod tests {
                 dist,
                 ratio: cfg.capture_ratio,
                 loss,
+                chain_state: std::collections::HashMap::new(),
                 sense_count: vec![0; n],
                 rx_count: vec![0; n],
                 tx_count: vec![0; n],
@@ -1223,6 +1236,28 @@ mod tests {
 
         fn corrupts(&self, i: usize, s: usize, r: usize) -> bool {
             i == r || (self.sense[i][r] && self.dist[i][r] < self.ratio * self.dist[s][r])
+        }
+
+        /// The per-pair loss model: a down link drops without a draw; then
+        /// the link's Bernoulli draw, then its burst chain's step and loss
+        /// draw — the per-link override or else the global overlay.
+        fn drops(&mut self, now: Time, src: usize, dst: usize, rng: &mut SimRng) -> bool {
+            let (m, link) = (&self.loss, (src, dst));
+            if m.churn.get(&link).is_some_and(|w| w.is_down(now)) {
+                return true;
+            }
+            let per = m.loss_prob(src, dst);
+            let bernoulli = per > 0.0 && rng.gen_bool(per);
+            let Some(ge) = m.burst_link.get(&link).copied().or(m.burst) else {
+                return bernoulli;
+            };
+            let bad = self.chain_state.entry(link).or_insert(false);
+            if rng.gen_bool(if *bad { ge.p_b2g } else { ge.p_g2b }) {
+                *bad = !*bad;
+            }
+            let p = if *bad { ge.p_bad } else { ge.p_good };
+            let bursty = p > 0.0 && rng.gen_bool(p);
+            bernoulli || bursty
         }
 
         /// The every-event ledger: all N nodes, whether or not this event
@@ -1341,7 +1376,7 @@ mod tests {
                     self.stats.collisions_at_dst += at_dst;
                     self.stats.hidden_losses += at_dst * u64::from(tx.hidden_hit);
                     DecodeOutcome::Collision
-                } else if self.loss.drops(end, src, r, rng) {
+                } else if self.drops(end, src, r, rng) {
                     self.stats.bernoulli_losses += at_dst;
                     DecodeOutcome::Loss
                 } else {
@@ -1360,6 +1395,20 @@ mod tests {
             }
             (deliveries, became_idle, dirty)
         }
+    }
+
+    /// Gilbert–Elliott parameters across their whole range, `p_good` kept
+    /// small as real profiles keep it.
+    fn ge() -> impl proptest::prelude::Strategy<Value = GilbertElliott> {
+        proptest::prelude::Strategy::prop_map(
+            (0.0f64..1.0, 0.0f64..1.0, 0.0f64..0.2, 0.0f64..1.0),
+            |(p_g2b, p_b2g, p_good, p_bad)| GilbertElliott {
+                p_g2b,
+                p_b2g,
+                p_good,
+                p_bad,
+            },
+        )
     }
 
     /// Two senders `apart` lattice steps (50 m) from each other on one
@@ -1392,7 +1441,11 @@ mod tests {
         /// `is_busy` (the pull path) matches for every node after every
         /// event. Per-node airtime equals the reference's every-event
         /// full-sweep ledger, and the EIFS set derived from the sense row
-        /// minus clean deliveries equals the reference's dirty list.
+        /// minus clean deliveries equals the reference's dirty list. The
+        /// loss model mixes a default PER, per-link PER, a global burst
+        /// overlay, per-link burst chains and up/down schedules, so the
+        /// link-indexed processes, their state bits and the RNG stream are
+        /// held to the per-pair lookups.
         #[test]
         fn neighbor_lists_match_full_scan(
             seed in proptest::prelude::any::<u64>(),
@@ -1415,7 +1468,13 @@ mod tests {
                 (0usize..24, 0usize..24, 0u64..600, 1u64..400),
                 1..30
             ),
-            loss_p in 0.0f64..0.6,
+            loss in (
+                proptest::prelude::prop_oneof![proptest::prelude::Just(0.0f64), 0.0f64..0.3],
+                0.0f64..0.6,
+                proptest::option::of(ge()),
+                proptest::collection::vec((0usize..1000, ge()), 0..8),
+                proptest::collection::vec((0usize..1000, 0u64..300, 0u64..300, 0u64..900), 0..8),
+            ),
             listens in proptest::collection::vec(proptest::prelude::any::<bool>(), 24),
             capture in proptest::prelude::any::<bool>(),
         ) {
@@ -1425,12 +1484,32 @@ mod tests {
                 .map(|&(x, y)| crate::geom::Position::new(x, y))
                 .collect();
             let n = pos.len();
-            let mut loss = LossModel::ideal();
+            let (default_per, loss_p, burst, burst_links, churn) = loss;
+            let mut loss = LossModel::uniform(default_per);
             for s in 0..n {
                 for r in 0..n {
                     if s != r && (s + r) % 3 == 0 {
                         loss.set_link(s, r, loss_p);
                     }
+                }
+            }
+            loss.burst = burst;
+            // Overrides land on decode links, the only ones that sample.
+            let decodes: Vec<(usize, usize)> = (0..n)
+                .flat_map(|s| (0..n).map(move |r| (s, r)))
+                .filter(|&(s, r)| s != r && pos[s].within(&pos[r], ChannelConfig::default().tx_range))
+                .collect();
+            let decode_link = |k: usize| decodes.get(k % decodes.len().max(1)).copied();
+            for (k, ge) in burst_links {
+                if let Some((s, r)) = decode_link(k) {
+                    loss.set_link_burst(s, r, ge);
+                }
+            }
+            for (k, up, down, phase) in churn {
+                let us = ezflow_sim::Duration::from_micros;
+                if let Some((s, r)) = decode_link(k) {
+                    // `ChurnWindow::new` refuses an empty cycle.
+                    loss.set_link_churn(s, r, ChurnWindow::new(us(up), us(down.max(1)), us(phase)));
                 }
             }
             // Without capture every sensed interferer corrupts, so the

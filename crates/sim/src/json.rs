@@ -15,8 +15,13 @@
 //! bytes [`JsonValue::to_compact`] would produce straight into a reused
 //! buffer, through the same number and string formatters, so a line
 //! costs its bytes and no allocation.
+//!
+//! Both write bytes: integers come two digits at a time from a table, and
+//! the text is checked to be UTF-8 once, when a whole document or buffer
+//! becomes a `String`, not once per number.
 
 use std::fmt;
+use std::io::Write as _;
 
 /// One JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -103,29 +108,29 @@ impl JsonValue {
 
     /// Serialise compactly (no whitespace).
     pub fn to_compact(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write(&mut out, None, 0);
-        out
+        utf8(out)
     }
 
     /// Serialise with two-space indentation.
     pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.write(&mut out, Some(2), 0);
-        out
+        utf8(out)
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    fn write(&self, out: &mut Vec<u8>, indent: Option<usize>, depth: usize) {
         match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Null => out.extend_from_slice(b"null"),
+            JsonValue::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
             JsonValue::Num(n) => write_num(out, *n),
             JsonValue::Str(s) => write_str(out, s),
             JsonValue::Array(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     newline_indent(out, indent, depth + 1);
                     item.write(out, indent, depth + 1);
@@ -133,26 +138,26 @@ impl JsonValue {
                 if !items.is_empty() {
                     newline_indent(out, indent, depth);
                 }
-                out.push(']');
+                out.push(b']');
             }
             JsonValue::Object(fields) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     newline_indent(out, indent, depth + 1);
                     write_str(out, k);
-                    out.push(':');
+                    out.push(b':');
                     if indent.is_some() {
-                        out.push(' ');
+                        out.push(b' ');
                     }
                     v.write(out, indent, depth + 1);
                 }
                 if !fields.is_empty() {
                     newline_indent(out, indent, depth);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
@@ -203,48 +208,75 @@ impl From<bool> for JsonValue {
     }
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
+/// The written bytes as text. Every formatter here appends either ASCII
+/// or the bytes of a `&str`, so this cannot fail; it is the one UTF-8
+/// check a document or buffer pays.
+fn utf8(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).expect("JSON text is UTF-8")
+}
+
+fn newline_indent(out: &mut Vec<u8>, indent: Option<usize>, depth: usize) {
     if let Some(w) = indent {
-        out.push('\n');
-        for _ in 0..w * depth {
-            out.push(' ');
-        }
+        out.push(b'\n');
+        out.resize(out.len() + w * depth, b' ');
     }
 }
 
 /// The largest magnitude below which every integer is an exact `f64`.
 const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0; // 2^53
 
-fn write_num(out: &mut String, n: f64) {
+fn write_num(out: &mut Vec<u8>, n: f64) {
     if !n.is_finite() {
         // JSON has no Inf/NaN; null is the conventional stand-in.
-        out.push_str("null");
+        out.extend_from_slice(b"null");
     } else if n.fract() == 0.0 && n.abs() <= MAX_EXACT_INT {
         write_int(out, n as i64);
     } else {
-        fmt::write(out, format_args!("{n}")).unwrap();
+        write!(out, "{n}").expect("writing to a Vec cannot fail");
     }
 }
 
+/// `"00"`, `"01"`, …, `"99"`: two decimal digits per table entry.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    table
+};
+
 /// Decimal digits of `n`, as `{}` prints them, without the `fmt`
 /// machinery — nearly every number the observers write is a counter.
-fn write_int(out: &mut String, n: i64) {
+fn write_int(out: &mut Vec<u8>, n: i64) {
+    if n < 0 {
+        out.push(b'-');
+    }
+    write_digits(out, n.unsigned_abs());
+}
+
+/// Decimal digits of `n`, two per division.
+fn write_digits(out: &mut Vec<u8>, n: u64) {
     let mut buf = [0u8; 20];
     let mut at = buf.len();
-    let mut rest = n.unsigned_abs();
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
+    let mut rest = n;
+    while rest >= 100 {
+        let pair = 2 * (rest % 100) as usize;
+        rest /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
-    if n < 0 {
+    if rest >= 10 {
+        let pair = 2 * rest as usize;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
         at -= 1;
-        buf[at] = b'-';
+        buf[at] = b'0' + rest as u8;
     }
-    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+    out.extend_from_slice(&buf[at..]);
 }
 
 /// Whether `b` cannot appear as itself inside a JSON string. Every such
@@ -254,25 +286,25 @@ fn needs_escape(b: u8) -> bool {
     b < 0x20 || b == b'"' || b == b'\\'
 }
 
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
+fn write_str(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
     // Runs that need no escaping are copied whole — for the names and
     // labels this crate writes, that is the entire string.
-    let mut rest = s;
-    while let Some(i) = rest.bytes().position(needs_escape) {
-        out.push_str(&rest[..i]);
-        match rest.as_bytes()[i] {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            b => fmt::write(out, format_args!("\\u{b:04x}")).unwrap(),
+    let mut rest = s.as_bytes();
+    while let Some(i) = rest.iter().position(|&b| needs_escape(b)) {
+        out.extend_from_slice(&rest[..i]);
+        match rest[i] {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            b => write!(out, "\\u{b:04x}").expect("writing to a Vec cannot fail"),
         }
         rest = &rest[i + 1..];
     }
-    out.push_str(rest);
-    out.push('"');
+    out.extend_from_slice(rest);
+    out.push(b'"');
 }
 
 /// A scalar a [`JsonWriter`] can emit. Integers print as their `From`
@@ -280,21 +312,21 @@ fn write_str(out: &mut String, s: &str) {
 /// both routes round the same way.
 pub trait JsonScalar {
     /// Appends the value's compact JSON form to `out`.
-    fn write_json(self, out: &mut String);
+    fn write_json(self, out: &mut Vec<u8>);
 }
 
 impl JsonScalar for f64 {
-    fn write_json(self, out: &mut String) {
+    fn write_json(self, out: &mut Vec<u8>) {
         write_num(out, self);
     }
 }
 
 impl JsonScalar for u64 {
-    fn write_json(self, out: &mut String) {
+    fn write_json(self, out: &mut Vec<u8>) {
         // Up to 2^53 the widening is exact and `write_num` would print
         // these same digits; past it, let it round as a document would.
         if self <= MAX_EXACT_INT as u64 {
-            write_int(out, self as i64);
+            write_digits(out, self);
         } else {
             write_num(out, self as f64);
         }
@@ -302,22 +334,27 @@ impl JsonScalar for u64 {
 }
 
 impl JsonScalar for u32 {
-    fn write_json(self, out: &mut String) {
-        u64::from(self).write_json(out);
+    fn write_json(self, out: &mut Vec<u8>) {
+        write_digits(out, u64::from(self));
     }
 }
 
 impl JsonScalar for usize {
-    fn write_json(self, out: &mut String) {
+    fn write_json(self, out: &mut Vec<u8>) {
         (self as u64).write_json(out);
     }
 }
 
 impl JsonScalar for &str {
-    fn write_json(self, out: &mut String) {
+    fn write_json(self, out: &mut Vec<u8>) {
         write_str(out, self);
     }
 }
+
+/// 10¹⁵. Two decimals of at most 15 significant digits (`f64::DIGITS`)
+/// never round to the same `f64`, so one that short is the shortest
+/// round-trip form of the float it rounds to — what `{}` prints.
+const RATIO_SCALE: u64 = 1_000_000_000_000_000;
 
 /// Streams compact JSON into a buffer it owns, token by token: the bytes
 /// of `JsonValue::obj(..).to_compact()` without building the value.
@@ -325,12 +362,14 @@ impl JsonScalar for &str {
 /// The writer only tracks where commas go; the caller is trusted to
 /// balance `begin_*` / `end_*` and to alternate keys and values inside
 /// objects (each record type's unit tests compare its streamed bytes with
-/// its tree form). The buffer is meant to be reused: [`JsonWriter::clear`]
-/// keeps the capacity, so after the first few records a line allocates
-/// nothing.
+/// its tree form). A record whose shape is fixed may instead spell its
+/// punctuation and keys out whole with [`JsonWriter::raw`] between
+/// [`JsonWriter::value`]s. The buffer is meant to be reused:
+/// [`JsonWriter::clear`] keeps the capacity, so after the first few
+/// records a line allocates nothing.
 #[derive(Debug, Default)]
 pub struct JsonWriter {
-    out: String,
+    out: Vec<u8>,
     /// Whether the next key or element must be preceded by a comma.
     comma: bool,
 }
@@ -344,42 +383,42 @@ impl JsonWriter {
     /// An empty writer whose buffer holds `bytes` without reallocating.
     pub fn with_capacity(bytes: usize) -> Self {
         JsonWriter {
-            out: String::with_capacity(bytes),
+            out: Vec::with_capacity(bytes),
             comma: false,
         }
     }
 
-    fn open(&mut self, bracket: char) {
+    fn open(&mut self, bracket: u8) {
         if self.comma {
-            self.out.push(',');
+            self.out.push(b',');
         }
         self.out.push(bracket);
         self.comma = false;
     }
 
-    fn close(&mut self, bracket: char) {
+    fn close(&mut self, bracket: u8) {
         self.out.push(bracket);
         self.comma = true;
     }
 
     /// Opens an object, as an array element or after [`JsonWriter::key`].
     pub fn begin_object(&mut self) {
-        self.open('{');
+        self.open(b'{');
     }
 
     /// Closes the innermost object.
     pub fn end_object(&mut self) {
-        self.close('}');
+        self.close(b'}');
     }
 
     /// Opens an array, as an array element or after [`JsonWriter::key`].
     pub fn begin_array(&mut self) {
-        self.open('[');
+        self.open(b'[');
     }
 
     /// Closes the innermost array.
     pub fn end_array(&mut self) {
-        self.close(']');
+        self.close(b']');
     }
 
     /// Writes an object key; the next call supplies its value. Keys are
@@ -388,30 +427,79 @@ impl JsonWriter {
     pub fn key(&mut self, key: &str) {
         debug_assert!(!key.bytes().any(needs_escape), "key {key:?} needs escaping");
         if self.comma {
-            self.out.push(',');
+            self.out.push(b',');
         }
-        self.out.push('"');
-        self.out.push_str(key);
-        self.out.push_str("\":");
+        self.out.push(b'"');
+        self.out.extend_from_slice(key.as_bytes());
+        self.out.extend_from_slice(b"\":");
         self.comma = false;
     }
 
     /// Writes one `key: scalar` pair of the innermost object.
     pub fn field(&mut self, key: &str, value: impl JsonScalar) {
         self.key(key);
+        self.value(value);
+    }
+
+    /// Writes `key: num / den` — byte for byte what
+    /// `field(key, num as f64 / den as f64)` writes — with integer
+    /// arithmetic wherever the quotient is a short exact decimal: when
+    /// `num <= den` and `den` divides 10¹⁵, `num / den` is `q / 10¹⁵` with
+    /// `q = num · (10¹⁵ / den)`, at most 15 significant digits, so `{}`
+    /// prints exactly those digits — `0.` and `q` zero-padded to 15 places,
+    /// trailing zeros dropped (`0` and `1` as integers). Any other ratio
+    /// goes through the float.
+    pub fn field_ratio(&mut self, key: &str, num: u64, den: u64) {
+        if den == 0 || num > den || !RATIO_SCALE.is_multiple_of(den) {
+            return self.field(key, num as f64 / den as f64);
+        }
+        self.key(key);
+        if num == 0 || num == den {
+            self.out.push(if num == 0 { b'0' } else { b'1' });
+        } else {
+            let (mut q, mut places) = (num * (RATIO_SCALE / den), 15);
+            while q.is_multiple_of(10) {
+                q /= 10;
+                places -= 1;
+            }
+            self.out.extend_from_slice(b"0.");
+            let zeros = places - (q.ilog10() + 1) as usize;
+            self.out.resize(self.out.len() + zeros, b'0');
+            write_digits(&mut self.out, q);
+        }
+        self.comma = true;
+    }
+
+    /// Appends `text` exactly as given: a run of fixed JSON — punctuation,
+    /// quoted keys with their colons, string literals — that a record of
+    /// fixed shape writes whole instead of key by key. Commas are part of
+    /// `text`: this neither writes one nor records that one is due.
+    pub fn raw(&mut self, text: &str) {
+        self.out.extend_from_slice(text.as_bytes());
+    }
+
+    /// Writes a scalar where a value is due — after [`JsonWriter::key`]
+    /// or [`JsonWriter::raw`] text ending in a key's colon.
+    pub fn value(&mut self, value: impl JsonScalar) {
         value.write_json(&mut self.out);
         self.comma = true;
     }
 
     /// Ends a JSONL line: a newline, and the next value starts afresh.
     pub fn end_line(&mut self) {
-        self.out.push('\n');
+        self.out.push(b'\n');
         self.comma = false;
     }
 
     /// Everything written since the last [`JsonWriter::clear`].
-    pub fn as_str(&self) -> &str {
+    pub fn as_bytes(&self) -> &[u8] {
         &self.out
+    }
+
+    /// [`JsonWriter::as_bytes`] as text (checked, so meant for tests and
+    /// diagnostics, not for every line).
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.out).expect("JSON text is UTF-8")
     }
 
     /// Empties the buffer, keeping its capacity.
@@ -420,9 +508,9 @@ impl JsonWriter {
         self.comma = false;
     }
 
-    /// The buffer itself.
+    /// The buffer itself, as text.
     pub fn into_string(self) -> String {
-        self.out
+        utf8(self.out)
     }
 }
 
@@ -761,6 +849,62 @@ mod tests {
         assert_eq!(w.as_str(), "");
     }
 
+    /// `field_ratio`'s bytes against `field`'s for one ratio.
+    fn ratio_matches_float(num: u64, den: u64) -> Result<(), String> {
+        let (mut fast, mut slow) = (JsonWriter::new(), JsonWriter::new());
+        fast.field_ratio("f", num, den);
+        slow.field("f", num as f64 / den as f64);
+        if fast.as_bytes() == slow.as_bytes() {
+            Ok(())
+        } else {
+            Err(format!(
+                "{num}/{den}: {} vs {}",
+                fast.as_str(),
+                slow.as_str()
+            ))
+        }
+    }
+
+    #[test]
+    fn ratio_prints_every_fraction_of_a_100_ms_window_as_the_float_does() {
+        for num in 0..=100_000 {
+            ratio_matches_float(num, 100_000).unwrap();
+        }
+    }
+
+    #[test]
+    fn ratio_falls_back_to_the_float_off_the_integer_path() {
+        // Denominators with a prime factor other than 2 and 5, one past
+        // the scale, and the degenerate cases: numerators above the
+        // denominator, and a zero denominator (`null`, like NaN and inf).
+        for den in [3, 7, 300_000, 1_000_000_000_000_000_000] {
+            for num in [0, 1, 2, den / 3, den / 2, den - 1, den] {
+                ratio_matches_float(num, den).unwrap();
+            }
+        }
+        for (num, den) in [(2, 1), (100_001, 100_000), (u64::MAX, 4), (0, 0), (5, 0)] {
+            ratio_matches_float(num, den).unwrap();
+        }
+        let mut w = JsonWriter::new();
+        w.field_ratio("f", 5, 0);
+        assert_eq!(w.as_str(), r#""f":null"#);
+    }
+
+    proptest::proptest! {
+        /// Every divisor of 10^m, m ≤ 15 — `2^a · 5^b`, a, b ≤ 15 — with
+        /// numerators across `0..=den`.
+        #[test]
+        fn ratio_over_a_divisor_of_a_power_of_ten_equals_the_float(
+            a in 0u32..=15,
+            b in 0u32..=15,
+            pick in proptest::prelude::any::<u64>()
+        ) {
+            let den = 2u64.pow(a) * 5u64.pow(b);
+            let num = pick % (den + 1);
+            proptest::prelude::prop_assert_eq!(ratio_matches_float(num, den), Ok(()));
+        }
+    }
+
     #[test]
     fn integer_digits_match_display() {
         for n in [
@@ -769,15 +913,19 @@ mod tests {
             9,
             10,
             -10,
+            99,
+            100,
+            -101,
+            12_345,
             1_234_567_890,
             1 << 53,
             -(1 << 53),
             i64::MAX,
             i64::MIN,
         ] {
-            let mut out = String::new();
+            let mut out = Vec::new();
             write_int(&mut out, n);
-            assert_eq!(out, n.to_string());
+            assert_eq!(utf8(out), n.to_string());
         }
         // Both sides of the exact-integer boundary, as a document prints
         // them: 2^53 + 1 rounds to 2^53, the next values leave the
@@ -789,9 +937,9 @@ mod tests {
             (1 << 53) + 2,
             u64::MAX,
         ] {
-            let mut out = String::new();
+            let mut out = Vec::new();
             n.write_json(&mut out);
-            assert_eq!(out, JsonValue::from(n).to_compact(), "{n}");
+            assert_eq!(utf8(out), JsonValue::from(n).to_compact(), "{n}");
         }
         assert_eq!(JsonValue::Num(-0.0).to_compact(), "0");
     }

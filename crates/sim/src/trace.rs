@@ -68,6 +68,25 @@ impl TraceKind {
         }
     }
 
+    /// The record text between a record's `at_us` / `node` and its
+    /// payload object: `,"kind":"<name>","payload":`.
+    fn json_head(self) -> &'static str {
+        match self {
+            TraceKind::TxStart => r#","kind":"TxStart","payload":"#,
+            TraceKind::TxEnd => r#","kind":"TxEnd","payload":"#,
+            TraceKind::Collision => r#","kind":"Collision","payload":"#,
+            TraceKind::Drop => r#","kind":"Drop","payload":"#,
+            TraceKind::CwChange => r#","kind":"CwChange","payload":"#,
+            TraceKind::Admit => r#","kind":"Admit","payload":"#,
+            TraceKind::Enqueue => r#","kind":"Enqueue","payload":"#,
+            TraceKind::Dequeue => r#","kind":"Dequeue","payload":"#,
+            TraceKind::Attempt => r#","kind":"Attempt","payload":"#,
+            TraceKind::RxOutcome => r#","kind":"RxOutcome","payload":"#,
+            TraceKind::BoeOverhear => r#","kind":"BoeOverhear","payload":"#,
+            TraceKind::Deliver => r#","kind":"Deliver","payload":"#,
+        }
+    }
+
     fn from_name(name: &str) -> Option<TraceKind> {
         Some(match name {
             "TxStart" => TraceKind::TxStart,
@@ -376,9 +395,9 @@ impl fmt::Display for TracePayload {
 }
 
 impl TracePayload {
-    /// Streams the payload object — the bytes of the tree form below.
+    /// Streams the payload object — the bytes of the tree form below —
+    /// each variant's fixed text written whole between its values.
     fn write_json(self, w: &mut JsonWriter) {
-        w.begin_object();
         match self {
             TracePayload::Frame {
                 class,
@@ -388,33 +407,42 @@ impl TracePayload {
                 dst,
                 retry,
             } => {
-                w.field("type", "frame");
-                w.field("class", class.name());
-                w.field("seq", seq);
-                w.field("flow", flow);
-                w.field("src", src);
-                w.field("dst", dst);
-                w.field("retry", retry);
+                w.raw(r#"{"type":"frame","class":""#);
+                w.raw(class.name());
+                w.raw(r#"","seq":"#);
+                w.value(seq);
+                w.raw(r#","flow":"#);
+                w.value(flow);
+                w.raw(r#","src":"#);
+                w.value(src);
+                w.raw(r#","dst":"#);
+                w.value(dst);
+                w.raw(r#","retry":"#);
+                w.value(retry);
             }
             TracePayload::Collision { seq, src } => {
-                w.field("type", "collision");
-                w.field("seq", seq);
-                w.field("src", src);
+                w.raw(r#"{"type":"collision","seq":"#);
+                w.value(seq);
+                w.raw(r#","src":"#);
+                w.value(src);
             }
             TracePayload::Drop { cause, seq } => {
-                w.field("type", "drop");
-                w.field("cause", cause.name());
-                w.field("seq", seq);
+                w.raw(r#"{"type":"drop","cause":""#);
+                w.raw(cause.name());
+                w.raw(r#"","seq":"#);
+                w.value(seq);
             }
             TracePayload::CwChange { from, to } => {
-                w.field("type", "cw_change");
-                w.field("from", from);
-                w.field("to", to);
+                w.raw(r#"{"type":"cw_change","from":"#);
+                w.value(from);
+                w.raw(r#","to":"#);
+                w.value(to);
             }
             TracePayload::Admit { seq, flow } => {
-                w.field("type", "admit");
-                w.field("seq", seq);
-                w.field("flow", flow);
+                w.raw(r#"{"type":"admit","seq":"#);
+                w.value(seq);
+                w.raw(r#","flow":"#);
+                w.value(flow);
             }
             TracePayload::Enqueue {
                 seq,
@@ -422,16 +450,20 @@ impl TracePayload {
                 occupancy,
                 cap,
             } => {
-                w.field("type", "enqueue");
-                w.field("seq", seq);
-                w.field("flow", flow);
-                w.field("occupancy", occupancy);
-                w.field("cap", cap);
+                w.raw(r#"{"type":"enqueue","seq":"#);
+                w.value(seq);
+                w.raw(r#","flow":"#);
+                w.value(flow);
+                w.raw(r#","occupancy":"#);
+                w.value(occupancy);
+                w.raw(r#","cap":"#);
+                w.value(cap);
             }
             TracePayload::Dequeue { seq, flow } => {
-                w.field("type", "dequeue");
-                w.field("seq", seq);
-                w.field("flow", flow);
+                w.raw(r#"{"type":"dequeue","seq":"#);
+                w.value(seq);
+                w.raw(r#","flow":"#);
+                w.value(flow);
             }
             TracePayload::Attempt {
                 seq,
@@ -439,34 +471,43 @@ impl TracePayload {
                 cw,
                 slots,
             } => {
-                w.field("type", "attempt");
-                w.field("seq", seq);
-                w.field("attempt", attempt);
-                w.field("cw", cw);
-                w.field("slots", slots);
+                w.raw(r#"{"type":"attempt","seq":"#);
+                w.value(seq);
+                w.raw(r#","attempt":"#);
+                w.value(attempt);
+                w.raw(r#","cw":"#);
+                w.value(cw);
+                w.raw(r#","slots":"#);
+                w.value(slots);
             }
             TracePayload::RxOutcome {
                 seq,
                 class,
                 outcome,
             } => {
-                w.field("type", "rx_outcome");
-                w.field("seq", seq);
-                w.field("class", class.name());
-                w.field("outcome", outcome.name());
+                w.raw(r#"{"type":"rx_outcome","seq":"#);
+                w.value(seq);
+                w.raw(r#","class":""#);
+                w.raw(class.name());
+                w.raw(r#"","outcome":""#);
+                w.raw(outcome.name());
+                w.raw("\"");
             }
             TracePayload::BoeOverhear { seq, verdict } => {
-                w.field("type", "boe_overhear");
-                w.field("seq", seq);
-                w.field("verdict", verdict.name());
+                w.raw(r#"{"type":"boe_overhear","seq":"#);
+                w.value(seq);
+                w.raw(r#","verdict":""#);
+                w.raw(verdict.name());
+                w.raw("\"");
             }
             TracePayload::Deliver { seq, flow } => {
-                w.field("type", "deliver");
-                w.field("seq", seq);
-                w.field("flow", flow);
+                w.raw(r#"{"type":"deliver","seq":"#);
+                w.value(seq);
+                w.raw(r#","flow":"#);
+                w.value(flow);
             }
         }
-        w.end_object();
+        w.raw("}");
     }
 
     /// The tree form [`TracePayload::from_json`] reads — kept as the
@@ -718,14 +759,17 @@ impl TraceEvent {
 
     /// Streams the record's JSONL object (no trailing newline) into `w`:
     /// `at_us`, `node` unless the record is global, `kind`, `payload`.
+    /// Keys and the names of kinds and payload types are fixed text, so
+    /// they go out as whole tokens; only the numbers are formatted.
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
-        w.field("at_us", self.at.as_micros());
+        w.raw(r#""at_us":"#);
+        w.value(self.at.as_micros());
         if self.node != usize::MAX {
-            w.field("node", self.node);
+            w.raw(r#","node":"#);
+            w.value(self.node);
         }
-        w.field("kind", self.kind.name());
-        w.key("payload");
+        w.raw(self.kind.json_head());
         self.payload.write_json(w);
         w.end_object();
     }
