@@ -21,8 +21,8 @@
 //!   only run that pins a mesh byte for byte.
 //! * **exports/…** — scenario 1 under EZ-flow with PER + Gilbert–Elliott
 //!   loss and every observer armed (flight recorder at 256 journeys, so
-//!   it evicts *and* samples; trace ring; telemetry and audit streaming
-//!   into memory). Its golden entry is not a snapshot but the line count
+//!   it evicts *and* samples; telemetry and audit streaming into
+//!   memory). Its golden entry is not a snapshot but the line count
 //!   and FNV-1a of each JSONL export — the byte-for-byte pin on what the
 //!   observers write.
 //! * **exports/testbed+links** — the calibrated testbed (a different PER
@@ -291,13 +291,12 @@ fn loss_links_run() -> Run {
 
 /// `t`'s network spec on `scale` with every observer armed: telemetry and
 /// audit at their defaults, 256 journeys (against hundreds of queue
-/// slots, so the recorder evicts and samples) and a 4,096-record ring.
+/// slots, so the recorder evicts and samples).
 fn observed_spec(mut scale: Scale, t: &Topology) -> NetworkSpec {
     scale.telemetry_every = Some(NetworkSpec::TELEMETRY_EVERY);
     scale.audit_cap = NetworkSpec::AUDIT_CAP;
     let mut spec = scale.spec(t, scale.seed);
     spec.flight_cap = 256;
-    spec.trace_cap = 4096;
     spec
 }
 
@@ -318,7 +317,6 @@ fn observed_run(spec: NetworkSpec, until: Time) -> (Network, Vec<(&'static str, 
     let sunk = |s: &MemSink| export_digest(&s.0.lock().expect("sink writer panicked"));
     let digests = vec![
         ("lifecycle", export_digest(net.flight.to_jsonl().as_bytes())),
-        ("trace_ring", export_digest(net.trace.to_jsonl().as_bytes())),
         ("telemetry", sunk(&telemetry)),
         ("audit", sunk(&audit)),
         (

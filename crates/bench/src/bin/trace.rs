@@ -1,7 +1,7 @@
 //! `trace` — the per-packet lifecycle inspector.
 //!
 //! Reads the JSONL that the flight recorder exports (one
-//! [`ezflow_sim::TraceEvent`] per line, produced by
+//! [`ezflow_net::lifecycle::TraceEvent`] per line, produced by
 //! `experiments --trace-dir=DIR` or [`ezflow_net::FlightRecorder::to_jsonl`])
 //! and answers the questions the aggregate counters cannot: *what happened
 //! to this packet*, *which packets fared worst*, and *where and why were
@@ -36,8 +36,9 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
+use ezflow_net::lifecycle::{parse_jsonl, TraceEvent};
 use ezflow_net::{group_journeys, summarize_journey, JourneySummary};
-use ezflow_sim::{Duration, JsonValue, TraceEvent, TraceRing};
+use ezflow_sim::{Duration, JsonValue};
 use ezflow_stats::{analyze, Stability, StabilityConfig, TimeSeries};
 
 fn usage() -> ExitCode {
@@ -81,7 +82,7 @@ fn hops_arrow(s: &JourneySummary) -> String {
 
 fn load(path: &str) -> Result<Vec<TraceEvent>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    TraceRing::parse_jsonl(&text).map_err(|e| format!("{path} is not a lifecycle export: {e}"))
+    parse_jsonl(&text).map_err(|e| format!("{path} is not a lifecycle export: {e}"))
 }
 
 fn cmd_journey(events: &[TraceEvent], packet: u64) -> ExitCode {

@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use ezflow_mac::{Mac, MacConfig, MacInput};
 use ezflow_phy::geom::{distance_tests, MAX_DISTANCE_TESTS};
 use ezflow_phy::{Channel, ChannelConfig, LossModel, Position};
-use ezflow_sim::{Duration, Scheduler, SimRng, Time, TraceRing};
+use ezflow_sim::{Duration, Scheduler, SimRng, Time};
 
 use crate::controller::Controller;
 use crate::engine::{Ev, EV_KINDS, PROFILE_KINDS};
@@ -215,8 +215,6 @@ pub struct NetworkSpec {
     pub sample_every: Duration,
     /// Master random seed.
     pub seed: u64,
-    /// Trace ring capacity (0 disables tracing).
-    pub trace_cap: usize,
     /// Flight-recorder capacity in packet journeys (0 disables the
     /// recorder; see [`crate::flight::FlightRecorder`]).
     pub flight_cap: usize,
@@ -254,7 +252,6 @@ impl NetworkSpec {
             flows: topo.flows.clone(),
             sample_every: Duration::from_secs(1),
             seed,
-            trace_cap: 0,
             flight_cap: 0,
             telemetry_every: None,
             telemetry_cap: 1 << 16,
@@ -581,7 +578,6 @@ pub(crate) fn build(
         sample_every: spec.sample_every,
         backlog_every,
         metrics,
-        trace: TraceRing::new(spec.trace_cap),
         flight: crate::flight::FlightRecorder::new(spec.flight_cap),
         telemetry,
         audit,

@@ -18,14 +18,12 @@
 //! through per-node streams derived from the master seed.
 
 use ezflow_mac::{MacInput, MacOutput};
-use ezflow_phy::{DecodeOutcome, Frame, FrameId, FrameKind, TxId};
-use ezflow_sim::{
-    BoeVerdict, DropCause, Duration, FrameClass, JsonValue, RxOutcome, Time, TraceKind,
-    TracePayload,
-};
+use ezflow_phy::{Frame, FrameId, FrameKind, TxId};
+use ezflow_sim::{Duration, JsonValue, Time};
 
 use crate::controller::ControllerEvent;
 use crate::hot::TimerSlot;
+use crate::lifecycle::{BoeVerdict, DropCause, TracePayload};
 use crate::network::Network;
 use crate::snapshot::{
     LatencySnapshot, NodeSnapshot, PerfSnapshot, QueueSnapshot, RunSnapshot, SchedulerSnapshot,
@@ -133,35 +131,6 @@ pub(crate) enum WorkInput {
     RxAck,
     RxRts,
     RxCts,
-}
-
-fn frame_class(kind: FrameKind) -> FrameClass {
-    match kind {
-        FrameKind::Data => FrameClass::Data,
-        FrameKind::Ack => FrameClass::Ack,
-        FrameKind::Rts => FrameClass::Rts,
-        FrameKind::Cts => FrameClass::Cts,
-    }
-}
-
-fn frame_payload(frame: &Frame) -> TracePayload {
-    TracePayload::Frame {
-        class: frame_class(frame.kind),
-        seq: frame.seq,
-        flow: frame.flow,
-        src: frame.src,
-        dst: frame.dst,
-        retry: frame.retry as u32,
-    }
-}
-
-fn rx_outcome(o: DecodeOutcome) -> RxOutcome {
-    match o {
-        DecodeOutcome::Clean => RxOutcome::Clean,
-        DecodeOutcome::Capture => RxOutcome::Capture,
-        DecodeOutcome::Collision => RxOutcome::Collision,
-        DecodeOutcome::Loss => RxOutcome::Loss,
-    }
 }
 
 /// Frees `slot` when the timer entry just dispatched under `epoch` is the
@@ -410,16 +379,10 @@ impl Network {
         // frame is never built and the arena never touched.
         if self.nodes[src].own_queue_drop(nh) {
             *self.metrics.source_drops.entry(flow).or_insert(0) += 1;
-            let dropped = TracePayload::Drop {
-                cause: DropCause::SourceQueueFull,
-                seq,
-            };
-            if self.trace.enabled() {
-                self.trace.push(self.now, src, TraceKind::Drop, dropped);
-            }
             // The journey the admission opens is the one the drop ends.
             if let Some(mut j) = self.flight.admit(self.now, src, seq, flow) {
-                j.push(self.now, src, TraceKind::Drop, dropped);
+                let cause = DropCause::SourceQueueFull;
+                j.push(self.now, src, TracePayload::Drop { cause });
                 j.complete();
             }
             self.try_feed(src);
@@ -439,15 +402,10 @@ impl Network {
         seq
     }
 
-    /// The `Drop` record: to the trace ring if armed and, ending it, to
-    /// the packet's journey if tracked.
+    /// The `Drop` record that ends the packet's journey, if tracked.
     fn record_drop(&mut self, node: usize, cause: DropCause, seq: u64) {
-        let payload = TracePayload::Drop { cause, seq };
-        if self.trace.enabled() {
-            self.trace.push(self.now, node, TraceKind::Drop, payload);
-        }
         if let Some(mut j) = self.flight.journey_mut(seq) {
-            j.push(self.now, node, TraceKind::Drop, payload);
+            j.push(self.now, node, TracePayload::Drop { cause });
             j.complete();
         }
     }
@@ -460,9 +418,7 @@ impl Network {
             j.push(
                 self.now,
                 node,
-                TraceKind::Enqueue,
                 TracePayload::Enqueue {
-                    seq,
                     flow,
                     occupancy: occ as u32,
                     cap: cap as u32,
@@ -496,7 +452,7 @@ impl Network {
         // Take-out/put-back (the `transports` pattern): the scratch report
         // is refilled in place by the channel — no per-transmission Vec
         // allocations — and must be out of `self` while deliveries fan out
-        // through `&mut self` controller/trace calls.
+        // through `&mut self` controller/recorder calls.
         let mut report = std::mem::take(&mut self.end_report);
         self.channel
             .end_tx_into(self.now, tx, &mut self.chan_rng, &mut report);
@@ -505,10 +461,6 @@ impl Network {
         // addressed clean receiver or is released when the fan-out ends.
         let frame = *self.arena.get(report.frame);
         let frame = &frame;
-        if self.trace.enabled() {
-            self.trace
-                .push(self.now, node, TraceKind::TxEnd, frame_payload(frame));
-        }
         let mut transferred = false;
         for d in &report.deliveries {
             // Decode-outcome attribution at the addressed receiver: where
@@ -518,27 +470,14 @@ impl Network {
                     j.push(
                         self.now,
                         d.node,
-                        TraceKind::RxOutcome,
                         TracePayload::RxOutcome {
-                            seq: frame.seq,
-                            class: frame_class(frame.kind),
-                            outcome: rx_outcome(d.outcome),
+                            class: frame.kind,
+                            outcome: d.outcome,
                         },
                     );
                 }
             }
             if !d.clean {
-                if self.trace.enabled() && d.node == frame.dst {
-                    self.trace.push(
-                        self.now,
-                        d.node,
-                        TraceKind::Collision,
-                        TracePayload::Collision {
-                            seq: frame.seq,
-                            src: frame.src,
-                        },
-                    );
-                }
                 continue;
             }
             if d.node == frame.dst {
@@ -581,15 +520,7 @@ impl Network {
                                 None
                             };
                             if let Some(verdict) = verdict {
-                                j.push(
-                                    self.now,
-                                    d.node,
-                                    TraceKind::BoeOverhear,
-                                    TracePayload::BoeOverhear {
-                                        seq: frame.seq,
-                                        verdict,
-                                    },
-                                );
+                                j.push(self.now, d.node, TracePayload::BoeOverhear { verdict });
                             }
                         }
                         // Provenance probes (pull-based, read-only): the
@@ -759,10 +690,6 @@ impl Network {
         match out {
             MacOutput::StartTx { frame, air, info } => {
                 let f = *self.arena.get(frame);
-                if self.trace.enabled() {
-                    self.trace
-                        .push(self.now, id, TraceKind::TxStart, frame_payload(&f));
-                }
                 // One DCF attempt with its contention state. Recorded for
                 // the data frame only (an RTS preceding it shares the same
                 // attempt; SIFS responses carry no contention info).
@@ -771,9 +698,7 @@ impl Network {
                         j.push(
                             self.now,
                             id,
-                            TraceKind::Attempt,
                             TracePayload::Attempt {
-                                seq: f.seq,
                                 attempt: i.attempt,
                                 cw: i.cw,
                                 slots: i.slots,
@@ -851,15 +776,7 @@ impl Network {
             // Terminal record for the packet's journey — transport ACKs
             // are packets too and end theirs here.
             if let Some(mut j) = self.flight.journey_mut(f.seq) {
-                j.push(
-                    self.now,
-                    id,
-                    TraceKind::Deliver,
-                    TracePayload::Deliver {
-                        seq: f.seq,
-                        flow: f.flow,
-                    },
-                );
+                j.push(self.now, id, TracePayload::Deliver { flow: f.flow });
                 j.complete();
             }
             if f.flow >= TRANSPORT_ACK_FLOW {
@@ -920,15 +837,7 @@ impl Network {
             *g
         };
         if let Some(mut j) = self.flight.journey_mut(f.seq) {
-            j.push(
-                self.now,
-                id,
-                TraceKind::Dequeue,
-                TracePayload::Dequeue {
-                    seq: f.seq,
-                    flow: f.flow,
-                },
-            );
+            j.push(self.now, id, TracePayload::Dequeue { flow: f.flow });
         }
         // §7 extension: per-successor windows. If the controller keeps a
         // distinct window for this frame's successor, program it for this
@@ -961,17 +870,6 @@ impl Network {
         let Some(cw) = cmd else { return };
         if cw == self.nodes[id].mac.cw_min() {
             return;
-        }
-        if self.trace.enabled() {
-            self.trace.push(
-                self.now,
-                id,
-                TraceKind::CwChange,
-                TracePayload::CwChange {
-                    from: self.nodes[id].mac.cw_min(),
-                    to: cw,
-                },
-            );
         }
         let node = &mut self.nodes[id];
         let outs = node.mac.input(
@@ -1094,7 +992,6 @@ impl Network {
                     sched_rotations: wheel.rotations,
                     sched_overflow_refills: wheel.overflow_refills,
                     sched_bucket_high_water: wheel.bucket_high_water,
-                    trace_evictions: self.trace.pushed_total() - self.trace.len() as u64,
                     arena_high_water: self.arena.high_water() as u64,
                     handler_ns: self.handler_ns,
                     telemetry_windows: self.telemetry.windows(),
@@ -1102,7 +999,6 @@ impl Network {
                 }
             },
             latency: LatencySnapshot::default(),
-            trace_records: self.trace.pushed_total(),
             stability: self.telemetry.stability_snapshot(),
             controller: self.audit.controller_snapshot(),
         }
@@ -1283,9 +1179,7 @@ mod tests {
     #[test]
     fn snapshot_captures_cross_layer_state_and_round_trips() {
         let t = topo::chain(3, Time::ZERO, Time::from_secs(20));
-        let mut spec = NetworkSpec::from_topology(&t, 13);
-        spec.trace_cap = 256;
-        let mut net = Network::new(spec, &std_controller);
+        let mut net = Network::from_topology(&t, 13, &std_controller);
         net.run_until(Time::from_secs(20));
         let snap = net.snapshot("chain-3");
 
@@ -1304,7 +1198,6 @@ mod tests {
         );
         assert!(snap.scheduler.scheduled_total >= snap.scheduler.dispatched_total);
         assert!(snap.scheduler.depth_high_water > 0);
-        assert!(snap.trace_records > 0);
         let tx_ends = snap
             .scheduler
             .dispatched_by_kind
@@ -1344,9 +1237,7 @@ mod tests {
         // spec and seed.
         let snap_text = || {
             let t = topo::chain(3, Time::ZERO, Time::from_secs(15));
-            let mut spec = NetworkSpec::from_topology(&t, 17);
-            spec.trace_cap = 64;
-            let mut net = Network::new(spec, &std_controller);
+            let mut net = Network::from_topology(&t, 17, &std_controller);
             net.run_until(Time::from_secs(15));
             let mut snap = net.snapshot("stability");
             snap.perf = PerfSnapshot::zeroed();
@@ -1375,22 +1266,6 @@ mod tests {
             owned.contains("per_hop"),
             "pin run must exercise the latency section"
         );
-    }
-
-    #[test]
-    fn trace_exports_typed_payloads_as_jsonl() {
-        let t = topo::chain(2, Time::ZERO, Time::from_secs(10));
-        let mut spec = NetworkSpec::from_topology(&t, 21);
-        spec.trace_cap = 4096;
-        let mut net = Network::new(spec, &std_controller);
-        net.run_until(Time::from_secs(10));
-        let jsonl = net.trace.to_jsonl();
-        let parsed = ezflow_sim::TraceRing::parse_jsonl(&jsonl).unwrap();
-        assert_eq!(parsed.len(), net.trace.len());
-        // Typed payloads survived the trip: at least one frame record.
-        assert!(parsed
-            .iter()
-            .any(|ev| matches!(ev.payload, ezflow_sim::TracePayload::Frame { .. })));
     }
 
     #[test]

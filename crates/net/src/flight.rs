@@ -1,10 +1,9 @@
 //! The packet flight recorder.
 //!
-//! Where the [`TraceRing`](ezflow_sim::TraceRing) answers "what happened
-//! recently, anywhere?", the [`FlightRecorder`] answers "what happened to
-//! *this packet*?". Every data packet admitted while the recorder is
-//! enabled gets a journey — the time-ordered list of its lifecycle
-//! [`TraceEvent`]s from source admission through every hop's
+//! The [`FlightRecorder`] answers "what happened to *this packet*?". Every
+//! data packet admitted while the recorder is enabled gets a journey — the
+//! time-ordered list of its lifecycle [`TraceEvent`]s (see
+//! [`crate::lifecycle`]) from source admission through every hop's
 //! enqueue/dequeue/attempt to terminal delivery or drop. The engine feeds
 //! it; the `trace` inspector CLI and the experiment harness read the JSONL
 //! export.
@@ -32,10 +31,9 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use ezflow_sim::{
-    BoeVerdict, DropCause, FrameClass, JsonWriter, RxOutcome, Time, TraceEvent, TraceKind,
-    TracePayload,
-};
+use ezflow_sim::{JsonWriter, Time};
+
+use crate::lifecycle::{DropCause, TraceEvent, TracePayload};
 
 /// Records per storage block. Most journeys are either a source drop (two
 /// records) or a multi-hop delivery (dozens): four keeps the first kind to
@@ -45,121 +43,13 @@ const BLOCK_EVENTS: usize = 4;
 /// "No block": the end of a chain, or an empty free list.
 const NIL: u32 = u32::MAX;
 
-/// What a held record says beyond its packet id, which its journey keeps:
-/// the lifecycle variants of [`TracePayload`], `seq` taken out.
-#[derive(Clone, Copy, Debug)]
-enum Step {
-    Admit {
-        flow: u32,
-    },
-    Enqueue {
-        flow: u32,
-        occupancy: u32,
-        cap: u32,
-    },
-    Dequeue {
-        flow: u32,
-    },
-    Attempt {
-        attempt: u32,
-        cw: u32,
-        slots: u32,
-    },
-    RxOutcome {
-        class: FrameClass,
-        outcome: RxOutcome,
-    },
-    BoeOverhear {
-        verdict: BoeVerdict,
-    },
-    Deliver {
-        flow: u32,
-    },
-    Drop {
-        cause: DropCause,
-    },
-}
-
-impl Step {
-    /// A lifecycle payload as its packet id and the rest; `None` for the
-    /// variants no journey records (frames, collisions, window moves).
-    fn split(payload: TracePayload) -> Option<(u64, Step)> {
-        Some(match payload {
-            TracePayload::Admit { seq, flow } => (seq, Step::Admit { flow }),
-            TracePayload::Enqueue {
-                seq,
-                flow,
-                occupancy,
-                cap,
-            } => (
-                seq,
-                Step::Enqueue {
-                    flow,
-                    occupancy,
-                    cap,
-                },
-            ),
-            TracePayload::Dequeue { seq, flow } => (seq, Step::Dequeue { flow }),
-            TracePayload::Attempt {
-                seq,
-                attempt,
-                cw,
-                slots,
-            } => (seq, Step::Attempt { attempt, cw, slots }),
-            TracePayload::RxOutcome {
-                seq,
-                class,
-                outcome,
-            } => (seq, Step::RxOutcome { class, outcome }),
-            TracePayload::BoeOverhear { seq, verdict } => (seq, Step::BoeOverhear { verdict }),
-            TracePayload::Deliver { seq, flow } => (seq, Step::Deliver { flow }),
-            TracePayload::Drop { cause, seq } => (seq, Step::Drop { cause }),
-            TracePayload::Frame { .. }
-            | TracePayload::Collision { .. }
-            | TracePayload::CwChange { .. } => return None,
-        })
-    }
-
-    /// The payload again, packet id `seq` put back.
-    fn payload(self, seq: u64) -> TracePayload {
-        match self {
-            Step::Admit { flow } => TracePayload::Admit { seq, flow },
-            Step::Enqueue {
-                flow,
-                occupancy,
-                cap,
-            } => TracePayload::Enqueue {
-                seq,
-                flow,
-                occupancy,
-                cap,
-            },
-            Step::Dequeue { flow } => TracePayload::Dequeue { seq, flow },
-            Step::Attempt { attempt, cw, slots } => TracePayload::Attempt {
-                seq,
-                attempt,
-                cw,
-                slots,
-            },
-            Step::RxOutcome { class, outcome } => TracePayload::RxOutcome {
-                seq,
-                class,
-                outcome,
-            },
-            Step::BoeOverhear { verdict } => TracePayload::BoeOverhear { seq, verdict },
-            Step::Deliver { flow } => TracePayload::Deliver { seq, flow },
-            Step::Drop { cause } => TracePayload::Drop { cause, seq },
-        }
-    }
-}
-
-/// One held lifecycle record: a [`TraceEvent`] less its packet id.
+/// One held lifecycle record: a [`TraceEvent`] less its packet id, which
+/// its journey keeps.
 #[derive(Clone, Copy, Debug)]
 struct Record {
     at: Time,
     node: u32,
-    kind: TraceKind,
-    step: Step,
+    payload: TracePayload,
 }
 
 // Half a `TraceEvent`: four records and a block's link in 136 bytes.
@@ -171,8 +61,8 @@ impl Record {
         TraceEvent {
             at: self.at,
             node: self.node as usize,
-            kind: self.kind,
-            payload: self.step.payload(seq),
+            seq,
+            payload: self.payload,
         }
     }
 }
@@ -182,8 +72,7 @@ impl Record {
 const UNUSED: Record = Record {
     at: Time::ZERO,
     node: 0,
-    kind: TraceKind::Admit,
-    step: Step::Admit { flow: 0 },
+    payload: TracePayload::Admit { flow: 0 },
 };
 
 /// [`BLOCK_EVENTS`] consecutive records of one journey, linked to the
@@ -267,7 +156,7 @@ pub struct FlightRecorder {
 }
 
 // The recorder lives inside `Network`, which sweep runners move across
-// threads; keep it `Send` (compile-time check, like `TraceRing`'s).
+// threads; keep it `Send` (a compile-time check).
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<FlightRecorder>();
@@ -283,27 +172,15 @@ pub struct JourneyMut<'a> {
 }
 
 impl JourneyMut<'_> {
-    /// Appends one lifecycle record: `payload` is a lifecycle variant
-    /// (admit, enqueue, dequeue, attempt, rx_outcome, boe_overhear,
-    /// deliver, drop) naming this journey's packet, and `node` a node id.
-    /// Finished journeys are sealed: the terminal delivery/drop is the
-    /// packet's last word, and trailing MAC bookkeeping that reuses its
-    /// sequence number (the final hop ACK's decode outcome, duplicate
-    /// deliveries of a retransmission) is not appended.
-    pub fn push(&mut self, at: Time, node: usize, kind: TraceKind, payload: TracePayload) {
-        let (seq, step) = Step::split(payload).expect("journeys hold lifecycle records only");
-        let journey = self.recorder.journeys[self.slot as usize];
-        assert_eq!(seq, journey.seq, "a record of another packet's journey");
+    /// Appends one record of this journey's packet at `node`. Finished
+    /// journeys are sealed: the terminal delivery/drop is the packet's
+    /// last word, and trailing MAC bookkeeping that reuses its sequence
+    /// number (the final hop ACK's decode outcome, duplicate deliveries of
+    /// a retransmission) is not appended.
+    pub fn push(&mut self, at: Time, node: usize, payload: TracePayload) {
         let node = u32::try_from(node).expect("node ids fit 32 bits");
-        self.recorder.append(
-            self.slot,
-            Record {
-                at,
-                node,
-                kind,
-                step,
-            },
-        );
+        self.recorder
+            .append(self.slot, Record { at, node, payload });
     }
 
     /// Marks the journey as finished (delivered or dropped), making it
@@ -390,12 +267,7 @@ impl FlightRecorder {
             recorder: self,
             slot,
         };
-        journey.push(
-            at,
-            node,
-            TraceKind::Admit,
-            TracePayload::Admit { seq, flow },
-        );
+        journey.push(at, node, TracePayload::Admit { flow });
         Some(journey)
     }
 
@@ -538,15 +410,12 @@ impl FlightRecorder {
 }
 
 /// Groups a flat event list (e.g. a parsed JSONL export) into per-packet
-/// journeys, keyed by packet id. Events without a packet id (`Queue`,
-/// `CwChange`, ...) are ignored. Within a journey the input order is
+/// journeys, keyed by packet id. Within a journey the input order is
 /// preserved, which for recorder exports is lifecycle order.
 pub fn group_journeys(events: &[TraceEvent]) -> BTreeMap<u64, Vec<TraceEvent>> {
     let mut out: BTreeMap<u64, Vec<TraceEvent>> = BTreeMap::new();
     for ev in events {
-        if let Some(seq) = ev.payload.packet() {
-            out.entry(seq).or_default().push(*ev);
-        }
+        out.entry(ev.seq).or_default().push(*ev);
     }
     out
 }
@@ -612,7 +481,7 @@ pub fn summarize_journey(seq: u64, events: &[TraceEvent]) -> JourneySummary {
                 s.flow.get_or_insert(flow);
                 s.delivered.get_or_insert((ev.at, ev.node));
             }
-            TracePayload::Drop { cause, .. } if ev.kind == TraceKind::Drop => {
+            TracePayload::Drop { cause } => {
                 s.dropped.get_or_insert((ev.at, ev.node, cause));
             }
             _ => {}
@@ -657,7 +526,7 @@ mod tests {
             }
         }
 
-        fn admit(&mut self, seq: u64, event: TraceEvent) -> bool {
+        fn admit(&mut self, event: TraceEvent) -> bool {
             if self.cap == 0 {
                 return false;
             }
@@ -677,13 +546,13 @@ mod tests {
                 self.journeys.retain(|j| j.0 != oldest);
                 self.stats.evicted += 1;
             }
-            self.journeys.push((seq, vec![event], false));
+            self.journeys.push((event.seq, vec![event], false));
             self.stats.tracked += 1;
             true
         }
 
-        fn record(&mut self, seq: u64, event: TraceEvent) {
-            if let Some(j) = self.journeys.iter_mut().find(|j| j.0 == seq && !j.2) {
+        fn record(&mut self, event: TraceEvent) {
+            if let Some(j) = self.journeys.iter_mut().find(|j| j.0 == event.seq && !j.2) {
                 j.1.push(event);
             }
         }
@@ -734,17 +603,17 @@ mod tests {
                         // Packet ids are unique and rising, with gaps.
                         next_seq += 1 + pick % 3;
                         let ev = admit_ev(at, (pick % 5) as usize, next_seq);
-                        prop_assert_eq!(admit(&mut fr, ev), model.admit(next_seq, ev));
+                        prop_assert_eq!(admit(&mut fr, ev), model.admit(ev));
                     }
                     3..=5 => {
                         let ev = ev(
                             at,
                             (pick % 5) as usize,
-                            TraceKind::Dequeue,
-                            TracePayload::Dequeue { seq: target, flow: (pick >> 8) as u32 },
+                            target,
+                            TracePayload::Dequeue { flow: (pick >> 8) as u32 },
                         );
-                        record(&mut fr, target, ev);
-                        model.record(target, ev);
+                        record(&mut fr, ev);
+                        model.record(ev);
                     }
                     _ => {
                         complete(&mut fr, target);
@@ -768,16 +637,16 @@ mod tests {
 
     /// Offers `ev`'s packet with `ev` (an `Admit`) as its first record.
     fn admit(fr: &mut FlightRecorder, ev: TraceEvent) -> bool {
-        let TracePayload::Admit { seq, flow } = ev.payload else {
+        let TracePayload::Admit { flow } = ev.payload else {
             panic!("not an admission: {ev:?}");
         };
-        fr.admit(ev.at, ev.node, seq, flow).is_some()
+        fr.admit(ev.at, ev.node, ev.seq, flow).is_some()
     }
 
-    /// Appends `ev` to packet `seq`'s journey, if it is tracked.
-    fn record(fr: &mut FlightRecorder, seq: u64, ev: TraceEvent) {
-        if let Some(mut j) = fr.journey_mut(seq) {
-            j.push(ev.at, ev.node, ev.kind, ev.payload);
+    /// Appends `ev` to its packet's journey, if it is tracked.
+    fn record(fr: &mut FlightRecorder, ev: TraceEvent) {
+        if let Some(mut j) = fr.journey_mut(ev.seq) {
+            j.push(ev.at, ev.node, ev.payload);
         }
     }
 
@@ -801,16 +670,14 @@ mod tests {
             if seq.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 60 < 11 {
                 let drop = TracePayload::Drop {
                     cause: DropCause::SourceQueueFull,
-                    seq,
                 };
-                journey.push(t(seq), 0, TraceKind::Drop, drop);
+                journey.push(t(seq), 0, drop);
                 journey.complete();
             } else {
                 open.push_back((seq, 1));
             }
             for (s, n) in open.iter_mut() {
-                let hop = TracePayload::Dequeue { seq: *s, flow: 0 };
-                record(fr, *s, ev(seq, 1, TraceKind::Dequeue, hop));
+                record(fr, ev(seq, 1, *s, TracePayload::Dequeue { flow: 0 }));
                 *n += 1;
             }
             while open.front().is_some_and(|&(_, n)| n == 60) {
@@ -874,19 +741,14 @@ mod tests {
     }
 
     fn admit_ev(us: u64, node: usize, seq: u64) -> TraceEvent {
-        TraceEvent {
-            at: t(us),
-            node,
-            kind: TraceKind::Admit,
-            payload: TracePayload::Admit { seq, flow: 1 },
-        }
+        ev(us, node, seq, TracePayload::Admit { flow: 1 })
     }
 
-    fn ev(us: u64, node: usize, kind: TraceKind, payload: TracePayload) -> TraceEvent {
+    fn ev(us: u64, node: usize, seq: u64, payload: TracePayload) -> TraceEvent {
         TraceEvent {
             at: t(us),
             node,
-            kind,
+            seq,
             payload,
         }
     }
@@ -908,29 +770,18 @@ mod tests {
         assert!(admit(&mut fr, admit_ev(0, 0, 7)));
         record(
             &mut fr,
-            7,
             ev(
                 1,
                 0,
-                TraceKind::Enqueue,
+                7,
                 TracePayload::Enqueue {
-                    seq: 7,
                     flow: 1,
                     occupancy: 1,
                     cap: 50,
                 },
             ),
         );
-        record(
-            &mut fr,
-            7,
-            ev(
-                2,
-                2,
-                TraceKind::Deliver,
-                TracePayload::Deliver { seq: 7, flow: 1 },
-            ),
-        );
+        record(&mut fr, ev(2, 2, 7, TracePayload::Deliver { flow: 1 }));
         complete(&mut fr, 7);
         let j = fr.journey(7).unwrap();
         assert_eq!(j.len(), 3);
@@ -941,7 +792,7 @@ mod tests {
     #[test]
     fn untracked_records_are_dropped() {
         let mut fr = FlightRecorder::new(4);
-        record(&mut fr, 99, admit_ev(0, 0, 99));
+        record(&mut fr, admit_ev(0, 0, 99));
         assert_eq!(fr.packets(), 0);
         assert_eq!(fr.events(), 0);
     }
@@ -989,29 +840,15 @@ mod tests {
         let mut fr = FlightRecorder::new(1);
         let drop = TracePayload::Drop {
             cause: DropCause::SourceQueueFull,
-            seq: 4,
         };
         let mut j = fr.admit(t(3), 2, 4, 1).expect("an empty recorder takes it");
-        j.push(t(3), 2, TraceKind::Drop, drop);
+        j.push(t(3), 2, drop);
         j.complete();
-        let want = vec![admit_ev(3, 2, 4), ev(3, 2, TraceKind::Drop, drop)];
+        let want = vec![admit_ev(3, 2, 4), ev(3, 2, 4, drop)];
         assert_eq!(fr.journey(4), Some(want));
         // Completed through the handle, so the next admission may evict it.
         assert!(fr.admit(t(4), 2, 5, 1).is_some());
         assert_eq!(fr.stats().evicted, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "lifecycle records only")]
-    fn a_journey_refuses_records_that_are_not_lifecycle_steps() {
-        let mut fr = FlightRecorder::new(1);
-        let mut j = fr.admit(t(0), 0, 1, 0).unwrap();
-        j.push(
-            t(1),
-            0,
-            TraceKind::CwChange,
-            TracePayload::CwChange { from: 16, to: 32 },
-        );
     }
 
     #[test]
@@ -1030,94 +867,40 @@ mod tests {
         let mut fr = FlightRecorder::new(8);
         admit(&mut fr, admit_ev(5, 0, 2));
         admit(&mut fr, admit_ev(3, 0, 1));
-        record(
-            &mut fr,
-            1,
-            ev(
-                9,
-                1,
-                TraceKind::Deliver,
-                TracePayload::Deliver { seq: 1, flow: 1 },
-            ),
-        );
-        record(
-            &mut fr,
-            2,
-            ev(
-                7,
-                1,
-                TraceKind::Deliver,
-                TracePayload::Deliver { seq: 2, flow: 1 },
-            ),
-        );
+        record(&mut fr, ev(9, 1, 1, TracePayload::Deliver { flow: 1 }));
+        record(&mut fr, ev(7, 1, 2, TracePayload::Deliver { flow: 1 }));
         let jsonl = fr.to_jsonl();
-        let parsed = ezflow_sim::TraceRing::parse_jsonl(&jsonl).unwrap();
+        let parsed = crate::lifecycle::parse_jsonl(&jsonl).unwrap();
         assert_eq!(parsed.len(), 4);
         assert!(parsed.windows(2).all(|w| w[0].at <= w[1].at));
     }
 
     #[test]
     fn group_and_summarize_reconstruct_a_delivery_and_a_drop() {
+        let enqueue = TracePayload::Enqueue {
+            flow: 1,
+            occupancy: 1,
+            cap: 50,
+        };
+        let attempt = |slots| TracePayload::Attempt {
+            attempt: 0,
+            cw: 32,
+            slots,
+        };
         let events = vec![
             admit_ev(0, 0, 1),
-            ev(
-                0,
-                0,
-                TraceKind::Enqueue,
-                TracePayload::Enqueue {
-                    seq: 1,
-                    flow: 1,
-                    occupancy: 1,
-                    cap: 50,
-                },
-            ),
-            ev(
-                1,
-                0,
-                TraceKind::Attempt,
-                TracePayload::Attempt {
-                    seq: 1,
-                    attempt: 0,
-                    cw: 32,
-                    slots: 9,
-                },
-            ),
-            ev(
-                2,
-                1,
-                TraceKind::Enqueue,
-                TracePayload::Enqueue {
-                    seq: 1,
-                    flow: 1,
-                    occupancy: 1,
-                    cap: 50,
-                },
-            ),
-            ev(
-                3,
-                1,
-                TraceKind::Attempt,
-                TracePayload::Attempt {
-                    seq: 1,
-                    attempt: 0,
-                    cw: 32,
-                    slots: 2,
-                },
-            ),
-            ev(
-                4,
-                2,
-                TraceKind::Deliver,
-                TracePayload::Deliver { seq: 1, flow: 1 },
-            ),
+            ev(0, 0, 1, enqueue),
+            ev(1, 0, 1, attempt(9)),
+            ev(2, 1, 1, enqueue),
+            ev(3, 1, 1, attempt(2)),
+            ev(4, 2, 1, TracePayload::Deliver { flow: 1 }),
             admit_ev(1, 3, 9),
             ev(
                 5,
                 3,
-                TraceKind::Drop,
+                9,
                 TracePayload::Drop {
                     cause: DropCause::RetryLimit,
-                    seq: 9,
                 },
             ),
         ];

@@ -42,6 +42,7 @@ pub mod controller;
 pub mod engine;
 pub mod flight;
 mod hot;
+pub mod lifecycle;
 pub mod metrics;
 pub mod network;
 pub mod node;

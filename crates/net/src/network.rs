@@ -34,7 +34,7 @@ use std::collections::VecDeque;
 
 use ezflow_mac::MacStats;
 use ezflow_phy::{Channel, ChannelStats, FrameArena};
-use ezflow_sim::{Duration, Scheduler, SimRng, Time, TraceRing};
+use ezflow_sim::{Duration, Scheduler, SimRng, Time};
 
 pub use crate::builder::NetworkSpec;
 pub use crate::transport::TRANSPORT_ACK_FLOW;
@@ -91,8 +91,6 @@ pub struct Network {
     pub(crate) backlog_every: Option<Duration>,
     /// Recorded measurements.
     pub metrics: Metrics,
-    /// Event trace ring.
-    pub trace: TraceRing,
     /// Per-packet lifecycle recorder (disabled unless the spec sets
     /// `flight_cap > 0`).
     pub flight: FlightRecorder,

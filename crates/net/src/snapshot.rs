@@ -365,9 +365,6 @@ pub struct PerfSnapshot {
     pub sched_overflow_refills: u64,
     /// Deepest any single calendar-queue bucket ever got.
     pub sched_bucket_high_water: u64,
-    /// Trace-ring records pushed but no longer held (evicted by the
-    /// bounded ring, or never stored because tracing was disabled).
-    pub trace_evictions: u64,
     /// Peak live-frame population of the frame arena — the run's frame
     /// memory footprint in ~100-byte slots (the slab never shrinks).
     pub arena_high_water: u64,
@@ -400,7 +397,6 @@ impl PerfSnapshot {
             sched_rotations: 0,
             sched_overflow_refills: 0,
             sched_bucket_high_water: 0,
-            trace_evictions: 0,
             arena_high_water: 0,
             handler_ns: [0; crate::engine::PROFILE_KINDS],
             telemetry_windows: 0,
@@ -427,7 +423,9 @@ impl PerfSnapshot {
                 "sched_bucket_high_water",
                 self.sched_bucket_high_water.into(),
             ),
-            ("trace_evictions", self.trace_evictions.into()),
+            // A dead key, kept in place until the next schema bump so
+            // schema-2 documents keep their bytes; the reader skips it.
+            ("trace_evictions", 0u64.into()),
             ("arena_high_water", self.arena_high_water.into()),
         ];
         // Profiler and telemetry keys appear only when those features ran:
@@ -472,7 +470,6 @@ impl PerfSnapshot {
             sched_rotations: get_u64(v, "sched_rotations")?,
             sched_overflow_refills: get_u64(v, "sched_overflow_refills")?,
             sched_bucket_high_water: get_u64(v, "sched_bucket_high_water")?,
-            trace_evictions: get_u64(v, "trace_evictions")?,
             // Absent in pre-arena snapshots; read leniently so archived
             // run artifacts still parse.
             arena_high_water: v
@@ -915,8 +912,6 @@ pub struct RunSnapshot {
     pub perf: PerfSnapshot,
     /// Per-flow and per-hop latency histograms.
     pub latency: LatencySnapshot,
-    /// Trace records ever pushed (including evicted or disabled ones).
-    pub trace_records: u64,
     /// Turbulence/stability verdict from the telemetry rings. `None` —
     /// and the JSON key absent — when the run had telemetry off, keeping
     /// telemetry-off snapshots byte-identical to the pre-telemetry
@@ -956,7 +951,8 @@ impl RunSnapshot {
             ("scheduler", self.scheduler.to_json()),
             ("perf", self.perf.to_json()),
             ("latency", latency),
-            ("trace_records", self.trace_records.into()),
+            // Dead, like `perf.trace_evictions`: a literal 0 in its place.
+            ("trace_records", 0u64.into()),
         ];
         if let Some(st) = &self.stability {
             fields.push(("stability", st.to_json()));
@@ -994,7 +990,6 @@ impl RunSnapshot {
             scheduler: SchedulerSnapshot::from_json(get_obj(v, "scheduler")?)?,
             perf: PerfSnapshot::from_json(get_obj(v, "perf")?)?,
             latency: LatencySnapshot::from_json(get_obj(v, "latency")?)?,
-            trace_records: get_u64(v, "trace_records")?,
             stability: v
                 .get("stability")
                 .map(StabilitySnapshot::from_json)
@@ -1073,7 +1068,6 @@ mod tests {
                 sched_rotations: 11,
                 sched_overflow_refills: 2,
                 sched_bucket_high_water: 5,
-                trace_evictions: 3,
                 arena_high_water: 120,
                 handler_ns: [0; crate::engine::PROFILE_KINDS],
                 telemetry_windows: 0,
@@ -1093,7 +1087,6 @@ mod tests {
                     h
                 }],
             },
-            trace_records: 12345,
             stability: None,
             controller: None,
         }

@@ -4,10 +4,11 @@
 
 use ezflow_net::controller::{Controller, FixedController};
 use ezflow_net::flight::{group_journeys, summarize_journey};
+use ezflow_net::lifecycle::{parse_jsonl, DropCause, TracePayload};
 use ezflow_net::network::{Network, NetworkSpec};
 use ezflow_net::snapshot::PerfSnapshot;
 use ezflow_net::topo;
-use ezflow_sim::{DropCause, Time, TraceKind, TracePayload, TraceRing};
+use ezflow_sim::Time;
 
 fn std_controller(_id: usize) -> Box<dyn Controller> {
     Box::new(FixedController::standard())
@@ -15,11 +16,10 @@ fn std_controller(_id: usize) -> Box<dyn Controller> {
 
 /// Scenario 1 with the recorder on, run for `secs` seconds (flow F1
 /// starts at 5 s; F2 only at 605 s, far past these runs).
-fn run_scenario1(secs: u64, flight_cap: usize, trace_cap: usize) -> Network {
+fn run_scenario1(secs: u64, flight_cap: usize) -> Network {
     let t = topo::scenario1();
     let mut spec = NetworkSpec::from_topology(&t, 42);
     spec.flight_cap = flight_cap;
-    spec.trace_cap = trace_cap;
     let mut net = Network::new(spec, &std_controller);
     net.run_until(Time::from_secs(secs));
     net
@@ -27,13 +27,13 @@ fn run_scenario1(secs: u64, flight_cap: usize, trace_cap: usize) -> Network {
 
 #[test]
 fn delivered_packet_journey_reconstructs_the_full_hop_sequence() {
-    let net = run_scenario1(30, 4096, 0);
+    let net = run_scenario1(30, 4096);
     assert!(net.metrics.delivered[&0] > 0, "F1 must deliver");
 
     // Parse the recorder's own JSONL export — the same path the `trace`
     // CLI consumes — and reconstruct journeys from it.
     let jsonl = net.flight.to_jsonl();
-    let events = TraceRing::parse_jsonl(&jsonl).expect("export parses");
+    let events = parse_jsonl(&jsonl).expect("export parses");
     let journeys = group_journeys(&events);
     let delivered: Vec<_> = journeys
         .iter()
@@ -66,28 +66,32 @@ fn delivered_packet_journey_reconstructs_the_full_hop_sequence() {
     // The raw journey interleaves the lifecycle correctly: it starts with
     // Admit and every hop shows Enqueue before Dequeue.
     let raw = net.flight.journey(complete.seq).unwrap();
-    assert_eq!(raw[0].kind, TraceKind::Admit);
-    let kinds: Vec<TraceKind> = raw.iter().map(|e| e.kind).collect();
-    let first_deq = kinds.iter().position(|&k| k == TraceKind::Dequeue).unwrap();
-    let first_enq = kinds.iter().position(|&k| k == TraceKind::Enqueue).unwrap();
+    assert!(matches!(raw[0].payload, TracePayload::Admit { .. }));
+    let first = |hit: fn(&TracePayload) -> bool| raw.iter().position(|e| hit(&e.payload)).unwrap();
+    let first_deq = first(|p| matches!(p, TracePayload::Dequeue { .. }));
+    let first_enq = first(|p| matches!(p, TracePayload::Enqueue { .. }));
     assert!(first_enq < first_deq, "enqueue precedes dequeue");
-    assert_eq!(*kinds.last().unwrap(), TraceKind::Deliver);
+    assert!(matches!(
+        raw.last().unwrap().payload,
+        TracePayload::Deliver { .. }
+    ));
     // On a clean channel, every recorded decode outcome for this packet's
     // data transmissions is accounted for (clean/capture/collision/loss).
     assert!(
-        raw.iter().any(|e| e.kind == TraceKind::RxOutcome),
+        raw.iter()
+            .any(|e| matches!(e.payload, TracePayload::RxOutcome { .. })),
         "decode outcomes recorded"
     );
 }
 
 #[test]
 fn dropped_packet_journey_terminates_in_the_correct_drop_cause() {
-    let net = run_scenario1(35, 8192, 0);
+    let net = run_scenario1(35, 8192);
     let total_source: u64 = net.metrics.source_drops.values().sum();
     assert!(total_source > 0, "a saturating CBR source must overflow");
 
     let jsonl = net.flight.to_jsonl();
-    let events = TraceRing::parse_jsonl(&jsonl).expect("export parses");
+    let events = parse_jsonl(&jsonl).expect("export parses");
     let journeys = group_journeys(&events);
 
     let mut saw_source_full = false;
@@ -102,7 +106,10 @@ fn dropped_packet_journey_terminates_in_the_correct_drop_cause() {
             s.delivered.is_none(),
             "seq {seq} both dropped and delivered"
         );
-        assert_eq!(evs.last().unwrap().kind, TraceKind::Drop);
+        assert!(matches!(
+            evs.last().unwrap().payload,
+            TracePayload::Drop { .. }
+        ));
         match cause {
             DropCause::SourceQueueFull => {
                 assert_eq!(node, 12, "F1 source drops happen at N12");
@@ -124,19 +131,19 @@ fn dropped_packet_journey_terminates_in_the_correct_drop_cause() {
 
 #[test]
 fn every_drop_counter_is_matched_by_trace_events() {
-    // Satellite check: each drop path emits a typed `Drop` trace record,
-    // so trace counts re-derive the counters exactly. The ring must be
-    // large enough that nothing was evicted, or the census is partial.
-    let net = run_scenario1(25, 0, 1 << 19);
-    assert_eq!(
-        net.trace.pushed_total(),
-        net.trace.len() as u64,
-        "ring evicted records; raise the cap for an exact census"
+    // Each drop path ends the packet's journey with a typed `Drop`
+    // record, so the recorder's census re-derives the counters exactly.
+    // The recorder must have kept every journey, or the census is partial.
+    let net = run_scenario1(25, 1 << 16);
+    let stats = net.flight.stats();
+    assert!(
+        stats.skipped == 0 && stats.evicted == 0,
+        "the recorder sampled or evicted ({stats:?}); raise the cap for an exact census"
     );
 
     let mut by_cause = std::collections::BTreeMap::new();
-    for ev in net.trace.iter() {
-        if let TracePayload::Drop { cause, .. } = ev.payload {
+    for ev in parse_jsonl(&net.flight.to_jsonl()).expect("export parses") {
+        if let TracePayload::Drop { cause } = ev.payload {
             *by_cause.entry(cause.name()).or_insert(0u64) += 1;
         }
     }
@@ -169,7 +176,7 @@ fn every_drop_counter_is_matched_by_trace_events() {
 
 #[test]
 fn latency_histograms_populate_and_round_trip() {
-    let mut net = run_scenario1(30, 0, 0);
+    let mut net = run_scenario1(30, 0);
     let snap = net.snapshot("scenario1/hist");
 
     // Per-flow: every delivered F1 packet landed in the histogram.
@@ -202,7 +209,7 @@ fn recorder_on_and_off_produce_identical_simulations() {
     // bit-identical with the recorder on or off. (The hotpath golden gate
     // enforces the recorder-off half against the committed snapshot.)
     let snap_text = |flight_cap: usize| {
-        let mut net = run_scenario1(20, flight_cap, 0);
+        let mut net = run_scenario1(20, flight_cap);
         let mut snap = net.snapshot("interference");
         snap.perf = PerfSnapshot::zeroed();
         snap.to_json().to_pretty()
@@ -212,7 +219,7 @@ fn recorder_on_and_off_produce_identical_simulations() {
 
 #[test]
 fn flight_stats_account_for_every_admitted_packet() {
-    let net = run_scenario1(25, 512, 0);
+    let net = run_scenario1(25, 512);
     let st = net.flight.stats();
     // Everything offered was either tracked or (deterministically) skipped.
     let offered: u64 = st.tracked + st.skipped;
@@ -229,6 +236,6 @@ fn flight_stats_account_for_every_admitted_packet() {
         "tracked = retained + evicted"
     );
     // The export stays parseable under eviction pressure.
-    let parsed = TraceRing::parse_jsonl(&net.flight.to_jsonl()).unwrap();
+    let parsed = parse_jsonl(&net.flight.to_jsonl()).unwrap();
     assert_eq!(parsed.len(), net.flight.events());
 }

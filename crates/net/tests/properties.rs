@@ -1,10 +1,14 @@
 //! Property-based, whole-network invariants: for random chain lengths,
 //! loss rates, rates and seeds, the simulator must conserve packets,
-//! respect buffer bounds, and be a pure function of its inputs.
+//! respect buffer bounds, and be a pure function of its inputs. Plus the
+//! lifecycle records those networks export: every variant survives its
+//! JSONL round trip.
 
 use ezflow_net::controller::{Controller, FixedController};
-use ezflow_net::{topo, Network, NetworkSpec};
-use ezflow_sim::Time;
+use ezflow_net::lifecycle::{parse_jsonl, BoeVerdict, DropCause, TraceEvent, TracePayload};
+use ezflow_net::{topo, FlightRecorder, Network, NetworkSpec};
+use ezflow_phy::{DecodeOutcome, FrameKind};
+use ezflow_sim::{JsonWriter, Time};
 use proptest::prelude::*;
 
 fn std_controller(_: usize) -> Box<dyn Controller> {
@@ -124,7 +128,6 @@ proptest! {
         prop_assert!(late.scheduler.scheduled_total >= early.scheduler.scheduled_total);
         prop_assert!(late.scheduler.dispatched_total >= early.scheduler.dispatched_total);
         prop_assert!(late.scheduler.depth_high_water >= early.scheduler.depth_high_water);
-        prop_assert!(late.trace_records >= early.trace_records);
         for (e, l) in early
             .scheduler
             .dispatched_by_kind
@@ -158,5 +161,102 @@ proptest! {
 
         prop_assert!(late.channel.tx_started >= early.channel.tx_started);
         prop_assert!(late.channel.clean_deliveries >= early.channel.clean_deliveries);
+    }
+}
+
+/// JSON numbers are f64-backed, so ids only round-trip exactly below 2^53.
+const MAX_EXACT: u64 = 1 << 53;
+
+/// One arbitrary lifecycle payload; `pick` selects the variant, the
+/// remaining draws fill its fields.
+fn payload_of(pick: u64, b: u64, c: u64, d: u64) -> TracePayload {
+    let classes = [
+        FrameKind::Data,
+        FrameKind::Ack,
+        FrameKind::Rts,
+        FrameKind::Cts,
+    ];
+    let outcomes = [
+        DecodeOutcome::Clean,
+        DecodeOutcome::Capture,
+        DecodeOutcome::Collision,
+        DecodeOutcome::Loss,
+    ];
+    let verdicts = [BoeVerdict::Hit, BoeVerdict::Miss, BoeVerdict::Ambiguous];
+    let causes = [
+        DropCause::RetryLimit,
+        DropCause::QueueFull,
+        DropCause::SourceQueueFull,
+        DropCause::Unroutable,
+    ];
+    match pick % 8 {
+        0 => TracePayload::Admit { flow: b as u32 },
+        1 => TracePayload::Enqueue {
+            flow: b as u32,
+            occupancy: c as u32,
+            cap: d as u32,
+        },
+        2 => TracePayload::Dequeue { flow: b as u32 },
+        3 => TracePayload::Attempt {
+            attempt: (b % 16) as u32,
+            cw: c as u32,
+            slots: d as u32,
+        },
+        4 => TracePayload::RxOutcome {
+            class: classes[(b % 4) as usize],
+            outcome: outcomes[(c % 4) as usize],
+        },
+        5 => TracePayload::BoeOverhear {
+            verdict: verdicts[(b % 3) as usize],
+        },
+        6 => TracePayload::Deliver { flow: b as u32 },
+        _ => TracePayload::Drop {
+            cause: causes[(b % 4) as usize],
+        },
+    }
+}
+
+proptest! {
+    /// Every lifecycle payload variant survives a JSON round trip
+    /// (`write_json`, then the reader) for arbitrary field values.
+    #[test]
+    fn trace_event_json_round_trips_all_variants(
+        at in 0u64..MAX_EXACT,
+        node in 0usize..4096,
+        fields in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()), 1..40)
+    ) {
+        for (i, &(a, b, c, d)) in fields.iter().enumerate() {
+            // Variant index tracks position so a single run sweeps the
+            // whole enum; the draws randomise the fields.
+            let ev = TraceEvent {
+                at: Time::from_micros(at),
+                node,
+                seq: a % MAX_EXACT,
+                payload: payload_of(i as u64, b, c, d),
+            };
+            let mut line = JsonWriter::new();
+            ev.write_json(&mut line);
+            prop_assert_eq!(parse_jsonl(line.as_str()), Ok(vec![ev]), "payload {}", i % 8);
+        }
+    }
+
+    /// A flight recorder holding one journey per payload variant exports
+    /// JSONL that parses back to exactly the records held.
+    #[test]
+    fn trace_jsonl_round_trips_all_variants(
+        seeds in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()), 8)
+    ) {
+        let mut fr = FlightRecorder::new(64);
+        let mut held = Vec::new();
+        for (i, &(a, b, c, d)) in seeds.iter().enumerate() {
+            let (at, seq) = (Time::from_micros(i as u64), a % (MAX_EXACT / 8) * 8 + i as u64);
+            let payload = payload_of(i as u64, b, c, d);
+            let flow = (a >> 53) as u32;
+            fr.admit(at, i, seq, flow).expect("room for every journey").push(at, i, payload);
+            for payload in [TracePayload::Admit { flow }, payload] {
+                held.push(TraceEvent { at, node: i, seq, payload });
+            }
+        }
+        prop_assert_eq!(parse_jsonl(&fr.to_jsonl()), Ok(held));
     }
 }

@@ -14,9 +14,8 @@
 //!   Using our own generator (rather than `rand`'s `SmallRng`, whose stream
 //!   is not stable across crate versions) guarantees that recorded
 //!   experiment outputs stay reproducible.
-//! * [`TraceRing`] — a bounded in-memory trace of simulation events, the
-//!   moral equivalent of the `--pcap` option every smoltcp example carries:
-//!   invaluable when debugging MAC interactions, free when disabled.
+//! * [`JsonValue`] / [`JsonWriter`] — the in-tree JSON kernel every
+//!   report, snapshot and JSONL export is read and written with.
 //!
 //! The kernel follows the "simplicity and robustness" design goals of the
 //! Rust embedded-networking ecosystem: no `unsafe`, no clever type tricks,
@@ -29,12 +28,8 @@ pub mod json;
 pub mod rng;
 pub mod sched;
 pub mod time;
-pub mod trace;
 
 pub use json::{JsonError, JsonScalar, JsonValue, JsonWriter};
 pub use rng::SimRng;
 pub use sched::{SchedKind, Scheduler, TimerHandle, WheelStats};
 pub use time::{Duration, Time};
-pub use trace::{
-    BoeVerdict, DropCause, FrameClass, RxOutcome, TraceEvent, TraceKind, TracePayload, TraceRing,
-};

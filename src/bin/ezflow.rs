@@ -2,21 +2,21 @@
 //!
 //! ```text
 //! ezflow run --topo chain --hops 4 --secs 300 --controller ezflow
-//! ezflow run --topo scenario1 --controller 802.11 --trace 40
+//! ezflow run --topo scenario1 --controller 802.11
 //! ezflow run --topo testbed --controller ezflow-testbed --seed 7
 //! ezflow model --hops 4 --slots 200000 --adaptive
 //! ezflow topologies
 //! ```
 //!
 //! `run` simulates a topology under a chosen controller and prints a
-//! per-flow / per-node summary (plus, with `--trace N`, the last N on-air
-//! events). `model` runs the §6 slotted random walk. `topologies` lists
-//! what `--topo` accepts.
+//! per-flow / per-node summary. `model` runs the §6 slotted random walk.
+//! `topologies` lists what `--topo` accepts.
 //!
 //! `run` holds its flags to the limits a scenario spec is held to
 //! (`scenario::{MAX_NODES, MAX_DURATION_SECS, MAX_WINDOW}`) and validates
 //! the network before building it; `model` holds `--hops` and `--slots`
-//! to work that ends. A value out of range exits 2 naming the flag.
+//! to work that ends. A value out of range, or a flag the command does
+//! not know, exits 2 naming the flag.
 
 use std::process::ExitCode;
 
@@ -48,7 +48,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage:\n  ezflow run --topo <chain|testbed|scenario1|scenario2> \
                  [--hops N] [--secs N] [--controller <802.11|ezflow|ezflow-testbed|diffq|static-q>] \
-                 [--seed N] [--loss P] [--rts-cts] [--window N] [--trace N]\n  \
+                 [--seed N] [--loss P] [--rts-cts] [--window N]\n  \
                  ezflow model --hops N --slots N [--adaptive|--fixed] [--seed N]\n  \
                  ezflow topologies"
             );
@@ -84,7 +84,36 @@ fn rejected(complaint: String) -> ExitCode {
     ExitCode::from(2)
 }
 
+/// Checks that every argument is one of `valued` (each followed by its
+/// value) or `switches`: a stale or misspelt flag fails, naming itself,
+/// instead of being silently ignored.
+fn known_flags(args: &[String], valued: &[&str], switches: &[&str]) -> Result<(), ExitCode> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg.as_str()) {
+            rest.next();
+        } else if !switches.contains(&arg.as_str()) {
+            return Err(rejected(format!(
+                "unknown flag {arg} (run `ezflow` for usage)"
+            )));
+        }
+    }
+    Ok(())
+}
+
 fn cmd_run(args: &[String]) -> ExitCode {
+    let valued = [
+        "--topo",
+        "--hops",
+        "--secs",
+        "--controller",
+        "--seed",
+        "--loss",
+        "--window",
+    ];
+    if let Err(code) = known_flags(args, &valued, &["--rts-cts"]) {
+        return code;
+    }
     let topo_name = flag_value(args, "--topo").unwrap_or("chain");
     let hops: usize = parse(args, "--hops", 4);
     // A K-hop chain has K + 1 nodes; checked before one is allocated.
@@ -99,7 +128,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
     if !(0.0..=1.0).contains(&loss) {
         return rejected(format!("--loss {loss}: must be a probability in [0, 1]"));
     }
-    let trace: usize = parse(args, "--trace", 0);
     let controller = flag_value(args, "--controller").unwrap_or("ezflow");
     let window: usize = parse(args, "--window", 0);
     if window > MAX_WINDOW {
@@ -174,7 +202,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
         spec.loss = LossModel::uniform(loss);
     }
     spec.mac.rts_cts = flag_present(args, "--rts-cts");
-    spec.trace_cap = trace;
     if let Err(e) = spec.validate() {
         return rejected(format!("cannot build this network: {e}"));
     }
@@ -232,13 +259,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
             net.metrics.retry_drops[n],
         );
     }
-
-    if trace > 0 {
-        println!("\nlast {trace} on-air events:");
-        for ev in net.trace.iter() {
-            println!("  {ev}");
-        }
-    }
     ExitCode::SUCCESS
 }
 
@@ -254,6 +274,13 @@ fn clamp_flows(t: &mut Topology, until: Time) {
 }
 
 fn cmd_model(args: &[String]) -> ExitCode {
+    if let Err(code) = known_flags(
+        args,
+        &["--hops", "--slots", "--seed"],
+        &["--adaptive", "--fixed"],
+    ) {
+        return code;
+    }
     let hops: usize = parse(args, "--hops", 4);
     // The model needs a relay buffer to walk: two hops at least.
     if !(2..=MODEL_MAX_HOPS).contains(&hops) {

@@ -7,7 +7,7 @@
 //!
 //! | crate | what it is |
 //! |---|---|
-//! | [`sim`] | deterministic discrete-event kernel (scheduler, PCG32, trace) |
+//! | [`sim`] | deterministic discrete-event kernel (scheduler, PCG32, JSON) |
 //! | [`phy`] | radio model: ranges, capture, per-link loss, shared channel |
 //! | [`mac`] | IEEE 802.11 DCF (CSMA/CA, backoff, ACK/retry, `CWmin`) |
 //! | [`net`] | queues, static routing, CBR traffic, topologies, event loop |

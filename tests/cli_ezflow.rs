@@ -71,6 +71,16 @@ fn hops_bind_only_the_chain() {
 }
 
 #[test]
+fn an_unknown_flag_exits_2_naming_it() {
+    // A flag a command does not know fails loudly instead of being
+    // ignored, wherever it sits on the line.
+    assert_rejected(&["run", "--hops", "2", "--trace", "20"], "--trace");
+    assert_rejected(&["run", "--bogus"], "--bogus");
+    assert_rejected(&["model", "--trace", "20"], "--trace");
+    assert_rejected(&["model", "--bogus"], "--bogus");
+}
+
+#[test]
 fn a_model_that_cannot_step_or_cannot_end_exits_2_naming_the_flag() {
     // Once an assertion in `SlottedModel::new` (no relay to walk)...
     assert_rejected(&["model", "--hops", "0"], "--hops");

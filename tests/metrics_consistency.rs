@@ -74,21 +74,3 @@ fn counters_are_mutually_consistent() {
     // 6. Sampling covered the whole run.
     assert_eq!(net.metrics.buffer[0].len() as u64, secs);
 }
-
-#[test]
-fn trace_ring_records_when_enabled() {
-    let secs = 10;
-    let until = Time::from_secs(secs);
-    let topo = chain(2, Time::ZERO, until);
-    let mut spec = NetworkSpec::from_topology(&topo, 2);
-    spec.trace_cap = 512;
-    let mut net = Network::new(spec, &|_| {
-        Box::new(FixedController::standard()) as Box<dyn Controller>
-    });
-    net.run_until(until);
-    assert!(net.trace.pushed_total() > 100, "tx events must be traced");
-    let text = net.trace.render();
-    assert!(text.contains("TxStart"));
-    assert!(text.contains("Data"));
-    assert!(text.contains("Ack"));
-}
