@@ -36,7 +36,8 @@
 //!
 //! The whole command line is checked before the first experiment starts:
 //! a malformed flag value (`--seed=abc`, `--telemetry-ms=0`), an unknown
-//! `--flag`, an unknown id, an unreadable spec, one directory given to
+//! or bare `--flag`, an unknown id, a spec that cannot be read, does not
+//! compile or names a controller the harness lacks, one directory given to
 //! both `--trace-dir` and `--telemetry-dir`, or a `--time` factor that
 //! scales a spec's duration — or the named experiments' longest
 //! timeline — out of bounds is a usage error: one line on stderr naming
@@ -103,7 +104,6 @@ fn main() -> ExitCode {
                 specs.push(std::path::PathBuf::from(&s["--spec=".len()..]));
             }
             "--markdown" => markdown = true,
-            "--seed" => {}
             s if s.starts_with("--seed=") => {
                 scale.seed = flag_value("--seed", &s["--seed=".len()..], "a non-negative integer");
             }
@@ -224,14 +224,14 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     }
-    let mut loaded = Vec::with_capacity(specs.len());
+    let mut prepared = Vec::with_capacity(specs.len());
     for path in &specs {
-        let checked = experiments::spec::load(path).and_then(|spec| {
-            experiments::spec::check_scale(&spec, &scale)?;
-            Ok(spec)
+        let spec = experiments::spec::load(path).and_then(|spec| {
+            experiments::spec::prepare(&spec, &scale)
+                .map_err(|e| format!("{}: {e}", path.display()))
         });
-        match checked {
-            Ok(spec) => loaded.push(spec),
+        match spec {
+            Ok(spec) => prepared.push(spec),
             Err(e) => {
                 eprintln!("spec error: {e}");
                 return ExitCode::from(2);
@@ -246,14 +246,8 @@ fn main() -> ExitCode {
     for run in runners {
         all_reports.extend(run(scale));
     }
-    for spec in &loaded {
-        match experiments::spec::run_spec(spec, &scale) {
-            Ok(rep) => all_reports.push(rep),
-            Err(e) => {
-                eprintln!("spec error: {e}");
-                return ExitCode::from(2);
-            }
-        }
+    for spec in &prepared {
+        all_reports.push(experiments::spec::run_spec(spec, &scale));
     }
     for rep in all_reports {
         if markdown {

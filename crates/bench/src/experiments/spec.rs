@@ -13,7 +13,7 @@
 use std::path::{Path, PathBuf};
 
 use ezflow_net::scenario::MAX_DURATION_SECS;
-use ezflow_net::ScenarioSpec;
+use ezflow_net::{CompiledScenario, ScenarioSpec};
 use ezflow_sim::Time;
 
 use super::{fairness_windows, Algo};
@@ -45,34 +45,52 @@ fn scaled_until(until: Time, scale: &Scale) -> Result<Time, String> {
     Ok(Time::from_micros((micros as u64).max(1_000_000)))
 }
 
-/// Whether `scale` can run `spec` at all: what [`run_spec`] would refuse
-/// before simulating anything, without compiling — for a caller that
-/// wants to reject its whole command line up front.
-pub fn check_scale(spec: &ScenarioSpec, scale: &Scale) -> Result<(), String> {
-    scaled_until(Time::from_micros((spec.duration_secs * 1e6) as u64), scale).map(drop)
+/// A scenario spec made ready to run at one scale: compiled, every sweep
+/// point's controller resolved and the run length scaled. [`prepare`]
+/// builds it before anything simulates; [`run_spec`] runs it.
+pub struct Prepared {
+    compiled: CompiledScenario,
+    algos: Vec<Algo>,
+    until: Time,
 }
 
-/// Compiles and runs every sweep point of `spec`, returning one report.
-/// Fails (as a message, not a panic) when the document is invalid or
-/// names a controller this harness doesn't have.
-pub fn run_spec(spec: &ScenarioSpec, scale: &Scale) -> Result<Report, String> {
+/// Compiles `spec` and resolves what running it at `scale` needs, so a
+/// caller can reject its whole command line before the first run. Fails
+/// (as a message, not a panic) when the document does not compile, names
+/// a controller this harness doesn't have, or `--time` scales its
+/// duration out of bounds.
+pub fn prepare(spec: &ScenarioSpec, scale: &Scale) -> Result<Prepared, String> {
     let compiled = spec.compile().map_err(|e| e.to_string())?;
     let until = scaled_until(compiled.until, scale)?;
+    let algos = (compiled.points.iter())
+        .map(|point| {
+            Algo::from_name(&point.controller).ok_or_else(|| {
+                format!(
+                    "spec `{}`: unknown controller '{}' (known: 802.11, EZ-flow, EZ-flow (2^10 cap))",
+                    compiled.name, point.controller
+                )
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(Prepared {
+        compiled,
+        algos,
+        until,
+    })
+}
 
+/// Runs every sweep point of a [`prepare`]d spec, returning one report.
+pub fn run_spec(prepared: &Prepared, scale: &Scale) -> Report {
+    let (compiled, until) = (&prepared.compiled, prepared.until);
     let mut jobs = Vec::with_capacity(compiled.points.len());
-    for point in &compiled.points {
-        let algo = Algo::from_name(&point.controller).ok_or_else(|| {
-            format!(
-                "spec `{}`: unknown controller '{}' (known: 802.11, EZ-flow, EZ-flow (2^10 cap))",
-                compiled.name, point.controller
-            )
-        })?;
+    for (point, algo) in compiled.points.iter().zip(&prepared.algos) {
         let mut ns = scale.spec(&compiled.topology, point.seed);
         ns.queue_cap = point.queue_cap;
         jobs.push(Job::new(point.label.clone(), ns, until, algo.factory()));
     }
 
-    let mut rep = Report::new(compiled.name.clone(), spec_title(spec));
+    let title = spec_title(&compiled.name, &compiled.description);
+    let mut rep = Report::new(compiled.name.clone(), title);
     rep.note(format!(
         "{} nodes, {} flows, {} run(s), {} simulated each",
         compiled.topology.positions.len(),
@@ -114,7 +132,7 @@ pub fn run_spec(spec: &ScenarioSpec, scale: &Scale) -> Result<Report, String> {
             net.metrics.delivered.values().sum::<u64>() > 0,
         );
     }
-    Ok(rep)
+    rep
 }
 
 /// Aggregate throughput (kb/s, summed over flows), p99 network latency
@@ -142,11 +160,11 @@ pub fn summarize(
     (tput, p99, jain)
 }
 
-fn spec_title(spec: &ScenarioSpec) -> String {
-    if spec.description.is_empty() {
-        format!("scenario spec `{}`", spec.name)
+fn spec_title(name: &str, description: &str) -> String {
+    if description.is_empty() {
+        format!("scenario spec `{name}`")
     } else {
-        spec.description.clone()
+        description.to_string()
     }
 }
 
@@ -172,7 +190,8 @@ pub fn discover(dir: &Path) -> Vec<(PathBuf, String)> {
                         .compile()
                         .map(|c| c.points.len().to_string())
                         .unwrap_or_else(|_| "?".into());
-                    format!("{} — {} ({} run(s))", spec.name, spec_title(&spec), points)
+                    let title = spec_title(&spec.name, &spec.description);
+                    format!("{} — {title} ({points} run(s))", spec.name)
                 }
                 Err(e) => format!("UNREADABLE: {e}"),
             };
@@ -210,7 +229,7 @@ mod tests {
         let spec = grid4x4();
         let mut scale = Scale::quick();
         scale.time = 0.1; // 6 s simulated — enough for packets to land
-        let rep = run_spec(&spec, &scale).unwrap();
+        let rep = run_spec(&prepare(&spec, &scale).unwrap(), &scale);
         assert_eq!(rep.snapshots.len(), 2, "one run per controller");
         assert!(rep.all_ok(), "traffic must flow in a saturated grid");
         assert!(rep
@@ -225,7 +244,9 @@ mod tests {
     fn unknown_controller_is_a_message_not_a_panic() {
         let mut spec = grid4x4();
         spec.sweep.controllers = vec!["tcp-reno".into()];
-        let err = run_spec(&spec, &Scale::quick()).unwrap_err();
+        let Err(err) = prepare(&spec, &Scale::quick()) else {
+            panic!("a spec naming tcp-reno was prepared");
+        };
         assert!(err.contains("unknown controller 'tcp-reno'"), "{err}");
     }
 }

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use ezflow_sim::JsonValue;
 
-#[path = "../../../tests/support/budget.rs"]
+#[path = "support/budget.rs"]
 mod budget;
 
 const EXPERIMENTS: &str = env!("CARGO_BIN_EXE_experiments");
@@ -230,10 +230,31 @@ fn every_argument_is_validated_before_the_first_experiment_runs() {
     // flight, so its absence does. A 1 % scenario 1 takes ~0.1 s.
     let dir = std::env::temp_dir().join(format!("ezflow-cli-{}", std::process::id()));
     let telemetry = format!("--telemetry-dir={}", dir.display());
+    // Specs that parse but cannot run: one does not compile, one names a
+    // controller the harness lacks. Both were once refused only after
+    // scenario1 had run.
+    let specs = scratch("late-specs");
+    std::fs::create_dir_all(&specs).expect("a scratch directory");
+    let chain = r#""name": "x", "duration_secs": 1, "topology": {"kind": "chain""#;
+    let mut late = Vec::new();
+    for (name, document) in [
+        ("no-hops", format!(r#"{{{chain}, "hops": 0}}}}"#)),
+        (
+            "tcp-reno",
+            format!(r#"{{{chain}, "hops": 2}}, "sweep": {{"controllers": ["tcp-reno"]}}}}"#),
+        ),
+    ] {
+        let file = specs.join(format!("{name}.json"));
+        std::fs::write(&file, document).expect("the document is written");
+        late.push(format!("--spec={}", file.display()));
+    }
     for (bad, complaint) in [
         ("--no-such-flag", "unknown flag: --no-such-flag"),
+        ("--seed", "unknown flag: --seed"),
         ("fig99", "unknown experiment id: fig99"),
         ("--spec=/no/such/spec.json", "/no/such/spec.json"),
+        (late[0].as_str(), "topology.hops"),
+        (late[1].as_str(), "unknown controller 'tcp-reno'"),
     ] {
         let out = budget::run(
             EXPERIMENTS,
@@ -244,6 +265,7 @@ fn every_argument_is_validated_before_the_first_experiment_runs() {
         assert!(stderr.contains(complaint), "{bad}: {stderr}");
         assert!(!dir.exists(), "{bad}: scenario1 ran ahead of it");
     }
+    std::fs::remove_dir_all(&specs).ok();
 }
 
 #[test]
@@ -251,10 +273,24 @@ fn specs_that_could_not_run_or_could_not_end_exit_2_naming_the_field() {
     // On a 2-hop chain for one simulated second, each of these once hung
     // (a window whose first fill never finishes; packets less than a
     // clock tick apart, so the source re-armed its tick at `now` forever)
-    // or aborted in the allocator (an 800 TB queue).
+    // or aborted in the allocator (an 800 TB queue). Past them: a chain
+    // with no hops or past the node limit, a run that cannot start or
+    // cannot end, and a loss rate that is no probability.
     let chain = r#""name": "x", "duration_secs": 1, "topology": {"kind": "chain", "hops": 2}"#;
     let flow = r#""path": [0, 1, 2], "start_secs": 0, "stop_secs": 1"#;
+    let chain_of = |secs: &str, hops: u64| {
+        format!(
+            r#"{{"name": "x", "duration_secs": {secs}, "topology": {{"kind": "chain", "hops": {hops}}}}}"#
+        )
+    };
+    let lossy = |per: f64| format!(r#"{{{chain}, "loss": {{"kind": "uniform", "per": {per}}}}}"#);
     let documents = [
+        ("topology.hops", chain_of("1", 0)),
+        ("topology.hops", chain_of("1", 262_144)),
+        ("duration_secs", chain_of("1e12", 2)),
+        ("duration_secs", chain_of("0", 2)),
+        ("loss.per", lossy(1.5)),
+        ("loss.per", lossy(-0.1)),
         (
             "flows[0].transport.window",
             format!(

@@ -1,11 +1,12 @@
 //! The committed scenario documents, end to end.
 //!
-//! `scenarios/*.json` are canonical: `topo::scenario1` / `scenario2` load
-//! them, and nothing regenerates them. These tests hold what that leaves
-//! to check from outside: every committed document parses, compiles and
-//! runs; the generative `grid4x4.json` drives the same run as the
-//! `topo::grid` call `hotpath_bench` makes; `mesh1k.json` is the mesh it
-//! advertises; and malformed documents fail with pointed messages.
+//! `scenarios/*.json` are canonical: `topo::testbed`, `scenario1` and
+//! `scenario2` load them, and nothing regenerates them. These tests hold
+//! what that leaves to check from outside: every committed document
+//! parses, compiles and runs; the generative `grid4x4.json` drives the
+//! same run as the `topo::grid` call `hotpath_bench` makes; `mesh1k.json`
+//! is the mesh it advertises; and malformed documents fail with pointed
+//! messages.
 
 use std::path::PathBuf;
 
@@ -46,7 +47,7 @@ fn every_committed_spec_parses_compiles_and_runs() {
     // The same listing `experiments --list` prints, which shows an
     // unparsable file as a line of text; here it is a failure.
     let found = spec::discover(&scenario_path(""));
-    assert!(found.len() >= 5, "scenarios/ went missing: {found:?}");
+    assert!(found.len() >= 7, "scenarios/ went missing: {found:?}");
     for (path, _) in found {
         let what = path.display().to_string();
         let doc = spec::load(&path).unwrap_or_else(|e| panic!("{e}"));

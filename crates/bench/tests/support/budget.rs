@@ -1,5 +1,5 @@
-//! A child-process runner with a wall budget, shared by the CLI tests of
-//! both binaries (`tests/cli_ezflow.rs`, `crates/bench/tests/cli.rs`).
+//! A child-process runner with a wall budget, for the `experiments`
+//! binary's CLI tests (`cli.rs`).
 //!
 //! The regressions those tests guard against are hangs and aborts, and a
 //! bare `Command::output()` turns a hang into a tier-1 run that never
@@ -13,8 +13,8 @@ use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 /// Wall budget per child. Every probe is meant to be rejected before
-/// anything is simulated, and the few that run simulate one second of a
-/// nine-node network at most — milliseconds, even unoptimised.
+/// anything is simulated; the few that run at this budget are
+/// analysis-only experiments — milliseconds, even unoptimised.
 pub const BUDGET: Duration = Duration::from_secs(5);
 
 /// Runs `bin args…` to its end within [`BUDGET`] and returns what it

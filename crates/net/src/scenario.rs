@@ -8,8 +8,8 @@
 //! axes (queue capacity, seed, controller). [`ScenarioSpec::compile`]
 //! lowers one into a [`Topology`]. Data flows one way — text → spec →
 //! topology → network: the committed documents under `scenarios/` are
-//! the canonical form of the paper's layouts, and
-//! [`crate::topo::scenario1`] / [`crate::topo::scenario2`] load them.
+//! the canonical form of the paper's layouts, and [`crate::topo::testbed`],
+//! [`crate::topo::scenario1`] and [`crate::topo::scenario2`] load them.
 //!
 //! ## Determinism
 //!
@@ -106,7 +106,8 @@ pub enum ScenarioError {
         /// What is wrong with it.
         message: String,
     },
-    /// The compiled topology failed [`Topology::validate`].
+    /// The compiled topology failed
+    /// [`NetworkSpec::validate`](crate::builder::NetworkSpec::validate).
     Spec(crate::builder::SpecError),
 }
 
@@ -1506,9 +1507,9 @@ mod tests {
                 Time::from_secs(1),
             )],
         };
-        use crate::builder::{check_density, SpecError};
+        use crate::builder::{check_density, NetworkSpec, SpecError};
         assert_eq!(
-            colocated(65_536).validate(),
+            NetworkSpec::from_topology(&colocated(65_536), 0).validate(),
             Err(SpecError::TooDense { tests: 1 << 32 })
         );
         let at = |n: usize| check_density(&colocated(n).positions, crate::topo::CS_RANGE);

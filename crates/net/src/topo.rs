@@ -19,16 +19,15 @@
 //!   of F2 and F3 share the medium with F1's chain; node ids match the
 //!   `cw` labels of Fig. 11 (F2 = N10..N15, F3 = N19..N24).
 //!
-//! Scenarios 1 and 2 are data: `scenarios/scenario1.json` and
-//! `scenarios/scenario2.json` are their only definition, compiled into
-//! this crate and loaded by [`scenario1`] / [`scenario2`]; the doc
-//! comments there record how the coordinates were derived.
+//! The three paper layouts are data: `scenarios/testbed.json`,
+//! `scenarios/scenario1.json` and `scenarios/scenario2.json` are their
+//! only definition, compiled into this crate and loaded by [`testbed`],
+//! [`scenario1`] and [`scenario2`]; the doc comments there record how the
+//! coordinates and the link calibration were derived.
 
-use ezflow_mac::MacConfig;
 use ezflow_phy::{LossModel, Position};
 use ezflow_sim::Time;
 
-use crate::calibrate::per_for_capacity;
 use crate::scenario::{CompiledScenario, ScenarioSpec};
 use crate::traffic::Transport;
 
@@ -96,17 +95,6 @@ pub struct Topology {
     pub flows: Vec<FlowSpec>,
 }
 
-impl Topology {
-    /// Checks the layout can actually be built and run — the same typed
-    /// diagnostics the spec loader uses (paths in bounds and decodable,
-    /// positions finite, ids sane); see
-    /// [`crate::builder::NetworkSpec::validate`]. The seed plays no role
-    /// in validity.
-    pub fn validate(&self) -> Result<(), crate::builder::SpecError> {
-        crate::builder::NetworkSpec::from_topology(self, 0).validate()
-    }
-}
-
 /// Standard inter-node spacing (meters).
 pub const SPACING: f64 = 200.0;
 
@@ -140,61 +128,37 @@ pub fn chain(hops: usize, start: Time, stop: Time) -> Topology {
 /// Paper Table 1 mean link capacities for F1's links `l0..l6`, kb/s.
 pub const TABLE1_KBPS: [f64; 7] = [845.0, 672.0, 408.0, 748.0, 746.0, 805.0, 648.0];
 
-/// Calibrated capacity of F2's access link N0′ → N4 (not in Table 1; a
-/// good link, chosen at the level of `l3`/`l4`).
-pub const F2_ACCESS_KBPS: f64 = 750.0;
-
 /// Node id of the paper's N0′ (F2's source) in the [`testbed`] layout.
 pub const TESTBED_F2_SRC: usize = 8;
 
-/// The 9-node campus testbed of Fig. 3. `f1`/`f2` toggle the two flows
-/// (Table 2 studies them alone and together); active flows run over
-/// `[start, stop)`.
-pub fn testbed(f1: bool, f2: bool, start: Time, stop: Time) -> Topology {
-    // N0..N7 on a line; N8 (= N0') 200 m off the chain next to N4.
-    let mut positions = ezflow_phy::geom::line_positions(8, SPACING);
-    positions.push(Position::new(4.0 * SPACING, SPACING));
-
-    let cfg = MacConfig::default();
-    let mut loss = LossModel::ideal();
-    for (i, &kbps) in TABLE1_KBPS.iter().enumerate() {
-        let p = per_for_capacity(&cfg, 1000, kbps);
-        loss.set_link_symmetric(i, i + 1, p);
-    }
-    loss.set_link_symmetric(
-        TESTBED_F2_SRC,
-        4,
-        per_for_capacity(&cfg, 1000, F2_ACCESS_KBPS),
-    );
-
-    let mut flows = Vec::new();
-    if f1 {
-        flows.push(FlowSpec::saturating(
-            flows.len() as u32,
-            (0..=7).collect(),
-            start,
-            stop,
-        ));
-    }
-    if f2 {
-        flows.push(FlowSpec::saturating(
-            flows.len() as u32,
-            vec![TESTBED_F2_SRC, 4, 5, 6, 7],
-            start,
-            stop,
-        ));
-    }
-    Topology {
-        name: "testbed".into(),
-        positions,
-        loss,
-        flows,
-    }
-}
-
-/// The paper's two evaluation layouts, as committed under `scenarios/`.
+/// The paper's three layouts, as committed under `scenarios/`.
+const TESTBED_JSON: &str = include_str!("../../../scenarios/testbed.json");
 const SCENARIO1_JSON: &str = include_str!("../../../scenarios/scenario1.json");
 const SCENARIO2_JSON: &str = include_str!("../../../scenarios/scenario2.json");
+
+/// The 9-node campus testbed of Fig. 3, loaded from
+/// `scenarios/testbed.json`. `f1`/`f2` toggle the two flows (Table 2
+/// studies them alone and together); the kept flows are renumbered
+/// densely and run over `[start, stop)`.
+///
+/// N0..N7 sit on the x axis every 200 m; N8 (the paper's N0′, F2's
+/// source) sits 200 m off the chain next to N4. Every link is
+/// symmetric, its PER `calibrate::per_for_capacity` of its capacity for
+/// 1,000-byte payloads under the default MAC, written in shortest
+/// round-trip digits: `l0..l6` at [`TABLE1_KBPS`], and F2's access link
+/// N8–N4 (not in Table 1) at 750 kb/s, a good link at the level of
+/// `l3`/`l4`.
+pub fn testbed(f1: bool, f2: bool, start: Time, stop: Time) -> Topology {
+    let mut t = committed(TESTBED_JSON).topology;
+    let keep = [f1, f2];
+    t.flows.retain(|f| keep[f.id as usize]);
+    for (id, f) in t.flows.iter_mut().enumerate() {
+        f.id = id as u32;
+        f.start = start;
+        f.stop = stop;
+    }
+    t
+}
 
 /// Compiles one of the committed `scenarios/*.json` documents.
 fn committed(document: &str) -> CompiledScenario {
@@ -417,6 +381,41 @@ mod tests {
         assert!(p2 > 0.1, "l2 needs substantial loss, got {p2}");
         let ch = channel_for(&t);
         assert!(ch.can_decode(TESTBED_F2_SRC, 4));
+    }
+
+    /// Calibrated capacity of F2's access link N0′ → N4, kb/s.
+    const F2_ACCESS_KBPS: f64 = 750.0;
+
+    /// The calibration the `testbed` doc comment records, recomputed
+    /// bit for bit against the loaded document, with its geometry and
+    /// flows: nothing else ties the committed digits to Table 1.
+    #[test]
+    fn testbed_document_is_the_table1_calibration() {
+        use crate::calibrate::per_for_capacity;
+        let t = testbed(true, true, Time::ZERO, Time::from_secs(1800));
+        let cfg = ezflow_mac::MacConfig::default();
+        let links = (0..TABLE1_KBPS.len()).map(|i| (i, i + 1, TABLE1_KBPS[i]));
+        for (a, b, kbps) in links.chain([(TESTBED_F2_SRC, 4, F2_ACCESS_KBPS)]) {
+            let want = per_for_capacity(&cfg, 1000, kbps).to_bits();
+            assert_eq!(t.loss.loss_prob(a, b).to_bits(), want, "{a}->{b}");
+            assert_eq!(t.loss.loss_prob(b, a).to_bits(), want, "{b}->{a}");
+        }
+        assert_eq!(t.loss.loss_prob(0, 2), 0.0, "no other link is lossy");
+        assert_eq!(t.name, "testbed");
+        let mut positions: Vec<Position> = (0..8)
+            .map(|i| Position::new(i as f64 * SPACING, 0.0))
+            .collect();
+        positions.push(Position::new(4.0 * SPACING, SPACING));
+        assert_eq!(t.positions, positions);
+        let s = Time::from_secs;
+        let f1 = FlowSpec::saturating(0, (0..=7).collect(), s(0), s(1800));
+        let f2 = FlowSpec::saturating(1, vec![TESTBED_F2_SRC, 4, 5, 6, 7], s(0), s(1800));
+        assert_eq!(t.flows, vec![f1, f2]);
+        let doc = committed(TESTBED_JSON);
+        assert_eq!(doc.until, s(1800));
+        assert_eq!(doc.topology.flows, t.flows);
+        let controllers: Vec<&str> = doc.points.iter().map(|p| p.controller.as_str()).collect();
+        assert_eq!(controllers, ["802.11", "EZ-flow (2^10 cap)"]);
     }
 
     #[test]

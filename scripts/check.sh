@@ -147,7 +147,7 @@ cargo run --release -q -p ezflow-bench --bin experiments -- --markdown all \
   || { echo "EXPERIMENTS.md is behind \`experiments --markdown all\`"; exit 1; }
 echo "EXPERIMENTS.md matches the full-scale run"
 
-echo "== scenario spec smoke (--list, --spec=scenarios/{scenario1,grid4x4}.json) =="
+echo "== scenario spec smoke (--list, --spec=scenarios/{scenario1,testbed,grid4x4}.json) =="
 # Every committed spec must be listable: --list tolerates an unparsable
 # file by printing UNREADABLE in its place, so that word is the failure.
 LISTING="$(cargo run --release -q -p ezflow-bench --bin experiments -- --list)"
@@ -160,6 +160,10 @@ fi
 cargo run --release -q -p ezflow-bench --bin experiments -- \
   --quick --time=0.01 --spec=scenarios/scenario1.json >/dev/null
 echo "scenario1.json ran end-to-end"
+# The calibrated testbed with per-link loss: both flows start at t=0.
+cargo run --release -q -p ezflow-bench --bin experiments -- \
+  --quick --time=0.01 --spec=scenarios/testbed.json >/dev/null
+echo "testbed.json ran end-to-end"
 # The generative form: grid4x4.json names a family and its parameters,
 # the compiler supplies the lattice and one flow per row.
 cargo run --release -q -p ezflow-bench --bin experiments -- \
