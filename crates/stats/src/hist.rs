@@ -26,8 +26,14 @@ pub struct LogHistogram {
     total: u64,
 }
 
+/// The largest bucket index any `u64` value lands in. An index past it
+/// names no value range (its bounds overflow `u64`), so input that
+/// carries bucket indices — a snapshot's histograms — is checked against
+/// it before [`LogHistogram::from_buckets`].
+pub const MAX_BUCKET: u32 = bucket_of(u64::MAX);
+
 /// Bucket index for `v`: exact below [`SUB`], log-linear above.
-fn bucket_of(v: u64) -> u32 {
+const fn bucket_of(v: u64) -> u32 {
     if v < SUB {
         return v as u32;
     }
@@ -167,6 +173,15 @@ mod tests {
             assert_eq!(bucket_of(lo), b);
             assert_eq!(bucket_of(hi), b);
         }
+    }
+
+    #[test]
+    fn max_bucket_is_the_last_range_of_u64() {
+        assert_eq!(MAX_BUCKET, 975);
+        let low = bucket_low(MAX_BUCKET);
+        assert_eq!(low + (bucket_width(MAX_BUCKET) - 1), u64::MAX);
+        let h = LogHistogram::from_buckets([(MAX_BUCKET, 1)]);
+        assert_eq!(h.quantile(1.0), low + bucket_width(MAX_BUCKET) / 2);
     }
 
     #[test]
