@@ -1,7 +1,5 @@
 //! EZ-flow as a [`Controller`]: the glue between BOE, CAA and the MAC.
 
-use std::collections::HashMap;
-
 use ezflow_net::controller::{
     Controller, ControllerCounters, ControllerEvent, DecisionKind, DecisionRecord,
 };
@@ -38,7 +36,11 @@ use crate::config::EzFlowConfig;
 pub struct EzFlowController {
     cfg: EzFlowConfig,
     start_cw: u32,
-    per_succ: HashMap<usize, (Boe, Caa)>,
+    /// `(successor, BOE, CAA)` in the order the successors were first
+    /// seen. An assoc list, not a map: it is probed on every overheard
+    /// frame, ACK and queue-window read, a node has a handful of
+    /// successors (one on a line), and every read of it is order-free.
+    per_succ: Vec<(usize, Boe, Caa)>,
     /// Provenance of the last window-changing CAA round, held until the
     /// engine takes it ([`Controller::take_decision`]). A few Copy words,
     /// stored unconditionally — behaviour never depends on it.
@@ -56,7 +58,7 @@ impl EzFlowController {
         EzFlowController {
             cfg,
             start_cw,
-            per_succ: HashMap::new(),
+            per_succ: Vec::new(),
             last_decision: None,
             last_estimate: None,
         }
@@ -67,17 +69,31 @@ impl EzFlowController {
         Self::new(EzFlowConfig::default(), 32)
     }
 
-    fn entry(&mut self, successor: usize) -> &mut (Boe, Caa) {
-        let cfg = self.cfg;
-        let start = self.start_cw;
-        self.per_succ
-            .entry(successor)
-            .or_insert_with(|| (Boe::new(cfg.history), Caa::new(cfg, start)))
+    /// Where the successor sits in `per_succ`, if it has been seen.
+    fn slot(&self, successor: usize) -> Option<usize> {
+        self.per_succ.iter().position(|(s, ..)| *s == successor)
+    }
+
+    /// The successor's estimator pair, created the first time it is seen.
+    fn entry(&mut self, successor: usize) -> (&mut Boe, &mut Caa) {
+        let at = match self.slot(successor) {
+            Some(at) => at,
+            None => {
+                let (boe, caa) = (
+                    Boe::new(self.cfg.history),
+                    Caa::new(self.cfg, self.start_cw),
+                );
+                self.per_succ.push((successor, boe, caa));
+                self.per_succ.len() - 1
+            }
+        };
+        let (_, boe, caa) = &mut self.per_succ[at];
+        (boe, caa)
     }
 
     /// The effective window: max over successors (see type docs).
     fn effective_cw(&self) -> Option<u32> {
-        self.per_succ.values().map(|(_, caa)| caa.cw()).max()
+        self.per_succ.iter().map(|(_, _, caa)| caa.cw()).max()
     }
 
     /// Current per-successor windows (diagnostics / experiments).
@@ -85,7 +101,7 @@ impl EzFlowController {
         let mut v: Vec<(usize, u32)> = self
             .per_succ
             .iter()
-            .map(|(&s, (_, caa))| (s, caa.cw()))
+            .map(|(s, _, caa)| (*s, caa.cw()))
             .collect();
         v.sort_unstable();
         v
@@ -145,10 +161,8 @@ impl Controller for EzFlowController {
                 // information; everything else on the air is ignored.
                 let ck = frame.checksum;
                 let src = frame.src;
-                if !self.per_succ.contains_key(&src) {
-                    return None;
-                }
-                let (boe, caa) = self.entry(src);
+                let at = self.slot(src)?;
+                let (_, boe, caa) = &mut self.per_succ[at];
                 match boe.on_overheard(ck) {
                     Some(b) => {
                         let d = caa.on_sample(b);
@@ -176,13 +190,13 @@ impl Controller for EzFlowController {
     /// several successors adapt each queue independently (802.11e-style)
     /// instead of max-combining into a single `CWmin`.
     fn queue_window(&self, successor: usize) -> Option<u32> {
-        self.per_succ.get(&successor).map(|(_, caa)| caa.cw())
+        self.slot(successor).map(|at| self.per_succ[at].2.cw())
     }
 
     /// Sums the BOE/CAA diagnostics across all successors.
     fn counters(&self) -> ControllerCounters {
         let mut c = ControllerCounters::default();
-        for (boe, caa) in self.per_succ.values() {
+        for (_, boe, caa) in &self.per_succ {
             c.boe_hits += boe.samples_produced;
             c.boe_misses += boe.misses;
             c.boe_ambiguous += boe.ambiguous;

@@ -134,6 +134,13 @@ pub enum SpecError {
         /// What exactly is wrong.
         why: &'static str,
     },
+    /// The metric sampling period is zero (the sampler would re-arm at
+    /// the same instant forever).
+    ZeroSampleEvery,
+    /// The telemetry sampling interval is set but zero.
+    ZeroTelemetryEvery,
+    /// The telemetry rings hold zero windows.
+    ZeroTelemetryCap,
 }
 
 impl std::fmt::Display for SpecError {
@@ -190,6 +197,9 @@ impl std::fmt::Display for SpecError {
                 "flow {flow}: window {window} exceeds the {MAX_WINDOW}-packet limit"
             ),
             SpecError::BadOnOff { flow, why } => write!(f, "flow {flow}: {why}"),
+            SpecError::ZeroSampleEvery => write!(f, "sample_every must be nonzero"),
+            SpecError::ZeroTelemetryEvery => write!(f, "telemetry_every must be nonzero"),
+            SpecError::ZeroTelemetryCap => write!(f, "telemetry_cap must be nonzero"),
         }
     }
 }
@@ -273,7 +283,8 @@ impl NetworkSpec {
     /// finite and not too dense, queue capacity nonzero and bounded,
     /// every flow path in bounds, loop-free and decodable hop by hop, flow
     /// ids unique and outside the reserved ACK space, packets at least a
-    /// clock tick apart, and transport parameters sane. Returns
+    /// clock tick apart, transport parameters sane, and the sampling
+    /// period, telemetry interval and telemetry rings nonzero. Returns
     /// the first problem found (fields in declaration order, flows in
     /// flow order), so the message always points at one concrete field.
     pub fn validate(&self) -> Result<(), SpecError> {
@@ -368,6 +379,15 @@ impl NetworkSpec {
                     }
                 }
             }
+        }
+        if self.sample_every.is_zero() {
+            return Err(SpecError::ZeroSampleEvery);
+        }
+        if self.telemetry_every.is_some_and(Duration::is_zero) {
+            return Err(SpecError::ZeroTelemetryEvery);
+        }
+        if self.telemetry_cap == 0 {
+            return Err(SpecError::ZeroTelemetryCap);
         }
         Ok(())
     }
@@ -633,6 +653,31 @@ mod tests {
             windowed(window),
             Err(SpecError::WindowTooLarge { flow: 0, window })
         );
+    }
+
+    #[test]
+    fn validate_rejects_zero_sampling_periods_and_rings() {
+        let zero = Duration::ZERO;
+        assert_eq!(
+            validated(|s| s.sample_every = zero),
+            Err(SpecError::ZeroSampleEvery)
+        );
+        assert_eq!(
+            validated(|s| s.telemetry_every = Some(zero)),
+            Err(SpecError::ZeroTelemetryEvery)
+        );
+        assert_eq!(validated(|s| s.telemetry_every = None), Ok(()));
+        assert_eq!(
+            validated(|s| s.telemetry_cap = 0),
+            Err(SpecError::ZeroTelemetryCap)
+        );
+        for (err, field) in [
+            (SpecError::ZeroSampleEvery, "sample_every"),
+            (SpecError::ZeroTelemetryEvery, "telemetry_every"),
+            (SpecError::ZeroTelemetryCap, "telemetry_cap"),
+        ] {
+            assert!(err.to_string().starts_with(field), "{err}");
+        }
     }
 
     #[test]

@@ -285,8 +285,8 @@ impl Network {
     /// pulling the carrier state from the channel — the single
     /// `input_into` site for such inputs.
     ///
-    /// Why the pull is exact, not approximately right: the channel's busy
-    /// count only moves in `start_tx_into` / `end_tx_into`. A `StartTx` is
+    /// Why the pull is exact, not approximately right: the channel's
+    /// carrier state only changes in `start_tx_into` / `end_tx_into`. A `StartTx` is
     /// only ever produced by a timer event dispatched through `mac_event`
     /// on an empty worklist, and the busy toggles it raises — which
     /// produce no outputs — are all that is drained before control
@@ -298,7 +298,7 @@ impl Network {
     /// (`Mac::sync_carrier` asserts that in debug builds).
     fn mac_input(&mut self, id: usize, input: MacInput, outs: &mut Vec<MacOutput>) {
         let node = &mut self.nodes[id];
-        node.mac.sync_carrier(self.channel.is_busy(id));
+        node.mac.sync_carrier(self.channel.is_busy(id, self.now));
         node.mac
             .input_into(self.now, input, &mut node.rng, &mut self.arena, outs);
     }

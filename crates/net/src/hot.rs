@@ -16,7 +16,7 @@
 //! queue.
 //!
 //! One more per-node word mirrors MAC state but lives where it is read,
-//! in the channel's 8-byte carrier column rather than here: the
+//! in the channel's listening column rather than here: the
 //! *listening* bit ([`ezflow_phy::Channel::set_listening`]), equal to
 //! `Mac::counting_phase()`. It and the transmit-path slot are brought
 //! back in line with the MAC by the same engine step after every MAC

@@ -48,14 +48,19 @@
 //!   evaluates the capture rule only against senders within
 //!   `cs_range + tx_range` — beyond that neither can reach a receiver of
 //!   the other (proof at [`Channel::start_tx_into`]).
-//! * **Carrier sense is pulled.** The per-node busy count is the truth
-//!   ([`Channel::is_busy`]); a node appears in `became_busy` /
-//!   `became_idle` only while its [`Channel::set_listening`] bit is set,
-//!   so a station with no countdown to freeze or resume costs the caller
-//!   nothing and reads the count when it next needs it.
-//! * **The row walk stays in cache.** Live carrier state is one 8-byte
-//!   word per node; the 48-byte airtime ledger beside it is touched only
-//!   when the node's tx > rx > busy > idle class actually changes.
+//! * **Carrier sense is pulled.** Each node keeps three *horizons*: the
+//!   latest end among the transmissions it sensed, could decode, or sent.
+//!   The start walk writes them (it visits every sense neighbour and knows
+//!   the end); [`Channel::is_busy`] compares the sense horizon with `now`.
+//!   A node appears in `became_busy` / `became_idle` only while its
+//!   [`Channel::set_listening`] bit is set, so a station with no countdown
+//!   to freeze or resume costs the caller nothing and asks when it next
+//!   needs to know.
+//! * **An end visits its receivers and its listeners, not its sense row.**
+//!   Horizons need no decrement, so [`Channel::end_tx_into`] walks the
+//!   sender's decode row (receptions) and the short list of listeners the
+//!   transmission holds busy; airtime is split lazily at the horizons the
+//!   next time a start touches the node.
 
 use ezflow_sim::{SimRng, Time};
 
@@ -169,6 +174,11 @@ struct ActiveTx {
     /// Aligned with `src`'s row of `decode_from`: reception at that
     /// receiver already destroyed by interference.
     corrupted: Vec<bool>,
+    /// Listeners (ascending) whose sense horizon this transmission held
+    /// when it started or when they began to listen: the only nodes its
+    /// end can turn idle that anyone is told about. Entries go stale (the
+    /// horizon moved on, the node stopped listening) and are checked then.
+    holds: Vec<u32>,
     /// Another transmission overlapped this one in time.
     overlapped: bool,
     /// The intended receiver's reception was destroyed by an interferer
@@ -279,8 +289,8 @@ pub struct Channel {
     /// cannot interfere (see [`Channel::start_tx_into`]).
     reach: f64,
     active: Vec<ActiveTx>,
-    /// Recycled `corrupted` buffers from completed transmissions.
-    corrupted_pool: Vec<Vec<bool>>,
+    /// Recycled `corrupted` / `holds` buffers from completed transmissions.
+    scratch_pool: Vec<(Vec<bool>, Vec<u32>)>,
     /// Times a pooled buffer was reused instead of freshly allocated.
     pool_reuses: u64,
     /// Capture-rule evaluations performed so far, counted per in-reach
@@ -288,72 +298,62 @@ pub struct Channel {
     /// Not part of [`ChannelStats`] (never serialised): it measures the
     /// channel's own work, which tests pin as independent of network size.
     capture_evals: u64,
-    /// Per node: the live carrier word the start/end walks update.
-    carrier: Vec<Carrier>,
-    /// Per node: the airtime ledger, settled only on class changes.
-    ledger: Vec<Ledger>,
+    /// Per node: horizons and airtime ledger, written by the start walk.
+    radio: Vec<Radio>,
+    /// Per node: whether busy/idle transitions are reported. A column of
+    /// its own so the start walk's test of it is an L1 byte.
+    listening: Vec<bool>,
+    /// Per node: cumulative time spent transmitting (completed
+    /// transmissions), µs — touched by the sender's end only.
+    airtime_us: Vec<u64>,
     next_tx: u64,
     stats: ChannelStats,
 }
 
-/// One node's live radio counters, 8 bytes, so the walk over a sense row
-/// of ~70 neighbours stays in L1 (48 KB for 6,144 nodes).
+/// One node's radio: three horizons, and the airtime ledger split at
+/// them. Exactly one cache line.
 ///
-/// The counts are `u16`, which is enough: a radio has one frame on the
-/// air at a time, so a count is at most the node's sense-row length, and
-/// the walk that builds the rows refuses a layout dense enough to give
-/// any node 34,755 neighbours ([`crate::geom::MAX_DISTANCE_TESTS`]).
-/// Every increment is checked all the same — callers that stack
-/// transmissions on one sender (tests do) fail loudly, never wrap.
+/// A horizon is the latest `end` among the transmissions the node sensed
+/// (`sense_until`), could decode (`rx_until`) or sent (`tx_until`); it
+/// only ever grows, so an end has nothing to undo. Transmissions are
+/// taken off the air at their `end` in time order, so at instant `now`
+/// the node senses one iff `sense_until > now` — or `sense_until == now`
+/// and a transmission ending at `now` it senses has not been taken off
+/// yet (the tie [`Channel::is_busy`] resolves against the active set).
 #[derive(Clone, Copy, Debug)]
-struct Carrier {
-    /// Number of active transmissions this node senses.
-    sense: u16,
-    /// Number of active transmissions this node could decode (≤ `sense`).
-    rx: u16,
-    /// Number of own active transmissions (0 or 1 under a MAC).
-    tx: u16,
-    /// Whether busy/idle transitions of this node are reported.
-    listening: bool,
-}
-
-const _: () = assert!(std::mem::size_of::<Carrier>() == 8);
-
-/// One node's airtime accounts. Kept apart from [`Carrier`] because a
-/// transmission touches every neighbour's counters but changes the radio
-/// class (tx > rx > busy > idle) of only some of them.
-#[derive(Clone, Copy, Debug)]
-struct Ledger {
-    /// Instant up to which `air` has been accrued. The class is piecewise
-    /// constant between class changes and interval lengths add exactly in
-    /// integer microseconds, so settling only at class changes (and at
-    /// [`Channel::accrue_airtime`]) yields the same buckets as settling at
-    /// every event.
+#[repr(C, align(64))]
+struct Radio {
+    sense_until: Time,
+    rx_until: Time,
+    tx_until: Time,
+    /// Instant up to which `air` has been split.
     since: Time,
     /// tx/rx/busy/idle split.
     air: Airtime,
-    /// Cumulative time spent transmitting (completed transmissions), µs.
-    airtime_us: u64,
 }
 
-impl Ledger {
-    /// Attributes `[since, now)` to the class `c` describes. Must run
-    /// *before* a counter change that moves the node to another class.
+const _: () = assert!(std::mem::size_of::<Radio>() == 64);
+
+impl Radio {
+    /// Attributes `[since, now)`. Every transmission that covers part of
+    /// it started by then and is in the horizons, so an instant `t` in it
+    /// is tx if `t < tx_until`, else rx if `t < rx_until`, else busy if
+    /// `t < sense_until`, else idle: the span splits at the three
+    /// horizons, in integer microseconds, exactly as an every-event sweep
+    /// would have added it up.
     #[inline]
-    fn settle(&mut self, c: Carrier, now: Time) {
+    fn settle(&mut self, now: Time) {
         if now <= self.since {
             return;
         }
-        let span = now.since(self.since).as_micros();
-        if c.tx > 0 {
-            self.air.tx_us += span;
-        } else if c.rx > 0 {
-            self.air.rx_us += span;
-        } else if c.sense > 0 {
-            self.air.busy_us += span;
-        } else {
-            self.air.idle_us += span;
-        }
+        let at = |h: Time| h.clamp(self.since, now);
+        let tx = at(self.tx_until);
+        let rx = at(self.rx_until).max(tx);
+        let busy = at(self.sense_until).max(rx);
+        self.air.tx_us += tx.since(self.since).as_micros();
+        self.air.rx_us += rx.since(tx).as_micros();
+        self.air.busy_us += busy.since(rx).as_micros();
+        self.air.idle_us += now.since(busy).as_micros();
         self.since = now;
     }
 }
@@ -361,11 +361,6 @@ impl Ledger {
 #[inline]
 fn unpack(entry: u32) -> (usize, bool) {
     ((entry & !DECODES) as usize, entry & DECODES != 0)
-}
-
-#[inline]
-fn bump(count: u16, by: u16) -> u16 {
-    count.checked_add(by).expect("radio counter overflow")
 }
 
 impl Channel {
@@ -392,50 +387,45 @@ impl Channel {
             decode_from,
             reach: (cfg.cs_range + cfg.tx_range) * (1.0 + REACH_MARGIN),
             active: Vec::new(),
-            corrupted_pool: Vec::new(),
+            scratch_pool: Vec::new(),
             pool_reuses: 0,
             capture_evals: 0,
-            carrier: vec![
-                Carrier {
-                    sense: 0,
-                    rx: 0,
-                    tx: 0,
-                    listening: true,
-                };
-                n
-            ],
-            ledger: vec![
-                Ledger {
+            radio: vec![
+                Radio {
+                    sense_until: Time::ZERO,
+                    rx_until: Time::ZERO,
+                    tx_until: Time::ZERO,
                     since: Time::ZERO,
                     air: Airtime::default(),
-                    airtime_us: 0,
                 };
                 n
             ],
+            listening: vec![true; n],
+            airtime_us: vec![0; n],
             next_tx: 0,
             stats: ChannelStats::default(),
         }
     }
 
     /// Advances the per-node airtime ledger to `now`: every node's time
-    /// since its last settle is attributed to its current radio state.
-    /// Transmission starts and ends settle only the nodes whose class they
-    /// change; call this with the final simulation instant before reading
+    /// since its last settle is split at its horizons. A transmission
+    /// start settles only the nodes whose horizons it raises from before
+    /// `now`; call this with the final simulation instant before reading
     /// [`Channel::airtime_breakdown`], so the buckets cover the whole run.
     pub fn accrue_airtime(&mut self, now: Time) {
-        for (ledger, &c) in self.ledger.iter_mut().zip(&self.carrier) {
-            ledger.settle(c, now);
+        for radio in &mut self.radio {
+            radio.settle(now);
         }
     }
 
     /// The tx/rx/busy/idle time split of `node`, as accrued so far.
     pub fn airtime_breakdown(&self, node: usize) -> Airtime {
-        self.ledger[node].air
+        self.radio[node].air
     }
 
     /// Cumulative transmit airtime of `node` (completed transmissions).
     pub fn airtime(&self, node: usize) -> ezflow_sim::Duration {
-        ezflow_sim::Duration::from_micros(self.ledger[node].airtime_us)
+        ezflow_sim::Duration::from_micros(self.airtime_us[node])
     }
 
     /// Fraction of `elapsed` that `node` spent transmitting.
@@ -443,7 +433,7 @@ impl Channel {
         if elapsed.is_zero() {
             0.0
         } else {
-            self.ledger[node].airtime_us as f64 / elapsed.as_micros() as f64
+            self.airtime_us[node] as f64 / elapsed.as_micros() as f64
         }
     }
 
@@ -462,17 +452,27 @@ impl Channel {
         self.stats
     }
 
-    /// True iff `node` currently senses the medium busy (own transmissions
-    /// excluded — a radio cannot carrier-sense while transmitting, and the
-    /// MAC does not consult the medium during its own transmission). This
-    /// count is the truth for every node, listening or not.
-    pub fn is_busy(&self, node: usize) -> bool {
-        self.carrier[node].sense > 0
+    /// True iff `node` senses the medium busy at `now`, the instant of the
+    /// latest start or end (own transmissions excluded — a radio cannot
+    /// carrier-sense while transmitting, and the MAC does not consult the
+    /// medium during its own transmission). The truth for every node,
+    /// listening or not, whichever order same-instant ends and starts
+    /// arrive in: a sense horizon equal to `now` is busy iff a
+    /// transmission ending at `now` that `node` senses is still on the air.
+    pub fn is_busy(&self, node: usize, now: Time) -> bool {
+        busy_at(
+            &self.active,
+            &self.positions,
+            &self.cfg,
+            &self.radio[node],
+            node,
+            now,
+        )
     }
 
     /// Whether `node`'s busy/idle transitions are reported.
     pub fn listening(&self, node: usize) -> bool {
-        self.carrier[node].listening
+        self.listening[node]
     }
 
     /// Opts `node` in or out of the `became_busy` / `became_idle` reports.
@@ -480,8 +480,23 @@ impl Channel {
     /// freeze or resume) opts out and reads [`Channel::is_busy`] when it
     /// next cares; everyone listens by default, so forgetting to opt out
     /// is slow, never wrong.
+    ///
+    /// A node that starts listening while it senses the medium busy joins
+    /// the `holds` list of every transmission on the air that holds its
+    /// sense horizon, so the last of them to end reports it idle.
     pub fn set_listening(&mut self, node: usize, on: bool) {
-        self.carrier[node].listening = on;
+        if std::mem::replace(&mut self.listening[node], on) || !on {
+            return;
+        }
+        let until = self.radio[node].sense_until;
+        let (positions, cfg) = (&self.positions[..], &self.cfg);
+        for a in &mut self.active {
+            if a.end == until && senses(positions, cfg, a.src, node) {
+                if let Err(at) = a.holds.binary_search(&(node as u32)) {
+                    a.holds.insert(at, node as u32);
+                }
+            }
+        }
     }
 
     /// True iff `r` can decode frames from `s`.
@@ -602,13 +617,14 @@ impl Channel {
 
         let (positions, cfg) = (&self.positions[..], &self.cfg);
         let decode_from = &self.decode_from;
-        let mut corrupted = match self.corrupted_pool.pop() {
-            Some(mut buf) => {
+        let (mut corrupted, mut holds) = match self.scratch_pool.pop() {
+            Some((mut corrupted, mut holds)) => {
                 self.pool_reuses += 1;
-                buf.clear();
-                buf
+                corrupted.clear();
+                holds.clear();
+                (corrupted, holds)
             }
-            None => Vec::new(),
+            None => (Vec::new(), Vec::new()),
         };
         // A sender is never in its own decode row, so "cannot receive its
         // own frame" needs no entry.
@@ -655,6 +671,40 @@ impl Channel {
             }
         }
 
+        // A node is settled only if this start raises one of its horizons
+        // from before `now`, which would recolour `[since, now)`; raising
+        // one that already reaches `now` changes no instant before it.
+        let radio = &mut self.radio[..];
+        let own = &mut radio[src];
+        if own.tx_until < now {
+            own.settle(now);
+        }
+        own.tx_until = own.tx_until.max(end);
+        report.became_busy.clear();
+        // decode range ⊆ sense range, so one pass over the sense row
+        // (ascending, keeping `became_busy` and `holds` sorted) covers
+        // both horizons. The new transmission is not on `active` yet, so
+        // the busy test sees the medium as it was.
+        for &entry in self.sense_rows.row(src) {
+            let (r, decodes) = unpack(entry);
+            let node = &mut radio[r];
+            if node.sense_until < now || (decodes && node.rx_until < now) {
+                node.settle(now);
+            }
+            if self.listening[r] {
+                if !busy_at(&self.active, positions, cfg, node, r, now) {
+                    report.became_busy.push(r);
+                }
+                if end >= node.sense_until {
+                    holds.push(r as u32);
+                }
+            }
+            node.sense_until = node.sense_until.max(end);
+            if decodes {
+                node.rx_until = node.rx_until.max(end);
+            }
+        }
+
         let id = TxId(self.next_tx);
         self.next_tx += 1;
         self.active.push(ActiveTx {
@@ -665,34 +715,10 @@ impl Channel {
             start: now,
             end,
             corrupted,
+            holds,
             overlapped,
             hidden_hit,
         });
-
-        // Each node's ledger is settled only if this start moves it to
-        // another class: the sender unless already transmitting, a
-        // neighbour that was idle, or was merely busy and now decodes.
-        let (carrier, ledger) = (&mut self.carrier[..], &mut self.ledger[..]);
-        let own = &mut carrier[src];
-        if own.tx == 0 {
-            ledger[src].settle(*own, now);
-        }
-        own.tx = bump(own.tx, 1);
-        report.became_busy.clear();
-        // decode range ⊆ sense range, so one pass over the sense row
-        // (ascending, keeping `became_busy` sorted) covers both counters.
-        for &entry in self.sense_rows.row(src) {
-            let (r, decodes) = unpack(entry);
-            let c = &mut carrier[r];
-            if c.tx == 0 && c.rx == 0 && (decodes || c.sense == 0) {
-                ledger[r].settle(*c, now);
-            }
-            c.rx = bump(c.rx, decodes as u16);
-            c.sense = bump(c.sense, 1);
-            if c.sense == 1 && c.listening {
-                report.became_busy.push(r);
-            }
-        }
         report.tx_id = id;
     }
 
@@ -708,12 +734,14 @@ impl Channel {
     /// Takes a transmission off the air and resolves its receptions,
     /// writing the outcome into `report` (cleared first).
     ///
-    /// Visits only the sender's static sense neighborhood; nodes that never
-    /// hear the sender need no bookkeeping. The loss-model RNG is consulted
-    /// for decode-range nodes in ascending order, exactly as the full scan
-    /// did, so the random stream — and with it every downstream draw — is
-    /// bit-identical. Each decode link's loss process and state sit at its
-    /// position in the decode rows, so sampling one is an indexed load.
+    /// `now` must be the transmission's `end`. Visits the sender's decode
+    /// row and the listeners the transmission holds busy, never the rest
+    /// of its sense row: horizons have nothing to undo. The loss-model RNG
+    /// is consulted for decode-range nodes in ascending order, exactly as
+    /// the full scan did, so the random stream — and with it every
+    /// downstream draw — is bit-identical. Each decode link's loss process
+    /// and state sit at its position in the decode rows, so sampling one
+    /// is an indexed load.
     pub fn end_tx_into(
         &mut self,
         now: Time,
@@ -731,53 +759,39 @@ impl Channel {
             src,
             dst,
             corrupted,
+            holds,
             start,
             end,
             overlapped,
             hidden_hit,
             ..
         } = self.active.swap_remove(idx);
+        debug_assert_eq!(now, end, "end_tx away from the transmission's end");
 
-        // As in `start_tx_into`, a ledger is settled only where the class
-        // changes: the sender's last transmission ends, a neighbour's last
-        // decodable frame ends, or a merely-busy neighbour goes idle. One
-        // ascending pass over the sense row does that, the busy/idle
-        // bookkeeping and the decode resolution together — the loss-model
-        // RNG is still consulted for decode-range nodes in ascending
-        // order, so the random stream stays bit-identical.
-        let (carrier, ledger) = (&mut self.carrier[..], &mut self.ledger[..]);
-        ledger[src].airtime_us += end.since(start).as_micros();
-        let own = &mut carrier[src];
-        debug_assert!(own.tx > 0);
-        if own.tx == 1 {
-            ledger[src].settle(*own, now);
-        }
-        own.tx -= 1;
+        // The one ledger an end settles: the sender's, so its transmit
+        // time reads complete as soon as the frame is off the air.
+        self.radio[src].settle(now);
+        self.airtime_us[src] += end.since(start).as_micros();
+        // A listener this transmission held goes idle iff its horizon is
+        // still this end and no other transmission ending now that it
+        // senses is left on the air; `holds` is ascending, and so is the
+        // report.
         report.became_idle.clear();
-        report.deliveries.clear();
-        // `corrupted` is aligned with the decode row, i.e. with the
-        // decoding entries of the sense row in order; so is the link the
-        // loss state of the next decoding entry sits at.
-        let mut corrupted_at = corrupted.iter();
-        let mut link = self.decode_from.row_start(src);
-        for &entry in self.sense_rows.row(src) {
-            let (r, decodes) = unpack(entry);
-            let c = &mut carrier[r];
-            debug_assert!(c.sense > 0 && c.rx >= decodes as u16);
-            if c.tx == 0 && ((decodes && c.rx == 1) || (c.rx == 0 && c.sense == 1)) {
-                ledger[r].settle(*c, now);
-            }
-            c.rx -= decodes as u16;
-            c.sense -= 1;
-            if c.sense == 0 && c.listening {
+        for &r in &holds {
+            let r = r as usize;
+            if self.listening[r] && !self.is_busy(r, now) {
                 report.became_idle.push(r);
             }
-            if !decodes {
-                continue;
-            }
-            let mut clean = !corrupted_at.next().expect("one flag per decode-row entry");
-            let at = link;
-            link += 1;
+        }
+        report.deliveries.clear();
+        // `corrupted` is aligned with the decode row; so is the link the
+        // loss state of each entry sits at.
+        let first_link = self.decode_from.row_start(src);
+        let row = self.decode_from.row(src);
+        for (k, (&r, &hit)) in row.iter().zip(&corrupted).enumerate() {
+            let r = r as usize;
+            let mut clean = !hit;
+            let at = first_link + k;
             let outcome;
             if clean && self.losses.as_mut().is_some_and(|l| l.drops(at, now, rng)) {
                 clean = false;
@@ -814,8 +828,29 @@ impl Channel {
         }
 
         report.frame = frame;
-        self.corrupted_pool.push(corrupted);
+        self.scratch_pool.push((corrupted, holds));
     }
+}
+
+/// Whether the node `r`, whose radio is `radio`, senses a transmission on
+/// `active` at `now`: its sense horizon lies past `now`, or equals it and
+/// a transmission ending at `now` that `r` senses has not been taken off
+/// the air yet. Free-standing so the start walk can ask while it holds
+/// the radio column mutably.
+#[inline]
+fn busy_at(
+    active: &[ActiveTx],
+    positions: &[Position],
+    cfg: &ChannelConfig,
+    radio: &Radio,
+    r: usize,
+    now: Time,
+) -> bool {
+    radio.sense_until > now
+        || (radio.sense_until == now
+            && active
+                .iter()
+                .any(|a| a.end == now && senses(positions, cfg, a.src, r)))
 }
 
 // The sense and capture rules on bare fields, so `start_tx_into` can apply
@@ -859,9 +894,9 @@ mod tests {
         let rep = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
         // 200 m spacing: nodes 1 and 2 sense node 0; node 3 (600 m) does not.
         assert_eq!(rep.became_busy, vec![1, 2]);
-        assert!(ch.is_busy(1));
-        assert!(!ch.is_busy(3));
-        assert!(!ch.is_busy(0), "sender does not sense itself");
+        assert!(ch.is_busy(1, t(0)));
+        assert!(!ch.is_busy(3, t(0)));
+        assert!(!ch.is_busy(0, t(0)), "sender does not sense itself");
         let end = ch.end_tx(t(100), rep.tx_id, &mut rng);
         assert_eq!(end.became_idle, vec![1, 2]);
         // Only node 1 is in decode range of node 0.
@@ -982,16 +1017,58 @@ mod tests {
         // Node 2 senses both node 0 (400 m) and node 4 (400 m).
         let a = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
         let b = ch.start_tx(t(10), FrameId::default(), 4, 5, t(110));
-        assert!(ch.is_busy(2));
+        assert!(ch.is_busy(2, t(10)));
         let end_a = ch.end_tx(t(100), a.tx_id, &mut rng);
         assert!(
             !end_a.became_idle.contains(&2),
             "node 2 still senses node 4"
         );
-        assert!(ch.is_busy(2));
+        assert!(ch.is_busy(2, t(100)));
         let end_b = ch.end_tx(t(110), b.tx_id, &mut rng);
         assert!(end_b.became_idle.contains(&2));
-        assert!(!ch.is_busy(2));
+        assert!(!ch.is_busy(2, t(110)));
+    }
+
+    #[test]
+    fn same_instant_ends_hold_the_medium_until_the_last() {
+        // Node 2 senses 0 and 4, and both frames end at 100: between the
+        // two ends it is still busy, whichever ends first.
+        for first_a in [true, false] {
+            let mut ch = chan(6);
+            let mut rng = SimRng::new(9);
+            let a = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
+            let b = ch.start_tx(t(10), FrameId::default(), 4, 5, t(100));
+            let (first, second) = if first_a { (a, b) } else { (b, a) };
+            let end = ch.end_tx(t(100), first.tx_id, &mut rng);
+            assert!(!end.became_idle.contains(&2));
+            assert!(ch.is_busy(2, t(100)), "the other end is still due");
+            let end = ch.end_tx(t(100), second.tx_id, &mut rng);
+            assert!(end.became_idle.contains(&2));
+            assert!(!ch.is_busy(2, t(100)));
+        }
+    }
+
+    #[test]
+    fn a_listener_that_joins_mid_transmission_is_told_it_went_idle() {
+        let mut ch = chan(5);
+        let mut rng = SimRng::new(10);
+        ch.set_listening(2, false);
+        let a = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
+        assert!(!a.became_busy.contains(&2), "not listening at the start");
+        ch.set_listening(2, true);
+        ch.set_listening(2, true);
+        // Joins a second time: registered once, reported once.
+        ch.set_listening(2, false);
+        ch.set_listening(2, true);
+        let end = ch.end_tx(t(100), a.tx_id, &mut rng);
+        assert_eq!(end.became_idle, vec![1, 2]);
+        // A later frame that outlasts the first takes the horizon over.
+        ch.set_listening(2, false);
+        let b = ch.start_tx(t(200), FrameId::default(), 0, 1, t(300));
+        let c = ch.start_tx(t(250), FrameId::default(), 4, 3, t(400));
+        ch.set_listening(2, true);
+        assert_eq!(ch.end_tx(t(300), b.tx_id, &mut rng).became_idle, vec![1]);
+        assert_eq!(ch.end_tx(t(400), c.tx_id, &mut rng).became_idle, vec![2, 3]);
     }
 
     #[test]
@@ -1436,10 +1513,15 @@ mod tests {
         /// nodes and equal-distance capture ties all occur; the third
         /// spreads over 3,000 m, so most sender pairs are beyond the
         /// interference reach; the fourth is collinear triples on and one
-        /// step around that reach. A random subset of nodes listens: the
-        /// reported transitions are the reference's filtered by it, while
-        /// `is_busy` (the pull path) matches for every node after every
-        /// event. Per-node airtime equals the reference's every-event
+        /// step around that reach. A random subset of nodes listens, and
+        /// random events flip one node's bit first, transmissions on the
+        /// air or not: the reported transitions are the reference's
+        /// filtered by the bits as they stand, while `is_busy` (the pull
+        /// path) matches the reference's counts for every node after every
+        /// event. Same-instant starts and ends arrive in random relative
+        /// order, and half the cases snap every instant to 50 µs so that
+        /// ends tie often: `is_busy` is then also asked between two ends
+        /// at one instant. Per-node airtime equals the reference's every-event
         /// full-sweep ledger, and the EIFS set derived from the sense row
         /// minus clean deliveries equals the reference's dirty list. The
         /// loss model mixes a default PER, per-link PER, a global burst
@@ -1475,8 +1557,13 @@ mod tests {
                 proptest::collection::vec((0usize..1000, ge()), 0..8),
                 proptest::collection::vec((0usize..1000, 0u64..300, 0u64..300, 0u64..900), 0..8),
             ),
-            listens in proptest::collection::vec(proptest::prelude::any::<bool>(), 24),
             capture in proptest::prelude::any::<bool>(),
+            order in (
+                proptest::collection::vec(proptest::prelude::any::<bool>(), 24),
+                proptest::prelude::any::<bool>(),
+                proptest::collection::vec(proptest::prelude::any::<u16>(), 60),
+                proptest::collection::vec(proptest::option::of(0usize..24), 60),
+            ),
         ) {
             use proptest::prelude::{prop_assert_eq, prop_assert};
             let pos: Vec<crate::geom::Position> = coords
@@ -1484,6 +1571,7 @@ mod tests {
                 .map(|&(x, y)| crate::geom::Position::new(x, y))
                 .collect();
             let n = pos.len();
+            let (listens, snap, ties, toggles) = order;
             let (default_per, loss_p, burst, burst_links, churn) = loss;
             let mut loss = LossModel::uniform(default_per);
             for s in 0..n {
@@ -1523,8 +1611,8 @@ mod tests {
             let mut slow = RefChannel::new(&pos, cfg, loss);
             let mut rng_fast = SimRng::new(seed);
             let mut rng_slow = SimRng::new(seed);
-            let listening = |r: &usize| listens[*r];
-            for (r, &on) in listens.iter().enumerate().take(n) {
+            let mut listening = listens[..n].to_vec();
+            for (r, &on) in listening.iter().enumerate() {
                 prop_assert!(fast.listening(r), "everyone listens by default");
                 fast.set_listening(r, on);
             }
@@ -1546,22 +1634,41 @@ mod tests {
                 }
             }
 
+            // Snapped spans keep a nonzero length; ends and starts at one
+            // instant are ordered by a random key, not by kind.
+            let spans: Vec<(u64, u64)> = txs
+                .iter()
+                .map(|&(_, _, start, dur)| {
+                    if snap {
+                        let from = start / 50 * 50;
+                        (from, ((start + dur) / 50 * 50).max(from + 50))
+                    } else {
+                        (start, start + dur)
+                    }
+                })
+                .collect();
             #[derive(Clone, Copy)]
             enum Ev { Start(usize), End(usize) }
-            let mut events: Vec<(u64, Ev)> = Vec::new();
-            for (i, &(_, _, start, dur)) in txs.iter().enumerate() {
-                events.push((start, Ev::Start(i)));
-                events.push((start + dur, Ev::End(i)));
+            let mut events: Vec<(u64, u16, Ev)> = Vec::new();
+            for (i, &(start, end)) in spans.iter().enumerate() {
+                events.push((start, ties[2 * i], Ev::Start(i)));
+                events.push((end, ties[2 * i + 1], Ev::End(i)));
             }
-            events.sort_by_key(|&(t, ev)| (t, match ev { Ev::Start(_) => 1, Ev::End(_) => 0 }));
+            events.sort_by_key(|&(t, tie, _)| (t, tie));
 
             let mut ids = vec![None; txs.len()];
             let mut end_report = EndReport::default();
             let mut last = 0;
-            for (t, ev) in events {
+            for (k, (t, _, ev)) in events.into_iter().enumerate() {
+                if let Some(r) = toggles[k].filter(|&r| r < n) {
+                    listening[r] = !listening[r];
+                    fast.set_listening(r, listening[r]);
+                }
+                let on = |r: &usize| listening[*r];
                 match ev {
                     Ev::Start(i) => {
-                        let (src, dst, start, dur) = txs[i];
+                        let (src, dst, _, _) = txs[i];
+                        let (start, end) = spans[i];
                         let (src, dst) = (src % n, dst % n);
                         if src == dst { continue; }
                         let rep = fast.start_tx(
@@ -1569,15 +1676,15 @@ mod tests {
                             FrameId::default(),
                             src,
                             dst,
-                            Time::from_micros(start + dur),
+                            Time::from_micros(end),
                         );
                         let (ref_id, mut ref_busy) = slow.start_tx(
                             Time::from_micros(start),
                             src,
                             dst,
-                            Time::from_micros(start + dur),
+                            Time::from_micros(end),
                         );
-                        ref_busy.retain(listening);
+                        ref_busy.retain(on);
                         prop_assert_eq!(&rep.became_busy, &ref_busy);
                         ids[i] = Some((rep.tx_id, ref_id, src));
                     }
@@ -1594,7 +1701,7 @@ mod tests {
                         prop_assert!(end_report.deliveries.iter().all(|d| {
                             d.clean == matches!(d.outcome, DecodeOutcome::Clean | DecodeOutcome::Capture)
                         }));
-                        ref_idle.retain(listening);
+                        ref_idle.retain(on);
                         prop_assert_eq!(&end_report.became_idle, &ref_idle);
                         let dirty: Vec<usize> = fast.undecoded(src, &end_report.deliveries).collect();
                         prop_assert_eq!(&dirty, &ref_dirty);
@@ -1605,7 +1712,11 @@ mod tests {
                     }
                 }
                 for r in 0..n {
-                    prop_assert_eq!(fast.is_busy(r), slow.sense_count[r] > 0, "is_busy({})", r);
+                    prop_assert_eq!(
+                        fast.is_busy(r, Time::from_micros(t)),
+                        slow.sense_count[r] > 0,
+                        "is_busy({})", r
+                    );
                 }
                 last = t;
             }

@@ -44,7 +44,9 @@ proptest! {
         events.sort_by_key(|&(t, ev)| (t, match ev { Ev::Start(_) => 1, Ev::End(_) => 0 }));
 
         let mut ids = vec![None; txs.len()];
+        let mut last = 0;
         for (t, ev) in events {
+            last = t;
             match ev {
                 Ev::Start(i) => {
                     let (src, dst, start, dur) = txs[i];
@@ -76,7 +78,7 @@ proptest! {
         }
         prop_assert_eq!(ch.active_count(), 0);
         for n in 0..6 {
-            prop_assert!(!ch.is_busy(n), "node {} stuck busy", n);
+            prop_assert!(!ch.is_busy(n, Time::from_micros(last)), "node {} stuck busy", n);
         }
     }
 

@@ -7,12 +7,12 @@
 //! values below 16 get exact buckets, and every octave above that is
 //! split into 16 sub-buckets, so any recorded value is off by at most
 //! ~3% from its bucket's midpoint while the whole `u64` range fits in a
-//! few hundred possible buckets. Storage is a sparse `BTreeMap`, which
-//! keeps memory proportional to the *distinct* magnitudes seen and —
-//! crucially for the snapshot gate — makes serialisation order
-//! deterministic.
-
-use std::collections::BTreeMap;
+//! few hundred possible buckets. Storage is a sparse `(bucket, count)`
+//! vector kept sorted by bucket, which keeps memory proportional to the
+//! *distinct* magnitudes seen and — crucially for the snapshot gate —
+//! makes serialisation order deterministic. A record is a binary search
+//! over the few dozen buckets a latency distribution occupies, plus an
+//! insert the first time a bucket is seen.
 
 /// Sub-buckets per octave (16 → ≤ ~3% relative quantile error).
 const SUB: u64 = 16;
@@ -22,7 +22,8 @@ const SUB_BITS: u32 = 4;
 /// A sparse log-linear histogram over `u64` values.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LogHistogram {
-    counts: BTreeMap<u32, u64>,
+    /// `(bucket, count)`, ascending by bucket, every count nonzero.
+    counts: Vec<(u32, u64)>,
     total: u64,
 }
 
@@ -70,8 +71,16 @@ impl LogHistogram {
 
     /// Records one value.
     pub fn record(&mut self, v: u64) {
-        *self.counts.entry(bucket_of(v)).or_insert(0) += 1;
+        self.add(bucket_of(v), 1);
         self.total += 1;
+    }
+
+    /// Adds `c` to bucket `b`'s count, creating the bucket in order.
+    fn add(&mut self, b: u32, c: u64) {
+        match self.counts.binary_search_by_key(&b, |&(k, _)| k) {
+            Ok(i) => self.counts[i].1 += c,
+            Err(i) => self.counts.insert(i, (b, c)),
+        }
     }
 
     /// Number of values recorded.
@@ -93,7 +102,7 @@ impl LogHistogram {
         }
         let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
         let mut seen = 0u64;
-        for (&b, &c) in &self.counts {
+        for &(b, c) in &self.counts {
             seen += c;
             if seen >= rank {
                 return bucket_low(b) + bucket_width(b) / 2;
@@ -114,7 +123,7 @@ impl LogHistogram {
 
     /// Sparse `(bucket, count)` pairs in ascending bucket order.
     pub fn buckets(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.counts.iter().map(|(&b, &c)| (b, c))
+        self.counts.iter().copied()
     }
 
     /// Rebuilds a histogram from `(bucket, count)` pairs (the inverse of
@@ -123,7 +132,7 @@ impl LogHistogram {
         let mut h = LogHistogram::new();
         for (b, c) in pairs {
             if c > 0 {
-                *h.counts.entry(b).or_insert(0) += c;
+                h.add(b, c);
                 h.total += c;
             }
         }
@@ -133,8 +142,8 @@ impl LogHistogram {
     /// Folds `other` into `self` (used to aggregate per-hop histograms
     /// into a network-wide one).
     pub fn merge(&mut self, other: &LogHistogram) {
-        for (&b, &c) in &other.counts {
-            *self.counts.entry(b).or_insert(0) += c;
+        for &(b, c) in &other.counts {
+            self.add(b, c);
         }
         self.total += other.total;
     }
@@ -227,6 +236,32 @@ mod tests {
         }
         let back = LogHistogram::from_buckets(h.buckets());
         assert_eq!(back, h);
+    }
+
+    proptest::proptest! {
+        /// The sorted vector against the ordered map it replaced: values
+        /// recorded and `(bucket, count)` pairs imported in any order,
+        /// duplicated or zero, leave the same buckets, in the same order.
+        #[test]
+        fn buckets_match_an_ordered_map(
+            values in proptest::collection::vec(0u64..u64::MAX, 0..200),
+            pairs in proptest::collection::vec((0u32..=MAX_BUCKET, 0u64..1_000), 0..100),
+        ) {
+            let mut model = std::collections::BTreeMap::new();
+            let mut h = LogHistogram::new();
+            for &v in &values {
+                h.record(v >> (v % 64));
+                *model.entry(bucket_of(v >> (v % 64))).or_insert(0u64) += 1;
+            }
+            let imported = LogHistogram::from_buckets(pairs.iter().copied());
+            h.merge(&imported);
+            for &(b, c) in pairs.iter().filter(|&&(_, c)| c > 0) {
+                *model.entry(b).or_insert(0) += c;
+            }
+            let want: Vec<(u32, u64)> = model.into_iter().collect();
+            proptest::prop_assert_eq!(h.buckets().collect::<Vec<_>>(), want.clone());
+            proptest::prop_assert_eq!(h.total(), want.iter().map(|&(_, c)| c).sum::<u64>());
+        }
     }
 
     #[test]
