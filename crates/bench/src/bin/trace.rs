@@ -311,6 +311,18 @@ fn load_telemetry(path: &str) -> Result<TelemetryDump, String> {
             .get("interval_us")
             .and_then(JsonValue::as_u64)
             .ok_or_else(bad)?;
+        // Every window is one bin of the series `cmd_telemetry` rebuilds,
+        // so the width must be positive and the same on every record.
+        if us == 0 {
+            return Err(format!("{path}:{}: interval_us is 0", lineno + 1));
+        }
+        if dump.windows > 0 && us != dump.interval.as_micros() {
+            return Err(format!(
+                "{path}:{}: interval_us {us} differs from the {} of the records before it",
+                lineno + 1,
+                dump.interval.as_micros()
+            ));
+        }
         dump.interval = Duration::from_micros(us);
         for nd in rec
             .get("nodes")

@@ -12,12 +12,14 @@
 //!   experiment, for CI-sized validation.
 //!
 //! Speed is measured by the standalone `benchmark/` harness
-//! (`BENCHMARK.json`), which calls these crates' public items.
+//! (`BENCHMARK.json`), which calls these crates' public items. The
+//! [`golden`] module holds the byte-identity gate on the hot path.
 
 #![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod export;
+pub mod golden;
 pub mod report;
 pub mod runner;
 

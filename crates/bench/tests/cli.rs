@@ -4,7 +4,9 @@
 //! (SIGABRT under the release profile's `panic = "abort"`), never a run
 //! that cannot end — and its observer exports: which files a run leaves
 //! under `--trace-dir` / `--telemetry-dir` / `--audit-dir`, named how.
-//! Every child runs under `budget`'s wall budget.
+//! The `trace` inspector is held to the same rule for streams it cannot
+//! read (exit 1, naming the file). Every child runs under `budget`'s wall
+//! budget.
 
 use std::path::{Path, PathBuf};
 use std::process::Output;
@@ -16,6 +18,7 @@ use ezflow_sim::JsonValue;
 mod budget;
 
 const EXPERIMENTS: &str = env!("CARGO_BIN_EXE_experiments");
+const TRACE: &str = env!("CARGO_BIN_EXE_trace");
 
 fn assert_rejected(args: &[&str], complaint: &str) {
     budget::assert_rejected(EXPERIMENTS, args, complaint);
@@ -377,6 +380,38 @@ fn loss_specs_naming_impossible_links_or_probabilities_exit_2_naming_the_field()
         let document = scenario1.replace(ideal, &format!("\"loss\": {loss}"));
         std::fs::write(&file, document).expect("the document is written");
         assert_rejected(&["--quick", &format!("--spec={}", file.display())], path);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn telemetry_streams_trace_cannot_rebuild_exit_1_naming_the_file() {
+    // A zero interval once reached `TimeSeries::new`'s nonzero-width
+    // assert: SIGABRT under `panic = "abort"`.
+    let record =
+        |us: u64| format!(r#"{{"interval_us":{us},"nodes":[{{"id":0,"queue":1}}],"flows":[]}}"#);
+    let cases = [
+        ("zero", record(0), ":1: interval_us is 0"),
+        (
+            "mixed",
+            format!("{}\n{}\n", record(100_000), record(50_000)),
+            ":2: interval_us 50000",
+        ),
+        ("empty", String::new(), ": no telemetry windows"),
+    ];
+    let dir = scratch("telemetry-streams");
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    for (name, stream, complaint) in cases {
+        let file = dir.join(format!("{name}.jsonl"));
+        std::fs::write(&file, stream).expect("the stream is written");
+        let file = file.display().to_string();
+        let out = budget::run(TRACE, &["telemetry", &file]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{file}{complaint}")),
+            "{name}: {stderr}"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

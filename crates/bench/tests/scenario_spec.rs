@@ -4,7 +4,7 @@
 //! `scenario2` load them, and nothing regenerates them. These tests hold
 //! what that leaves to check from outside: every committed document
 //! parses, compiles and runs; the generative `grid4x4.json` drives the
-//! same run as the `topo::grid` call `hotpath_bench` makes; `mesh1k.json`
+//! same run as the `topo::grid` call the golden's grid entry makes; `mesh1k.json`
 //! is the mesh it advertises; and malformed documents fail with pointed
 //! messages.
 
@@ -78,7 +78,7 @@ fn grid4x4_spec_is_byte_identical_to_the_constructor() {
     assert_eq!(
         digest(&compiled.topology),
         digest(&hand),
-        "grid4x4.json no longer describes hotpath_bench's 4x4 grid"
+        "grid4x4.json no longer describes the golden's 4x4 grid"
     );
 }
 

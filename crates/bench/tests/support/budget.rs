@@ -1,5 +1,5 @@
-//! A child-process runner with a wall budget, for the `experiments`
-//! binary's CLI tests (`cli.rs`).
+//! A child-process runner with a wall budget, for the `experiments` and
+//! `trace` binaries' CLI tests (`cli.rs`).
 //!
 //! The regressions those tests guard against are hangs and aborts, and a
 //! bare `Command::output()` turns a hang into a tier-1 run that never

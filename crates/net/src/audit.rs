@@ -25,8 +25,8 @@
 //!   reads the successor's occupancy mirror — when the ledger is armed;
 //! * with `audit_cap = 0` the only cost is one branch per probe site,
 //!   and the snapshot omits its `controller` section entirely, so
-//!   audit-off JSON stays byte-identical (gated in `hotpath_bench
-//!   --check` alongside the telemetry gate).
+//!   audit-off JSON stays byte-identical (gated by the golden test,
+//!   `cargo test -p ezflow-bench --test golden`, alongside telemetry).
 //!
 //! ## Ground truth
 //!

@@ -188,8 +188,8 @@ pub fn scenario1() -> Topology {
 /// Nodes sit every `spacing` meters in both directions, so tight spacings
 /// put *every* node inside every other's carrier-sense range — the
 /// worst case for the channel's per-sender neighbor lists (degree ≈ N)
-/// and therefore the stressor `hotpath_bench` uses to check the
-/// neighbor-table path never loses to the full scan it replaced.
+/// and therefore the stressor the hot-path golden
+/// (`ezflow_bench::golden`) pins the neighbor-table path on.
 pub fn grid(rows: usize, cols: usize, spacing: f64, start: Time, stop: Time) -> Topology {
     assert!(rows >= 1 && cols >= 2, "each row must carry a 1+ hop flow");
     let mut positions = Vec::with_capacity(rows * cols);

@@ -31,5 +31,5 @@ pub mod time;
 
 pub use json::{JsonError, JsonScalar, JsonValue, JsonWriter};
 pub use rng::SimRng;
-pub use sched::{SchedKind, Scheduler, TimerHandle, WheelStats};
+pub use sched::{Scheduler, TimerHandle, WheelStats};
 pub use time::{Duration, Time};

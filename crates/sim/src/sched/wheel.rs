@@ -1,4 +1,4 @@
-//! The calendar-queue backend: a bucket wheel plus an overflow heap.
+//! The calendar queue: a bucket wheel plus an overflow heap.
 //!
 //! The 802.11 DCF schedules almost everything within a few hundred slot
 //! times of *now* — DIFS/backoff expiries, SIFS responses, ACK timeouts,
@@ -34,8 +34,8 @@
 //! a bucket, sorted insertion keeps exact `(at, seq)` order, which also
 //! handles the degenerate case of an entry scheduled at or before the
 //! wheel's `base` (it clamps into the *current* bucket, where the sort
-//! ranks it first). Pop sequences are therefore identical to the heap
-//! backend's — property-tested in `tests/sched_equiv.rs`.
+//! ranks it first). Pop sequences are therefore identical to a plain
+//! binary heap's — property-tested against one in `tests/sched_equiv.rs`.
 
 use std::collections::BinaryHeap;
 

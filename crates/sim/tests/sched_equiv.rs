@@ -1,22 +1,25 @@
-//! Heap vs calendar-queue equivalence.
+//! Calendar queue vs binary-heap model.
 //!
-//! The two scheduler backends must be observationally indistinguishable:
-//! identical pop sequences (times and payloads), identical keyed handles,
-//! and identical bookkeeping (`len`, `depth_high_water`, `scheduled_total`,
-//! `rescheduled_total`, `removed_total`, `peek_time`). This harness drives
-//! both with the same randomized schedule/move/remove workload — short
-//! DCF-like timers, same-instant FIFO ties, deep-overflow events past the
-//! wheel horizon, keyed reschedule and park storms, and `pop_before`
-//! horizons that slice the run arbitrarily — and asserts lock-step
-//! equality after every operation. No network can be built on the heap,
-//! so this file is the only place the wheel is checked against it;
-//! `scripts/check.sh` runs it explicitly.
+//! The scheduler must be observationally indistinguishable from the
+//! plainest implementation of its contract: a binary heap over
+//! `(at, seq)` with its own sequence counter and its own accounting
+//! ([`HeapModel`]). Both must agree on pop sequences (times and payloads)
+//! and on bookkeeping (`len`, `depth_high_water`, `scheduled_total`,
+//! `rescheduled_total`, `removed_total`, `peek_time`). This harness
+//! drives both with the same randomized schedule/move/remove workload —
+//! short DCF-like timers, same-instant FIFO ties, deep-overflow events
+//! past the wheel horizon, keyed reschedule and park storms, and
+//! `pop_before` horizons that slice the run arbitrarily — and asserts
+//! lock-step equality after every operation.
 
-use ezflow_sim::{SchedKind, Scheduler, SimRng, Time, TimerHandle};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use ezflow_sim::{Scheduler, SimRng, Time, TimerHandle};
 use proptest::prelude::*;
 
 /// Event payload: an owner plus a unique tag for identity checks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Ev {
     owner: usize,
     tag: u64,
@@ -24,17 +27,83 @@ struct Ev {
 
 const OWNERS: usize = 8;
 
+/// A pending model entry's total-order key.
+type Key = (Time, u64);
+
+/// The reference: the scheduler's contract as a plain binary heap, with
+/// every counter kept here rather than read from the scheduler.
+#[derive(Default)]
+struct HeapModel {
+    /// Pending entries, earliest `(at, seq)` on top (`Ev` never breaks a
+    /// tie: the key is unique).
+    queue: BinaryHeap<Reverse<(Time, u64, Ev)>>,
+    next_seq: u64,
+    depth_high_water: usize,
+    scheduled: u64,
+    rescheduled: u64,
+    removed: u64,
+}
+
+impl HeapModel {
+    /// Queues `ev` at `at` under the next sequence number.
+    fn push(&mut self, at: Time, ev: Ev) -> Key {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.queue.push(Reverse((at, seq, ev)));
+        self.depth_high_water = self.depth_high_water.max(self.queue.len());
+        (at, seq)
+    }
+
+    fn schedule(&mut self, at: Time, ev: Ev) -> Key {
+        self.scheduled += 1;
+        self.push(at, ev)
+    }
+
+    fn reschedule(&mut self, prev: Option<Key>, at: Time, ev: Ev) -> Key {
+        if let Some(key) = prev {
+            assert!(self.take(key), "the model lost a live key");
+        }
+        self.rescheduled += 1;
+        self.push(at, ev)
+    }
+
+    fn remove(&mut self, key: Key) -> bool {
+        let found = self.take(key);
+        self.removed += u64::from(found);
+        found
+    }
+
+    /// Drops the entry under `key`; whether it was pending.
+    fn take(&mut self, key: Key) -> bool {
+        let before = self.queue.len();
+        self.queue
+            .retain(|Reverse((at, seq, _))| (*at, *seq) != key);
+        self.queue.len() != before
+    }
+
+    fn pop_before(&mut self, until: Time) -> Option<(Time, Ev)> {
+        if self.queue.peek()?.0 .0 > until {
+            return None;
+        }
+        self.queue.pop().map(|Reverse((at, _, ev))| (at, ev))
+    }
+
+    fn peek_time(&self) -> Option<Time> {
+        self.queue.peek().map(|Reverse((at, _, _))| *at)
+    }
+}
+
 /// `rng.gen_range` with u64 ergonomics for this file's workload mixes.
 fn below(rng: &mut SimRng, bound: u64) -> u64 {
     rng.gen_range(bound as u32) as u64
 }
 
 struct Pair {
-    heap: Scheduler<Ev>,
+    heap: HeapModel,
     wheel: Scheduler<Ev>,
-    /// Live handle pairs `(tag, heap handle, wheel handle)` for keyed
+    /// Live key pairs `(tag, model key, scheduler handle)` for keyed
     /// entries still pending in both queues.
-    handles: Vec<(u64, TimerHandle, TimerHandle)>,
+    handles: Vec<(u64, Key, TimerHandle)>,
     /// Logical timers currently parked (removed, awaiting revival).
     parked: usize,
     now: u64,
@@ -44,8 +113,8 @@ struct Pair {
 impl Pair {
     fn new() -> Self {
         Pair {
-            heap: Scheduler::with_kind(SchedKind::Heap),
-            wheel: Scheduler::with_kind(SchedKind::Wheel),
+            heap: HeapModel::default(),
+            wheel: Scheduler::new(),
             handles: Vec::new(),
             parked: 0,
             now: 0,
@@ -72,9 +141,8 @@ impl Pair {
     fn schedule_keyed(&mut self, delta_us: u64, owner: usize) {
         let at = Time::from_micros(self.now + delta_us);
         let ev = self.ev(owner);
-        let a = self.heap.schedule_keyed(at, ev);
+        let a = self.heap.schedule(at, ev);
         let b = self.wheel.schedule_keyed(at, ev);
-        assert_eq!(a, b, "handles must match");
         self.handles.push((ev.tag, a, b));
         self.check();
     }
@@ -85,12 +153,11 @@ impl Pair {
             return;
         }
         let i = pick % self.handles.len();
-        let (_, ha, hb) = self.handles[i];
+        let (_, ka, hb) = self.handles[i];
         let at = Time::from_micros(self.now + delta_us);
         let ev = self.ev(pick % OWNERS);
-        let a = self.heap.reschedule(Some(ha), at, ev);
+        let a = self.heap.reschedule(Some(ka), at, ev);
         let b = self.wheel.reschedule(Some(hb), at, ev);
-        assert_eq!(a, b, "rescheduled handles must match");
         self.handles[i] = (ev.tag, a, b);
         self.check();
     }
@@ -101,9 +168,9 @@ impl Pair {
             return;
         }
         let i = pick % self.handles.len();
-        let (_, ha, hb) = self.handles.swap_remove(i);
-        assert!(self.heap.remove(ha), "heap lost a live handle");
-        assert!(self.wheel.remove(hb), "wheel lost a live handle");
+        let (_, ka, hb) = self.handles.swap_remove(i);
+        assert!(self.heap.remove(ka), "the model lost a live key");
+        assert!(self.wheel.remove(hb), "the scheduler lost a live handle");
         self.parked += 1;
         self.check();
     }
@@ -119,12 +186,11 @@ impl Pair {
         let ev = self.ev(owner);
         let a = self.heap.reschedule(None, at, ev);
         let b = self.wheel.reschedule(None, at, ev);
-        assert_eq!(a, b);
         self.handles.push((ev.tag, a, b));
         self.check();
     }
 
-    /// Pops one event from each backend up to `until`, asserting both
+    /// Pops one event from each queue up to `until`, asserting both
     /// return the same thing.
     fn pop_before(&mut self, until: Time) -> Option<(Time, Ev)> {
         let a = self.heap.pop_before(until);
@@ -143,28 +209,27 @@ impl Pair {
         a
     }
 
-    /// Lock-step bookkeeping equality.
+    /// Lock-step bookkeeping equality: the scheduler's counters against
+    /// the model's own.
     fn check(&self) {
-        assert_eq!(self.heap.len(), self.wheel.len());
-        assert_eq!(self.heap.is_empty(), self.wheel.is_empty());
-        assert_eq!(self.heap.scheduled_total(), self.wheel.scheduled_total());
+        let (m, s) = (&self.heap, &self.wheel);
+        assert_eq!(m.queue.len(), s.len());
+        assert_eq!(m.queue.is_empty(), s.is_empty());
+        assert_eq!(m.scheduled, s.scheduled_total());
         assert_eq!(
-            self.heap.depth_high_water(),
-            self.wheel.depth_high_water(),
+            m.depth_high_water,
+            s.depth_high_water(),
             "high-water accounting diverged"
         );
-        assert_eq!(
-            self.heap.rescheduled_total(),
-            self.wheel.rescheduled_total()
-        );
-        assert_eq!(self.heap.removed_total(), self.wheel.removed_total());
-        assert_eq!(self.heap.peek_time(), self.wheel.peek_time());
+        assert_eq!(m.rescheduled, s.rescheduled_total());
+        assert_eq!(m.removed, s.removed_total());
+        assert_eq!(m.peek_time(), s.peek_time());
     }
 
     /// Drains both queues to empty, comparing every pop.
     fn drain(&mut self) {
         while self.pop_before(Time::MAX).is_some() {}
-        assert!(self.heap.is_empty() && self.wheel.is_empty());
+        assert!(self.heap.queue.is_empty() && self.wheel.is_empty());
     }
 }
 
@@ -340,7 +405,7 @@ fn reschedule_storm_stays_in_lock_step() {
     // A dense in-place reschedule storm — every keyed entry moved many
     // times, crossing the wheel's bucket/overflow boundary in both
     // directions and mixing with parks, revivals and unkeyed bystanders
-    // — must keep both backends byte-identical.
+    // — must keep the scheduler and the model in lock-step.
     let mut rng = SimRng::new(77);
     let mut pair = Pair::new();
     for i in 0..24 {
@@ -365,7 +430,7 @@ fn reschedule_storm_stays_in_lock_step() {
         }
     }
     assert!(
-        pair.heap.rescheduled_total() > 100,
+        pair.heap.rescheduled > 100,
         "the storm must actually reschedule"
     );
     pair.drain();
@@ -385,7 +450,7 @@ fn horizon_slicing_never_changes_decisions() {
         }
         let mut popped = Vec::new();
         let mut until = 0;
-        while !pair.heap.is_empty() {
+        while !pair.wheel.is_empty() {
             until += slice_us;
             while let Some((t, ev)) = pair.pop_before(Time::from_micros(until)) {
                 popped.push((t, ev.tag));

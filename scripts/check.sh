@@ -10,6 +10,10 @@ echo "== cargo clippy (workspace, deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test (workspace) =="
+# Includes the scheduler's lock-step proptests against a heap model
+# (crates/sim/tests/sched_equiv.rs) and the hot-path golden
+# (crates/bench/tests/golden.rs): every gated run byte-compared against
+# crates/bench/golden/hotpath.json, observers off and armed.
 cargo test -q --workspace
 
 echo "== cargo doc (no deps, deny warnings) =="
@@ -34,20 +38,6 @@ for d in tr tel aud; do
   FILES="$(find "$TRACE_TMP/seeds/$d" -name 'seeds_*.jsonl' | wc -l)"
   [ "$FILES" -eq 20 ] || { echo "seeds smoke: $FILES files under $d, expected 20"; exit 1; }
 done
-
-echo "== scheduler equivalence proptests (heap vs wheel) =="
-# Randomized schedule/move/remove workloads must pop identically from the
-# wheel and the heap reference (exact (at, seq) order, same high-water
-# stats) — the only place the heap runs.
-cargo test -q -p ezflow-sim --test sched_equiv
-
-echo "== hot-path determinism gate (hotpath_bench --check) =="
-# Byte-compares the perf-zeroed run snapshots against the committed
-# golden (event counts, never wall time — non-flaky).
-# These runs leave the flight recorder off, so this is also the
-# recorder-off byte-identity gate: disabled-recorder code must not
-# change a single counter.
-cargo run --release -q -p ezflow-bench --bin hotpath_bench -- --check
 
 echo "== benchmark harness build + tests (benchmark/, its own workspace) =="
 # The root workspace never compiles benchmark/, which reaches the
