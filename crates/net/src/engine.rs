@@ -620,16 +620,15 @@ impl Network {
     /// depths, airtime deltas, MAC counter deltas and per-flow delivered
     /// bits into the telemetry rings, then re-arms the sampler.
     ///
-    /// Interference-free by construction: the airtime settle splits the
-    /// lazy integer-microsecond accrual exactly (totals every later
-    /// reader sees are unchanged), every other access is a pure read,
-    /// and the one push this makes is compensated in [`Network::snapshot`].
+    /// Interference-free by construction: every access is a pure read
+    /// (the airtime split is derived from the channel's horizons and
+    /// gaps, not settled), and the one push this makes is compensated in
+    /// [`Network::snapshot`].
     fn on_telemetry(&mut self) {
-        self.channel.accrue_airtime(self.now);
         self.telemetry.begin_window(self.now);
         for id in 0..self.nodes.len() {
             let occ = self.hot.occupancy[id] as f64;
-            let air = self.channel.airtime_breakdown(id);
+            let air = self.channel.airtime_breakdown(id, self.now);
             let mac = self.nodes[id].mac.stats();
             self.telemetry.node_sample(id, occ, air, mac);
         }
@@ -920,7 +919,6 @@ impl Network {
     /// (left default): the shared core of [`Network::snapshot`] and
     /// [`Network::snapshot_json`].
     fn snapshot_sans_latency(&mut self, label: &str) -> RunSnapshot {
-        self.channel.accrue_airtime(self.now);
         let nodes = self
             .nodes
             .iter()
@@ -929,7 +927,7 @@ impl Network {
                 id,
                 controller: node.controller.name().to_string(),
                 cw_min: node.mac.cw_min(),
-                airtime: self.channel.airtime_breakdown(id),
+                airtime: self.channel.airtime_breakdown(id, self.now),
                 mac: node.mac.stats(),
                 counters: node.controller.counters(),
                 queues: node

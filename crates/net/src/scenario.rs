@@ -963,8 +963,9 @@ fn parse_transport(v: &JsonValue, path: &str) -> Result<Transport, ScenarioError
     }
 }
 
-/// A byte count the engine holds in a `u32` (`payload_bytes`,
-/// `ack_payload`); a value past that is rejected rather than wrapped.
+/// A count the engine holds in a `u32` (`payload_bytes`, `ack_payload`,
+/// a mix entry's `weight`); a value past that is rejected rather than
+/// wrapped.
 fn opt_u32(v: &JsonValue, path: &str, key: &str, default: u32) -> Result<u32, ScenarioError> {
     u32::try_from(opt_u64(v, path, key, default.into())?)
         .map_err(|_| field(&join(path, key), "must fit in 32 bits"))
@@ -1020,7 +1021,7 @@ fn parse_traffic(v: &JsonValue) -> Result<TrafficMix, ScenarioError> {
     for (i, m) in mix_arr.iter().enumerate() {
         let mp = format!("traffic.mix[{i}]");
         mix.push(MixEntry {
-            weight: opt_u64(m, &mp, "weight", 1)? as u32,
+            weight: opt_u32(m, &mp, "weight", 1)?,
             transport: parse_transport(req(m, &mp, "transport")?, &join(&mp, "transport"))?,
         });
     }

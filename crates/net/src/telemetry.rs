@@ -16,10 +16,9 @@
 //! Telemetry must never change what a run computes:
 //!
 //! * the sampler only *reads* simulation state — queue occupancies, MAC
-//!   counters and throughput totals are pure reads, and the airtime
-//!   settle it forces ([`ezflow_phy::Channel::accrue_airtime`]) splits
-//!   the lazy integer-microsecond accrual exactly, so every later
-//!   observation is unchanged;
+//!   counters, throughput totals and the airtime split
+//!   ([`ezflow_phy::Channel::airtime_breakdown`], derived from horizons
+//!   and gaps, never settled) are pure reads;
 //! * the engine dispatches the sampler *outside* its event accounting
 //!   (`events`, per-kind counts), and [`Network::snapshot`] subtracts
 //!   the sampler's own scheduler traffic — `Telemetry::pushes` events

@@ -90,8 +90,8 @@ fn onoff_flow_shapes_offered_load_end_to_end() {
 /// profile's engine invariants: the carrier mirror of every counting MAC
 /// equals the channel's busy count at each pull (`Mac::sync_carrier`),
 /// the listening bits equal `Mac::counting_phase` at every sample, and
-/// each node's airtime buckets, settled only on class changes, partition
-/// the elapsed time.
+/// each node's airtime buckets, derived from horizons and gaps,
+/// partition the elapsed time.
 #[test]
 fn mesh_slice_with_eifs_and_rts_cts_holds_the_carrier_invariants() {
     let text = r#"{"name": "mesh100", "duration_secs": 4, "seed": 5,

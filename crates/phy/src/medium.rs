@@ -59,8 +59,9 @@
 //! * **An end visits its receivers and its listeners, not its sense row.**
 //!   Horizons need no decrement, so [`Channel::end_tx_into`] walks the
 //!   sender's decode row (receptions) and the short list of listeners the
-//!   transmission holds busy; airtime is split lazily at the horizons the
-//!   next time a start touches the node.
+//!   transmission holds busy. Airtime needs no settling either: each node
+//!   keeps three interval unions as a horizon and a gap each, and
+//!   [`Channel::airtime_breakdown`] derives the tx/rx/busy/idle split.
 
 use ezflow_sim::{SimRng, Time};
 
@@ -121,9 +122,9 @@ pub struct ChannelStats {
 }
 
 /// Where one node's time went, split by radio state, in microseconds.
-/// Accumulated by the channel (see [`Channel::accrue_airtime`]); the four
-/// buckets partition elapsed time exactly, with transmit taking priority
-/// over receive over carrier-sense-busy.
+/// Derived by [`Channel::airtime_breakdown`]; the four buckets partition
+/// elapsed time exactly, with transmit taking priority over receive over
+/// carrier-sense-busy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Airtime {
     /// Transmitting.
@@ -298,8 +299,10 @@ pub struct Channel {
     /// Not part of [`ChannelStats`] (never serialised): it measures the
     /// channel's own work, which tests pin as independent of network size.
     capture_evals: u64,
-    /// Per node: horizons and airtime ledger, written by the start walk.
+    /// Per node: horizons and airtime gaps, written by the start walk.
     radio: Vec<Radio>,
+    /// The instant of the latest start: airtime is readable from there on.
+    latest_start: Time,
     /// Per node: whether busy/idle transitions are reported. A column of
     /// its own so the start walk's test of it is an L1 byte.
     listening: Vec<bool>,
@@ -310,8 +313,7 @@ pub struct Channel {
     stats: ChannelStats,
 }
 
-/// One node's radio: three horizons, and the airtime ledger split at
-/// them. Exactly one cache line.
+/// One node's radio: three horizons, and the airtime gap below each.
 ///
 /// A horizon is the latest `end` among the transmissions the node sensed
 /// (`sense_until`), could decode (`rx_until`) or sent (`tx_until`); it
@@ -320,43 +322,28 @@ pub struct Channel {
 /// the node senses one iff `sense_until > now` — or `sense_until == now`
 /// and a transmission ending at `now` it senses has not been taken off
 /// yet (the tie [`Channel::is_busy`] resolves against the active set).
-#[derive(Clone, Copy, Debug)]
-#[repr(C, align(64))]
+///
+/// Airtime is three running interval unions: T (sent), R∪T (decodable or
+/// sent) and S∪T (sensed or sent), with horizons `tx_until`,
+/// `max(tx_until, rx_until)` and `max(tx_until, sense_until)`. Starts
+/// arrive in time order and a horizon only grows, so a union covers all
+/// of `[0, h)` but the stretches a start found it idle: its gap grows by
+/// `now − h` only when a start begins after `h`, and at any `t` no earlier
+/// than the latest start the union covers `min(h, t) − gap` microseconds.
+#[derive(Clone, Copy, Debug, Default)]
 struct Radio {
     sense_until: Time,
     rx_until: Time,
     tx_until: Time,
-    /// Instant up to which `air` has been split.
-    since: Time,
-    /// tx/rx/busy/idle split.
-    air: Airtime,
+    /// Uncovered µs below T's horizon.
+    gap_t: u64,
+    /// Uncovered µs below R∪T's horizon.
+    gap_rt: u64,
+    /// Uncovered µs below S∪T's horizon.
+    gap_st: u64,
 }
 
-const _: () = assert!(std::mem::size_of::<Radio>() == 64);
-
-impl Radio {
-    /// Attributes `[since, now)`. Every transmission that covers part of
-    /// it started by then and is in the horizons, so an instant `t` in it
-    /// is tx if `t < tx_until`, else rx if `t < rx_until`, else busy if
-    /// `t < sense_until`, else idle: the span splits at the three
-    /// horizons, in integer microseconds, exactly as an every-event sweep
-    /// would have added it up.
-    #[inline]
-    fn settle(&mut self, now: Time) {
-        if now <= self.since {
-            return;
-        }
-        let at = |h: Time| h.clamp(self.since, now);
-        let tx = at(self.tx_until);
-        let rx = at(self.rx_until).max(tx);
-        let busy = at(self.sense_until).max(rx);
-        self.air.tx_us += tx.since(self.since).as_micros();
-        self.air.rx_us += rx.since(tx).as_micros();
-        self.air.busy_us += busy.since(rx).as_micros();
-        self.air.idle_us += now.since(busy).as_micros();
-        self.since = now;
-    }
-}
+const _: () = assert!(std::mem::size_of::<Radio>() == 48);
 
 #[inline]
 fn unpack(entry: u32) -> (usize, bool) {
@@ -390,16 +377,8 @@ impl Channel {
             scratch_pool: Vec::new(),
             pool_reuses: 0,
             capture_evals: 0,
-            radio: vec![
-                Radio {
-                    sense_until: Time::ZERO,
-                    rx_until: Time::ZERO,
-                    tx_until: Time::ZERO,
-                    since: Time::ZERO,
-                    air: Airtime::default(),
-                };
-                n
-            ],
+            radio: vec![Radio::default(); n],
+            latest_start: Time::ZERO,
             listening: vec![true; n],
             airtime_us: vec![0; n],
             next_tx: 0,
@@ -407,20 +386,26 @@ impl Channel {
         }
     }
 
-    /// Advances the per-node airtime ledger to `now`: every node's time
-    /// since its last settle is split at its horizons. A transmission
-    /// start settles only the nodes whose horizons it raises from before
-    /// `now`; call this with the final simulation instant before reading
-    /// [`Channel::airtime_breakdown`], so the buckets cover the whole run.
-    pub fn accrue_airtime(&mut self, now: Time) {
-        for radio in &mut self.radio {
-            radio.settle(now);
+    /// The tx/rx/busy/idle split of `node`'s time over `[0, now)`, for a
+    /// `now` no earlier than the latest start: tx is T's cover, rx what
+    /// R∪T adds to it, busy what S∪T adds to that, idle the rest (see
+    /// `Radio`). Exactly what an every-event sweep would have added up.
+    pub fn airtime_breakdown(&self, node: usize, now: Time) -> Airtime {
+        debug_assert!(
+            now >= self.latest_start,
+            "airtime read before the latest start"
+        );
+        let r = &self.radio[node];
+        let cover = |h: Time, gap: u64| h.min(now).as_micros() - gap;
+        let tx = cover(r.tx_until, r.gap_t);
+        let rx = cover(r.tx_until.max(r.rx_until), r.gap_rt);
+        let busy = cover(r.tx_until.max(r.sense_until), r.gap_st);
+        Airtime {
+            tx_us: tx,
+            rx_us: rx - tx,
+            busy_us: busy - rx,
+            idle_us: now.as_micros() - busy,
         }
-    }
-
-    /// The tx/rx/busy/idle time split of `node`, as accrued so far.
-    pub fn airtime_breakdown(&self, node: usize) -> Airtime {
-        self.radio[node].air
     }
 
     /// Cumulative transmit airtime of `node` (completed transmissions).
@@ -614,6 +599,7 @@ impl Channel {
         debug_assert!(end > now, "zero-length transmission");
         debug_assert!(src < self.node_count(), "unknown transmitter");
         self.stats.tx_started += 1;
+        self.latest_start = now;
 
         let (positions, cfg) = (&self.positions[..], &self.cfg);
         let decode_from = &self.decode_from;
@@ -671,14 +657,14 @@ impl Channel {
             }
         }
 
-        // A node is settled only if this start raises one of its horizons
-        // from before `now`, which would recolour `[since, now)`; raising
-        // one that already reaches `now` changes no instant before it.
+        // `[now, end)` joins the unions; one whose horizon lies before
+        // `now` gains a gap of the difference.
+        let gap = |h: Time| now.saturating_since(h).as_micros();
         let radio = &mut self.radio[..];
         let own = &mut radio[src];
-        if own.tx_until < now {
-            own.settle(now);
-        }
+        own.gap_t += gap(own.tx_until);
+        own.gap_rt += gap(own.tx_until.max(own.rx_until));
+        own.gap_st += gap(own.tx_until.max(own.sense_until));
         own.tx_until = own.tx_until.max(end);
         report.became_busy.clear();
         // decode range ⊆ sense range, so one pass over the sense row
@@ -688,9 +674,7 @@ impl Channel {
         for &entry in self.sense_rows.row(src) {
             let (r, decodes) = unpack(entry);
             let node = &mut radio[r];
-            if node.sense_until < now || (decodes && node.rx_until < now) {
-                node.settle(now);
-            }
+            node.gap_st += gap(node.tx_until.max(node.sense_until));
             if self.listening[r] {
                 if !busy_at(&self.active, positions, cfg, node, r, now) {
                     report.became_busy.push(r);
@@ -701,6 +685,7 @@ impl Channel {
             }
             node.sense_until = node.sense_until.max(end);
             if decodes {
+                node.gap_rt += gap(node.tx_until.max(node.rx_until));
                 node.rx_until = node.rx_until.max(end);
             }
         }
@@ -768,9 +753,6 @@ impl Channel {
         } = self.active.swap_remove(idx);
         debug_assert_eq!(now, end, "end_tx away from the transmission's end");
 
-        // The one ledger an end settles: the sender's, so its transmit
-        // time reads complete as soon as the frame is off the air.
-        self.radio[src].settle(now);
         self.airtime_us[src] += end.since(start).as_micros();
         // A listener this transmission held goes idle iff its horizon is
         // still this end and no other transmission ending now that it
@@ -1142,26 +1124,25 @@ mod tests {
         // 0 transmits to 1 for 100 µs; then the air is quiet until 400.
         let a = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
         ch.end_tx(t(100), a.tx_id, &mut rng);
-        ch.accrue_airtime(t(400));
 
-        let a0 = ch.airtime_breakdown(0);
+        let a0 = ch.airtime_breakdown(0, t(400));
         assert_eq!(a0.tx_us, 100);
         assert_eq!(a0.idle_us, 300);
         // Node 1 decodes node 0: rx while the frame was on the air.
-        let a1 = ch.airtime_breakdown(1);
+        let a1 = ch.airtime_breakdown(1, t(400));
         assert_eq!(a1.rx_us, 100);
         assert_eq!(a1.idle_us, 300);
         // Node 2 senses (400 m) but cannot decode (250 m range): busy.
-        let a2 = ch.airtime_breakdown(2);
+        let a2 = ch.airtime_breakdown(2, t(400));
         assert_eq!(a2.busy_us, 100);
         assert_eq!(a2.idle_us, 300);
         // Node 3 (600 m) senses nothing.
-        let a3 = ch.airtime_breakdown(3);
+        let a3 = ch.airtime_breakdown(3, t(400));
         assert_eq!(a3.idle_us, 400);
 
         // Every node's buckets partition the full 400 µs.
         for node in 0..5 {
-            let air = ch.airtime_breakdown(node);
+            let air = ch.airtime_breakdown(node, t(400));
             assert_eq!(air.total_us(), 400, "node {node}");
             let (ftx, frx, fbusy, fidle) = air.fractions();
             assert!((ftx + frx + fbusy + fidle - 1.0).abs() < 1e-12);
@@ -1178,7 +1159,7 @@ mod tests {
         let b = ch.start_tx(t(0), FrameId::default(), 1, 2, t(100));
         ch.end_tx(t(100), a.tx_id, &mut rng);
         ch.end_tx(t(100), b.tx_id, &mut rng);
-        let a1 = ch.airtime_breakdown(1);
+        let a1 = ch.airtime_breakdown(1, t(100));
         assert_eq!(a1.tx_us, 100);
         assert_eq!(a1.rx_us, 0);
     }
@@ -1522,7 +1503,9 @@ mod tests {
         /// order, and half the cases snap every instant to 50 µs so that
         /// ends tie often: `is_busy` is then also asked between two ends
         /// at one instant. Per-node airtime equals the reference's every-event
-        /// full-sweep ledger, and the EIFS set derived from the sense row
+        /// full-sweep ledger after random events, read at a random instant
+        /// up to the next event (often the event's own instant or the
+        /// next one's), and at the close; the EIFS set derived from the sense row
         /// minus clean deliveries equals the reference's dirty list. The
         /// loss model mixes a default PER, per-link PER, a global burst
         /// overlay, per-link burst chains and up/down schedules, so the
@@ -1563,6 +1546,7 @@ mod tests {
                 proptest::prelude::any::<bool>(),
                 proptest::collection::vec(proptest::prelude::any::<u16>(), 60),
                 proptest::collection::vec(proptest::option::of(0usize..24), 60),
+                proptest::collection::vec(proptest::option::of(proptest::prelude::any::<u16>()), 60),
             ),
         ) {
             use proptest::prelude::{prop_assert_eq, prop_assert};
@@ -1571,7 +1555,7 @@ mod tests {
                 .map(|&(x, y)| crate::geom::Position::new(x, y))
                 .collect();
             let n = pos.len();
-            let (listens, snap, ties, toggles) = order;
+            let (listens, snap, ties, toggles, probes) = order;
             let (default_per, loss_p, burst, burst_links, churn) = loss;
             let mut loss = LossModel::uniform(default_per);
             for s in 0..n {
@@ -1655,10 +1639,10 @@ mod tests {
                 events.push((end, ties[2 * i + 1], Ev::End(i)));
             }
             events.sort_by_key(|&(t, tie, _)| (t, tie));
+            let times: Vec<u64> = events.iter().map(|&(t, _, _)| t).collect();
 
             let mut ids = vec![None; txs.len()];
             let mut end_report = EndReport::default();
-            let mut last = 0;
             for (k, (t, _, ev)) in events.into_iter().enumerate() {
                 if let Some(r) = toggles[k].filter(|&r| r < n) {
                     listening[r] = !listening[r];
@@ -1718,17 +1702,31 @@ mod tests {
                         "is_busy({})", r
                     );
                 }
-                last = t;
+                // Nothing changes before the next event, so the sweep may
+                // stop anywhere up to it and go on from there.
+                if let Some(x) = probes[k] {
+                    let next = times.get(k + 1).copied().unwrap_or(t + 7);
+                    let at = match x % 3 {
+                        0 => t,
+                        1 => next,
+                        _ => t + u64::from(x) % (next - t + 1),
+                    };
+                    let at = Time::from_micros(at);
+                    slow.sweep(at);
+                    for r in 0..n {
+                        prop_assert_eq!(fast.airtime_breakdown(r, at), slow.air[r], "airtime of {} at {:?}", r, at);
+                    }
+                }
             }
             prop_assert_eq!(fast.active_count(), slow.active.len());
             prop_assert_eq!(fast.stats(), slow.stats);
-            // The lazy ledger against the every-event sweep, brought to a
-            // common instant past the last event.
+            // The gap ledger against the every-event sweep at an instant
+            // past the last event.
+            let last = times[times.len() - 1];
             let close = Time::from_micros(last + 7);
-            fast.accrue_airtime(close);
             slow.sweep(close);
             for r in 0..n {
-                prop_assert_eq!(fast.airtime_breakdown(r), slow.air[r], "airtime of {}", r);
+                prop_assert_eq!(fast.airtime_breakdown(r, close), slow.air[r], "airtime of {}", r);
                 prop_assert_eq!(slow.air[r].total_us(), last + 7);
             }
         }
