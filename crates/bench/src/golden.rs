@@ -48,6 +48,7 @@ use std::sync::{Arc, Mutex};
 
 use ezflow_net::{topo, Network, NetworkSpec, PerfSnapshot, ScenarioSpec, Topology};
 use ezflow_phy::{ChurnWindow, GilbertElliott, LossModel};
+use ezflow_sim::json::Key;
 use ezflow_sim::{JsonValue, Time};
 
 use crate::experiments::Algo;
@@ -343,7 +344,7 @@ pub fn document(digests: &[(&str, String)]) -> String {
         .iter()
         .map(|(label, digest)| {
             let value = JsonValue::parse(digest).expect("a digest is valid JSON");
-            (label.to_string(), value)
+            (Key::from(label.to_string()), value)
         })
         .collect();
     let mut text = JsonValue::Object(fields).to_compact();

@@ -295,9 +295,10 @@ fn specs_that_could_not_run_or_could_not_end_exit_2_naming_the_field() {
     // On a 2-hop chain for one simulated second, each of these once hung
     // (a window whose first fill never finishes; packets less than a
     // clock tick apart, so the source re-armed its tick at `now` forever)
-    // or aborted in the allocator (an 800 TB queue). Past them: a chain
-    // with no hops or past the node limit, a run that cannot start or
-    // cannot end, and a loss rate that is no probability.
+    // or aborted in the allocator (an 800 TB queue), or, 200,000 arrays
+    // deep, overflowed the parser's stack. Past them: a layout of no
+    // known kind, a chain with no hops or past the node limit, a run that
+    // cannot start or cannot end, and a loss rate that is no probability.
     let chain = r#""name": "x", "duration_secs": 1, "topology": {"kind": "chain", "hops": 2}"#;
     let flow = r#""path": [0, 1, 2], "start_secs": 0, "stop_secs": 1"#;
     let chain_of = |secs: &str, hops: u64| {
@@ -307,6 +308,15 @@ fn specs_that_could_not_run_or_could_not_end_exit_2_naming_the_field() {
     };
     let lossy = |per: f64| format!(r#"{{{chain}, "loss": {{"kind": "uniform", "per": {per}}}}}"#);
     let documents = [
+        (
+            "topology.kind",
+            r#"{"name": "x", "duration_secs": 1, "topology": {"kind": "donut"}}"#.to_string(),
+        ),
+        // The object and 127 arrays open; the 128th array is one too deep.
+        (
+            "line 1, column 137: nesting deeper than 128",
+            format!(r#"{{"name": {}}}"#, nested(200_000)),
+        ),
         ("topology.hops", chain_of("1", 0)),
         ("topology.hops", chain_of("1", 262_144)),
         ("duration_secs", chain_of("1e12", 2)),
@@ -365,6 +375,30 @@ fn specs_that_could_not_run_or_could_not_end_exit_2_naming_the_field() {
         assert_rejected(&[&format!("--spec={}", file.display())], path);
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `[[…[]…]]`, `depth` arrays deep.
+fn nested(depth: usize) -> String {
+    "[".repeat(depth) + &"]".repeat(depth)
+}
+
+#[test]
+fn an_over_dense_layout_exits_2_naming_the_topology_inside_512_mb() {
+    // 65,536 nodes in one carrier-sense cell: 2^32 neighbour-row entries,
+    // once an allocator abort. The compiler finds it before any row is
+    // built, so inside the same 512 MB of address space the committed
+    // 64k-node mesh runs in.
+    let file = scratch("dense").with_extension("json");
+    let document = r#"{"name": "dense", "duration_secs": 1,
+        "topology": {"kind": "random_geometric", "nodes": 65536, "width": 300,
+                     "height": 300, "gateways": 4, "seed": 1},
+        "traffic": {"flows": 4, "rate_bps": 200000, "start_secs": 0, "stop_secs": 1,
+                    "mix": [{"transport": {"kind": "cbr"}}]}}"#;
+    std::fs::write(&file, document).expect("the document is written");
+    let limited = r#"ulimit -v 524288; exec "$0" --jobs=1 --spec="$1""#;
+    let file_arg = file.display().to_string();
+    budget::assert_rejected("sh", &["-c", limited, EXPERIMENTS, &file_arg], "topology");
+    std::fs::remove_file(&file).ok();
 }
 
 #[test]
@@ -428,6 +462,12 @@ fn telemetry_streams_trace_cannot_rebuild_exit_1_naming_the_file() {
             ":2: interval_us 50000",
         ),
         ("empty", String::new(), ": no telemetry windows"),
+        // 200,000 arrays deep once overflowed the parser's stack.
+        (
+            "deep",
+            format!(r#"{{"interval_us": {}}}"#, nested(200_000)) + "\n",
+            ":1: not a telemetry record: JSON parse error at byte 143: nesting deeper than 128",
+        ),
     ];
     let dir = scratch("telemetry-streams");
     std::fs::create_dir_all(&dir).expect("a scratch directory");

@@ -17,6 +17,7 @@ use std::fmt::Display;
 
 use ezflow_mac::MacStats;
 use ezflow_phy::{Airtime, ChannelStats};
+use ezflow_sim::json::Key;
 use ezflow_sim::{JsonValue, Time};
 use ezflow_stats::hist::MAX_BUCKET;
 use ezflow_stats::LogHistogram;
@@ -107,15 +108,15 @@ macro_rules! record {
     (@put $s:ident, $out:ident, $key:expr, $field:ident, [? if $keep:expr]) => {{
         let keep: fn(&Self) -> bool = $keep;
         if keep($s) {
-            $out.push(($key.to_string(), $s.$field.write()));
+            $out.push(($key.into(), $s.$field.write()));
         }
     }};
     (@put $s:ident, $out:ident, $key:expr, $field:ident, [$($lenient:tt)?]) => {
-        $out.push(($key.to_string(), $s.$field.write()))
+        $out.push(($key.into(), $s.$field.write()))
     };
     (@put $s:ident, $out:ident, $key:expr, ($derive:expr), []) => {{
         let derive: fn(&Self) -> _ = $derive;
-        $out.push(($key.to_string(), derive($s).write()));
+        $out.push(($key.into(), derive($s).write()));
     }};
     (@get $v:ident, [$($done:tt)*],) => {
         Ok(Self { $($done)* })
@@ -650,7 +651,8 @@ impl Codec for Schema {
 /// order.
 impl Codec for Vec<(String, u64)> {
     fn write(&self) -> JsonValue {
-        JsonValue::Object(self.iter().map(|(k, n)| (k.clone(), n.write())).collect())
+        let kinds = self.iter().map(|(k, n)| (Key::from(k.clone()), n.write()));
+        JsonValue::Object(kinds.collect())
     }
 
     fn read(v: &JsonValue) -> Result<Self, String> {
@@ -659,7 +661,7 @@ impl Codec for Vec<(String, u64)> {
         };
         kinds
             .iter()
-            .map(|(k, _)| Ok((k.clone(), field(v, k)?)))
+            .map(|(k, _)| Ok((k.to_string(), field(v, k)?)))
             .collect()
     }
 }
@@ -668,7 +670,7 @@ impl Codec for Vec<(String, u64)> {
 impl Codec for [u64; PROFILE_KINDS] {
     fn write(&self) -> JsonValue {
         let kinds = PROFILE_NAMES.iter().zip(self);
-        JsonValue::Object(kinds.map(|(k, n)| (k.to_string(), n.write())).collect())
+        JsonValue::Object(kinds.map(|(&k, n)| (k.into(), n.write())).collect())
     }
 
     fn read(v: &JsonValue) -> Result<Self, String> {
@@ -920,7 +922,13 @@ mod tests {
     /// The value at JSON-pointer segments `path`.
     fn at<'a>(v: &'a mut JsonValue, path: &[String]) -> &'a mut JsonValue {
         path.iter().fold(v, |v, seg| match v {
-            JsonValue::Object(fields) => &mut fields.iter_mut().find(|(k, _)| k == seg).unwrap().1,
+            JsonValue::Object(fields) => {
+                &mut fields
+                    .iter_mut()
+                    .find(|(k, _)| k.as_str() == seg)
+                    .unwrap()
+                    .1
+            }
             JsonValue::Array(items) => &mut items[seg.parse::<usize>().unwrap()],
             _ => panic!("no {seg} in a scalar"),
         })
@@ -929,7 +937,7 @@ mod tests {
     /// The path of every object key in `v`, depth first.
     fn key_paths(v: &JsonValue, prefix: &[String], out: &mut Vec<Vec<String>>) {
         let children: Vec<(String, &JsonValue)> = match v {
-            JsonValue::Object(fields) => fields.iter().map(|(k, v)| (k.clone(), v)).collect(),
+            JsonValue::Object(fields) => fields.iter().map(|(k, v)| (k.to_string(), v)).collect(),
             JsonValue::Array(items) => items
                 .iter()
                 .enumerate()
@@ -1051,7 +1059,7 @@ mod tests {
     #[test]
     fn from_json_reports_missing_fields() {
         // `schema` reads leniently; `label` is the first required key.
-        let err = RunSnapshot::from_json(&JsonValue::obj(vec![])).unwrap_err();
+        let err = RunSnapshot::from_json(&JsonValue::Object(vec![])).unwrap_err();
         assert_eq!(err, "/label: missing");
         let err = RunSnapshot::from_json(&JsonValue::from(1u64)).unwrap_err();
         assert_eq!(err, "/label: missing");
@@ -1137,7 +1145,7 @@ mod tests {
             let JsonValue::Object(fields) = at(&mut cut, parent) else {
                 unreachable!()
             };
-            fields.retain(|(k, _)| k != key);
+            fields.retain(|(k, _)| k.as_str() != key);
             let mut want = snap.clone();
             let lenient = match (parent.len(), key.as_str()) {
                 (0, "schema" | "trace_records") => true,
