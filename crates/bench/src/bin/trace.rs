@@ -341,7 +341,11 @@ fn load_telemetry(path: &str) -> Result<TelemetryDump, String> {
             .and_then(JsonValue::as_array)
             .ok_or_else(bad)?
         {
-            let id = fl.get("flow").and_then(JsonValue::as_u64).ok_or_else(bad)? as u32;
+            let id = fl.get("flow").and_then(JsonValue::as_u64).ok_or_else(bad)?;
+            // Flow ids are `u32`s: a wider one would wrap onto another
+            // flow and blend the two series.
+            let id = u32::try_from(id)
+                .map_err(|_| format!("{path}:{}: flow {id} does not fit in 32 bits", lineno + 1))?;
             let k = fl.get("kbps").and_then(JsonValue::as_f64).ok_or_else(bad)?;
             dump.flow_kbps.entry(id).or_default().push(k);
         }

@@ -260,16 +260,14 @@ fn testbed_links() -> String {
     let t = topo::testbed(true, true, Time::from_secs(1), until);
     let mut spec = observed_spec(Scale::quick(), &t);
     spec.loss = spec.loss.with_burst(GilbertElliott::classic());
-    spec.loss.set_link_burst_symmetric(
-        2,
-        3,
-        GilbertElliott {
-            p_g2b: 0.05,
-            p_b2g: 0.2,
-            p_good: 0.01,
-            p_bad: 0.9,
-        },
-    );
+    let l2 = GilbertElliott {
+        p_g2b: 0.05,
+        p_b2g: 0.2,
+        p_good: 0.01,
+        p_bad: 0.9,
+    };
+    spec.loss.set_link_burst(2, 3, l2);
+    spec.loss.set_link_burst(3, 2, l2);
     let s = ezflow_sim::Duration::from_secs;
     let ms = ezflow_sim::Duration::from_millis;
     spec.loss.set_link_churn(
@@ -277,8 +275,9 @@ fn testbed_links() -> String {
         4,
         ChurnWindow::new(s(3), s(1), ms(500)),
     );
-    spec.loss
-        .set_link_churn_symmetric(5, 6, ChurnWindow::new(s(7), ms(500), s(2)));
+    let l5 = ChurnWindow::new(s(7), ms(500), s(2));
+    spec.loss.set_link_churn(5, 6, l5);
+    spec.loss.set_link_churn(6, 5, l5);
     let (net, mut digests) = observed_run(spec, until);
     let c = net.channel_stats();
     digests.push((

@@ -298,7 +298,8 @@ fn specs_that_could_not_run_or_could_not_end_exit_2_naming_the_field() {
     // or aborted in the allocator (an 800 TB queue), or, 200,000 arrays
     // deep, overflowed the parser's stack. Past them: a layout of no
     // known kind, a chain with no hops or past the node limit, a run that
-    // cannot start or cannot end, and a loss rate that is no probability.
+    // cannot start or cannot end, a loss rate that is no probability and
+    // a sweep axis that names one value twice.
     let chain = r#""name": "x", "duration_secs": 1, "topology": {"kind": "chain", "hops": 2}"#;
     let flow = r#""path": [0, 1, 2], "start_secs": 0, "stop_secs": 1"#;
     let chain_of = |secs: &str, hops: u64| {
@@ -346,6 +347,21 @@ fn specs_that_could_not_run_or_could_not_end_exit_2_naming_the_field() {
             "sweep.queue_caps[0]",
             format!(r#"{{{chain}, "sweep": {{"queue_caps": [99999999999999]}}}}"#),
         ),
+        // A repeated sweep value once ran the same point twice under one
+        // label (four identical `x/80211/qc50/seed3` rows, each export
+        // written four times).
+        (
+            "sweep.seeds[1]",
+            format!(r#"{{{chain}, "sweep": {{"seeds": [3, 3]}}}}"#),
+        ),
+        (
+            "sweep.queue_caps[2]",
+            format!(r#"{{{chain}, "sweep": {{"queue_caps": [50, 25, 50]}}}}"#),
+        ),
+        (
+            "sweep.controllers[1]",
+            format!(r#"{{{chain}, "sweep": {{"controllers": ["802.11", "802.11"]}}}}"#),
+        ),
         (
             "traffic.rate_bps",
             r#"{"name": "x", "duration_secs": 1,
@@ -375,6 +391,111 @@ fn specs_that_could_not_run_or_could_not_end_exit_2_naming_the_field() {
         assert_rejected(&[&format!("--spec={}", file.display())], path);
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_spec_that_says_what_its_run_would_not_do_exits_2_naming_the_key() {
+    // Each of these once ran exactly as the unedited scenario1.json does:
+    // the reader skipped a key it did not know — a typo, or a key of
+    // another `kind` — and of a key given twice took the first.
+    let scenario1 = include_str!("../../../scenarios/scenario1.json");
+    let edit = |from: &str, to: &str| {
+        assert!(scenario1.contains(from), "scenario1.json lost {from:?}");
+        scenario1.replacen(from, to, 1)
+    };
+    let explicit = r#""kind": "explicit","#;
+    let documents = [
+        (
+            "`queue_capp`: unknown key",
+            edit(
+                r#""queue_cap": 50,"#,
+                r#""queue_cap": 50, "queue_capp": 0,"#,
+            ),
+        ),
+        (
+            "`sweeep`: unknown key",
+            edit(
+                r#""seed": 42,"#,
+                r#""seed": 42, "sweeep": {"seeds": [1, 2]},"#,
+            ),
+        ),
+        (
+            "`topology.spacing`: unknown key (expected one of: kind, positions)",
+            edit(explicit, r#""kind": "explicit", "spacing": 100,"#),
+        ),
+        (
+            "`topology.hops`: unknown key",
+            edit(explicit, r#""kind": "explicit", "hops": 8,"#),
+        ),
+        (
+            "`loss.burst`: unknown key (expected one of: kind, per)",
+            edit(
+                r#""kind": "ideal""#,
+                r#""kind": "uniform", "per": 0.1, "burst": {"p_g2b": 0.1, "p_b2g": 0.1, "p_bad": 0.5}"#,
+            ),
+        ),
+        (
+            "`flows[0].rate`: unknown key",
+            edit(r#""rate_bps": 2000000,"#, r#""rate": 1000000,"#),
+        ),
+        (
+            "`queue_cap`: key given more than once",
+            edit(r#""queue_cap": 50,"#, r#""queue_cap": 50, "queue_cap": 0,"#),
+        ),
+        ("`(document)`: must be an object", "[]".to_string()),
+    ];
+    let dir = scratch("strict-specs");
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    for (i, (complaint, document)) in documents.iter().enumerate() {
+        let file = dir.join(format!("{i}.json"));
+        std::fs::write(&file, document).expect("the document is written");
+        assert_rejected(
+            &["--quick", &format!("--spec={}", file.display())],
+            complaint,
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The repository root, where `experiments --list` looks for `scenarios/`.
+const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+
+#[test]
+fn every_committed_spec_is_listed_readable() {
+    // `--list` tolerates a spec it cannot read by printing UNREADABLE in
+    // its place and exiting 0, so that word is the failure.
+    let out = budget::run(
+        "sh",
+        &["-c", r#"cd "$1" && exec "$0" --list"#, EXPERIMENTS, ROOT],
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("scenarios/scenario1.json"), "{stdout}");
+    assert!(!stdout.contains("UNREADABLE"), "{stdout}");
+}
+
+#[test]
+fn committed_specs_run_from_parse_to_report_and_exit_0() {
+    // time=0.01 simulates ~25 s of scenario 1 — past its t=5 s flow
+    // starts, so the "traffic flowed" check is real, not vacuous. The
+    // calibrated testbed's flows (per-link loss) start at t=0; grid4x4.json
+    // is the generative form, lattice and flows supplied by the compiler.
+    for (spec, time) in [
+        ("scenario1", "0.01"),
+        ("testbed", "0.01"),
+        ("grid4x4", "0.1"),
+    ] {
+        let args = [
+            "--quick".to_string(),
+            format!("--time={time}"),
+            format!("--spec={ROOT}/scenarios/{spec}.json"),
+        ];
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let out = budget::run_within(SIMULATING, EXPERIMENTS, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{spec}: {stderr}");
+        assert!(!out.stdout.is_empty(), "{spec}: no report");
+    }
 }
 
 /// `[[…[]…]]`, `depth` arrays deep.
@@ -454,6 +575,11 @@ fn telemetry_streams_trace_cannot_rebuild_exit_1_naming_the_file() {
     // assert: SIGABRT under `panic = "abort"`.
     let record =
         |us: u64| format!(r#"{{"interval_us":{us},"nodes":[{{"id":0,"queue":1}}],"flows":[]}}"#);
+    let flow = |id: u64| {
+        format!(
+            r#"{{"interval_us":100000,"nodes":[{{"id":0,"queue":1}}],"flows":[{{"flow":{id},"kbps":1}}]}}"#
+        )
+    };
     let cases = [
         ("zero", record(0), ":1: interval_us is 0"),
         (
@@ -462,6 +588,13 @@ fn telemetry_streams_trace_cannot_rebuild_exit_1_naming_the_file() {
             ":2: interval_us 50000",
         ),
         ("empty", String::new(), ": no telemetry windows"),
+        // Flow 2^32 once wrapped onto flow 0: "1 flows", the two series
+        // blended into one mean.
+        (
+            "wide-flow",
+            format!("{}\n{}\n", flow(0), flow(1 << 32)),
+            ":2: flow 4294967296 does not fit in 32 bits",
+        ),
         // 200,000 arrays deep once overflowed the parser's stack.
         (
             "deep",

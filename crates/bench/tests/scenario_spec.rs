@@ -5,8 +5,9 @@
 //! what that leaves to check from outside: every committed document
 //! parses, compiles and runs; the generative `grid4x4.json` drives the
 //! same run as the `topo::grid` call the golden's grid entry makes; `mesh1k.json`
-//! is the mesh it advertises; and malformed documents fail with pointed
-//! messages.
+//! is the mesh it advertises; malformed documents fail with pointed
+//! messages; and every object of every real document refuses a key it
+//! does not read or a key given twice.
 
 use std::path::PathBuf;
 
@@ -15,7 +16,8 @@ use ezflow_bench::report::Scale;
 use ezflow_net::{
     topo, CompiledScenario, Network, NetworkSpec, PerfSnapshot, ScenarioError, ScenarioSpec,
 };
-use ezflow_sim::Time;
+use ezflow_sim::json::Key;
+use ezflow_sim::{JsonValue, Time};
 
 fn scenario_path(name: &str) -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios")).join(name)
@@ -59,6 +61,136 @@ fn every_committed_spec_parses_compiles_and_runs() {
             .sum();
         assert_eq!(stale, 0, "{what}: a stale timer reached a MAC");
     }
+}
+
+/// One step into a JSON document: an object key or an array index.
+#[derive(Clone)]
+enum Step {
+    Key(String),
+    Index(usize),
+}
+
+/// One object of a document: the steps to it, its dotted path (the form
+/// a [`ScenarioError::Field`] names, `flows[2].transport`) and its keys.
+struct Found {
+    steps: Vec<Step>,
+    path: String,
+    keys: Vec<String>,
+}
+
+/// Every object in `v`, below `steps` / `path`.
+fn objects(v: &JsonValue, steps: &mut Vec<Step>, path: &str, out: &mut Vec<Found>) {
+    match v {
+        JsonValue::Object(fields) => {
+            out.push(Found {
+                steps: steps.clone(),
+                path: path.to_string(),
+                keys: fields.iter().map(|(k, _)| k.to_string()).collect(),
+            });
+            for (k, child) in fields {
+                steps.push(Step::Key(k.to_string()));
+                objects(child, steps, &dotted(path, k), out);
+                steps.pop();
+            }
+        }
+        JsonValue::Array(items) => {
+            for (i, child) in items.iter().enumerate() {
+                steps.push(Step::Index(i));
+                objects(child, steps, &format!("{path}[{i}]"), out);
+                steps.pop();
+            }
+        }
+        _ => {}
+    }
+}
+
+/// `key` of the object at `path` (the document itself when empty).
+fn dotted(path: &str, key: &str) -> String {
+    match path.is_empty() {
+        true => key.to_string(),
+        false => format!("{path}.{key}"),
+    }
+}
+
+/// `doc` re-serialised after `edit` changed the fields of the object
+/// `steps` lead to.
+fn edited(
+    doc: &JsonValue,
+    steps: &[Step],
+    edit: impl FnOnce(&mut Vec<(Key, JsonValue)>),
+) -> String {
+    let mut doc = doc.clone();
+    let at = steps.iter().fold(&mut doc, |v, step| match (v, step) {
+        (JsonValue::Object(fields), Step::Key(k)) => {
+            &mut fields.iter_mut().find(|(f, _)| f.as_str() == k).unwrap().1
+        }
+        (JsonValue::Array(items), Step::Index(i)) => &mut items[*i],
+        _ => unreachable!("the steps were read off this document"),
+    });
+    let JsonValue::Object(fields) = at else {
+        unreachable!("the steps lead to an object")
+    };
+    edit(fields);
+    doc.to_compact()
+}
+
+/// Every committed spec and every benchmark workload template (its seed
+/// placeholders filled in), by name and text.
+fn every_document() -> Vec<(String, String)> {
+    let mut docs: Vec<(String, String)> = (spec::discover(&scenario_path("")).into_iter())
+        .map(|(path, _)| {
+            (
+                path.display().to_string(),
+                std::fs::read_to_string(&path).unwrap(),
+            )
+        })
+        .collect();
+    let workloads = PathBuf::from(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../benchmark/workloads"
+    ));
+    let mut templates: Vec<PathBuf> = (std::fs::read_dir(&workloads).unwrap())
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|x| x == "json"))
+        .collect();
+    templates.sort();
+    assert_eq!(templates.len(), 4, "benchmark/workloads: {templates:?}");
+    for path in templates {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let text = text.replace("{{seed+1}}", "2").replace("{{seed}}", "1");
+        docs.push((path.display().to_string(), text));
+    }
+    docs
+}
+
+#[test]
+fn every_object_of_every_real_document_refuses_an_unknown_or_repeated_key() {
+    let expect_field = |what: String, text: &str, want: &str| match ScenarioSpec::parse(text) {
+        Err(ScenarioError::Field { path, .. }) => assert_eq!(path, want, "{what}"),
+        other => panic!("{what}: expected a field error at {want}, got {other:?}"),
+    };
+    let mut repeats = 0;
+    for (what, text) in every_document() {
+        ScenarioSpec::parse(&text).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let doc = JsonValue::parse(&text).unwrap();
+        let mut found = Vec::new();
+        objects(&doc, &mut Vec::new(), "", &mut found);
+        for object in found {
+            let (steps, path) = (&object.steps, &object.path);
+            let unknown = edited(&doc, steps, |fields| {
+                fields.push(("no_such_key".into(), JsonValue::Null))
+            });
+            let want = dotted(path, "no_such_key");
+            expect_field(format!("{what}: unknown key in `{path}`"), &unknown, &want);
+            for (i, key) in object.keys.iter().enumerate() {
+                let repeated = edited(&doc, steps, |fields| fields.push(fields[i].clone()));
+                let what = format!("{what}: `{key}` repeated in `{path}`");
+                expect_field(what, &repeated, &dotted(path, key));
+                repeats += 1;
+            }
+        }
+    }
+    assert!(repeats > 100, "only {repeats} keys were repeated");
 }
 
 #[test]

@@ -362,22 +362,27 @@ impl TraceEvent {
                 .and_then(JsonValue::as_u64)
                 .ok_or_else(|| format!("payload missing numeric '{key}'"))
         };
+        // The payload's counters are `u32`s: a wider value is refused,
+        // not wrapped onto another flow or count.
+        let num32 = |key: &str| {
+            u32::try_from(num(key)?).map_err(|_| format!("payload '{key}' does not fit in 32 bits"))
+        };
         let payload = match ty {
             "admit" => TracePayload::Admit {
-                flow: num("flow")? as u32,
+                flow: num32("flow")?,
             },
             "enqueue" => TracePayload::Enqueue {
-                flow: num("flow")? as u32,
-                occupancy: num("occupancy")? as u32,
-                cap: num("cap")? as u32,
+                flow: num32("flow")?,
+                occupancy: num32("occupancy")?,
+                cap: num32("cap")?,
             },
             "dequeue" => TracePayload::Dequeue {
-                flow: num("flow")? as u32,
+                flow: num32("flow")?,
             },
             "attempt" => TracePayload::Attempt {
-                attempt: num("attempt")? as u32,
-                cw: num("cw")? as u32,
-                slots: num("slots")? as u32,
+                attempt: num32("attempt")?,
+                cw: num32("cw")?,
+                slots: num32("slots")?,
             },
             "rx_outcome" => TracePayload::RxOutcome {
                 class: named(p, "class", &CLASSES, class_name)?,
@@ -387,7 +392,7 @@ impl TraceEvent {
                 verdict: named(p, "verdict", &VERDICTS, BoeVerdict::name)?,
             },
             "deliver" => TracePayload::Deliver {
-                flow: num("flow")? as u32,
+                flow: num32("flow")?,
             },
             "drop" => TracePayload::Drop {
                 cause: named(p, "cause", &CAUSES, DropCause::name)?,
@@ -561,5 +566,37 @@ mod tests {
         );
         // Blank lines are fine.
         assert_eq!(parse_jsonl("\n\n").unwrap().len(), 0);
+    }
+
+    #[test]
+    fn parse_jsonl_refuses_a_count_wider_than_its_u32() {
+        // Flow 2^32 once read back as flow 0, its record folded into
+        // another flow's journey; each `u32` field is now held to its width.
+        let zeros = r#""flow": 0, "occupancy": 0, "cap": 0, "attempt": 0, "cw": 0, "slots": 0"#;
+        for (key, kind, ty) in [
+            ("flow", "Admit", "admit"),
+            ("occupancy", "Enqueue", "enqueue"),
+            ("cap", "Enqueue", "enqueue"),
+            ("attempt", "Attempt", "attempt"),
+            ("cw", "Attempt", "attempt"),
+            ("slots", "Attempt", "attempt"),
+        ] {
+            let line = |n: u64| {
+                let fields = zeros.replace(&format!(r#""{key}": 0"#), &format!(r#""{key}": {n}"#));
+                format!(
+                    r#"{{"at_us": 1, "node": 0, "kind": "{kind}", "payload": {{"type": "{ty}", "seq": 1, {fields}}}}}"#
+                )
+            };
+            assert_eq!(
+                parse_jsonl(&line(u32::MAX.into())).unwrap().len(),
+                1,
+                "{key}"
+            );
+            let err = parse_jsonl(&format!("\n{}", line(1 << 32))).unwrap_err();
+            assert!(
+                err.contains("line 2") && err.contains(&format!("'{key}' does not fit in 32 bits")),
+                "{key}: {err}"
+            );
+        }
     }
 }

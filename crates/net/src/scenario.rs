@@ -40,9 +40,19 @@
 //! Explicit `flows` and a generative `traffic` mix are mutually
 //! exclusive; the mix needs gateways, so it requires a
 //! `random_geometric` topology. See DESIGN.md §9 for the full schema.
+//!
+//! The schema is stated once, in code: each spec type's `Read` impl
+//! reads its own object, one call per key, and that call is where the
+//! key's name, type, default and bound live. A key no read of its object
+//! asks for — a typo, or a key of another `kind` — is refused, naming
+//! the keys the object does read, and so is a key given twice, and a
+//! value a sweep axis repeats. Every refusal is a
+//! [`ScenarioError::Field`] at the dotted path of the offending key.
+
+use std::fmt;
 
 use ezflow_phy::{ChannelConfig, ChurnWindow, GilbertElliott, LossModel, Position};
-use ezflow_sim::json::{JsonError, JsonValue};
+use ezflow_sim::json::{JsonError, JsonValue, Key};
 use ezflow_sim::{Duration, SimRng, Time};
 
 use crate::routing::GatewayRoutes;
@@ -99,7 +109,8 @@ pub enum ScenarioError {
         message: String,
     },
     /// Valid JSON, but not a valid scenario; `path` names the offending
-    /// field (e.g. `flows[2].transport.kind`).
+    /// field (e.g. `flows[2].transport.kind`), or is `(document)` when
+    /// the document is not an object at all.
     Field {
         /// Dotted field path into the document.
         path: String,
@@ -205,43 +216,108 @@ pub struct TrafficMix {
     pub mix: Vec<MixEntry>,
 }
 
-/// A directed or symmetric per-link Bernoulli override.
+/// A per-link override of the loss process: `loss` on the link from `a`
+/// to `b`, and on the way back too if `symmetric`. `T` is a Bernoulli
+/// PER (`f64`), a [`GilbertElliott`] chain or a [`ChurnWindow`].
 #[derive(Clone, Debug, PartialEq)]
-pub struct LinkPer {
+pub struct LinkEntry<T> {
     /// Transmitting node (or one end if symmetric).
     pub a: usize,
     /// Receiving node (or the other end).
     pub b: usize,
-    /// Loss probability.
-    pub per: f64,
+    /// The loss process the link gets.
+    pub loss: T,
     /// Apply in both directions.
     pub symmetric: bool,
 }
 
-/// A per-link Gilbert-Elliott override.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LinkBurst {
-    /// Transmitting node (or one end if symmetric).
-    pub a: usize,
-    /// Receiving node (or the other end).
-    pub b: usize,
-    /// The burst parameters.
-    pub ge: GilbertElliott,
-    /// Apply in both directions.
-    pub symmetric: bool,
+/// What a per-link entry can set: read from the entry's own keys beside
+/// `a`, `b` and `symmetric`, and set on one direction of a link.
+trait LinkLoss: Copy {
+    fn take(o: &mut Object<'_>) -> Result<Self, ScenarioError>;
+    fn set(self, m: &mut LossModel, src: usize, dst: usize);
 }
 
-/// A per-link deterministic up/down schedule.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LinkChurn {
-    /// Transmitting node (or one end if symmetric).
-    pub a: usize,
-    /// Receiving node (or the other end).
-    pub b: usize,
-    /// The schedule.
-    pub window: ChurnWindow,
-    /// Apply in both directions.
-    pub symmetric: bool,
+impl LinkLoss for f64 {
+    fn take(o: &mut Object<'_>) -> Result<Self, ScenarioError> {
+        o.must("per", checked(probability))
+    }
+    fn set(self, m: &mut LossModel, src: usize, dst: usize) {
+        m.set_link(src, dst, self);
+    }
+}
+
+impl LinkLoss for GilbertElliott {
+    fn take(o: &mut Object<'_>) -> Result<Self, ScenarioError> {
+        Ok(GilbertElliott {
+            p_g2b: o.must("p_g2b", checked(probability))?,
+            p_b2g: o.must("p_b2g", checked(probability))?,
+            p_good: o.get("p_good", checked(probability))?.unwrap_or(0.0),
+            p_bad: o.must("p_bad", checked(probability))?,
+        })
+    }
+    fn set(self, m: &mut LossModel, src: usize, dst: usize) {
+        m.set_link_burst(src, dst, self);
+    }
+}
+
+impl LinkLoss for ChurnWindow {
+    fn take(o: &mut Object<'_>) -> Result<Self, ScenarioError> {
+        let (up, down): (Duration, Duration) = (o.req("up_secs")?, o.req("down_secs")?);
+        if up.as_micros() + down.as_micros() == 0 {
+            return Err(field(o.at, "churn cycle must be nonzero"));
+        }
+        let phase = o.opt("phase_secs")?.unwrap_or(Duration::ZERO);
+        Ok(ChurnWindow::new(up, down, phase))
+    }
+    fn set(self, m: &mut LossModel, src: usize, dst: usize) {
+        m.set_link_churn(src, dst, self);
+    }
+}
+
+/// Sets every entry on `m`, both ways where it is symmetric.
+fn set_links<T: LinkLoss>(m: &mut LossModel, entries: &[LinkEntry<T>]) {
+    for l in entries {
+        l.loss.set(m, l.a, l.b);
+        if l.symmetric {
+            l.loss.set(m, l.b, l.a);
+        }
+    }
+}
+
+/// Holds every entry of `loss.<list>` to the layout: both ends are nodes
+/// of it, and within `tx_range` of each other — a decode link, the only
+/// kind a loss process ever samples (the channel keeps loss state for
+/// decode links alone), so an entry anywhere else would be a silent
+/// no-op. The error names the entry.
+fn check_links<T>(
+    list: &str,
+    entries: &[LinkEntry<T>],
+    positions: &[Position],
+    tx_range: f64,
+) -> Result<(), ScenarioError> {
+    let n = positions.len();
+    let loss = Path::Key(&Path::Root, "loss");
+    let list = Path::Key(&loss, list);
+    for (i, &LinkEntry { a, b, .. }) in entries.iter().enumerate() {
+        let at = Path::Index(&list, i);
+        for (key, node) in [("a", a), ("b", b)] {
+            if node >= n {
+                let message = format!("node {node} is out of bounds (the layout has {n})");
+                return Err(field(Path::Key(&at, key), message));
+            }
+        }
+        let (pa, pb) = (&positions[a], &positions[b]);
+        if !pa.within(pb, tx_range) {
+            let message = format!(
+                "nodes {a} and {b} are {:.0} m apart, beyond the {tx_range} m decode range: \
+                 no frame crosses this link",
+                pa.distance(pb)
+            );
+            return Err(field(at, message));
+        }
+    }
+    Ok(())
 }
 
 /// The loss schedule of a scenario, compiled onto [`LossModel`].
@@ -250,53 +326,16 @@ pub struct LossSpec {
     /// Bernoulli loss on every link not overridden.
     pub default_per: f64,
     /// Per-link Bernoulli overrides.
-    pub links: Vec<LinkPer>,
+    pub links: Vec<LinkEntry<f64>>,
     /// Global Gilbert-Elliott overlay.
     pub burst: Option<GilbertElliott>,
     /// Per-link Gilbert-Elliott overrides.
-    pub burst_links: Vec<LinkBurst>,
+    pub burst_links: Vec<LinkEntry<GilbertElliott>>,
     /// Per-link up/down schedules.
-    pub churn: Vec<LinkChurn>,
+    pub churn: Vec<LinkEntry<ChurnWindow>>,
 }
 
 impl LossSpec {
-    /// Holds every per-link entry to the layout: both ends are nodes of
-    /// it, and within `tx_range` of each other — a decode link, the only
-    /// kind a loss process ever samples (the channel keeps loss state for
-    /// decode links alone), so an entry anywhere else would be a silent
-    /// no-op. The error names the entry.
-    fn check_links(&self, positions: &[Position], tx_range: f64) -> Result<(), ScenarioError> {
-        let ends = (self.links.iter().enumerate())
-            .map(|(i, l)| (format!("loss.links[{i}]"), l.a, l.b))
-            .chain(
-                (self.burst_links.iter().enumerate())
-                    .map(|(i, l)| (format!("loss.burst_links[{i}]"), l.a, l.b)),
-            )
-            .chain(
-                (self.churn.iter().enumerate())
-                    .map(|(i, l)| (format!("loss.churn[{i}]"), l.a, l.b)),
-            );
-        let n = positions.len();
-        for (path, a, b) in ends {
-            for (key, node) in [("a", a), ("b", b)] {
-                if node >= n {
-                    let message = format!("node {node} is out of bounds (the layout has {n})");
-                    return Err(field(&join(&path, key), &message));
-                }
-            }
-            let (pa, pb) = (&positions[a], &positions[b]);
-            if !pa.within(pb, tx_range) {
-                let message = format!(
-                    "nodes {a} and {b} are {:.0} m apart, beyond the {tx_range} m decode range: \
-                     no frame crosses this link",
-                    pa.distance(pb)
-                );
-                return Err(field(&path, &message));
-            }
-        }
-        Ok(())
-    }
-
     /// Lowers the schedule onto a [`LossModel`].
     pub fn compile(&self) -> LossModel {
         let mut m = if self.default_per > 0.0 {
@@ -304,30 +343,12 @@ impl LossSpec {
         } else {
             LossModel::ideal()
         };
-        for l in &self.links {
-            if l.symmetric {
-                m.set_link_symmetric(l.a, l.b, l.per);
-            } else {
-                m.set_link(l.a, l.b, l.per);
-            }
-        }
+        set_links(&mut m, &self.links);
         if let Some(ge) = self.burst {
             m = m.with_burst(ge);
         }
-        for l in &self.burst_links {
-            if l.symmetric {
-                m.set_link_burst_symmetric(l.a, l.b, l.ge);
-            } else {
-                m.set_link_burst(l.a, l.b, l.ge);
-            }
-        }
-        for l in &self.churn {
-            if l.symmetric {
-                m.set_link_churn_symmetric(l.a, l.b, l.window);
-            } else {
-                m.set_link_churn(l.a, l.b, l.window);
-            }
-        }
+        set_links(&mut m, &self.burst_links);
+        set_links(&mut m, &self.churn);
         m
     }
 }
@@ -412,71 +433,22 @@ impl ScenarioSpec {
                 message: e.message,
             }
         })?;
-        ScenarioSpec::from_json(&v)
-    }
-
-    /// Builds a spec from an already-parsed JSON value.
-    pub fn from_json(v: &JsonValue) -> Result<ScenarioSpec, ScenarioError> {
-        let name = req_str(v, "", "name")?;
-        let description = opt_str(v, "", "description", "")?;
-        let duration_secs = req_f64(v, "", "duration_secs")?;
-        if !(duration_secs.is_finite() && duration_secs > 0.0) {
-            return Err(field("duration_secs", "must be a positive number"));
-        }
-        secs_to_time("duration_secs", duration_secs)?;
-        let seed = opt_u64(v, "", "seed", 1)?;
-        let queue_cap = queue_cap_in_range("queue_cap", opt_u64(v, "", "queue_cap", 50)?)?;
-        let topology = parse_topology(req(v, "", "topology")?)?;
-
-        let mut flows = Vec::new();
-        if let Some(fv) = v.get("flows") {
-            let arr = fv
-                .as_array()
-                .ok_or_else(|| field("flows", "must be an array"))?;
-            for (i, f) in arr.iter().enumerate() {
-                flows.push(parse_flow(f, i)?);
-            }
-        }
-        let traffic = match v.get("traffic") {
-            Some(t) => Some(parse_traffic(t)?),
-            None => None,
-        };
-        if !flows.is_empty() && traffic.is_some() {
-            return Err(field("traffic", "mutually exclusive with explicit `flows`"));
-        }
-        let loss = match v.get("loss") {
-            Some(l) => parse_loss(l)?,
-            None => LossSpec::default(),
-        };
-        let sweep = match v.get("sweep") {
-            Some(s) => parse_sweep(s)?,
-            None => SweepSpec::default(),
-        };
-        Ok(ScenarioSpec {
-            name,
-            description,
-            duration_secs,
-            seed,
-            queue_cap,
-            topology,
-            flows,
-            traffic,
-            loss,
-            sweep,
-        })
+        ScenarioSpec::read(&v, Path::Root)
     }
 
     /// Compiles the spec: generates the layout and flows, lowers the
     /// loss schedule, validates the result and expands the sweep.
     pub fn compile(&self) -> Result<CompiledScenario, ScenarioError> {
-        let until = secs_to_time("duration_secs", self.duration_secs)?;
+        let until = secs_to_time(self.duration_secs).map_err(|m| field("duration_secs", m))?;
         let (positions, builtin) = self.build_layout(until)?;
         // Before the routing pass walks the layout: `validate` below
         // repeats the check for specs built in code.
         crate::builder::check_density(&positions, crate::topo::CS_RANGE)
-            .map_err(|e| field("topology", &e.to_string()))?;
-        self.loss
-            .check_links(&positions, ChannelConfig::default().tx_range)?;
+            .map_err(|e| field("topology", e.to_string()))?;
+        let (loss, tx_range) = (&self.loss, ChannelConfig::default().tx_range);
+        check_links("links", &loss.links, &positions, tx_range)?;
+        check_links("burst_links", &loss.burst_links, &positions, tx_range)?;
+        check_links("churn", &loss.churn, &positions, tx_range)?;
         let flows = self.build_flows(&positions, builtin)?;
         let topology = Topology {
             name: self.name.clone(),
@@ -615,7 +587,7 @@ impl ScenarioSpec {
         if let Some(&node) = stranded.first() {
             return Err(field(
                 "topology",
-                &format!(
+                format!(
                     "not connected: node {node} (of {} stranded) cannot reach any gateway — \
                      densify (more nodes / smaller area) or reseed",
                     stranded.len()
@@ -629,7 +601,7 @@ impl ScenarioSpec {
         if mix.flows > eligible.len() {
             return Err(field(
                 "traffic.flows",
-                &format!("only {} non-gateway nodes available", eligible.len()),
+                format!("only {} non-gateway nodes available", eligible.len()),
             ));
         }
         let mut rng = SimRng::with_stream(*seed, SOURCE_STREAM);
@@ -714,491 +686,559 @@ fn slug(name: &str) -> String {
     name.replace(['.', ' ', '(', ')'], "")
 }
 
-// ---- parse helpers -------------------------------------------------------
+// ---- the reader ----------------------------------------------------------
 
-fn field(path: &str, message: &str) -> ScenarioError {
+/// A [`ScenarioError::Field`] at `path`: a [`Path`] the reader holds,
+/// or one compile types out.
+fn field(path: impl fmt::Display, message: impl Into<String>) -> ScenarioError {
     ScenarioError::Field {
         path: path.to_string(),
-        message: message.to_string(),
+        message: message.into(),
     }
 }
 
-fn join(path: &str, key: &str) -> String {
-    if path.is_empty() {
-        key.to_string()
-    } else {
-        format!("{path}.{key}")
+/// Where a value sits in the document: a chain of borrowed keys and
+/// indices, rendered as the dotted path (`flows[2].transport.kind`) only
+/// when an error names it — a document that reads cleanly builds no path
+/// string.
+#[derive(Clone, Copy)]
+enum Path<'a> {
+    /// The document itself.
+    Root,
+    /// A key of the object at the parent path.
+    Key(&'a Path<'a>, &'a str),
+    /// An item of the array at the parent path.
+    Index(&'a Path<'a>, usize),
+}
+
+impl fmt::Display for Path<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Path::Root => f.write_str("(document)"),
+            Path::Key(Path::Root, key) => f.write_str(key),
+            Path::Key(parent, key) => write!(f, "{parent}.{key}"),
+            Path::Index(parent, i) => write!(f, "{parent}[{i}]"),
+        }
     }
 }
 
-fn req<'a>(v: &'a JsonValue, path: &str, key: &str) -> Result<&'a JsonValue, ScenarioError> {
-    v.get(key)
-        .ok_or_else(|| field(&join(path, key), "missing required field"))
+/// A value a scenario document states, read from its JSON at `at`. A
+/// spec type's impl is where its keys are stated, each once, through
+/// [`Object`].
+trait Read: Sized {
+    fn read(v: &JsonValue, at: Path<'_>) -> Result<Self, ScenarioError>;
 }
 
-fn req_str(v: &JsonValue, path: &str, key: &str) -> Result<String, ScenarioError> {
-    req(v, path, key)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| field(&join(path, key), "must be a string"))
+/// The scalars: a JSON value of the type, or an error naming it.
+macro_rules! read_scalar {
+    ($($t:ty: $as:ident, $what:literal;)*) => {$(
+        impl Read for $t {
+            fn read(v: &JsonValue, at: Path<'_>) -> Result<Self, ScenarioError> {
+                v.$as().map(Into::into).ok_or_else(|| field(at, concat!("must be ", $what)))
+            }
+        }
+    )*};
+}
+read_scalar! {
+    f64: as_f64, "a number";
+    u64: as_u64, "a non-negative integer";
+    bool: as_bool, "a boolean";
+    String: as_str, "a string";
 }
 
-fn opt_str(v: &JsonValue, path: &str, key: &str, default: &str) -> Result<String, ScenarioError> {
-    match v.get(key) {
-        None => Ok(default.to_string()),
-        Some(s) => s
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| field(&join(path, key), "must be a string")),
+/// The narrower counts (`payload_bytes`, `ack_payload`, a mix entry's
+/// `weight` are `u32`s in the engine): a value past the type is rejected
+/// rather than wrapped.
+macro_rules! read_narrowed {
+    ($($t:ty),*) => {$(
+        impl Read for $t {
+            fn read(v: &JsonValue, at: Path<'_>) -> Result<Self, ScenarioError> {
+                <$t>::try_from(u64::read(v, at)?)
+                    .map_err(|_| field(at, format!("must fit in {} bits", <$t>::BITS)))
+            }
+        }
+    )*};
+}
+read_narrowed!(u32, usize);
+
+impl<T: Read> Read for Vec<T> {
+    fn read(v: &JsonValue, at: Path<'_>) -> Result<Self, ScenarioError> {
+        items(v, at, T::read)
     }
 }
 
-fn req_f64(v: &JsonValue, path: &str, key: &str) -> Result<f64, ScenarioError> {
-    req(v, path, key)?
-        .as_f64()
-        .ok_or_else(|| field(&join(path, key), "must be a number"))
+/// The items of the array `v`, each read by `item` at its index.
+fn items<U>(
+    v: &JsonValue,
+    at: Path<'_>,
+    mut item: impl FnMut(&JsonValue, Path<'_>) -> Result<U, ScenarioError>,
+) -> Result<Vec<U>, ScenarioError> {
+    let all = v.as_array().ok_or_else(|| field(at, "must be an array"))?;
+    (all.iter().enumerate())
+        .map(|(i, x)| item(x, Path::Index(&at, i)))
+        .collect()
 }
 
-fn req_u64(v: &JsonValue, path: &str, key: &str) -> Result<u64, ScenarioError> {
-    req(v, path, key)?
-        .as_u64()
-        .ok_or_else(|| field(&join(path, key), "must be a non-negative integer"))
-}
-
-fn opt_u64(v: &JsonValue, path: &str, key: &str, default: u64) -> Result<u64, ScenarioError> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(n) => n
-            .as_u64()
-            .ok_or_else(|| field(&join(path, key), "must be a non-negative integer")),
+impl Read for Position {
+    fn read(v: &JsonValue, at: Path<'_>) -> Result<Self, ScenarioError> {
+        match v.as_array() {
+            Some([x, y]) => Ok(Position::new(
+                f64::read(x, Path::Index(&at, 0))?,
+                f64::read(y, Path::Index(&at, 1))?,
+            )),
+            _ => Err(field(at, "must be an [x, y] pair")),
+        }
     }
 }
 
-fn opt_f64(v: &JsonValue, path: &str, key: &str, default: f64) -> Result<f64, ScenarioError> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(n) => n
-            .as_f64()
-            .ok_or_else(|| field(&join(path, key), "must be a number")),
+/// A `*_secs` field: seconds, at most [`MAX_DURATION_SECS`].
+impl Read for Time {
+    fn read(v: &JsonValue, at: Path<'_>) -> Result<Self, ScenarioError> {
+        secs_to_time(f64::read(v, at)?).map_err(|m| field(at, m))
     }
 }
 
-fn opt_bool(v: &JsonValue, path: &str, key: &str, default: bool) -> Result<bool, ScenarioError> {
-    match v.get(key) {
-        None => Ok(default),
-        Some(b) => b
-            .as_bool()
-            .ok_or_else(|| field(&join(path, key), "must be a boolean")),
+impl Read for Duration {
+    fn read(v: &JsonValue, at: Path<'_>) -> Result<Self, ScenarioError> {
+        Time::read(v, at).map(|t| Duration::from_micros(t.as_micros()))
+    }
+}
+
+/// A reader of `T` held to `check`, whose message becomes an error at
+/// the value's path.
+fn checked<T: Read, U>(
+    check: impl Fn(T) -> Result<U, String>,
+) -> impl Fn(&JsonValue, Path<'_>) -> Result<U, ScenarioError> {
+    move |v, at| check(T::read(v, at)?).map_err(|m| field(at, m))
+}
+
+/// Most keys one object reads (a scenario's top level reads ten). The
+/// keys asked live in an array, not a `Vec`: a parse allocates nothing
+/// per object beyond what the spec holds.
+const MAX_KEYS: usize = 12;
+
+/// The reader of one JSON object. Each read takes one key; a key given
+/// twice is refused at the read, and a key no read asked for once the
+/// reads are done (see [`object`]). Lookups scan the object's fields, a
+/// bounded number of reads per object: linear in its keys.
+struct Object<'a> {
+    fields: &'a [(Key, JsonValue)],
+    at: &'a Path<'a>,
+    /// Every key a read asked for, in order: what the object reads.
+    asked: [&'static str; MAX_KEYS],
+    /// How many keys the reads asked for.
+    reads: usize,
+    /// How many fields the reads took.
+    taken: usize,
+}
+
+/// Reads `v`, which must be an object, through `read`, then refuses any
+/// key `read` did not take, naming the keys it does read.
+fn object<T>(
+    v: &JsonValue,
+    at: Path<'_>,
+    read: impl FnOnce(&mut Object<'_>) -> Result<T, ScenarioError>,
+) -> Result<T, ScenarioError> {
+    let JsonValue::Object(fields) = v else {
+        return Err(field(at, "must be an object"));
+    };
+    let mut o = Object {
+        fields,
+        at: &at,
+        asked: [""; MAX_KEYS],
+        reads: 0,
+        taken: 0,
+    };
+    let value = read(&mut o)?;
+    // No key was taken twice, so a field left over is one no read asked for.
+    if o.taken < fields.len() {
+        let (key, _) = (fields.iter())
+            .find(|(k, _)| !o.asked[..o.reads].contains(&k.as_str()))
+            .expect("an untaken field has a key no read asked for");
+        let expected = o.asked[..o.reads].join(", ");
+        return Err(field(
+            Path::Key(&at, key),
+            format!("unknown key (expected one of: {expected})"),
+        ));
+    }
+    Ok(value)
+}
+
+impl Object<'_> {
+    /// The value at `key` read by `read` at its path, or `None` when the
+    /// object lacks the key.
+    fn get<U>(
+        &mut self,
+        key: &'static str,
+        read: impl FnOnce(&JsonValue, Path<'_>) -> Result<U, ScenarioError>,
+    ) -> Result<Option<U>, ScenarioError> {
+        debug_assert!(!self.asked.contains(&key), "`{key}` is read twice");
+        self.asked[self.reads] = key;
+        self.reads += 1;
+        let mut found = None;
+        for (k, v) in self.fields {
+            if k.as_str() == key {
+                if found.is_some() {
+                    return Err(field(Path::Key(self.at, key), "key given more than once"));
+                }
+                found = Some(v);
+            }
+        }
+        let Some(v) = found else { return Ok(None) };
+        self.taken += 1;
+        read(v, Path::Key(self.at, key)).map(Some)
+    }
+
+    /// [`Object::get`] of a key the object must have.
+    fn must<U>(
+        &mut self,
+        key: &'static str,
+        read: impl FnOnce(&JsonValue, Path<'_>) -> Result<U, ScenarioError>,
+    ) -> Result<U, ScenarioError> {
+        let at = self.at;
+        self.get(key, read)?
+            .ok_or_else(|| field(Path::Key(at, key), "missing required field"))
+    }
+
+    fn opt<T: Read>(&mut self, key: &'static str) -> Result<Option<T>, ScenarioError> {
+        self.get(key, T::read)
+    }
+
+    fn req<T: Read>(&mut self, key: &'static str) -> Result<T, ScenarioError> {
+        self.must(key, T::read)
+    }
+
+    /// The error of a `kind` that names none of `kinds`.
+    fn unknown_kind(&self, kind: &str, kinds: &str) -> ScenarioError {
+        field(
+            Path::Key(self.at, "kind"),
+            format!("unknown kind '{kind}' (expected {kinds})"),
+        )
     }
 }
 
 /// Seconds (possibly fractional) to a microsecond [`Time`]. Exact for
 /// any whole-microsecond duration below ~2·10⁹ s: the f64 relative
 /// error stays under half a microsecond, and the round recovers it.
-fn secs_to_time(path: &str, secs: f64) -> Result<Time, ScenarioError> {
+fn secs_to_time(secs: f64) -> Result<Time, String> {
     if !(0.0..=MAX_DURATION_SECS).contains(&secs) {
-        return Err(field(
-            path,
-            &format!("must be a number of seconds in [0, {MAX_DURATION_SECS:e}]"),
+        return Err(format!(
+            "must be a number of seconds in [0, {MAX_DURATION_SECS:e}]"
         ));
     }
     Ok(Time::from_micros((secs * 1e6).round() as u64))
 }
 
-fn secs_to_duration(path: &str, secs: f64) -> Result<Duration, ScenarioError> {
-    Ok(Duration::from_micros(secs_to_time(path, secs)?.as_micros()))
-}
-
-fn parse_topology(v: &JsonValue) -> Result<TopologySpec, ScenarioError> {
-    let p = "topology";
-    let kind = req_str(v, p, "kind")?;
-    match kind.as_str() {
-        "explicit" => {
-            let arr = req(v, p, "positions")?
-                .as_array()
-                .ok_or_else(|| field("topology.positions", "must be an array of [x, y] pairs"))?;
-            check_node_count("topology.positions", Some(arr.len()))?;
-            let mut positions = Vec::with_capacity(arr.len());
-            for (i, pv) in arr.iter().enumerate() {
-                let pair = pv.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
-                    field(
-                        &format!("topology.positions[{i}]"),
-                        "must be an [x, y] pair",
-                    )
-                })?;
-                let x = pair[0].as_f64().ok_or_else(|| {
-                    field(&format!("topology.positions[{i}][0]"), "must be a number")
-                })?;
-                let y = pair[1].as_f64().ok_or_else(|| {
-                    field(&format!("topology.positions[{i}][1]"), "must be a number")
-                })?;
-                positions.push(Position::new(x, y));
-            }
-            Ok(TopologySpec::Explicit { positions })
-        }
-        "chain" => {
-            let hops = req_u64(v, p, "hops")? as usize;
-            check_node_count("topology.hops", hops.checked_add(1))?;
-            Ok(TopologySpec::Chain {
-                hops,
-                spacing: positive_meters(
-                    "spacing",
-                    opt_f64(v, p, "spacing", crate::topo::SPACING)?,
-                )?,
-            })
-        }
-        "grid" => {
-            let rows = req_u64(v, p, "rows")? as usize;
-            let cols = req_u64(v, p, "cols")? as usize;
-            check_node_count("topology.rows", rows.checked_mul(cols))?;
-            Ok(TopologySpec::Grid {
-                rows,
-                cols,
-                spacing: positive_meters("spacing", req_f64(v, p, "spacing")?)?,
-            })
-        }
-        "random_geometric" => {
-            let nodes = req_u64(v, p, "nodes")? as usize;
-            check_node_count("topology.nodes", Some(nodes))?;
-            Ok(TopologySpec::RandomGeometric {
-                nodes,
-                width: positive_meters("width", req_f64(v, p, "width")?)?,
-                height: positive_meters("height", req_f64(v, p, "height")?)?,
-                gateways: req_u64(v, p, "gateways")? as usize,
-                seed: req_u64(v, p, "seed")?,
-            })
-        }
-        other => Err(field(
-            "topology.kind",
-            &format!(
-                "unknown kind '{other}' (expected explicit | chain | grid | random_geometric)"
-            ),
-        )),
-    }
-}
-
 /// Rejects a layout of more than [`MAX_NODES`] nodes (`None`: the count
 /// overflowed) before anything is sized by it.
-fn check_node_count(path: &str, nodes: Option<usize>) -> Result<(), ScenarioError> {
+fn check_node_count(nodes: Option<usize>) -> Result<(), String> {
     match nodes {
         Some(n) if n <= MAX_NODES => Ok(()),
-        _ => Err(field(
-            path,
-            &format!("layout exceeds the {MAX_NODES}-node limit"),
-        )),
+        _ => Err(format!("layout exceeds the {MAX_NODES}-node limit")),
     }
 }
 
 /// An interface-queue capacity: nonzero and at most [`MAX_QUEUE_CAP`].
-fn queue_cap_in_range(path: &str, cap: u64) -> Result<usize, ScenarioError> {
+fn queue_cap_in_range(cap: u64) -> Result<usize, String> {
     if !(1..=MAX_QUEUE_CAP as u64).contains(&cap) {
-        return Err(field(
-            path,
-            &format!("must be in 1..={MAX_QUEUE_CAP} packets"),
-        ));
+        return Err(format!("must be in 1..={MAX_QUEUE_CAP} packets"));
     }
     Ok(cap as usize)
 }
 
 /// A flow's `rate_bps` beside its payload: packets must be at least one
 /// clock tick apart (zero is left to `validate`, which names the flow).
-fn rate_in_range(path: &str, rate_bps: u64, payload_bytes: u32) -> Result<u64, ScenarioError> {
+fn rate_in_range(rate_bps: u64, payload_bytes: u32) -> Result<u64, String> {
     match sub_microsecond_interval(rate_bps, payload_bytes) {
         None => Ok(rate_bps),
-        Some(us) => Err(field(
-            &join(path, "rate_bps"),
-            &format!(
-                "puts {payload_bytes}-byte packets {us} us apart, under the clock's \
-                 1 us resolution"
-            ),
+        Some(us) => Err(format!(
+            "puts {payload_bytes}-byte packets {us} us apart, under the clock's 1 us resolution"
         )),
     }
 }
 
-/// A `topology.<key>` length in meters: finite and positive, or the
-/// layout is degenerate (co-located nodes, an empty area).
-fn positive_meters(key: &str, meters: f64) -> Result<f64, ScenarioError> {
+/// A `topology` length in meters: finite and positive, or the layout is
+/// degenerate (co-located nodes, an empty area).
+fn positive_meters(meters: f64) -> Result<f64, String> {
     if !(meters.is_finite() && meters > 0.0) {
-        return Err(field(
-            &join("topology", key),
-            "must be a positive number of meters",
-        ));
+        return Err("must be a positive number of meters".into());
     }
     Ok(meters)
 }
 
-fn parse_transport(v: &JsonValue, path: &str) -> Result<Transport, ScenarioError> {
-    let kind = req_str(v, path, "kind")?;
-    match kind.as_str() {
-        "cbr" => Ok(Transport::Cbr),
-        "windowed" => {
-            // Zero is left to `validate`, which names the flow.
-            let window = req_u64(v, path, "window")?;
-            if window > MAX_WINDOW as u64 {
-                return Err(field(
-                    &join(path, "window"),
-                    &format!("exceeds the {MAX_WINDOW}-packet limit"),
-                ));
-            }
-            Ok(Transport::Windowed {
-                window: window as usize,
-                ack_payload: opt_u32(v, path, "ack_payload", 40)?,
-            })
-        }
-        "onoff" => Ok(Transport::OnOff {
-            mean_on: secs_to_duration(
-                &join(path, "mean_on_secs"),
-                req_f64(v, path, "mean_on_secs")?,
-            )?,
-            mean_off: secs_to_duration(
-                &join(path, "mean_off_secs"),
-                req_f64(v, path, "mean_off_secs")?,
-            )?,
-            alpha: req_f64(v, path, "alpha")?,
-        }),
-        other => Err(field(
-            &join(path, "kind"),
-            &format!("unknown transport '{other}' (expected cbr | windowed | onoff)"),
-        )),
-    }
-}
-
-/// A count the engine holds in a `u32` (`payload_bytes`, `ack_payload`,
-/// a mix entry's `weight`); a value past that is rejected rather than
-/// wrapped.
-fn opt_u32(v: &JsonValue, path: &str, key: &str, default: u32) -> Result<u32, ScenarioError> {
-    u32::try_from(opt_u64(v, path, key, default.into())?)
-        .map_err(|_| field(&join(path, key), "must fit in 32 bits"))
-}
-
-/// `(start_secs, stop_secs)` of a flow or traffic block, in order.
-fn parse_active_window(v: &JsonValue, path: &str) -> Result<(Time, Time), ScenarioError> {
-    let start = secs_to_time(&join(path, "start_secs"), req_f64(v, path, "start_secs")?)?;
-    let stop_path = join(path, "stop_secs");
-    let stop = secs_to_time(&stop_path, req_f64(v, path, "stop_secs")?)?;
-    if stop < start {
-        return Err(field(&stop_path, "must not precede start_secs"));
-    }
-    Ok((start, stop))
-}
-
-fn parse_flow(v: &JsonValue, i: usize) -> Result<FlowSpec, ScenarioError> {
-    let p = format!("flows[{i}]");
-    let path_arr = req(v, &p, "path")?
-        .as_array()
-        .ok_or_else(|| field(&join(&p, "path"), "must be an array of node ids"))?;
-    let mut path = Vec::with_capacity(path_arr.len());
-    for (j, nv) in path_arr.iter().enumerate() {
-        path.push(
-            nv.as_u64()
-                .ok_or_else(|| field(&format!("{p}.path[{j}]"), "must be a non-negative integer"))?
-                as usize,
-        );
-    }
-    let transport = match v.get("transport") {
-        None => Transport::Cbr,
-        Some(t) => parse_transport(t, &join(&p, "transport"))?,
-    };
-    let (start, stop) = parse_active_window(v, &p)?;
-    let payload_bytes = opt_u32(v, &p, "payload_bytes", 1000)?;
-    Ok(FlowSpec {
-        id: i as u32,
-        path,
-        rate_bps: rate_in_range(&p, opt_u64(v, &p, "rate_bps", 2_000_000)?, payload_bytes)?,
-        payload_bytes,
-        start,
-        stop,
-        transport,
-    })
-}
-
-fn parse_traffic(v: &JsonValue) -> Result<TrafficMix, ScenarioError> {
-    let p = "traffic";
-    let mix_arr = req(v, p, "mix")?
-        .as_array()
-        .ok_or_else(|| field("traffic.mix", "must be an array"))?;
-    let mut mix = Vec::with_capacity(mix_arr.len());
-    for (i, m) in mix_arr.iter().enumerate() {
-        let mp = format!("traffic.mix[{i}]");
-        mix.push(MixEntry {
-            weight: opt_u32(m, &mp, "weight", 1)?,
-            transport: parse_transport(req(m, &mp, "transport")?, &join(&mp, "transport"))?,
-        });
-    }
-    let (start, stop) = parse_active_window(v, p)?;
-    let payload_bytes = opt_u32(v, p, "payload_bytes", 1000)?;
-    Ok(TrafficMix {
-        flows: req_u64(v, p, "flows")? as usize,
-        rate_bps: rate_in_range(p, req_u64(v, p, "rate_bps")?, payload_bytes)?,
-        payload_bytes,
-        start,
-        stop,
-        mix,
-    })
-}
-
-/// `p` if it is a probability (in `[0, 1]`, so finite), else a field
-/// error at `path`.
-fn probability(path: &str, p: f64) -> Result<f64, ScenarioError> {
+/// `p` if it is a probability (in `[0, 1]`, so finite).
+fn probability(p: f64) -> Result<f64, String> {
     if (0.0..=1.0).contains(&p) {
         Ok(p)
     } else {
-        Err(field(path, "must be a probability in [0, 1]"))
+        Err("must be a probability in [0, 1]".into())
     }
 }
 
-fn parse_ge(v: &JsonValue, path: &str) -> Result<GilbertElliott, ScenarioError> {
-    let p = |key: &str, value: f64| probability(&join(path, key), value);
-    Ok(GilbertElliott {
-        p_g2b: p("p_g2b", req_f64(v, path, "p_g2b")?)?,
-        p_b2g: p("p_b2g", req_f64(v, path, "p_b2g")?)?,
-        p_good: p("p_good", opt_f64(v, path, "p_good", 0.0)?)?,
-        p_bad: p("p_bad", req_f64(v, path, "p_bad")?)?,
-    })
-}
-
-/// The `a` and `b` of a per-link loss entry at `path`: two different
-/// nodes. That they exist and are in decode range of each other is
-/// checked at compile, once the layout is known ([`LossSpec::check_links`]).
-fn parse_link_ends(v: &JsonValue, path: &str) -> Result<(usize, usize), ScenarioError> {
-    let (a, b) = (req_u64(v, path, "a")?, req_u64(v, path, "b")?);
-    if a == b {
-        return Err(field(
-            path,
-            &format!("a link needs two nodes; a and b are both {a}"),
-        ));
-    }
-    Ok((a as usize, b as usize))
-}
-
-fn parse_loss(v: &JsonValue) -> Result<LossSpec, ScenarioError> {
-    let kind = req_str(v, "loss", "kind")?;
-    match kind.as_str() {
-        "ideal" => Ok(LossSpec::default()),
-        "uniform" => Ok(LossSpec {
-            default_per: probability("loss.per", req_f64(v, "loss", "per")?)?,
-            ..LossSpec::default()
-        }),
-        "custom" => {
-            let default_per =
-                probability("loss.default_per", opt_f64(v, "loss", "default_per", 0.0)?)?;
-            let mut links = Vec::new();
-            if let Some(ls) = v.get("links") {
-                let arr = ls
-                    .as_array()
-                    .ok_or_else(|| field("loss.links", "must be an array"))?;
-                for (i, l) in arr.iter().enumerate() {
-                    let lp = format!("loss.links[{i}]");
-                    let (a, b) = parse_link_ends(l, &lp)?;
-                    links.push(LinkPer {
-                        a,
-                        b,
-                        per: probability(&join(&lp, "per"), req_f64(l, &lp, "per")?)?,
-                        symmetric: opt_bool(l, &lp, "symmetric", true)?,
-                    });
-                }
-            }
-            let burst = match v.get("burst") {
-                None => None,
-                Some(b) => Some(parse_ge(b, "loss.burst")?),
-            };
-            let mut burst_links = Vec::new();
-            if let Some(ls) = v.get("burst_links") {
-                let arr = ls
-                    .as_array()
-                    .ok_or_else(|| field("loss.burst_links", "must be an array"))?;
-                for (i, l) in arr.iter().enumerate() {
-                    let lp = format!("loss.burst_links[{i}]");
-                    let (a, b) = parse_link_ends(l, &lp)?;
-                    burst_links.push(LinkBurst {
-                        a,
-                        b,
-                        ge: parse_ge(l, &lp)?,
-                        symmetric: opt_bool(l, &lp, "symmetric", true)?,
-                    });
-                }
-            }
-            let mut churn = Vec::new();
-            if let Some(ls) = v.get("churn") {
-                let arr = ls
-                    .as_array()
-                    .ok_or_else(|| field("loss.churn", "must be an array"))?;
-                for (i, l) in arr.iter().enumerate() {
-                    let lp = format!("loss.churn[{i}]");
-                    let up = secs_to_duration(&join(&lp, "up_secs"), req_f64(l, &lp, "up_secs")?)?;
-                    let down =
-                        secs_to_duration(&join(&lp, "down_secs"), req_f64(l, &lp, "down_secs")?)?;
-                    if up.as_micros() + down.as_micros() == 0 {
-                        return Err(field(&lp, "churn cycle must be nonzero"));
+impl Read for ScenarioSpec {
+    fn read(v: &JsonValue, at: Path<'_>) -> Result<Self, ScenarioError> {
+        object(v, at, |o| {
+            let name = o.req("name")?;
+            let description = o.opt("description")?.unwrap_or_default();
+            let duration_secs = o.must(
+                "duration_secs",
+                checked(|secs: f64| {
+                    if !(secs.is_finite() && secs > 0.0) {
+                        return Err("must be a positive number".into());
                     }
-                    let phase = secs_to_duration(
-                        &join(&lp, "phase_secs"),
-                        opt_f64(l, &lp, "phase_secs", 0.0)?,
-                    )?;
-                    let (a, b) = parse_link_ends(l, &lp)?;
-                    churn.push(LinkChurn {
-                        a,
-                        b,
-                        window: ChurnWindow::new(up, down, phase),
-                        symmetric: opt_bool(l, &lp, "symmetric", true)?,
-                    });
-                }
+                    secs_to_time(secs).map(|_| secs)
+                }),
+            )?;
+            let seed = o.opt("seed")?.unwrap_or(1);
+            let queue_cap = o.get("queue_cap", checked(queue_cap_in_range))?;
+            let topology = o.req("topology")?;
+            let mut flows: Vec<FlowSpec> = o.opt("flows")?.unwrap_or_default();
+            for (i, f) in flows.iter_mut().enumerate() {
+                f.id = i as u32;
             }
-            Ok(LossSpec {
-                default_per,
-                links,
-                burst,
-                burst_links,
-                churn,
+            let traffic = o.get(
+                "traffic",
+                checked(|traffic: TrafficMix| match flows.is_empty() {
+                    true => Ok(traffic),
+                    false => Err("mutually exclusive with explicit `flows`".into()),
+                }),
+            )?;
+            Ok(ScenarioSpec {
+                name,
+                description,
+                duration_secs,
+                seed,
+                queue_cap: queue_cap.unwrap_or(50),
+                topology,
+                flows,
+                traffic,
+                loss: o.opt("loss")?.unwrap_or_default(),
+                sweep: o.opt("sweep")?.unwrap_or_default(),
             })
-        }
-        other => Err(field(
-            "loss.kind",
-            &format!("unknown kind '{other}' (expected ideal | uniform | custom)"),
-        )),
+        })
     }
 }
 
-fn parse_sweep(v: &JsonValue) -> Result<SweepSpec, ScenarioError> {
-    let mut sweep = SweepSpec::default();
-    if let Some(qs) = v.get("queue_caps") {
-        let arr = qs
-            .as_array()
-            .ok_or_else(|| field("sweep.queue_caps", "must be an array of integers"))?;
-        for (i, q) in arr.iter().enumerate() {
-            let path = format!("sweep.queue_caps[{i}]");
-            let cap = q
-                .as_u64()
-                .ok_or_else(|| field(&path, "must be a positive integer"))?;
-            sweep.queue_caps.push(queue_cap_in_range(&path, cap)?);
-        }
+impl Read for TopologySpec {
+    fn read(v: &JsonValue, at: Path<'_>) -> Result<Self, ScenarioError> {
+        object(v, at, |o| match o.req::<String>("kind")?.as_str() {
+            "explicit" => Ok(TopologySpec::Explicit {
+                positions: o.must(
+                    "positions",
+                    checked(|positions: Vec<Position>| {
+                        check_node_count(Some(positions.len())).map(|()| positions)
+                    }),
+                )?,
+            }),
+            "chain" => Ok(TopologySpec::Chain {
+                hops: o.must(
+                    "hops",
+                    checked(|hops: usize| check_node_count(hops.checked_add(1)).map(|()| hops)),
+                )?,
+                spacing: (o.get("spacing", checked(positive_meters))?)
+                    .unwrap_or(crate::topo::SPACING),
+            }),
+            "grid" => {
+                // `rows` names the product, so `cols` is read first.
+                let cols: usize = o.req("cols")?;
+                let rows = o.must(
+                    "rows",
+                    checked(|rows: usize| check_node_count(rows.checked_mul(cols)).map(|()| rows)),
+                )?;
+                Ok(TopologySpec::Grid {
+                    rows,
+                    cols,
+                    spacing: o.must("spacing", checked(positive_meters))?,
+                })
+            }
+            "random_geometric" => Ok(TopologySpec::RandomGeometric {
+                nodes: o.must(
+                    "nodes",
+                    checked(|nodes: usize| check_node_count(Some(nodes)).map(|()| nodes)),
+                )?,
+                width: o.must("width", checked(positive_meters))?,
+                height: o.must("height", checked(positive_meters))?,
+                gateways: o.req("gateways")?,
+                seed: o.req("seed")?,
+            }),
+            other => Err(o.unknown_kind(other, "explicit | chain | grid | random_geometric")),
+        })
     }
-    if let Some(ss) = v.get("seeds") {
-        let arr = ss
-            .as_array()
-            .ok_or_else(|| field("sweep.seeds", "must be an array of integers"))?;
-        for (i, s) in arr.iter().enumerate() {
-            sweep.seeds.push(s.as_u64().ok_or_else(|| {
-                field(
-                    &format!("sweep.seeds[{i}]"),
-                    "must be a non-negative integer",
-                )
-            })?);
-        }
+}
+
+impl Read for Transport {
+    fn read(v: &JsonValue, at: Path<'_>) -> Result<Self, ScenarioError> {
+        object(v, at, |o| match o.req::<String>("kind")?.as_str() {
+            "cbr" => Ok(Transport::Cbr),
+            "windowed" => Ok(Transport::Windowed {
+                // Zero is left to `validate`, which names the flow.
+                window: o.must(
+                    "window",
+                    checked(|window: usize| match window <= MAX_WINDOW {
+                        true => Ok(window),
+                        false => Err(format!("exceeds the {MAX_WINDOW}-packet limit")),
+                    }),
+                )?,
+                ack_payload: o.opt("ack_payload")?.unwrap_or(40),
+            }),
+            "onoff" => Ok(Transport::OnOff {
+                mean_on: o.req("mean_on_secs")?,
+                mean_off: o.req("mean_off_secs")?,
+                alpha: o.req("alpha")?,
+            }),
+            other => Err(o.unknown_kind(other, "cbr | windowed | onoff")),
+        })
     }
-    if let Some(cs) = v.get("controllers") {
-        let arr = cs
-            .as_array()
-            .ok_or_else(|| field("sweep.controllers", "must be an array of strings"))?;
-        for (i, c) in arr.iter().enumerate() {
-            sweep.controllers.push(
-                c.as_str()
-                    .ok_or_else(|| field(&format!("sweep.controllers[{i}]"), "must be a string"))?
-                    .to_string(),
-            );
-        }
+}
+
+/// `(start_secs, stop_secs)` of a flow or traffic block, in order.
+fn active_window(o: &mut Object<'_>) -> Result<(Time, Time), ScenarioError> {
+    let start = o.req("start_secs")?;
+    let stop = o.must(
+        "stop_secs",
+        checked(|stop: Time| match stop < start {
+            true => Err("must not precede start_secs".into()),
+            false => Ok(stop),
+        }),
+    )?;
+    Ok((start, stop))
+}
+
+/// A flow of `flows`; its `id` is its index, which the list assigns.
+impl Read for FlowSpec {
+    fn read(v: &JsonValue, at: Path<'_>) -> Result<Self, ScenarioError> {
+        object(v, at, |o| {
+            let path = o.req("path")?;
+            let transport = o.opt("transport")?.unwrap_or(Transport::Cbr);
+            let (start, stop) = active_window(o)?;
+            let payload_bytes = o.opt("payload_bytes")?.unwrap_or(1000);
+            let rate_bps = o.get(
+                "rate_bps",
+                checked(|rate| rate_in_range(rate, payload_bytes)),
+            )?;
+            Ok(FlowSpec {
+                id: 0,
+                path,
+                rate_bps: rate_bps.unwrap_or(2_000_000),
+                payload_bytes,
+                start,
+                stop,
+                transport,
+            })
+        })
     }
-    Ok(sweep)
+}
+
+impl Read for MixEntry {
+    fn read(v: &JsonValue, at: Path<'_>) -> Result<Self, ScenarioError> {
+        object(v, at, |o| {
+            Ok(MixEntry {
+                weight: o.opt("weight")?.unwrap_or(1),
+                transport: o.req("transport")?,
+            })
+        })
+    }
+}
+
+impl Read for TrafficMix {
+    fn read(v: &JsonValue, at: Path<'_>) -> Result<Self, ScenarioError> {
+        object(v, at, |o| {
+            let mix = o.req("mix")?;
+            let (start, stop) = active_window(o)?;
+            let payload_bytes = o.opt("payload_bytes")?.unwrap_or(1000);
+            Ok(TrafficMix {
+                flows: o.req("flows")?,
+                rate_bps: o.must(
+                    "rate_bps",
+                    checked(|rate| rate_in_range(rate, payload_bytes)),
+                )?,
+                payload_bytes,
+                start,
+                stop,
+                mix,
+            })
+        })
+    }
+}
+
+impl Read for LossSpec {
+    fn read(v: &JsonValue, at: Path<'_>) -> Result<Self, ScenarioError> {
+        object(v, at, |o| match o.req::<String>("kind")?.as_str() {
+            "ideal" => Ok(LossSpec::default()),
+            "uniform" => Ok(LossSpec {
+                default_per: o.must("per", checked(probability))?,
+                ..LossSpec::default()
+            }),
+            "custom" => Ok(LossSpec {
+                default_per: o.get("default_per", checked(probability))?.unwrap_or(0.0),
+                links: o.opt("links")?.unwrap_or_default(),
+                burst: o.opt("burst")?,
+                burst_links: o.opt("burst_links")?.unwrap_or_default(),
+                churn: o.opt("churn")?.unwrap_or_default(),
+            }),
+            other => Err(o.unknown_kind(other, "ideal | uniform | custom")),
+        })
+    }
+}
+
+impl Read for GilbertElliott {
+    fn read(v: &JsonValue, at: Path<'_>) -> Result<Self, ScenarioError> {
+        object(v, at, GilbertElliott::take)
+    }
+}
+
+impl<T: LinkLoss> Read for LinkEntry<T> {
+    fn read(v: &JsonValue, at: Path<'_>) -> Result<Self, ScenarioError> {
+        object(v, at, |o| {
+            let (a, b) = (o.req("a")?, o.req("b")?);
+            if a == b {
+                return Err(field(
+                    o.at,
+                    format!("a link needs two nodes; a and b are both {a}"),
+                ));
+            }
+            Ok(LinkEntry {
+                a,
+                b,
+                loss: T::take(o)?,
+                symmetric: o.opt("symmetric")?.unwrap_or(true),
+            })
+        })
+    }
+}
+
+impl Read for SweepSpec {
+    fn read(v: &JsonValue, at: Path<'_>) -> Result<Self, ScenarioError> {
+        object(v, at, |o| {
+            Ok(SweepSpec {
+                queue_caps: (o.get("queue_caps", axis(checked(queue_cap_in_range))))?
+                    .unwrap_or_default(),
+                seeds: o.get("seeds", axis(u64::read))?.unwrap_or_default(),
+                controllers: o
+                    .get("controllers", axis(String::read))?
+                    .unwrap_or_default(),
+            })
+        })
+    }
+}
+
+/// A sweep axis: an array read item by item by `item`. A value an
+/// earlier item already gave is refused — it would run the same point
+/// twice under one label.
+fn axis<U: Ord>(
+    item: impl Fn(&JsonValue, Path<'_>) -> Result<U, ScenarioError>,
+) -> impl FnOnce(&JsonValue, Path<'_>) -> Result<Vec<U>, ScenarioError> {
+    move |v, at| {
+        let values = items(v, at, item)?;
+        let mut first = std::collections::BTreeMap::new();
+        for (i, value) in values.iter().enumerate() {
+            if let Some(j) = first.insert(value, i) {
+                let earlier = Path::Index(&at, j);
+                return Err(field(Path::Index(&at, i), format!("repeats {earlier}")));
+            }
+        }
+        Ok(values)
+    }
 }
 
 #[cfg(test)]
@@ -1590,23 +1630,23 @@ mod tests {
         };
         let want = LossSpec {
             default_per: 0.01,
-            links: vec![LinkPer {
+            links: vec![LinkEntry {
                 a: 0,
                 b: 1,
-                per: 0.3,
+                loss: 0.3,
                 symmetric: true,
             }],
             burst: Some(ge(0.02, 0.1, 0.8)),
-            burst_links: vec![LinkBurst {
+            burst_links: vec![LinkEntry {
                 a: 1,
                 b: 2,
-                ge: ge(0.05, 0.2, 0.9),
+                loss: ge(0.05, 0.2, 0.9),
                 symmetric: false,
             }],
-            churn: vec![LinkChurn {
+            churn: vec![LinkEntry {
                 a: 2,
                 b: 3,
-                window: ChurnWindow::new(
+                loss: ChurnWindow::new(
                     Duration::from_secs(5),
                     Duration::from_secs(1),
                     Duration::ZERO,

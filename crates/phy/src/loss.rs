@@ -147,12 +147,6 @@ impl LossModel {
         self.per_link.insert((src, dst), per);
     }
 
-    /// Sets the loss probability of both directions of a link.
-    pub fn set_link_symmetric(&mut self, a: usize, b: usize, per: f64) {
-        self.set_link(a, b, per);
-        self.set_link(b, a, per);
-    }
-
     /// Loss probability for `src -> dst`.
     pub fn loss_prob(&self, src: usize, dst: usize) -> f64 {
         *self.per_link.get(&(src, dst)).unwrap_or(&self.default_per)
@@ -170,21 +164,9 @@ impl LossModel {
         self.burst_link.insert((src, dst), ge);
     }
 
-    /// Gives both directions of a link their own burst process.
-    pub fn set_link_burst_symmetric(&mut self, a: usize, b: usize, ge: GilbertElliott) {
-        self.set_link_burst(a, b, ge);
-        self.set_link_burst(b, a, ge);
-    }
-
     /// Puts the directed link `src -> dst` on an up/down schedule.
     pub fn set_link_churn(&mut self, src: usize, dst: usize, w: ChurnWindow) {
         self.churn.insert((src, dst), w);
-    }
-
-    /// Puts both directions of a link on the same up/down schedule.
-    pub fn set_link_churn_symmetric(&mut self, a: usize, b: usize, w: ChurnWindow) {
-        self.set_link_churn(a, b, w);
-        self.set_link_churn(b, a, w);
     }
 
     /// Whether no link can ever lose a frame: no default PER, no burst
@@ -423,7 +405,8 @@ mod tests {
         m.set_link(0, 1, 0.0);
         assert_eq!(m.loss_prob(0, 1), 0.0);
         assert_eq!(m.loss_prob(1, 0), 0.5);
-        m.set_link_symmetric(1, 2, 0.1);
+        m.set_link(1, 2, 0.1);
+        m.set_link(2, 1, 0.1);
         assert_eq!(m.loss_prob(1, 2), 0.1);
         assert_eq!(m.loss_prob(2, 1), 0.1);
         // Resolved: the overridden link never drops, the default one does.
