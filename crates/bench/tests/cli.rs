@@ -504,6 +504,23 @@ fn nested(depth: usize) -> String {
 }
 
 #[test]
+fn the_16k_and_64k_node_meshes_run_inside_512_mb() {
+    // The channel keeps no per-pair state and set-up is a grid walk. At
+    // 16,384 nodes one N×N byte table is 268 MB and one of f64 2.1 GB
+    // (the two bool and one f64 matrices `Channel` once kept: 2.6 GB, an
+    // allocator abort here), while O(N·degree) rows need ~45 MB; the
+    // 65,536-node mesh is the same shape four times over. The binary runs
+    // under the limit itself (`exec`), so the limit binds the simulator.
+    let limited = r#"ulimit -v 524288; exec "$0" --jobs=1 --spec="$1""#;
+    for mesh in ["mesh16k", "mesh64k"] {
+        let spec = format!("{ROOT}/scenarios/{mesh}.json");
+        let out = budget::run_within(SIMULATING, "sh", &["-c", limited, EXPERIMENTS, &spec]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{mesh}: {stderr}");
+    }
+}
+
+#[test]
 fn an_over_dense_layout_exits_2_naming_the_topology_inside_512_mb() {
     // 65,536 nodes in one carrier-sense cell: 2^32 neighbour-row entries,
     // once an allocator abort. The compiler finds it before any row is

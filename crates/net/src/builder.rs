@@ -542,7 +542,7 @@ pub(crate) fn build(
         .min();
 
     let flow_ids: Vec<u32> = spec.flows.iter().map(|f| f.id).collect();
-    let metrics = Metrics::new(n, &flow_ids);
+    let metrics = Metrics::new(n, &flow_ids, spec.sample_every);
 
     // Transport RNG streams live above the per-node id space (`1 << 32`
     // + flow id): `derive` is pure, so handing a stream to a stochastic

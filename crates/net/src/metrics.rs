@@ -7,8 +7,11 @@
 //! * per-flow **end-to-end delay** series, in two flavours — from packet
 //!   creation, and from the packet's first dequeue at the source MAC (see
 //!   DESIGN.md §4 on why the figures use the latter),
-//! * per-node **buffer occupancy** trace, sampled every second (Figs. 1, 4),
-//! * per-node **`CWmin`** trace (Figs. 8, 11 plot `log2` of these values),
+//! * per-node **buffer occupancy** trace, sampled once every sampling
+//!   period (Figs. 1, 4),
+//! * per-node **`CWmin`** trace, on the same instants (Figs. 8, 11 plot
+//!   `log2` of these values) — both [`PeriodicSeries`]: the sampling
+//!   instants are implied by the period, so each sample is one `u32`,
 //! * drop counters by cause.
 //!
 //! Per-flow maps are `BTreeMap`s, not `HashMap`s: everything downstream
@@ -19,7 +22,7 @@ use std::collections::BTreeMap;
 
 use ezflow_phy::Frame;
 use ezflow_sim::{Duration, Time};
-use ezflow_stats::{LogHistogram, SampleSeries, ThroughputSeries};
+use ezflow_stats::{LogHistogram, PeriodicSeries, SampleSeries, ThroughputSeries};
 
 /// All series recorded during one run.
 pub struct Metrics {
@@ -32,9 +35,9 @@ pub struct Metrics {
     /// Per-flow delivered packet counts.
     pub delivered: BTreeMap<u32, u64>,
     /// Per-node total interface-queue occupancy, sampled periodically.
-    pub buffer: Vec<SampleSeries>,
+    pub buffer: Vec<PeriodicSeries>,
     /// Per-node `CWmin`, sampled periodically.
-    pub cw: Vec<SampleSeries>,
+    pub cw: Vec<PeriodicSeries>,
     /// Per-node packets dropped on queue overflow (relay queues).
     pub queue_drops: Vec<u64>,
     /// Per-flow packets dropped at the (full) source queue.
@@ -53,8 +56,9 @@ impl Metrics {
     /// Throughput bin width of every flow's series.
     pub const BIN: Duration = Duration::from_secs(10);
 
-    /// Creates metrics for `nodes` nodes and the given flow ids.
-    pub fn new(nodes: usize, flows: &[u32]) -> Self {
+    /// Creates metrics for `nodes` nodes and the given flow ids, with
+    /// per-node samples taken every `sample_every`.
+    pub fn new(nodes: usize, flows: &[u32], sample_every: Duration) -> Self {
         let mut throughput = BTreeMap::new();
         let mut delay_net = BTreeMap::new();
         let mut delay_e2e = BTreeMap::new();
@@ -74,8 +78,12 @@ impl Metrics {
             delay_net,
             delay_e2e,
             delivered,
-            buffer: (0..nodes).map(|_| SampleSeries::new()).collect(),
-            cw: (0..nodes).map(|_| SampleSeries::new()).collect(),
+            buffer: (0..nodes)
+                .map(|_| PeriodicSeries::new(sample_every))
+                .collect(),
+            cw: (0..nodes)
+                .map(|_| PeriodicSeries::new(sample_every))
+                .collect(),
             queue_drops: vec![0; nodes],
             source_drops,
             retry_drops: vec![0; nodes],
@@ -112,8 +120,9 @@ impl Metrics {
 
     /// Records a periodic per-node sample.
     pub fn on_sample(&mut self, now: Time, node: usize, buffer: usize, cw_min: u32) {
-        self.buffer[node].push(now, buffer as f64);
-        self.cw[node].push(now, cw_min as f64);
+        let buffer = u32::try_from(buffer).expect("a node's occupancy fits a u32");
+        self.buffer[node].push(now, buffer);
+        self.cw[node].push(now, cw_min);
     }
 
     /// Mean throughput of `flow` in kb/s over `[from, to)` (total bits over
@@ -137,7 +146,7 @@ mod tests {
 
     #[test]
     fn delivery_updates_all_series() {
-        let mut m = Metrics::new(5, &[0]);
+        let mut m = Metrics::new(5, &[0], Duration::from_secs(1));
         let f = frame_with_times(1, 3);
         m.on_delivery(Time::from_secs(7), &f);
         assert_eq!(m.delivered[&0], 1);
@@ -150,7 +159,7 @@ mod tests {
 
     #[test]
     fn unknown_flow_is_ignored() {
-        let mut m = Metrics::new(2, &[0]);
+        let mut m = Metrics::new(2, &[0], Duration::from_secs(1));
         let mut f = frame_with_times(0, 0);
         f.flow = 99;
         m.on_delivery(Time::from_secs(1), &f);
@@ -161,7 +170,7 @@ mod tests {
 
     #[test]
     fn samples_and_window_means() {
-        let mut m = Metrics::new(2, &[0, 1]);
+        let mut m = Metrics::new(2, &[0, 1], Duration::from_secs(1));
         m.on_sample(Time::from_secs(1), 0, 10, 32);
         m.on_sample(Time::from_secs(2), 0, 20, 64);
         let sm = m.buffer[0].window(Time::ZERO, Time::from_secs(10));

@@ -13,17 +13,19 @@
 //! events that refills buckets on rotation. Amortised O(1) push/pop under
 //! the short-horizon timer churn of the DCF (Brown's calendar queue — the
 //! same structure ns-2, the paper's own substrate, uses for its event
-//! list). `tests/sched_equiv.rs` drives it in lock-step with a plain
-//! binary-heap model that keeps its own accounting.
+//! list). Every pending entry lives in one slab, each bucket is a linked
+//! list through it, and a popped or removed entry's slot is reused by the
+//! next push: the queue's memory is its pending entries, no more.
+//! `tests/sched_equiv.rs` drives it in lock-step with a plain binary-heap
+//! model that keeps its own accounting.
 //!
 //! A pending entry is cancelled or moved in exactly one way: through the
 //! [`TimerHandle`] that [`Scheduler::schedule_keyed`] returned
-//! ([`Scheduler::remove`], [`Scheduler::reschedule`]). The pop side asks no
-//! questions — whatever is still queued when its instant arrives is
-//! delivered.
+//! ([`Scheduler::remove`], [`Scheduler::reschedule`]), an O(1) unlink from
+//! its slot. The pop side asks no questions — whatever is still queued
+//! when its instant arrives is delivered.
 
 use crate::time::Time;
-use core::cmp::Ordering;
 
 pub mod wheel;
 
@@ -35,9 +37,13 @@ use wheel::WheelQueue;
 /// removed — the owner must drop its copy on those events (the engine
 /// keeps one slot per MAC timer and clears it when the timer dispatches),
 /// so a held handle always refers to a live entry.
+///
+/// It names the entry's slab slot and sequence number. A dead handle
+/// whose slot a newer entry took over no longer matches that slot's
+/// `seq`, so it removes nothing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TimerHandle {
-    at: Time,
+    slot: u32,
     seq: u64,
 }
 
@@ -54,44 +60,6 @@ pub struct WheelStats {
     pub overflow_refills: u64,
     /// Deepest any single bucket has ever been.
     pub bucket_high_water: u64,
-}
-
-/// One pending entry. The wheel's overflow heap orders it through the
-/// inverted [`Ord`] below; its buckets keep ascending `(at, seq)` order
-/// directly.
-#[derive(Clone)]
-pub(crate) struct Entry<E> {
-    pub(crate) at: Time,
-    pub(crate) seq: u64,
-    pub(crate) event: E,
-}
-
-impl<E> Entry<E> {
-    /// The total-order key.
-    fn key(&self) -> (Time, u64) {
-        (self.at, self.seq)
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (and, within one
-        // instant, the first-scheduled) entry is popped first.
-        other.key().cmp(&self.key())
-    }
 }
 
 /// A deterministic discrete-event queue.
@@ -160,21 +128,20 @@ impl<E> Scheduler<E> {
     /// keyed rescheduling or removal.
     #[inline]
     pub fn schedule_keyed(&mut self, at: Time, event: E) -> TimerHandle {
-        let seq = self.push(at, event);
-        TimerHandle { at, seq }
+        self.push(at, event)
     }
 
-    /// Queues one entry under the next sequence number, which it returns.
+    /// Queues one entry under the next sequence number.
     #[inline]
-    fn push(&mut self, at: Time, event: E) -> u64 {
+    fn push(&mut self, at: Time, event: E) -> TimerHandle {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.wheel.push(Entry { at, seq, event });
+        let slot = self.wheel.push(at, seq, event);
         // The pending count only grows on push, so sampling the high water
         // here captures the true peak.
         self.len += 1;
         self.depth_high_water = self.depth_high_water.max(self.len);
-        seq
+        TimerHandle { slot, seq }
     }
 
     /// Moves a pending entry to a new instant in place: removes `prev`
@@ -190,15 +157,14 @@ impl<E> Scheduler<E> {
     #[inline]
     pub fn reschedule(&mut self, prev: Option<TimerHandle>, at: Time, event: E) -> TimerHandle {
         if let Some(h) = prev {
-            let found = self.wheel.remove(h.at, h.seq);
+            let found = self.wheel.remove(h.slot, h.seq);
             debug_assert!(found, "reschedule of a dead handle {h:?}");
             if found {
                 self.len -= 1;
             }
         }
         self.rescheduled += 1;
-        let seq = self.push(at, event);
-        TimerHandle { at, seq }
+        self.push(at, event)
     }
 
     /// Physically removes a pending entry (a parked logical timer — the
@@ -207,7 +173,7 @@ impl<E> Scheduler<E> {
     /// `false` means the caller's handle was dead, which the handle
     /// discipline (see [`TimerHandle`]) rules out.
     pub fn remove(&mut self, h: TimerHandle) -> bool {
-        if self.wheel.remove(h.at, h.seq) {
+        if self.wheel.remove(h.slot, h.seq) {
             self.len -= 1;
             self.removed += 1;
             true
@@ -261,13 +227,7 @@ impl<E> Scheduler<E> {
     pub fn wheel_stats(&self) -> WheelStats {
         self.wheel.stats()
     }
-}
 
-/// The pop side requires `E: Clone`: the wheel's buckets hand entries out
-/// by clone so the backing `Vec` can keep a cheap dead-prefix cursor
-/// instead of shifting on every pop. Every event type in the workspace is
-/// a small `Clone` enum, so this costs a plain copy.
-impl<E: Clone> Scheduler<E> {
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(Time, E)> {
         self.pop_before(Time::MAX)
@@ -277,9 +237,9 @@ impl<E: Clone> Scheduler<E> {
     /// `until`; `None` when no such event remains (later ones stay
     /// queued).
     pub fn pop_before(&mut self, until: Time) -> Option<(Time, E)> {
-        let entry = self.wheel.pop_before(until)?;
+        let popped = self.wheel.pop_before(until)?;
         self.len -= 1;
-        Some((entry.at, entry.event))
+        Some(popped)
     }
 }
 
@@ -411,7 +371,7 @@ mod tests {
         // Move the first entry past the second: it must pop second,
         // and under the seq a fresh schedule would have received.
         let h2 = s.reschedule(Some(h), Time::from_micros(30), 3);
-        assert_eq!((h2.at, h2.seq), (Time::from_micros(30), 2));
+        assert_eq!(h2.seq, 2);
         assert_eq!(s.len(), 2);
         assert_eq!(s.scheduled_total(), 2, "re-arm is not a fresh schedule");
         assert_eq!(s.rescheduled_total(), 1);

@@ -1,4 +1,5 @@
-//! The calendar queue: a bucket wheel plus an overflow heap.
+//! The calendar queue: a bucket wheel plus an overflow heap, over one
+//! slab of pending entries.
 //!
 //! The 802.11 DCF schedules almost everything within a few hundred slot
 //! times of *now* — DIFS/backoff expiries, SIFS responses, ACK timeouts,
@@ -6,25 +7,34 @@
 //! (every freeze and resume of a backoff). That short-horizon churn is the
 //! textbook case for Brown's calendar queue:
 //!
+//! * **Slab** — every pending entry lives in one `Vec` of slots; a freed
+//!   slot goes on a free list and the next push reuses it, so the slab
+//!   never holds more slots than the queue's deepest pending count
+//!   (`Scheduler::depth_high_water`). A [`TimerHandle`](super::TimerHandle)
+//!   names its entry's slot and `seq`; removal through it is an O(1)
+//!   unlink, and a handle whose `seq` no longer matches its slot (the
+//!   entry left, the slot went to a newer one) removes nothing.
 //! * **Near future** — an array of [`NUM_BUCKETS`] fixed-width buckets,
 //!   each [`BUCKET_WIDTH_US`] µs wide (64 µs ≈ 3 slot times of 20 µs:
 //!   wide enough that adjacent backoff slots share a bucket, narrow
 //!   enough that a bucket rarely holds more than a handful of
 //!   entries). Bucket `i` holds entries whose `at` falls in
-//!   the window `[i·W, (i+1)·W) mod horizon`; within a bucket entries are
-//!   kept in ascending `(at, seq)` order by sorted insertion (buckets are
-//!   tiny, so the insertion is effectively O(1) and the common
-//!   append-at-end case is one comparison).
+//!   the window `[i·W, (i+1)·W) mod horizon`, as a doubly linked list
+//!   through the slab in ascending `(at, seq)` order. An insert walks back
+//!   from the tail; `seq` grows monotonically, so the common case is an
+//!   append after one comparison.
 //! * **Rotation** — the cursor only ever moves forward, to the bucket of
 //!   the entry being popped; a bitmap of occupied buckets makes "find the
 //!   next non-empty bucket" a couple of word scans instead of a walk.
 //!   Every cursor advance slides the wheel's window forward and migrates
 //!   newly in-horizon entries out of the overflow heap into their
-//!   buckets ([`WheelStats::overflow_refills`]).
+//!   buckets ([`WheelStats::overflow_refills`]); a migrated entry keeps
+//!   its slot, so its handle stays good.
 //! * **Far future** — entries at or beyond `base + horizon` (65.536 ms
-//!   out) wait in an overflow min-heap. Only coarse periodic machinery
-//!   lands there (metric sampling, CAA epochs, flow start/stop), so the
-//!   heap stays small and its O(log n) is off the hot path.
+//!   out) wait in an overflow min-heap of `(at, seq, slot)` keys. Only
+//!   coarse periodic machinery lands there (metric sampling, CAA epochs,
+//!   flow start/stop), so the heap stays small and its O(log n) — and the
+//!   O(n) of a keyed removal from it — is off the hot path.
 //!
 //! **Determinism argument.** Total order is preserved exactly: (1) the
 //! overflow invariant — everything in a bucket is earlier than everything
@@ -37,9 +47,10 @@
 //! ranks it first). Pop sequences are therefore identical to a plain
 //! binary heap's — property-tested against one in `tests/sched_equiv.rs`.
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use super::{Entry, WheelStats};
+use super::WheelStats;
 use crate::time::Time;
 
 /// Width of one bucket, µs. Tuned to the 802.11b slot time (20 µs): most
@@ -62,36 +73,62 @@ pub const HORIZON_US: u64 = NUM_BUCKETS as u64 * BUCKET_WIDTH_US;
 const MASK: usize = NUM_BUCKETS - 1;
 const WORDS: usize = NUM_BUCKETS / 64;
 
-/// One near-future bucket. `items[head..]` are the live entries in
-/// ascending `(at, seq)` order; `items[..head]` is the dead prefix of
-/// already-popped entries, reclaimed in one `clear` when the bucket
-/// drains. The cursor-plus-`Vec` layout keeps both ends O(1) *with*
-/// `Vec`'s plain append on the push side — a `VecDeque` ring buffer's
-/// wrap arithmetic on every push showed up in profiles, and `remove(0)`
-/// on a bare `Vec` is a whole-bucket memmove per pop.
-struct Bucket<E> {
-    items: Vec<Entry<E>>,
-    head: usize,
+/// "No slot": the end of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
+/// [`Slot::home`] of an entry waiting in the overflow heap.
+const OVERFLOW: u16 = u16::MAX;
+/// [`Slot::seq`] of a free slot: no handle carries it (the scheduler's
+/// sequence counter would have to wrap first).
+const FREE: u64 = u64::MAX;
+
+/// One slab slot: a pending entry and its bucket links, or (with `seq ==
+/// FREE`) a link in the free list.
+struct Slot<E> {
+    at: Time,
+    seq: u64,
+    /// Previous entry in the bucket; [`NIL`] at the head.
+    prev: u32,
+    /// Next entry in the bucket ([`NIL`] at the tail), or the next free
+    /// slot.
+    next: u32,
+    /// The bucket the entry is linked into, or [`OVERFLOW`].
+    home: u16,
+    /// `None` only in a free slot.
+    event: Option<E>,
 }
 
-impl<E> Bucket<E> {
-    fn new() -> Self {
-        Bucket {
-            items: Vec::new(),
-            head: 0,
-        }
+impl<E> Slot<E> {
+    /// The total-order key.
+    fn key(&self) -> (Time, u64) {
+        (self.at, self.seq)
     }
+}
 
-    /// Live entries (the dead prefix excluded).
-    fn live(&self) -> usize {
-        self.items.len() - self.head
-    }
+/// One near-future bucket: the ends of its list through the slab, and
+/// how many entries it holds ([`WheelStats::bucket_high_water`]).
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+    live: u32,
+}
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket {
+        head: NIL,
+        tail: NIL,
+        live: 0,
+    };
 }
 
 /// Calendar-queue event queue (see the module docs).
 pub(crate) struct WheelQueue<E> {
+    /// Every pending entry; free slots chain from `free`.
+    slots: Vec<Slot<E>>,
+    /// Head of the free list, or [`NIL`].
+    free: u32,
     /// The near-future buckets (see [`Bucket`]).
-    buckets: Vec<Bucket<E>>,
+    buckets: [Bucket; NUM_BUCKETS],
     /// One bit per bucket: set iff the bucket is non-empty.
     occupied: [u64; WORDS],
     /// Index of the bucket whose window starts at `base`.
@@ -101,15 +138,18 @@ pub(crate) struct WheelQueue<E> {
     base: u64,
     /// Entries currently in buckets (the rest are in `overflow`).
     in_buckets: usize,
-    /// Far-future entries (`at >= base + HORIZON_US`), earliest first.
-    overflow: BinaryHeap<Entry<E>>,
+    /// Far-future entries (`at >= base + HORIZON_US`) as `(at, seq,
+    /// slot)` keys, earliest first.
+    overflow: BinaryHeap<Reverse<(Time, u64, u32)>>,
     stats: WheelStats,
 }
 
 impl<E> WheelQueue<E> {
     pub(crate) fn new() -> Self {
         WheelQueue {
-            buckets: (0..NUM_BUCKETS).map(|_| Bucket::new()).collect(),
+            slots: Vec::new(),
+            free: NIL,
+            buckets: [Bucket::EMPTY; NUM_BUCKETS],
             occupied: [0; WORDS],
             cursor: 0,
             base: 0,
@@ -123,100 +163,126 @@ impl<E> WheelQueue<E> {
         self.stats
     }
 
-    pub(crate) fn push(&mut self, entry: Entry<E>) {
-        if entry.at.as_micros() >= self.base + HORIZON_US {
-            self.overflow.push(entry);
+    /// Queues `event` at `at` under key `(at, seq)`; returns its slot.
+    pub(crate) fn push(&mut self, at: Time, seq: u64, event: E) -> u32 {
+        debug_assert_ne!(seq, FREE, "the sequence counter wrapped");
+        let slot = Slot {
+            at,
+            seq,
+            prev: NIL,
+            next: NIL,
+            home: OVERFLOW,
+            event: Some(event),
+        };
+        let i = if self.free == NIL {
+            let i = u32::try_from(self.slots.len()).expect("pending entries fit a u32 slot index");
+            self.slots.push(slot);
+            i
         } else {
-            self.bucket_insert(entry);
+            let i = self.free;
+            self.free = self.slots[i as usize].next;
+            self.slots[i as usize] = slot;
+            i
+        };
+        if at.as_micros() >= self.base + HORIZON_US {
+            self.overflow.push(Reverse((at, seq, i)));
+        } else {
+            self.link(i);
         }
+        i
     }
 
-    /// Inserts an in-horizon entry into its bucket, keeping the bucket's
-    /// ascending `(at, seq)` order. Entries at or before `base` clamp
-    /// into the cursor bucket: nothing earlier can still be pending, and
-    /// the sort ranks them ahead of the bucket's in-window entries.
-    fn bucket_insert(&mut self, entry: Entry<E>) {
-        let at = entry.at.as_micros();
+    /// Links slot `i` into its bucket, keeping the bucket's ascending
+    /// `(at, seq)` order. Entries at or before `base` clamp into the
+    /// cursor bucket: nothing earlier can still be pending, and the sort
+    /// ranks them ahead of the bucket's in-window entries.
+    fn link(&mut self, i: u32) {
+        let at = self.slots[i as usize].at.as_micros();
         let idx = if at < self.base {
             self.cursor
         } else {
             (at / BUCKET_WIDTH_US) as usize & MASK
         };
-        let bucket = &mut self.buckets[idx];
-        let key = (entry.at, entry.seq);
-        // Fast path: seq grows monotonically, so pushes for the same or a
-        // later instant append at the end.
-        match bucket.items.last() {
-            Some(last) if (last.at, last.seq) > key => {
-                // Search the live slice only: a clamped late push can key
-                // below the dead prefix (already-popped entries), which
-                // would break the predicate's monotonicity.
-                let live = &bucket.items[bucket.head..];
-                let pos = bucket.head + live.partition_point(|e| (e.at, e.seq) < key);
-                bucket.items.insert(pos, entry);
-            }
-            _ => bucket.items.push(entry),
+        let key = self.slots[i as usize].key();
+        // Walk back from the tail to the last entry keyed below `key`:
+        // seq grows monotonically, so a push for the same or a later
+        // instant stops at the tail.
+        let mut after = self.buckets[idx].tail;
+        while after != NIL && self.slots[after as usize].key() > key {
+            after = self.slots[after as usize].prev;
         }
-        self.stats.bucket_high_water = self.stats.bucket_high_water.max(bucket.live() as u64);
+        let bucket = &mut self.buckets[idx];
+        let before = if after == NIL {
+            std::mem::replace(&mut bucket.head, i)
+        } else {
+            std::mem::replace(&mut self.slots[after as usize].next, i)
+        };
+        if before == NIL {
+            bucket.tail = i;
+        } else {
+            self.slots[before as usize].prev = i;
+        }
+        bucket.live += 1;
+        self.stats.bucket_high_water = self.stats.bucket_high_water.max(u64::from(bucket.live));
+        let slot = &mut self.slots[i as usize];
+        slot.prev = after;
+        slot.next = before;
+        slot.home = idx as u16;
         self.occupied[idx >> 6] |= 1 << (idx & 63);
         self.in_buckets += 1;
     }
 
-    /// Removes the pending entry with key `(at, seq)`; returns whether it
-    /// was found. The bucket an in-horizon entry lives in is normally the
-    /// one its `at` maps to, but an entry pushed while its instant was
-    /// already at or behind the then-`base` was clamped into the
-    /// then-cursor bucket — for those (and only those) the natural-bucket
-    /// probe misses and a bitmap walk over the occupied buckets finishes
-    /// the job. Buckets hold a handful of entries (see
-    /// [`WheelStats::bucket_high_water`]), so the common case is one
-    /// binary search plus a tiny `Vec::remove` memmove.
-    pub(crate) fn remove(&mut self, at: Time, seq: u64) -> bool {
-        let at_us = at.as_micros();
-        if at_us >= self.base + HORIZON_US {
-            // Overflow invariant: everything at or past the horizon is in
-            // the far-future heap (refill migrates the rest on rotation).
-            let before = self.overflow.len();
-            self.overflow.retain(|e| e.seq != seq || e.at != at);
-            return self.overflow.len() != before;
-        }
-        let natural = if at_us < self.base {
-            self.cursor
-        } else {
-            (at_us / BUCKET_WIDTH_US) as usize & MASK
-        };
-        if self.remove_in_bucket(natural, at, seq) {
-            return true;
-        }
-        for idx in 0..NUM_BUCKETS {
-            if idx == natural || self.occupied[idx >> 6] & (1u64 << (idx & 63)) == 0 {
-                continue;
-            }
-            if self.remove_in_bucket(idx, at, seq) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Binary-searches bucket `idx`'s live slice for `(at, seq)` and
-    /// removes the entry if present, keeping the bitmap and entry count
-    /// consistent.
-    fn remove_in_bucket(&mut self, idx: usize, at: Time, seq: u64) -> bool {
+    /// Unlinks slot `i` from its bucket, keeping the bitmap and entry
+    /// count consistent.
+    fn unlink(&mut self, i: u32) {
+        let Slot {
+            prev, next, home, ..
+        } = self.slots[i as usize];
+        let idx = usize::from(home);
         let bucket = &mut self.buckets[idx];
-        let key = (at, seq);
-        let live = &bucket.items[bucket.head..];
-        let pos = bucket.head + live.partition_point(|e| (e.at, e.seq) < key);
-        if pos == bucket.items.len() || (bucket.items[pos].at, bucket.items[pos].seq) != key {
-            return false;
+        if prev == NIL {
+            bucket.head = next;
+        } else {
+            self.slots[prev as usize].next = next;
         }
-        bucket.items.remove(pos);
-        if bucket.head == bucket.items.len() {
-            bucket.items.clear();
-            bucket.head = 0;
+        if next == NIL {
+            bucket.tail = prev;
+        } else {
+            self.slots[next as usize].prev = prev;
+        }
+        bucket.live -= 1;
+        if bucket.live == 0 {
             self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
         }
         self.in_buckets -= 1;
+    }
+
+    /// Puts slot `i` on the free list and moves its event out.
+    fn release(&mut self, i: u32) -> E {
+        let slot = &mut self.slots[i as usize];
+        slot.seq = FREE;
+        slot.next = self.free;
+        self.free = i;
+        slot.event.take().expect("a pending slot holds its event")
+    }
+
+    /// Removes the pending entry in `slot` if it is still the one keyed
+    /// `seq`; returns whether it was. An in-bucket entry is an O(1)
+    /// unlink wherever it sits (clamped entries included); an overflow
+    /// entry's key is filtered out of the (small) far-future heap.
+    pub(crate) fn remove(&mut self, slot: u32, seq: u64) -> bool {
+        let Some(entry) = self.slots.get(slot as usize) else {
+            return false;
+        };
+        if entry.seq != seq {
+            return false;
+        }
+        if entry.home == OVERFLOW {
+            self.overflow.retain(|&Reverse((_, s, _))| s != seq);
+        } else {
+            self.unlink(slot);
+        }
+        self.release(slot);
         true
     }
 
@@ -265,29 +331,26 @@ impl<E> WheelQueue<E> {
         self.refill();
     }
 
-    /// Migrates every overflow entry that now falls inside the window
-    /// into its bucket.
+    /// Links every overflow entry that now falls inside the window into
+    /// its bucket.
     fn refill(&mut self) {
         let horizon_end = self.base + HORIZON_US;
-        while let Some(head) = self.overflow.peek() {
-            if head.at.as_micros() >= horizon_end {
+        while let Some(&Reverse((at, _, slot))) = self.overflow.peek() {
+            if at.as_micros() >= horizon_end {
                 break;
             }
-            let entry = self.overflow.pop().expect("peeked");
+            self.overflow.pop();
             self.stats.overflow_refills += 1;
-            self.bucket_insert(entry);
+            self.link(slot);
         }
     }
 
     /// Removes and returns the earliest entry if it is at or before
     /// `until`; leaves the queue untouched otherwise (the cursor may
     /// still advance — pure bookkeeping, invisible to the total order).
-    pub(crate) fn pop_before(&mut self, until: Time) -> Option<Entry<E>>
-    where
-        E: Clone,
-    {
+    pub(crate) fn pop_before(&mut self, until: Time) -> Option<(Time, E)> {
         if self.in_buckets == 0 {
-            let head_at = self.overflow.peek()?.at;
+            let &Reverse((head_at, _, _)) = self.overflow.peek()?;
             if head_at > until {
                 return None;
             }
@@ -300,47 +363,44 @@ impl<E> WheelQueue<E> {
         if offset > 0 {
             self.advance(offset);
         }
-        let cur = self.cursor;
-        let bucket = &mut self.buckets[cur];
-        let head = &bucket.items[bucket.head];
-        if head.at > until {
+        let head = self.buckets[self.cursor].head;
+        let at = self.slots[head as usize].at;
+        if at > until {
             return None;
         }
-        // Clone the entry out and grow the dead prefix; the backing Vec is
-        // reclaimed in one `clear` once the bucket drains. Events are small
-        // enum payloads, so the clone is a plain copy in practice.
-        let entry = head.clone();
-        bucket.head += 1;
-        if bucket.head == bucket.items.len() {
-            bucket.items.clear();
-            bucket.head = 0;
-            self.occupied[cur >> 6] &= !(1u64 << (cur & 63));
-        }
-        self.in_buckets -= 1;
-        Some(entry)
+        self.unlink(head);
+        Some((at, self.release(head)))
     }
 
     pub(crate) fn peek_time(&self) -> Option<Time> {
         if self.in_buckets == 0 {
-            return self.overflow.peek().map(|e| e.at);
+            return self.overflow.peek().map(|&Reverse((at, _, _))| at);
         }
         let offset = self.next_occupied_offset()?;
-        let idx = (self.cursor + offset) & MASK;
-        let bucket = &self.buckets[idx];
-        Some(bucket.items[bucket.head].at)
+        let head = self.buckets[(self.cursor + offset) & MASK].head;
+        Some(self.slots[head as usize].at)
+    }
+
+    /// Slots in the slab, free ones included.
+    #[cfg(test)]
+    fn slab_len(&self) -> usize {
+        self.slots.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::{Scheduler, TimerHandle};
+    use crate::time::Duration;
 
-    fn entry(at_us: u64, seq: u64) -> Entry<u64> {
-        Entry {
-            at: Time::from_micros(at_us),
-            seq,
-            event: seq,
-        }
+    /// Pushes `seq` at `at_us` with the seq as its event.
+    fn push(w: &mut WheelQueue<u64>, at_us: u64, seq: u64) -> u32 {
+        w.push(Time::from_micros(at_us), seq, seq)
+    }
+
+    fn drain(w: &mut WheelQueue<u64>) -> Vec<u64> {
+        std::iter::from_fn(|| w.pop_before(Time::MAX).map(|(_, e)| e)).collect()
     }
 
     #[test]
@@ -348,27 +408,33 @@ mod tests {
         assert!(BUCKET_WIDTH_US.is_power_of_two());
         assert!(NUM_BUCKETS.is_power_of_two());
         assert_eq!(HORIZON_US, 65_536);
+        assert!(
+            NUM_BUCKETS < usize::from(OVERFLOW),
+            "bucket indices fit Slot::home"
+        );
     }
 
     #[test]
     fn same_bucket_entries_pop_in_seq_order() {
         let mut w: WheelQueue<u64> = WheelQueue::new();
         // All inside one bucket window, pushed out of order.
-        w.push(entry(10, 1));
-        w.push(entry(5, 2));
-        w.push(entry(10, 0));
-        let order: Vec<u64> =
-            std::iter::from_fn(|| w.pop_before(Time::MAX).map(|e| e.seq)).collect();
-        assert_eq!(order, vec![2, 0, 1], "(at, seq) order within the bucket");
+        push(&mut w, 10, 1);
+        push(&mut w, 5, 2);
+        push(&mut w, 10, 0);
+        assert_eq!(
+            drain(&mut w),
+            vec![2, 0, 1],
+            "(at, seq) order within the bucket"
+        );
     }
 
     #[test]
     fn overflow_entries_return_in_order_after_rotation() {
         let mut w: WheelQueue<u64> = WheelQueue::new();
-        w.push(entry(HORIZON_US + 5, 0)); // overflow
-        w.push(entry(3, 1)); // bucket
-        assert_eq!(w.pop_before(Time::MAX).unwrap().seq, 1);
-        assert_eq!(w.pop_before(Time::MAX).unwrap().seq, 0);
+        push(&mut w, HORIZON_US + 5, 0); // overflow
+        push(&mut w, 3, 1); // bucket
+        assert_eq!(w.pop_before(Time::MAX).unwrap().1, 1);
+        assert_eq!(w.pop_before(Time::MAX).unwrap().1, 0);
         assert_eq!(w.stats().overflow_refills, 1);
         assert!(w.pop_before(Time::MAX).is_none());
     }
@@ -377,13 +443,12 @@ mod tests {
     fn entries_at_or_before_base_clamp_into_the_cursor_bucket() {
         let mut w: WheelQueue<u64> = WheelQueue::new();
         // Advance the wheel deep into its second lap.
-        w.push(entry(2 * HORIZON_US + 100, 0));
-        assert_eq!(w.pop_before(Time::MAX).unwrap().seq, 0);
+        push(&mut w, 2 * HORIZON_US + 100, 0);
+        assert_eq!(w.pop_before(Time::MAX).unwrap().1, 0);
         // A "late" push behind the wheel's base must still pop, and first.
-        w.push(entry(7, 2));
-        w.push(entry(2 * HORIZON_US + 120, 1));
-        assert_eq!(w.pop_before(Time::MAX).unwrap().seq, 2);
-        assert_eq!(w.pop_before(Time::MAX).unwrap().seq, 1);
+        push(&mut w, 7, 2);
+        push(&mut w, 2 * HORIZON_US + 120, 1);
+        assert_eq!(drain(&mut w), vec![2, 1]);
     }
 
     #[test]
@@ -393,11 +458,93 @@ mod tests {
         // last bucket (wrap case).
         let w_us = BUCKET_WIDTH_US;
         for (i, &us) in [0, 63 * w_us, 64 * w_us, 1023 * w_us].iter().enumerate() {
-            w.push(entry(us, i as u64));
+            push(&mut w, us, i as u64);
         }
-        let order: Vec<u64> =
-            std::iter::from_fn(|| w.pop_before(Time::MAX).map(|e| e.seq)).collect();
-        assert_eq!(order, vec![0, 1, 2, 3]);
+        assert_eq!(drain(&mut w), vec![0, 1, 2, 3]);
         assert_eq!(w.peek_time(), None);
+    }
+
+    #[test]
+    fn a_park_revive_pop_storm_never_grows_the_slab_past_the_high_water() {
+        // 64 keyed timers at one instant, parked, revived and popped at
+        // random for 10^5 operations (a popped timer counts as parked):
+        // every freed slot is reused, so the slab is never larger than
+        // the deepest the queue has been.
+        let mut s: Scheduler<u64> = Scheduler::new();
+        let mut rng = crate::SimRng::new(36);
+        let mut armed: Vec<(u64, TimerHandle)> = Vec::new();
+        let mut parked = 0u32;
+        let mut now = Time::ZERO;
+        for tag in 0..64 {
+            armed.push((tag, s.schedule_keyed(Time::from_micros(50), tag)));
+        }
+        for tag in 64..100_064u64 {
+            match rng.gen_range(3) {
+                0 if !armed.is_empty() => {
+                    let (_, h) = armed.swap_remove(rng.gen_range(armed.len() as u32) as usize);
+                    assert!(s.remove(h));
+                    parked += 1;
+                }
+                1 if parked > 0 => {
+                    parked -= 1;
+                    let at = now + Duration::from_micros(50);
+                    armed.push((tag, s.reschedule(None, at, tag)));
+                }
+                _ => {
+                    if let Some((at, popped)) = s.pop() {
+                        now = at;
+                        armed.retain(|&(t, _)| t != popped);
+                        parked += 1;
+                    }
+                }
+            }
+            assert!(s.wheel.slab_len() <= s.depth_high_water());
+        }
+        assert_eq!(s.depth_high_water(), 64);
+        assert_eq!(s.wheel.slab_len(), 64);
+    }
+
+    #[test]
+    fn a_handle_survives_a_refill_from_overflow_and_a_clamp_behind_base() {
+        let mut s: Scheduler<u64> = Scheduler::new();
+        // Far future: its slot sits in the overflow heap until the wheel
+        // reaches it, then the refill links that same slot into a bucket.
+        let far = s.schedule_keyed(Time::from_micros(HORIZON_US + 500), 1);
+        s.schedule(Time::from_micros(HORIZON_US), 0);
+        assert_eq!(s.pop(), Some((Time::from_micros(HORIZON_US), 0)));
+        assert_eq!(s.wheel_stats().overflow_refills, 2);
+        assert!(
+            s.remove(far),
+            "the refilled entry is removed through its handle"
+        );
+        assert_eq!(s.peek_time(), None);
+        // Behind base: clamped into the cursor bucket, not its natural one.
+        let behind = s.schedule_keyed(Time::from_micros(7), 2);
+        s.schedule(Time::from_micros(HORIZON_US + 10), 3);
+        assert!(
+            s.remove(behind),
+            "the clamped entry is removed through its handle"
+        );
+        assert_eq!(s.pop(), Some((Time::from_micros(HORIZON_US + 10), 3)));
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    fn a_handle_whose_slot_was_reused_removes_nothing() {
+        let mut s: Scheduler<u64> = Scheduler::new();
+        let old = s.schedule_keyed(Time::from_micros(10), 1);
+        assert_eq!(s.pop(), Some((Time::from_micros(10), 1)));
+        // The newer entry takes the freed slot over.
+        let new = s.schedule_keyed(Time::from_micros(20), 2);
+        assert_eq!(s.wheel.slab_len(), 1, "the slot was reused");
+        assert_eq!(old.slot, new.slot);
+        assert!(!s.remove(old), "a stale handle removes nothing");
+        assert_eq!(s.removed_total(), 0);
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.pop(), Some((Time::from_micros(20), 2)));
+        // A handle to a freed, not yet reused slot removes nothing either.
+        assert!(!s.remove(new));
+        s.schedule(Time::from_micros(30), 3);
+        assert_eq!(s.pop(), Some((Time::from_micros(30), 3)));
     }
 }

@@ -25,6 +25,6 @@ pub use csv::write_csv;
 pub use estimation::{EstimationSummary, EstimationTracker};
 pub use fairness::jain_index;
 pub use hist::LogHistogram;
-pub use series::{SampleSeries, ThroughputSeries, TimeSeries};
+pub use series::{PeriodicSeries, SampleSeries, ThroughputSeries, TimeSeries};
 pub use stability::{analyze, windowed_jain, Episode, Stability, StabilityConfig};
 pub use summary::{mean_std, percentile, Summary};

@@ -218,8 +218,9 @@ impl ThroughputSeries {
     }
 }
 
-/// A series of timestamped scalar samples (delays, buffer occupancies,
-/// contention windows) that can be read back raw or bin-averaged.
+/// A series of timestamped scalar samples taken at irregular instants
+/// (per-packet delays, on delivery) that can be read back raw,
+/// bin-averaged or over a window.
 #[derive(Clone, Debug, Default)]
 pub struct SampleSeries {
     samples: Vec<(Time, f64)>,
@@ -251,77 +252,171 @@ impl SampleSeries {
         self.samples.is_empty()
     }
 
+    /// The samples in push order.
+    fn samples(&self) -> impl Iterator<Item = (Time, f64)> + '_ {
+        self.samples.iter().copied()
+    }
+
     /// Raw samples as `(seconds, value)`.
     pub fn points(&self) -> Vec<(f64, f64)> {
-        self.samples
-            .iter()
-            .map(|&(t, v)| (t.as_secs_f64(), v))
-            .collect()
+        points(self.samples())
     }
 
     /// Per-bin means as `(bin center seconds, mean)`, skipping empty bins.
     pub fn binned_mean(&self, bin: Duration) -> Vec<(f64, f64)> {
-        assert!(!bin.is_zero());
-        let mut out: Vec<(f64, f64)> = Vec::new();
-        let mut idx = usize::MAX;
-        let mut sum = 0.0;
-        let mut n = 0u64;
-        let w = bin.as_micros();
-        let ws = bin.as_secs_f64();
-        for &(t, v) in &self.samples {
-            let i = (t.as_micros() / w) as usize;
-            if i != idx {
-                if n > 0 {
-                    out.push(((idx as f64 + 0.5) * ws, sum / n as f64));
-                }
-                idx = i;
-                sum = 0.0;
-                n = 0;
-            }
-            sum += v;
-            n += 1;
-        }
-        if n > 0 && idx != usize::MAX {
-            out.push(((idx as f64 + 0.5) * ws, sum / n as f64));
-        }
-        out
+        binned_mean(self.samples(), bin)
     }
 
     /// Mean ± std of the raw samples inside `[from, to)`.
     pub fn window(&self, from: Time, to: Time) -> Summary {
-        let vals: Vec<f64> = self
-            .samples
-            .iter()
-            .filter(|&&(t, _)| t >= from && t < to)
-            .map(|&(_, v)| v)
-            .collect();
-        mean_std(&vals)
+        mean_std(&values_in(self.samples(), from, to))
     }
 
     /// The `p`-quantile of the raw samples inside `[from, to)`.
     pub fn percentile_in(&self, from: Time, to: Time, p: f64) -> Option<f64> {
-        let vals: Vec<f64> = self
-            .samples
+        crate::summary::percentile(&values_in(self.samples(), from, to), p)
+    }
+}
+
+/// A series sampled on a fixed stride (per-node buffer occupancies and
+/// contention windows, once every sampling period): the first instant,
+/// the stride and one `u32` per sample. The `k`-th sample's instant is
+/// implied, `first + k·stride`, so it is stored once, not beside every
+/// value. Reads back exactly as a [`SampleSeries`] fed the same samples
+/// would.
+#[derive(Clone, Debug)]
+pub struct PeriodicSeries {
+    first: Time,
+    stride: Duration,
+    values: Vec<u32>,
+}
+
+impl PeriodicSeries {
+    /// Creates an empty series of samples `stride` apart (`stride` must
+    /// be nonzero). The first push fixes the first instant.
+    pub fn new(stride: Duration) -> Self {
+        assert!(!stride.is_zero(), "sampling stride must be nonzero");
+        PeriodicSeries {
+            first: Time::ZERO,
+            stride,
+            values: Vec::new(),
+        }
+    }
+
+    /// Appends the sample taken at `at`.
+    ///
+    /// # Panics
+    ///
+    /// If `at` is not the next instant on the stride (`first +
+    /// len·stride`).
+    pub fn push(&mut self, at: Time, value: u32) {
+        if self.values.is_empty() {
+            self.first = at;
+        } else {
+            let next = self.instant(self.values.len());
+            assert_eq!(at, next, "periodic sample off its stride");
+        }
+        self.values.push(value);
+    }
+
+    /// The instant of the `k`-th sample.
+    fn instant(&self, k: usize) -> Time {
+        self.first + self.stride * k as u64
+    }
+
+    /// The samples in push order, each at its implied instant.
+    fn samples(&self) -> impl Iterator<Item = (Time, f64)> + '_ {
+        self.values
             .iter()
-            .filter(|&&(t, _)| t >= from && t < to)
-            .map(|&(_, v)| v)
-            .collect();
-        crate::summary::percentile(&vals, p)
+            .enumerate()
+            .map(|(k, &v)| (self.instant(k), f64::from(v)))
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// True iff no samples were recorded.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Raw samples as `(seconds, value)`.
+    pub fn points(&self) -> Vec<(f64, f64)> {
+        points(self.samples())
+    }
+
+    /// Per-bin means as `(bin center seconds, mean)`, skipping empty bins.
+    pub fn binned_mean(&self, bin: Duration) -> Vec<(f64, f64)> {
+        binned_mean(self.samples(), bin)
+    }
+
+    /// Mean ± std of the raw samples inside `[from, to)`.
+    pub fn window(&self, from: Time, to: Time) -> Summary {
+        mean_std(&values_in(self.samples(), from, to))
     }
 
     /// Maximum sample value inside `[from, to)`, if any.
     pub fn max_in(&self, from: Time, to: Time) -> Option<f64> {
-        self.samples
-            .iter()
-            .filter(|&&(t, _)| t >= from && t < to)
-            .map(|&(_, v)| v)
-            .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.max(v))))
+        max_in(self.samples(), from, to)
     }
+}
+
+/// `(seconds, value)` of every sample.
+fn points(samples: impl Iterator<Item = (Time, f64)>) -> Vec<(f64, f64)> {
+    samples.map(|(t, v)| (t.as_secs_f64(), v)).collect()
+}
+
+/// Per-bin means of time-ordered samples as `(bin center seconds, mean)`,
+/// skipping empty bins.
+fn binned_mean(samples: impl Iterator<Item = (Time, f64)>, bin: Duration) -> Vec<(f64, f64)> {
+    assert!(!bin.is_zero());
+    let mut out: Vec<(f64, f64)> = Vec::new();
+    let mut idx = usize::MAX;
+    let mut sum = 0.0;
+    let mut n = 0u64;
+    let w = bin.as_micros();
+    let ws = bin.as_secs_f64();
+    for (t, v) in samples {
+        let i = (t.as_micros() / w) as usize;
+        if i != idx {
+            if n > 0 {
+                out.push(((idx as f64 + 0.5) * ws, sum / n as f64));
+            }
+            idx = i;
+            sum = 0.0;
+            n = 0;
+        }
+        sum += v;
+        n += 1;
+    }
+    if n > 0 && idx != usize::MAX {
+        out.push(((idx as f64 + 0.5) * ws, sum / n as f64));
+    }
+    out
+}
+
+/// The values of the samples inside `[from, to)`.
+fn values_in(samples: impl Iterator<Item = (Time, f64)>, from: Time, to: Time) -> Vec<f64> {
+    samples
+        .filter(|&(t, _)| t >= from && t < to)
+        .map(|(_, v)| v)
+        .collect()
+}
+
+/// The largest value of the samples inside `[from, to)`, if any.
+fn max_in(samples: impl Iterator<Item = (Time, f64)>, from: Time, to: Time) -> Option<f64> {
+    samples
+        .filter(|&(t, _)| t >= from && t < to)
+        .map(|(_, v)| v)
+        .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.max(v))))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn s(secs: u64) -> Time {
         Time::from_secs(secs)
@@ -388,8 +483,8 @@ mod tests {
         let sm = ss.window(s(2), s(5));
         assert_eq!(sm.count, 3);
         assert!((sm.mean - 3.0).abs() < 1e-9);
-        assert_eq!(ss.max_in(s(0), s(10)), Some(9.0));
-        assert_eq!(ss.max_in(s(10), s(20)), None);
+        assert_eq!(max_in(ss.samples(), s(0), s(10)), Some(9.0));
+        assert_eq!(max_in(ss.samples(), s(10), s(20)), None);
     }
 
     #[test]
@@ -449,5 +544,94 @@ mod tests {
         let ss = SampleSeries::new();
         assert!(ss.is_empty());
         assert_eq!(ss.window(s(0), s(1)).count, 0);
+    }
+
+    #[test]
+    fn periodic_series_reads_its_implied_instants() {
+        let mut ps = PeriodicSeries::new(Duration::from_secs(2));
+        assert!(ps.is_empty());
+        for k in 0..5 {
+            ps.push(s(3 + 2 * k), k as u32 * 10);
+        }
+        assert_eq!(ps.len(), 5);
+        assert_eq!(ps.points()[4], (11.0, 40.0));
+        assert_eq!(ps.window(s(5), s(9)).count, 2, "samples at 5 s and 7 s");
+        assert_eq!(ps.max_in(s(0), s(8)), Some(20.0));
+        assert_eq!(ps.max_in(s(12), s(20)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "off its stride")]
+    fn a_periodic_push_off_the_stride_panics() {
+        let mut ps = PeriodicSeries::new(Duration::from_secs(1));
+        ps.push(s(1), 0);
+        ps.push(s(3), 0);
+    }
+
+    /// Bit-level equality of two summaries, field by field.
+    fn same_summary(a: Summary, b: Summary) -> bool {
+        (
+            a.mean.to_bits(),
+            a.std.to_bits(),
+            a.min.to_bits(),
+            a.max.to_bits(),
+            a.count,
+        ) == (
+            b.mean.to_bits(),
+            b.std.to_bits(),
+            b.min.to_bits(),
+            b.max.to_bits(),
+            b.count,
+        )
+    }
+
+    /// Bit-level equality of two point lists.
+    fn same_points(a: &[(f64, f64)], b: &[(f64, f64)]) -> bool {
+        let bits = |p: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            p.iter().map(|&(x, y)| (x.to_bits(), y.to_bits())).collect()
+        };
+        bits(a) == bits(b)
+    }
+
+    proptest! {
+        /// A periodic series reads back exactly as a timestamped one fed
+        /// the same `(k·stride, v)` samples, and refuses an off-stride
+        /// push.
+        #[test]
+        fn periodic_and_timestamped_series_agree(
+            stride_us in 1u64..3_000_000,
+            first_k in 0u64..40,
+            values in prop::collection::vec(any::<u32>(), 0..120),
+            bin_us in 1u64..10_000_000,
+            window in (0.0..1.2f64, 0.0..1.2f64),
+            off_us in 1u64..3_000_000,
+        ) {
+            let stride = Duration::from_micros(stride_us);
+            let mut periodic = PeriodicSeries::new(stride);
+            let mut stamped = SampleSeries::new();
+            for (k, &v) in (first_k..).zip(&values) {
+                let at = Time::ZERO + stride * k;
+                periodic.push(at, v);
+                stamped.push(at, f64::from(v));
+            }
+            prop_assert_eq!(periodic.len(), stamped.len());
+            prop_assert!(same_points(&periodic.points(), &stamped.points()));
+            let bin = Duration::from_micros(bin_us);
+            prop_assert!(same_points(&periodic.binned_mean(bin), &stamped.binned_mean(bin)));
+            // A window over (and past) the samples' span, either way round.
+            let span = ((first_k + values.len() as u64 + 1) * stride_us) as f64;
+            let from = s(0) + Duration::from_micros((window.0 * span) as u64);
+            let to = s(0) + Duration::from_micros((window.1 * span) as u64);
+            prop_assert!(same_summary(periodic.window(from, to), stamped.window(from, to)));
+            let (a, b) = (periodic.max_in(from, to), max_in(stamped.samples(), from, to));
+            prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
+            // The next instant on the stride is accepted; any other panics.
+            let next = Time::ZERO + stride * (first_k + values.len() as u64);
+            let pushed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                periodic.clone().push(next + Duration::from_micros(off_us), 0);
+            }));
+            prop_assert!(values.is_empty() == pushed.is_ok(), "push {} us off the stride", off_us);
+            periodic.push(next, 7);
+        }
     }
 }

@@ -123,19 +123,4 @@ cargo run --release -q -p ezflow-bench --bin experiments -- --markdown all \
   || { echo "EXPERIMENTS.md is behind \`experiments --markdown all\`"; exit 1; }
 echo "EXPERIMENTS.md matches the full-scale run"
 
-echo "== no-per-pair-state memory guard (mesh16k, mesh64k under ulimit -v 512 MB) =="
-# At 16,384 nodes one N×N byte table is 268 MB and one of f64 is 2.1 GB
-# (the two bool + one f64 matrices Channel used to keep: 2.6 GB, exit
-# 134 here), while O(N·degree) rows need ~45 MB. The built binary is
-# invoked directly so the limit binds the simulator, not cargo.
-# mesh64k is the same shape at 65,536 nodes: ~0.3 s now that set-up is a
-# grid walk (an all-pairs pass took 4-7 s). The timeout is a hang guard,
-# not a speed gate — that is geom.rs's counted linear-work test.
-cargo build --release -q -p ezflow-bench --bin experiments
-for mesh in mesh16k mesh64k; do
-  ( ulimit -v 524288
-    timeout 20 target/release/experiments --jobs=1 --spec="scenarios/$mesh.json" >/dev/null )
-  echo "$mesh.json ran inside 512 MB of address space"
-done
-
 echo "all checks passed"
