@@ -29,9 +29,11 @@ pub struct Scale {
     /// off; `--telemetry-dir` / `--telemetry-ms` arm it). Snapshots from
     /// armed runs gain a `stability` section.
     pub telemetry_every: Option<Duration>,
-    /// Controller-audit ledger capacity in records (`0`, the default,
-    /// leaves the ledger off; `--audit-dir` arms it). Snapshots from
-    /// armed runs gain a `controller` section.
+    /// Arms the controller-audit ledger when nonzero (`0`, the default,
+    /// leaves it off; `--audit-dir` arms it with
+    /// [`NetworkSpec::AUDIT_CAP`]). The value bounds nothing:
+    /// the ledger streams its records. Snapshots from armed runs gain a
+    /// `controller` section.
     ///
     /// No observer perturbs a run — the simulation content is
     /// bit-identical armed or not; where each writes is

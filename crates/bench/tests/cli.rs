@@ -5,8 +5,8 @@
 //! that cannot end — and its observer exports: which files a run leaves
 //! under `--trace-dir` / `--telemetry-dir` / `--audit-dir`, named how.
 //! The `trace` inspector is held to the same rule for streams it cannot
-//! read (exit 1, naming the file). Every child runs under `budget`'s wall
-//! budget.
+//! read (exit 1, naming the file), and must read what a run exports
+//! (exit 0). Every child runs under `budget`'s wall budget.
 
 use std::path::{Path, PathBuf};
 use std::process::Output;
@@ -95,23 +95,84 @@ fn assert_same_exports(a: &Path, b: &Path) {
     }
 }
 
+/// Asserts that the `trace` inspectors read the exports of a scenario-1
+/// run under `root`, each exiting 0 — the drop census by cause, node and
+/// link, the slowest journeys, the journey of the slowest delivered
+/// packet, the telemetry and controller views — and that the run's
+/// `--json` snapshots at `root/snap.json` carry the schema version and
+/// the sections the armed telemetry and audit add.
+fn assert_inspectors_read(root: &Path) {
+    let inspect = |args: &[&str], file: &str| -> String {
+        let path = root.join(file);
+        let mut all = args.to_vec();
+        all.push(path.to_str().unwrap());
+        let out = budget::run(TRACE, &all);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "trace {all:?}: {stderr}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let lifecycle = "tr/scenario1_80211.jsonl";
+    for pivot in ["--by-cause", "--by-node", "--by-link"] {
+        inspect(&["drops", pivot], lifecycle);
+    }
+    inspect(&["worst", "--flow=0", "--top=3"], lifecycle);
+    // Line 3 of the slowest-journey table starts with its packet id.
+    let worst = inspect(&["worst", "--flow=0", "--top=1"], lifecycle);
+    let packet = worst
+        .lines()
+        .nth(2)
+        .and_then(|row| row.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no slowest packet in:\n{worst}"));
+    let journey = inspect(&["journey", &format!("--packet={packet}")], lifecycle);
+    assert!(journey.contains("DELIVERED"), "packet {packet}:\n{journey}");
+    inspect(&["telemetry", "--top=3"], "tel/scenario1_80211.jsonl");
+    let audit = "aud/scenario1_EZ-flow.audit.jsonl";
+    inspect(&["controller", "--top=3"], audit);
+    let stream = std::fs::read_to_string(root.join(audit)).unwrap();
+    assert!(stream.contains(r#""kind":"sample""#), "{audit}: no sample");
+
+    let text = std::fs::read_to_string(root.join("snap.json")).unwrap();
+    let doc = JsonValue::parse(&text).unwrap();
+    let runs = doc.get("snapshots").and_then(JsonValue::as_array).unwrap();
+    assert_eq!(runs.len(), 2, "scenario 1 runs 802.11 and EZ-flow");
+    for run in runs {
+        let label = run.get("label").and_then(JsonValue::as_str).unwrap();
+        assert_eq!(run.get("schema").and_then(JsonValue::as_u64), Some(2));
+        let section = |name: &str, key: &str| run.get(name).and_then(|s| s.get(key));
+        assert!(
+            section("stability", "worst_amplitude_mean").is_some(),
+            "{label}: no stability section"
+        );
+        assert!(
+            section("controller", "decisions_total").is_some(),
+            "{label}: no controller section"
+        );
+    }
+}
+
 #[test]
 fn every_run_of_a_named_experiment_exports_all_three_observers() {
-    // table2 builds its six networks as runner jobs.
-    let root = scratch("table2");
-    observed(&root, &["--jobs=2", "table2"]);
-    assert_exports(
-        &root,
-        &[
-            "table2_F1alone_80211",
-            "table2_F1alone_EZ-flow2^10cap",
-            "table2_F2alone_80211",
-            "table2_F2alone_EZ-flow2^10cap",
-            "table2_F1+F2_80211",
-            "table2_F1+F2_EZ-flow2^10cap",
-        ],
-    );
-    std::fs::remove_dir_all(&root).ok();
+    // table2 builds its six networks as runner jobs; seeds sweeps both
+    // controllers over ten seeds, twenty runs.
+    let seed_stems: Vec<String> = ["80211", "EZ-flow"]
+        .iter()
+        .flat_map(|c| (0..10).map(move |k| format!("seeds_{c}_{}", k * 1000 + 42)))
+        .collect();
+    let table2 = [
+        "table2_F1alone_80211",
+        "table2_F1alone_EZ-flow2^10cap",
+        "table2_F2alone_80211",
+        "table2_F2alone_EZ-flow2^10cap",
+        "table2_F1+F2_80211",
+        "table2_F1+F2_EZ-flow2^10cap",
+    ];
+    let seeds: Vec<&str> = seed_stems.iter().map(String::as_str).collect();
+    for (id, stems) in [("table2", &table2[..]), ("seeds", &seeds[..])] {
+        let root = scratch(id);
+        observed(&root, &["--jobs=2", id]);
+        assert_exports(&root, stems);
+        std::fs::remove_dir_all(&root).ok();
+    }
 }
 
 #[test]
@@ -146,10 +207,12 @@ fn two_identical_scenario1_runs_export_identical_files() {
     // order, so the recorder's hash index and slot reuse never reach a
     // byte: all six streams are pure functions of the run.
     let (first, again) = (scratch("scenario1-first"), scratch("scenario1-again"));
-    observed(&first, &["scenario1"]);
+    let json = format!("--json={}", first.join("snap.json").display());
+    observed(&first, &[&json, "scenario1"]);
     observed(&again, &["scenario1"]);
     assert_exports(&first, &["scenario1_80211", "scenario1_EZ-flow"]);
     assert_same_exports(&first, &again);
+    assert_inspectors_read(&first);
     std::fs::remove_dir_all(&first).ok();
     std::fs::remove_dir_all(&again).ok();
 }

@@ -4,14 +4,13 @@
 //! When a spec sets `audit_cap > 0`, the engine pairs every BOE sample
 //! with the successor's *true* queue depth at the same instant and
 //! records every `CWmin` decision together with the inputs that produced
-//! it (see [`crate::controller::DecisionRecord`]). Records are kept in a
-//! bounded ring like the flight recorder (oldest evicted first, totals
-//! never lost), fed into per-link [`EstimationTracker`]s for the
-//! snapshot's error summaries, and optionally streamed as JSONL while
-//! the run is in flight (`experiments --audit-dir=DIR`): each record is
-//! written into one line buffer the ledger owns and reuses, then handed
-//! to the sink in a single `write_all` — a record costs its ≈ 80–170
-//! bytes and no allocation.
+//! it (see [`crate::controller::DecisionRecord`]). Records are not
+//! kept: each one is counted, fed into its link's [`EstimationTracker`]
+//! for the snapshot's error summaries, and — with a sink attached
+//! (`experiments --audit-dir=DIR`) — streamed as one JSONL line while
+//! the run is in flight. The line is written into one buffer the ledger
+//! owns and reuses, then handed to the sink in a single `write_all` — a
+//! record costs its ≈ 80–170 bytes and no allocation.
 //!
 //! ## Zero interference
 //!
@@ -38,7 +37,7 @@
 //! recorded error is zero, per the paper; bursty loss (Gilbert-Elliott)
 //! makes BOE miss overhears and the error series shows it.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::Write;
 
 #[cfg(test)]
@@ -68,7 +67,7 @@ pub enum AuditEvent {
     Decision(DecisionRecord),
 }
 
-/// One entry of the audit ring: what happened, where, and when.
+/// One audit record: what happened, where, and when.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AuditRecord {
     /// Simulated time of the observation.
@@ -157,18 +156,16 @@ impl AuditRecord {
     }
 }
 
-/// The bounded decision/estimate ledger. Owned by
-/// [`crate::network::Network`] as the public `audit` field; disabled
-/// (every probe site is one branch) unless the spec sets `audit_cap`.
+/// The decision/estimate ledger: counters, per-link trackers and the
+/// record stream. Owned by [`crate::network::Network`] as the public
+/// `audit` field; disabled (every probe site is one branch) unless the
+/// spec sets `audit_cap`.
 pub struct AuditLedger {
-    cap: usize,
-    records: VecDeque<AuditRecord>,
-    /// Records ever recorded (eviction never loses the count).
+    armed: bool,
+    /// Records ever recorded.
     pushed: u64,
     /// Decision records among them.
     decisions_total: u64,
-    /// Records evicted from the ring.
-    evicted: u64,
     /// Per-node count of decisions that actually moved the window.
     cw_changes: Vec<u64>,
     /// Per-(node → successor) estimation-error trackers, in
@@ -180,15 +177,13 @@ pub struct AuditLedger {
 }
 
 impl AuditLedger {
-    /// Creates the ledger for `n` nodes; `cap = 0` disables it.
-    pub(crate) fn new(n: usize, cap: usize) -> Self {
+    /// Creates the ledger for `n` nodes, recording only when `armed`.
+    pub(crate) fn new(n: usize, armed: bool) -> Self {
         AuditLedger {
-            cap,
-            records: VecDeque::new(),
+            armed,
             pushed: 0,
             decisions_total: 0,
-            evicted: 0,
-            cw_changes: if cap > 0 { vec![0; n] } else { Vec::new() },
+            cw_changes: if armed { vec![0; n] } else { Vec::new() },
             links: BTreeMap::new(),
             line: JsonWriter::new(),
             sink: None,
@@ -197,32 +192,12 @@ impl AuditLedger {
 
     /// True iff the ledger is armed (the spec set `audit_cap > 0`).
     pub fn enabled(&self) -> bool {
-        self.cap > 0
+        self.armed
     }
 
-    /// Records ever observed (including evicted ones).
+    /// Records ever observed.
     pub fn pushed(&self) -> u64 {
         self.pushed
-    }
-
-    /// Decision records among [`AuditLedger::pushed`].
-    pub fn decisions_total(&self) -> u64 {
-        self.decisions_total
-    }
-
-    /// Records evicted to honour the ring bound.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// The retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &AuditRecord> {
-        self.records.iter()
-    }
-
-    /// Window-changing decisions recorded for `node`.
-    pub fn cw_changes(&self, node: usize) -> u64 {
-        self.cw_changes.get(node).copied().unwrap_or(0)
     }
 
     /// The estimation-error summary of one (node → successor) link, if
@@ -249,11 +224,6 @@ impl AuditLedger {
             self.line.end_line();
             let _ = sink.write_all(self.line.as_bytes());
         }
-        if self.records.len() == self.cap {
-            self.records.pop_front();
-            self.evicted += 1;
-        }
-        self.records.push_back(rec);
         self.pushed += 1;
     }
 
@@ -355,6 +325,7 @@ mod tests {
     use super::*;
     use crate::controller::{DecisionKind, DecisionRecord};
     use proptest::prelude::*;
+    use std::sync::{Arc, Mutex};
 
     proptest! {
         /// The streamed line is, byte for byte, the compact form of the
@@ -427,9 +398,29 @@ mod tests {
         }
     }
 
+    /// A sink whose bytes the test can still read after handing it over.
+    #[derive(Clone, Default)]
+    struct Buf(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Buf {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(b);
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Buf {
+        fn text(&self) -> String {
+            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
+        }
+    }
+
     #[test]
     fn disabled_ledger_records_nothing() {
-        let mut a = AuditLedger::new(4, 0);
+        let mut a = AuditLedger::new(4, false);
         assert!(!a.enabled());
         a.record_sample(Time::ZERO, 1, 2, 3, 3);
         a.record_decision(Time::ZERO, 1, decision(32, 64));
@@ -438,15 +429,12 @@ mod tests {
     }
 
     #[test]
-    fn ring_bounds_retention_but_not_totals() {
-        let mut a = AuditLedger::new(4, 2);
+    fn totals_and_trackers_count_every_record() {
+        let mut a = AuditLedger::new(4, true);
         for i in 0..5u32 {
             a.record_sample(Time::from_millis(i as u64), 1, 2, i, i);
         }
         assert_eq!(a.pushed(), 5);
-        assert_eq!(a.evicted(), 3);
-        assert_eq!(a.records().count(), 2);
-        // Trackers keep the full series even after ring eviction.
         let snap = a.controller_snapshot().unwrap();
         assert_eq!(snap.links.len(), 1);
         assert_eq!(snap.links[0].samples, 5);
@@ -455,7 +443,7 @@ mod tests {
 
     #[test]
     fn decisions_count_window_moves_per_node() {
-        let mut a = AuditLedger::new(4, 16);
+        let mut a = AuditLedger::new(4, true);
         a.record_decision(Time::ZERO, 1, decision(32, 64));
         a.record_decision(Time::ZERO, 1, decision(64, 64)); // a hold
         a.record_decision(Time::ZERO, 3, decision(64, 32));
@@ -468,15 +456,18 @@ mod tests {
 
     #[test]
     fn json_records_carry_kind_specific_fields() {
-        let mut a = AuditLedger::new(4, 16);
+        let buf = Buf::default();
+        let mut a = AuditLedger::new(4, true);
+        a.set_sink(Box::new(buf.clone()));
         a.record_sample(Time::from_millis(5), 1, 2, 7, 4);
         a.record_decision(Time::from_millis(6), 1, decision(32, 64));
-        let recs: Vec<&AuditRecord> = a.records().collect();
-        let s = recs[0].to_json();
+        let text = buf.text();
+        let recs: Vec<JsonValue> = text.lines().map(|l| JsonValue::parse(l).unwrap()).collect();
+        let s = &recs[0];
         assert_eq!(s.get("kind").and_then(|v| v.as_str()), Some("sample"));
         assert_eq!(s.get("estimate").and_then(|v| v.as_u64()), Some(7));
         assert_eq!(s.get("truth").and_then(|v| v.as_u64()), Some(4));
-        let d = recs[1].to_json();
+        let d = &recs[1];
         assert_eq!(d.get("kind").and_then(|v| v.as_str()), Some("increase"));
         assert_eq!(d.get("cw_after").and_then(|v| v.as_u64()), Some(64));
         assert_eq!(d.get("avg").and_then(|v| v.as_f64()), Some(25.0));
@@ -484,27 +475,15 @@ mod tests {
 
     #[test]
     fn sink_streams_one_line_per_record() {
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone)]
-        struct Buf(Arc<Mutex<Vec<u8>>>);
-        impl Write for Buf {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let buf = Buf(Arc::new(Mutex::new(Vec::new())));
-        let mut a = AuditLedger::new(4, 16);
+        let buf = Buf::default();
+        let mut a = AuditLedger::new(4, true);
         a.set_sink(Box::new(buf.clone()));
         a.record_sample(Time::ZERO, 1, 2, 3, 3);
         a.record_decision(Time::ZERO, 1, decision(32, 64));
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let text = buf.text();
         assert_eq!(text.lines().count(), 2);
         assert!(text.lines().next().unwrap().contains("\"kind\":\"sample\""));
+        let snap = a.controller_snapshot().unwrap();
+        assert_eq!(snap.records, text.lines().count() as u64);
     }
 }

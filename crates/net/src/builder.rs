@@ -234,9 +234,10 @@ pub struct NetworkSpec {
     pub telemetry_every: Option<Duration>,
     /// Ring capacity of each telemetry time series, in sample windows.
     pub telemetry_cap: usize,
-    /// Audit-ledger ring capacity in records (0 disables the controller
-    /// provenance audit — one branch per probe site, zero cost; see
-    /// [`crate::audit`]).
+    /// Arms the controller provenance audit when nonzero; the value bounds
+    /// nothing, since the ledger keeps counters and trackers and streams
+    /// its records. 0 leaves it off — one branch per probe site, zero
+    /// cost; see [`crate::audit`].
     pub audit_cap: usize,
     /// Engine self-profiler: when set, `run_until` wall-clocks every
     /// handler dispatch per event kind into the perf snapshot's
@@ -274,9 +275,8 @@ impl NetworkSpec {
     /// time) — what `--telemetry-dir` arms unless overridden.
     pub const TELEMETRY_EVERY: Duration = Duration::from_millis(100);
 
-    /// The default audit-ledger ring capacity, in records — what
-    /// `--audit-dir` arms unless overridden. Streaming exports see every
-    /// record regardless; the ring only bounds what a snapshot retains.
+    /// The `audit_cap` that `--audit-dir` sets. Any nonzero value arms
+    /// the ledger; no record is retained, so the number bounds nothing.
     pub const AUDIT_CAP: usize = 1 << 16;
 
     /// Checks that the spec can actually be built and run: positions
@@ -489,7 +489,7 @@ pub(crate) fn build(
     // Program initial contention windows. With the audit armed, each
     // build-time assignment becomes the node's first ledger entry — the
     // static-penalty baseline makes all its "decisions" right here.
-    let mut audit = crate::audit::AuditLedger::new(n, spec.audit_cap);
+    let mut audit = crate::audit::AuditLedger::new(n, spec.audit_cap > 0);
     for node in nodes.iter_mut() {
         if let Some(cw) = node.controller.initial_cw_min() {
             if audit.enabled() {
@@ -574,10 +574,9 @@ pub(crate) fn build(
     // every subsequent push, the scheduler's depth high-water mark runs
     // exactly one above the telemetry-off run's, which is what the
     // snapshot compensation subtracts (see `Network::snapshot`).
-    let mut telemetry = Telemetry::new(n, &flow_ids, spec.telemetry_every, spec.telemetry_cap);
+    let telemetry = Telemetry::new(n, &flow_ids, spec.telemetry_every, spec.telemetry_cap);
     if telemetry.enabled() {
         sched.schedule(Time::ZERO + telemetry.every(), Ev::Telemetry);
-        telemetry.note_push();
     }
 
     Network {

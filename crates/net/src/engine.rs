@@ -62,29 +62,17 @@ pub(crate) enum Ev {
 }
 
 /// Number of *counted* [`Ev`] kinds, for the per-kind dispatch counters.
-/// `Ev::Telemetry` is deliberately not one of them: the sampler is
-/// intercepted before kind accounting (zero interference).
+/// `Ev::Telemetry` is deliberately not one of them: its slot,
+/// `EV_KINDS`, is past the counters (zero interference).
 pub(crate) const EV_KINDS: usize = 8;
-
-/// Stable names of the [`Ev`] kinds, in [`ev_index`] order — the keys of
-/// the snapshot's `dispatched_by_kind` object.
-const EV_NAMES: [&str; EV_KINDS] = [
-    "traffic",
-    "window_refresh",
-    "mac_tx_path",
-    "mac_ack_job",
-    "mac_nav",
-    "tx_end",
-    "sample",
-    "backlog",
-];
 
 /// Number of self-profiler slots: every counted event kind plus one for
 /// the telemetry sampler.
 pub const PROFILE_KINDS: usize = EV_KINDS + 1;
 
 /// Names of the self-profiler slots, in slot order — the keys of the
-/// perf snapshot's `handler_ns_by_kind` object.
+/// perf snapshot's `handler_ns_by_kind` object. All but the last,
+/// `telemetry`, are also the keys of the scheduler's `dispatched_by_kind`.
 pub const PROFILE_NAMES: [&str; PROFILE_KINDS] = [
     "traffic",
     "window_refresh",
@@ -107,7 +95,7 @@ fn ev_index(ev: &Ev) -> usize {
         Ev::TxEnd { .. } => 5,
         Ev::Sample => 6,
         Ev::Backlog => 7,
-        Ev::Telemetry => unreachable!("telemetry bypasses kind accounting"),
+        Ev::Telemetry => EV_KINDS,
     }
 }
 
@@ -150,23 +138,16 @@ impl Network {
         while let Some((at, ev)) = self.sched.pop_before(until) {
             debug_assert!(at >= self.now, "time went backwards");
             self.now = at;
-            // Zero-interference dispatch: the telemetry sampler never
-            // touches `events` or the per-kind counters, so a
-            // telemetry-on run's accounting equals the telemetry-off
-            // run's (its scheduler traffic is compensated in `snapshot`).
-            if matches!(ev, Ev::Telemetry) {
-                if self.profile {
-                    let h0 = std::time::Instant::now();
-                    self.on_telemetry();
-                    self.handler_ns[EV_KINDS] += h0.elapsed().as_nanos() as u64;
-                } else {
-                    self.on_telemetry();
-                }
-                continue;
-            }
-            self.events += 1;
             let kind = ev_index(&ev);
-            self.dispatched[kind] += 1;
+            // Zero-interference dispatch: the telemetry sampler (slot
+            // `EV_KINDS`, past the counters) never touches `events` or the
+            // per-kind counters, so a telemetry-on run's accounting equals
+            // the telemetry-off run's (its scheduler traffic is
+            // compensated in `snapshot`).
+            if kind < EV_KINDS {
+                self.events += 1;
+                self.dispatched[kind] += 1;
+            }
             if self.profile {
                 let h0 = std::time::Instant::now();
                 self.handle(ev);
@@ -219,8 +200,6 @@ impl Network {
             Ev::TxEnd { tx, node } => self.on_tx_end(tx, node),
             Ev::Sample => self.on_sample(),
             Ev::Backlog => self.on_backlog(),
-            // Intercepted in `run_until` before kind accounting; kept
-            // here so the dispatcher stays total over the vocabulary.
             Ev::Telemetry => self.on_telemetry(),
         }
     }
@@ -637,7 +616,6 @@ impl Network {
         }
         self.telemetry.finish_window();
         let next = self.now + self.telemetry.every();
-        self.telemetry.note_push();
         self.sched.schedule(next, Ev::Telemetry);
     }
 
@@ -952,10 +930,16 @@ impl Network {
         // exactly one resident sampler entry (popped, then re-armed
         // before anything else is pushed), every push candidate for the
         // depth high-water mark is therefore exactly one higher than in
-        // the telemetry-off run, and `pushes` counts the sampler's
-        // schedule() calls. Subtracting all three makes the scheduler
-        // block *equal* to a telemetry-off run's, not just close.
+        // the telemetry-off run, and the sampler's schedule() calls are
+        // one at build plus one per window. Subtracting all three makes
+        // the scheduler block *equal* to a telemetry-off run's, not just
+        // close.
         let tel_resident = self.telemetry.enabled() as usize;
+        let tel_pushes = if self.telemetry.enabled() {
+            self.telemetry.windows() + 1
+        } else {
+            0
+        };
         // The MAC's epoch check is the one place a stale timer can be
         // seen; both stale keys of the schema carry its count.
         let stale_timers: u64 = self.nodes.iter().map(|n| n.mac.stats().stale_epochs).sum();
@@ -965,14 +949,14 @@ impl Network {
             nodes,
             channel: self.channel.stats(),
             scheduler: SchedulerSnapshot {
-                scheduled_total: self.sched.scheduled_total() - self.telemetry.pushes(),
+                scheduled_total: self.sched.scheduled_total() - tel_pushes,
                 dispatched_total: self.events,
                 stale_elided: stale_timers,
                 rescheduled_total: self.sched.rescheduled_total(),
                 removed_total: self.sched.removed_total(),
                 pending: self.sched.len() - tel_resident,
                 depth_high_water: self.sched.depth_high_water() - tel_resident,
-                dispatched_by_kind: EV_NAMES
+                dispatched_by_kind: PROFILE_NAMES[..EV_KINDS]
                     .iter()
                     .zip(self.dispatched.iter())
                     .map(|(&name, &n)| (name.to_string(), n))

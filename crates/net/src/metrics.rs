@@ -4,9 +4,9 @@
 //! tables need, for one simulation run:
 //!
 //! * per-flow **throughput** series (bits delivered at the sink, binned),
-//! * per-flow **end-to-end delay** series, in two flavours — from packet
-//!   creation, and from the packet's first dequeue at the source MAC (see
-//!   DESIGN.md §4 on why the figures use the latter),
+//! * per-flow **network delay** series, from the packet's first dequeue
+//!   at the source MAC to delivery (see DESIGN.md §4 on why the figures
+//!   measure from there, not from creation),
 //! * per-node **buffer occupancy** trace, sampled once every sampling
 //!   period (Figs. 1, 4),
 //! * per-node **`CWmin`** trace, on the same instants (Figs. 8, 11 plot
@@ -30,8 +30,6 @@ pub struct Metrics {
     pub throughput: BTreeMap<u32, ThroughputSeries>,
     /// Per-flow delay from first dequeue at the source (seconds).
     pub delay_net: BTreeMap<u32, SampleSeries>,
-    /// Per-flow delay from packet creation (seconds).
-    pub delay_e2e: BTreeMap<u32, SampleSeries>,
     /// Per-flow delivered packet counts.
     pub delivered: BTreeMap<u32, u64>,
     /// Per-node total interface-queue occupancy, sampled periodically.
@@ -61,14 +59,12 @@ impl Metrics {
     pub fn new(nodes: usize, flows: &[u32], sample_every: Duration) -> Self {
         let mut throughput = BTreeMap::new();
         let mut delay_net = BTreeMap::new();
-        let mut delay_e2e = BTreeMap::new();
         let mut delivered = BTreeMap::new();
         let mut source_drops = BTreeMap::new();
         let mut flow_latency = BTreeMap::new();
         for &f in flows {
             throughput.insert(f, ThroughputSeries::new(Self::BIN));
             delay_net.insert(f, SampleSeries::new());
-            delay_e2e.insert(f, SampleSeries::new());
             delivered.insert(f, 0);
             source_drops.insert(f, 0);
             flow_latency.insert(f, LogHistogram::new());
@@ -76,7 +72,6 @@ impl Metrics {
         Metrics {
             throughput,
             delay_net,
-            delay_e2e,
             delivered,
             buffer: (0..nodes)
                 .map(|_| PeriodicSeries::new(sample_every))
@@ -109,9 +104,6 @@ impl Metrics {
         }
         if let Some(h) = self.flow_latency.get_mut(&flow) {
             h.record(now.saturating_since(frame.entered_net).as_micros());
-        }
-        if let Some(d) = self.delay_e2e.get_mut(&flow) {
-            d.push(now, now.saturating_since(frame.created).as_secs_f64());
         }
         if let Some(n) = self.delivered.get_mut(&flow) {
             *n += 1;
@@ -152,9 +144,7 @@ mod tests {
         assert_eq!(m.delivered[&0], 1);
         assert!((m.throughput[&0].total_bits() - 8000.0).abs() < 1e-9);
         let d_net = m.delay_net[&0].points()[0].1;
-        let d_e2e = m.delay_e2e[&0].points()[0].1;
         assert!((d_net - 4.0).abs() < 1e-9);
-        assert!((d_e2e - 6.0).abs() < 1e-9);
     }
 
     #[test]

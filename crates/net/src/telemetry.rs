@@ -1,15 +1,17 @@
 //! The telemetry bus — deterministic periodic sampling of live state.
 //!
 //! When a spec sets `telemetry_every`, the engine schedules a dedicated
-//! periodic sampler event (default 100 ms of simulated time) that
-//! snapshots per-node queue depths, airtime fractions and MAC counter
-//! deltas plus per-flow windowed throughput into ring-buffered
-//! [`TimeSeries`], and optionally streams one JSONL record per window to
-//! a sink while the run is still in flight. The record is written as it
-//! is sampled — header, then each node's object, then the flows —
-//! straight into one line buffer the sampler owns and reuses, and handed
-//! to the sink in a single `write_all`: a window costs its bytes (≈ 110
-//! per node) and, after the first, no allocation.
+//! periodic sampler event (default 100 ms of simulated time). Two kinds
+//! of reading are kept in ring-buffered [`TimeSeries`], because the
+//! snapshot's stability section scores them: per-node queue depth and
+//! per-flow windowed throughput. With a sink attached, the sampler also
+//! streams one JSONL record per window while the run is in flight, which
+//! adds each node's airtime fractions and MAC counter deltas; those are
+//! written and not kept. The record is written as it is sampled —
+//! header, then each node's object, then the flows — straight into one
+//! line buffer the sampler owns and reuses, and handed to the sink in a
+//! single `write_all`: a window costs its bytes (≈ 110 per node) and,
+//! after the first, no allocation.
 //!
 //! ## Zero interference
 //!
@@ -21,10 +23,11 @@
 //!   and gaps, never settled) are pure reads;
 //! * the engine dispatches the sampler *outside* its event accounting
 //!   (`events`, per-kind counts), and [`Network::snapshot`] subtracts
-//!   the sampler's own scheduler traffic — `Telemetry::pushes` events
-//!   scheduled, exactly one resident entry, exactly one unit of queue
-//!   depth — so a telemetry-on snapshot serialises byte-identically to
-//!   the telemetry-off one (perf zeroed, stability section aside);
+//!   the sampler's own scheduler traffic — `windows + 1` events
+//!   scheduled (one at build, one per window), exactly one resident
+//!   entry, exactly one unit of queue depth — so a telemetry-on snapshot
+//!   serialises byte-identically to the telemetry-off one (perf zeroed,
+//!   stability section aside);
 //! * with `telemetry_every` unset, no event is ever scheduled and the
 //!   only cost is one branch per pop.
 //!
@@ -48,21 +51,17 @@ struct FlowTelemetry {
     kbps: TimeSeries<f64>,
 }
 
-/// The telemetry sampler's state: rings, previous-counter baselines for
-/// the deltas, and the optional JSONL sink. Owned by
-/// [`crate::network::Network`] as the public `telemetry` field.
+/// The telemetry sampler's state: the rings the stability section reads,
+/// previous-counter baselines for the streamed deltas, and the optional
+/// JSONL sink. Owned by [`crate::network::Network`] as the public
+/// `telemetry` field.
 pub struct Telemetry {
     every: Option<Duration>,
-    /// Scheduler pushes made for the sampler event (for the snapshot's
-    /// exact scheduler-counter compensation).
-    pushes: u64,
     /// Completed sample windows.
     windows: u64,
     /// Per-node queue-depth ring (total interface-queue occupancy at
     /// each window boundary).
     queue_depth: Vec<TimeSeries<f64>>,
-    /// Per-node non-idle airtime fraction of each window.
-    active_frac: Vec<TimeSeries<f64>>,
     flows: Vec<FlowTelemetry>,
     prev_mac: Vec<MacStats>,
     prev_air: Vec<Airtime>,
@@ -77,13 +76,12 @@ impl Telemetry {
     /// `every: None` disables telemetry entirely; `cap` bounds each ring
     /// (oldest windows are evicted first).
     pub(crate) fn new(n: usize, flow_ids: &[u32], every: Option<Duration>, cap: usize) -> Self {
-        let (queue_depth, active_frac, flows) = match every {
+        let (queue_depth, flows) = match every {
             Some(p) => {
                 assert!(!p.is_zero(), "telemetry interval must be nonzero");
                 let mut ids: Vec<u32> = flow_ids.to_vec();
                 ids.sort_unstable();
                 (
-                    (0..n).map(|_| TimeSeries::new(p, cap)).collect(),
                     (0..n).map(|_| TimeSeries::new(p, cap)).collect(),
                     ids.into_iter()
                         .map(|id| FlowTelemetry {
@@ -94,14 +92,12 @@ impl Telemetry {
                         .collect(),
                 )
             }
-            None => (Vec::new(), Vec::new(), Vec::new()),
+            None => (Vec::new(), Vec::new()),
         };
         Telemetry {
             every,
-            pushes: 0,
             windows: 0,
             queue_depth,
-            active_frac,
             flows,
             prev_mac: vec![MacStats::default(); if every.is_some() { n } else { 0 }],
             prev_air: vec![Airtime::default(); if every.is_some() { n } else { 0 }],
@@ -120,16 +116,6 @@ impl Telemetry {
         self.every.expect("telemetry is enabled")
     }
 
-    /// Sampler events scheduled so far (the snapshot compensation).
-    pub(crate) fn pushes(&self) -> u64 {
-        self.pushes
-    }
-
-    /// Records one sampler-event push.
-    pub(crate) fn note_push(&mut self) {
-        self.pushes += 1;
-    }
-
     /// Completed sample windows.
     pub fn windows(&self) -> u64 {
         self.windows
@@ -138,11 +124,6 @@ impl Telemetry {
     /// Per-node queue-depth ring (one value per completed window).
     pub fn queue_depth(&self, node: usize) -> &TimeSeries<f64> {
         &self.queue_depth[node]
-    }
-
-    /// Per-node non-idle airtime fraction ring.
-    pub fn active_frac(&self, node: usize) -> &TimeSeries<f64> {
-        &self.active_frac[node]
     }
 
     /// Per-flow windowed throughput rings, `(flow id, kb/s series)`, in
@@ -181,20 +162,15 @@ impl Telemetry {
     /// Feeds one node's readings for the closing window.
     pub(crate) fn node_sample(&mut self, node: usize, queue: f64, air: Airtime, mac: MacStats) {
         self.queue_depth[node].push(queue);
-        let d_total = air.total_us() - self.prev_air[node].total_us();
-        let d_idle = air.idle_us - self.prev_air[node].idle_us;
-        let d_tx = air.tx_us - self.prev_air[node].tx_us;
-        let active = if d_total > 0 {
-            (d_total - d_idle) as f64 / d_total as f64
-        } else {
-            0.0
-        };
-        self.active_frac[node].push(active);
         if self.sink.is_some() {
+            let prev_air = &self.prev_air[node];
+            let d_total = air.total_us() - prev_air.total_us();
+            let d_idle = air.idle_us - prev_air.idle_us;
+            let d_tx = air.tx_us - prev_air.tx_us;
             let prev = &self.prev_mac[node];
             // The two fractions as integer ratios over the window: a
             // 100 ms window's are printed without the float formatter. An
-            // empty window reads 0 / 1, the 0.0 above.
+            // empty window reads 0 / 1, that is 0.0.
             let den = d_total.max(1);
             let w = &mut self.line;
             w.begin_object();

@@ -114,18 +114,6 @@ impl<T> TimeSeries<T> {
 }
 
 impl TimeSeries<f64> {
-    /// The `p`-quantile (`0.0..=1.0`) of the retained values.
-    pub fn percentile(&self, p: f64) -> Option<f64> {
-        let vals: Vec<f64> = self.values.iter().copied().collect();
-        crate::summary::percentile(&vals, p)
-    }
-
-    /// Mean ± std of the retained values.
-    pub fn summary(&self) -> Summary {
-        let vals: Vec<f64> = self.values.iter().copied().collect();
-        mean_std(&vals)
-    }
-
     /// Retained windows as `(window end seconds, value)` points, for the
     /// ASCII renderer and CSV export.
     pub fn points(&self) -> Vec<(f64, f64)> {
@@ -520,17 +508,11 @@ mod tests {
     }
 
     #[test]
-    fn time_series_percentile_and_summary() {
+    fn time_series_points_are_window_ends() {
         let mut ts = TimeSeries::new(Duration::from_secs(1), 64);
         for v in 1..=5 {
             ts.push(v as f64);
         }
-        assert_eq!(ts.percentile(0.0), Some(1.0));
-        assert_eq!(ts.percentile(1.0), Some(5.0));
-        assert_eq!(ts.percentile(0.5), Some(3.0));
-        let sm = ts.summary();
-        assert_eq!(sm.count, 5);
-        assert!((sm.mean - 3.0).abs() < 1e-12);
         let pts = ts.points();
         assert_eq!(pts.len(), 5);
         assert!((pts[0].0 - 1.0).abs() < 1e-12, "window end, seconds");
