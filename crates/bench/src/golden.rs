@@ -29,6 +29,12 @@
 //!   one link's own burst chain and two links' up/down schedules,
 //!   observers armed the same way: the pin on per-link loss resolution,
 //!   digested like the run above plus the channel's loss counters.
+//! * **flows/chain4+per/802.11** — a 4-hop chain under uniform 30 % PER
+//!   for 20 s carrying the two non-CBR pacings: a windowed flow (window
+//!   8) out and an on-off flow back, with ids 7 and 3 — out of order and
+//!   not their indices. The loss makes the MAC give frames up, so the
+//!   windowed flow's credit timeout writes packets off: the only run that
+//!   pins ACK clocking, RTO write-offs and on-off phases under loss.
 //!
 //! A snapshot digest is the run's snapshot with its perf block zeroed
 //! (wall-clock noise) and its `stability` and `controller` sections
@@ -46,10 +52,12 @@
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-use ezflow_net::{topo, Network, NetworkSpec, PerfSnapshot, ScenarioSpec, Topology};
+use ezflow_net::{
+    topo, FlowSpec, Network, NetworkSpec, PerfSnapshot, ScenarioSpec, Topology, Transport,
+};
 use ezflow_phy::{ChurnWindow, GilbertElliott, LossModel};
 use ezflow_sim::json::Key;
-use ezflow_sim::{JsonValue, Time};
+use ezflow_sim::{Duration, JsonValue, Time};
 
 use crate::experiments::Algo;
 use crate::report::Scale;
@@ -64,7 +72,7 @@ pub struct Entry {
 
 /// Every gated run, in the golden's order. New runs are appended, so the
 /// entries before them keep their bytes in the golden.
-pub const ENTRIES: [Entry; 8] = [
+pub const ENTRIES: [Entry; 9] = [
     Entry {
         label: "scenario1/802.11",
         run: || scenario1(Algo::Plain, Scale::quick(), false),
@@ -96,6 +104,10 @@ pub const ENTRIES: [Entry; 8] = [
     Entry {
         label: "exports/testbed+links/EZ-flow",
         run: testbed_links,
+    },
+    Entry {
+        label: "flows/chain4+per/802.11",
+        run: flows,
     },
 ];
 
@@ -199,6 +211,27 @@ fn mesh1k() -> String {
     digest_of("mesh1k/3s", net, Time::from_secs(3), true)
 }
 
+/// The windowed and on-off pacings on a lossy 4-hop chain: flow 7 is
+/// windowed 0 → 4 (its ACKs come back 4 → 0), flow 3 on-off 4 → 0.
+fn flows() -> String {
+    let (start, until) = (Time::from_secs(1), Time::from_secs(20));
+    let mut t = topo::chain(4, start, until);
+    t.loss = LossModel::uniform(0.3);
+    t.flows = vec![
+        FlowSpec::windowed(7, (0..=4).collect(), 8, start, until),
+        FlowSpec {
+            transport: Transport::OnOff {
+                mean_on: Duration::from_millis(500),
+                mean_off: Duration::from_millis(500),
+                alpha: 1.5,
+            },
+            ..FlowSpec::saturating(3, (0..=4).rev().collect(), start, until)
+        },
+    ];
+    let net = Network::new(Scale::quick().spec(&t, 42), &*Algo::Plain.factory());
+    digest_of("flows/chain4+per/802.11", net, until, false)
+}
+
 /// An in-memory JSONL sink for the streaming observers.
 #[derive(Clone, Default)]
 struct MemSink(Arc<Mutex<Vec<u8>>>);
@@ -268,8 +301,8 @@ fn testbed_links() -> String {
     };
     spec.loss.set_link_burst(2, 3, l2);
     spec.loss.set_link_burst(3, 2, l2);
-    let s = ezflow_sim::Duration::from_secs;
-    let ms = ezflow_sim::Duration::from_millis;
+    let s = Duration::from_secs;
+    let ms = Duration::from_millis;
     spec.loss.set_link_churn(
         topo::TESTBED_F2_SRC,
         4,

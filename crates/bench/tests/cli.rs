@@ -362,7 +362,9 @@ fn specs_that_could_not_run_or_could_not_end_exit_2_naming_the_field() {
     // deep, overflowed the parser's stack. Past them: a layout of no
     // known kind, a chain with no hops or past the node limit, a run that
     // cannot start or cannot end, a loss rate that is no probability and
-    // a sweep axis that names one value twice.
+    // a sweep axis that names one value twice. A payload past the 802.11
+    // MSDU once wrapped the MAC's airtime sum: a debug build panicked on
+    // the overflow, a release build reported kb/s past the channel's.
     let chain = r#""name": "x", "duration_secs": 1, "topology": {"kind": "chain", "hops": 2}"#;
     let flow = r#""path": [0, 1, 2], "start_secs": 0, "stop_secs": 1"#;
     let chain_of = |secs: &str, hops: u64| {
@@ -399,6 +401,17 @@ fn specs_that_could_not_run_or_could_not_end_exit_2_naming_the_field() {
             format!(r#"{{{chain}, "flows": [{{{flow}, "rate_bps": 20000000000}}]}}"#),
         ),
         (
+            "flows[0].payload_bytes",
+            format!(r#"{{{chain}, "flows": [{{{flow}, "payload_bytes": 4294967295}}]}}"#),
+        ),
+        (
+            "flows[0].transport.ack_payload",
+            format!(
+                r#"{{{chain}, "flows": [{{{flow},
+                   "transport": {{"kind": "windowed", "window": 8, "ack_payload": 2305}}}}]}}"#
+            ),
+        ),
+        (
             "flows[0].rate_bps",
             format!(r#"{{{chain}, "flows": [{{{flow}, "rate_bps": 1e15, "payload_bytes": 1}}]}}"#),
         ),
@@ -432,6 +445,16 @@ fn specs_that_could_not_run_or_could_not_end_exit_2_naming_the_field() {
                              "height": 300, "gateways": 1, "seed": 1},
                 "traffic": {"flows": 2, "rate_bps": 20000000000, "start_secs": 0,
                             "stop_secs": 1, "mix": [{"transport": {"kind": "cbr"}}]}}"#
+                .to_string(),
+        ),
+        (
+            "traffic.payload_bytes",
+            r#"{"name": "x", "duration_secs": 1,
+                "topology": {"kind": "random_geometric", "nodes": 20, "width": 300,
+                             "height": 300, "gateways": 1, "seed": 1},
+                "traffic": {"flows": 2, "rate_bps": 20000, "payload_bytes": 2305,
+                            "start_secs": 0, "stop_secs": 1,
+                            "mix": [{"transport": {"kind": "cbr"}}]}}"#
                 .to_string(),
         ),
         // 2^32 once wrapped to a zero weight and ran without that share.

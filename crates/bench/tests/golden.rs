@@ -79,6 +79,7 @@ golden_tests! {
     mesh1k_3s => "mesh1k/3s",
     exports_scenario1_loss_ezflow => "exports/scenario1+loss/EZ-flow",
     exports_testbed_links_ezflow => "exports/testbed+links/EZ-flow",
+    flows_chain4_per_80211 => "flows/chain4+per/802.11",
 }
 
 #[test]

@@ -97,12 +97,6 @@ pub enum MacInput {
     /// reception). With EIFS enabled, the next deferral uses the extended
     /// inter-frame space.
     EifsMark,
-    /// The controller (EZ-flow!) changed this MAC's minimum contention
-    /// window. Takes effect at the next backoff draw.
-    SetCwMin {
-        /// New minimum window, in slots.
-        cw_min: u32,
-    },
 }
 
 /// Contention state behind one DCF transmission attempt, captured when
@@ -337,6 +331,13 @@ impl Mac {
         self.cw_min
     }
 
+    /// Sets the minimum contention window (the controller's — EZ-flow's —
+    /// one actuator), at least one slot. Takes effect at the next backoff
+    /// draw.
+    pub fn set_cw_min(&mut self, cw_min: u32) {
+        self.cw_min = cw_min.max(1);
+    }
+
     /// True iff the MAC can accept an [`MacInput::Enqueue`] — it has no
     /// frame in flight. During post-backoff the enqueue attaches to the
     /// remaining countdown.
@@ -414,9 +415,6 @@ impl Mac {
             MacInput::NavSet { until } => self.on_nav_set(now, until, out),
             MacInput::TimerNav => self.on_timer_nav(now, out),
             MacInput::EifsMark => self.eifs_mark(),
-            MacInput::SetCwMin { cw_min } => {
-                self.cw_min = cw_min.max(1);
-            }
         }
     }
 
@@ -984,15 +982,8 @@ mod tests {
     /// delays exact and tests deterministic.
     fn det_mac(node: usize) -> (Mac, SimRng, FrameArena) {
         let mut mac = Mac::new(node, MacConfig::default());
-        let mut rng = SimRng::new(99);
-        let mut arena = FrameArena::new();
-        mac.input(
-            Time::ZERO,
-            MacInput::SetCwMin { cw_min: 1 },
-            &mut rng,
-            &mut arena,
-        );
-        (mac, rng, arena)
+        mac.set_cw_min(1);
+        (mac, SimRng::new(99), FrameArena::new())
     }
 
     fn timer_delay(out: &[MacOutput]) -> (Duration, u64) {
@@ -1071,12 +1062,7 @@ mod tests {
         let mut mac = Mac::new(0, MacConfig::default());
         let mut rng = SimRng::new(7);
         let mut arena = FrameArena::new();
-        mac.input(
-            Time::ZERO,
-            MacInput::SetCwMin { cw_min: 16 },
-            &mut rng,
-            &mut arena,
-        );
+        mac.set_cw_min(16);
         // Enqueue while the medium is busy: a random backoff is drawn
         // (immediate access does not apply).
         mac.input(t(0), MacInput::MediumBusy, &mut rng, &mut arena);
@@ -1291,12 +1277,7 @@ mod tests {
         let mut mac = Mac::new(1, MacConfig::default());
         let mut rng = SimRng::new(3);
         let mut arena = FrameArena::new();
-        mac.input(
-            Time::ZERO,
-            MacInput::SetCwMin { cw_min: 64 },
-            &mut rng,
-            &mut arena,
-        );
+        mac.set_cw_min(64);
         // Contending with a data frame (enqueued under a busy medium so a
         // random backoff is drawn)...
         mac.input(t(0), MacInput::MediumBusy, &mut rng, &mut arena);
@@ -1467,12 +1448,7 @@ mod tests {
         let mut arena = FrameArena::new();
         // Pin to a huge window: delays must exceed DIFS + 100 slots with
         // overwhelming probability over a few draws.
-        mac.input(
-            Time::ZERO,
-            MacInput::SetCwMin { cw_min: 32768 },
-            &mut rng,
-            &mut arena,
-        );
+        mac.set_cw_min(32768);
         let mut big = 0;
         for i in 0..5 {
             // Enqueue under a busy medium so a random backoff is drawn.
@@ -1494,12 +1470,7 @@ mod tests {
             }
             // Rebuild the MAC each round to abort the attempt cleanly.
             mac = Mac::new(0, MacConfig::default());
-            mac.input(
-                Time::ZERO,
-                MacInput::SetCwMin { cw_min: 32768 },
-                &mut rng,
-                &mut arena,
-            );
+            mac.set_cw_min(32768);
         }
         assert!(big >= 4, "32768-slot windows should draw large backoffs");
     }

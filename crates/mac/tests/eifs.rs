@@ -18,15 +18,8 @@ fn mac_with_eifs(enabled: bool) -> (Mac, SimRng, FrameArena) {
         ..MacConfig::default()
     };
     let mut mac = Mac::new(0, cfg);
-    let mut rng = SimRng::new(7);
-    let mut arena = FrameArena::new();
-    mac.input(
-        Time::ZERO,
-        MacInput::SetCwMin { cw_min: 1 },
-        &mut rng,
-        &mut arena,
-    );
-    (mac, rng, arena)
+    mac.set_cw_min(1);
+    (mac, SimRng::new(7), FrameArena::new())
 }
 
 fn timer_delay(out: &[MacOutput]) -> u64 {
@@ -102,12 +95,7 @@ fn eifs_slot_consumption_uses_the_extended_space() {
     );
     let mut rng = SimRng::new(3);
     let mut arena = FrameArena::new();
-    mac.input(
-        Time::ZERO,
-        MacInput::SetCwMin { cw_min: 16 },
-        &mut rng,
-        &mut arena,
-    );
+    mac.set_cw_min(16);
     mac.input(t(0), MacInput::MediumBusy, &mut rng, &mut arena);
     mac.input(
         t(0),

@@ -17,20 +17,14 @@ fn t(us: u64) -> Time {
     Time::from_micros(us)
 }
 
-fn rts_mac(node: usize, arena: &mut FrameArena) -> (Mac, SimRng) {
+fn rts_mac(node: usize) -> (Mac, SimRng) {
     let cfg = MacConfig {
         rts_cts: true,
         ..MacConfig::default()
     };
     let mut mac = Mac::new(node, cfg);
-    let mut rng = SimRng::new(7);
-    mac.input(
-        Time::ZERO,
-        MacInput::SetCwMin { cw_min: 1 },
-        &mut rng,
-        arena,
-    );
-    (mac, rng)
+    mac.set_cw_min(1);
+    (mac, SimRng::new(7))
 }
 
 fn data(seq: u64, src: usize, dst: usize) -> Frame {
@@ -61,8 +55,8 @@ fn started(out: &[MacOutput]) -> FrameId {
 #[test]
 fn full_four_way_handshake() {
     let mut arena = FrameArena::new();
-    let (mut snd, mut rng) = rts_mac(0, &mut arena);
-    let (mut rcv, mut rng2) = rts_mac(1, &mut arena);
+    let (mut snd, mut rng) = rts_mac(0);
+    let (mut rcv, mut rng2) = rts_mac(1);
 
     // Sender contends, then emits an RTS instead of data.
     let out = snd.input(
@@ -176,7 +170,7 @@ fn full_four_way_handshake() {
 #[test]
 fn cts_timeout_retries_the_rts() {
     let mut arena = FrameArena::new();
-    let (mut snd, mut rng) = rts_mac(0, &mut arena);
+    let (mut snd, mut rng) = rts_mac(0);
     let out = snd.input(
         t(0),
         MacInput::Enqueue {
@@ -226,7 +220,7 @@ fn nav_defers_bystanders() {
     // A bystander in contention overhears a CTS and must stay silent for
     // the announced reservation even though the medium is physically idle.
     let mut arena = FrameArena::new();
-    let (mut by, mut rng) = rts_mac(2, &mut arena);
+    let (mut by, mut rng) = rts_mac(2);
     let out = by.input(
         t(0),
         MacInput::Enqueue {
@@ -273,7 +267,7 @@ fn nav_defers_bystanders() {
 #[test]
 fn nav_extension_wins_over_stale_wakeup() {
     let mut arena = FrameArena::new();
-    let (mut by, mut rng) = rts_mac(2, &mut arena);
+    let (mut by, mut rng) = rts_mac(2);
     by.input(
         t(0),
         MacInput::Enqueue {
@@ -310,7 +304,7 @@ fn nav_blocks_immediate_access_on_enqueue() {
     // A NAV set while idle must deny the immediate-access shortcut: the
     // enqueue draws a random backoff and waits for the NAV wakeup.
     let mut arena = FrameArena::new();
-    let (mut mac, mut rng) = rts_mac(2, &mut arena);
+    let (mut mac, mut rng) = rts_mac(2);
     mac.input(
         t(0),
         MacInput::NavSet { until: t(5_000) },
@@ -340,7 +334,7 @@ fn rx_data_while_waiting_for_cts_is_served() {
     // A relay mid-handshake as a *sender* can still receive data and must
     // schedule the ACK for it.
     let mut arena = FrameArena::new();
-    let (mut snd, mut rng) = rts_mac(1, &mut arena);
+    let (mut snd, mut rng) = rts_mac(1);
     let out = snd.input(
         t(0),
         MacInput::Enqueue {
@@ -378,7 +372,7 @@ fn rx_data_while_waiting_for_cts_is_served() {
 #[test]
 fn shorter_nav_does_not_shrink_reservation() {
     let mut arena = FrameArena::new();
-    let (mut by, mut rng) = rts_mac(2, &mut arena);
+    let (mut by, mut rng) = rts_mac(2);
     by.input(
         t(0),
         MacInput::Enqueue {

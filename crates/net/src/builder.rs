@@ -5,14 +5,14 @@
 //! turns one into a runnable [`Network`]: derives the per-node RNG
 //! streams, installs routes (including reverse paths for windowed
 //! flows), creates the interface queues the paper's queue discipline
-//! asks for, builds each flow's [`crate::transport::FlowTransport`], and
+//! asks for, builds each flow's `transport::Flow` record, and
 //! schedules the initial events. Being plain data, a spec can be built
 //! once and shipped across threads — the sweep runner in `ezflow-bench`
 //! leans on exactly that.
 
 use std::collections::VecDeque;
 
-use ezflow_mac::{Mac, MacConfig, MacInput};
+use ezflow_mac::{Mac, MacConfig};
 use ezflow_phy::geom::{distance_tests, MAX_DISTANCE_TESTS};
 use ezflow_phy::{Channel, ChannelConfig, LossModel, Position};
 use ezflow_sim::{Duration, Scheduler, SimRng, Time};
@@ -23,11 +23,10 @@ use crate::metrics::Metrics;
 use crate::network::Network;
 use crate::node::Node;
 use crate::routing::StaticRouting;
-use crate::scenario::{MAX_QUEUE_CAP, MAX_WINDOW};
+use crate::scenario::{MAX_PAYLOAD_BYTES, MAX_QUEUE_CAP, MAX_WINDOW};
 use crate::telemetry::Telemetry;
 use crate::topo::{FlowSpec, Topology};
-use crate::traffic::{sub_microsecond_interval, CbrSource, Transport};
-use crate::transport::{build_transport, FlowTransport};
+use crate::transport::{sub_microsecond_interval, Flow, Transport, TRANSPORT_ACK_FLOW};
 
 /// Why a [`NetworkSpec`] (or the [`Topology`] it came from) cannot be
 /// built — typed instead of an index panic deep inside construction, so
@@ -93,7 +92,7 @@ pub enum SpecError {
     },
     /// A flow id collides with the internal transport-ACK id space.
     ReservedFlowId {
-        /// The offending id (≥ [`TRANSPORT_ACK_FLOW`](crate::transport::TRANSPORT_ACK_FLOW)).
+        /// The offending id (≥ [`TRANSPORT_ACK_FLOW`]).
         id: u32,
     },
     /// A flow's rate is zero (the tick interval would be undefined).
@@ -113,6 +112,15 @@ pub enum SpecError {
     ZeroPayload {
         /// The offending flow.
         flow: u32,
+    },
+    /// A data or transport-ACK payload is over [`MAX_PAYLOAD_BYTES`].
+    PayloadTooLarge {
+        /// The offending flow.
+        flow: u32,
+        /// Which payload: `payload_bytes` or `ack_payload`.
+        field: &'static str,
+        /// The offending size.
+        bytes: u32,
     },
     /// A windowed transport with a zero window can never send.
     ZeroWindow {
@@ -177,8 +185,7 @@ impl std::fmt::Display for SpecError {
             SpecError::DuplicateFlowId { id } => write!(f, "duplicate flow id {id}"),
             SpecError::ReservedFlowId { id } => write!(
                 f,
-                "flow id {id} collides with the transport-ACK id space (>= {})",
-                crate::transport::TRANSPORT_ACK_FLOW
+                "flow id {id} collides with the transport-ACK id space (>= {TRANSPORT_ACK_FLOW})"
             ),
             SpecError::ZeroRate { flow } => write!(f, "flow {flow}: rate_bps must be nonzero"),
             SpecError::RateTooHigh { flow, interval_us } => write!(
@@ -189,6 +196,10 @@ impl std::fmt::Display for SpecError {
             SpecError::ZeroPayload { flow } => {
                 write!(f, "flow {flow}: payload_bytes must be nonzero")
             }
+            SpecError::PayloadTooLarge { flow, field, bytes } => write!(
+                f,
+                "flow {flow}: {field} {bytes} exceeds the {MAX_PAYLOAD_BYTES}-byte limit"
+            ),
             SpecError::ZeroWindow { flow } => {
                 write!(f, "flow {flow}: window must be nonzero")
             }
@@ -282,8 +293,9 @@ impl NetworkSpec {
     /// Checks that the spec can actually be built and run: positions
     /// finite and not too dense, queue capacity nonzero and bounded,
     /// every flow path in bounds, loop-free and decodable hop by hop, flow
-    /// ids unique and outside the reserved ACK space, packets at least a
-    /// clock tick apart, transport parameters sane, and the sampling
+    /// ids unique and outside the reserved ACK space, payloads nonzero and
+    /// within an 802.11 MSDU, packets at least a clock tick apart,
+    /// transport parameters sane, and the sampling
     /// period, telemetry interval and telemetry rings nonzero. Returns
     /// the first problem found (fields in declaration order, flows in
     /// flow order), so the message always points at one concrete field.
@@ -308,7 +320,7 @@ impl NetworkSpec {
         }
         let mut seen_ids = std::collections::BTreeSet::new();
         for f in &self.flows {
-            if f.id >= crate::transport::TRANSPORT_ACK_FLOW {
+            if f.id >= TRANSPORT_ACK_FLOW {
                 return Err(SpecError::ReservedFlowId { id: f.id });
             }
             if !seen_ids.insert(f.id) {
@@ -344,6 +356,13 @@ impl NetworkSpec {
             if f.payload_bytes == 0 {
                 return Err(SpecError::ZeroPayload { flow: f.id });
             }
+            if f.payload_bytes > MAX_PAYLOAD_BYTES {
+                return Err(SpecError::PayloadTooLarge {
+                    flow: f.id,
+                    field: "payload_bytes",
+                    bytes: f.payload_bytes,
+                });
+            }
             if let Some(interval_us) = sub_microsecond_interval(f.rate_bps, f.payload_bytes) {
                 return Err(SpecError::RateTooHigh {
                     flow: f.id,
@@ -352,12 +371,22 @@ impl NetworkSpec {
             }
             match f.transport {
                 Transport::Cbr => {}
-                Transport::Windowed { window, .. } => {
+                Transport::Windowed {
+                    window,
+                    ack_payload,
+                } => {
                     if window == 0 {
                         return Err(SpecError::ZeroWindow { flow: f.id });
                     }
                     if window > MAX_WINDOW {
                         return Err(SpecError::WindowTooLarge { flow: f.id, window });
+                    }
+                    if ack_payload > MAX_PAYLOAD_BYTES {
+                        return Err(SpecError::PayloadTooLarge {
+                            flow: f.id,
+                            field: "ack_payload",
+                            bytes: ack_payload,
+                        });
                     }
                 }
                 Transport::OnOff {
@@ -482,10 +511,6 @@ pub(crate) fn build(
         }
     }
 
-    // The frame store every layer will trade handles into; born here so
-    // the pre-run MAC programming below can already use the real thing.
-    let mut arena = ezflow_phy::FrameArena::new();
-
     // Program initial contention windows. With the audit armed, each
     // build-time assignment becomes the node's first ledger entry — the
     // static-penalty baseline makes all its "decisions" right here.
@@ -510,30 +535,9 @@ pub(crate) fn build(
                     },
                 );
             }
-            let outs = node.mac.input(
-                Time::ZERO,
-                MacInput::SetCwMin { cw_min: cw },
-                &mut node.rng,
-                &mut arena,
-            );
-            debug_assert!(outs.is_empty());
+            node.mac.set_cw_min(cw);
         }
     }
-
-    let sources: Vec<CbrSource> = spec
-        .flows
-        .iter()
-        .map(|f| CbrSource {
-            flow: f.id,
-            src: f.path[0],
-            dst: *f.path.last().expect("non-empty"),
-            rate_bps: f.rate_bps,
-            payload_bytes: f.payload_bytes,
-            start: f.start,
-            stop: f.stop,
-        })
-        .collect();
-    let source_intervals: Vec<_> = sources.iter().map(CbrSource::interval).collect();
 
     let successors: Vec<Vec<usize>> = (0..n).map(|id| routing.successors(id)).collect();
     let backlog_every = nodes
@@ -544,26 +548,20 @@ pub(crate) fn build(
     let flow_ids: Vec<u32> = spec.flows.iter().map(|f| f.id).collect();
     let metrics = Metrics::new(n, &flow_ids, spec.sample_every);
 
-    // Transport RNG streams live above the per-node id space (`1 << 32`
-    // + flow id): `derive` is pure, so handing a stream to a stochastic
-    // transport perturbs neither the per-node streams nor the channel's.
-    let transports: Vec<(u32, Option<Box<dyn FlowTransport>>)> = spec
-        .flows
-        .iter()
-        .map(|f| {
-            let rng = master.derive((1u64 << 32) + f.id as u64);
-            (f.id, Some(build_transport(f, rng)))
-        })
+    // Flow RNG streams live above the per-node id space (`1 << 32` +
+    // flow id): `derive` is pure, so handing a stream to a stochastic
+    // flow perturbs neither the per-node streams nor the channel's.
+    let flows: Vec<Flow> = (spec.flows.iter())
+        .map(|f| Flow::new(f, master.derive((1u64 << 32) + f.id as u64)))
         .collect();
 
     let mut sched = Scheduler::new();
-    for (i, s) in sources.iter().enumerate() {
-        sched.schedule(s.start, Ev::Traffic(i));
+    for (i, f) in flows.iter().enumerate() {
+        sched.schedule(f.start, Ev::Traffic(i));
     }
-    for (f, (_, t)) in spec.flows.iter().zip(transports.iter()) {
-        let t = t.as_ref().expect("transport slot filled at build time");
-        if let Some(p) = t.refresh_period() {
-            sched.schedule(f.start + p, Ev::WindowRefresh(f.id));
+    for (i, f) in flows.iter().enumerate() {
+        if let Some(p) = f.refresh_period() {
+            sched.schedule(f.start + p, Ev::WindowRefresh(i));
         }
     }
     sched.schedule(Time::ZERO + spec.sample_every, Ev::Sample);
@@ -583,15 +581,13 @@ pub(crate) fn build(
         now: Time::ZERO,
         sched,
         channel,
-        arena,
+        arena: ezflow_phy::FrameArena::new(),
         chan_rng,
         hot: crate::hot::HotState::new(n),
         nodes,
         routing,
-        sources,
-        source_intervals,
+        flows,
         successors,
-        transports,
         queue_cap: spec.queue_cap,
         eifs: spec.mac.eifs,
         sample_every: spec.sample_every,
@@ -651,6 +647,44 @@ mod tests {
         assert_eq!(
             windowed(window),
             Err(SpecError::WindowTooLarge { flow: 0, window })
+        );
+    }
+
+    #[test]
+    fn validate_bounds_the_payload() {
+        let max = MAX_PAYLOAD_BYTES;
+        assert_eq!(validated(|s| s.flows[0].payload_bytes = max), Ok(()));
+        let bytes = max + 1;
+        assert_eq!(
+            validated(|s| s.flows[0].payload_bytes = bytes),
+            Err(SpecError::PayloadTooLarge {
+                flow: 0,
+                field: "payload_bytes",
+                bytes
+            })
+        );
+        let acking = |ack_payload| {
+            validated(|s| {
+                s.flows[0].transport = Transport::Windowed {
+                    window: 8,
+                    ack_payload,
+                }
+            })
+        };
+        assert_eq!(acking(max), Ok(()));
+        let err = acking(bytes).unwrap_err();
+        assert_eq!(
+            err,
+            SpecError::PayloadTooLarge {
+                flow: 0,
+                field: "ack_payload",
+                bytes
+            }
+        );
+        let message = err.to_string();
+        assert!(
+            message.contains("flow 0") && message.contains("ack_payload 2305"),
+            "{message}"
         );
     }
 

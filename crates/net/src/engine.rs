@@ -2,7 +2,7 @@
 //!
 //! This module is the *dynamic* half of [`Network`] (the builder is the
 //! static half): the event vocabulary (`Ev`, private), the `run_until`
-//! dispatch loop, and the MAC/channel/controller/transport mediation that
+//! dispatch loop, and the MAC/channel/controller/flow mediation that
 //! turns one popped event into the next batch of scheduled ones.
 //!
 //! The engine drives four explicit interfaces and owns nothing else:
@@ -10,7 +10,8 @@
 //! * the MAC's `input → [output]` state machine (via the worklist drain),
 //! * the channel's `start_tx`/`end_tx` calls,
 //! * the [`crate::controller::Controller`] observation hooks,
-//! * the [`crate::transport::FlowTransport`] pacing callbacks.
+//! * each `transport::Flow`'s pacing state, which answers a
+//!   tick, a credit timeout or an ACK with the number of packets to send.
 //!
 //! Everything here is deterministic: events pop in `(time, seq)` order
 //! from the [`ezflow_sim::Scheduler`] (whose `peek_time`/`len`/`is_empty`
@@ -28,15 +29,15 @@ use crate::network::Network;
 use crate::snapshot::{
     LatencySnapshot, NodeSnapshot, PerfSnapshot, QueueSnapshot, RunSnapshot, SchedulerSnapshot,
 };
-use crate::transport::{TransportCtx, TRANSPORT_ACK_FLOW};
+use crate::transport::TRANSPORT_ACK_FLOW;
 
 /// The engine's event vocabulary.
 #[derive(Clone, Debug)]
 pub(crate) enum Ev {
     /// Source generation tick of flow index `i` (all transports).
     Traffic(usize),
-    /// Periodic transport timer for a flow (by flow id).
-    WindowRefresh(u32),
+    /// Credit timer of the windowed flow at index `i`.
+    WindowRefresh(usize),
     MacTxPath {
         node: usize,
         epoch: u64,
@@ -179,7 +180,7 @@ impl Network {
     fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::Traffic(i) => self.on_traffic(i),
-            Ev::WindowRefresh(flow) => self.on_window_refresh(flow),
+            Ev::WindowRefresh(i) => self.on_window_refresh(i),
             // A timer that dispatches is its slot's one pending entry and
             // carries its MAC's current epoch: `after_mac` removes an
             // invalidated entry before control returns to the pop loop.
@@ -305,38 +306,47 @@ impl Network {
     }
 
     fn on_traffic(&mut self, i: usize) {
-        let s = self.sources[i]; // Copy — no per-tick clone
-        if s.active_at(self.now) {
-            self.with_transport(s.flow, |t, net| t.on_tick(net));
+        if self.flows[i].active_at(self.now) {
+            let count = self.flows[i].tick(self.now);
+            self.send_data(i, count);
             if !self.worklist.is_empty() {
                 self.drain();
             }
         }
-        let next = self.now + self.source_intervals[i];
-        if next < s.stop {
+        let f = &self.flows[i];
+        let next = self.now + f.interval;
+        if next < f.stop {
             self.sched.schedule(next, Ev::Traffic(i));
         }
     }
 
-    /// Periodic transport timer (credit timeouts and the like).
-    fn on_window_refresh(&mut self, flow: u32) {
-        let mut rearm = None;
-        self.with_transport(flow, |t, net| {
-            if t.on_refresh(net) {
-                rearm = t.refresh_period();
-            }
-        });
+    /// A windowed flow's credit timer.
+    fn on_window_refresh(&mut self, i: usize) {
+        let count = self.flows[i].refresh(self.now);
+        self.send_data(i, count.unwrap_or(0));
         if !self.worklist.is_empty() {
             self.drain();
         }
-        if let Some(p) = rearm {
-            self.sched.schedule(self.now + p, Ev::WindowRefresh(flow));
+        if count.is_some() {
+            let at = self.now + crate::transport::REFRESH_PERIOD;
+            self.sched.schedule(at, Ev::WindowRefresh(i));
+        }
+    }
+
+    /// Emits `count` data packets of flow `i`, handing each one's
+    /// sequence number back to the flow.
+    fn send_data(&mut self, i: usize, count: usize) {
+        for _ in 0..count {
+            let f = &self.flows[i];
+            let seq = self.emit_packet(f.id, f.src, f.dst, f.payload, 0);
+            self.flows[i].sent(seq, self.now);
         }
     }
 
     /// Creates one packet at `src` bound for `dst` and offers it to the
-    /// source's own-traffic queue. The single packet entry point — the
-    /// transports reach it through [`TransportCtx::send`].
+    /// source's own-traffic queue. The single packet entry point: data
+    /// packets come through [`Network::send_data`], transport ACKs from
+    /// the sink's delivery.
     pub(crate) fn emit_packet(
         &mut self,
         flow: u32,
@@ -428,7 +438,7 @@ impl Network {
     }
 
     fn on_tx_end(&mut self, tx: TxId, node: usize) {
-        // Take-out/put-back (the `transports` pattern): the scratch report
+        // Take-out/put-back: the scratch report
         // is refilled in place by the channel — no per-transmission Vec
         // allocations — and must be out of `self` while deliveries fan out
         // through `&mut self` controller/recorder calls.
@@ -756,16 +766,24 @@ impl Network {
                 j.push(self.now, id, TracePayload::Deliver { flow: f.flow });
                 j.complete();
             }
+            // A transport ACK's flow id is its data flow's plus the offset.
+            let data_flow = f.flow % TRANSPORT_ACK_FLOW;
+            let i = (self.flows.iter())
+                .position(|fl| fl.id == data_flow)
+                .expect("every delivered packet belongs to a flow");
             if f.flow >= TRANSPORT_ACK_FLOW {
-                // A transport ACK made it back to the source.
-                let data_flow = f.flow - TRANSPORT_ACK_FLOW;
-                let ack_ref = f.ack_ref;
-                self.with_transport(data_flow, |t, net| t.on_ack_delivered(net, ack_ref));
+                // A transport ACK made it back to the source: its credit
+                // clocks out the next packets.
+                let count = self.flows[i].acked(f.ack_ref, self.now);
+                self.send_data(i, count);
                 return;
             }
             self.metrics.on_delivery(self.now, &f);
-            let seq = f.seq;
-            self.with_transport(f.flow, |t, net| t.on_data_delivered(net, seq));
+            // A windowed flow's sink acknowledges end to end: a small ACK
+            // packet travels the reverse path like any other traffic.
+            if let Some((ack_flow, src, dst, payload)) = self.flows[i].ack_packet() {
+                self.emit_packet(ack_flow, src, dst, payload, f.seq);
+            }
             return;
         }
         let Some(nh) = self.routing.next_hop(id, f.final_dst) else {
@@ -821,14 +839,7 @@ impl Network {
         // frame's contention (the 802.11e per-queue CWmin pattern).
         if let Some(cw) = self.nodes[id].controller.queue_window(f.dst) {
             if cw != self.nodes[id].mac.cw_min() {
-                let node = &mut self.nodes[id];
-                let outs = node.mac.input(
-                    self.now,
-                    MacInput::SetCwMin { cw_min: cw },
-                    &mut node.rng,
-                    &mut self.arena,
-                );
-                debug_assert!(outs.is_empty());
+                self.nodes[id].mac.set_cw_min(cw);
             }
         }
         let mut outs = self.mac_out_pool.pop().unwrap_or_default();
@@ -848,14 +859,7 @@ impl Network {
         if cw == self.nodes[id].mac.cw_min() {
             return;
         }
-        let node = &mut self.nodes[id];
-        let outs = node.mac.input(
-            self.now,
-            MacInput::SetCwMin { cw_min: cw },
-            &mut node.rng,
-            &mut self.arena,
-        );
-        debug_assert!(outs.is_empty());
+        self.nodes[id].mac.set_cw_min(cw);
     }
 
     /// Takes a [`RunSnapshot`] of the whole network at the current
@@ -984,16 +988,6 @@ impl Network {
             stability: self.telemetry.stability_snapshot(),
             controller: self.audit.controller_snapshot(),
         }
-    }
-}
-
-impl TransportCtx for Network {
-    fn now(&self) -> Time {
-        Network::now(self)
-    }
-
-    fn send(&mut self, flow: u32, src: usize, dst: usize, payload: u32, ack_ref: u64) -> u64 {
-        self.emit_packet(flow, src, dst, payload, ack_ref)
     }
 }
 

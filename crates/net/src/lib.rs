@@ -8,19 +8,19 @@
 //!   forwarded traffic**, one per successor.
 //! * [`routing`] — static next-hop routing (the NOAH agent of the paper's
 //!   ns-2 setup: no route flapping, no routing overhead).
-//! * [`traffic`] — constant-bit-rate sources (2 Mb/s CBR saturates every
-//!   topology we study, as in §5.1).
+//! * [`transport`] — one record per flow and its pacing: constant bit
+//!   rate (2 Mb/s CBR saturates every topology we study, as in §5.1),
+//!   a closed-loop fixed window, or bursty on-off.
 //! * [`controller`] — the trait through which a flow-control algorithm
 //!   (EZ-flow, the static-q penalty, DiffQ, or plain 802.11) observes the
 //!   network *passively* and adapts `CWmin`.
 //! * [`node`] / [`network`] — one node = queues + DCF MAC + controller;
 //!   the [`network::Network`] owns the scheduler, the channel, and the
 //!   metrics and runs the whole thing deterministically. It is a thin
-//!   façade over three focused layers: [`builder`] (spec → network
-//!   construction), [`engine`] (the scheduler event loop and
-//!   MAC/channel/controller dispatch) and [`transport`] (per-flow pacing
-//!   behind the [`transport::FlowTransport`] trait). `Network` is `Send`,
-//!   so independent runs parallelise across plain threads.
+//!   façade over two focused layers: [`builder`] (spec → network
+//!   construction) and [`engine`] (the scheduler event loop and
+//!   MAC/channel/controller/flow dispatch). `Network` is `Send`, so
+//!   independent runs parallelise across plain threads.
 //! * [`topo`] — the paper's topologies: K-hop chains (Fig. 1), the 9-node
 //!   campus testbed (Fig. 3, calibrated to Table 1), and scenario 1
 //!   (Fig. 5) and scenario 2 (Fig. 9), loaded from their committed
@@ -52,7 +52,6 @@ pub mod scenario;
 pub mod snapshot;
 pub mod telemetry;
 pub mod topo;
-pub mod traffic;
 pub mod transport;
 
 pub use audit::{AuditEvent, AuditLedger, AuditRecord};
@@ -77,5 +76,4 @@ pub use snapshot::{
 };
 pub use telemetry::Telemetry;
 pub use topo::{FlowSpec, Topology};
-pub use traffic::{CbrSource, Transport};
-pub use transport::{FlowTransport, TransportCtx, TRANSPORT_ACK_FLOW};
+pub use transport::{Transport, TRANSPORT_ACK_FLOW};

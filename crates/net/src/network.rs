@@ -9,8 +9,9 @@
 //!   ([`NetworkSpec::build`], the body of [`Network::new`]);
 //! * [`crate::engine`] — the scheduler event loop ([`Network::run_until`],
 //!   [`Network::snapshot`]) and MAC/channel/controller dispatch;
-//! * [`crate::transport`] — per-flow pacing behind the
-//!   [`crate::transport::FlowTransport`] trait (CBR and windowed).
+//! * [`crate::transport`] — one `transport::Flow` record per
+//!   flow, whose pacing state (CBR, windowed or on-off) answers each
+//!   tick, credit timeout and ACK with the packets to send.
 //!
 //! All randomness flows through per-node streams derived from one master
 //! seed, so a run is a pure function of `(NetworkSpec, controllers,
@@ -49,8 +50,7 @@ use crate::node::Node;
 use crate::routing::StaticRouting;
 use crate::telemetry::Telemetry;
 use crate::topo::Topology;
-use crate::traffic::CbrSource;
-use crate::transport::FlowTransport;
+use crate::transport::Flow;
 
 /// A runnable simulated mesh network.
 ///
@@ -73,18 +73,11 @@ pub struct Network {
     /// the queue-occupancy mirror (see [`crate::hot`]).
     pub(crate) hot: HotState,
     pub(crate) routing: StaticRouting,
-    pub(crate) sources: Vec<CbrSource>,
-    /// Inter-packet interval per source, precomputed at build time so
-    /// the per-tick path re-arms without redoing the rate division.
-    pub(crate) source_intervals: Vec<Duration>,
+    /// The flows in declaration order; `Ev::Traffic` and
+    /// `Ev::WindowRefresh` carry an index into it.
+    pub(crate) flows: Vec<Flow>,
     /// Successor sets per node (for backlog reports).
     pub(crate) successors: Vec<Vec<usize>>,
-    /// Per-flow pacing discipline, keyed by flow id. An assoc list in
-    /// flow-declaration order, not a map: the lookup sits on the
-    /// per-tick path and a linear probe of a handful of entries beats
-    /// tree descent twice per tick (the slot is `take`n while the
-    /// transport runs against the network, hence the `Option`).
-    pub(crate) transports: Vec<(u32, Option<Box<dyn FlowTransport>>)>,
     pub(crate) queue_cap: usize,
     pub(crate) eifs: bool,
     pub(crate) sample_every: Duration,
@@ -122,7 +115,7 @@ pub struct Network {
     /// event loop allocates nothing for them.
     pub(crate) start_report: ezflow_phy::StartReport,
     /// Taken out (`std::mem::take`) while its deliveries fan out, then
-    /// put back, like `transports` in [`crate::transport`].
+    /// put back.
     pub(crate) end_report: ezflow_phy::EndReport,
     /// Pool of drained MAC output buffers. A pool rather than a single
     /// buffer because output handling recurses (Deliver → enqueue →

@@ -57,7 +57,7 @@ use ezflow_sim::{Duration, SimRng, Time};
 
 use crate::routing::GatewayRoutes;
 use crate::topo::{FlowSpec, Topology};
-use crate::traffic::{sub_microsecond_interval, Transport};
+use crate::transport::{sub_microsecond_interval, Transport};
 
 /// Stream tag for random-geometric node placement.
 const PLACEMENT_STREAM: u64 = 0x746f_706f; // "topo"
@@ -95,6 +95,11 @@ pub const MAX_QUEUE_CAP: usize = 1 << 16;
 /// tens of packets on a 1 Mb/s mesh) refill in milliseconds, a window of
 /// 10¹⁴ never finishes its first fill.
 pub const MAX_WINDOW: usize = 1 << 16;
+
+/// Largest packet payload, data or transport ACK, in bytes: the 802.11
+/// maximum MSDU. The MAC adds its header to the payload in `u32` to time
+/// the frame on air, a sum a payload near `u32::MAX` would wrap.
+pub const MAX_PAYLOAD_BYTES: u32 = 2304;
 
 /// Why a scenario document was rejected.
 #[derive(Clone, Debug, PartialEq)]
@@ -946,6 +951,17 @@ fn queue_cap_in_range(cap: u64) -> Result<usize, String> {
     Ok(cap as usize)
 }
 
+/// A packet payload: at most [`MAX_PAYLOAD_BYTES`] (zero is left to
+/// `validate`, which names the flow).
+fn payload_in_range(bytes: u32) -> Result<u32, String> {
+    match bytes <= MAX_PAYLOAD_BYTES {
+        true => Ok(bytes),
+        false => Err(format!(
+            "exceeds the {MAX_PAYLOAD_BYTES}-byte limit (the 802.11 maximum MSDU)"
+        )),
+    }
+}
+
 /// A flow's `rate_bps` beside its payload: packets must be at least one
 /// clock tick apart (zero is left to `validate`, which names the flow).
 fn rate_in_range(rate_bps: u64, payload_bytes: u32) -> Result<u64, String> {
@@ -1079,7 +1095,9 @@ impl Read for Transport {
                         false => Err(format!("exceeds the {MAX_WINDOW}-packet limit")),
                     }),
                 )?,
-                ack_payload: o.opt("ack_payload")?.unwrap_or(40),
+                ack_payload: o
+                    .get("ack_payload", checked(payload_in_range))?
+                    .unwrap_or(40),
             }),
             "onoff" => Ok(Transport::OnOff {
                 mean_on: o.req("mean_on_secs")?,
@@ -1111,7 +1129,9 @@ impl Read for FlowSpec {
             let path = o.req("path")?;
             let transport = o.opt("transport")?.unwrap_or(Transport::Cbr);
             let (start, stop) = active_window(o)?;
-            let payload_bytes = o.opt("payload_bytes")?.unwrap_or(1000);
+            let payload_bytes = o
+                .get("payload_bytes", checked(payload_in_range))?
+                .unwrap_or(1000);
             let rate_bps = o.get(
                 "rate_bps",
                 checked(|rate| rate_in_range(rate, payload_bytes)),
@@ -1145,7 +1165,9 @@ impl Read for TrafficMix {
         object(v, at, |o| {
             let mix = o.req("mix")?;
             let (start, stop) = active_window(o)?;
-            let payload_bytes = o.opt("payload_bytes")?.unwrap_or(1000);
+            let payload_bytes = o
+                .get("payload_bytes", checked(payload_in_range))?
+                .unwrap_or(1000);
             Ok(TrafficMix {
                 flows: o.req("flows")?,
                 rate_bps: o.must(

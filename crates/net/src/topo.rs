@@ -29,19 +29,23 @@ use ezflow_phy::{LossModel, Position};
 use ezflow_sim::Time;
 
 use crate::scenario::{CompiledScenario, ScenarioSpec};
-use crate::traffic::Transport;
+use crate::transport::Transport;
 
 /// One unidirectional flow over a fixed multi-hop path.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FlowSpec {
-    /// Flow id (dense, 0-based).
+    /// Flow id: unique and below
+    /// [`TRANSPORT_ACK_FLOW`](crate::transport::TRANSPORT_ACK_FLOW), not
+    /// necessarily the flow's index.
     pub id: u32,
     /// Full node path, source first, destination last.
     pub path: Vec<usize>,
     /// Application rate, bits/s (the paper saturates with 2 Mb/s).
-    /// Ignored by windowed transports (they are ACK-clocked).
+    /// A windowed flow is ACK-clocked: its rate only paces the ticks
+    /// that top its window up.
     pub rate_bps: u64,
-    /// Payload bytes per packet.
+    /// Payload bytes per packet, at most
+    /// [`MAX_PAYLOAD_BYTES`](crate::scenario::MAX_PAYLOAD_BYTES).
     pub payload_bytes: u32,
     /// Generation start.
     pub start: Time,

@@ -1,456 +1,464 @@
-//! Flow transports: how a flow's source paces itself.
+//! Flows: one record per flow, and how its source paces itself.
 //!
-//! The paper's workload is open-loop CBR, but the harness also models a
-//! closed-loop fixed-window transport (TCP-like self-clocking). Both are
-//! implementations of one small trait, [`FlowTransport`], so the engine
-//! dispatches pacing decisions without knowing which discipline a flow
-//! runs — and a future retransmitting transport is a third impl, not a
-//! new `match` arm in the event loop.
+//! §5.1: *"To ensure that the systems run in saturated mode, we generate at
+//! the source a Constant Bit Rate (CBR) traffic at a rate of 2 Mb/s."* —
+//! i.e. deliberately more than the 1 Mb/s channel can carry, so the source
+//! queue is always backlogged and the MAC, not the application, paces the
+//! flow. The harness also models a closed-loop fixed-window transport
+//! (TCP-like self-clocking) and a bursty on-off source.
 //!
-//! The transport talks back to the engine through [`TransportCtx`]:
-//! `send` creates one packet at a source and offers it to the interface
-//! queue (the engine's packet factory), `now` reads the simulated clock.
-//! Transports are deliberately *passive* otherwise — they cannot touch
-//! the scheduler, the channel or the MAC, which keeps the layering
-//! one-directional: engine → transport → (via ctx) engine packet entry.
+//! A `Flow` is built once per [`FlowSpec`] and holds its identity, its
+//! tick interval and its `Pacing` state. The pacing state never calls
+//! the engine: a tick, a credit timeout or a returning ACK yields a count
+//! of data packets to send, and the engine emits them and hands each
+//! sequence number back through `Flow::sent`.
 
 use std::collections::BTreeMap;
 
 use ezflow_sim::{Duration, SimRng, Time};
 
-use crate::network::Network;
 use crate::topo::FlowSpec;
-use crate::traffic::Transport;
 
 /// Flow ids at or above this offset are internal transport-ACK streams of
 /// windowed flows (ack flow id = `TRANSPORT_ACK_FLOW + data flow id`);
 /// they carry no user payload and are excluded from the user metrics.
 pub const TRANSPORT_ACK_FLOW: u32 = 1 << 24;
 
-/// What a transport may ask of the engine.
-///
-/// Implemented by [`Network`]; a trait (rather than `&mut Network`) so
-/// the transport surface is explicit and mockable.
-pub trait TransportCtx {
-    /// Current simulated time.
-    fn now(&self) -> Time;
-
-    /// Creates one data packet of `flow` at `src` bound for `dst` and
-    /// offers it to the source's own-traffic queue. `ack_ref` is the
-    /// data sequence number a transport ACK releases (0 for data).
-    /// Returns the packet's sequence number.
-    fn send(&mut self, flow: u32, src: usize, dst: usize, payload: u32, ack_ref: u64) -> u64;
+/// How a flow's source paces itself.
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
+pub enum Transport {
+    /// Open-loop constant bit rate (the paper's workload: UDP-like, no
+    /// feedback whatsoever).
+    #[default]
+    Cbr,
+    /// Closed-loop fixed-window transport: at most `window` data packets
+    /// are in flight; the sink returns a small end-to-end ACK packet
+    /// (routed hop-by-hop over the reverse path) that releases the next
+    /// one. A minimal stand-in for TCP's self-clocking — no
+    /// retransmission or congestion control, just window flow control
+    /// (lost packets are written off by a credit timeout).
+    Windowed {
+        /// Maximum packets in flight.
+        window: usize,
+        /// Transport-ACK payload bytes (a real TCP ACK is ~40), at most
+        /// [`MAX_PAYLOAD_BYTES`](crate::scenario::MAX_PAYLOAD_BYTES).
+        ack_payload: u32,
+    },
+    /// Open-loop bursty on-off source: CBR at `rate_bps` during ON
+    /// periods, silent during OFF periods. ON durations are drawn from a
+    /// bounded Pareto (heavy-tailed, shape `alpha`) with mean `mean_on`,
+    /// OFF durations from an exponential with mean `mean_off` — the
+    /// classic self-similar-traffic generator. All draws come from a
+    /// per-flow `SimRng` stream derived at build time, so runs stay a
+    /// pure function of `(spec, seed)`.
+    OnOff {
+        /// Mean ON-period duration.
+        mean_on: Duration,
+        /// Mean OFF-period duration.
+        mean_off: Duration,
+        /// Pareto shape for ON durations; must exceed 1 so the mean
+        /// exists. Smaller ⇒ heavier tail (longer rare bursts).
+        alpha: f64,
+    },
 }
 
-/// One flow's pacing discipline.
-///
-/// All methods are callbacks from the engine's event loop; the default
-/// bodies describe a purely open-loop transport, so an implementation
-/// only overrides what its feedback loop needs.
-pub trait FlowTransport: Send {
-    /// Called at every source generation tick while the flow is active
-    /// (the CBR interval clocks the ticks for every transport kind).
-    fn on_tick(&mut self, ctx: &mut dyn TransportCtx);
-
-    /// If `Some(p)`, the engine delivers [`FlowTransport::on_refresh`]
-    /// every `p`, starting at flow start + `p`. `None` (the default)
-    /// means no periodic transport timer at all.
-    fn refresh_period(&self) -> Option<Duration> {
-        None
-    }
-
-    /// Periodic transport timer (credit timeouts, future retransmission
-    /// timers). Returns `true` to keep the timer armed.
-    fn on_refresh(&mut self, _ctx: &mut dyn TransportCtx) -> bool {
-        false
-    }
-
-    /// A data packet of this flow reached its final destination; `seq`
-    /// is its sequence number. Called *after* the user metrics recorded
-    /// the delivery.
-    fn on_data_delivered(&mut self, _ctx: &mut dyn TransportCtx, _seq: u64) {}
-
-    /// A transport ACK of this flow made it back to the source;
-    /// `ack_ref` names the data packet it releases.
-    fn on_ack_delivered(&mut self, _ctx: &mut dyn TransportCtx, _ack_ref: u64) {}
+/// The exact inter-packet interval in µs of `payload_bytes`-byte packets
+/// at `rate_bps`, when it is under the clock's 1 µs resolution: such a
+/// source would re-arm its tick at the instant it fired, forever.
+pub(crate) fn sub_microsecond_interval(rate_bps: u64, payload_bytes: u32) -> Option<f64> {
+    let bit_micros = payload_bytes as u64 * 8 * 1_000_000;
+    (rate_bps > bit_micros).then(|| bit_micros as f64 / rate_bps as f64)
 }
 
-/// Open-loop constant bit rate (the paper's workload): one packet per
-/// tick, no feedback whatsoever.
-pub struct CbrFlow {
-    flow: u32,
-    src: usize,
-    dst: usize,
-    payload: u32,
-}
+/// Period of a windowed flow's credit timer.
+pub(crate) const REFRESH_PERIOD: Duration = Duration::from_secs(1);
 
-impl FlowTransport for CbrFlow {
-    fn on_tick(&mut self, ctx: &mut dyn TransportCtx) {
-        ctx.send(self.flow, self.src, self.dst, self.payload, 0);
-    }
-}
-
-/// Closed-loop fixed-window transport: at most `window` data packets in
-/// flight; the sink returns a small end-to-end ACK packet (routed hop by
-/// hop over the reverse path) that releases the next one. Lost packets
-/// are written off by a credit timeout — no retransmission.
-pub struct WindowedFlow {
-    flow: u32,
-    src: usize,
-    dst: usize,
-    window: usize,
-    payload: u32,
-    ack_payload: u32,
-    stop: Time,
-    /// Outstanding data packets: seq -> send time. A `BTreeMap` so the
-    /// RTO write-off walks packets in sequence order — write-off order
-    /// (and thus counter/trace order) is a pure function of the seed.
-    outstanding: BTreeMap<u64, Time>,
-    /// Credit timeout: an unacked packet older than this is written off.
-    rto: Duration,
-}
-
-impl WindowedFlow {
-    /// Tops the flow up to its window, while it is active.
-    fn fill(&mut self, ctx: &mut dyn TransportCtx) {
-        while ctx.now() < self.stop && self.outstanding.len() < self.window {
-            let seq = ctx.send(self.flow, self.src, self.dst, self.payload, 0);
-            self.outstanding.insert(seq, ctx.now());
-        }
-    }
-}
-
-impl FlowTransport for WindowedFlow {
-    fn on_tick(&mut self, ctx: &mut dyn TransportCtx) {
-        self.fill(ctx);
-    }
-
-    fn refresh_period(&self) -> Option<Duration> {
-        Some(Duration::from_secs(1))
-    }
-
-    /// Credit timeout: write off outstanding packets older than the RTO
-    /// (lost in the network; this transport does not retransmit).
-    fn on_refresh(&mut self, ctx: &mut dyn TransportCtx) -> bool {
-        let now = ctx.now();
-        let rto = self.rto;
-        self.outstanding
-            .retain(|_, &mut sent| now.saturating_since(sent) < rto);
-        self.fill(ctx);
-        ctx.now() < self.stop
-    }
-
-    /// The sink acknowledges end-to-end: a small ACK packet travels the
-    /// reverse path like any other traffic.
-    fn on_data_delivered(&mut self, ctx: &mut dyn TransportCtx, seq: u64) {
-        ctx.send(
-            self.flow + TRANSPORT_ACK_FLOW,
-            self.dst,
-            self.src,
-            self.ack_payload,
-            seq,
-        );
-    }
-
-    /// A credit came home: release it and clock out the next packet.
-    fn on_ack_delivered(&mut self, ctx: &mut dyn TransportCtx, ack_ref: u64) {
-        self.outstanding.remove(&ack_ref);
-        self.fill(ctx);
-    }
-}
-
-/// Open-loop bursty on-off source: behaves like [`CbrFlow`] during ON
-/// periods and stays silent during OFF periods. ON durations come from a
-/// bounded Pareto (heavy-tailed, shape `alpha`, mean `mean_on`), OFF
-/// durations from an exponential with mean `mean_off` — the classic
-/// self-similar traffic generator. All draws come from the flow's own
-/// `SimRng` stream, derived (not consumed) from the master seed at build
-/// time, so adding an on-off flow never perturbs other flows' draws.
-pub struct OnOffFlow {
-    flow: u32,
-    src: usize,
-    dst: usize,
-    payload: u32,
-    mean_on: Duration,
-    mean_off: Duration,
-    alpha: f64,
-    rng: SimRng,
-    /// The phase timeline starts lazily at the first tick (= flow
-    /// start), not at build time, so phase draws happen in event order.
-    started: bool,
-    on: bool,
-    /// When the current ON/OFF period ends.
-    boundary: Time,
-}
+/// Credit timeout: an unacked packet older than this is written off.
+const RTO: Duration = Duration::from_secs(3);
 
 /// ON periods are capped at this multiple of the mean: a bounded Pareto,
 /// so a single astronomically rare draw cannot freeze a flow ON for the
 /// entire run. At `alpha = 1.5` the cap trims the mean by about 5%.
 const ON_CAP_FACTOR: f64 = 50.0;
 
-impl OnOffFlow {
-    /// Bounded-Pareto ON duration with mean `mean_on`.
-    fn draw_on(&mut self) -> Duration {
-        // For Pareto(x_m, alpha) the mean is x_m * alpha / (alpha - 1);
-        // pick x_m so the (unbounded) mean lands on mean_on.
-        let mean = self.mean_on.as_micros() as f64;
-        let x_m = mean * (self.alpha - 1.0) / self.alpha;
-        let u = self.rng.gen_f64();
-        let x = x_m / (1.0 - u).powf(1.0 / self.alpha);
-        Duration::from_micros((x.min(mean * ON_CAP_FACTOR)).max(1.0) as u64)
-    }
-
-    /// Exponential OFF duration with mean `mean_off`.
-    fn draw_off(&mut self) -> Duration {
-        let mean = self.mean_off.as_micros() as f64;
-        let u = self.rng.gen_f64();
-        Duration::from_micros(((-(1.0 - u).ln()) * mean).max(1.0) as u64)
-    }
-
-    /// Advances the ON/OFF phase timeline up to `now`.
-    fn advance_to(&mut self, now: Time) {
-        if !self.started {
-            self.started = true;
-            self.on = true;
-            self.boundary = now + self.draw_on();
-        }
-        while now >= self.boundary {
-            self.on = !self.on;
-            let d = if self.on {
-                self.draw_on()
-            } else {
-                self.draw_off()
-            };
-            self.boundary += d;
-        }
-    }
+/// One flow: who sends to whom, when, how often, and its pacing state.
+#[derive(Debug)]
+pub(crate) struct Flow {
+    /// Flow id (the spec's; not the flow's index).
+    pub(crate) id: u32,
+    /// Source node.
+    pub(crate) src: usize,
+    /// Final destination node.
+    pub(crate) dst: usize,
+    /// Transport payload per data packet, bytes.
+    pub(crate) payload: u32,
+    /// First tick.
+    pub(crate) start: Time,
+    /// No packets are generated at or after `stop`.
+    pub(crate) stop: Time,
+    /// Source tick interval (the CBR interval clocks every pacing).
+    pub(crate) interval: Duration,
+    pacing: Pacing,
 }
 
-impl FlowTransport for OnOffFlow {
-    fn on_tick(&mut self, ctx: &mut dyn TransportCtx) {
-        self.advance_to(ctx.now());
-        if self.on {
-            ctx.send(self.flow, self.src, self.dst, self.payload, 0);
-        }
-    }
+/// A flow's pacing state.
+#[derive(Debug)]
+enum Pacing {
+    /// Open-loop constant bit rate: one packet per tick.
+    Cbr,
+    /// Closed-loop fixed window; lost packets are written off by a credit
+    /// timeout — no retransmission.
+    Windowed {
+        window: usize,
+        ack_payload: u32,
+        /// Outstanding data packets: seq -> send time. A `BTreeMap` so the
+        /// RTO write-off walks packets in sequence order — write-off order
+        /// (and thus counter/trace order) is a pure function of the seed.
+        outstanding: BTreeMap<u64, Time>,
+    },
+    /// CBR during ON periods, silent during OFF periods. All draws come
+    /// from the flow's own stream, derived (not consumed) from the master
+    /// seed, so adding an on-off flow never perturbs other flows' draws.
+    OnOff {
+        mean_on: Duration,
+        mean_off: Duration,
+        alpha: f64,
+        rng: SimRng,
+        on: bool,
+        /// When the current period ends. Starts at the flow's start,
+        /// OFF: the first tick (= flow start) flips the flow ON and draws
+        /// the first period, so phase draws happen in event order.
+        boundary: Time,
+    },
 }
 
-/// Builds the transport implementation a flow spec asks for. `rng` is
-/// the flow's private stream; only stochastic transports (on-off) retain
-/// it.
-pub(crate) fn build_transport(f: &FlowSpec, rng: SimRng) -> Box<dyn FlowTransport> {
-    let src = f.path[0];
-    let dst = *f.path.last().expect("non-empty path");
-    match f.transport {
-        Transport::Cbr => Box::new(CbrFlow {
-            flow: f.id,
-            src,
-            dst,
+impl Flow {
+    /// The flow `f` describes; `rng` is its private stream, which only
+    /// on-off pacing keeps.
+    pub(crate) fn new(f: &FlowSpec, rng: SimRng) -> Flow {
+        let pacing = match f.transport {
+            Transport::Cbr => Pacing::Cbr,
+            Transport::Windowed {
+                window,
+                ack_payload,
+            } => Pacing::Windowed {
+                window,
+                ack_payload,
+                outstanding: BTreeMap::new(),
+            },
+            Transport::OnOff {
+                mean_on,
+                mean_off,
+                alpha,
+            } => Pacing::OnOff {
+                mean_on,
+                mean_off,
+                alpha,
+                rng,
+                on: false,
+                boundary: f.start,
+            },
+        };
+        // Round to nearest microsecond; CBR at 2 Mb/s with 1000 B packets
+        // is exactly 4 ms. At least 1 µs for a spec that passed
+        // `NetworkSpec::validate`.
+        debug_assert!(f.rate_bps > 0);
+        let bits = f.payload_bytes as u64 * 8;
+        let interval = Duration::from_micros((bits * 1_000_000 + f.rate_bps / 2) / f.rate_bps);
+        Flow {
+            id: f.id,
+            src: f.path[0],
+            dst: *f.path.last().expect("non-empty path"),
             payload: f.payload_bytes,
-        }),
-        Transport::Windowed {
-            window,
-            ack_payload,
-        } => Box::new(WindowedFlow {
-            flow: f.id,
-            src,
-            dst,
-            window,
-            payload: f.payload_bytes,
-            ack_payload,
+            start: f.start,
             stop: f.stop,
-            outstanding: BTreeMap::new(),
-            rto: Duration::from_secs(3),
-        }),
-        Transport::OnOff {
-            mean_on,
-            mean_off,
-            alpha,
-        } => Box::new(OnOffFlow {
-            flow: f.id,
-            src,
-            dst,
-            payload: f.payload_bytes,
-            mean_on,
-            mean_off,
-            alpha,
-            rng,
-            started: false,
-            on: false,
-            boundary: Time::ZERO,
-        }),
+            interval,
+            pacing,
+        }
+    }
+
+    /// Whether the flow generates at `now`: `[start, stop)`.
+    pub(crate) fn active_at(&self, now: Time) -> bool {
+        now >= self.start && now < self.stop
+    }
+
+    /// Period of the flow's credit timer; only windowed flows have one.
+    pub(crate) fn refresh_period(&self) -> Option<Duration> {
+        matches!(self.pacing, Pacing::Windowed { .. }).then_some(REFRESH_PERIOD)
+    }
+
+    /// Data packets to send at a tick of the active flow at `now`.
+    pub(crate) fn tick(&mut self, now: Time) -> usize {
+        match &mut self.pacing {
+            Pacing::Cbr => 1,
+            Pacing::Windowed { .. } => self.credits(now),
+            Pacing::OnOff {
+                mean_on,
+                mean_off,
+                alpha,
+                rng,
+                on,
+                boundary,
+            } => {
+                while now >= *boundary {
+                    *on = !*on;
+                    *boundary += if *on {
+                        draw_on(rng, *mean_on, *alpha)
+                    } else {
+                        draw_off(rng, *mean_off)
+                    };
+                }
+                usize::from(*on)
+            }
+        }
+    }
+
+    /// Credit timeout: writes off outstanding packets older than the RTO
+    /// (lost in the network; nothing is retransmitted) and returns the
+    /// packets that top the window up — or `None` once the flow has
+    /// stopped, which disarms the timer.
+    pub(crate) fn refresh(&mut self, now: Time) -> Option<usize> {
+        if let Pacing::Windowed { outstanding, .. } = &mut self.pacing {
+            outstanding.retain(|_, &mut sent| now.saturating_since(sent) < RTO);
+        }
+        let credits = self.credits(now);
+        (now < self.stop).then_some(credits)
+    }
+
+    /// The transport ACK of data packet `ack_ref` came home: releases its
+    /// credit and returns the packets that top the window up.
+    pub(crate) fn acked(&mut self, ack_ref: u64, now: Time) -> usize {
+        if let Pacing::Windowed { outstanding, .. } = &mut self.pacing {
+            outstanding.remove(&ack_ref);
+        }
+        self.credits(now)
+    }
+
+    /// Data packet `seq` left the source at `now`.
+    pub(crate) fn sent(&mut self, seq: u64, now: Time) {
+        if let Pacing::Windowed { outstanding, .. } = &mut self.pacing {
+            outstanding.insert(seq, now);
+        }
+    }
+
+    /// The end-to-end ACK a windowed flow's sink returns for each
+    /// delivered data packet: `(ack flow id, from, to, payload)`, over
+    /// the reverse path. `None` for open-loop pacing.
+    pub(crate) fn ack_packet(&self) -> Option<(u32, usize, usize, u32)> {
+        match self.pacing {
+            Pacing::Windowed { ack_payload, .. } => Some((
+                self.id + TRANSPORT_ACK_FLOW,
+                self.dst,
+                self.src,
+                ack_payload,
+            )),
+            _ => None,
+        }
+    }
+
+    /// Packets a windowed flow may send at `now`: up to its window while
+    /// active (before `stop`). Zero for open-loop pacing.
+    fn credits(&self, now: Time) -> usize {
+        match &self.pacing {
+            Pacing::Windowed {
+                window,
+                outstanding,
+                ..
+            } if now < self.stop => window - outstanding.len(),
+            _ => 0,
+        }
     }
 }
 
-impl Network {
-    /// Runs `f` against the transport of `flow` with the network itself
-    /// as the transport's context.
-    ///
-    /// The transport is taken out of the table for the duration of the
-    /// call, so `f` may re-enter the network mutably (`ctx.send` feeds
-    /// the MAC). Re-entry *for the same flow* would find the slot empty
-    /// and no-op — which cannot happen today: `ctx.send` never delivers
-    /// a frame synchronously (deliveries only surface from the drain
-    /// loop's receive path).
-    pub(crate) fn with_transport(
-        &mut self,
-        flow: u32,
-        f: impl FnOnce(&mut dyn FlowTransport, &mut Network),
-    ) {
-        let Some(idx) = self.transports.iter().position(|&(id, _)| id == flow) else {
-            return;
-        };
-        let Some(mut t) = self.transports[idx].1.take() else {
-            return;
-        };
-        f(t.as_mut(), self);
-        self.transports[idx].1 = Some(t);
-    }
+/// Bounded-Pareto ON duration with mean `mean_on`.
+fn draw_on(rng: &mut SimRng, mean_on: Duration, alpha: f64) -> Duration {
+    // For Pareto(x_m, alpha) the mean is x_m * alpha / (alpha - 1);
+    // pick x_m so the (unbounded) mean lands on mean_on.
+    let mean = mean_on.as_micros() as f64;
+    let x_m = mean * (alpha - 1.0) / alpha;
+    let u = rng.gen_f64();
+    let x = x_m / (1.0 - u).powf(1.0 / alpha);
+    Duration::from_micros((x.min(mean * ON_CAP_FACTOR)).max(1.0) as u64)
+}
+
+/// Exponential OFF duration with mean `mean_off`.
+fn draw_off(rng: &mut SimRng, mean_off: Duration) -> Duration {
+    let mean = mean_off.as_micros() as f64;
+    let u = rng.gen_f64();
+    Duration::from_micros(((-(1.0 - u).ln()) * mean).max(1.0) as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A scripted context: records sends, plays back a fixed clock.
-    struct Recorder {
-        now: Time,
+    fn flow(id: u32, path: Vec<usize>, rate_bps: u64, transport: Transport) -> Flow {
+        let spec = FlowSpec {
+            rate_bps,
+            transport,
+            ..FlowSpec::saturating(id, path, Time::ZERO, Time::from_secs(100))
+        };
+        Flow::new(&spec, SimRng::new(0))
+    }
+
+    fn cbr(rate: u64) -> Flow {
+        let mut f = flow(0, vec![0, 4], rate, Transport::Cbr);
+        (f.start, f.stop) = (Time::from_secs(5), Time::from_secs(10));
+        f
+    }
+
+    #[test]
+    fn paper_cbr_interval_is_4ms() {
+        assert_eq!(cbr(2_000_000).interval, Duration::from_millis(4));
+    }
+
+    #[test]
+    fn interval_rounds_to_nearest_us() {
+        // 8000 bits at 3 Mb/s = 2666.67 µs -> 2667.
+        assert_eq!(cbr(3_000_000).interval, Duration::from_micros(2667));
+    }
+
+    #[test]
+    fn activity_window_is_half_open() {
+        let s = cbr(2_000_000);
+        assert!(!s.active_at(Time::from_micros(4_999_999)));
+        assert!(s.active_at(Time::from_secs(5)));
+        assert!(s.active_at(Time::from_micros(9_999_999)));
+        assert!(!s.active_at(Time::from_secs(10)));
+    }
+
+    /// A scripted source: sends what the flow asks for, numbering
+    /// packets from 0, and logs `(flow, src, dst, payload, ack_ref)`.
+    #[derive(Default)]
+    struct Sender {
         next_seq: u64,
         sent: Vec<(u32, usize, usize, u32, u64)>,
     }
 
-    impl TransportCtx for Recorder {
-        fn now(&self) -> Time {
-            self.now
+    impl Sender {
+        fn data(&mut self, f: &mut Flow, count: usize, now: Time) {
+            for _ in 0..count {
+                self.sent.push((f.id, f.src, f.dst, f.payload, 0));
+                f.sent(self.next_seq, now);
+                self.next_seq += 1;
+            }
         }
-        fn send(&mut self, flow: u32, src: usize, dst: usize, payload: u32, ack_ref: u64) -> u64 {
-            let seq = self.next_seq;
+
+        fn ack(&mut self, f: &Flow, seq: u64) {
+            let (flow, src, dst, payload) = f.ack_packet().expect("a windowed flow");
+            self.sent.push((flow, src, dst, payload, seq));
             self.next_seq += 1;
-            self.sent.push((flow, src, dst, payload, ack_ref));
-            seq
         }
     }
 
-    fn windowed(window: usize) -> WindowedFlow {
-        WindowedFlow {
-            flow: 0,
-            src: 0,
-            dst: 3,
+    fn windowed(window: usize) -> Flow {
+        let transport = Transport::Windowed {
             window,
-            payload: 1000,
             ack_payload: 40,
-            stop: Time::from_secs(100),
-            outstanding: BTreeMap::new(),
-            rto: Duration::from_secs(3),
+        };
+        flow(0, vec![0, 1, 2, 3], 2_000_000, transport)
+    }
+
+    fn outstanding(f: &Flow) -> &BTreeMap<u64, Time> {
+        match &f.pacing {
+            Pacing::Windowed { outstanding, .. } => outstanding,
+            _ => unreachable!("a windowed flow"),
         }
     }
 
     #[test]
     fn cbr_sends_one_packet_per_tick() {
-        let mut ctx = Recorder {
-            now: Time::ZERO,
-            next_seq: 0,
-            sent: Vec::new(),
-        };
-        let mut t = CbrFlow {
-            flow: 7,
-            src: 1,
-            dst: 4,
-            payload: 1000,
-        };
-        t.on_tick(&mut ctx);
-        t.on_tick(&mut ctx);
+        let mut ctx = Sender::default();
+        let mut t = flow(7, vec![1, 2, 3, 4], 2_000_000, Transport::Cbr);
+        for _ in 0..2 {
+            let n = t.tick(Time::ZERO);
+            ctx.data(&mut t, n, Time::ZERO);
+        }
         assert_eq!(ctx.sent, vec![(7, 1, 4, 1000, 0), (7, 1, 4, 1000, 0)]);
         assert_eq!(t.refresh_period(), None, "CBR needs no transport timer");
+        assert_eq!(t.ack_packet(), None, "CBR sinks send no ACKs");
     }
 
     #[test]
     fn window_fills_to_cap_and_acks_release_credits() {
-        let mut ctx = Recorder {
-            now: Time::ZERO,
-            next_seq: 0,
-            sent: Vec::new(),
-        };
+        let mut ctx = Sender::default();
         let mut t = windowed(4);
-        t.on_tick(&mut ctx);
+        let n = t.tick(Time::ZERO);
+        ctx.data(&mut t, n, Time::ZERO);
         assert_eq!(ctx.sent.len(), 4, "fills straight to the window");
-        t.on_tick(&mut ctx);
-        assert_eq!(ctx.sent.len(), 4, "window full: no further sends");
+        assert_eq!(t.tick(Time::ZERO), 0, "window full: no further sends");
 
-        // The sink's delivery callback emits the reverse-path ACK.
-        t.on_data_delivered(&mut ctx, 0);
+        // The sink's delivery emits the reverse-path ACK.
+        ctx.ack(&t, 0);
         let ack = *ctx.sent.last().unwrap();
         assert_eq!(ack, (TRANSPORT_ACK_FLOW, 3, 0, 40, 0));
 
         // The ACK coming home releases one credit.
-        t.on_ack_delivered(&mut ctx, 0);
-        assert_eq!(t.outstanding.len(), 4, "refilled to the window");
+        let n = t.acked(0, Time::ZERO);
+        ctx.data(&mut t, n, Time::ZERO);
+        assert_eq!(outstanding(&t).len(), 4, "refilled to the window");
         assert_eq!(ctx.sent.len(), 6, "one data packet clocked out");
     }
 
     #[test]
     fn refresh_writes_off_old_packets_in_seq_order() {
-        let mut ctx = Recorder {
-            now: Time::ZERO,
-            next_seq: 0,
-            sent: Vec::new(),
-        };
+        let mut ctx = Sender::default();
         let mut t = windowed(3);
-        t.on_tick(&mut ctx);
-        assert_eq!(t.outstanding.len(), 3);
+        let n = t.tick(Time::ZERO);
+        ctx.data(&mut t, n, Time::ZERO);
+        assert_eq!(outstanding(&t).len(), 3);
 
         // Past the RTO: everything outstanding is written off and the
         // window refills at the new instant.
-        ctx.now = Time::from_secs(5);
-        assert!(t.on_refresh(&mut ctx), "flow still active: keep the timer");
-        assert_eq!(t.outstanding.len(), 3);
-        assert!(t.outstanding.values().all(|&s| s == Time::from_secs(5)));
+        let now = Time::from_secs(5);
+        let n = t.refresh(now);
+        assert!(n.is_some(), "flow still active: keep the timer");
+        ctx.data(&mut t, n.unwrap(), now);
+        assert_eq!(outstanding(&t).len(), 3);
+        assert!(outstanding(&t).values().all(|&s| s == now));
 
         // After stop the timer asks to be disarmed.
-        ctx.now = Time::from_secs(100);
-        assert!(!t.on_refresh(&mut ctx));
+        assert_eq!(t.refresh(Time::from_secs(100)), None);
     }
 
     #[test]
     fn write_off_order_is_deterministic() {
         // The BTreeMap guarantees the retain walk visits sequence
         // numbers in order — the determinism fix for the RTO path.
-        let t = windowed(8);
-        let keys: Vec<u64> = t.outstanding.keys().copied().collect();
+        let mut t = windowed(8);
+        for seq in [5, 1, 7, 3] {
+            t.sent(seq, Time::ZERO);
+        }
+        let keys: Vec<u64> = outstanding(&t).keys().copied().collect();
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         assert_eq!(keys, sorted);
     }
 
-    fn onoff(seed: u64) -> OnOffFlow {
-        OnOffFlow {
-            flow: 0,
-            src: 0,
-            dst: 3,
-            payload: 1000,
+    fn onoff(seed: u64) -> Flow {
+        let transport = Transport::OnOff {
             mean_on: Duration::from_secs(1),
             mean_off: Duration::from_secs(1),
             alpha: 1.5,
-            rng: SimRng::new(seed),
-            started: false,
-            on: false,
-            boundary: Time::ZERO,
-        }
+        };
+        let spec = FlowSpec {
+            transport,
+            ..FlowSpec::saturating(0, vec![0, 3], Time::ZERO, Time::from_secs(100))
+        };
+        Flow::new(&spec, SimRng::new(seed))
     }
 
     /// Drives `t` at the 4 ms CBR tick for `secs` of simulated time and
     /// returns the fraction of ticks that produced a packet.
-    fn duty_cycle(t: &mut OnOffFlow, secs: u64) -> f64 {
-        let mut ctx = Recorder {
-            now: Time::ZERO,
-            next_seq: 0,
-            sent: Vec::new(),
-        };
+    fn duty_cycle(t: &mut Flow, secs: u64) -> f64 {
+        let mut ctx = Sender::default();
+        let mut now = Time::ZERO;
         let tick = Duration::from_millis(4);
         let ticks = secs * 250;
         for _ in 0..ticks {
-            t.on_tick(&mut ctx);
-            ctx.now += tick;
+            let n = t.tick(now);
+            ctx.data(t, n, now);
+            now += tick;
         }
         ctx.sent.len() as f64 / ticks as f64
     }
@@ -474,7 +482,10 @@ mod tests {
         let mut t = onoff(3);
         let duty = duty_cycle(&mut t, 100);
         assert!(duty > 0.0 && duty < 1.0, "must both send and pause");
-        assert!(t.started);
+        let Pacing::OnOff { boundary, .. } = t.pacing else {
+            unreachable!("an on-off flow")
+        };
+        assert!(boundary > t.start, "the phase timeline started");
     }
 
     #[test]
