@@ -1,13 +1,17 @@
 //! The DCF transmit/receive state machine.
 //!
-//! One [`Mac`] instance models one half-duplex 802.11 radio. The caller
-//! (the network layer) is responsible for:
+//! One [`Mac`] instance models one half-duplex 802.11 radio. Every input
+//! has exactly one way in: [`Mac::input_into`] for a [`MacInput`], whose
+//! outputs are appended to a caller-owned buffer, and three direct calls
+//! for the carrier-sense signals, which can arm at most one timer. The
+//! caller (the network layer) is responsible for:
 //!
-//! * feeding carrier-sense transitions ([`MacInput::MediumBusy`] /
-//!   [`MacInput::MediumIdle`]) derived from the shared channel — at least
+//! * feeding carrier-sense transitions ([`Mac::medium_busy`] /
+//!   [`Mac::medium_idle`]) derived from the shared channel — at least
 //!   while [`Mac::counting_phase`] holds, the only time a transition does
 //!   anything but update the carrier mirror; a caller that skips the rest
 //!   refreshes the mirror with [`Mac::sync_carrier`] before its next input,
+//!   and marking undecodable energy with [`Mac::eifs_mark`],
 //! * arming the timers the MAC requests and feeding them back
 //!   ([`MacInput::TimerTxPath`] / [`MacInput::TimerAckJob`]) — stale timers
 //!   are filtered by epoch, so the caller never needs to cancel anything,
@@ -15,7 +19,7 @@
 //!   ([`MacOutput::StartTx`]) and reporting when they leave the air
 //!   ([`MacInput::TxEnded`]),
 //! * delivering clean received frames addressed to this node
-//!   ([`MacInput::RxData`] / [`MacInput::RxAck`]).
+//!   ([`MacInput::Rx`]; the MAC reads the frame's kind itself).
 //!
 //! The transmit path is a textbook DCF cycle:
 //!
@@ -26,29 +30,28 @@
 //!                        '--timeout--> Contend (attempt+1, window doubled)
 //!                              ... until max_attempts -> drop
 //! ```
+//!
+//! Every input that takes the MAC from busy to [`Mac::is_idle`] emits
+//! [`MacOutput::NeedFrame`], so a caller that feeds on that output and at
+//! every enqueue never leaves an idle MAC beside a backlogged queue.
 
 use ezflow_phy::{Frame, FrameArena, FrameId, FrameKind};
 use ezflow_sim::{Duration, SimRng, Time};
 
 use crate::config::MacConfig;
 
-/// Everything the network layer can tell the MAC.
+/// Everything the network layer can tell the MAC through
+/// [`Mac::input_into`]. Carrier sense is not here: it enters through
+/// [`Mac::medium_busy`], [`Mac::medium_idle`] and [`Mac::eifs_mark`].
 #[derive(Clone, Debug)]
 pub enum MacInput {
     /// Hand the MAC the next data frame to transmit. Only legal when
-    /// [`Mac::is_idle`] is true. `queue` identifies which transmit queue it
-    /// came from so completions can be attributed.
+    /// [`Mac::is_idle`] is true.
     Enqueue {
         /// Arena handle of the frame to send (hop addressing already set).
         /// Ownership moves to the MAC until a terminal completion.
         frame: FrameId,
-        /// Opaque queue tag echoed back in completions.
-        queue: usize,
     },
-    /// The carrier went idle -> busy.
-    MediumBusy,
-    /// The carrier went busy -> idle.
-    MediumIdle,
     /// A transmit-path timer armed via [`MacOutput::SetTimerTxPath`] fired.
     TimerTxPath {
         /// Epoch recorded when the timer was armed.
@@ -63,26 +66,12 @@ pub enum MacInput {
     /// carrier is busy now that our own energy is gone is read from the
     /// mirror ([`Mac::sync_carrier`]).
     TxEnded,
-    /// A clean data frame addressed to this node arrived. The MAC takes
-    /// ownership of the handle: it either re-emits it as
-    /// [`MacOutput::Deliver`] or releases it (duplicate).
-    RxData {
+    /// A clean frame addressed to this node arrived; the MAC dispatches
+    /// on its kind and takes ownership of the handle. A data frame is
+    /// re-emitted as [`MacOutput::Deliver`] or released (duplicate); an
+    /// ACK, RTS or CTS is released.
+    Rx {
         /// Arena handle of the received frame.
-        frame: FrameId,
-    },
-    /// A clean ACK addressed to this node arrived (released by the MAC).
-    RxAck {
-        /// Arena handle of the received ACK.
-        frame: FrameId,
-    },
-    /// A clean RTS addressed to this node arrived (released by the MAC).
-    RxRts {
-        /// Arena handle of the received RTS.
-        frame: FrameId,
-    },
-    /// A clean CTS addressed to this node arrived (released by the MAC).
-    RxCts {
-        /// Arena handle of the received CTS.
         frame: FrameId,
     },
     /// An overheard RTS/CTS reserved the medium (virtual carrier sense):
@@ -93,11 +82,11 @@ pub enum MacInput {
     },
     /// A NAV-expiry timer armed via [`MacOutput::SetTimerNav`] fired.
     TimerNav,
-    /// The node sensed a frame it could not decode (energy without a clean
-    /// reception). With EIFS enabled, the next deferral uses the extended
-    /// inter-frame space.
-    EifsMark,
 }
+
+// A tag and one word: the network layer queues inputs by value, so a
+// wider payload would widen every queued entry.
+const _: () = assert!(std::mem::size_of::<MacInput>() <= 16);
 
 /// Contention state behind one DCF transmission attempt, captured when
 /// the frame hits the air. This is the flight recorder's per-attempt
@@ -154,8 +143,6 @@ pub enum MacOutput {
         /// Arena handle of the acknowledged frame; ownership returns to
         /// the caller, which releases it after its bookkeeping.
         frame: FrameId,
-        /// Queue tag from `Enqueue`.
-        queue: usize,
         /// Attempts used (1 = first try).
         attempts: u32,
     },
@@ -164,8 +151,6 @@ pub enum MacOutput {
         /// Arena handle of the dropped frame; ownership returns to the
         /// caller, which releases it after its bookkeeping.
         frame: FrameId,
-        /// Queue tag from `Enqueue`.
-        queue: usize,
         /// Attempts used.
         attempts: u32,
     },
@@ -194,12 +179,14 @@ pub struct MacStats {
     pub drops_retry: u64,
     /// ACKs transmitted.
     pub acks_sent: u64,
-    /// ACK transmissions suppressed because the radio was busy (should not
-    /// happen under DCF timing; counted defensively).
+    /// Pending ACK/CTS responses never sent: the job was replaced by a
+    /// newer reception before its SIFS timer fired (or, defensively, the
+    /// timer found the radio busy, which DCF timing rules out).
     pub acks_suppressed: u64,
     /// Duplicate data frames received (re-ACKed, not re-delivered).
     pub dup_rx: u64,
-    /// ACKs received that matched no outstanding frame.
+    /// ACKs and CTSs received that matched no outstanding data frame or
+    /// RTS.
     pub spurious_ack: u64,
     /// Clean data frames received and delivered upward.
     pub delivered: u64,
@@ -250,7 +237,6 @@ struct Current {
     /// Arena handle of the frame being worked; the MAC owns it from
     /// `Enqueue` until `TxSuccess`/`TxDropped` hands it back.
     frame: FrameId,
-    queue: usize,
     /// 0-based attempt counter.
     attempt: u32,
     slots_left: u32,
@@ -371,22 +357,6 @@ impl Mac {
         self.ack_epoch
     }
 
-    /// Feeds one input, returns the outputs it provoked.
-    ///
-    /// Allocating convenience wrapper around [`Mac::input_into`]. (An input
-    /// with no outputs still costs nothing: `Vec::new` does not allocate.)
-    pub fn input(
-        &mut self,
-        now: Time,
-        input: MacInput,
-        rng: &mut SimRng,
-        arena: &mut FrameArena,
-    ) -> Vec<MacOutput> {
-        let mut out = Vec::new();
-        self.input_into(now, input, rng, arena, &mut out);
-        out
-    }
-
     /// Feeds one input, appending the outputs it provoked to `out`.
     ///
     /// The buffer is *not* cleared: the caller owns its lifecycle, so a
@@ -402,19 +372,18 @@ impl Mac {
         out: &mut Vec<MacOutput>,
     ) {
         match input {
-            MacInput::Enqueue { frame, queue } => self.on_enqueue(now, frame, queue, rng, out),
-            MacInput::MediumBusy => self.on_medium_busy(now),
-            MacInput::MediumIdle => self.on_medium_idle(now, out),
+            MacInput::Enqueue { frame } => self.on_enqueue(now, frame, rng, out),
             MacInput::TimerTxPath { epoch } => self.on_timer_tx(now, epoch, rng, arena, out),
             MacInput::TimerAckJob { epoch } => self.on_timer_ack(now, epoch, arena, out),
             MacInput::TxEnded => self.on_tx_ended(now, out),
-            MacInput::RxData { frame } => self.on_rx_data(now, frame, arena, out),
-            MacInput::RxAck { frame } => self.on_rx_ack(now, frame, rng, arena, out),
-            MacInput::RxRts { frame } => self.on_rx_rts(frame, arena, out),
-            MacInput::RxCts { frame } => self.on_rx_cts(frame, arena, out),
+            MacInput::Rx { frame } => match arena.get(frame).kind {
+                FrameKind::Data => self.on_rx_data(frame, arena, out),
+                FrameKind::Ack => self.on_rx_ack(now, frame, rng, arena, out),
+                FrameKind::Rts => self.on_rx_rts(frame, arena, out),
+                FrameKind::Cts => self.on_rx_cts(frame, arena, out),
+            },
             MacInput::NavSet { until } => self.on_nav_set(now, until, out),
             MacInput::TimerNav => self.on_timer_nav(now, out),
-            MacInput::EifsMark => self.eifs_mark(),
         }
     }
 
@@ -532,7 +501,6 @@ impl Mac {
         &mut self,
         now: Time,
         frame: FrameId,
-        queue: usize,
         rng: &mut SimRng,
         out: &mut Vec<MacOutput>,
     ) {
@@ -549,7 +517,6 @@ impl Mac {
         };
         self.cur = Some(Current {
             frame,
-            queue,
             attempt: 0,
             slots_left,
             cw_drawn: self.cfg.window(self.cw_min, 0),
@@ -561,7 +528,13 @@ impl Mac {
         }
     }
 
-    fn on_medium_busy(&mut self, now: Time) {
+    /// The carrier went idle -> busy.
+    ///
+    /// Carrier-sense transitions are the bulk of all MAC inputs (every
+    /// transmission toggles busy/idle at every sensing neighbour) and can
+    /// never produce an output, so they bypass [`Mac::input_into`] and
+    /// its output buffer.
+    pub fn medium_busy(&mut self, now: Time) {
         self.medium_busy = true;
         if self.counting_phase() {
             if self.countdown_from.is_some() {
@@ -571,25 +544,9 @@ impl Mac {
         }
     }
 
-    fn on_medium_idle(&mut self, now: Time, out: &mut Vec<MacOutput>) {
-        if let Some((after, epoch)) = self.medium_idle(now) {
-            out.push(MacOutput::SetTimerTxPath { after, epoch });
-        }
-    }
-
-    /// Direct-dispatch mirror of [`MacInput::MediumBusy`].
-    ///
-    /// Carrier-sense transitions are the bulk of all MAC inputs (every
-    /// transmission toggles busy/idle at every sensing neighbour) and can
-    /// never produce an output, so the engine calls this directly instead
-    /// of routing a `MacInput` through an output buffer.
-    pub fn medium_busy(&mut self, now: Time) {
-        self.on_medium_busy(now);
-    }
-
-    /// Direct-dispatch mirror of [`MacInput::MediumIdle`]: the only
-    /// possible output is a single tx-path timer arm, returned as
-    /// `(after, epoch)` for the engine to schedule itself.
+    /// The carrier went busy -> idle. The only possible output is a
+    /// single tx-path timer arm, returned as `(after, epoch)` for the
+    /// caller to schedule itself.
     pub fn medium_idle(&mut self, now: Time) -> Option<(Duration, u64)> {
         self.medium_busy = false;
         if self.counting_phase() && self.can_count_down(now) {
@@ -599,7 +556,9 @@ impl Mac {
         }
     }
 
-    /// Direct-dispatch mirror of [`MacInput::EifsMark`] (no outputs).
+    /// The node sensed a frame it could not decode (energy without a
+    /// clean reception). With EIFS enabled, the next deferral uses the
+    /// extended inter-frame space. No outputs.
     pub fn eifs_mark(&mut self) {
         if self.cfg.eifs {
             self.eifs_pending = true;
@@ -709,7 +668,6 @@ impl Mac {
             }
             _ => {}
         }
-        let _ = now;
     }
 
     /// Shared ACK/CTS-timeout path: retry with a doubled window or drop
@@ -721,14 +679,10 @@ impl Mac {
         if cur.attempt >= self.cfg.max_attempts {
             self.stats.drops_retry += 1;
             let cur = self.cur.take().expect("checked above");
-            let frame = cur.frame;
-            let queue = cur.queue;
-            let attempts = cur.attempt;
             self.begin_post_backoff(now, rng, out);
             out.push(MacOutput::TxDropped {
-                frame,
-                queue,
-                attempts,
+                frame: cur.frame,
+                attempts: cur.attempt,
             });
             out.push(MacOutput::NeedFrame);
         } else {
@@ -821,16 +775,9 @@ impl Mac {
         }
     }
 
-    fn on_rx_data(
-        &mut self,
-        _now: Time,
-        frame: FrameId,
-        arena: &mut FrameArena,
-        out: &mut Vec<MacOutput>,
-    ) {
+    fn on_rx_data(&mut self, frame: FrameId, arena: &mut FrameArena, out: &mut Vec<MacOutput>) {
         let f = *arena.get(frame);
         debug_assert_eq!(f.dst, self.node);
-        debug_assert!(f.is_data());
         // Always (re-)acknowledge after SIFS, even for duplicates.
         if let Some(old) = self.ack_job.take() {
             // Two clean overlapping receptions are impossible; if the
@@ -884,7 +831,6 @@ impl Mac {
         self.begin_post_backoff(now, rng, out);
         out.push(MacOutput::TxSuccess {
             frame: cur.frame,
-            queue: cur.queue,
             attempts: cur.attempt + 1,
         });
         out.push(MacOutput::NeedFrame);
@@ -986,6 +932,21 @@ mod tests {
         (mac, SimRng::new(99), FrameArena::new())
     }
 
+    /// Feeds one input through [`Mac::input_into`], reusing `buf` (cleared
+    /// first), and returns the outputs it provoked.
+    fn feed<'a>(
+        mac: &mut Mac,
+        now: Time,
+        input: MacInput,
+        rng: &mut SimRng,
+        arena: &mut FrameArena,
+        buf: &'a mut Vec<MacOutput>,
+    ) -> &'a [MacOutput] {
+        buf.clear();
+        mac.input_into(now, input, rng, arena, buf);
+        buf
+    }
+
     fn timer_delay(out: &[MacOutput]) -> (Duration, u64) {
         out.iter()
             .find_map(|o| match o {
@@ -998,28 +959,32 @@ mod tests {
     #[test]
     fn happy_path_tx_cycle() {
         let (mut mac, mut rng, mut arena) = det_mac(0);
+        let mut buf = Vec::new();
         assert!(mac.is_idle());
 
         // Enqueue on an idle medium: DIFS + 0 slots.
-        let out = mac.input(
+        let out = feed(
+            &mut mac,
             t(0),
             MacInput::Enqueue {
                 frame: arena.alloc(data(1, 0, 1)),
-                queue: 0,
             },
             &mut rng,
             &mut arena,
+            &mut buf,
         );
-        let (after, epoch) = timer_delay(&out);
+        let (after, epoch) = timer_delay(out);
         assert_eq!(after, Duration::from_micros(DIFS));
         assert!(!mac.is_idle());
 
         // Backoff completes: frame goes on the air.
-        let out = mac.input(
+        let out = feed(
+            &mut mac,
             t(DIFS),
             MacInput::TimerTxPath { epoch },
             &mut rng,
             &mut arena,
+            &mut buf,
         );
         let air = match &out[0] {
             MacOutput::StartTx { frame, air, .. } => {
@@ -1033,17 +998,26 @@ mod tests {
 
         // Frame leaves the air: ACK timeout armed.
         let end = t(DIFS) + air;
-        let out = mac.input(t(end.as_micros()), MacInput::TxEnded, &mut rng, &mut arena);
-        let (after, _epoch2) = timer_delay(&out);
+        let out = feed(
+            &mut mac,
+            t(end.as_micros()),
+            MacInput::TxEnded,
+            &mut rng,
+            &mut arena,
+            &mut buf,
+        );
+        let (after, _epoch2) = timer_delay(out);
         assert_eq!(after, Duration::from_micros(SIFS + 304 + SLOT));
 
         // ACK arrives in time.
         let ack = arena.alloc(Frame::ack_for(&data(1, 0, 1)));
-        let out = mac.input(
+        let out = feed(
+            &mut mac,
             end + Duration::from_micros(SIFS + 304),
-            MacInput::RxAck { frame: ack },
+            MacInput::Rx { frame: ack },
             &mut rng,
             &mut arena,
+            &mut buf,
         );
         assert!(out
             .iter()
@@ -1062,22 +1036,23 @@ mod tests {
         let mut mac = Mac::new(0, MacConfig::default());
         let mut rng = SimRng::new(7);
         let mut arena = FrameArena::new();
+        let mut buf = Vec::new();
         mac.set_cw_min(16);
         // Enqueue while the medium is busy: a random backoff is drawn
         // (immediate access does not apply).
-        mac.input(t(0), MacInput::MediumBusy, &mut rng, &mut arena);
-        let out = mac.input(
+        mac.medium_busy(t(0));
+        let out = feed(
+            &mut mac,
             t(0),
             MacInput::Enqueue {
                 frame: arena.alloc(data(1, 0, 1)),
-                queue: 0,
             },
             &mut rng,
             &mut arena,
+            &mut buf,
         );
         assert!(out.is_empty());
-        let out = mac.input(t(0), MacInput::MediumIdle, &mut rng, &mut arena);
-        let (after, _) = timer_delay(&out);
+        let (after, _) = mac.medium_idle(t(0)).expect("the countdown resumes");
         let total_slots = (after.as_micros() - DIFS) / SLOT;
 
         // Busy after DIFS + 2 full slots + half a slot.
@@ -1086,10 +1061,9 @@ mod tests {
             total_slots >= 3,
             "need >= 3 slots for this test, redraw seed"
         );
-        mac.input(t(busy_at), MacInput::MediumBusy, &mut rng, &mut arena);
+        mac.medium_busy(t(busy_at));
         // Idle again later: remaining = total - 2 (the half slot is lost).
-        let out = mac.input(t(1000), MacInput::MediumIdle, &mut rng, &mut arena);
-        let (after2, _) = timer_delay(&out);
+        let (after2, _) = mac.medium_idle(t(1000)).expect("the countdown resumes");
         let remaining = (after2.as_micros() - DIFS) / SLOT;
         assert_eq!(remaining, total_slots - 2);
     }
@@ -1097,42 +1071,47 @@ mod tests {
     #[test]
     fn busy_during_difs_consumes_nothing() {
         let (mut mac, mut rng, mut arena) = det_mac(0);
-        let out = mac.input(
+        let mut buf = Vec::new();
+        let out = feed(
+            &mut mac,
             t(0),
             MacInput::Enqueue {
                 frame: arena.alloc(data(1, 0, 1)),
-                queue: 0,
             },
             &mut rng,
             &mut arena,
+            &mut buf,
         );
-        let (after, _) = timer_delay(&out);
+        let (after, _) = timer_delay(out);
         assert_eq!(after.as_micros(), DIFS);
-        mac.input(t(20), MacInput::MediumBusy, &mut rng, &mut arena); // mid-DIFS
-        let out = mac.input(t(500), MacInput::MediumIdle, &mut rng, &mut arena);
-        let (after2, _) = timer_delay(&out);
+        mac.medium_busy(t(20)); // mid-DIFS
+        let (after2, _) = mac.medium_idle(t(500)).expect("the countdown resumes");
         assert_eq!(after2.as_micros(), DIFS, "DIFS restarts in full");
     }
 
     #[test]
     fn stale_timer_is_ignored() {
         let (mut mac, mut rng, mut arena) = det_mac(0);
-        let out = mac.input(
+        let mut buf = Vec::new();
+        let out = feed(
+            &mut mac,
             t(0),
             MacInput::Enqueue {
                 frame: arena.alloc(data(1, 0, 1)),
-                queue: 0,
             },
             &mut rng,
             &mut arena,
+            &mut buf,
         );
-        let (_, epoch) = timer_delay(&out);
-        mac.input(t(10), MacInput::MediumBusy, &mut rng, &mut arena); // invalidates
-        let out = mac.input(
+        let (_, epoch) = timer_delay(out);
+        mac.medium_busy(t(10)); // invalidates
+        let out = feed(
+            &mut mac,
             t(DIFS),
             MacInput::TimerTxPath { epoch },
             &mut rng,
             &mut arena,
+            &mut buf,
         );
         assert!(out.is_empty(), "stale timer must do nothing, got {out:?}");
         assert_eq!(mac.stats().tx_attempts, 0);
@@ -1141,34 +1120,35 @@ mod tests {
     #[test]
     fn ack_timeout_retries_then_drops() {
         let (mut mac, mut rng, mut arena) = det_mac(0);
+        let mut buf = Vec::new();
         let max = MacConfig::default().max_attempts;
         let mut now = 0u64;
-        let out = mac.input(
+        let out = feed(
+            &mut mac,
             t(now),
             MacInput::Enqueue {
                 frame: arena.alloc(data(5, 0, 1)),
-                queue: 3,
             },
             &mut rng,
             &mut arena,
+            &mut buf,
         );
-        let (mut after, mut epoch) = timer_delay(&out);
+        let (mut after, mut epoch) = timer_delay(out);
         let mut attempts_seen = 0;
         let dropped = loop {
             now += after.as_micros();
-            let out = mac.input(
+            let out = feed(
+                &mut mac,
                 t(now),
                 MacInput::TimerTxPath { epoch },
                 &mut rng,
                 &mut arena,
+                &mut buf,
             );
-            if let Some((queue, attempts)) = out.iter().find_map(|o| match o {
-                MacOutput::TxDropped {
-                    queue, attempts, ..
-                } => Some((*queue, *attempts)),
+            if let Some(attempts) = out.iter().find_map(|o| match o {
+                MacOutput::TxDropped { attempts, .. } => Some(*attempts),
                 _ => None,
             }) {
-                assert_eq!(queue, 3);
                 assert_eq!(attempts, max);
                 assert!(out.iter().any(|o| matches!(o, MacOutput::NeedFrame)));
                 break true;
@@ -1184,13 +1164,20 @@ mod tests {
             }) {
                 attempts_seen += 1;
                 now += air.as_micros();
-                let out = mac.input(t(now), MacInput::TxEnded, &mut rng, &mut arena);
-                let (a, e) = timer_delay(&out);
+                let out = feed(
+                    &mut mac,
+                    t(now),
+                    MacInput::TxEnded,
+                    &mut rng,
+                    &mut arena,
+                    &mut buf,
+                );
+                let (a, e) = timer_delay(out);
                 after = a;
                 epoch = e;
             } else {
                 // Timeout fired and a new contention round began.
-                let (a, e) = timer_delay(&out);
+                let (a, e) = timer_delay(out);
                 after = a;
                 epoch = e;
             }
@@ -1208,14 +1195,17 @@ mod tests {
     #[test]
     fn receiver_acks_and_delivers_then_filters_duplicate() {
         let (mut mac, mut rng, mut arena) = det_mac(1);
+        let mut buf = Vec::new();
         let f = data(9, 0, 1);
-        let out = mac.input(
+        let out = feed(
+            &mut mac,
             t(100),
-            MacInput::RxData {
+            MacInput::Rx {
                 frame: arena.alloc(f),
             },
             &mut rng,
             &mut arena,
+            &mut buf,
         );
         // ACK armed at SIFS, frame delivered.
         let ack_epoch = out
@@ -1232,11 +1222,13 @@ mod tests {
             .iter()
             .any(|o| matches!(o, MacOutput::Deliver { frame } if arena.get(*frame).seq == 9)));
 
-        let out = mac.input(
+        let out = feed(
+            &mut mac,
             t(100 + SIFS),
             MacInput::TimerAckJob { epoch: ack_epoch },
             &mut rng,
             &mut arena,
+            &mut buf,
         );
         match &out[0] {
             MacOutput::StartTx { frame, air, .. } => {
@@ -1248,18 +1240,27 @@ mod tests {
             }
             o => panic!("expected ack StartTx, got {o:?}"),
         }
-        mac.input(t(100 + SIFS + 304), MacInput::TxEnded, &mut rng, &mut arena);
+        feed(
+            &mut mac,
+            t(100 + SIFS + 304),
+            MacInput::TxEnded,
+            &mut rng,
+            &mut arena,
+            &mut buf,
+        );
 
         // Duplicate (retry) arrives: re-ACK, no second Deliver.
         let mut dup = f;
         dup.retry = true;
-        let out = mac.input(
+        let out = feed(
+            &mut mac,
             t(10_000),
-            MacInput::RxData {
+            MacInput::Rx {
                 frame: arena.alloc(dup),
             },
             &mut rng,
             &mut arena,
+            &mut buf,
         );
         assert!(
             !out.iter().any(|o| matches!(o, MacOutput::Deliver { .. })),
@@ -1277,37 +1278,40 @@ mod tests {
         let mut mac = Mac::new(1, MacConfig::default());
         let mut rng = SimRng::new(3);
         let mut arena = FrameArena::new();
+        let mut buf = Vec::new();
         mac.set_cw_min(64);
         // Contending with a data frame (enqueued under a busy medium so a
         // random backoff is drawn)...
-        mac.input(t(0), MacInput::MediumBusy, &mut rng, &mut arena);
-        let out = mac.input(
+        mac.medium_busy(t(0));
+        let out = feed(
+            &mut mac,
             t(0),
             MacInput::Enqueue {
                 frame: arena.alloc(data(2, 1, 2)),
-                queue: 0,
             },
             &mut rng,
             &mut arena,
+            &mut buf,
         );
         assert!(out.is_empty());
-        let out = mac.input(t(0), MacInput::MediumIdle, &mut rng, &mut arena);
-        let (after, _) = timer_delay(&out);
+        let (after, _) = mac.medium_idle(t(0)).expect("the countdown resumes");
         let total_slots = (after.as_micros() - DIFS) / SLOT;
         assert!(total_slots >= 2, "redraw seed: need >= 2 slots");
 
         // ...the medium goes busy (incoming frame), which freezes us mid-run.
         let busy_at = DIFS + SLOT + 5; // one full slot elapsed
-        mac.input(t(busy_at), MacInput::MediumBusy, &mut rng, &mut arena);
+        mac.medium_busy(t(busy_at));
         // The incoming frame is for us; it ends and the medium goes idle.
         let rx_end = busy_at + 8416;
-        let out = mac.input(
+        let out = feed(
+            &mut mac,
             t(rx_end),
-            MacInput::RxData {
+            MacInput::Rx {
                 frame: arena.alloc(data(7, 0, 1)),
             },
             &mut rng,
             &mut arena,
+            &mut buf,
         );
         let ack_epoch = out
             .iter()
@@ -1316,8 +1320,7 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        let out = mac.input(t(rx_end), MacInput::MediumIdle, &mut rng, &mut arena);
-        let (resume_after, _) = timer_delay(&out);
+        let (resume_after, _) = mac.medium_idle(t(rx_end)).expect("the countdown resumes");
         assert_eq!(
             (resume_after.as_micros() - DIFS) / SLOT,
             total_slots - 1,
@@ -1326,33 +1329,44 @@ mod tests {
 
         // SIFS later the ACK starts: countdown freezes again (radio busy),
         // and no slot is lost because less than DIFS elapsed.
-        let out = mac.input(
+        let out = feed(
+            &mut mac,
             t(rx_end + SIFS),
             MacInput::TimerAckJob { epoch: ack_epoch },
             &mut rng,
             &mut arena,
+            &mut buf,
         );
         assert!(matches!(out[0], MacOutput::StartTx { .. }));
         // While radio-busy a medium-idle input must not start a countdown.
-        let out = mac.input(
-            t(rx_end + SIFS + 1),
-            MacInput::MediumIdle,
-            &mut rng,
-            &mut arena,
-        );
-        assert!(out.is_empty());
+        assert_eq!(mac.medium_idle(t(rx_end + SIFS + 1)), None);
         // ACK done: countdown resumes with the same remaining slots.
         let ack_done = rx_end + SIFS + 304;
-        let out = mac.input(t(ack_done), MacInput::TxEnded, &mut rng, &mut arena);
-        let (resume2, _) = timer_delay(&out);
+        let out = feed(
+            &mut mac,
+            t(ack_done),
+            MacInput::TxEnded,
+            &mut rng,
+            &mut arena,
+            &mut buf,
+        );
+        let (resume2, _) = timer_delay(out);
         assert_eq!((resume2.as_micros() - DIFS) / SLOT, total_slots - 1);
     }
 
     #[test]
     fn spurious_ack_is_counted_not_acted_on() {
         let (mut mac, mut rng, mut arena) = det_mac(0);
+        let mut buf = Vec::new();
         let ack = arena.alloc(Frame::ack_for(&data(77, 0, 1)));
-        let out = mac.input(t(5), MacInput::RxAck { frame: ack }, &mut rng, &mut arena);
+        let out = feed(
+            &mut mac,
+            t(5),
+            MacInput::Rx { frame: ack },
+            &mut rng,
+            &mut arena,
+            &mut buf,
+        );
         assert!(out.is_empty());
         assert_eq!(mac.stats().spurious_ack, 1);
     }
@@ -1360,33 +1374,46 @@ mod tests {
     #[test]
     fn ack_for_wrong_seq_does_not_complete() {
         let (mut mac, mut rng, mut arena) = det_mac(0);
-        let out = mac.input(
+        let mut buf = Vec::new();
+        let out = feed(
+            &mut mac,
             t(0),
             MacInput::Enqueue {
                 frame: arena.alloc(data(1, 0, 1)),
-                queue: 0,
             },
             &mut rng,
             &mut arena,
+            &mut buf,
         );
-        let (_, epoch) = timer_delay(&out);
-        let out = mac.input(
+        let (_, epoch) = timer_delay(out);
+        let out = feed(
+            &mut mac,
             t(DIFS),
             MacInput::TimerTxPath { epoch },
             &mut rng,
             &mut arena,
+            &mut buf,
         );
         let air = match &out[0] {
             MacOutput::StartTx { air, .. } => *air,
             _ => panic!(),
         };
-        mac.input(t(DIFS) + air, MacInput::TxEnded, &mut rng, &mut arena);
-        let wrong = arena.alloc(Frame::ack_for(&data(2, 0, 1)));
-        let out = mac.input(
-            t(DIFS) + air + Duration::from_micros(100),
-            MacInput::RxAck { frame: wrong },
+        feed(
+            &mut mac,
+            t(DIFS) + air,
+            MacInput::TxEnded,
             &mut rng,
             &mut arena,
+            &mut buf,
+        );
+        let wrong = arena.alloc(Frame::ack_for(&data(2, 0, 1)));
+        let out = feed(
+            &mut mac,
+            t(DIFS) + air + Duration::from_micros(100),
+            MacInput::Rx { frame: wrong },
+            &mut rng,
+            &mut arena,
+            &mut buf,
         );
         assert!(out.is_empty());
         assert!(!mac.is_idle(), "still waiting for the right ACK");
@@ -1395,19 +1422,20 @@ mod tests {
     #[test]
     fn enqueue_while_medium_busy_defers() {
         let (mut mac, mut rng, mut arena) = det_mac(0);
-        mac.input(t(0), MacInput::MediumBusy, &mut rng, &mut arena);
-        let out = mac.input(
+        let mut buf = Vec::new();
+        mac.medium_busy(t(0));
+        let out = feed(
+            &mut mac,
             t(5),
             MacInput::Enqueue {
                 frame: arena.alloc(data(1, 0, 1)),
-                queue: 0,
             },
             &mut rng,
             &mut arena,
+            &mut buf,
         );
         assert!(out.is_empty(), "no timer while busy");
-        let out = mac.input(t(500), MacInput::MediumIdle, &mut rng, &mut arena);
-        let (after, _) = timer_delay(&out);
+        let (after, _) = mac.medium_idle(t(500)).expect("the countdown resumes");
         assert_eq!(after.as_micros(), DIFS);
     }
 
@@ -1416,16 +1444,18 @@ mod tests {
         // An idle MAC is not in a counting phase and may be told nothing;
         // the carrier state it needs arrives by `sync_carrier` instead.
         let (mut mac, mut rng, mut arena) = det_mac(0);
+        let mut buf = Vec::new();
         assert!(!mac.counting_phase());
         mac.sync_carrier(true);
-        let out = mac.input(
+        let out = feed(
+            &mut mac,
             t(5),
             MacInput::Enqueue {
                 frame: arena.alloc(data(1, 0, 1)),
-                queue: 0,
             },
             &mut rng,
             &mut arena,
+            &mut buf,
         );
         assert!(out.is_empty(), "no timer while busy");
         // Now contending: transitions are delivered, and a sync that
@@ -1436,7 +1466,14 @@ mod tests {
         assert_eq!(after.as_micros(), DIFS);
         mac.sync_carrier(false);
         let at = t(500) + after;
-        let out = mac.input(at, MacInput::TimerTxPath { epoch }, &mut rng, &mut arena);
+        let out = feed(
+            &mut mac,
+            at,
+            MacInput::TimerTxPath { epoch },
+            &mut rng,
+            &mut arena,
+            &mut buf,
+        );
         assert!(matches!(out[0], MacOutput::StartTx { .. }));
         assert!(!mac.counting_phase(), "transmitting: nothing to freeze");
     }
@@ -1446,25 +1483,28 @@ mod tests {
         let mut mac = Mac::new(0, MacConfig::default());
         let mut rng = SimRng::new(11);
         let mut arena = FrameArena::new();
+        let mut buf = Vec::new();
         // Pin to a huge window: delays must exceed DIFS + 100 slots with
         // overwhelming probability over a few draws.
         mac.set_cw_min(32768);
         let mut big = 0;
         for i in 0..5 {
             // Enqueue under a busy medium so a random backoff is drawn.
-            mac.input(t(i * 1_000_000), MacInput::MediumBusy, &mut rng, &mut arena);
-            let out = mac.input(
+            mac.medium_busy(t(i * 1_000_000));
+            let out = feed(
+                &mut mac,
                 t(i * 1_000_000),
                 MacInput::Enqueue {
                     frame: arena.alloc(data(i, 0, 1)),
-                    queue: 0,
                 },
                 &mut rng,
                 &mut arena,
+                &mut buf,
             );
             assert!(out.is_empty());
-            let out = mac.input(t(i * 1_000_000), MacInput::MediumIdle, &mut rng, &mut arena);
-            let (after, _epoch) = timer_delay(&out);
+            let (after, _epoch) = mac
+                .medium_idle(t(i * 1_000_000))
+                .expect("the countdown resumes");
             if after.as_micros() > DIFS + 100 * SLOT {
                 big += 1;
             }

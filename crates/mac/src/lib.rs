@@ -22,10 +22,12 @@
 //! ## Design
 //!
 //! [`Mac`] is a *pure state machine*: the caller feeds [`MacInput`]s and
-//! receives [`MacOutput`]s. The MAC never touches the scheduler or the
-//! channel; instead it asks the caller to arm timers (`SetTimer*`) and uses
-//! *epoch tokens* to invalidate timers it no longer cares about — a stale
-//! timer fires, its epoch mismatches, and it is ignored. This keeps the
+//! receives [`MacOutput`]s (carrier sense, which can arm at most one
+//! timer, has three direct calls of its own). The MAC never touches the
+//! scheduler or the channel; instead it asks the caller to arm timers
+//! (`SetTimer*`) and uses *epoch tokens* to invalidate timers it no
+//! longer cares about — a stale timer fires, its epoch mismatches, and
+//! it is ignored. This keeps the
 //! trickiest part of the simulator fully unit-testable without any
 //! simulated radio at all (see the tests in [`dcf`]).
 

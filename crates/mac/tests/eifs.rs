@@ -22,13 +22,25 @@ fn mac_with_eifs(enabled: bool) -> (Mac, SimRng, FrameArena) {
     (mac, SimRng::new(7), FrameArena::new())
 }
 
-fn timer_delay(out: &[MacOutput]) -> u64 {
-    out.iter()
-        .find_map(|o| match o {
-            MacOutput::SetTimerTxPath { after, .. } => Some(after.as_micros()),
-            _ => None,
-        })
-        .expect("tx-path timer")
+/// Feeds one input through [`Mac::input_into`], reusing `buf` (cleared
+/// first), and returns the outputs it provoked.
+fn feed<'a>(
+    mac: &mut Mac,
+    now: Time,
+    input: MacInput,
+    rng: &mut SimRng,
+    arena: &mut FrameArena,
+    buf: &'a mut Vec<MacOutput>,
+) -> &'a [MacOutput] {
+    buf.clear();
+    mac.input_into(now, input, rng, arena, buf);
+    buf
+}
+
+/// The busy -> idle transition at `now`: the countdown it arms, in µs.
+fn resume(mac: &mut Mac, now: Time) -> u64 {
+    let (after, _) = mac.medium_idle(now).expect("tx-path timer");
+    after.as_micros()
 }
 
 fn data(seq: u64) -> Frame {
@@ -41,45 +53,46 @@ fn data(seq: u64) -> Frame {
 #[test]
 fn eifs_extends_the_next_deferral_only() {
     let (mut mac, mut rng, mut arena) = mac_with_eifs(true);
+    let mut buf = Vec::new();
     // Contend while busy (an undecodable frame is on the air).
-    mac.input(t(0), MacInput::MediumBusy, &mut rng, &mut arena);
-    let out = mac.input(
+    mac.medium_busy(t(0));
+    let out = feed(
+        &mut mac,
         t(0),
         MacInput::Enqueue {
             frame: arena.alloc(data(1)),
-            queue: 0,
         },
         &mut rng,
         &mut arena,
+        &mut buf,
     );
     assert!(out.is_empty());
     // The frame ends dirty: EIFS mark, then idle.
-    mac.input(t(1000), MacInput::EifsMark, &mut rng, &mut arena);
-    let out = mac.input(t(1000), MacInput::MediumIdle, &mut rng, &mut arena);
-    assert_eq!(timer_delay(&out), EIFS, "first resume uses EIFS");
+    mac.eifs_mark();
+    assert_eq!(resume(&mut mac, t(1000)), EIFS, "first resume uses EIFS");
 
     // Interrupt and resume again without a new mark: back to DIFS.
-    mac.input(t(1100), MacInput::MediumBusy, &mut rng, &mut arena);
-    let out = mac.input(t(2000), MacInput::MediumIdle, &mut rng, &mut arena);
-    assert_eq!(timer_delay(&out), DIFS, "EIFS is one-shot");
+    mac.medium_busy(t(1100));
+    assert_eq!(resume(&mut mac, t(2000)), DIFS, "EIFS is one-shot");
 }
 
 #[test]
 fn eifs_mark_is_ignored_when_disabled() {
     let (mut mac, mut rng, mut arena) = mac_with_eifs(false);
-    mac.input(t(0), MacInput::MediumBusy, &mut rng, &mut arena);
-    mac.input(
+    let mut buf = Vec::new();
+    mac.medium_busy(t(0));
+    feed(
+        &mut mac,
         t(0),
         MacInput::Enqueue {
             frame: arena.alloc(data(1)),
-            queue: 0,
         },
         &mut rng,
         &mut arena,
+        &mut buf,
     );
-    mac.input(t(1000), MacInput::EifsMark, &mut rng, &mut arena);
-    let out = mac.input(t(1000), MacInput::MediumIdle, &mut rng, &mut arena);
-    assert_eq!(timer_delay(&out), DIFS);
+    mac.eifs_mark();
+    assert_eq!(resume(&mut mac, t(1000)), DIFS);
 }
 
 #[test]
@@ -95,31 +108,26 @@ fn eifs_slot_consumption_uses_the_extended_space() {
     );
     let mut rng = SimRng::new(3);
     let mut arena = FrameArena::new();
+    let mut buf = Vec::new();
     mac.set_cw_min(16);
-    mac.input(t(0), MacInput::MediumBusy, &mut rng, &mut arena);
-    mac.input(
+    mac.medium_busy(t(0));
+    feed(
+        &mut mac,
         t(0),
         MacInput::Enqueue {
             frame: arena.alloc(data(1)),
-            queue: 0,
         },
         &mut rng,
         &mut arena,
+        &mut buf,
     );
-    mac.input(t(500), MacInput::EifsMark, &mut rng, &mut arena);
-    let out = mac.input(t(500), MacInput::MediumIdle, &mut rng, &mut arena);
-    let total = timer_delay(&out);
+    mac.eifs_mark();
+    let total = resume(&mut mac, t(500));
     let slots = (total - EIFS) / 20;
     // Freeze inside the EIFS window (after DIFS would already have
     // elapsed): nothing may be consumed.
-    mac.input(
-        t(500 + DIFS + 40),
-        MacInput::MediumBusy,
-        &mut rng,
-        &mut arena,
-    );
-    let out = mac.input(t(5_000), MacInput::MediumIdle, &mut rng, &mut arena);
-    let resumed = timer_delay(&out);
+    mac.medium_busy(t(500 + DIFS + 40));
+    let resumed = resume(&mut mac, t(5_000));
     assert_eq!(
         (resumed - DIFS) / 20,
         slots,

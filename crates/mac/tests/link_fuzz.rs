@@ -11,7 +11,9 @@
 //! * the receiver delivers each packet at most once (duplicate filtering);
 //! * deliveries are FIFO (seq strictly increasing);
 //! * accounting closes: successes + drops = packets offered;
-//! * the sender MAC ends idle (no stuck state under any loss pattern).
+//! * the sender MAC ends idle (no stuck state under any loss pattern);
+//! * every input that takes either MAC from busy to idle emits
+//!   `NeedFrame` (the network layer feeds on nothing else).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -114,8 +116,35 @@ impl Harness {
         self.queue.push(Reverse((at, tie, who, kind)));
     }
 
-    fn handle_outputs(&mut self, who: usize, outs: Vec<MacOutput>) {
-        for o in outs {
+    /// Feeds `input` to `mac` through [`Mac::input_into`] and handles
+    /// what it provoked. `buf` is reused across calls (drained here).
+    ///
+    /// Checks the invariant a caller that feeds only on `NeedFrame` and
+    /// at enqueue relies on: an input that takes the MAC from busy to
+    /// idle says so with `NeedFrame`.
+    fn feed(
+        &mut self,
+        who: usize,
+        mac: &mut Mac,
+        input: MacInput,
+        rng: &mut SimRng,
+        buf: &mut Vec<MacOutput>,
+    ) {
+        let was_idle = mac.is_idle();
+        mac.input_into(
+            Time::from_micros(self.now),
+            input,
+            rng,
+            &mut self.arena,
+            buf,
+        );
+        if !was_idle && mac.is_idle() {
+            assert!(
+                buf.iter().any(|o| matches!(o, MacOutput::NeedFrame)),
+                "node {who} went idle without NeedFrame: {buf:?}"
+            );
+        }
+        for o in buf.drain(..) {
             match o {
                 MacOutput::StartTx { frame, air, .. } => {
                     let end = self.now + air.as_micros();
@@ -170,6 +199,7 @@ impl Harness {
         let mut snd_rng = SimRng::new(1);
         let mut rcv_rng = SimRng::new(2);
         let mut offered = 0u64;
+        let mut buf = Vec::new();
 
         loop {
             // Feed the sender whenever it can take a frame.
@@ -177,18 +207,10 @@ impl Harness {
                 let mut f = Frame::data(offered, 0, SND, RCV, 500, Time::ZERO);
                 f.src = SND;
                 f.dst = RCV;
-                let id = self.arena.alloc(f);
-                let outs = snd.input(
-                    Time::from_micros(self.now),
-                    MacInput::Enqueue {
-                        frame: id,
-                        queue: 0,
-                    },
-                    &mut snd_rng,
-                    &mut self.arena,
-                );
+                let frame = self.arena.alloc(f);
+                let input = MacInput::Enqueue { frame };
+                self.feed(SND, &mut snd, input, &mut snd_rng, &mut buf);
                 offered += 1;
-                self.handle_outputs(SND, outs);
                 continue;
             }
             let Some(Reverse((at, _, who, kind))) = self.queue.pop() else {
@@ -205,31 +227,16 @@ impl Harness {
                     if f.dst != who {
                         continue;
                     }
-                    let id = self.arena.alloc(f);
-                    match f.kind {
-                        FrameKind::Data => MacInput::RxData { frame: id },
-                        FrameKind::Ack => MacInput::RxAck { frame: id },
-                        FrameKind::Rts => MacInput::RxRts { frame: id },
-                        FrameKind::Cts => MacInput::RxCts { frame: id },
+                    MacInput::Rx {
+                        frame: self.arena.alloc(f),
                     }
                 }
             };
-            let outs = if who == SND {
-                snd.input(
-                    Time::from_micros(self.now),
-                    input,
-                    &mut snd_rng,
-                    &mut self.arena,
-                )
+            if who == SND {
+                self.feed(SND, &mut snd, input, &mut snd_rng, &mut buf);
             } else {
-                rcv.input(
-                    Time::from_micros(self.now),
-                    input,
-                    &mut rcv_rng,
-                    &mut self.arena,
-                )
-            };
-            self.handle_outputs(who, outs);
+                self.feed(RCV, &mut rcv, input, &mut rcv_rng, &mut buf);
+            }
             if self.now > 120_000_000_000 {
                 panic!("harness ran away past 120k simulated seconds");
             }

@@ -599,7 +599,6 @@ pub(crate) fn build(
         profile: spec.profile,
         handler_ns: [0; PROFILE_KINDS],
         worklist: VecDeque::new(),
-        rx_frames: VecDeque::new(),
         next_seq: 0,
         events: 0,
         dispatched: [0; EV_KINDS],

@@ -7,8 +7,13 @@
 //!
 //! The engine drives four explicit interfaces and owns nothing else:
 //!
-//! * the MAC's `input → [output]` state machine (via the worklist drain),
-//! * the channel's `start_tx`/`end_tx` calls,
+//! * the MAC: every [`MacInput`] goes through one helper,
+//!   `Network::mac_input` (carrier pulled from the channel, outputs
+//!   handled, timer slot and listening bit brought back in line); the
+//!   carrier-sense signals go straight to `Mac::medium_busy` /
+//!   `medium_idle` / `eifs_mark`. A MAC is fed its next frame on
+//!   [`MacOutput::NeedFrame`] and at every enqueue, and nowhere else,
+//! * the channel's `start_tx_into`/`end_tx_into` calls,
 //! * the [`crate::controller::Controller`] observation hooks,
 //! * each `transport::Flow`'s pacing state, which answers a
 //!   tick, a credit timeout or an ACK with the number of packets to send.
@@ -100,27 +105,23 @@ fn ev_index(ev: &Ev) -> usize {
     }
 }
 
-/// Compact worklist descriptor — [`MacInput`] minus the frame payload.
-///
-/// Only the transmission fan-out queues here: the busy toggles raised by
-/// a `StartTx` and the per-receiver markers of a `TxEnd` (everything
-/// scheduler-driven goes straight through `mac_event`, and the rest of
-/// the tx-end fan-out is dispatched inline). Queuing full `MacInput`
-/// values would memcpy ~112 bytes per entry twice (push and pop); this
-/// mirror carries 16 bytes and the drain loop rebuilds the real
-/// `MacInput` at the single dispatch point. `Rx*` entries park their
-/// frame in [`Network::rx_frames`](crate::network::Network) — both
-/// queues are FIFOs fed in lockstep, so the frame at the front is always
-/// the one the front `Rx*` marker refers to.
+/// One pending input of a transmission's fan-out: a busy toggle raised
+/// by a `StartTx`, or a reservation or reception raised by a `TxEnd`.
+/// Only a timer's or a `TxEnd`'s event fills the worklist, and
+/// `mac_event` drains it before that event returns.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum WorkInput {
+    /// A listener's carrier went idle -> busy.
     MediumBusy,
+    /// An overheard RTS/CTS reserves the medium until `until`.
     NavSet { until: Time },
-    RxData,
-    RxAck,
-    RxRts,
-    RxCts,
+    /// A clean frame for this node; the MAC takes the handle.
+    Rx(FrameId),
 }
+
+// Node id, tag and one word: every fan-out entry is pushed and popped by
+// value, so a wider payload costs twice per entry.
+const _: () = assert!(std::mem::size_of::<(usize, WorkInput)>() <= 24);
 
 /// Frees `slot` when the timer entry just dispatched under `epoch` is the
 /// one it holds: the entry's handle died with the pop.
@@ -133,8 +134,6 @@ fn release_slot(slot: &mut TimerSlot, epoch: u64) {
 impl Network {
     /// Runs the simulation up to and including instant `until`.
     pub fn run_until(&mut self, until: Time) {
-        debug_assert!(self.worklist.is_empty());
-        debug_assert!(self.rx_frames.is_empty());
         let t0 = std::time::Instant::now();
         while let Some((at, ev)) = self.sched.pop_before(until) {
             debug_assert!(at >= self.now, "time went backwards");
@@ -156,6 +155,7 @@ impl Network {
             } else {
                 self.handle(ev);
             }
+            debug_assert!(self.worklist.is_empty(), "undrained fan-out");
         }
         self.now = until;
         // Leak audit at quiescence: every frame the arena thinks is live
@@ -190,14 +190,14 @@ impl Network {
             Ev::MacTxPath { node, epoch } => {
                 debug_assert_eq!(epoch, self.nodes[node].mac.tx_epoch());
                 release_slot(&mut self.hot.tx_timer[node], epoch);
-                self.mac_event(node, MacInput::TimerTxPath { epoch }, true)
+                self.mac_event(node, MacInput::TimerTxPath { epoch })
             }
             Ev::MacAckJob { node, epoch } => {
                 debug_assert_eq!(epoch, self.nodes[node].mac.ack_epoch());
                 release_slot(&mut self.hot.ack_timer[node], epoch);
-                self.mac_event(node, MacInput::TimerAckJob { epoch }, true)
+                self.mac_event(node, MacInput::TimerAckJob { epoch })
             }
-            Ev::MacNav { node } => self.mac_event(node, MacInput::TimerNav, false),
+            Ev::MacNav { node } => self.mac_event(node, MacInput::TimerNav),
             Ev::TxEnd { tx, node } => self.on_tx_end(tx, node),
             Ev::Sample => self.on_sample(),
             Ev::Backlog => self.on_backlog(),
@@ -261,45 +261,47 @@ impl Network {
         self.channel.set_listening(id, mac.counting_phase());
     }
 
-    /// Feeds node `id`'s MAC one input that may read the carrier, after
-    /// pulling the carrier state from the channel — the single
-    /// `input_into` site for such inputs.
+    /// Feeds node `id`'s MAC one input and handles everything it
+    /// provoked — the single `input_into` site. The carrier state is
+    /// pulled from the channel first; the outputs are handled in order
+    /// through a pooled buffer; then [`Network::after_mac`] runs.
     ///
     /// Why the pull is exact, not approximately right: the channel's
-    /// carrier state only changes in `start_tx_into` / `end_tx_into`. A `StartTx` is
-    /// only ever produced by a timer event dispatched through `mac_event`
-    /// on an empty worklist, and the busy toggles it raises — which
-    /// produce no outputs — are all that is drained before control
+    /// carrier state only changes in `start_tx_into` / `end_tx_into`. A
+    /// `StartTx` is only ever produced by a timer event dispatched through
+    /// `mac_event` on an empty worklist, and the busy toggles it raises —
+    /// which produce no outputs — are all that is drained before control
     /// returns; `on_tx_end` delivers its idle transitions before it issues
     /// any input. So whenever an input reaches a MAC, a mirror fed every
     /// transition would equal `Channel::is_busy` already; a MAC that was
     /// only fed transitions while counting gets the same value written
     /// here, and a counting MAC has it written over itself
     /// (`Mac::sync_carrier` asserts that in debug builds).
-    fn mac_input(&mut self, id: usize, input: MacInput, outs: &mut Vec<MacOutput>) {
+    ///
+    /// No input leaves an idle MAC beside a backlogged queue: the MAC
+    /// emits `NeedFrame` whenever it goes idle, and every enqueue feeds.
+    fn mac_input(&mut self, id: usize, input: MacInput) {
+        let mut outs = self.mac_out_pool.pop().unwrap_or_default();
         let node = &mut self.nodes[id];
         node.mac.sync_carrier(self.channel.is_busy(id, self.now));
         node.mac
-            .input_into(self.now, input, &mut node.rng, &mut self.arena, outs);
-    }
-
-    /// Feeds one `MacInput` straight to a node — the direct-dispatch
-    /// counterpart of a one-entry worklist drain, for inputs that arrive
-    /// alone from the scheduler rather than as part of a transmission
-    /// fan-out. Processing order is the drain's exactly: the input's
-    /// outputs, then the feed probe, then whatever those two worklisted
-    /// (a `StartTx` busy fan-out) — minus the deque round trip.
-    fn mac_event(&mut self, id: usize, input: MacInput, feed: bool) {
-        let mut outs = self.mac_out_pool.pop().unwrap_or_default();
-        self.mac_input(id, input, &mut outs);
+            .input_into(self.now, input, &mut node.rng, &mut self.arena, &mut outs);
         for o in outs.drain(..) {
             self.handle_output(id, o);
         }
         self.mac_out_pool.push(outs);
-        if feed {
-            self.try_feed(id);
-        }
+        debug_assert!(
+            !self.nodes[id].mac.is_idle() || self.hot.occupancy[id] == 0,
+            "node {id}: an idle MAC beside a backlogged queue"
+        );
         self.after_mac(id);
+    }
+
+    /// An input that arrives alone from the scheduler: fed, then the
+    /// fan-out it started (a `StartTx`'s busy toggles, a `TxEnd`'s
+    /// receivers) drained.
+    fn mac_event(&mut self, id: usize, input: MacInput) {
+        self.mac_input(id, input);
         if !self.worklist.is_empty() {
             self.drain();
         }
@@ -309,9 +311,6 @@ impl Network {
         if self.flows[i].active_at(self.now) {
             let count = self.flows[i].tick(self.now);
             self.send_data(i, count);
-            if !self.worklist.is_empty() {
-                self.drain();
-            }
         }
         let f = &self.flows[i];
         let next = self.now + f.interval;
@@ -324,9 +323,6 @@ impl Network {
     fn on_window_refresh(&mut self, i: usize) {
         let count = self.flows[i].refresh(self.now);
         self.send_data(i, count.unwrap_or(0));
-        if !self.worklist.is_empty() {
-            self.drain();
-        }
         if count.is_some() {
             let at = self.now + crate::transport::REFRESH_PERIOD;
             self.sched.schedule(at, Ev::WindowRefresh(i));
@@ -362,10 +358,10 @@ impl Network {
             .next_hop(src, dst)
             .expect("source must be routed");
         // Born into a full source queue: the drop's only observable
-        // effects are the consumed seq, the queue and flow drop counters,
-        // the observers' records and the feed probe — all of which happen
-        // here in the order an enqueue attempt would produce them, so the
-        // frame is never built and the arena never touched.
+        // effects are the consumed seq, the queue and flow drop counters
+        // and the observers' records — all of which happen here in the
+        // order an enqueue attempt would produce them, so the frame is
+        // never built and the arena never touched.
         if self.nodes[src].own_queue_drop(nh) {
             *self.metrics.source_drops.entry(flow).or_insert(0) += 1;
             // The journey the admission opens is the one the drop ends.
@@ -374,7 +370,6 @@ impl Network {
                 j.push(self.now, src, TracePayload::Drop { cause });
                 j.complete();
             }
-            self.try_feed(src);
             return seq;
         }
         let mut frame = Frame::data(seq, flow, src, dst, payload, self.now);
@@ -472,17 +467,10 @@ impl Network {
             if d.node == frame.dst {
                 // The addressed receiver takes ownership of the on-air
                 // frame itself — no copy at all; everyone else borrows the
-                // local read above. The id goes to the side FIFO; the
-                // worklist carries only the kind marker.
-                let marker = match frame.kind {
-                    FrameKind::Data => WorkInput::RxData,
-                    FrameKind::Ack => WorkInput::RxAck,
-                    FrameKind::Rts => WorkInput::RxRts,
-                    FrameKind::Cts => WorkInput::RxCts,
-                };
-                self.rx_frames.push_back(report.frame);
+                // local read above.
                 transferred = true;
-                self.worklist.push_back((d.node, marker));
+                self.worklist
+                    .push_back((d.node, WorkInput::Rx(report.frame)));
             } else {
                 match frame.kind {
                     FrameKind::Data => {
@@ -536,14 +524,12 @@ impl Network {
             // (collision, loss, or no addressed receiver in range).
             self.arena.release(report.frame);
         }
-        // Direct dispatch of the carrier-sense transitions, in the order
-        // the worklist used to impose: EIFS marks must precede the idle
-        // transitions so the resumed deferral uses the extended space,
-        // and both precede the transmitter's own `TxEnded`. None of the
-        // three can produce anything but a single timer arm (scheduled
-        // inline for `MediumIdle`), so no output buffer is needed; the
-        // receiver markers queued above still drain *after* `TxEnded`,
-        // through `mac_event`'s trailing drain.
+        // Carrier sense goes straight to the MACs: EIFS marks must
+        // precede the idle transitions so the resumed deferral uses the
+        // extended space, and both precede the transmitter's own
+        // `TxEnded`. An idle transition can arm one timer, scheduled
+        // inline; the receptions queued above drain *after* `TxEnded`,
+        // through `mac_event`.
         //
         // An EIFS mark is sticky until the station's next deferral, so it
         // goes to every station that sensed the frame without decoding it,
@@ -559,7 +545,7 @@ impl Network {
             }
         }
         self.end_report = report;
-        self.mac_event(node, MacInput::TxEnded, true);
+        self.mac_event(node, MacInput::TxEnded);
     }
 
     fn on_sample(&mut self) {
@@ -599,7 +585,6 @@ impl Network {
                 self.apply_cw(id, cmd);
             }
         }
-        self.drain();
         if let Some(p) = self.backlog_every {
             self.sched.schedule(self.now + p, Ev::Backlog);
         }
@@ -631,46 +616,18 @@ impl Network {
 
     /// Processes queued MAC inputs until quiescence.
     fn drain(&mut self) {
-        let mut outs = self.mac_out_pool.pop().unwrap_or_default();
         while let Some((id, work)) = self.worklist.pop_front() {
-            // Carrier-sense busy toggles (one per *listening* neighbour of
-            // a new transmission) can never produce an output, and never
-            // change `Mac::is_idle` (a pure function of phase + held
-            // frame) — dispatched inline with no `MacInput` build, no
-            // output loop, no feed probe.
-            if let WorkInput::MediumBusy = work {
-                self.nodes[id].mac.medium_busy(self.now);
-                // A busy toggle freezes any running countdown: park the
-                // invalidated timer entry.
-                self.after_mac(id);
-                continue;
+            match work {
+                WorkInput::MediumBusy => {
+                    // A busy toggle freezes any running countdown: park
+                    // the invalidated timer entry.
+                    self.nodes[id].mac.medium_busy(self.now);
+                    self.after_mac(id);
+                }
+                WorkInput::NavSet { until } => self.mac_input(id, MacInput::NavSet { until }),
+                WorkInput::Rx(frame) => self.mac_input(id, MacInput::Rx { frame }),
             }
-            // NAV reservations pause a countdown but cannot change
-            // `Mac::is_idle` or any queue either, so the feed probe after
-            // them is always a no-op; only received frames need it.
-            let feed = !matches!(work, WorkInput::NavSet { .. });
-            // Rebuild the full `MacInput` only here, at the dispatch
-            // point — a freshly built large enum passed by value costs a
-            // discriminant write plus the payload, not a deque round trip.
-            let mut rx = || self.rx_frames.pop_front().expect("rx marker has a frame");
-            let input = match work {
-                WorkInput::MediumBusy => unreachable!("dispatched inline above"),
-                WorkInput::NavSet { until } => MacInput::NavSet { until },
-                WorkInput::RxData => MacInput::RxData { frame: rx() },
-                WorkInput::RxAck => MacInput::RxAck { frame: rx() },
-                WorkInput::RxRts => MacInput::RxRts { frame: rx() },
-                WorkInput::RxCts => MacInput::RxCts { frame: rx() },
-            };
-            self.mac_input(id, input, &mut outs);
-            for o in outs.drain(..) {
-                self.handle_output(id, o);
-            }
-            if feed {
-                self.try_feed(id);
-            }
-            self.after_mac(id);
         }
-        self.mac_out_pool.push(outs);
     }
 
     fn handle_output(&mut self, id: usize, out: MacOutput) {
@@ -802,25 +759,24 @@ impl Network {
             // Per-hop latency clock restarts at every relay.
             fwd.hop_entered = self.now;
         }
-        let seq = f.seq;
-        let flow = f.flow;
         if !self.nodes[id].enqueue(false, frame, &self.arena) {
             self.arena.release(frame);
             self.metrics.queue_drops[id] += 1;
-            self.record_drop(id, DropCause::QueueFull, seq);
-        } else {
-            self.hot.occupancy[id] += 1;
-            self.record_enqueue(id, false, nh, seq, flow);
+            self.record_drop(id, DropCause::QueueFull, f.seq);
+            return;
         }
+        self.hot.occupancy[id] += 1;
+        self.record_enqueue(id, false, nh, f.seq, f.flow);
         self.try_feed(id);
     }
 
-    /// Feeds the MAC its next frame if it is idle and a queue is backlogged.
-    pub(crate) fn try_feed(&mut self, id: usize) {
+    /// Feeds the MAC its next frame if it is idle and a queue is
+    /// backlogged: called at every enqueue and on `NeedFrame`.
+    fn try_feed(&mut self, id: usize) {
         if !self.nodes[id].mac.is_idle() {
             return;
         }
-        let Some((frame, qidx)) = self.nodes[id].pop_round_robin() else {
+        let Some(frame) = self.nodes[id].pop_round_robin() else {
             return;
         };
         self.hot.occupancy[id] -= 1;
@@ -842,16 +798,10 @@ impl Network {
                 self.nodes[id].mac.set_cw_min(cw);
             }
         }
-        let mut outs = self.mac_out_pool.pop().unwrap_or_default();
-        self.mac_input(id, MacInput::Enqueue { frame, queue: qidx }, &mut outs);
-        for o in outs.drain(..) {
-            self.handle_output(id, o);
-        }
-        self.mac_out_pool.push(outs);
         // An enqueue into a running post-backoff freezes the countdown
-        // (the frame attaches to the remaining slots) — park it; one from
-        // `Idle` starts contending — listen.
-        self.after_mac(id);
+        // (the frame attaches to the remaining slots) — `after_mac` parks
+        // it; one from `Idle` starts contending — it listens.
+        self.mac_input(id, MacInput::Enqueue { frame });
     }
 
     fn apply_cw(&mut self, id: usize, cmd: Option<u32>) {

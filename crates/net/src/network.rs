@@ -23,11 +23,11 @@
 //! ```text
 //! Traffic ─▶ enqueue(own queue) ─▶ try_feed ─▶ Mac::Enqueue
 //!   Mac ─▶ SetTimerTxPath ─▶ [scheduler] ─▶ Mac::TimerTxPath
-//!   Mac ─▶ StartTx ─▶ Channel::start_tx ─▶ MediumBusy to neighbours
-//!   [scheduler TxEnd] ─▶ Channel::end_tx
-//!        ├─▶ MediumIdle to neighbours
+//!   Mac ─▶ StartTx ─▶ Channel::start_tx_into ─▶ medium_busy at listeners
+//!   [scheduler TxEnd] ─▶ Channel::end_tx_into
+//!        ├─▶ medium_idle at listeners
 //!        ├─▶ TxEnded to the transmitter (arms ACK timeout)
-//!        ├─▶ RxData to the addressee ─▶ Deliver ─▶ forward or sink
+//!        ├─▶ Rx to the addressee ─▶ Deliver ─▶ forward or sink
 //!        └─▶ Overheard to everyone else in decode range ─▶ controllers
 //! ```
 
@@ -98,14 +98,9 @@ pub struct Network {
     /// Wall-clock nanoseconds per handler kind (self-profiler; all zero
     /// when `profile` is off).
     pub(crate) handler_ns: [u64; PROFILE_KINDS],
-    /// Pending MAC inputs as compact descriptors (see
-    /// [`crate::engine::WorkInput`]); received frames ride in
-    /// [`Self::rx_frames`] so the deque moves 16 bytes per entry, not a
-    /// whole `MacInput`.
+    /// Pending inputs of one transmission's fan-out, by node (see
+    /// [`crate::engine::WorkInput`]); a reception carries its frame.
     pub(crate) worklist: VecDeque<(usize, WorkInput)>,
-    /// Frame handles for the `Rx*` entries of [`Self::worklist`], in the
-    /// same FIFO order — the drain loop pops one per `Rx*` marker.
-    pub(crate) rx_frames: VecDeque<ezflow_phy::FrameId>,
     pub(crate) next_seq: u64,
     pub(crate) events: u64,
     /// Dispatch counts per event kind.

@@ -106,15 +106,14 @@ impl Node {
     }
 
     /// Pops the next frame to transmit, serving nonempty queues
-    /// round-robin. Returns the frame handle and the index of the queue
-    /// it came from.
-    pub fn pop_round_robin(&mut self) -> Option<(FrameId, usize)> {
+    /// round-robin.
+    pub fn pop_round_robin(&mut self) -> Option<FrameId> {
         let n = self.queues.len();
         for k in 0..n {
             let i = (self.rr + k) % n;
             if let Some(f) = self.queues[i].pop() {
                 self.rr = (i + 1) % n;
-                return Some((f, i));
+                return Some(f);
             }
         }
         None
@@ -170,7 +169,7 @@ mod tests {
             assert!(n.enqueue(false, fwd, &arena));
         }
         let seqs: Vec<u64> = (0..6)
-            .map(|_| arena.get(n.pop_round_robin().unwrap().0).seq)
+            .map(|_| arena.get(n.pop_round_robin().unwrap()).seq)
             .collect();
         // Alternation between own (0..) and forwarded (100..).
         assert_eq!(seqs, vec![0, 100, 1, 101, 2, 102]);

@@ -7,8 +7,8 @@
 //! injection* and for calibrating the simulated testbed links to the
 //! capacities measured in Table 1 of the paper.
 //!
-//! The key object is [`Channel`], a pure state machine over `start_tx` /
-//! `end_tx` calls. It knows nothing about MAC timing or scheduling; it only
+//! The key object is [`Channel`], a pure state machine over
+//! `start_tx_into` / `end_tx_into` calls. It knows nothing about MAC timing or scheduling; it only
 //! answers three questions:
 //!
 //! 1. *Who senses the medium busy?* — every node within the carrier-sense

@@ -1,9 +1,9 @@
 //! The shared wireless channel.
 //!
 //! [`Channel`] is a pure state machine: the network layer calls
-//! [`Channel::start_tx`] and [`Channel::end_tx`] and gets back, as plain
-//! data, the carrier-sense transitions and frame deliveries those calls
-//! imply. No scheduling, no callbacks — which makes collision semantics
+//! [`Channel::start_tx_into`] and [`Channel::end_tx_into`] and gets back,
+//! in reports it reuses, the carrier-sense transitions and frame
+//! deliveries those calls imply. No scheduling, no callbacks — which makes collision semantics
 //! unit-testable in isolation (see the tests at the bottom for the
 //! hidden-terminal scenarios that drive the whole paper).
 //!
@@ -187,14 +187,14 @@ struct ActiveTx {
     hidden_hit: bool,
 }
 
-/// What a `start_tx` call changed.
+/// What a [`Channel::start_tx_into`] call changed.
 ///
 /// Reusable: [`Channel::start_tx_into`] clears and refills the vector in
 /// place, so one report can serve millions of transmissions without
 /// allocating (see DESIGN.md "Hot-path budget").
 #[derive(Debug, Default)]
 pub struct StartReport {
-    /// Handle to pass back to [`Channel::end_tx`].
+    /// Handle to pass back to [`Channel::end_tx_into`].
     pub tx_id: TxId,
     /// Listening nodes (ascending; see [`Channel::set_listening`]) whose
     /// medium went idle -> busy because of this transmission.
@@ -204,7 +204,7 @@ pub struct StartReport {
 impl Default for TxId {
     fn default() -> Self {
         // A value no live transmission ever carries, so a default-built
-        // report handed to `end_tx` by mistake fails loudly.
+        // report handed to `end_tx_into` by mistake fails loudly.
         TxId(u64::MAX)
     }
 }
@@ -238,7 +238,7 @@ pub struct Delivery {
     pub outcome: DecodeOutcome,
 }
 
-/// What an `end_tx` call changed.
+/// What a [`Channel::end_tx_into`] call changed.
 ///
 /// Reusable like [`StartReport`]: [`Channel::end_tx_into`] clears and
 /// refills the vectors in place.
@@ -547,22 +547,6 @@ impl Channel {
         self.capture_evals
     }
 
-    /// Puts the frame behind `frame` on the air from `src` until `end`.
-    ///
-    /// Allocating convenience wrapper around [`Channel::start_tx_into`].
-    pub fn start_tx(
-        &mut self,
-        now: Time,
-        frame: FrameId,
-        src: usize,
-        dst: usize,
-        end: Time,
-    ) -> StartReport {
-        let mut report = StartReport::default();
-        self.start_tx_into(now, frame, src, dst, end, &mut report);
-        report
-    }
-
     /// Puts the frame behind `frame` on the air from `src` until `end`,
     /// writing the outcome into `report` (cleared first). `src`/`dst` are
     /// the frame's hop addressing, passed explicitly so the channel never
@@ -620,7 +604,7 @@ impl Channel {
 
         // Interference with every overlapping active transmission, in both
         // directions. A transmission whose end is exactly `now` no longer
-        // overlaps (its `end_tx` is being delivered in this same instant).
+        // overlaps (its `end_tx_into` is being delivered in this same instant).
         // Only nodes inside a sender's decode range can have a reception
         // destroyed, so each direction visits that sender's decode row.
         for a in &mut self.active {
@@ -707,15 +691,6 @@ impl Channel {
         report.tx_id = id;
     }
 
-    /// Takes a transmission off the air and resolves its receptions.
-    ///
-    /// Allocating convenience wrapper around [`Channel::end_tx_into`].
-    pub fn end_tx(&mut self, now: Time, tx_id: TxId, rng: &mut SimRng) -> EndReport {
-        let mut report = EndReport::default();
-        self.end_tx_into(now, tx_id, rng, &mut report);
-        report
-    }
-
     /// Takes a transmission off the air and resolves its receptions,
     /// writing the outcome into `report` (cleared first).
     ///
@@ -738,7 +713,7 @@ impl Channel {
             .active
             .iter()
             .position(|a| a.id == tx_id)
-            .expect("end_tx for unknown transmission");
+            .expect("end_tx_into for unknown transmission");
         let ActiveTx {
             frame,
             src,
@@ -751,7 +726,7 @@ impl Channel {
             hidden_hit,
             ..
         } = self.active.swap_remove(idx);
-        debug_assert_eq!(now, end, "end_tx away from the transmission's end");
+        debug_assert_eq!(now, end, "end_tx_into away from the transmission's end");
 
         self.airtime_us[src] += end.since(start).as_micros();
         // A listener this transmission held goes idle iff its horizon is
@@ -869,17 +844,46 @@ mod tests {
         Time::from_micros(us)
     }
 
+    /// Puts a `src -> dst` frame on the air over `[now, end)` through
+    /// [`Channel::start_tx_into`], refilling `rep`; returns its handle.
+    fn on_air(
+        ch: &mut Channel,
+        rep: &mut StartReport,
+        now: Time,
+        src: usize,
+        dst: usize,
+        end: Time,
+    ) -> TxId {
+        ch.start_tx_into(now, FrameId::default(), src, dst, end, rep);
+        rep.tx_id
+    }
+
+    /// Takes `tx` off the air through [`Channel::end_tx_into`], refilling
+    /// and returning `rep`.
+    fn off_air<'a>(
+        ch: &mut Channel,
+        rep: &'a mut EndReport,
+        now: Time,
+        tx: TxId,
+        rng: &mut SimRng,
+    ) -> &'a EndReport {
+        ch.end_tx_into(now, tx, rng, rep);
+        rep
+    }
+
     #[test]
     fn clean_delivery_on_idle_medium() {
         let mut ch = chan(5);
+        let mut sr = StartReport::default();
+        let mut er = EndReport::default();
         let mut rng = SimRng::new(1);
-        let rep = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
+        let tx = on_air(&mut ch, &mut sr, t(0), 0, 1, t(100));
         // 200 m spacing: nodes 1 and 2 sense node 0; node 3 (600 m) does not.
-        assert_eq!(rep.became_busy, vec![1, 2]);
+        assert_eq!(sr.became_busy, vec![1, 2]);
         assert!(ch.is_busy(1, t(0)));
         assert!(!ch.is_busy(3, t(0)));
         assert!(!ch.is_busy(0, t(0)), "sender does not sense itself");
-        let end = ch.end_tx(t(100), rep.tx_id, &mut rng);
+        let end = off_air(&mut ch, &mut er, t(100), tx, &mut rng);
         assert_eq!(end.became_idle, vec![1, 2]);
         // Only node 1 is in decode range of node 0.
         assert_eq!(end.deliveries.len(), 1);
@@ -897,12 +901,14 @@ mod tests {
         // trivially (800 m, out of interference range). This coexistence
         // is what lets a greedy source overrun its first relay.
         let mut ch = chan(5);
+        let mut sr = StartReport::default();
+        let mut er = EndReport::default();
         let mut rng = SimRng::new(2);
-        let a = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
-        let b = ch.start_tx(t(10), FrameId::default(), 3, 4, t(110));
-        let end_a = ch.end_tx(t(100), a.tx_id, &mut rng);
+        let a = on_air(&mut ch, &mut sr, t(0), 0, 1, t(100));
+        let b = on_air(&mut ch, &mut sr, t(10), 3, 4, t(110));
+        let end_a = off_air(&mut ch, &mut er, t(100), a, &mut rng);
         assert!(end_a.deliveries[0].clean, "0->1 captures over hidden 3");
-        let end_b = ch.end_tx(t(110), b.tx_id, &mut rng);
+        let end_b = off_air(&mut ch, &mut er, t(110), b, &mut rng);
         let to4 = end_b.deliveries.iter().find(|d| d.node == 4).unwrap();
         assert!(to4.clean, "3->4 must survive the distant 0");
         assert_eq!(ch.stats().collisions_at_dst, 0);
@@ -916,10 +922,12 @@ mod tests {
         // Nodes 1 and 3 are forced to overlap (the MAC would normally
         // defer, but equal backoff draws make this possible).
         let mut ch = chan(5);
+        let mut sr = StartReport::default();
+        let mut er = EndReport::default();
         let mut rng = SimRng::new(12);
-        let a = ch.start_tx(t(0), FrameId::default(), 1, 2, t(100));
-        let _b = ch.start_tx(t(5), FrameId::default(), 3, 4, t(105));
-        let end_a = ch.end_tx(t(100), a.tx_id, &mut rng);
+        let a = on_air(&mut ch, &mut sr, t(0), 1, 2, t(100));
+        let _b = on_air(&mut ch, &mut sr, t(5), 3, 4, t(105));
+        let end_a = off_air(&mut ch, &mut er, t(100), a, &mut rng);
         let to2 = end_a.deliveries.iter().find(|d| d.node == 2).unwrap();
         assert!(!to2.clean, "interferer 3 is 200 m from receiver 2");
         assert_eq!(ch.stats().collisions_at_dst, 1);
@@ -932,10 +940,12 @@ mod tests {
             ..ChannelConfig::default()
         };
         let mut ch = Channel::new(&line_positions(5, 200.0), cfg, LossModel::ideal());
+        let mut sr = StartReport::default();
+        let mut er = EndReport::default();
         let mut rng = SimRng::new(13);
-        let a = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
-        let _b = ch.start_tx(t(10), FrameId::default(), 3, 4, t(110));
-        let end_a = ch.end_tx(t(100), a.tx_id, &mut rng);
+        let a = on_air(&mut ch, &mut sr, t(0), 0, 1, t(100));
+        let _b = on_air(&mut ch, &mut sr, t(10), 3, 4, t(110));
+        let end_a = off_air(&mut ch, &mut er, t(100), a, &mut rng);
         assert!(
             !end_a.deliveries[0].clean,
             "without capture any in-range interferer collides"
@@ -948,15 +958,17 @@ mod tests {
         // MAC can draw the same backoff slot): node 1 cannot receive
         // (half-duplex) but node 2 captures 1's frame over the farther 0.
         let mut ch = chan(4);
+        let mut sr = StartReport::default();
+        let mut er = EndReport::default();
         let mut rng = SimRng::new(3);
-        let a = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
-        let b = ch.start_tx(t(0), FrameId::default(), 1, 2, t(100));
-        let end_a = ch.end_tx(t(100), a.tx_id, &mut rng);
+        let a = on_air(&mut ch, &mut sr, t(0), 0, 1, t(100));
+        let b = on_air(&mut ch, &mut sr, t(0), 1, 2, t(100));
+        let end_a = off_air(&mut ch, &mut er, t(100), a, &mut rng);
         // Node 1 is transmitting: cannot receive.
         assert!(end_a.deliveries.iter().all(|d| !d.clean || d.node != 1));
         let d1 = end_a.deliveries.iter().find(|d| d.node == 1).unwrap();
         assert!(!d1.clean);
-        let end_b = ch.end_tx(t(100), b.tx_id, &mut rng);
+        let end_b = off_air(&mut ch, &mut er, t(100), b, &mut rng);
         let d2 = end_b.deliveries.iter().find(|d| d.node == 2).unwrap();
         assert!(
             d2.clean,
@@ -968,10 +980,12 @@ mod tests {
     fn receiver_transmitting_later_still_corrupts() {
         // r starts its own transmission halfway through an incoming frame.
         let mut ch = chan(4);
+        let mut sr = StartReport::default();
+        let mut er = EndReport::default();
         let mut rng = SimRng::new(4);
-        let a = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
-        let _b = ch.start_tx(t(50), FrameId::default(), 1, 2, t(150));
-        let end_a = ch.end_tx(t(100), a.tx_id, &mut rng);
+        let a = on_air(&mut ch, &mut sr, t(0), 0, 1, t(100));
+        let _b = on_air(&mut ch, &mut sr, t(50), 1, 2, t(150));
+        let end_a = off_air(&mut ch, &mut er, t(100), a, &mut rng);
         let d = end_a.deliveries.iter().find(|d| d.node == 1).unwrap();
         assert!(!d.clean, "half-duplex: node 1 was transmitting");
     }
@@ -981,32 +995,36 @@ mod tests {
         // A transmission ending exactly when another starts does not
         // overlap it.
         let mut ch = chan(5);
+        let mut sr = StartReport::default();
+        let mut er = EndReport::default();
         let mut rng = SimRng::new(5);
-        let a = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
+        let a = on_air(&mut ch, &mut sr, t(0), 0, 1, t(100));
         // Deliver the end at t=100 *after* starting the next — the network
         // layer can produce either ordering within one instant.
-        let b = ch.start_tx(t(100), FrameId::default(), 3, 4, t(200));
-        let end_a = ch.end_tx(t(100), a.tx_id, &mut rng);
+        let b = on_air(&mut ch, &mut sr, t(100), 3, 4, t(200));
+        let end_a = off_air(&mut ch, &mut er, t(100), a, &mut rng);
         assert!(end_a.deliveries[0].clean, "no temporal overlap");
-        let end_b = ch.end_tx(t(200), b.tx_id, &mut rng);
+        let end_b = off_air(&mut ch, &mut er, t(200), b, &mut rng);
         assert!(end_b.deliveries.iter().find(|d| d.node == 4).unwrap().clean);
     }
 
     #[test]
     fn sense_counts_stack() {
         let mut ch = chan(6);
+        let mut sr = StartReport::default();
+        let mut er = EndReport::default();
         let mut rng = SimRng::new(6);
         // Node 2 senses both node 0 (400 m) and node 4 (400 m).
-        let a = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
-        let b = ch.start_tx(t(10), FrameId::default(), 4, 5, t(110));
+        let a = on_air(&mut ch, &mut sr, t(0), 0, 1, t(100));
+        let b = on_air(&mut ch, &mut sr, t(10), 4, 5, t(110));
         assert!(ch.is_busy(2, t(10)));
-        let end_a = ch.end_tx(t(100), a.tx_id, &mut rng);
+        let end_a = off_air(&mut ch, &mut er, t(100), a, &mut rng);
         assert!(
             !end_a.became_idle.contains(&2),
             "node 2 still senses node 4"
         );
         assert!(ch.is_busy(2, t(100)));
-        let end_b = ch.end_tx(t(110), b.tx_id, &mut rng);
+        let end_b = off_air(&mut ch, &mut er, t(110), b, &mut rng);
         assert!(end_b.became_idle.contains(&2));
         assert!(!ch.is_busy(2, t(110)));
     }
@@ -1017,14 +1035,16 @@ mod tests {
         // two ends it is still busy, whichever ends first.
         for first_a in [true, false] {
             let mut ch = chan(6);
+            let mut sr = StartReport::default();
+            let mut er = EndReport::default();
             let mut rng = SimRng::new(9);
-            let a = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
-            let b = ch.start_tx(t(10), FrameId::default(), 4, 5, t(100));
+            let a = on_air(&mut ch, &mut sr, t(0), 0, 1, t(100));
+            let b = on_air(&mut ch, &mut sr, t(10), 4, 5, t(100));
             let (first, second) = if first_a { (a, b) } else { (b, a) };
-            let end = ch.end_tx(t(100), first.tx_id, &mut rng);
+            let end = off_air(&mut ch, &mut er, t(100), first, &mut rng);
             assert!(!end.became_idle.contains(&2));
             assert!(ch.is_busy(2, t(100)), "the other end is still due");
-            let end = ch.end_tx(t(100), second.tx_id, &mut rng);
+            let end = off_air(&mut ch, &mut er, t(100), second, &mut rng);
             assert!(end.became_idle.contains(&2));
             assert!(!ch.is_busy(2, t(100)));
         }
@@ -1033,24 +1053,32 @@ mod tests {
     #[test]
     fn a_listener_that_joins_mid_transmission_is_told_it_went_idle() {
         let mut ch = chan(5);
+        let mut sr = StartReport::default();
+        let mut er = EndReport::default();
         let mut rng = SimRng::new(10);
         ch.set_listening(2, false);
-        let a = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
-        assert!(!a.became_busy.contains(&2), "not listening at the start");
+        let a = on_air(&mut ch, &mut sr, t(0), 0, 1, t(100));
+        assert!(!sr.became_busy.contains(&2), "not listening at the start");
         ch.set_listening(2, true);
         ch.set_listening(2, true);
         // Joins a second time: registered once, reported once.
         ch.set_listening(2, false);
         ch.set_listening(2, true);
-        let end = ch.end_tx(t(100), a.tx_id, &mut rng);
+        let end = off_air(&mut ch, &mut er, t(100), a, &mut rng);
         assert_eq!(end.became_idle, vec![1, 2]);
         // A later frame that outlasts the first takes the horizon over.
         ch.set_listening(2, false);
-        let b = ch.start_tx(t(200), FrameId::default(), 0, 1, t(300));
-        let c = ch.start_tx(t(250), FrameId::default(), 4, 3, t(400));
+        let b = on_air(&mut ch, &mut sr, t(200), 0, 1, t(300));
+        let c = on_air(&mut ch, &mut sr, t(250), 4, 3, t(400));
         ch.set_listening(2, true);
-        assert_eq!(ch.end_tx(t(300), b.tx_id, &mut rng).became_idle, vec![1]);
-        assert_eq!(ch.end_tx(t(400), c.tx_id, &mut rng).became_idle, vec![2, 3]);
+        assert_eq!(
+            off_air(&mut ch, &mut er, t(300), b, &mut rng).became_idle,
+            vec![1]
+        );
+        assert_eq!(
+            off_air(&mut ch, &mut er, t(400), c, &mut rng).became_idle,
+            vec![2, 3]
+        );
     }
 
     #[test]
@@ -1058,9 +1086,11 @@ mod tests {
         let mut loss = LossModel::ideal();
         loss.set_link(0, 1, 1.0);
         let mut ch = Channel::new(&line_positions(3, 200.0), ChannelConfig::default(), loss);
+        let mut sr = StartReport::default();
+        let mut er = EndReport::default();
         let mut rng = SimRng::new(7);
-        let a = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
-        let end = ch.end_tx(t(100), a.tx_id, &mut rng);
+        let a = on_air(&mut ch, &mut sr, t(0), 0, 1, t(100));
+        let end = off_air(&mut ch, &mut er, t(100), a, &mut rng);
         assert!(!end.deliveries[0].clean);
         assert_eq!(ch.stats().bernoulli_losses, 1);
     }
@@ -1070,9 +1100,11 @@ mod tests {
         // Node 1 transmits to node 2; node 0 (one hop the other way)
         // overhears — this is the BOE's information source.
         let mut ch = chan(4);
+        let mut sr = StartReport::default();
+        let mut er = EndReport::default();
         let mut rng = SimRng::new(8);
-        let a = ch.start_tx(t(0), FrameId::default(), 1, 2, t(100));
-        let end = ch.end_tx(t(100), a.tx_id, &mut rng);
+        let a = on_air(&mut ch, &mut sr, t(0), 1, 2, t(100));
+        let end = off_air(&mut ch, &mut er, t(100), a, &mut rng);
         let nodes: Vec<usize> = end.deliveries.iter().map(|d| d.node).collect();
         assert!(nodes.contains(&0), "node 0 must overhear 1->2");
         assert!(nodes.contains(&2));
@@ -1083,18 +1115,20 @@ mod tests {
     fn undecoded_lists_eifs_candidates() {
         // Node 2 senses node 0's frame (400 m) but cannot decode it.
         let mut ch = chan(5);
+        let mut sr = StartReport::default();
+        let mut er = EndReport::default();
         let mut rng = SimRng::new(30);
-        let a = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
-        let end = ch.end_tx(t(100), a.tx_id, &mut rng);
+        let a = on_air(&mut ch, &mut sr, t(0), 0, 1, t(100));
+        let end = off_air(&mut ch, &mut er, t(100), a, &mut rng);
         // The clean receiver (1) is not an EIFS candidate, and a 600 m
         // node (3) senses nothing at the 550 m default.
         let dirty: Vec<usize> = ch.undecoded(0, &end.deliveries).collect();
         assert_eq!(dirty, vec![2]);
         // A corrupted in-range reception is also an EIFS candidate.
         let mut ch = chan(5);
-        let a = ch.start_tx(t(0), FrameId::default(), 1, 2, t(100));
-        let _b = ch.start_tx(t(5), FrameId::default(), 3, 4, t(105));
-        let end = ch.end_tx(t(100), a.tx_id, &mut rng);
+        let a = on_air(&mut ch, &mut sr, t(0), 1, 2, t(100));
+        let _b = on_air(&mut ch, &mut sr, t(5), 3, 4, t(105));
+        let end = off_air(&mut ch, &mut er, t(100), a, &mut rng);
         let dirty: Vec<usize> = ch.undecoded(1, &end.deliveries).collect();
         assert_eq!(dirty, vec![2, 3], "corrupted rx -> EIFS; 0 decoded");
     }
@@ -1102,13 +1136,15 @@ mod tests {
     #[test]
     fn airtime_accumulates_per_transmitter() {
         let mut ch = chan(4);
+        let mut sr = StartReport::default();
+        let mut er = EndReport::default();
         let mut rng = SimRng::new(20);
-        let a = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
-        ch.end_tx(t(100), a.tx_id, &mut rng);
-        let b = ch.start_tx(t(200), FrameId::default(), 0, 1, t(450));
-        ch.end_tx(t(450), b.tx_id, &mut rng);
-        let c = ch.start_tx(t(500), FrameId::default(), 1, 2, t(600));
-        ch.end_tx(t(600), c.tx_id, &mut rng);
+        let a = on_air(&mut ch, &mut sr, t(0), 0, 1, t(100));
+        off_air(&mut ch, &mut er, t(100), a, &mut rng);
+        let b = on_air(&mut ch, &mut sr, t(200), 0, 1, t(450));
+        off_air(&mut ch, &mut er, t(450), b, &mut rng);
+        let c = on_air(&mut ch, &mut sr, t(500), 1, 2, t(600));
+        off_air(&mut ch, &mut er, t(600), c, &mut rng);
         assert_eq!(ch.airtime(0), ezflow_sim::Duration::from_micros(350));
         assert_eq!(ch.airtime(1), ezflow_sim::Duration::from_micros(100));
         assert_eq!(ch.airtime(2), ezflow_sim::Duration::ZERO);
@@ -1120,10 +1156,12 @@ mod tests {
     #[test]
     fn airtime_breakdown_partitions_elapsed_time() {
         let mut ch = chan(5);
+        let mut sr = StartReport::default();
+        let mut er = EndReport::default();
         let mut rng = SimRng::new(21);
         // 0 transmits to 1 for 100 µs; then the air is quiet until 400.
-        let a = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
-        ch.end_tx(t(100), a.tx_id, &mut rng);
+        let a = on_air(&mut ch, &mut sr, t(0), 0, 1, t(100));
+        off_air(&mut ch, &mut er, t(100), a, &mut rng);
 
         let a0 = ch.airtime_breakdown(0, t(400));
         assert_eq!(a0.tx_us, 100);
@@ -1154,11 +1192,13 @@ mod tests {
         // Nodes 0 and 1 overlap; node 1 can decode node 0 but is itself
         // transmitting, so its whole overlap is tx time.
         let mut ch = chan(4);
+        let mut sr = StartReport::default();
+        let mut er = EndReport::default();
         let mut rng = SimRng::new(22);
-        let a = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
-        let b = ch.start_tx(t(0), FrameId::default(), 1, 2, t(100));
-        ch.end_tx(t(100), a.tx_id, &mut rng);
-        ch.end_tx(t(100), b.tx_id, &mut rng);
+        let a = on_air(&mut ch, &mut sr, t(0), 0, 1, t(100));
+        let b = on_air(&mut ch, &mut sr, t(0), 1, 2, t(100));
+        off_air(&mut ch, &mut er, t(100), a, &mut rng);
+        off_air(&mut ch, &mut er, t(100), b, &mut rng);
         let a1 = ch.airtime_breakdown(1, t(100));
         assert_eq!(a1.tx_us, 100);
         assert_eq!(a1.rx_us, 0);
@@ -1169,17 +1209,19 @@ mod tests {
         // The hidden-pair scenario: both deliveries are clean, both
         // overlapped, so both count as captures.
         let mut ch = chan(5);
+        let mut sr = StartReport::default();
+        let mut er = EndReport::default();
         let mut rng = SimRng::new(23);
-        let a = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
-        let b = ch.start_tx(t(10), FrameId::default(), 3, 4, t(110));
-        ch.end_tx(t(100), a.tx_id, &mut rng);
-        ch.end_tx(t(110), b.tx_id, &mut rng);
+        let a = on_air(&mut ch, &mut sr, t(0), 0, 1, t(100));
+        let b = on_air(&mut ch, &mut sr, t(10), 3, 4, t(110));
+        off_air(&mut ch, &mut er, t(100), a, &mut rng);
+        off_air(&mut ch, &mut er, t(110), b, &mut rng);
         assert_eq!(ch.stats().captures, 2);
         assert_eq!(ch.stats().hidden_losses, 0);
 
         // A lone transmission is a clean delivery but not a capture.
-        let c = ch.start_tx(t(200), FrameId::default(), 0, 1, t(300));
-        ch.end_tx(t(300), c.tx_id, &mut rng);
+        let c = on_air(&mut ch, &mut sr, t(200), 0, 1, t(300));
+        off_air(&mut ch, &mut er, t(300), c, &mut rng);
         assert_eq!(ch.stats().captures, 2);
         assert_eq!(ch.stats().clean_deliveries, 3);
     }
@@ -1200,22 +1242,24 @@ mod tests {
             ..ChannelConfig::default()
         };
         let mut ch = Channel::new(&line_positions(5, 200.0), cfg, LossModel::ideal());
+        let mut sr = StartReport::default();
+        let mut er = EndReport::default();
         let mut rng = SimRng::new(24);
         // 0 and 3 are 600 m apart: hidden from each other. 3's frame
         // reaches receiver 1 at 400 m (inside 550 m cs range) and, with
         // capture disabled, destroys the reception.
-        let a = ch.start_tx(t(0), FrameId::default(), 0, 1, t(100));
-        let _b = ch.start_tx(t(10), FrameId::default(), 3, 4, t(110));
-        let end = ch.end_tx(t(100), a.tx_id, &mut rng);
+        let a = on_air(&mut ch, &mut sr, t(0), 0, 1, t(100));
+        let _b = on_air(&mut ch, &mut sr, t(10), 3, 4, t(110));
+        let end = off_air(&mut ch, &mut er, t(100), a, &mut rng);
         assert!(!end.deliveries[0].clean);
         assert_eq!(ch.stats().collisions_at_dst, 1);
         assert_eq!(ch.stats().hidden_losses, 1, "0 cannot sense 3");
 
         // Contrast: an in-CS-range interferer is not a hidden loss.
         let mut ch = Channel::new(&line_positions(5, 200.0), cfg, LossModel::ideal());
-        let a = ch.start_tx(t(0), FrameId::default(), 1, 2, t(100));
-        let _b = ch.start_tx(t(5), FrameId::default(), 3, 4, t(105));
-        ch.end_tx(t(100), a.tx_id, &mut rng);
+        let a = on_air(&mut ch, &mut sr, t(0), 1, 2, t(100));
+        let _b = on_air(&mut ch, &mut sr, t(5), 3, 4, t(105));
+        off_air(&mut ch, &mut er, t(100), a, &mut rng);
         assert_eq!(ch.stats().collisions_at_dst, 1);
         assert_eq!(ch.stats().hidden_losses, 0, "1 senses 3 at 400 m");
     }
@@ -1642,6 +1686,7 @@ mod tests {
             let times: Vec<u64> = events.iter().map(|&(t, _, _)| t).collect();
 
             let mut ids = vec![None; txs.len()];
+            let mut sr = StartReport::default();
             let mut end_report = EndReport::default();
             for (k, (t, _, ev)) in events.into_iter().enumerate() {
                 if let Some(r) = toggles[k].filter(|&r| r < n) {
@@ -1655,9 +1700,10 @@ mod tests {
                         let (start, end) = spans[i];
                         let (src, dst) = (src % n, dst % n);
                         if src == dst { continue; }
-                        let rep = fast.start_tx(
+                        let id = on_air(
+                            &mut fast,
+                            &mut sr,
                             Time::from_micros(start),
-                            FrameId::default(),
                             src,
                             dst,
                             Time::from_micros(end),
@@ -1669,8 +1715,8 @@ mod tests {
                             Time::from_micros(end),
                         );
                         ref_busy.retain(on);
-                        prop_assert_eq!(&rep.became_busy, &ref_busy);
-                        ids[i] = Some((rep.tx_id, ref_id, src));
+                        prop_assert_eq!(&sr.became_busy, &ref_busy);
+                        ids[i] = Some((id, ref_id, src));
                     }
                     Ev::End(i) => {
                         let Some((id, ref_id, src)) = ids[i] else { continue };
@@ -1751,15 +1797,16 @@ mod tests {
             .collect();
         let evals_of_one_more = |k: usize, src: usize| {
             let mut ch = Channel::new(&pos, ChannelConfig::default(), LossModel::ideal());
+            let mut sr = StartReport::default();
             for &s in &far[..k] {
-                ch.start_tx(t(0), FrameId::default(), s, s + 1, t(100));
+                on_air(&mut ch, &mut sr, t(0), s, s + 1, t(100));
             }
             assert_eq!(
                 ch.capture_evaluations(),
                 0,
                 "the {k} are out of each other's reach"
             );
-            ch.start_tx(t(10), FrameId::default(), src, src + 1, t(90));
+            on_air(&mut ch, &mut sr, t(10), src, src + 1, t(90));
             assert_eq!(ch.active_count(), k + 1);
             ch.capture_evaluations()
         };

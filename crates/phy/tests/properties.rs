@@ -1,7 +1,7 @@
 //! Property-based tests for the channel: sense bookkeeping, delivery
 //! ranges and capture symmetry under random transmission schedules.
 
-use ezflow_phy::{Channel, ChannelConfig, FrameId, LossModel, Position};
+use ezflow_phy::{Channel, ChannelConfig, EndReport, FrameId, LossModel, Position, StartReport};
 use ezflow_sim::{SimRng, Time};
 use proptest::prelude::*;
 
@@ -45,28 +45,31 @@ proptest! {
 
         let mut ids = vec![None; txs.len()];
         let mut last = 0;
+        let mut start_rep = StartReport::default();
+        let mut end_rep = EndReport::default();
         for (t, ev) in events {
             last = t;
             match ev {
                 Ev::Start(i) => {
                     let (src, dst, start, dur) = txs[i];
                     if dst == src { continue; }
-                    let rep = ch.start_tx(
+                    ch.start_tx_into(
                         Time::from_micros(start),
                         FrameId::default(),
                         src,
                         dst,
                         Time::from_micros(start + dur),
+                        &mut start_rep,
                     );
                     // The transmitter never senses its own energy.
-                    prop_assert!(!rep.became_busy.contains(&src));
-                    ids[i] = Some(rep.tx_id);
+                    prop_assert!(!start_rep.became_busy.contains(&src));
+                    ids[i] = Some(start_rep.tx_id);
                 }
                 Ev::End(i) => {
                     let Some(id) = ids[i] else { continue };
                     let (src, _, _, _) = txs[i];
-                    let rep = ch.end_tx(Time::from_micros(t), id, &mut rng);
-                    for d in &rep.deliveries {
+                    ch.end_tx_into(Time::from_micros(t), id, &mut rng, &mut end_rep);
+                    for d in &end_rep.deliveries {
                         prop_assert!(d.node != src);
                         prop_assert!(
                             ch.can_decode(src, d.node),
@@ -90,8 +93,10 @@ proptest! {
         let pos = positions(4, &[(0.0, 0.0), (200.0, 0.0), (400.0, 0.0), (600.0, 0.0)]);
         let mut ch = Channel::new(&pos, ChannelConfig::default(), LossModel::ideal());
         let mut rng = SimRng::new(seed);
-        let rep = ch.start_tx(Time::from_micros(0), FrameId::default(), src, dst, Time::from_micros(100));
-        let end = ch.end_tx(Time::from_micros(100), rep.tx_id, &mut rng);
+        let mut start = StartReport::default();
+        let mut end = EndReport::default();
+        ch.start_tx_into(Time::from_micros(0), FrameId::default(), src, dst, Time::from_micros(100), &mut start);
+        ch.end_tx_into(Time::from_micros(100), start.tx_id, &mut rng, &mut end);
         for d in &end.deliveries {
             prop_assert!(d.clean, "lone tx corrupted at {}", d.node);
         }
