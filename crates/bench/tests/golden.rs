@@ -12,7 +12,7 @@
 //! the change was intended, re-bless with `cargo run --release -p
 //! ezflow-bench --bin hotpath_bench -- --bless` and commit the file. In a
 //! debug build the same runs also execute the engine's debug assertions
-//! (arena leaks, carrier mirrors, timer epochs) on the widest runs the
+//! (arena leaks, carrier mirrors, owed timers) on the widest runs the
 //! repository pins.
 
 use ezflow_bench::experiments::Algo;

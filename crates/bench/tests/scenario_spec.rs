@@ -57,7 +57,7 @@ fn every_committed_spec_parses_compiles_and_runs() {
         let mut net = run_first_point(&compiled, Time::from_secs(1));
         assert_airtime_partitions_elapsed(&mut net, compiled.topology.positions.len(), &what);
         let stale: u64 = (0..net.node_count())
-            .map(|n| net.mac_stats(n).stale_epochs)
+            .map(|n| net.mac_stats(n).stale_timers)
             .sum();
         assert_eq!(stale, 0, "{what}: a stale timer reached a MAC");
     }

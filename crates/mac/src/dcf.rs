@@ -12,9 +12,12 @@
 //!   anything but update the carrier mirror; a caller that skips the rest
 //!   refreshes the mirror with [`Mac::sync_carrier`] before its next input,
 //!   and marking undecodable energy with [`Mac::eifs_mark`],
-//! * arming the timers the MAC requests and feeding them back
-//!   ([`MacInput::TimerTxPath`] / [`MacInput::TimerAckJob`]) — stale timers
-//!   are filtered by epoch, so the caller never needs to cancel anything,
+//! * arming the timers the MAC requests, one pending entry per timer (a
+//!   re-arm moves it), and feeding back the ones that fire
+//!   ([`MacInput::TimerTxPath`] / [`MacInput::TimerAckJob`]); the caller
+//!   cancels the transmit-path entry when [`Mac::tx_timer_pending`] turns
+//!   false without a re-arm, and a firing the MAC does not owe is ignored
+//!   and counted in [`MacStats::stale_timers`],
 //! * actually putting frames on the air when told to
 //!   ([`MacOutput::StartTx`]) and reporting when they leave the air
 //!   ([`MacInput::TxEnded`]),
@@ -53,15 +56,9 @@ pub enum MacInput {
         frame: FrameId,
     },
     /// A transmit-path timer armed via [`MacOutput::SetTimerTxPath`] fired.
-    TimerTxPath {
-        /// Epoch recorded when the timer was armed.
-        epoch: u64,
-    },
+    TimerTxPath,
     /// An ACK-response timer armed via [`MacOutput::SetTimerAckJob`] fired.
-    TimerAckJob {
-        /// Epoch recorded when the timer was armed.
-        epoch: u64,
-    },
+    TimerAckJob,
     /// The frame this MAC was transmitting has left the air. Whether the
     /// carrier is busy now that our own energy is gone is read from the
     /// mirror ([`Mac::sync_carrier`]).
@@ -117,22 +114,19 @@ pub enum MacOutput {
         /// `None` for SIFS responses (ACK/CTS), which never contend.
         info: Option<TxAttempt>,
     },
-    /// Arm (or re-arm) the transmit-path timer `after` from now.
+    /// Arm (or re-arm, moving the pending entry) the transmit-path timer
+    /// `after` from now.
     SetTimerTxPath {
         /// Delay from the current instant.
         after: Duration,
-        /// Epoch to echo back.
-        epoch: u64,
     },
-    /// Arm the ACK-response timer `after` from now.
+    /// Arm (or re-arm) the ACK-response timer `after` from now.
     SetTimerAckJob {
         /// Delay from the current instant.
         after: Duration,
-        /// Epoch to echo back.
-        epoch: u64,
     },
-    /// Arm a NAV-expiry wakeup `after` from now (no epoch: the handler
-    /// re-checks the live NAV).
+    /// Arm a NAV-expiry wakeup `after` from now. Never cancelled: the
+    /// handler re-checks the live NAV.
     SetTimerNav {
         /// Delay from the current instant.
         after: Duration,
@@ -204,10 +198,12 @@ pub struct MacStats {
     /// Countdowns that started with EIFS instead of DIFS (penalty after
     /// an undecodable frame).
     pub eifs_starts: u64,
-    /// Timer firings ignored because their epoch token was stale: timers
-    /// the caller fed back after the MAC had moved on. Zero under a caller
-    /// that removes an invalidated timer before it fires.
-    pub stale_epochs: u64,
+    /// Timer firings ignored because the MAC no longer owed them: a
+    /// transmit-path timer fed while [`Mac::tx_timer_pending`] is false
+    /// (or while a missed freeze left a countdown running that cannot
+    /// run), an ACK-job timer with no job.
+    /// Zero under a caller that removes a cancelled timer before it fires.
+    pub stale_timers: u64,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -270,8 +266,6 @@ pub struct Mac {
     eifs_pending: bool,
     /// The inter-frame space the running countdown was started with.
     current_ifs: Duration,
-    tx_epoch: u64,
-    ack_epoch: u64,
     ack_job: Option<FrameId>,
     /// Per-sender id of the last received frame, for duplicate filtering.
     /// A tiny association list, not a hash map: a node hears at most a
@@ -299,8 +293,6 @@ impl Mac {
             nav_until: Time::ZERO,
             eifs_pending: false,
             current_ifs: cfg.difs,
-            tx_epoch: 0,
-            ack_epoch: 0,
             ack_job: None,
             last_rx: Vec::new(),
             stats: MacStats::default(),
@@ -343,18 +335,17 @@ impl Mac {
         usize::from(self.cur.is_some()) + usize::from(self.ack_job.is_some())
     }
 
-    /// Current tx-path epoch token. A pending [`MacInput::TimerTxPath`]
-    /// carrying an older epoch is dead: a caller that tracks its pending
-    /// timer compares against this to remove the entry early, and one that
-    /// feeds it back anyway has it ignored and counted in
-    /// [`MacStats::stale_epochs`].
-    pub fn tx_epoch(&self) -> u64 {
-        self.tx_epoch
-    }
-
-    /// Current ACK-job epoch token (see [`Mac::tx_epoch`]).
-    pub fn ack_epoch(&self) -> u64 {
-        self.ack_epoch
+    /// True while the MAC owes its transmit-path timer a firing: a
+    /// countdown is running, or a CTS/ACK timeout or the SIFS before a
+    /// data frame is pending. A caller holding a pending entry while this
+    /// is false removes it; one that feeds it anyway has it ignored and
+    /// counted in [`MacStats::stale_timers`].
+    pub fn tx_timer_pending(&self) -> bool {
+        match self.phase {
+            Phase::Contend | Phase::PostBackoff => self.countdown_from.is_some(),
+            Phase::WaitAck | Phase::WaitCts | Phase::SifsData => true,
+            Phase::Idle | Phase::TxRts | Phase::TxData => false,
+        }
     }
 
     /// Feeds one input, appending the outputs it provoked to `out`.
@@ -373,8 +364,8 @@ impl Mac {
     ) {
         match input {
             MacInput::Enqueue { frame } => self.on_enqueue(now, frame, rng, out),
-            MacInput::TimerTxPath { epoch } => self.on_timer_tx(now, epoch, rng, arena, out),
-            MacInput::TimerAckJob { epoch } => self.on_timer_ack(now, epoch, arena, out),
+            MacInput::TimerTxPath => self.on_timer_tx(now, rng, arena, out),
+            MacInput::TimerAckJob => self.on_timer_ack(now, arena, out),
             MacInput::TxEnded => self.on_tx_ended(now, out),
             MacInput::Rx { frame } => match arena.get(frame).kind {
                 FrameKind::Data => self.on_rx_data(frame, arena, out),
@@ -433,15 +424,15 @@ impl Mac {
 
     /// Starts (or restarts) the DIFS + remaining-slots countdown at `now`.
     fn start_countdown(&mut self, now: Time, out: &mut Vec<MacOutput>) {
-        if let Some((after, epoch)) = self.arm_countdown(now) {
-            out.push(MacOutput::SetTimerTxPath { after, epoch });
+        if let Some(after) = self.arm_countdown(now) {
+            out.push(MacOutput::SetTimerTxPath { after });
         }
     }
 
-    /// The countdown arm itself, returned as `(after, epoch)` instead of
-    /// pushed as a [`MacOutput`] — the engine's direct dispatch path
-    /// schedules it without an output buffer round trip.
-    fn arm_countdown(&mut self, now: Time) -> Option<(Duration, u64)> {
+    /// The countdown arm itself, returned as its delay instead of pushed
+    /// as a [`MacOutput`] — the engine's direct dispatch path schedules it
+    /// without an output buffer round trip.
+    fn arm_countdown(&mut self, now: Time) -> Option<Duration> {
         debug_assert!(self.counting_phase());
         debug_assert!(self.can_count_down(now));
         if self.countdown_from.is_some() {
@@ -449,7 +440,6 @@ impl Mac {
         }
         let slots = self.slots_left();
         self.countdown_from = Some(now);
-        self.tx_epoch += 1;
         // EIFS applies to the first deferral after the undecodable frame.
         self.current_ifs = if std::mem::take(&mut self.eifs_pending) {
             self.stats.eifs_starts += 1;
@@ -457,18 +447,15 @@ impl Mac {
         } else {
             self.cfg.difs
         };
-        Some((
-            self.current_ifs + self.cfg.slot * slots as u64,
-            self.tx_epoch,
-        ))
+        Some(self.current_ifs + self.cfg.slot * slots as u64)
     }
 
-    /// Freezes the countdown at `now`, banking fully elapsed slots.
+    /// Freezes the countdown at `now`, banking fully elapsed slots. The
+    /// armed timer is no longer owed ([`Mac::tx_timer_pending`]).
     fn freeze_countdown(&mut self, now: Time) {
         let Some(started) = self.countdown_from.take() else {
             return;
         };
-        self.tx_epoch += 1; // invalidate the armed timer
         let elapsed = now.saturating_since(started);
         if elapsed <= self.current_ifs {
             return;
@@ -491,7 +478,6 @@ impl Mac {
         self.post_slots = self.draw_slots(0, rng);
         self.phase = Phase::PostBackoff;
         self.countdown_from = None;
-        self.tx_epoch += 1;
         if self.can_count_down(now) {
             self.start_countdown(now, out);
         }
@@ -545,9 +531,9 @@ impl Mac {
     }
 
     /// The carrier went busy -> idle. The only possible output is a
-    /// single tx-path timer arm, returned as `(after, epoch)` for the
-    /// caller to schedule itself.
-    pub fn medium_idle(&mut self, now: Time) -> Option<(Duration, u64)> {
+    /// single tx-path timer arm, returned as its delay for the caller to
+    /// schedule itself.
+    pub fn medium_idle(&mut self, now: Time) -> Option<Duration> {
         self.medium_busy = false;
         if self.counting_phase() && self.can_count_down(now) {
             self.arm_countdown(now)
@@ -568,21 +554,18 @@ impl Mac {
     fn on_timer_tx(
         &mut self,
         now: Time,
-        epoch: u64,
         rng: &mut SimRng,
         arena: &mut FrameArena,
         out: &mut Vec<MacOutput>,
     ) {
-        if epoch != self.tx_epoch {
-            self.stats.stale_epochs += 1;
-            return; // stale
+        // A countdown that cannot run now should have been frozen, which
+        // cancels its timer: both are firings the MAC does not owe.
+        if !self.tx_timer_pending() || (self.counting_phase() && !self.can_count_down(now)) {
+            self.stats.stale_timers += 1;
+            return;
         }
         match self.phase {
             Phase::Contend => {
-                if !self.can_count_down(now) {
-                    // Defensive: a freeze should have invalidated us.
-                    return;
-                }
                 self.countdown_from = None;
                 let cur = self.cur.as_mut().expect("contend without frame");
                 cur.slots_left = 0;
@@ -625,9 +608,6 @@ impl Mac {
                 }
             }
             Phase::PostBackoff => {
-                if !self.can_count_down(now) {
-                    return;
-                }
                 // Post-backoff served: the MAC is now truly idle and the
                 // next enqueue gets immediate access.
                 self.countdown_from = None;
@@ -700,18 +680,9 @@ impl Mac {
         }
     }
 
-    fn on_timer_ack(
-        &mut self,
-        now: Time,
-        epoch: u64,
-        arena: &mut FrameArena,
-        out: &mut Vec<MacOutput>,
-    ) {
-        if epoch != self.ack_epoch {
-            self.stats.stale_epochs += 1;
-            return;
-        }
+    fn on_timer_ack(&mut self, now: Time, arena: &mut FrameArena, out: &mut Vec<MacOutput>) {
         let Some(ack) = self.ack_job.take() else {
+            self.stats.stale_timers += 1;
             return;
         };
         if self.radio_busy {
@@ -750,19 +721,15 @@ impl Mac {
             Some(FrameKind::Data) => {
                 debug_assert_eq!(self.phase, Phase::TxData);
                 self.phase = Phase::WaitAck;
-                self.tx_epoch += 1;
                 out.push(MacOutput::SetTimerTxPath {
                     after: self.cfg.ack_timeout(),
-                    epoch: self.tx_epoch,
                 });
             }
             Some(FrameKind::Rts) => {
                 debug_assert_eq!(self.phase, Phase::TxRts);
                 self.phase = Phase::WaitCts;
-                self.tx_epoch += 1;
                 out.push(MacOutput::SetTimerTxPath {
                     after: self.cfg.cts_timeout(),
-                    epoch: self.tx_epoch,
                 });
             }
             Some(FrameKind::Ack) | Some(FrameKind::Cts) => {
@@ -786,10 +753,8 @@ impl Mac {
             arena.release(old);
         }
         self.ack_job = Some(arena.alloc(Frame::ack_for(&f)));
-        self.ack_epoch += 1;
         out.push(MacOutput::SetTimerAckJob {
             after: self.cfg.sifs,
-            epoch: self.ack_epoch,
         });
         // Duplicate filtering: a retry repeats the most recent id from that
         // sender (per-link FIFO makes equality sufficient).
@@ -825,7 +790,7 @@ impl Mac {
             self.stats.spurious_ack += 1;
             return;
         }
-        self.tx_epoch += 1; // cancel the ACK timeout
+        // Post-backoff re-arms or cancels the ACK timeout.
         let cur = self.cur.take().expect("matched above");
         self.stats.tx_success += 1;
         self.begin_post_backoff(now, rng, out);
@@ -856,10 +821,8 @@ impl Mac {
             arena.release(old);
         }
         self.ack_job = Some(arena.alloc(Frame::cts_for(&frame, nav.as_micros())));
-        self.ack_epoch += 1;
         out.push(MacOutput::SetTimerAckJob {
             after: self.cfg.sifs,
-            epoch: self.ack_epoch,
         });
     }
 
@@ -875,11 +838,10 @@ impl Mac {
             self.stats.spurious_ack += 1;
             return;
         }
-        self.tx_epoch += 1; // cancel the CTS timeout
+        // The SIFS timer replaces the CTS timeout.
         self.phase = Phase::SifsData;
         out.push(MacOutput::SetTimerTxPath {
             after: self.cfg.sifs,
-            epoch: self.tx_epoch,
         });
     }
 
@@ -947,10 +909,10 @@ mod tests {
         buf
     }
 
-    fn timer_delay(out: &[MacOutput]) -> (Duration, u64) {
+    fn timer_delay(out: &[MacOutput]) -> Duration {
         out.iter()
             .find_map(|o| match o {
-                MacOutput::SetTimerTxPath { after, epoch } => Some((*after, *epoch)),
+                MacOutput::SetTimerTxPath { after } => Some(*after),
                 _ => None,
             })
             .expect("expected a tx-path timer")
@@ -973,7 +935,7 @@ mod tests {
             &mut arena,
             &mut buf,
         );
-        let (after, epoch) = timer_delay(out);
+        let after = timer_delay(out);
         assert_eq!(after, Duration::from_micros(DIFS));
         assert!(!mac.is_idle());
 
@@ -981,7 +943,7 @@ mod tests {
         let out = feed(
             &mut mac,
             t(DIFS),
-            MacInput::TimerTxPath { epoch },
+            MacInput::TimerTxPath,
             &mut rng,
             &mut arena,
             &mut buf,
@@ -1006,7 +968,7 @@ mod tests {
             &mut arena,
             &mut buf,
         );
-        let (after, _epoch2) = timer_delay(out);
+        let after = timer_delay(out);
         assert_eq!(after, Duration::from_micros(SIFS + 304 + SLOT));
 
         // ACK arrives in time.
@@ -1052,7 +1014,7 @@ mod tests {
             &mut buf,
         );
         assert!(out.is_empty());
-        let (after, _) = mac.medium_idle(t(0)).expect("the countdown resumes");
+        let after = mac.medium_idle(t(0)).expect("the countdown resumes");
         let total_slots = (after.as_micros() - DIFS) / SLOT;
 
         // Busy after DIFS + 2 full slots + half a slot.
@@ -1063,7 +1025,7 @@ mod tests {
         );
         mac.medium_busy(t(busy_at));
         // Idle again later: remaining = total - 2 (the half slot is lost).
-        let (after2, _) = mac.medium_idle(t(1000)).expect("the countdown resumes");
+        let after2 = mac.medium_idle(t(1000)).expect("the countdown resumes");
         let remaining = (after2.as_micros() - DIFS) / SLOT;
         assert_eq!(remaining, total_slots - 2);
     }
@@ -1082,11 +1044,52 @@ mod tests {
             &mut arena,
             &mut buf,
         );
-        let (after, _) = timer_delay(out);
+        let after = timer_delay(out);
         assert_eq!(after.as_micros(), DIFS);
         mac.medium_busy(t(20)); // mid-DIFS
-        let (after2, _) = mac.medium_idle(t(500)).expect("the countdown resumes");
+        let after2 = mac.medium_idle(t(500)).expect("the countdown resumes");
         assert_eq!(after2.as_micros(), DIFS, "DIFS restarts in full");
+    }
+
+    /// Pins the same-slot tie as the simulator resolves it today: a
+    /// neighbour's transmission that starts at the instant this station's
+    /// countdown ends freezes the countdown with every slot consumed, and
+    /// the station sends one DIFS after that frame instead of colliding
+    /// with it. Real radios and ns-2 collide here; this is the deviation
+    /// that colliding ties (ROADMAP.md, item 13(d)) flip, and this test
+    /// flips with it.
+    #[test]
+    fn countdown_due_at_a_busy_instant_is_serialised_not_collided() {
+        let mut mac = Mac::new(0, MacConfig::default());
+        let mut rng = SimRng::new(7);
+        let mut arena = FrameArena::new();
+        let mut buf = Vec::new();
+        mac.set_cw_min(16);
+        mac.medium_busy(t(0));
+        feed(
+            &mut mac,
+            t(0),
+            MacInput::Enqueue {
+                frame: arena.alloc(data(1, 0, 1)),
+            },
+            &mut rng,
+            &mut arena,
+            &mut buf,
+        );
+        let after = mac.medium_idle(t(0)).expect("the countdown resumes");
+        assert!(after.as_micros() > DIFS, "need >= 1 slot, redraw seed");
+        // The neighbour's frame starts exactly when the countdown is due,
+        // before this station's timer fires.
+        let due = t(0) + after;
+        mac.medium_busy(due);
+        assert!(!mac.tx_timer_pending(), "the tie cancelled the timer");
+        assert_eq!(mac.stats().cca_busy, 1);
+        let air = Duration::from_micros(8416);
+        assert_eq!(
+            mac.medium_idle(due + air),
+            Some(Duration::from_micros(DIFS)),
+            "every slot was consumed: DIFS alone remains"
+        );
     }
 
     #[test]
@@ -1103,18 +1106,20 @@ mod tests {
             &mut arena,
             &mut buf,
         );
-        let (_, epoch) = timer_delay(out);
-        mac.medium_busy(t(10)); // invalidates
+        timer_delay(out);
+        mac.medium_busy(t(10)); // cancels the timer
+        assert!(!mac.tx_timer_pending());
         let out = feed(
             &mut mac,
             t(DIFS),
-            MacInput::TimerTxPath { epoch },
+            MacInput::TimerTxPath,
             &mut rng,
             &mut arena,
             &mut buf,
         );
         assert!(out.is_empty(), "stale timer must do nothing, got {out:?}");
         assert_eq!(mac.stats().tx_attempts, 0);
+        assert_eq!(mac.stats().stale_timers, 1);
     }
 
     #[test]
@@ -1133,14 +1138,14 @@ mod tests {
             &mut arena,
             &mut buf,
         );
-        let (mut after, mut epoch) = timer_delay(out);
+        let mut after = timer_delay(out);
         let mut attempts_seen = 0;
         let dropped = loop {
             now += after.as_micros();
             let out = feed(
                 &mut mac,
                 t(now),
-                MacInput::TimerTxPath { epoch },
+                MacInput::TimerTxPath,
                 &mut rng,
                 &mut arena,
                 &mut buf,
@@ -1172,14 +1177,10 @@ mod tests {
                     &mut arena,
                     &mut buf,
                 );
-                let (a, e) = timer_delay(out);
-                after = a;
-                epoch = e;
+                after = timer_delay(out);
             } else {
                 // Timeout fired and a new contention round began.
-                let (a, e) = timer_delay(out);
-                after = a;
-                epoch = e;
+                after = timer_delay(out);
             }
             if now > 10_000_000 {
                 break false;
@@ -1208,16 +1209,14 @@ mod tests {
             &mut buf,
         );
         // ACK armed at SIFS, frame delivered.
-        let ack_epoch = out
+        let ack_after = out
             .iter()
             .find_map(|o| match o {
-                MacOutput::SetTimerAckJob { after, epoch } => {
-                    assert_eq!(*after, Duration::from_micros(SIFS));
-                    Some(*epoch)
-                }
+                MacOutput::SetTimerAckJob { after } => Some(*after),
                 _ => None,
             })
             .expect("ack timer");
+        assert_eq!(ack_after, Duration::from_micros(SIFS));
         assert!(out
             .iter()
             .any(|o| matches!(o, MacOutput::Deliver { frame } if arena.get(*frame).seq == 9)));
@@ -1225,7 +1224,7 @@ mod tests {
         let out = feed(
             &mut mac,
             t(100 + SIFS),
-            MacInput::TimerAckJob { epoch: ack_epoch },
+            MacInput::TimerAckJob,
             &mut rng,
             &mut arena,
             &mut buf,
@@ -1294,7 +1293,7 @@ mod tests {
             &mut buf,
         );
         assert!(out.is_empty());
-        let (after, _) = mac.medium_idle(t(0)).expect("the countdown resumes");
+        let after = mac.medium_idle(t(0)).expect("the countdown resumes");
         let total_slots = (after.as_micros() - DIFS) / SLOT;
         assert!(total_slots >= 2, "redraw seed: need >= 2 slots");
 
@@ -1313,14 +1312,10 @@ mod tests {
             &mut arena,
             &mut buf,
         );
-        let ack_epoch = out
+        assert!(out
             .iter()
-            .find_map(|o| match o {
-                MacOutput::SetTimerAckJob { epoch, .. } => Some(*epoch),
-                _ => None,
-            })
-            .unwrap();
-        let (resume_after, _) = mac.medium_idle(t(rx_end)).expect("the countdown resumes");
+            .any(|o| matches!(o, MacOutput::SetTimerAckJob { .. })));
+        let resume_after = mac.medium_idle(t(rx_end)).expect("the countdown resumes");
         assert_eq!(
             (resume_after.as_micros() - DIFS) / SLOT,
             total_slots - 1,
@@ -1332,12 +1327,13 @@ mod tests {
         let out = feed(
             &mut mac,
             t(rx_end + SIFS),
-            MacInput::TimerAckJob { epoch: ack_epoch },
+            MacInput::TimerAckJob,
             &mut rng,
             &mut arena,
             &mut buf,
         );
         assert!(matches!(out[0], MacOutput::StartTx { .. }));
+        assert!(!mac.tx_timer_pending(), "the ACK froze the countdown");
         // While radio-busy a medium-idle input must not start a countdown.
         assert_eq!(mac.medium_idle(t(rx_end + SIFS + 1)), None);
         // ACK done: countdown resumes with the same remaining slots.
@@ -1350,7 +1346,7 @@ mod tests {
             &mut arena,
             &mut buf,
         );
-        let (resume2, _) = timer_delay(out);
+        let resume2 = timer_delay(out);
         assert_eq!((resume2.as_micros() - DIFS) / SLOT, total_slots - 1);
     }
 
@@ -1385,11 +1381,11 @@ mod tests {
             &mut arena,
             &mut buf,
         );
-        let (_, epoch) = timer_delay(out);
+        timer_delay(out);
         let out = feed(
             &mut mac,
             t(DIFS),
-            MacInput::TimerTxPath { epoch },
+            MacInput::TimerTxPath,
             &mut rng,
             &mut arena,
             &mut buf,
@@ -1435,7 +1431,7 @@ mod tests {
             &mut buf,
         );
         assert!(out.is_empty(), "no timer while busy");
-        let (after, _) = mac.medium_idle(t(500)).expect("the countdown resumes");
+        let after = mac.medium_idle(t(500)).expect("the countdown resumes");
         assert_eq!(after.as_micros(), DIFS);
     }
 
@@ -1462,14 +1458,14 @@ mod tests {
         // agrees with them is a no-op.
         assert!(mac.counting_phase());
         mac.sync_carrier(true);
-        let (after, epoch) = mac.medium_idle(t(500)).expect("resumes on idle");
+        let after = mac.medium_idle(t(500)).expect("resumes on idle");
         assert_eq!(after.as_micros(), DIFS);
         mac.sync_carrier(false);
         let at = t(500) + after;
         let out = feed(
             &mut mac,
             at,
-            MacInput::TimerTxPath { epoch },
+            MacInput::TimerTxPath,
             &mut rng,
             &mut arena,
             &mut buf,
@@ -1502,7 +1498,7 @@ mod tests {
                 &mut buf,
             );
             assert!(out.is_empty());
-            let (after, _epoch) = mac
+            let after = mac
                 .medium_idle(t(i * 1_000_000))
                 .expect("the countdown resumes");
             if after.as_micros() > DIFS + 100 * SLOT {

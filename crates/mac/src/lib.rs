@@ -25,9 +25,10 @@
 //! receives [`MacOutput`]s (carrier sense, which can arm at most one
 //! timer, has three direct calls of its own). The MAC never touches the
 //! scheduler or the channel; instead it asks the caller to arm timers
-//! (`SetTimer*`) and uses *epoch tokens* to invalidate timers it no
-//! longer cares about — a stale timer fires, its epoch mismatches, and
-//! it is ignored. This keeps the
+//! (`SetTimer*`, a re-arm moving the pending entry) and says whether it
+//! still owes its transmit-path timer ([`Mac::tx_timer_pending`]): the
+//! caller cancels one it no longer owes, and a timer that fires anyway is
+//! ignored and counted. This keeps the
 //! trickiest part of the simulator fully unit-testable without any
 //! simulated radio at all (see the tests in [`dcf`]).
 

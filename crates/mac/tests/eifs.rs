@@ -39,7 +39,7 @@ fn feed<'a>(
 
 /// The busy -> idle transition at `now`: the countdown it arms, in µs.
 fn resume(mac: &mut Mac, now: Time) -> u64 {
-    let (after, _) = mac.medium_idle(now).expect("tx-path timer");
+    let after = mac.medium_idle(now).expect("tx-path timer");
     after.as_micros()
 }
 

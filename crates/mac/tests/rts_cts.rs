@@ -49,10 +49,10 @@ fn feed<'a>(
     buf
 }
 
-fn tx_timer(out: &[MacOutput]) -> (Duration, u64) {
+fn tx_timer(out: &[MacOutput]) -> Duration {
     out.iter()
         .find_map(|o| match o {
-            MacOutput::SetTimerTxPath { after, epoch } => Some((*after, *epoch)),
+            MacOutput::SetTimerTxPath { after } => Some(*after),
             _ => None,
         })
         .expect("tx-path timer")
@@ -85,12 +85,12 @@ fn full_four_way_handshake() {
         &mut arena,
         &mut buf,
     );
-    let (after, epoch) = tx_timer(out);
+    let after = tx_timer(out);
     assert_eq!(after.as_micros(), DIFS);
     let out = feed(
         &mut snd,
         t(DIFS),
-        MacInput::TimerTxPath { epoch },
+        MacInput::TimerTxPath,
         &mut rng,
         &mut arena,
         &mut buf,
@@ -113,7 +113,7 @@ fn full_four_way_handshake() {
         &mut arena,
         &mut buf,
     );
-    let (cts_to, _) = tx_timer(out);
+    let cts_to = tx_timer(out);
     assert_eq!(cts_to.as_micros(), SIFS + CTS_AIR + SLOT);
 
     // Receiver answers with a CTS after SIFS.
@@ -125,20 +125,18 @@ fn full_four_way_handshake() {
         &mut arena,
         &mut buf,
     );
-    let cts_epoch = out
+    let cts_after = out
         .iter()
         .find_map(|o| match o {
-            MacOutput::SetTimerAckJob { after, epoch } => {
-                assert_eq!(after.as_micros(), SIFS);
-                Some(*epoch)
-            }
+            MacOutput::SetTimerAckJob { after } => Some(*after),
             _ => None,
         })
         .expect("cts job");
+    assert_eq!(cts_after.as_micros(), SIFS);
     let out = feed(
         &mut rcv,
         t(rts_end + SIFS),
-        MacInput::TimerAckJob { epoch: cts_epoch },
+        MacInput::TimerAckJob,
         &mut rng2,
         &mut arena,
         &mut buf,
@@ -167,12 +165,12 @@ fn full_four_way_handshake() {
         &mut arena,
         &mut buf,
     );
-    let (sifs_wait, epoch) = tx_timer(out);
+    let sifs_wait = tx_timer(out);
     assert_eq!(sifs_wait.as_micros(), SIFS);
     let out = feed(
         &mut snd,
         t(cts_end + SIFS),
-        MacInput::TimerTxPath { epoch },
+        MacInput::TimerTxPath,
         &mut rng,
         &mut arena,
         &mut buf,
@@ -189,7 +187,7 @@ fn full_four_way_handshake() {
         &mut arena,
         &mut buf,
     );
-    let (ack_to, _) = tx_timer(out);
+    let ack_to = tx_timer(out);
     assert_eq!(ack_to.as_micros(), SIFS + ACK_AIR + SLOT);
 
     // Receiver delivers and ACKs; sender completes.
@@ -234,12 +232,12 @@ fn cts_timeout_retries_the_rts() {
         &mut arena,
         &mut buf,
     );
-    let (after, epoch) = tx_timer(out);
+    let after = tx_timer(out);
     let mut now = after.as_micros();
     let out = feed(
         &mut snd,
         t(now),
-        MacInput::TimerTxPath { epoch },
+        MacInput::TimerTxPath,
         &mut rng,
         &mut arena,
         &mut buf,
@@ -254,25 +252,25 @@ fn cts_timeout_retries_the_rts() {
         &mut arena,
         &mut buf,
     );
-    let (to, epoch) = tx_timer(out);
+    let to = tx_timer(out);
     now += to.as_micros();
     // No CTS arrives: timeout -> back to contention with attempt 2.
     let out = feed(
         &mut snd,
         t(now),
-        MacInput::TimerTxPath { epoch },
+        MacInput::TimerTxPath,
         &mut rng,
         &mut arena,
         &mut buf,
     );
-    let (re, epoch) = tx_timer(out);
+    let re = tx_timer(out);
     assert_eq!(snd.stats().cts_timeouts, 1);
     assert_eq!(snd.stats().retries, 1);
     now += re.as_micros();
     let out = feed(
         &mut snd,
         t(now),
-        MacInput::TimerTxPath { epoch },
+        MacInput::TimerTxPath,
         &mut rng,
         &mut arena,
         &mut buf,
@@ -299,7 +297,7 @@ fn nav_defers_bystanders() {
         &mut arena,
         &mut buf,
     );
-    let (_, epoch) = tx_timer(out);
+    tx_timer(out);
 
     // NAV lands mid-DIFS.
     let until = t(20 + 5_000);
@@ -316,16 +314,19 @@ fn nav_defers_bystanders() {
             .any(|o| matches!(o, MacOutput::SetTimerNav { after } if after.as_micros() == 5_000)),
         "a NAV wakeup must be armed"
     );
-    // The old countdown timer is now stale.
+    // The NAV froze the countdown, so the MAC no longer owes its timer:
+    // one that fires anyway is ignored and counted.
+    assert!(!by.tx_timer_pending());
     let out = feed(
         &mut by,
         t(DIFS),
-        MacInput::TimerTxPath { epoch },
+        MacInput::TimerTxPath,
         &mut rng,
         &mut arena,
         &mut buf,
     );
     assert!(out.is_empty(), "must not transmit during NAV");
+    assert_eq!(by.stats().stale_timers, 1);
     // Medium-idle reports during NAV do not restart the countdown.
     assert_eq!(by.medium_idle(t(100)), None);
     // NAV expiry resumes: fresh DIFS + remaining slots.
@@ -337,12 +338,12 @@ fn nav_defers_bystanders() {
         &mut arena,
         &mut buf,
     );
-    let (after, epoch) = tx_timer(out);
+    let after = tx_timer(out);
     assert_eq!(after.as_micros(), DIFS);
     let out = feed(
         &mut by,
         t(5_020 + DIFS),
-        MacInput::TimerTxPath { epoch },
+        MacInput::TimerTxPath,
         &mut rng,
         &mut arena,
         &mut buf,
@@ -401,7 +402,7 @@ fn nav_extension_wins_over_stale_wakeup() {
         &mut arena,
         &mut buf,
     );
-    let (after, _) = tx_timer(out);
+    let after = tx_timer(out);
     assert_eq!(after.as_micros(), DIFS);
 }
 
@@ -442,7 +443,7 @@ fn nav_blocks_immediate_access_on_enqueue() {
         &mut arena,
         &mut buf,
     );
-    let (after, _) = tx_timer(out);
+    let after = tx_timer(out);
     assert!(after.as_micros() >= DIFS);
 }
 
@@ -463,12 +464,12 @@ fn rx_data_while_waiting_for_cts_is_served() {
         &mut arena,
         &mut buf,
     );
-    let (after, epoch) = tx_timer(out);
+    let after = tx_timer(out);
     let mut now = after.as_micros();
     feed(
         &mut snd,
         t(now),
-        MacInput::TimerTxPath { epoch },
+        MacInput::TimerTxPath,
         &mut rng,
         &mut arena,
         &mut buf,

@@ -45,11 +45,9 @@ pub(crate) enum Ev {
     WindowRefresh(usize),
     MacTxPath {
         node: usize,
-        epoch: u64,
     },
     MacAckJob {
         node: usize,
-        epoch: u64,
     },
     MacNav {
         node: usize,
@@ -123,14 +121,6 @@ pub(crate) enum WorkInput {
 // value, so a wider payload costs twice per entry.
 const _: () = assert!(std::mem::size_of::<(usize, WorkInput)>() <= 24);
 
-/// Frees `slot` when the timer entry just dispatched under `epoch` is the
-/// one it holds: the entry's handle died with the pop.
-fn release_slot(slot: &mut TimerSlot, epoch: u64) {
-    if matches!(*slot, TimerSlot::Armed { epoch: e, .. } if e == epoch) {
-        *slot = TimerSlot::Idle;
-    }
-}
-
 impl Network {
     /// Runs the simulation up to and including instant `until`.
     pub fn run_until(&mut self, until: Time) {
@@ -173,6 +163,8 @@ impl Network {
                 queued + held + on_air,
                 "frame arena leak: live frames unaccounted for"
             );
+            let stale: u64 = self.nodes.iter().map(|n| n.mac.stats().stale_timers).sum();
+            debug_assert_eq!(stale, 0, "a MAC timer fired that its MAC did not owe");
         }
         self.wall += t0.elapsed();
     }
@@ -181,21 +173,24 @@ impl Network {
         match ev {
             Ev::Traffic(i) => self.on_traffic(i),
             Ev::WindowRefresh(i) => self.on_window_refresh(i),
-            // A timer that dispatches is its slot's one pending entry and
-            // carries its MAC's current epoch: `after_mac` removes an
-            // invalidated entry before control returns to the pop loop.
-            // Checked here in debug builds; in release a stale timer that
-            // got through is ignored by the MAC, which counts it in
-            // `MacStats::stale_epochs`.
-            Ev::MacTxPath { node, epoch } => {
-                debug_assert_eq!(epoch, self.nodes[node].mac.tx_epoch());
-                release_slot(&mut self.hot.tx_timer[node], epoch);
-                self.mac_event(node, MacInput::TimerTxPath { epoch })
+            // A timer that dispatches is its slot's one pending entry, and
+            // its MAC owes it: `after_mac` removes an entry the MAC stopped
+            // owing before control returns to the pop loop. Checked here
+            // in debug builds; in release a firing that got through anyway
+            // is ignored by the MAC, which counts it in
+            // `MacStats::stale_timers` (`run_until` asserts that sum is 0
+            // in debug builds, for both timers).
+            Ev::MacTxPath { node } => {
+                debug_assert!(
+                    self.nodes[node].mac.tx_timer_pending(),
+                    "node {node}: a transmit-path timer fired that its MAC does not owe"
+                );
+                self.hot.tx_timer[node] = TimerSlot::Idle;
+                self.mac_event(node, MacInput::TimerTxPath)
             }
-            Ev::MacAckJob { node, epoch } => {
-                debug_assert_eq!(epoch, self.nodes[node].mac.ack_epoch());
-                release_slot(&mut self.hot.ack_timer[node], epoch);
-                self.mac_event(node, MacInput::TimerAckJob { epoch })
+            Ev::MacAckJob { node } => {
+                self.hot.ack_timer[node] = TimerSlot::Idle;
+                self.mac_event(node, MacInput::TimerAckJob)
             }
             Ev::MacNav { node } => self.mac_event(node, MacInput::TimerNav),
             Ev::TxEnd { tx, node } => self.on_tx_end(tx, node),
@@ -205,44 +200,38 @@ impl Network {
         }
     }
 
-    /// Arms (or re-arms) node `id`'s transmit-path timer `after` from
-    /// now. The slot decides the scheduler verb: a pending entry is moved
-    /// in place, a parked one revived, and only a truly idle slot pays a
-    /// fresh schedule — so freeze/restart churn never leaves an abandoned
-    /// entry in the queue.
-    fn arm_tx_timer(&mut self, id: usize, after: Duration, epoch: u64) {
+    /// Arms (or re-arms) the MAC timer that `ev` dispatches, a
+    /// `MacTxPath` or a `MacAckJob`, `after` from now. The timer's slot
+    /// decides the scheduler verb: a pending entry is moved in place, a
+    /// parked one revived, and only a truly idle slot pays a fresh
+    /// schedule — so freeze/restart churn never leaves an abandoned entry
+    /// in the queue.
+    fn arm_timer(&mut self, ev: Ev, after: Duration) {
+        let slot = match ev {
+            Ev::MacTxPath { node } => &mut self.hot.tx_timer[node],
+            Ev::MacAckJob { node } => &mut self.hot.ack_timer[node],
+            _ => unreachable!("{ev:?} is not a keyed MAC timer"),
+        };
         let at = self.now + after;
-        let ev = Ev::MacTxPath { node: id, epoch };
-        let h = match self.hot.tx_timer[id] {
-            TimerSlot::Armed { h, .. } => self.sched.reschedule(Some(h), at, ev),
+        let h = match *slot {
+            TimerSlot::Armed(h) => self.sched.reschedule(Some(h), at, ev),
             TimerSlot::Parked => self.sched.reschedule(None, at, ev),
             TimerSlot::Idle => self.sched.schedule_keyed(at, ev),
         };
-        self.hot.tx_timer[id] = TimerSlot::Armed { h, epoch };
-    }
-
-    /// [`Network::arm_tx_timer`] for the ACK-job timer.
-    fn arm_ack_timer(&mut self, id: usize, after: Duration, epoch: u64) {
-        let at = self.now + after;
-        let ev = Ev::MacAckJob { node: id, epoch };
-        let h = match self.hot.ack_timer[id] {
-            TimerSlot::Armed { h, .. } => self.sched.reschedule(Some(h), at, ev),
-            TimerSlot::Parked => self.sched.reschedule(None, at, ev),
-            TimerSlot::Idle => self.sched.schedule_keyed(at, ev),
-        };
-        self.hot.ack_timer[id] = TimerSlot::Armed { h, epoch };
+        *slot = TimerSlot::Armed(h);
     }
 
     /// The step that follows every MAC interaction, bringing the two pieces
     /// of engine state that mirror node `id`'s MAC back in line with it.
     ///
-    /// *Timer slot.* If the MAC has invalidated its transmit-path timer
-    /// (epoch moved on) without re-arming, the scheduler entry is
-    /// physically removed now, so no stale timer is ever dispatched
-    /// (`handle` asserts it); a live or empty slot is a two-word compare
-    /// and fall-through. The ACK-job timer needs no counterpart:
-    /// `ack_epoch` only ever advances in the same input that arms the
-    /// replacement timer, so an armed ACK slot is always current.
+    /// *Timer slot.* If the MAC no longer owes its transmit-path timer
+    /// ([`Mac::tx_timer_pending`](ezflow_mac::Mac::tx_timer_pending)) and
+    /// did not re-arm it, the scheduler entry is physically removed now,
+    /// so no stale timer is ever dispatched (`handle` asserts it); a live
+    /// or empty slot falls through. The ACK-job timer needs no
+    /// counterpart: a response job ends only when its timer fires, and a
+    /// newer job re-arms (moves) the pending entry, so an armed ACK slot
+    /// is always owed.
     ///
     /// *Listening bit.* The channel reports a node's busy/idle transitions
     /// only while [`Mac::counting_phase`](ezflow_mac::Mac::counting_phase)
@@ -251,8 +240,8 @@ impl Network {
     /// which [`Network::mac_input`] refreshes from the channel instead.
     fn after_mac(&mut self, id: usize) {
         let mac = &self.nodes[id].mac;
-        if let TimerSlot::Armed { h, epoch } = self.hot.tx_timer[id] {
-            if epoch != mac.tx_epoch() {
+        if let TimerSlot::Armed(h) = self.hot.tx_timer[id] {
+            if !mac.tx_timer_pending() {
                 let found = self.sched.remove(h);
                 debug_assert!(found, "armed slot held a dead handle");
                 self.hot.tx_timer[id] = TimerSlot::Parked;
@@ -540,8 +529,8 @@ impl Network {
             }
         }
         for &r in &report.became_idle {
-            if let Some((after, epoch)) = self.nodes[r].mac.medium_idle(self.now) {
-                self.arm_tx_timer(r, after, epoch);
+            if let Some(after) = self.nodes[r].mac.medium_idle(self.now) {
+                self.arm_timer(Ev::MacTxPath { node: r }, after);
             }
         }
         self.end_report = report;
@@ -674,8 +663,12 @@ impl Network {
                     self.worklist.push_back((r, WorkInput::MediumBusy));
                 }
             }
-            MacOutput::SetTimerTxPath { after, epoch } => self.arm_tx_timer(id, after, epoch),
-            MacOutput::SetTimerAckJob { after, epoch } => self.arm_ack_timer(id, after, epoch),
+            MacOutput::SetTimerTxPath { after } => {
+                self.arm_timer(Ev::MacTxPath { node: id }, after)
+            }
+            MacOutput::SetTimerAckJob { after } => {
+                self.arm_timer(Ev::MacAckJob { node: id }, after)
+            }
             MacOutput::SetTimerNav { after } => {
                 self.sched
                     .schedule(self.now + after, Ev::MacNav { node: id });
@@ -894,9 +887,9 @@ impl Network {
         } else {
             0
         };
-        // The MAC's epoch check is the one place a stale timer can be
-        // seen; both stale keys of the schema carry its count.
-        let stale_timers: u64 = self.nodes.iter().map(|n| n.mac.stats().stale_epochs).sum();
+        // The MAC's own check is the one place a stale timer can be seen;
+        // both stale keys of the schema carry its count.
+        let stale_timers: u64 = self.nodes.iter().map(|n| n.mac.stats().stale_timers).sum();
         RunSnapshot {
             label: label.to_string(),
             at_us: self.now.as_micros(),
@@ -924,7 +917,7 @@ impl Network {
                     events_per_sec: per_wall((self.events + self.sched.rescheduled_total()) as f64),
                     sim_rate: per_wall(sim_secs),
                     sched_depth_high_water: (self.sched.depth_high_water() - tel_resident) as u64,
-                    stale_epoch_drops: stale_timers,
+                    stale_timer_drops: stale_timers,
                     sched_rotations: wheel.rotations,
                     sched_overflow_refills: wheel.overflow_refills,
                     sched_bucket_high_water: wheel.bucket_high_water,

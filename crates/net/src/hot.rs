@@ -26,31 +26,33 @@
 
 use ezflow_sim::TimerHandle;
 
-/// State of one logical MAC timer (transmit path or ACK job).
+/// State of one logical MAC timer (transmit path or ACK job): the one
+/// way a MAC timer is cancelled.
 ///
 /// The invariant the engine maintains: whenever control returns to the
-/// pop loop, an `Armed` slot's `epoch` equals its MAC's current epoch —
-/// a countdown the MAC invalidated without re-arming is parked (the
-/// scheduler entry physically removed) before the next pop, so a stale
-/// entry is never dispatched. The engine's dispatch arms assert that in
-/// debug builds; in release the MAC's own epoch check ignores a stale
-/// timer and counts it in `MacStats::stale_epochs`.
+/// pop loop, a transmit-path slot is `Armed` exactly while its MAC owes
+/// the timer (`Mac::tx_timer_pending`) — an entry the MAC stopped owing
+/// without a re-arm is parked (the scheduler entry physically removed)
+/// before the next pop — and an ACK-job slot is `Armed` exactly while its
+/// MAC holds a response job, which only a firing or a replacement arm
+/// ends. So a dispatched entry is always owed: debug builds assert that
+/// at each transmit-path dispatch and, for both timers, at every
+/// quiescence of `run_until`; in release the MAC ignores a firing it does
+/// not owe and counts it in `MacStats::stale_timers`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum TimerSlot {
     /// No pending scheduler entry (the last one dispatched).
     Idle,
-    /// One pending entry, keyed by `h`, armed under epoch token `epoch`.
-    Armed {
-        /// Handle of the pending entry (for reschedule/remove).
-        h: TimerHandle,
-        /// The MAC epoch the entry was armed with.
-        epoch: u64,
-    },
+    /// One pending entry, keyed by its handle (for reschedule/remove).
+    Armed(TimerHandle),
     /// The entry was physically removed while its owner is frozen (busy
     /// medium, NAV); the next arm revives it via `reschedule(None, ..)`
     /// so churn accounting still sees one consumed entry per park.
     Parked,
 }
+
+// A tag and a handle: one slot per node and timer, read on every arm.
+const _: () = assert!(std::mem::size_of::<TimerSlot>() <= 24);
 
 /// The struct-of-arrays block, one element per node in each array.
 pub(crate) struct HotState {

@@ -217,12 +217,12 @@ record! {
         "scheduled_total" => pub scheduled_total: u64,
         /// Events dispatched (popped and handled).
         "dispatched_total" => pub dispatched_total: u64,
-        /// MAC timers that dispatched after their owner had moved on: the sum
-        /// of [`MacStats::stale_epochs`] over all nodes, the one place a stale
-        /// timer can be seen (the scheduler itself never drops an entry).
-        /// Zero while the engine's eager parking holds. Same value as
-        /// [`PerfSnapshot::stale_epoch_drops`]; the key keeps its name until
-        /// the next schema bump retires it.
+        /// MAC timers that dispatched after their owner had stopped owing
+        /// them: the sum of [`MacStats::stale_timers`] over all nodes, the
+        /// one place a stale timer can be seen (the scheduler itself never
+        /// drops an entry). Zero while the engine's eager parking holds.
+        /// Same value as [`PerfSnapshot::stale_timer_drops`]; the key keeps
+        /// its name until the next schema bump retires it.
         "stale_elided" => pub stale_elided: u64,
         /// Timer entries moved in place by keyed rescheduling: each re-arm
         /// consumes the old entry without a dispatch.
@@ -257,10 +257,10 @@ record! {
         /// set the event loop keeps alive.
         "sched_depth_high_water" => pub sched_depth_high_water: u64,
         /// Timer events the MACs discarded as stale: Σ
-        /// [`MacStats::stale_epochs`], a duplicate of
+        /// [`MacStats::stale_timers`], a duplicate of
         /// [`SchedulerSnapshot::stale_elided`] that retires with it at the
-        /// next schema bump.
-        "stale_epoch_drops" => pub stale_epoch_drops: u64,
+        /// next schema bump. The key predates the field's name.
+        "stale_epoch_drops" => pub stale_timer_drops: u64,
         /// Calendar-queue cursor advances, in buckets. An implementation
         /// gauge, not comparable state.
         "sched_rotations" => pub sched_rotations: u64,
@@ -433,7 +433,8 @@ record! {
         "backoff_slots" => backoff_slots,
         "cca_busy" => cca_busy,
         "eifs_starts" => eifs_starts,
-        "stale_epochs" => stale_epochs,
+        // The key predates the counter's name; both stay until schema 3.
+        "stale_epochs" => stale_timers,
     }
     ControllerCounters {
         "boe_hits" => boe_hits,
@@ -507,7 +508,7 @@ impl PerfSnapshot {
             events_per_sec: 0.0,
             sim_rate: 0.0,
             sched_depth_high_water: 0,
-            stale_epoch_drops: 0,
+            stale_timer_drops: 0,
             sched_rotations: 0,
             sched_overflow_refills: 0,
             sched_bucket_high_water: 0,
@@ -803,7 +804,7 @@ mod tests {
                     backoff_slots: n(),
                     cca_busy: n(),
                     eifs_starts: n(),
-                    stale_epochs: n(),
+                    stale_timers: n(),
                 },
                 counters: ControllerCounters {
                     boe_hits: n(),
@@ -847,7 +848,7 @@ mod tests {
                 events_per_sec: n() as f64 + 0.125,
                 sim_rate: n() as f64 + 0.75,
                 sched_depth_high_water: n(),
-                stale_epoch_drops: n(),
+                stale_timer_drops: n(),
                 sched_rotations: n(),
                 sched_overflow_refills: n(),
                 sched_bucket_high_water: n(),

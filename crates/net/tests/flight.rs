@@ -152,11 +152,11 @@ fn every_drop_counter_is_matched_by_trace_events() {
     let source: u64 = net.metrics.source_drops.values().sum();
     let queue: u64 = net.metrics.queue_drops.iter().sum();
     let retry: u64 = net.metrics.retry_drops.iter().sum();
-    // DCF freeze/restart churn strands no timer: an invalidated entry is
-    // rescheduled in place or parked before it can fire, so no MAC ever
-    // sees a stale epoch.
+    // DCF freeze/restart churn strands no timer: an entry the MAC stopped
+    // owing is rescheduled in place or parked before it can fire, so no
+    // MAC ever sees a stale timer.
     let stale: u64 = (0..net.node_count())
-        .map(|n| net.mac_stats(n).stale_epochs)
+        .map(|n| net.mac_stats(n).stale_timers)
         .sum();
     assert!(
         net.sched_rescheduled() > 0,
