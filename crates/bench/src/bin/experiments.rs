@@ -35,7 +35,8 @@
 //! under `scenarios/`, one line each.
 //!
 //! The whole command line is checked before the first experiment starts:
-//! a malformed flag value (`--seed=abc`, `--telemetry-ms=0`), an unknown
+//! a malformed flag value (`--seed=abc`, `--telemetry-ms=0`,
+//! `--flight-cap=0`), an unknown
 //! or bare `--flag`, an unknown id, a spec that cannot be read, does not
 //! compile or names a controller the harness lacks, one directory given to
 //! both `--trace-dir` and `--telemetry-dir`, or a `--time` factor that
@@ -123,8 +124,12 @@ fn main() -> ExitCode {
                 dirs.trace = Some(std::path::PathBuf::from(&s["--trace-dir=".len()..]));
             }
             s if s.starts_with("--flight-cap=") => {
-                let cap = &s["--flight-cap=".len()..];
-                flight_cap = Some(flag_value("--flight-cap", cap, "a non-negative integer"));
+                let cap: std::num::NonZeroUsize = flag_value(
+                    "--flight-cap",
+                    &s["--flight-cap=".len()..],
+                    "a positive integer",
+                );
+                flight_cap = Some(cap.get());
             }
             s if s.starts_with("--telemetry-dir=") => {
                 dirs.telemetry = Some(std::path::PathBuf::from(&s["--telemetry-dir=".len()..]));

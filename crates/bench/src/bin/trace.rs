@@ -34,10 +34,11 @@
 //! links ranked by mean absolute estimation error.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::process::ExitCode;
 
 use ezflow_net::lifecycle::{parse_jsonl, TraceEvent};
-use ezflow_net::{group_journeys, summarize_journey, JourneySummary};
+use ezflow_net::{group_journeys, summarize_journey, DecisionKind, JourneySummary};
 use ezflow_sim::{Duration, JsonValue};
 use ezflow_stats::{analyze, Stability, StabilityConfig, TimeSeries};
 
@@ -172,6 +173,47 @@ fn drop_link(s: &JourneySummary) -> Option<(usize, usize)> {
     }
 }
 
+/// What a drop census groups by; a census line prints its key.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum Key {
+    Link(Option<(usize, usize)>),
+    Node(usize),
+    Cause(&'static str),
+}
+
+impl fmt::Display for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Key::Link(Some((tx, rx))) => write!(f, "N{tx}→N{rx}"),
+            Key::Link(None) => f.write_str("at source (never left)"),
+            Key::Node(node) => write!(f, "N{node}"),
+            Key::Cause(cause) => f.write_str(cause),
+        }
+    }
+}
+
+/// Two-level drop census. `key` picks a drop's group and subgroup from
+/// its link, node and cause; each group prints its total, then the
+/// count of each subgroup.
+fn census(dropped: &[JourneySummary], key: fn(Key, Key, Key) -> (Key, Key)) {
+    let mut census: BTreeMap<Key, BTreeMap<Key, u64>> = BTreeMap::new();
+    for s in dropped {
+        let (_, node, cause) = s.dropped.expect("filtered on dropped");
+        let (group, sub) = key(
+            Key::Link(drop_link(s)),
+            Key::Node(node),
+            Key::Cause(cause.name()),
+        );
+        *census.entry(group).or_default().entry(sub).or_insert(0) += 1;
+    }
+    for (group, subs) in &census {
+        println!("  {group}: {}", subs.values().sum::<u64>());
+        for (sub, n) in subs {
+            println!("    {sub}: {n}");
+        }
+    }
+}
+
 fn cmd_drops(events: &[TraceEvent], by_cause: bool, by_node: bool, by_link: bool) -> ExitCode {
     let journeys = group_journeys(events);
     let dropped: Vec<JourneySummary> = journeys
@@ -185,63 +227,13 @@ fn cmd_drops(events: &[TraceEvent], by_cause: bool, by_node: bool, by_link: bool
         dropped.len()
     );
     if by_link {
-        // (tx → rx) link -> cause -> count: which hop kills packets.
-        let mut census: BTreeMap<Option<(usize, usize)>, BTreeMap<&'static str, u64>> =
-            BTreeMap::new();
-        for s in &dropped {
-            let (_, _, cause) = s.dropped.expect("filtered on dropped");
-            *census
-                .entry(drop_link(s))
-                .or_default()
-                .entry(cause.name())
-                .or_insert(0) += 1;
-        }
-        for (link, causes) in &census {
-            let total: u64 = causes.values().sum();
-            match link {
-                Some((tx, rx)) => println!("  N{tx}→N{rx}: {total}"),
-                None => println!("  at source (never left): {total}"),
-            }
-            for (cause, n) in causes {
-                println!("    {cause}: {n}");
-            }
-        }
+        // Which hop kills packets, then why.
+        census(&dropped, |link, _, cause| (link, cause));
     } else if by_node {
-        // node -> cause -> count: where packets die, then why there.
-        let mut census: BTreeMap<usize, BTreeMap<&'static str, u64>> = BTreeMap::new();
-        for s in &dropped {
-            let (_, node, cause) = s.dropped.expect("filtered on dropped");
-            *census
-                .entry(node)
-                .or_default()
-                .entry(cause.name())
-                .or_insert(0) += 1;
-        }
-        for (node, causes) in &census {
-            let total: u64 = causes.values().sum();
-            println!("  N{node}: {total}");
-            for (cause, n) in causes {
-                println!("    {cause}: {n}");
-            }
-        }
+        // Where packets die, then why there.
+        census(&dropped, |_, node, cause| (node, cause));
     } else if by_cause {
-        // cause -> node -> count, rendered as one line per (cause, node).
-        let mut census: BTreeMap<&'static str, BTreeMap<usize, u64>> = BTreeMap::new();
-        for s in &dropped {
-            let (_, node, cause) = s.dropped.expect("filtered on dropped");
-            *census
-                .entry(cause.name())
-                .or_default()
-                .entry(node)
-                .or_insert(0) += 1;
-        }
-        for (cause, nodes) in &census {
-            let total: u64 = nodes.values().sum();
-            println!("  {cause}: {total}");
-            for (node, n) in nodes {
-                println!("    N{node}: {n}");
-            }
-        }
+        census(&dropped, |_, node, cause| (cause, node));
     } else {
         for s in &dropped {
             let (at, node, cause) = s.dropped.expect("filtered on dropped");
@@ -440,7 +432,7 @@ fn cmd_telemetry(dump: &TelemetryDump, top: usize) -> ExitCode {
 struct Decision {
     at_us: u64,
     node: usize,
-    kind: String,
+    kind: DecisionKind,
     successor: Option<usize>,
     avg: f64,
     countup: u64,
@@ -495,7 +487,14 @@ fn load_audit(path: &str) -> Result<AuditDump, String> {
             _ => dump.decisions.push(Decision {
                 at_us,
                 node,
-                kind: kind.to_string(),
+                kind: [
+                    DecisionKind::Increase,
+                    DecisionKind::Decrease,
+                    DecisionKind::Assign,
+                ]
+                .into_iter()
+                .find(|k| k.name() == kind)
+                .ok_or_else(|| format!("{path}:{}: unknown audit kind '{kind}'", lineno + 1))?,
                 successor: rec
                     .get("successor")
                     .and_then(JsonValue::as_u64)
@@ -521,13 +520,15 @@ fn load_audit(path: &str) -> Result<AuditDump, String> {
 /// The record carries the charge *entering* the round; the firing round
 /// is the one that pushed it to the threshold.
 fn fired(d: &Decision) -> String {
-    match d.kind.as_str() {
-        "increase" => format!("countup {}+1 hit {} → double", d.countup, d.up_threshold),
-        "decrease" => format!(
+    match d.kind {
+        DecisionKind::Increase => {
+            format!("countup {}+1 hit {} → double", d.countup, d.up_threshold)
+        }
+        DecisionKind::Decrease => format!(
             "countdown {}+1 hit {} → halve",
             d.countdown, d.down_threshold
         ),
-        _ => "assigned".to_string(),
+        DecisionKind::Assign => "assigned".to_string(),
     }
 }
 
@@ -584,7 +585,7 @@ fn cmd_controller(dump: &AuditDump, top: usize) -> ExitCode {
                 fmt_us(d.at_us),
                 d.node,
                 succ,
-                d.kind,
+                d.kind.name(),
                 d.cw_before,
                 d.cw_after,
                 d.avg,

@@ -276,6 +276,7 @@ fn malformed_flag_values_exit_2_naming_the_flag() {
         ("--time", "x"),
         ("--jobs", "x"),
         ("--flight-cap", "x"),
+        ("--flight-cap", "0"),
         ("--telemetry-ms", "x"),
         ("--telemetry-ms", "0"),
     ] {
@@ -719,5 +720,104 @@ fn telemetry_streams_trace_cannot_rebuild_exit_1_naming_the_file() {
             "{name}: {stderr}"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Three hand-written journeys on a chain N0 → N1 → N2, one per drop
+/// cause `trace drops` has to place: a source-full drop, a queue-full
+/// drop at relay N1 (the refusing receiver is not a hop), and a
+/// retry-limit drop of N1's own transmission after its second attempt.
+const THREE_DROPS: &str = r#"{"at_us":1000,"node":0,"kind":"Admit","payload":{"type":"admit","seq":1,"flow":0}}
+{"at_us":1000,"node":0,"kind":"Drop","payload":{"type":"drop","cause":"source_queue_full","seq":1}}
+{"at_us":2000,"node":0,"kind":"Admit","payload":{"type":"admit","seq":2,"flow":0}}
+{"at_us":2000,"node":0,"kind":"Enqueue","payload":{"type":"enqueue","seq":2,"flow":0,"occupancy":1,"cap":50}}
+{"at_us":2500,"node":0,"kind":"Dequeue","payload":{"type":"dequeue","seq":2,"flow":0}}
+{"at_us":2600,"node":0,"kind":"Attempt","payload":{"type":"attempt","seq":2,"attempt":0,"cw":32,"slots":7}}
+{"at_us":4800,"node":1,"kind":"Drop","payload":{"type":"drop","cause":"queue_full","seq":2}}
+{"at_us":3000,"node":0,"kind":"Admit","payload":{"type":"admit","seq":3,"flow":0}}
+{"at_us":3000,"node":0,"kind":"Enqueue","payload":{"type":"enqueue","seq":3,"flow":0,"occupancy":1,"cap":50}}
+{"at_us":3500,"node":0,"kind":"Dequeue","payload":{"type":"dequeue","seq":3,"flow":0}}
+{"at_us":3600,"node":0,"kind":"Attempt","payload":{"type":"attempt","seq":3,"attempt":0,"cw":32,"slots":3}}
+{"at_us":5800,"node":1,"kind":"Enqueue","payload":{"type":"enqueue","seq":3,"flow":0,"occupancy":4,"cap":50}}
+{"at_us":6000,"node":1,"kind":"Dequeue","payload":{"type":"dequeue","seq":3,"flow":0}}
+{"at_us":6100,"node":1,"kind":"Attempt","payload":{"type":"attempt","seq":3,"attempt":0,"cw":32,"slots":9}}
+{"at_us":9100,"node":1,"kind":"Attempt","payload":{"type":"attempt","seq":3,"attempt":1,"cw":64,"slots":40}}
+{"at_us":12000,"node":1,"kind":"Drop","payload":{"type":"drop","cause":"retry_limit","seq":3}}
+"#;
+
+#[test]
+fn trace_drops_prints_the_pinned_census_of_three_hand_written_drops() {
+    let dir = scratch("trace-drops");
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    let file = dir.join("drops.jsonl");
+    std::fs::write(&file, THREE_DROPS).expect("the lifecycle is written");
+    let file = file.display().to_string();
+    let drops = |flags: &[&str]| -> String {
+        let mut args = vec!["drops"];
+        args.extend_from_slice(flags);
+        args.push(&file);
+        let out = budget::run(TRACE, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let head = "3 journeys, 3 ended in a drop\n";
+    let listing = concat!(
+        "  packet        1 flow 0 dropped at N0 t=0.001s (source_queue_full) after N0\n",
+        "  packet        2 flow 0 dropped at N1 t=0.005s (queue_full) after N0\n",
+        "  packet        3 flow 0 dropped at N1 t=0.012s (retry_limit) after N0→N1\n",
+    );
+    let by_cause = concat!(
+        "  queue_full: 1\n    N1: 1\n",
+        "  retry_limit: 1\n    N1: 1\n",
+        "  source_queue_full: 1\n    N0: 1\n",
+    );
+    let by_node = concat!(
+        "  N0: 1\n    source_queue_full: 1\n",
+        "  N1: 2\n    queue_full: 1\n    retry_limit: 1\n",
+    );
+    let by_link = concat!(
+        "  at source (never left): 1\n    source_queue_full: 1\n",
+        "  N0→N1: 2\n    queue_full: 1\n    retry_limit: 1\n",
+    );
+    assert_eq!(drops(&[]), format!("{head}{listing}"));
+    assert_eq!(drops(&["--by-cause"]), format!("{head}{by_cause}"));
+    assert_eq!(drops(&["--by-node"]), format!("{head}{by_node}"));
+    assert_eq!(drops(&["--by-link"]), format!("{head}{by_link}"));
+    // Precedence: --by-link over --by-node over --by-cause.
+    assert_eq!(
+        drops(&["--by-cause", "--by-node"]),
+        format!("{head}{by_node}")
+    );
+    assert_eq!(
+        drops(&["--by-link", "--by-cause"]),
+        format!("{head}{by_link}")
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_unknown_audit_kind_exits_1_naming_the_line() {
+    // Any kind but "sample" once read as a decision: a bogus record
+    // printed as "assigned" and the command exited 0.
+    let decision = |kind: &str| {
+        format!(
+            r#"{{"at_us":1,"node":0,"kind":"{kind}","successor":1,"avg":0.5,"countup":0,"countdown":0,"up_threshold":0,"down_threshold":0,"cw_before":32,"cw_after":16}}"#
+        )
+    };
+    let dir = scratch("audit-kinds");
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    let file = dir.join("bogus.audit.jsonl");
+    let stream = format!("{}\n{}\n", decision("assign"), decision("bogus"));
+    std::fs::write(&file, stream).expect("the stream is written");
+    let file = file.display().to_string();
+    let out = budget::run(TRACE, &["controller", &file]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("{file}:2: unknown audit kind 'bogus'")),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing rendered from a bad stream");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 
-use ezflow_net::controller::{Controller, ControllerEvent, DecisionKind, DecisionRecord};
+use ezflow_net::controller::{Controller, ControllerEvent, DecisionKind, DecisionRecord, Reaction};
 use ezflow_net::topo::FlowSpec;
 use ezflow_net::FixedController;
 use ezflow_sim::{Duration, Time};
@@ -70,8 +70,6 @@ pub struct DiffQController {
     /// The effective window last reported to the MAC, so a class change
     /// can be recorded as an audit decision.
     last_cw: u32,
-    /// Pending audit record (see [`Controller::take_decision`]).
-    last_decision: Option<DecisionRecord>,
 }
 
 impl Default for DiffQController {
@@ -83,7 +81,6 @@ impl Default for DiffQController {
             windows: [16, 32, 64, 256],
             thresholds: [25, 10, 1],
             last_cw: 32,
-            last_decision: None,
         }
     }
 }
@@ -114,38 +111,39 @@ impl DiffQController {
 }
 
 impl Controller for DiffQController {
-    fn on_event(&mut self, _now: Time, event: ControllerEvent<'_>) -> Option<u32> {
-        match event {
-            ControllerEvent::NeighborBacklog {
-                neighbor,
-                backlog,
-                own_backlog,
-            } => {
-                let diff = own_backlog as i64 - backlog as i64;
-                self.diffs.insert(neighbor, diff);
-                let cw = self.effective_cw();
-                if let Some(cw) = cw {
-                    if cw != self.last_cw {
-                        // A class change is DiffQ's "decision": the
-                        // backlog differential is the driving quantity.
-                        self.last_decision = Some(DecisionRecord {
-                            kind: DecisionKind::Assign,
-                            successor: Some(neighbor),
-                            avg: diff as f64,
-                            countup: 0,
-                            countdown: 0,
-                            up_threshold: 0,
-                            down_threshold: 0,
-                            cw_before: self.last_cw,
-                            cw_after: cw,
-                        });
-                        self.last_cw = cw;
-                    }
-                }
-                cw
+    fn on_event(&mut self, _now: Time, event: ControllerEvent<'_>) -> Reaction {
+        // DiffQ does not use passive overhearing.
+        let ControllerEvent::NeighborBacklog {
+            neighbor,
+            backlog,
+            own_backlog,
+        } = event
+        else {
+            return Reaction::default();
+        };
+        let diff = own_backlog as i64 - backlog as i64;
+        self.diffs.insert(neighbor, diff);
+        let cw = self.effective_cw();
+        // A class change is DiffQ's "decision": the backlog differential
+        // is the driving quantity.
+        let decision = cw.filter(|&cw| cw != self.last_cw).map(|cw| {
+            let before = std::mem::replace(&mut self.last_cw, cw);
+            DecisionRecord {
+                kind: DecisionKind::Assign,
+                successor: Some(neighbor),
+                avg: diff as f64,
+                countup: 0,
+                countdown: 0,
+                up_threshold: 0,
+                down_threshold: 0,
+                cw_before: before,
+                cw_after: cw,
             }
-            // DiffQ does not use passive overhearing.
-            _ => None,
+        });
+        Reaction {
+            cw,
+            boe: None,
+            decision,
         }
     }
 
@@ -155,10 +153,6 @@ impl Controller for DiffQController {
 
     fn name(&self) -> &'static str {
         "diffq"
-    }
-
-    fn take_decision(&mut self) -> Option<DecisionRecord> {
-        self.last_decision.take()
     }
 }
 
@@ -200,10 +194,10 @@ mod tests {
             backlog: succ,
             own_backlog: own,
         };
-        assert_eq!(c.on_event(Time::ZERO, ev(50, 0)), Some(16));
-        assert_eq!(c.on_event(Time::ZERO, ev(15, 0)), Some(32));
-        assert_eq!(c.on_event(Time::ZERO, ev(5, 0)), Some(64));
-        assert_eq!(c.on_event(Time::ZERO, ev(5, 20)), Some(256));
+        assert_eq!(c.on_event(Time::ZERO, ev(50, 0)).cw, Some(16));
+        assert_eq!(c.on_event(Time::ZERO, ev(15, 0)).cw, Some(32));
+        assert_eq!(c.on_event(Time::ZERO, ev(5, 0)).cw, Some(64));
+        assert_eq!(c.on_event(Time::ZERO, ev(5, 20)).cw, Some(256));
         assert!(c.backlog_period().is_some(), "diffq needs message passing");
     }
 
@@ -215,17 +209,20 @@ mod tests {
             backlog: succ,
             own_backlog: own,
         };
-        assert_eq!(c.take_decision(), None);
-        assert_eq!(c.on_event(Time::ZERO, ev(50, 0)), Some(16));
-        let d = c.take_decision().expect("class change recorded");
+        let r = c.on_event(Time::ZERO, ev(50, 0));
+        assert_eq!(r.cw, Some(16));
+        assert_eq!(r.boe, None, "no passive estimator");
+        let d = r.decision.expect("class change recorded");
         assert_eq!(d.kind, DecisionKind::Assign);
         assert_eq!(d.successor, Some(5));
         assert_eq!((d.cw_before, d.cw_after), (32, 16));
         assert_eq!(d.avg, 50.0, "the backlog differential");
-        assert_eq!(c.take_decision(), None, "take clears the slot");
-        // Same class again: no new decision.
-        assert_eq!(c.on_event(Time::ZERO, ev(60, 0)), Some(16));
-        assert_eq!(c.take_decision(), None);
+        // Same class again: the window is restated, no new decision.
+        let r = c.on_event(Time::ZERO, ev(60, 0));
+        assert_eq!((r.cw, r.decision), (Some(16), None));
+        let r = c.on_event(Time::ZERO, ev(5, 20));
+        let d = r.decision.expect("the next class change");
+        assert_eq!((d.cw_before, d.cw_after), (16, 256));
     }
 
     #[test]
@@ -248,7 +245,8 @@ mod tests {
                     backlog: 50,
                     own_backlog: 50,
                 },
-            ),
+            )
+            .cw,
             Some(256)
         );
     }

@@ -26,6 +26,8 @@
 
 use std::collections::VecDeque;
 
+use ezflow_net::lifecycle::BoeVerdict;
+
 /// Per-successor passive buffer estimator.
 #[derive(Clone, Debug)]
 pub struct Boe {
@@ -80,21 +82,25 @@ impl Boe {
         self.counts[ck as usize] += 1;
     }
 
-    /// Processes an overheard forward by the successor; returns the
-    /// estimated successor buffer occupancy, in packets, if the checksum
-    /// matches a recorded send.
+    /// Processes an overheard forward by the successor: its verdict and,
+    /// unless the checksum matched nothing, the estimated successor
+    /// buffer occupancy in packets.
     ///
     /// The common miss costs one table read; a hit scans the ring only
     /// back to the most recent match (the occurrence count already says
     /// whether an older alias exists).
-    pub fn on_overheard(&mut self, ck: u16) -> Option<usize> {
+    pub fn on_overheard(&mut self, ck: u16) -> (BoeVerdict, Option<usize>) {
         let occurrences = self.counts[ck as usize];
         if occurrences == 0 {
-            return None;
+            self.misses += 1;
+            return (BoeVerdict::Miss, None);
         }
-        if occurrences >= 2 {
+        let verdict = if occurrences >= 2 {
             self.ambiguous += 1;
-        }
+            BoeVerdict::Ambiguous
+        } else {
+            BoeVerdict::Hit
+        };
         let idx = self
             .sent
             .iter()
@@ -107,7 +113,7 @@ impl Boe {
             self.counts[evicted as usize] -= 1;
         }
         self.samples_produced += 1;
-        Some(b)
+        (verdict, Some(b))
     }
 
     /// Number of sends currently remembered.
@@ -119,16 +125,16 @@ impl Boe {
     pub fn is_empty(&self) -> bool {
         self.sent.is_empty()
     }
-
-    /// Records an overhearing that produced no estimate (diagnostics).
-    pub fn on_miss(&mut self) {
-        self.misses += 1;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The estimate of one overhearing, whatever its verdict.
+    fn est(boe: &mut Boe, ck: u16) -> Option<usize> {
+        boe.on_overheard(ck).1
+    }
 
     #[test]
     fn exact_occupancy_for_fifo_successor() {
@@ -138,20 +144,20 @@ mod tests {
             boe.on_sent(ck);
         }
         // Successor forwards packet 1: packets 2..5 still buffered -> 4.
-        assert_eq!(boe.on_overheard(1), Some(4));
+        assert_eq!(est(&mut boe, 1), Some(4));
         // Then packet 2: 3..5 buffered -> 3.
-        assert_eq!(boe.on_overheard(2), Some(3));
+        assert_eq!(est(&mut boe, 2), Some(3));
         // We send 2 more; successor forwards 3: 4,5,6,7 buffered -> 4.
         boe.on_sent(6);
         boe.on_sent(7);
-        assert_eq!(boe.on_overheard(3), Some(4));
+        assert_eq!(est(&mut boe, 3), Some(4));
     }
 
     #[test]
     fn empty_buffer_reads_zero() {
         let mut boe = Boe::new(100);
         boe.on_sent(9);
-        assert_eq!(boe.on_overheard(9), Some(0));
+        assert_eq!(est(&mut boe, 9), Some(0));
         assert!(boe.is_empty());
     }
 
@@ -159,7 +165,7 @@ mod tests {
     fn unknown_checksum_yields_no_sample() {
         let mut boe = Boe::new(100);
         boe.on_sent(1);
-        assert_eq!(boe.on_overheard(42), None);
+        assert_eq!(est(&mut boe, 42), None);
         assert_eq!(boe.len(), 1, "a miss must not disturb the history");
     }
 
@@ -169,10 +175,10 @@ mod tests {
         for ck in 1..=10u16 {
             boe.on_sent(ck);
         }
-        assert_eq!(boe.on_overheard(7), Some(3));
+        assert_eq!(est(&mut boe, 7), Some(3));
         assert_eq!(boe.len(), 3);
         // Packets 1..=7 are gone: overhearing 3 again can't match.
-        assert_eq!(boe.on_overheard(3), None);
+        assert_eq!(est(&mut boe, 3), None);
     }
 
     #[test]
@@ -183,11 +189,13 @@ mod tests {
         boe.on_sent(5); // alias of the first
         boe.on_sent(9);
         // Most recent '5' is at index 2: one packet (9) after it.
-        assert_eq!(boe.on_overheard(5), Some(1));
+        assert_eq!(boe.on_overheard(5), (BoeVerdict::Ambiguous, Some(1)));
         assert_eq!(boe.ambiguous, 1, "the older alias was detected");
         // Unambiguous lookups leave the counter alone.
-        assert_eq!(boe.on_overheard(9), Some(0));
+        assert_eq!(boe.on_overheard(9), (BoeVerdict::Hit, Some(0)));
         assert_eq!(boe.ambiguous, 1);
+        assert_eq!(boe.on_overheard(5), (BoeVerdict::Miss, None));
+        assert_eq!(boe.misses, 1, "the estimator counts its own misses");
     }
 
     #[test]
@@ -198,8 +206,8 @@ mod tests {
         }
         assert_eq!(boe.len(), 10);
         // Oldest surviving entry is 40.
-        assert_eq!(boe.on_overheard(39), None);
-        assert_eq!(boe.on_overheard(40), Some(9));
+        assert_eq!(est(&mut boe, 39), None);
+        assert_eq!(est(&mut boe, 40), Some(9));
     }
 
     /// The pre-filter estimator, kept verbatim as a test oracle: one
@@ -269,7 +277,15 @@ mod tests {
             let ck = (r & 7) as u16;
             if r & 0x18 == 0 {
                 // 1-in-4: overhear (often a miss or an alias).
-                assert_eq!(fast.on_overheard(ck), slow.on_overheard(ck));
+                let (verdict, b) = fast.on_overheard(ck);
+                let ambiguous = slow.ambiguous;
+                assert_eq!(b, slow.on_overheard(ck));
+                let expected = match b {
+                    None => BoeVerdict::Miss,
+                    Some(_) if slow.ambiguous > ambiguous => BoeVerdict::Ambiguous,
+                    Some(_) => BoeVerdict::Hit,
+                };
+                assert_eq!(verdict, expected);
             } else {
                 fast.on_sent(ck);
                 slow.on_sent(ck);
@@ -291,11 +307,11 @@ mod tests {
         // Ring full: sending 4 evicts the oldest '1'; the remaining '1'
         // must still be findable (count went 2 -> 1, not to 0).
         boe.on_sent(4);
-        assert_eq!(boe.on_overheard(1), Some(2), "ring is [2,1,3,4]");
+        assert_eq!(est(&mut boe, 1), Some(2), "ring is [2,1,3,4]");
         // The prune dropped 2 and 1; both must now be O(1) misses.
-        assert_eq!(boe.on_overheard(2), None);
-        assert_eq!(boe.on_overheard(1), None);
-        assert_eq!(boe.on_overheard(3), Some(1));
+        assert_eq!(est(&mut boe, 2), None);
+        assert_eq!(est(&mut boe, 1), None);
+        assert_eq!(est(&mut boe, 3), Some(1));
     }
 
     #[test]
@@ -305,9 +321,9 @@ mod tests {
         let mut a = Boe::new(8);
         a.on_sent(5);
         let mut b = a.clone();
-        assert_eq!(b.on_overheard(5), Some(0));
-        assert_eq!(a.on_overheard(5), Some(0), "clone's prune must not leak");
-        assert_eq!(b.on_overheard(5), None);
+        assert_eq!(est(&mut b, 5), Some(0));
+        assert_eq!(est(&mut a, 5), Some(0), "clone's prune must not leak");
+        assert_eq!(est(&mut b, 5), None);
     }
 
     #[test]
@@ -319,6 +335,6 @@ mod tests {
             boe.on_sent(ck);
         }
         // Forwards of 1..=4 all missed; we only hear 5.
-        assert_eq!(boe.on_overheard(5), Some(5));
+        assert_eq!(est(&mut boe, 5), Some(5));
     }
 }

@@ -28,14 +28,15 @@ pub enum CaaDecision {
     Decrease(u32),
 }
 
-/// A completed averaging round with every input Algorithm 1 saw — the
-/// provenance record behind a CAA verdict. Captured unconditionally
-/// (it is a handful of Copy words) and surfaced through
-/// [`Caa::last_round`] so an audit layer can explain *why* the window
-/// moved (or held): which threshold was armed, how charged the counters
-/// were, and what the average actually was.
+/// A completed averaging round: its decision with every input Algorithm 1
+/// saw. [`Caa::on_sample`] returns one from the sample that completes the
+/// round, so an audit layer can explain *why* the window moved (or held):
+/// which threshold was armed, how charged the counters were, and what the
+/// average actually was.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CaaRound {
+    /// What the round did to the window.
+    pub decision: CaaDecision,
     /// The averaged BOE estimate the round decided on.
     pub avg: f64,
     /// `CWmin` when the round began.
@@ -74,9 +75,6 @@ pub struct Caa {
     /// Diagnostics: completed averages that left the window unchanged
     /// (counter still charging, comfortable zone, or clamped at a bound).
     pub holds: u64,
-    /// Provenance of the most recent completed round (see [`CaaRound`]).
-    /// `None` until the first round completes.
-    pub last_round: Option<CaaRound>,
 }
 
 impl Caa {
@@ -94,7 +92,6 @@ impl Caa {
             increases: 0,
             decreases: 0,
             holds: 0,
-            last_round: None,
         }
     }
 
@@ -108,23 +105,19 @@ impl Caa {
         self.cw.trailing_zeros()
     }
 
-    /// Feeds one buffer-occupancy sample from the BOE.
-    pub fn on_sample(&mut self, b: usize) -> CaaDecision {
+    /// Feeds one buffer-occupancy sample from the BOE; the sample that
+    /// completes an averaging round returns the round, with Algorithm 1's
+    /// decision on its average.
+    pub fn on_sample(&mut self, b: usize) -> Option<CaaRound> {
         self.sum += b as f64;
         self.count += 1;
         if self.count < self.cfg.samples {
-            return CaaDecision::Hold;
+            return None;
         }
         let avg = self.sum / self.count as f64;
         self.sum = 0.0;
         self.count = 0;
         self.rounds += 1;
-        self.on_average(avg)
-    }
-
-    /// Applies Algorithm 1 to a completed average. Public so the
-    /// analytical model can drive the same logic sample-less.
-    pub fn on_average(&mut self, avg: f64) -> CaaDecision {
         let cw_before = self.cw;
         let up_threshold = self.log_cw();
         let down_threshold = 15u32.saturating_sub(self.log_cw());
@@ -136,7 +129,8 @@ impl Caa {
             CaaDecision::Decrease(_) => self.decreases += 1,
             CaaDecision::Hold => self.holds += 1,
         }
-        self.last_round = Some(CaaRound {
+        Some(CaaRound {
+            decision,
             avg,
             cw_before,
             cw_after: self.cw,
@@ -144,8 +138,7 @@ impl Caa {
             countdown,
             up_threshold,
             down_threshold,
-        });
-        decision
+        })
     }
 
     fn decide(&mut self, avg: f64) -> CaaDecision {
@@ -190,22 +183,26 @@ mod tests {
     }
 
     /// Feeds a full averaging round of identical samples.
-    fn round(c: &mut Caa, b: usize) -> CaaDecision {
-        let mut last = CaaDecision::Hold;
-        for _ in 0..50 {
-            last = c.on_sample(b);
+    fn full_round(c: &mut Caa, b: usize) -> CaaRound {
+        for _ in 0..49 {
+            assert_eq!(c.on_sample(b), None, "round still averaging");
         }
-        last
+        c.on_sample(b).expect("the 50th sample completes the round")
+    }
+
+    /// The decision of a full averaging round of identical samples.
+    fn round(c: &mut Caa, b: usize) -> CaaDecision {
+        full_round(c, b).decision
     }
 
     #[test]
     fn needs_a_full_round_before_deciding() {
         let mut c = caa(32);
         for _ in 0..49 {
-            assert_eq!(c.on_sample(100), CaaDecision::Hold);
+            assert_eq!(c.on_sample(100), None);
         }
         assert_eq!(c.rounds, 0);
-        c.on_sample(100);
+        assert!(c.on_sample(100).is_some());
         assert_eq!(c.rounds, 1);
     }
 
@@ -315,12 +312,11 @@ mod tests {
     }
 
     #[test]
-    fn last_round_records_inputs_and_thresholds() {
+    fn completed_round_records_inputs_and_thresholds() {
         let mut c = caa(32);
-        assert_eq!(c.last_round, None, "no round completed yet");
         // First over-threshold round: entered uncharged, window holds.
-        round(&mut c, 30);
-        let r = c.last_round.expect("round completed");
+        let r = full_round(&mut c, 30);
+        assert_eq!(r.decision, CaaDecision::Hold);
         assert_eq!(r.avg, 30.0);
         assert_eq!((r.cw_before, r.cw_after), (32, 32));
         assert_eq!((r.countup, r.countdown), (0, 0), "charge entering");
@@ -329,8 +325,8 @@ mod tests {
         for _ in 0..3 {
             round(&mut c, 30);
         }
-        assert_eq!(round(&mut c, 30), CaaDecision::Increase(64));
-        let r = c.last_round.expect("round completed");
+        let r = full_round(&mut c, 30);
+        assert_eq!(r.decision, CaaDecision::Increase(64));
         assert_eq!((r.cw_before, r.cw_after), (32, 64));
         assert_eq!(r.countup, 4, "entered charged 4/5; this round fired");
         assert_eq!(r.up_threshold, 5, "threshold from the window at entry");
@@ -341,12 +337,12 @@ mod tests {
         // b_min = 0.05 with 50 samples: even 3 samples of 1 packet push
         // the average to 0.06 > b_min.
         let mut c = caa(64);
-        let mut last = CaaDecision::Hold;
         for _ in 0..20 {
+            let mut last = None;
             for i in 0..50 {
                 last = c.on_sample(if i < 3 { 1 } else { 0 });
             }
-            assert_eq!(last, CaaDecision::Hold);
+            assert_eq!(last.map(|r| r.decision), Some(CaaDecision::Hold));
         }
         assert_eq!(c.cw(), 64);
     }

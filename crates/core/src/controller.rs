@@ -1,12 +1,13 @@
 //! EZ-flow as a [`Controller`]: the glue between BOE, CAA and the MAC.
 
 use ezflow_net::controller::{
-    Controller, ControllerCounters, ControllerEvent, DecisionKind, DecisionRecord,
+    BoeReading, Controller, ControllerCounters, ControllerEvent, DecisionKind, DecisionRecord,
+    Reaction,
 };
 use ezflow_sim::Time;
 
 use crate::boe::Boe;
-use crate::caa::{Caa, CaaDecision, CaaRound};
+use crate::caa::{Caa, CaaDecision};
 use crate::config::EzFlowConfig;
 
 /// The EZ-flow program running at one node.
@@ -41,13 +42,6 @@ pub struct EzFlowController {
     /// frame, ACK and queue-window read, a node has a handful of
     /// successors (one on a line), and every read of it is order-free.
     per_succ: Vec<(usize, Boe, Caa)>,
-    /// Provenance of the last window-changing CAA round, held until the
-    /// engine takes it ([`Controller::take_decision`]). A few Copy words,
-    /// stored unconditionally — behaviour never depends on it.
-    last_decision: Option<DecisionRecord>,
-    /// `(successor, b̂)` of the last overheard-forward estimate, held
-    /// until the engine takes it ([`Controller::take_estimate`]).
-    last_estimate: Option<(usize, u32)>,
 }
 
 impl EzFlowController {
@@ -59,8 +53,6 @@ impl EzFlowController {
             cfg,
             start_cw,
             per_succ: Vec::new(),
-            last_decision: None,
-            last_estimate: None,
         }
     }
 
@@ -74,21 +66,17 @@ impl EzFlowController {
         self.per_succ.iter().position(|(s, ..)| *s == successor)
     }
 
-    /// The successor's estimator pair, created the first time it is seen.
-    fn entry(&mut self, successor: usize) -> (&mut Boe, &mut Caa) {
-        let at = match self.slot(successor) {
-            Some(at) => at,
-            None => {
-                let (boe, caa) = (
-                    Boe::new(self.cfg.history),
-                    Caa::new(self.cfg, self.start_cw),
-                );
-                self.per_succ.push((successor, boe, caa));
-                self.per_succ.len() - 1
-            }
-        };
-        let (_, boe, caa) = &mut self.per_succ[at];
-        (boe, caa)
+    /// Where the successor sits in `per_succ`; its estimator pair is
+    /// created the first time it is seen.
+    fn entry(&mut self, successor: usize) -> usize {
+        self.slot(successor).unwrap_or_else(|| {
+            let (boe, caa) = (
+                Boe::new(self.cfg.history),
+                Caa::new(self.cfg, self.start_cw),
+            );
+            self.per_succ.push((successor, boe, caa));
+            self.per_succ.len() - 1
+        })
     }
 
     /// The effective window: max over successors (see type docs).
@@ -107,78 +95,72 @@ impl EzFlowController {
         v
     }
 
-    fn after_decision(&self, decision: CaaDecision) -> Option<u32> {
-        match decision {
-            CaaDecision::Hold => None,
-            CaaDecision::Increase(_) | CaaDecision::Decrease(_) => self.effective_cw(),
-        }
-    }
-
-    /// Promotes a window-changing CAA round into the pending audit record.
-    fn note_round(&mut self, successor: usize, round: Option<CaaRound>, decision: CaaDecision) {
-        let kind = match decision {
-            CaaDecision::Hold => return,
+    /// Feeds one occupancy sample to the CAA at `per_succ[at]`. A round
+    /// that moves the window yields the node's new effective window and
+    /// the round's decision record.
+    fn sample(&mut self, at: usize, b: usize) -> Reaction {
+        let (successor, _, caa) = &mut self.per_succ[at];
+        let Some(r) = caa.on_sample(b) else {
+            return Reaction::default();
+        };
+        let kind = match r.decision {
+            CaaDecision::Hold => return Reaction::default(),
             CaaDecision::Increase(_) => DecisionKind::Increase,
             CaaDecision::Decrease(_) => DecisionKind::Decrease,
         };
-        if let Some(r) = round {
-            self.last_decision = Some(DecisionRecord {
-                kind,
-                successor: Some(successor),
-                avg: r.avg,
-                countup: r.countup,
-                countdown: r.countdown,
-                up_threshold: r.up_threshold,
-                down_threshold: r.down_threshold,
-                cw_before: r.cw_before,
-                cw_after: r.cw_after,
-            });
+        let decision = DecisionRecord {
+            kind,
+            successor: Some(*successor),
+            avg: r.avg,
+            countup: r.countup,
+            countdown: r.countdown,
+            up_threshold: r.up_threshold,
+            down_threshold: r.down_threshold,
+            cw_before: r.cw_before,
+            cw_after: r.cw_after,
+        };
+        Reaction {
+            cw: self.effective_cw(),
+            boe: None,
+            decision: Some(decision),
         }
     }
 }
 
 impl Controller for EzFlowController {
-    fn on_event(&mut self, _now: Time, event: ControllerEvent<'_>) -> Option<u32> {
+    fn on_event(&mut self, _now: Time, event: ControllerEvent<'_>) -> Reaction {
         match event {
             ControllerEvent::SentToSuccessor { successor, frame } => {
-                let sink = successor == frame.final_dst;
-                let ck = frame.checksum;
-                let (boe, caa) = self.entry(successor);
-                if sink {
+                let at = self.entry(successor);
+                if successor == frame.final_dst {
                     // The ACK certifies delivery; the sink's buffer is
                     // empty by definition.
-                    let d = caa.on_sample(0);
-                    let round = caa.last_round;
-                    self.note_round(successor, round, d);
-                    self.after_decision(d)
+                    self.sample(at, 0)
                 } else {
-                    boe.on_sent(ck);
-                    None
+                    self.per_succ[at].1.on_sent(frame.checksum);
+                    Reaction::default()
                 }
             }
             ControllerEvent::Overheard { frame } => {
                 // Only forwards *by one of our successors* carry
                 // information; everything else on the air is ignored.
-                let ck = frame.checksum;
-                let src = frame.src;
-                let at = self.slot(src)?;
-                let (_, boe, caa) = &mut self.per_succ[at];
-                match boe.on_overheard(ck) {
-                    Some(b) => {
-                        let d = caa.on_sample(b);
-                        let round = caa.last_round;
-                        self.last_estimate = Some((src, b as u32));
-                        self.note_round(src, round, d);
-                        self.after_decision(d)
-                    }
-                    None => {
-                        boe.on_miss();
-                        None
-                    }
-                }
+                let Some(at) = self.slot(frame.src) else {
+                    return Reaction::default();
+                };
+                let (verdict, b) = self.per_succ[at].1.on_overheard(frame.checksum);
+                let mut reaction = match b {
+                    Some(b) => self.sample(at, b),
+                    None => Reaction::default(),
+                };
+                reaction.boe = Some(BoeReading {
+                    successor: frame.src,
+                    verdict,
+                    estimate: b.map(|b| b as u32),
+                });
+                reaction
             }
             // EZ-flow never requests nor uses message passing.
-            ControllerEvent::NeighborBacklog { .. } => None,
+            ControllerEvent::NeighborBacklog { .. } => Reaction::default(),
         }
     }
 
@@ -206,19 +188,12 @@ impl Controller for EzFlowController {
         }
         c
     }
-
-    fn take_decision(&mut self) -> Option<DecisionRecord> {
-        self.last_decision.take()
-    }
-
-    fn take_estimate(&mut self) -> Option<(usize, u32)> {
-        self.last_estimate.take()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ezflow_net::lifecycle::BoeVerdict;
     use ezflow_phy::Frame;
 
     fn frame(seq: u64, src: usize, dst: usize, final_dst: usize) -> Frame {
@@ -261,12 +236,15 @@ mod tests {
             outstanding.push_back(seq);
             seq += 1;
             let fwd = outstanding.pop_front().unwrap();
-            if let Some(new_cw) = c.on_event(
-                Time::ZERO,
-                ControllerEvent::Overheard {
-                    frame: &frame(fwd, 2, 3, 4),
-                },
-            ) {
+            if let Some(new_cw) = c
+                .on_event(
+                    Time::ZERO,
+                    ControllerEvent::Overheard {
+                        frame: &frame(fwd, 2, 3, 4),
+                    },
+                )
+                .cw
+            {
                 assert!(new_cw > cw, "congestion must only raise cw");
                 cw = new_cw;
             }
@@ -293,12 +271,15 @@ mod tests {
                     frame: &frame(seq, 1, 2, 4),
                 },
             );
-            if let Some(new_cw) = c.on_event(
-                Time::ZERO,
-                ControllerEvent::Overheard {
-                    frame: &frame(seq, 2, 3, 4),
-                },
-            ) {
+            if let Some(new_cw) = c
+                .on_event(
+                    Time::ZERO,
+                    ControllerEvent::Overheard {
+                        frame: &frame(seq, 2, 3, 4),
+                    },
+                )
+                .cw
+            {
                 cw = new_cw;
             }
         }
@@ -311,13 +292,16 @@ mod tests {
         let mut cw = 32;
         for seq in 0..20_000u64 {
             // Successor 4 IS the final destination.
-            if let Some(new_cw) = c.on_event(
-                Time::ZERO,
-                ControllerEvent::SentToSuccessor {
-                    successor: 4,
-                    frame: &frame(seq, 3, 4, 4),
-                },
-            ) {
+            if let Some(new_cw) = c
+                .on_event(
+                    Time::ZERO,
+                    ControllerEvent::SentToSuccessor {
+                        successor: 4,
+                        frame: &frame(seq, 3, 4, 4),
+                    },
+                )
+                .cw
+            {
                 cw = new_cw;
             }
         }
@@ -327,27 +311,30 @@ mod tests {
     #[test]
     fn audit_hooks_expose_estimates_and_decisions() {
         let mut c = EzFlowController::with_defaults();
-        assert_eq!(c.take_estimate(), None);
-        assert_eq!(c.take_decision(), None);
         // Immediate forward: estimate b = 0 for successor 2.
-        c.on_event(
+        let sent = c.on_event(
             Time::ZERO,
             ControllerEvent::SentToSuccessor {
                 successor: 2,
                 frame: &frame(0, 1, 2, 4),
             },
         );
-        c.on_event(
+        assert_eq!(sent, Reaction::default(), "a send alone reads nothing");
+        let r = c.on_event(
             Time::ZERO,
             ControllerEvent::Overheard {
                 frame: &frame(0, 2, 3, 4),
             },
         );
-        assert_eq!(c.take_estimate(), Some((2, 0)));
-        assert_eq!(c.take_estimate(), None, "take clears the slot");
+        let hit = BoeReading {
+            successor: 2,
+            verdict: BoeVerdict::Hit,
+            estimate: Some(0),
+        };
+        assert_eq!(r.boe, Some(hit));
         // Keep the successor idle until the first halving; the decision
         // record must carry Algorithm 1's state for that round.
-        let mut cw_cmd = None;
+        let mut r = Reaction::default();
         for seq in 1..20_000u64 {
             c.on_event(
                 Time::ZERO,
@@ -356,26 +343,64 @@ mod tests {
                     frame: &frame(seq, 1, 2, 4),
                 },
             );
-            cw_cmd = c.on_event(
+            r = c.on_event(
                 Time::ZERO,
                 ControllerEvent::Overheard {
                     frame: &frame(seq, 2, 3, 4),
                 },
             );
-            if cw_cmd.is_some() {
+            assert_eq!(r.boe, Some(hit), "every immediate forward reads 0");
+            if r.cw.is_some() {
                 break;
             }
-            assert_eq!(c.take_decision(), None, "holds record no decision");
-            c.take_estimate();
+            assert_eq!(r.decision, None, "holds record no decision");
         }
-        assert_eq!(cw_cmd, Some(16));
-        let d = c.take_decision().expect("halving recorded");
+        assert_eq!(r.cw, Some(16));
+        let d = r.decision.expect("halving recorded");
         assert_eq!(d.kind, DecisionKind::Decrease);
         assert_eq!(d.successor, Some(2));
         assert_eq!((d.cw_before, d.cw_after), (32, 16));
         assert_eq!(d.avg, 0.0);
         assert_eq!(d.down_threshold, 10, "15 - log2(32)");
-        assert_eq!(c.take_decision(), None, "take clears the slot");
+    }
+
+    #[test]
+    fn ambiguous_overhearing_reads_the_most_recent_match() {
+        let mut c = EzFlowController::with_defaults();
+        // Two sends whose checksums collide, then a third send after them.
+        for (seq, ck) in [(0u64, 77u16), (1, 77), (2, 5)] {
+            let mut f = frame(seq, 1, 2, 4);
+            f.checksum = ck;
+            c.on_event(
+                Time::ZERO,
+                ControllerEvent::SentToSuccessor {
+                    successor: 2,
+                    frame: &f,
+                },
+            );
+        }
+        let mut fwd = frame(0, 2, 3, 4);
+        fwd.checksum = 77;
+        let r = c.on_event(Time::ZERO, ControllerEvent::Overheard { frame: &fwd });
+        // The most recent '77' has one send (checksum 5) behind it.
+        let reading = BoeReading {
+            successor: 2,
+            verdict: BoeVerdict::Ambiguous,
+            estimate: Some(1),
+        };
+        assert_eq!(r.boe, Some(reading));
+        let n = c.counters();
+        assert_eq!((n.boe_hits, n.boe_ambiguous, n.boe_misses), (1, 1, 0));
+        // Both '77's are pruned: the same forward again is a miss, and the
+        // estimator counts it.
+        let r = c.on_event(Time::ZERO, ControllerEvent::Overheard { frame: &fwd });
+        let miss = BoeReading {
+            verdict: BoeVerdict::Miss,
+            estimate: None,
+            ..reading
+        };
+        assert_eq!(r.boe, Some(miss));
+        assert_eq!(c.counters().boe_misses, 1);
     }
 
     #[test]
@@ -396,7 +421,7 @@ mod tests {
                     frame: &frame(1, 7, 8, 9),
                 },
             ),
-            None
+            Reaction::default()
         );
         assert_eq!(c.counters().boe_hits, 0);
         assert_eq!(c.windows(), vec![(2, 32)]);
@@ -432,24 +457,21 @@ mod tests {
             outstanding.push_back(seq);
             seq += 1;
             let fwd = outstanding.pop_front().unwrap();
-            if let Some(cw) = c.on_event(
+            let heard = c.on_event(
                 Time::ZERO,
                 ControllerEvent::Overheard {
                     frame: &frame(fwd, 2, 3, 4),
                 },
-            ) {
-                last = Some(cw);
-            }
+            );
             // Sink successor 9, empty.
-            if let Some(cw) = c.on_event(
+            let acked = c.on_event(
                 Time::ZERO,
                 ControllerEvent::SentToSuccessor {
                     successor: 9,
                     frame: &frame(seq, 1, 9, 9),
                 },
-            ) {
-                last = Some(cw);
-            }
+            );
+            last = acked.cw.or(heard.cw).or(last);
             seq += 1;
         }
         let windows = c.windows();

@@ -61,7 +61,7 @@ proptest! {
                 Action::ForwardHeard => {
                     if let Some(seq) = fifo.pop_front() {
                         let truth = fifo.len();
-                        let est = boe.on_overheard(ezflow_phy::frame::checksum16(seq));
+                        let (_, est) = boe.on_overheard(ezflow_phy::frame::checksum16(seq));
                         prop_assert_eq!(est, Some(truth), "seq {}", seq);
                     }
                 }
@@ -84,9 +84,9 @@ proptest! {
         let cfg = EzFlowConfig { hw_cap, ..EzFlowConfig::default() };
         let mut caa = Caa::new(cfg, 32);
         for s in samples {
-            match caa.on_sample(s) {
-                CaaDecision::Hold => {}
-                CaaDecision::Increase(cw) | CaaDecision::Decrease(cw) => {
+            match caa.on_sample(s).map(|r| r.decision) {
+                None | Some(CaaDecision::Hold) => {}
+                Some(CaaDecision::Increase(cw) | CaaDecision::Decrease(cw)) => {
                     prop_assert_eq!(cw, caa.cw());
                 }
             }
@@ -111,14 +111,16 @@ proptest! {
             window_n += 1;
             let complete = window_n == cfg.samples;
             let avg = window_sum as f64 / window_n as f64;
-            match caa.on_sample(s) {
-                CaaDecision::Increase(_) => {
-                    prop_assert!(complete && avg > cfg.b_max);
+            let round = caa.on_sample(s);
+            prop_assert_eq!(round.is_some(), complete);
+            match round.map(|r| r.decision) {
+                Some(CaaDecision::Increase(_)) => {
+                    prop_assert!(avg > cfg.b_max);
                 }
-                CaaDecision::Decrease(_) => {
-                    prop_assert!(complete && avg < cfg.b_min);
+                Some(CaaDecision::Decrease(_)) => {
+                    prop_assert!(avg < cfg.b_min);
                 }
-                CaaDecision::Hold => {}
+                None | Some(CaaDecision::Hold) => {}
             }
             if complete {
                 window_sum = 0;

@@ -14,15 +14,15 @@
 //!
 //! ## Zero interference
 //!
-//! The audit is strictly *pull*-based and must never change what a run
-//! computes:
+//! The audit only listens, and must never change what a run computes:
 //!
 //! * it schedules no events and draws no randomness — unlike telemetry
 //!   there is nothing to compensate in the scheduler counters;
-//! * controllers stash their last estimate/decision unconditionally (a
-//!   few Copy word stores); the engine only *takes* them — and only
-//!   reads the successor's occupancy mirror — when the ledger is armed;
-//! * with `audit_cap = 0` the only cost is one branch per probe site,
+//! * controllers return their estimate and decision in every
+//!   [`crate::controller::Reaction`] (a few Copy words); the engine
+//!   hands them over — and reads the successor's occupancy mirror —
+//!   only when the ledger is armed;
+//! * with `audit_cap = 0` the only cost is one branch per record,
 //!   and the snapshot omits its `controller` section entirely, so
 //!   audit-off JSON stays byte-identical (gated by the golden test,
 //!   `cargo test -p ezflow-bench --test golden`, alongside telemetry).
@@ -255,7 +255,8 @@ impl AuditLedger {
         });
     }
 
-    /// Records one `CWmin` decision made by `node`'s controller.
+    /// Records one `CWmin` decision made by `node`'s controller. No-op
+    /// while disabled.
     pub(crate) fn record_decision(&mut self, at: Time, node: usize, d: DecisionRecord) {
         if !self.enabled() {
             return;

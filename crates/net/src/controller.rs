@@ -19,12 +19,16 @@
 //!   layer only generates them for controllers that ask via
 //!   [`Controller::backlog_period`].
 //!
-//! Returning `Some(cw)` from [`Controller::on_event`] reprograms the MAC's
-//! minimum contention window — the moral equivalent of the testbed's
-//! `iwconfig ath0 cwmin <v>` call.
+//! [`Controller::on_event`] answers every observation with one
+//! [`Reaction`]: a `Some(cw)` in it reprograms the MAC's minimum
+//! contention window — the moral equivalent of the testbed's
+//! `iwconfig ath0 cwmin <v>` call — and the rest says what the BOE read
+//! and why the window moved, for the flight recorder and the audit.
 
 use ezflow_phy::Frame;
 use ezflow_sim::{Duration, Time};
+
+use crate::lifecycle::BoeVerdict;
 
 /// An observation delivered to a node's controller.
 #[derive(Debug)]
@@ -82,9 +86,9 @@ impl DecisionKind {
 }
 
 /// One `CWmin` decision with the inputs that produced it — the payload of
-/// the audit ledger (see [`crate::audit`]). Copy on purpose: recording one
-/// is a few word stores, cheap enough to capture unconditionally inside
-/// controllers; the engine only *takes* them when the audit is armed.
+/// the audit ledger (see [`crate::audit`]). Copy on purpose: a controller
+/// returns one in the [`Reaction`] of the event that caused the decision,
+/// and the ledger records it when armed.
 ///
 /// For CAA decisions the fields mirror Algorithm 1's state: the averaged
 /// estimate, the hysteresis charge *entering* the round (a fired decision
@@ -118,6 +122,31 @@ pub struct DecisionRecord {
     pub cw_after: u32,
 }
 
+/// The BOE's reading of one overheard forward by a successor.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BoeReading {
+    /// The successor whose forward was overheard.
+    pub successor: usize,
+    /// How the overheard checksum matched the recorded sends.
+    pub verdict: BoeVerdict,
+    /// The estimated successor occupancy `b̂`, in packets; `None` on a
+    /// miss.
+    pub estimate: Option<u32>,
+}
+
+/// Everything one [`Controller::on_event`] call produced. The default is
+/// "nothing": no window change, no BOE reading, no decision.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct Reaction {
+    /// A new `CWmin` for this node's MAC.
+    pub cw: Option<u32>,
+    /// The BOE's reading, when the event was an overheard forward by a
+    /// successor the estimator tracks.
+    pub boe: Option<BoeReading>,
+    /// Provenance of the window decision the event caused, if any.
+    pub decision: Option<DecisionRecord>,
+}
+
 /// Observability counters a controller can export for run snapshots.
 /// The field names follow EZ-flow's two mechanisms; algorithms without a
 /// BOE/CAA decomposition simply leave the counters at zero (the default).
@@ -146,9 +175,10 @@ pub struct ControllerCounters {
 /// plain state machines, so the bound is free — it exists to keep
 /// `Box<dyn Controller>` (and therefore `Network`) `Send`.
 pub trait Controller: Send {
-    /// Handles one observation; optionally returns a new `CWmin` for this
-    /// node's MAC.
-    fn on_event(&mut self, now: Time, event: ControllerEvent<'_>) -> Option<u32>;
+    /// Handles one observation: a new `CWmin` for this node's MAC, if
+    /// any, with what the estimator read and the decision record behind
+    /// the new window.
+    fn on_event(&mut self, now: Time, event: ControllerEvent<'_>) -> Reaction;
 
     /// Algorithm name for logs and experiment tables.
     fn name(&self) -> &'static str;
@@ -182,23 +212,6 @@ pub trait Controller: Send {
     fn counters(&self) -> ControllerCounters {
         ControllerCounters::default()
     }
-
-    /// Takes (and clears) the provenance record of a window decision made
-    /// by the most recent [`Controller::on_event`] call, if any. The
-    /// engine polls this only when the audit ledger is armed; controllers
-    /// without decision machinery keep the default `None`.
-    fn take_decision(&mut self) -> Option<DecisionRecord> {
-        None
-    }
-
-    /// Takes (and clears) the `(successor, estimated_occupancy)` produced
-    /// by the most recent [`Controller::on_event`] call, if the event was
-    /// an overheard forward that yielded a buffer estimate. Polled by the
-    /// engine only when the audit ledger is armed, at which point it pairs
-    /// the estimate with the successor's true queue depth.
-    fn take_estimate(&mut self) -> Option<(usize, u32)> {
-        None
-    }
 }
 
 /// Plain IEEE 802.11: a fixed `CWmin`, never adapted. With the default
@@ -226,8 +239,8 @@ impl FixedController {
 }
 
 impl Controller for FixedController {
-    fn on_event(&mut self, _now: Time, _event: ControllerEvent<'_>) -> Option<u32> {
-        None
+    fn on_event(&mut self, _now: Time, _event: ControllerEvent<'_>) -> Reaction {
+        Reaction::default()
     }
 
     fn initial_cw_min(&self) -> Option<u32> {
@@ -254,7 +267,7 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(
                 c.on_event(Time::ZERO, ControllerEvent::Overheard { frame: &f }),
-                None
+                Reaction::default()
             );
         }
         assert_eq!(c.backlog_period(), None);
@@ -275,7 +288,7 @@ mod tests {
                     frame: &f
                 }
             ),
-            None
+            Reaction::default()
         );
     }
 }

@@ -29,7 +29,7 @@ use ezflow_sim::{Duration, JsonValue, Time};
 
 use crate::controller::ControllerEvent;
 use crate::hot::TimerSlot;
-use crate::lifecycle::{BoeVerdict, DropCause, TracePayload};
+use crate::lifecycle::{DropCause, TracePayload};
 use crate::network::Network;
 use crate::snapshot::{
     LatencySnapshot, NodeSnapshot, PerfSnapshot, QueueSnapshot, RunSnapshot, SchedulerSnapshot,
@@ -400,23 +400,34 @@ impl Network {
         }
     }
 
-    /// Pulls the estimate `node`'s controller just made, if any, into the
-    /// audit ledger beside the true occupancy of the successor it names.
-    fn audit_sample(&mut self, node: usize) {
-        if self.audit.enabled() {
-            if let Some((succ, est)) = self.nodes[node].controller.take_estimate() {
-                let truth = self.hot.occupancy[succ];
-                self.audit.record_sample(self.now, node, succ, est, truth);
+    /// Hands `event` to `id`'s controller and acts on its
+    /// [`Reaction`](crate::controller::Reaction): the BOE's verdict joins
+    /// the journey of the overheard packet if it is tracked, the estimate
+    /// goes to the audit beside the successor's true occupancy, then the
+    /// decision record, and last the window goes to the MAC.
+    fn react(&mut self, id: usize, event: ControllerEvent<'_>) {
+        let seq = match event {
+            ControllerEvent::Overheard { frame } => Some(frame.seq),
+            _ => None,
+        };
+        let r = self.nodes[id].controller.on_event(self.now, event);
+        if let Some(boe) = r.boe {
+            if let Some(mut j) = seq.and_then(|seq| self.flight.journey_mut(seq)) {
+                let verdict = boe.verdict;
+                j.push(self.now, id, TracePayload::BoeOverhear { verdict });
+            }
+            if let Some(est) = boe.estimate.filter(|_| self.audit.enabled()) {
+                let truth = self.hot.occupancy[boe.successor];
+                self.audit
+                    .record_sample(self.now, id, boe.successor, est, truth);
             }
         }
-    }
-
-    /// Pulls the `CWmin` decision `node`'s controller just took, if any,
-    /// into the audit ledger.
-    fn audit_decision(&mut self, node: usize) {
-        if self.audit.enabled() {
-            if let Some(rec) = self.nodes[node].controller.take_decision() {
-                self.audit.record_decision(self.now, node, rec);
+        if let Some(rec) = r.decision {
+            self.audit.record_decision(self.now, id, rec);
+        }
+        if let Some(cw) = r.cw {
+            if cw != self.nodes[id].mac.cw_min() {
+                self.nodes[id].mac.set_cw_min(cw);
             }
         }
     }
@@ -464,38 +475,11 @@ impl Network {
                 match frame.kind {
                     FrameKind::Data => {
                         // Passive overhearing: the controller gets it for
-                        // free. For tracked packets, the BOE's verdict is
-                        // read back as a counter delta — the controller
-                        // interface stays untouched.
-                        let mut journey = self.flight.journey_mut(frame.seq);
-                        let before = journey
-                            .is_some()
-                            .then(|| self.nodes[d.node].controller.counters());
-                        let cmd = self.nodes[d.node]
-                            .controller
-                            .on_event(self.now, ControllerEvent::Overheard { frame });
-                        if let (Some(j), Some(b)) = (journey.as_mut(), before) {
-                            let a = self.nodes[d.node].controller.counters();
-                            let verdict = if a.boe_hits > b.boe_hits {
-                                Some(BoeVerdict::Hit)
-                            } else if a.boe_ambiguous > b.boe_ambiguous {
-                                Some(BoeVerdict::Ambiguous)
-                            } else if a.boe_misses > b.boe_misses {
-                                Some(BoeVerdict::Miss)
-                            } else {
-                                None
-                            };
-                            if let Some(verdict) = verdict {
-                                j.push(self.now, d.node, TracePayload::BoeOverhear { verdict });
-                            }
-                        }
-                        // Provenance probes (pull-based, read-only): the
-                        // overhearing happened *before* the transmitter's
-                        // own `TxEnded`, so the occupancy mirror still
-                        // holds exactly the queue depth the BOE estimated.
-                        self.audit_sample(d.node);
-                        self.audit_decision(d.node);
-                        self.apply_cw(d.node, cmd);
+                        // free. The overhearing happens *before* the
+                        // transmitter's own `TxEnded`, so the occupancy
+                        // mirror still holds exactly the queue depth the
+                        // BOE estimated.
+                        self.react(d.node, ControllerEvent::Overheard { frame });
                     }
                     // Virtual carrier sense: overheard RTS/CTS reserve the
                     // medium from the end of the frame.
@@ -562,16 +546,14 @@ impl Network {
                 let s = self.successors[id][si];
                 let backlog = self.hot.occupancy[s] as usize;
                 let own_backlog = self.hot.occupancy[id] as usize;
-                let cmd = self.nodes[id].controller.on_event(
-                    self.now,
+                self.react(
+                    id,
                     ControllerEvent::NeighborBacklog {
                         neighbor: s,
                         backlog,
                         own_backlog,
                     },
                 );
-                self.audit_decision(id);
-                self.apply_cw(id, cmd);
             }
         }
         if let Some(p) = self.backlog_every {
@@ -681,18 +663,16 @@ impl Network {
                 // transmission. Always on — deterministic, no RNG touched.
                 self.metrics.hop_latency[id]
                     .record(self.now.saturating_since(f.hop_entered).as_micros());
-                let cmd = self.nodes[id].controller.on_event(
-                    self.now,
+                // Sink successors never transmit, so their zero-backlog
+                // samples arrive through this event; a CAA round can
+                // complete (and decide) here just as on an overhearing.
+                self.react(
+                    id,
                     ControllerEvent::SentToSuccessor {
                         successor: f.dst,
                         frame: &f,
                     },
                 );
-                // Sink successors never transmit, so their zero-backlog
-                // samples arrive through this event; a CAA round can
-                // complete (and decide) here just as on an overhearing.
-                self.audit_decision(id);
-                self.apply_cw(id, cmd);
             }
             MacOutput::TxDropped { frame, .. } => {
                 let f = self.arena.release(frame);
@@ -795,14 +775,6 @@ impl Network {
         // (the frame attaches to the remaining slots) — `after_mac` parks
         // it; one from `Idle` starts contending — it listens.
         self.mac_input(id, MacInput::Enqueue { frame });
-    }
-
-    fn apply_cw(&mut self, id: usize, cmd: Option<u32>) {
-        let Some(cw) = cmd else { return };
-        if cw == self.nodes[id].mac.cw_min() {
-            return;
-        }
-        self.nodes[id].mac.set_cw_min(cw);
     }
 
     /// Takes a [`RunSnapshot`] of the whole network at the current

@@ -57,8 +57,8 @@ pub mod transport;
 pub use audit::{AuditEvent, AuditLedger, AuditRecord};
 pub use builder::SpecError;
 pub use controller::{
-    Controller, ControllerCounters, ControllerEvent, ControllerFactory, DecisionKind,
-    DecisionRecord, FixedController,
+    BoeReading, Controller, ControllerCounters, ControllerEvent, ControllerFactory, DecisionKind,
+    DecisionRecord, FixedController, Reaction,
 };
 pub use flight::{
     group_journeys, summarize_journey, FlightRecorder, FlightStats, JourneyMut, JourneySummary,

@@ -379,7 +379,7 @@ record! {
     /// audit-off run's, exactly like the `stability` section.
     #[derive(Clone, Debug, PartialEq)]
     pub struct ControllerSnapshot {
-        /// Audit records ever recorded (including ring-evicted ones).
+        /// Audit records ever recorded.
         "records" => pub records: u64,
         /// Decision records among them (holds that completed a round are not
         /// recorded; every record here carried a window verdict).

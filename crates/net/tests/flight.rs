@@ -2,9 +2,12 @@
 //! reconstruction on the paper's scenario 1, drop attribution, latency
 //! histograms, and the recorder's zero-interference guarantee.
 
-use ezflow_net::controller::{Controller, FixedController};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use ezflow_net::controller::{BoeReading, Controller, ControllerEvent, FixedController, Reaction};
 use ezflow_net::flight::{group_journeys, summarize_journey};
-use ezflow_net::lifecycle::{parse_jsonl, DropCause, TracePayload};
+use ezflow_net::lifecycle::{parse_jsonl, BoeVerdict, DropCause, TracePayload};
 use ezflow_net::network::{Network, NetworkSpec};
 use ezflow_net::snapshot::PerfSnapshot;
 use ezflow_net::topo;
@@ -238,4 +241,91 @@ fn flight_stats_account_for_every_admitted_packet() {
     // The export stays parseable under eviction pressure.
     let parsed = parse_jsonl(&net.flight.to_jsonl()).unwrap();
     assert_eq!(parsed.len(), net.flight.events());
+}
+
+/// Reports one ambiguous BOE reading — the first forward it overhears
+/// from node 1 — and nothing else; records the packet it read.
+struct OneAmbiguous {
+    read: Arc<AtomicU64>,
+}
+
+impl Controller for OneAmbiguous {
+    fn on_event(&mut self, _now: Time, event: ControllerEvent<'_>) -> Reaction {
+        match event {
+            ControllerEvent::Overheard { frame }
+                if frame.src == 1 && self.read.load(Ordering::Relaxed) == u64::MAX =>
+            {
+                self.read.store(frame.seq, Ordering::Relaxed);
+                let boe = BoeReading {
+                    successor: 1,
+                    verdict: BoeVerdict::Ambiguous,
+                    estimate: Some(7),
+                };
+                Reaction {
+                    boe: Some(boe),
+                    ..Reaction::default()
+                }
+            }
+            _ => Reaction::default(),
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "one-ambiguous"
+    }
+}
+
+#[test]
+fn an_ambiguous_reading_reaches_the_journey_and_the_audit_as_reported() {
+    // The engine writes the verdict the controller reports: an ambiguous
+    // match is not recorded as a hit.
+    let t = topo::chain(3, Time::ZERO, Time::from_secs(2));
+    let mut spec = NetworkSpec::from_topology(&t, 42);
+    spec.flight_cap = 4096;
+    spec.audit_cap = NetworkSpec::AUDIT_CAP;
+    let read = Arc::new(AtomicU64::new(u64::MAX));
+    let make = |id: usize| -> Box<dyn Controller> {
+        match id {
+            0 => Box::new(OneAmbiguous { read: read.clone() }),
+            _ => Box::new(FixedController::standard()),
+        }
+    };
+    let mut net = Network::new(spec, &make);
+    net.run_until(Time::from_secs(2));
+    let seq = read.load(Ordering::Relaxed);
+    assert_ne!(seq, u64::MAX, "node 0 overheard node 1 forward");
+
+    let journey = net.flight.journey(seq).expect("the packet is tracked");
+    let verdicts: Vec<_> = journey
+        .iter()
+        .filter_map(|e| match e.payload {
+            TracePayload::BoeOverhear { verdict } => Some((e.node, verdict)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(verdicts, [(0, BoeVerdict::Ambiguous)]);
+    let export = net.flight.to_jsonl();
+    let lines: Vec<&str> = export
+        .lines()
+        .filter(|l| l.contains("boe_overhear"))
+        .collect();
+    assert_eq!(lines.len(), 1, "one reading in the whole run");
+    assert!(
+        lines[0].contains(r#""verdict":"ambiguous""#),
+        "{}",
+        lines[0]
+    );
+
+    let audit = net.audit.controller_snapshot().expect("the audit is armed");
+    assert_eq!(
+        (audit.records, audit.decisions_total),
+        (1, 0),
+        "exactly one audit record, a sample"
+    );
+    let links: Vec<_> = audit
+        .links
+        .iter()
+        .map(|l| (l.node, l.successor, l.samples))
+        .collect();
+    assert_eq!(links, [(0, 1, 1)]);
 }

@@ -43,7 +43,7 @@ impl OverhearRate {
 }
 
 impl Controller for OverhearRate {
-    fn on_event(&mut self, _now: Time, event: ControllerEvent<'_>) -> Option<u32> {
+    fn on_event(&mut self, _now: Time, event: ControllerEvent<'_>) -> Reaction {
         match event {
             ControllerEvent::SentToSuccessor { successor, frame } => {
                 self.successor = Some(successor);
@@ -53,7 +53,7 @@ impl Controller for OverhearRate {
                 }
                 self.sent += 1;
                 if self.sent < self.window {
-                    return None;
+                    return Reaction::default();
                 }
                 let ratio = self.overheard as f64 / self.sent as f64;
                 self.sent = 0;
@@ -63,18 +63,23 @@ impl Controller for OverhearRate {
                 } else {
                     (self.cw / 2).max(16)
                 };
-                (new != self.cw).then(|| {
+                // Only the window: no buffer estimate, no audit record.
+                let cw = (new != self.cw).then(|| {
                     self.cw = new;
                     new
-                })
+                });
+                Reaction {
+                    cw,
+                    ..Reaction::default()
+                }
             }
             ControllerEvent::Overheard { frame } => {
                 if Some(frame.src) == self.successor {
                     self.overheard += 1;
                 }
-                None
+                Reaction::default()
             }
-            ControllerEvent::NeighborBacklog { .. } => None,
+            ControllerEvent::NeighborBacklog { .. } => Reaction::default(),
         }
     }
 

@@ -65,7 +65,7 @@ pub mod prelude {
         static_penalty_factory, Boe, Caa, DiffQController, EzFlowConfig, EzFlowController,
     };
     pub use ezflow_mac::MacConfig;
-    pub use ezflow_net::controller::{Controller, ControllerEvent};
+    pub use ezflow_net::controller::{Controller, ControllerEvent, Reaction};
     pub use ezflow_net::topo::{chain, scenario1, scenario2, testbed, FlowSpec, Topology};
     pub use ezflow_net::{FixedController, Metrics, Network, NetworkSpec};
     pub use ezflow_phy::{ChannelConfig, Frame, LossModel, Position};
