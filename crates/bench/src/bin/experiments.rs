@@ -13,19 +13,20 @@
 //! `--jobs=1` runs them in line). Results and exports are identical for
 //! every N — runs are pure functions of their spec and seed.
 //!
-//! `--trace-dir=DIR` (flight recorder, at most `--flight-cap=N` journeys,
-//! default 4096), `--telemetry-dir=DIR` (telemetry bus, one window per
-//! `--telemetry-ms=N`, default 100; that flag alone arms the bus without
-//! streaming) and `--audit-dir=DIR` (controller audit ledger) each arm
-//! an observer on every network every experiment or spec runs and export
-//! it, one file per run: `<stem>.jsonl`, `<stem>.jsonl` and
-//! `<stem>.audit.jsonl`, the stem being the run's label scrubbed
-//! (`scenario1/802.11` is `scenario1_80211`) — see
+//! `--trace-dir=DIR` (flight recorder, the first `--flight-cap=N` packets
+//! of each run, default 4096), `--telemetry-dir=DIR` (telemetry bus, one
+//! window per `--telemetry-ms=N`, default 100; that flag alone arms the
+//! bus without streaming) and `--audit-dir=DIR` (controller audit
+//! ledger) each arm an observer on every network every experiment or
+//! spec runs and export it, one file per run: `<stem>.jsonl`,
+//! `<stem>.jsonl` and `<stem>.audit.jsonl`, the stem being the run's
+//! label scrubbed (`scenario1/802.11` is `scenario1_80211`) — see
 //! [`ezflow_bench::export`]. The first two write same-named files, so
 //! they must name different directories. No observer changes the
 //! simulation: runs are bit-identical armed or not, and a capture the
-//! flight cap made partial is labelled so on stderr. An export that
-//! cannot be written is named there and the process exits 1.
+//! flight cap cut short says on stderr how many packets of how many it
+//! holds. An export that cannot be written is named there and the
+//! process exits 1.
 //!
 //! `--spec=FILE` runs a declarative scenario document (see DESIGN.md §9
 //! and the committed examples under `scenarios/`) through the same

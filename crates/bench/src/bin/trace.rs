@@ -16,9 +16,11 @@
 //! ```
 //!
 //! Flow ids are the simulator's: the paper's F1 is flow 0, F2 is flow 1.
-//! A capture produced under budget pressure is a *sample* of the traffic
-//! (the harness says so when writing it); every journey in the file is
-//! still complete from admission to its terminal delivery or drop.
+//! A capture holds the first `--flight-cap` packets a run admitted (the
+//! harness says so when it stops short of all of them), each journey
+//! whole from admission to its terminal delivery or drop, or to the end
+//! of the run. Lines are in the order events happened; the commands
+//! group them by packet id.
 //!
 //! `telemetry` reads the *other* JSONL format: the telemetry bus's
 //! one-record-per-sample-window stream (`experiments --telemetry-dir`).
@@ -37,8 +39,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::process::ExitCode;
 
-use ezflow_net::lifecycle::{parse_jsonl, TraceEvent};
+use ezflow_net::lifecycle::{parse_jsonl, DropCause, TraceEvent, TracePayload};
 use ezflow_net::{group_journeys, summarize_journey, DecisionKind, JourneySummary};
+use ezflow_phy::FrameKind;
 use ezflow_sim::{Duration, JsonValue};
 use ezflow_stats::{analyze, Stability, StabilityConfig, TimeSeries};
 
@@ -160,23 +163,42 @@ fn cmd_worst(events: &[TraceEvent], flow: Option<u32>, top: usize) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The (tx → rx) link a drop belongs to, from the journey's hop list.
-/// `hops` records enqueue nodes, so a queue-full drop at the refusing
-/// receiver is not itself a hop: the link is then last-hop → drop node.
-/// `None` means the packet never left its source (no link to blame).
-fn drop_link(s: &JourneySummary) -> Option<(usize, usize)> {
-    let (_, node, _) = s.dropped?;
+/// The (tx → rx) link a drop belongs to; `None` means the packet never
+/// went on air (no link to blame). A retry-limit drop at N belongs to
+/// the link from N to the receiver N addressed: the node of the data
+/// decode outcomes after N's last `Enqueue` (`N→?` if none was written).
+/// Any other drop is at a receiver: `hops` records enqueue nodes, so a
+/// queue-full drop at the refusing receiver is not itself a hop, and the
+/// link is then last-hop → drop node.
+fn drop_link(s: &JourneySummary, evs: &[TraceEvent]) -> Option<(usize, Option<usize>)> {
+    let (_, node, cause) = s.dropped?;
+    if cause == DropCause::RetryLimit {
+        let enqueued = evs
+            .iter()
+            .rposition(|e| e.node == node && matches!(e.payload, TracePayload::Enqueue { .. }));
+        let rx = evs[enqueued.map_or(0, |i| i + 1)..].iter().find(|e| {
+            e.node != node
+                && matches!(
+                    e.payload,
+                    TracePayload::RxOutcome {
+                        class: FrameKind::Data,
+                        ..
+                    }
+                )
+        });
+        return Some((node, rx.map(|e| e.node)));
+    }
     match s.hops.iter().rposition(|&h| h == node) {
         Some(0) => None,
-        Some(pos) => Some((s.hops[pos - 1], node)),
-        None => s.hops.last().map(|&tx| (tx, node)),
+        Some(pos) => Some((s.hops[pos - 1], Some(node))),
+        None => s.hops.last().map(|&tx| (tx, Some(node))),
     }
 }
 
 /// What a drop census groups by; a census line prints its key.
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum Key {
-    Link(Option<(usize, usize)>),
+    Link(Option<(usize, Option<usize>)>),
     Node(usize),
     Cause(&'static str),
 }
@@ -184,7 +206,8 @@ enum Key {
 impl fmt::Display for Key {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Key::Link(Some((tx, rx))) => write!(f, "N{tx}→N{rx}"),
+            Key::Link(Some((tx, Some(rx)))) => write!(f, "N{tx}→N{rx}"),
+            Key::Link(Some((tx, None))) => write!(f, "N{tx}→?"),
             Key::Link(None) => f.write_str("at source (never left)"),
             Key::Node(node) => write!(f, "N{node}"),
             Key::Cause(cause) => f.write_str(cause),
@@ -195,12 +218,12 @@ impl fmt::Display for Key {
 /// Two-level drop census. `key` picks a drop's group and subgroup from
 /// its link, node and cause; each group prints its total, then the
 /// count of each subgroup.
-fn census(dropped: &[JourneySummary], key: fn(Key, Key, Key) -> (Key, Key)) {
+fn census(dropped: &[(JourneySummary, &[TraceEvent])], key: fn(Key, Key, Key) -> (Key, Key)) {
     let mut census: BTreeMap<Key, BTreeMap<Key, u64>> = BTreeMap::new();
-    for s in dropped {
+    for (s, evs) in dropped {
         let (_, node, cause) = s.dropped.expect("filtered on dropped");
         let (group, sub) = key(
-            Key::Link(drop_link(s)),
+            Key::Link(drop_link(s, evs)),
             Key::Node(node),
             Key::Cause(cause.name()),
         );
@@ -216,10 +239,10 @@ fn census(dropped: &[JourneySummary], key: fn(Key, Key, Key) -> (Key, Key)) {
 
 fn cmd_drops(events: &[TraceEvent], by_cause: bool, by_node: bool, by_link: bool) -> ExitCode {
     let journeys = group_journeys(events);
-    let dropped: Vec<JourneySummary> = journeys
+    let dropped: Vec<(JourneySummary, &[TraceEvent])> = journeys
         .iter()
-        .map(|(&seq, evs)| summarize_journey(seq, evs))
-        .filter(|s| s.dropped.is_some())
+        .map(|(&seq, evs)| (summarize_journey(seq, evs), &evs[..]))
+        .filter(|(s, _)| s.dropped.is_some())
         .collect();
     println!(
         "{} journeys, {} ended in a drop",
@@ -235,7 +258,7 @@ fn cmd_drops(events: &[TraceEvent], by_cause: bool, by_node: bool, by_link: bool
     } else if by_cause {
         census(&dropped, |_, node, cause| (cause, node));
     } else {
-        for s in &dropped {
+        for (s, _) in &dropped {
             let (at, node, cause) = s.dropped.expect("filtered on dropped");
             println!(
                 "  packet {:>8} flow {} dropped at N{node} t={at} ({}) after {}",

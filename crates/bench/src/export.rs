@@ -4,15 +4,15 @@
 //! command line validates; each one's flag also arms its observer on
 //! every network ([`crate::Scale::spec`]), and every
 //! [`crate::runner::Job`] then exports its own run under the [`stem`] of
-//! its label: `--trace-dir` the flight recorder's lifecycle as
-//! `<stem>.jsonl`, written when the run ends; `--telemetry-dir` one
-//! record per sample window as `<stem>.jsonl` and `--audit-dir` one per
-//! BOE sample and `CWmin` decision as `<stem>.audit.jsonl`, both streamed
-//! while the run is in flight. A process that registers nothing — a test,
-//! `benchmark/` — attaches and writes nothing. A file that cannot be
-//! created or written is named on stderr and remembered ([`failed`]): an
-//! export never stops a run, `experiments` exits 1 once its reports are
-//! out.
+//! its label: `--trace-dir` the lifecycle of the first `--flight-cap`
+//! packets as `<stem>.jsonl`, written when the run ends;
+//! `--telemetry-dir` one record per sample window as `<stem>.jsonl` and
+//! `--audit-dir` one per BOE sample and `CWmin` decision as
+//! `<stem>.audit.jsonl`, both streamed while the run is in flight. A
+//! process that registers nothing — a test, `benchmark/` — attaches and
+//! writes nothing. A file that cannot be created or written is named on
+//! stderr and remembered ([`failed`]): an export never stops a run,
+//! `experiments` exits 1 once its reports are out.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -96,7 +96,7 @@ pub fn attach(net: &mut Network, label: &str) {
 /// After the run: writes the flight recorder's lifecycle export and says
 /// how bounded the capture was — a partial one is always labelled. (The
 /// two streams need no finishing: their writers flush when `net` drops.)
-pub fn finish(net: &Network, label: &str) {
+pub fn finish(net: &mut Network, label: &str) {
     let Some(dir) = DIRS.get().and_then(|d| d.trace.as_deref()) else {
         return;
     };
@@ -111,16 +111,16 @@ pub fn finish(net: &Network, label: &str) {
     }
     let st = net.flight.stats();
     eprintln!(
-        "wrote lifecycle JSONL {} ({} journeys kept)",
+        "wrote lifecycle JSONL {} ({} journeys)",
         path.display(),
-        st.tracked - st.evicted
+        st.tracked
     );
-    if st.stride > 1 || st.evicted > 0 {
+    if st.skipped > 0 {
         eprintln!(
-            "  PARTIAL capture: cap bound hit — sampling 1/{} \
-             ({} packets skipped, {} journeys evicted); \
+            "  PARTIAL capture: recorded the first {} of {} packets; \
              raise --flight-cap for a fuller census",
-            st.stride, st.skipped, st.evicted
+            st.tracked,
+            st.tracked + st.skipped
         );
     }
 }

@@ -326,8 +326,8 @@ fn testbed_links() -> String {
 }
 
 /// `t`'s network spec on `scale` with every observer armed: telemetry and
-/// audit at their defaults, 256 journeys (against hundreds of queue
-/// slots, so the recorder evicts and samples).
+/// audit at their defaults, the recorder on the first 256 packets (far
+/// fewer than the run's, so it reaches its cap and skips the rest).
 fn observed_spec(mut scale: Scale, t: &Topology) -> NetworkSpec {
     scale.telemetry_every = Some(NetworkSpec::TELEMETRY_EVERY);
     scale.audit_cap = NetworkSpec::AUDIT_CAP;
@@ -347,8 +347,8 @@ fn observed_run(spec: NetworkSpec, until: Time) -> (Network, Vec<(&'static str, 
     net.run_until(until);
     let stats = net.flight.stats();
     assert!(
-        stats.evicted > 0 && stats.stride > 1,
-        "an exports run must exercise eviction and sampling: {stats:?}"
+        stats.skipped > 0,
+        "an exports run must reach the recorder's cap: {stats:?}"
     );
     let sunk = |s: &MemSink| export_digest(&s.0.lock().expect("sink writer panicked"));
     let digests = vec![
@@ -360,8 +360,6 @@ fn observed_run(spec: NetworkSpec, until: Time) -> (Network, Vec<(&'static str, 
             JsonValue::obj(vec![
                 ("tracked", stats.tracked.into()),
                 ("skipped", stats.skipped.into()),
-                ("evicted", stats.evicted.into()),
-                ("stride", stats.stride.into()),
             ]),
         ),
     ];

@@ -65,7 +65,7 @@ impl Job {
         let mut net = Network::new(self.spec, &*self.make);
         crate::export::attach(&mut net, &self.label);
         net.run_until(self.until);
-        crate::export::finish(&net, &self.label);
+        crate::export::finish(&mut net, &self.label);
         net
     }
 }

@@ -203,9 +203,8 @@ fn scenario1_reports_and_exports_the_same_bytes_for_any_jobs_value() {
 
 #[test]
 fn two_identical_scenario1_runs_export_identical_files() {
-    // The lifecycle export is ordered by (time, packet, position), a total
-    // order, so the recorder's hash index and slot reuse never reach a
-    // byte: all six streams are pure functions of the run.
+    // Every record is written when it happens, in the run's own
+    // deterministic order: all six streams are pure functions of the run.
     let (first, again) = (scratch("scenario1-first"), scratch("scenario1-again"));
     let json = format!("--json={}", first.join("snap.json").display());
     observed(&first, &[&json, "scenario1"]);
@@ -215,6 +214,53 @@ fn two_identical_scenario1_runs_export_identical_files() {
     assert_inspectors_read(&first);
     std::fs::remove_dir_all(&first).ok();
     std::fs::remove_dir_all(&again).ok();
+}
+
+#[test]
+fn a_capped_lifecycle_export_says_it_holds_the_first_packets() {
+    let dir = scratch("flight-cap");
+    let trace = format!("--trace-dir={}", dir.display());
+    let args = [
+        "--quick",
+        "--time=0.02",
+        &trace,
+        "--flight-cap=64",
+        "scenario1",
+    ];
+    let out = budget::run_within(SIMULATING, EXPERIMENTS, &args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    // A 2 % timeline may fail an experiment's qualitative checks (1).
+    assert!(out.status.code() <= Some(1), "{stderr}");
+    let partial: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.contains("PARTIAL capture"))
+        .collect();
+    assert_eq!(partial.len(), 2, "one line per run: {stderr}");
+    for line in partial {
+        let emitted = line
+            .strip_prefix("  PARTIAL capture: recorded the first 64 of ")
+            .and_then(|rest| rest.strip_suffix(" packets; raise --flight-cap for a fuller census"))
+            .and_then(|n| n.parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("unexpected line: {line}"));
+        assert!(emitted > 64, "{line}");
+    }
+    for name in names(&dir) {
+        let text = std::fs::read_to_string(dir.join(&name)).unwrap();
+        let mut seqs: Vec<u64> = text
+            .lines()
+            .map(|l| {
+                let v = JsonValue::parse(l).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+                v.get("payload")
+                    .and_then(|p| p.get("seq"))
+                    .and_then(JsonValue::as_u64)
+                    .unwrap()
+            })
+            .collect();
+        seqs.sort_unstable();
+        seqs.dedup();
+        assert_eq!(seqs, (0..64).collect::<Vec<u64>>(), "{name}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -738,10 +784,14 @@ const THREE_DROPS: &str = r#"{"at_us":1000,"node":0,"kind":"Admit","payload":{"t
 {"at_us":3000,"node":0,"kind":"Enqueue","payload":{"type":"enqueue","seq":3,"flow":0,"occupancy":1,"cap":50}}
 {"at_us":3500,"node":0,"kind":"Dequeue","payload":{"type":"dequeue","seq":3,"flow":0}}
 {"at_us":3600,"node":0,"kind":"Attempt","payload":{"type":"attempt","seq":3,"attempt":0,"cw":32,"slots":3}}
+{"at_us":5800,"node":1,"kind":"RxOutcome","payload":{"type":"rx_outcome","seq":3,"class":"Data","outcome":"clean"}}
 {"at_us":5800,"node":1,"kind":"Enqueue","payload":{"type":"enqueue","seq":3,"flow":0,"occupancy":4,"cap":50}}
+{"at_us":5900,"node":0,"kind":"RxOutcome","payload":{"type":"rx_outcome","seq":3,"class":"Ack","outcome":"clean"}}
 {"at_us":6000,"node":1,"kind":"Dequeue","payload":{"type":"dequeue","seq":3,"flow":0}}
 {"at_us":6100,"node":1,"kind":"Attempt","payload":{"type":"attempt","seq":3,"attempt":0,"cw":32,"slots":9}}
+{"at_us":8300,"node":2,"kind":"RxOutcome","payload":{"type":"rx_outcome","seq":3,"class":"Data","outcome":"collision"}}
 {"at_us":9100,"node":1,"kind":"Attempt","payload":{"type":"attempt","seq":3,"attempt":1,"cw":64,"slots":40}}
+{"at_us":11300,"node":2,"kind":"RxOutcome","payload":{"type":"rx_outcome","seq":3,"class":"Data","outcome":"loss"}}
 {"at_us":12000,"node":1,"kind":"Drop","payload":{"type":"drop","cause":"retry_limit","seq":3}}
 "#;
 
@@ -776,9 +826,12 @@ fn trace_drops_prints_the_pinned_census_of_three_hand_written_drops() {
         "  N0: 1\n    source_queue_full: 1\n",
         "  N1: 2\n    queue_full: 1\n    retry_limit: 1\n",
     );
+    // Packet 3 ran out of retries at N1 sending to N2, the receiver its
+    // data decode outcomes name (the ACK's outcome at N0 is not one).
     let by_link = concat!(
         "  at source (never left): 1\n    source_queue_full: 1\n",
-        "  N0→N1: 2\n    queue_full: 1\n    retry_limit: 1\n",
+        "  N0→N1: 1\n    queue_full: 1\n",
+        "  N1→N2: 1\n    retry_limit: 1\n",
     );
     assert_eq!(drops(&[]), format!("{head}{listing}"));
     assert_eq!(drops(&["--by-cause"]), format!("{head}{by_cause}"));

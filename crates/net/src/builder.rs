@@ -236,8 +236,9 @@ pub struct NetworkSpec {
     pub sample_every: Duration,
     /// Master random seed.
     pub seed: u64,
-    /// Flight-recorder capacity in packet journeys (0 disables the
-    /// recorder; see [`crate::flight::FlightRecorder`]).
+    /// Flight-recorder capacity: the journeys of the first `flight_cap`
+    /// packets admitted are recorded (0 disables the recorder; see
+    /// [`crate::flight::FlightRecorder`]).
     pub flight_cap: usize,
     /// Telemetry sampling interval (`None` disables the telemetry bus —
     /// zero events, zero cost; see [`crate::telemetry`]). The paper-ish

@@ -231,11 +231,6 @@ impl fmt::Display for TraceEvent {
 }
 
 impl TraceEvent {
-    /// What a JSONL export reserves per record, so its buffer is sized
-    /// once: lines average about 110 bytes and the longest (`RxOutcome`)
-    /// is about 130.
-    pub const LINE_BYTES: usize = 128;
-
     /// Streams the record's JSONL object (no trailing newline) into `w`:
     /// `at_us`, `node`, `kind`, then the payload with its `type`, the
     /// packet id and the variant's fields. Keys and names are fixed text,

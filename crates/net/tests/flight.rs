@@ -1,13 +1,16 @@
 //! Integration tests for the packet flight recorder: full-journey
-//! reconstruction on the paper's scenario 1, drop attribution, latency
-//! histograms, and the recorder's zero-interference guarantee.
+//! reconstruction on the paper's scenario 1, drop attribution, the
+//! first-`cap`-packets contract, latency histograms, and the recorder's
+//! zero-interference guarantee.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ezflow_net::controller::{BoeReading, Controller, ControllerEvent, FixedController, Reaction};
+use std::collections::BTreeMap;
+
 use ezflow_net::flight::{group_journeys, summarize_journey};
-use ezflow_net::lifecycle::{parse_jsonl, BoeVerdict, DropCause, TracePayload};
+use ezflow_net::lifecycle::{parse_jsonl, BoeVerdict, DropCause, TraceEvent, TracePayload};
 use ezflow_net::network::{Network, NetworkSpec};
 use ezflow_net::snapshot::PerfSnapshot;
 use ezflow_net::topo;
@@ -28,16 +31,19 @@ fn run_scenario1(secs: u64, flight_cap: usize) -> Network {
     net
 }
 
+/// `net`'s lifecycle export, parsed and grouped into journeys — the same
+/// path the `trace` CLI takes.
+fn journeys(net: &mut Network) -> BTreeMap<u64, Vec<TraceEvent>> {
+    let events = parse_jsonl(&net.flight.to_jsonl()).expect("export parses");
+    group_journeys(&events)
+}
+
 #[test]
 fn delivered_packet_journey_reconstructs_the_full_hop_sequence() {
-    let net = run_scenario1(30, 4096);
+    let mut net = run_scenario1(30, 4096);
     assert!(net.metrics.delivered[&0] > 0, "F1 must deliver");
 
-    // Parse the recorder's own JSONL export — the same path the `trace`
-    // CLI consumes — and reconstruct journeys from it.
-    let jsonl = net.flight.to_jsonl();
-    let events = parse_jsonl(&jsonl).expect("export parses");
-    let journeys = group_journeys(&events);
+    let journeys = journeys(&mut net);
     let delivered: Vec<_> = journeys
         .iter()
         .map(|(&seq, evs)| summarize_journey(seq, evs))
@@ -68,7 +74,7 @@ fn delivered_packet_journey_reconstructs_the_full_hop_sequence() {
 
     // The raw journey interleaves the lifecycle correctly: it starts with
     // Admit and every hop shows Enqueue before Dequeue.
-    let raw = net.flight.journey(complete.seq).unwrap();
+    let raw = &journeys[&complete.seq];
     assert!(matches!(raw[0].payload, TracePayload::Admit { .. }));
     let first = |hit: fn(&TracePayload) -> bool| raw.iter().position(|e| hit(&e.payload)).unwrap();
     let first_deq = first(|p| matches!(p, TracePayload::Dequeue { .. }));
@@ -89,13 +95,11 @@ fn delivered_packet_journey_reconstructs_the_full_hop_sequence() {
 
 #[test]
 fn dropped_packet_journey_terminates_in_the_correct_drop_cause() {
-    let net = run_scenario1(35, 8192);
+    let mut net = run_scenario1(35, 8192);
     let total_source: u64 = net.metrics.source_drops.values().sum();
     assert!(total_source > 0, "a saturating CBR source must overflow");
 
-    let jsonl = net.flight.to_jsonl();
-    let events = parse_jsonl(&jsonl).expect("export parses");
-    let journeys = group_journeys(&events);
+    let journeys = journeys(&mut net);
 
     let mut saw_source_full = false;
     let mut saw_relay_drop = false;
@@ -136,12 +140,12 @@ fn dropped_packet_journey_terminates_in_the_correct_drop_cause() {
 fn every_drop_counter_is_matched_by_trace_events() {
     // Each drop path ends the packet's journey with a typed `Drop`
     // record, so the recorder's census re-derives the counters exactly.
-    // The recorder must have kept every journey, or the census is partial.
-    let net = run_scenario1(25, 1 << 16);
+    // The recorder must have tracked every packet, or the census is partial.
+    let mut net = run_scenario1(25, 1 << 16);
     let stats = net.flight.stats();
-    assert!(
-        stats.skipped == 0 && stats.evicted == 0,
-        "the recorder sampled or evicted ({stats:?}); raise the cap for an exact census"
+    assert_eq!(
+        stats.skipped, 0,
+        "the recorder reached its cap ({stats:?}); raise it for an exact census"
     );
 
     let mut by_cause = std::collections::BTreeMap::new();
@@ -222,25 +226,45 @@ fn recorder_on_and_off_produce_identical_simulations() {
 
 #[test]
 fn flight_stats_account_for_every_admitted_packet() {
-    let net = run_scenario1(25, 512);
-    let st = net.flight.stats();
-    // Everything offered was either tracked or (deterministically) skipped.
-    let offered: u64 = st.tracked + st.skipped;
-    assert!(offered > 0);
-    assert!(st.tracked > 0);
+    // A cap above the run's packets counts every packet emitted: each one
+    // is admitted, and each admission opens a journey.
+    let mut full = run_scenario1(25, 1 << 16);
+    let emitted = full.flight.stats().tracked;
+    assert_eq!(full.flight.stats().skipped, 0, "the cap held every packet");
+    assert_eq!(journeys(&mut full).len() as u64, emitted);
+    assert!(emitted > 512, "the run outgrows the smaller cap");
+
+    let st = run_scenario1(25, 512).flight.stats();
+    assert_eq!(st.tracked, 512, "the cap is reached");
+    assert_eq!(st.tracked + st.skipped, emitted);
+}
+
+#[test]
+fn a_capped_capture_holds_the_first_packets_journeys_of_a_fuller_one() {
+    let cap = 300;
+    let mut small = run_scenario1(25, cap);
+    let mut large = run_scenario1(25, 4 * cap);
+    let lines = small.flight.to_jsonl();
+    let events = parse_jsonl(&lines).expect("export parses");
+    // Written as they happen: time never runs backwards down the file.
+    assert!(events.windows(2).all(|w| w[0].at <= w[1].at));
+    let small = group_journeys(&events);
+    let large = journeys(&mut large);
     assert!(
-        net.flight.packets() <= 512,
-        "cap bounds retained journeys, got {}",
-        net.flight.packets()
+        small.keys().copied().eq(0..cap as u64),
+        "the capture is packets 0..{cap}"
     );
-    assert_eq!(
-        net.flight.packets() as u64,
-        st.tracked - st.evicted,
-        "tracked = retained + evicted"
-    );
-    // The export stays parseable under eviction pressure.
-    let parsed = parse_jsonl(&net.flight.to_jsonl()).unwrap();
-    assert_eq!(parsed.len(), net.flight.events());
+    for (seq, journey) in &small {
+        assert_eq!(journey, &large[seq], "packet {seq}'s journey");
+        // Sealed: nothing follows a delivery or a drop.
+        let end = journey.iter().position(|e| {
+            matches!(
+                e.payload,
+                TracePayload::Deliver { .. } | TracePayload::Drop { .. }
+            )
+        });
+        assert!(end.is_none_or(|i| i == journey.len() - 1), "packet {seq}");
+    }
 }
 
 /// Reports one ambiguous BOE reading — the first forward it overhears
@@ -295,7 +319,9 @@ fn an_ambiguous_reading_reaches_the_journey_and_the_audit_as_reported() {
     let seq = read.load(Ordering::Relaxed);
     assert_ne!(seq, u64::MAX, "node 0 overheard node 1 forward");
 
-    let journey = net.flight.journey(seq).expect("the packet is tracked");
+    let export = net.flight.to_jsonl();
+    let events = parse_jsonl(&export).expect("export parses");
+    let journey = &group_journeys(&events)[&seq];
     let verdicts: Vec<_> = journey
         .iter()
         .filter_map(|e| match e.payload {
@@ -304,7 +330,6 @@ fn an_ambiguous_reading_reaches_the_journey_and_the_audit_as_reported() {
         })
         .collect();
     assert_eq!(verdicts, [(0, BoeVerdict::Ambiguous)]);
-    let export = net.flight.to_jsonl();
     let lines: Vec<&str> = export
         .lines()
         .filter(|l| l.contains("boe_overhear"))
