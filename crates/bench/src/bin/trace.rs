@@ -92,12 +92,12 @@ fn load(path: &str) -> Result<Vec<TraceEvent>, String> {
 fn cmd_journey(events: &[TraceEvent], packet: u64) -> ExitCode {
     let journeys = group_journeys(events);
     let Some(evs) = journeys.get(&packet) else {
-        eprintln!(
-            "packet {packet} is not in this capture ({} journeys: seq {:?}..{:?})",
-            journeys.len(),
-            journeys.keys().next(),
-            journeys.keys().next_back(),
-        );
+        match (journeys.keys().next(), journeys.keys().next_back()) {
+            (Some(first), Some(last)) => eprintln!(
+                "packet {packet} is not in this capture (packets {first}..={last}; raise --flight-cap)"
+            ),
+            _ => eprintln!("packet {packet} is not in this capture (it holds no packets)"),
+        }
         return ExitCode::FAILURE;
     };
     let s = summarize_journey(packet, evs);

@@ -850,6 +850,28 @@ fn trace_drops_prints_the_pinned_census_of_three_hand_written_drops() {
 }
 
 #[test]
+fn trace_journey_names_the_capture_a_missing_packet_is_not_in() {
+    let dir = scratch("trace-journey");
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    let missing = |name: &str, lifecycle: &str| -> String {
+        let file = dir.join(name);
+        std::fs::write(&file, lifecycle).expect("the lifecycle is written");
+        let out = budget::run(TRACE, &["journey", "--packet=999", file.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        String::from_utf8(out.stderr).unwrap()
+    };
+    assert_eq!(
+        missing("drops.jsonl", THREE_DROPS),
+        "packet 999 is not in this capture (packets 1..=3; raise --flight-cap)\n"
+    );
+    assert_eq!(
+        missing("empty.jsonl", ""),
+        "packet 999 is not in this capture (it holds no packets)\n"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn an_unknown_audit_kind_exits_1_naming_the_line() {
     // Any kind but "sample" once read as a decision: a bogus record
     // printed as "assigned" and the command exited 0.

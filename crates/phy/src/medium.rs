@@ -41,18 +41,24 @@
 //!
 //! ## What a transmission costs
 //!
-//! A frame costs its sender's neighbourhood, not the network:
+//! A frame costs its sender's neighbourhood plus one scan of the air, not
+//! the network:
 //!
 //! * **Interference is range-bounded.** A start scans the transmissions on
 //!   the air (a handful of words each) to flag temporal overlap, but
 //!   evaluates the capture rule only against senders within
 //!   `cs_range + tx_range` — beyond that neither can reach a receiver of
-//!   the other (proof at [`Channel::start_tx_into`]).
+//!   the other (proof at [`Channel::start_tx_into`]). The scan is the one
+//!   cost that grows with the network: at a fixed density the air holds
+//!   more transmissions as nodes are added. Within reach, the rule runs
+//!   as a kernel over each decode row with no branch per receiver.
 //! * **Carrier sense is pulled.** Each node keeps three *horizons*: the
-//!   latest end among the transmissions it sensed, could decode, or sent.
-//!   The start walk writes them (it visits every sense neighbour and knows
-//!   the end); [`Channel::is_busy`] compares the sense horizon with `now`.
-//!   A node appears in `became_busy` / `became_idle` only while its
+//!   latest end among the transmissions it sensed, could decode or sent,
+//!   or sent alone. A start writes them in three short walks: the sense
+//!   walk loads one 24-byte record per sense neighbour, the decode walk
+//!   one 16-byte record per receiver, and the sender writes its own.
+//!   [`Channel::is_busy`] compares the sense horizon with `now`. A node
+//!   appears in `became_busy` / `became_idle` only while its
 //!   [`Channel::set_listening`] bit is set, so a station with no countdown
 //!   to freeze or resume costs the caller nothing and asks when it next
 //!   needs to know.
@@ -299,8 +305,13 @@ pub struct Channel {
     /// Not part of [`ChannelStats`] (never serialised): it measures the
     /// channel's own work, which tests pin as independent of network size.
     capture_evals: u64,
-    /// Per node: horizons and airtime gaps, written by the start walk.
-    radio: Vec<Radio>,
+    /// Per node: the sense horizon and the S∪T union, the one record the
+    /// start's sense walk loads.
+    sensed: Vec<Sensed>,
+    /// Per node: the R∪T union, written by the start's decode walk.
+    decodable: Vec<Decodable>,
+    /// Per node: the T union, written by the node's own starts.
+    sent: Vec<Sent>,
     /// The instant of the latest start: airtime is readable from there on.
     latest_start: Time,
     /// Per node: whether busy/idle transitions are reported. A column of
@@ -313,42 +324,61 @@ pub struct Channel {
     stats: ChannelStats,
 }
 
-/// One node's radio: three horizons, and the airtime gap below each.
-///
-/// A horizon is the latest `end` among the transmissions the node sensed
-/// (`sense_until`), could decode (`rx_until`) or sent (`tx_until`); it
-/// only ever grows, so an end has nothing to undo. Transmissions are
-/// taken off the air at their `end` in time order, so at instant `now`
-/// the node senses one iff `sense_until > now` — or `sense_until == now`
-/// and a transmission ending at `now` it senses has not been taken off
-/// yet (the tie [`Channel::is_busy`] resolves against the active set).
-///
-/// Airtime is three running interval unions: T (sent), R∪T (decodable or
-/// sent) and S∪T (sensed or sent), with horizons `tx_until`,
-/// `max(tx_until, rx_until)` and `max(tx_until, sense_until)`. Starts
-/// arrive in time order and a horizon only grows, so a union covers all
-/// of `[0, h)` but the stretches a start found it idle: its gap grows by
-/// `now − h` only when a start begins after `h`, and at any `t` no earlier
-/// than the latest start the union covers `min(h, t) − gap` microseconds.
+// A node's radio is three horizons and three airtime gaps, kept in three
+// columns grouped by the code that reads them: `Sensed` (the sense walk),
+// `Decodable` (the decode walk) and `Sent` (the sender's own start).
+//
+// A horizon is the latest `end` among the transmissions the node sensed
+// (`sense_until`), could decode or sent (`rt_until`), or sent
+// (`tx_until`); it only ever grows, so an end has nothing to undo.
+// Transmissions are taken off the air at their `end` in time order, so at
+// instant `now` the node senses one iff `sense_until > now` — or
+// `sense_until == now` and a transmission ending at `now` it senses has
+// not been taken off yet (the tie `Channel::is_busy` resolves against the
+// active set).
+//
+// Airtime is three running interval unions: T (sent), R∪T (decodable or
+// sent) and S∪T (sensed or sent), with horizons `tx_until`, `rt_until`
+// and `st_until = max(tx_until, sense_until)`. Starts arrive in time
+// order and a horizon only grows, so a union covers all of `[0, h)` but
+// the stretches a start found it idle: its gap grows by `now − h` only
+// when a start begins after `h`, and at any `t` no earlier than the
+// latest start the union covers `min(h, t) − gap` microseconds.
+
+/// A node's sense column: the one record the start's sense walk loads.
 #[derive(Clone, Copy, Debug, Default)]
-struct Radio {
+struct Sensed {
+    /// Latest end among the transmissions the node sensed.
     sense_until: Time,
-    rx_until: Time,
-    tx_until: Time,
-    /// Uncovered µs below T's horizon.
-    gap_t: u64,
-    /// Uncovered µs below R∪T's horizon.
-    gap_rt: u64,
-    /// Uncovered µs below S∪T's horizon.
+    /// S∪T's horizon, `max(tx_until, sense_until)`.
+    st_until: Time,
+    /// Uncovered µs below `st_until`.
     gap_st: u64,
 }
 
-const _: () = assert!(std::mem::size_of::<Radio>() == 48);
-
-#[inline]
-fn unpack(entry: u32) -> (usize, bool) {
-    ((entry & !DECODES) as usize, entry & DECODES != 0)
+/// A node's decode column, written by the start's walk of the sender's
+/// decode row and by the node's own starts.
+#[derive(Clone, Copy, Debug, Default)]
+struct Decodable {
+    /// R∪T's horizon: the latest end among the transmissions the node
+    /// could decode or sent.
+    rt_until: Time,
+    /// Uncovered µs below `rt_until`.
+    gap_rt: u64,
 }
+
+/// A node's own column, written by its own starts only.
+#[derive(Clone, Copy, Debug, Default)]
+struct Sent {
+    /// T's horizon: the latest end among the node's own transmissions.
+    tx_until: Time,
+    /// Uncovered µs below `tx_until`.
+    gap_t: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<Sensed>() == 24);
+const _: () = assert!(std::mem::size_of::<Decodable>() == 16);
+const _: () = assert!(std::mem::size_of::<Sent>() == 16);
 
 impl Channel {
     /// Builds a channel over fixed node positions. Every node starts out
@@ -377,7 +407,9 @@ impl Channel {
             scratch_pool: Vec::new(),
             pool_reuses: 0,
             capture_evals: 0,
-            radio: vec![Radio::default(); n],
+            sensed: vec![Sensed::default(); n],
+            decodable: vec![Decodable::default(); n],
+            sent: vec![Sent::default(); n],
             latest_start: Time::ZERO,
             listening: vec![true; n],
             airtime_us: vec![0; n],
@@ -389,17 +421,17 @@ impl Channel {
     /// The tx/rx/busy/idle split of `node`'s time over `[0, now)`, for a
     /// `now` no earlier than the latest start: tx is T's cover, rx what
     /// R∪T adds to it, busy what S∪T adds to that, idle the rest (see
-    /// `Radio`). Exactly what an every-event sweep would have added up.
+    /// `Sensed`). Exactly what an every-event sweep would have added up.
     pub fn airtime_breakdown(&self, node: usize, now: Time) -> Airtime {
         debug_assert!(
             now >= self.latest_start,
             "airtime read before the latest start"
         );
-        let r = &self.radio[node];
         let cover = |h: Time, gap: u64| h.min(now).as_micros() - gap;
-        let tx = cover(r.tx_until, r.gap_t);
-        let rx = cover(r.tx_until.max(r.rx_until), r.gap_rt);
-        let busy = cover(r.tx_until.max(r.sense_until), r.gap_st);
+        let (t, rt, st) = (&self.sent[node], &self.decodable[node], &self.sensed[node]);
+        let tx = cover(t.tx_until, t.gap_t);
+        let rx = cover(rt.rt_until, rt.gap_rt);
+        let busy = cover(st.st_until, st.gap_st);
         Airtime {
             tx_us: tx,
             rx_us: rx - tx,
@@ -449,7 +481,7 @@ impl Channel {
             &self.active,
             &self.positions,
             &self.cfg,
-            &self.radio[node],
+            self.sensed[node].sense_until,
             node,
             now,
         )
@@ -473,7 +505,7 @@ impl Channel {
         if std::mem::replace(&mut self.listening[node], on) || !on {
             return;
         }
-        let until = self.radio[node].sense_until;
+        let until = self.sensed[node].sense_until;
         let (positions, cfg) = (&self.positions[..], &self.cfg);
         for a in &mut self.active {
             if a.end == until && senses(positions, cfg, a.src, node) {
@@ -499,7 +531,10 @@ impl Channel {
     /// range — the static interference adjacency. Geometry is fixed at
     /// construction, so these lists never change.
     pub fn sensing_neighbors(&self, s: usize) -> impl ExactSizeIterator<Item = usize> + '_ {
-        self.sense_rows.row(s).iter().map(|&e| unpack(e).0)
+        self.sense_rows
+            .row(s)
+            .iter()
+            .map(|&e| (e & !DECODES) as usize)
     }
 
     /// The nodes (ascending) that sensed a transmission by `src` but got no
@@ -555,13 +590,14 @@ impl Channel {
     ///
     /// Marks interference both ways against the already-active
     /// transmissions and reports which listening nodes newly sense a busy
-    /// medium. Three costs, none of them O(N): a scan of the active set
-    /// that only compares end times and one sender distance each; the
-    /// capture rule over two decode rows per *in-reach* overlapping
-    /// transmission; one walk of the sender's sense row. A reused `report`
-    /// allocates nothing once its vector has grown to the densest
-    /// neighbourhood, and the per-transmission scratch is one pooled
-    /// buffer the length of the sender's decode row.
+    /// medium. Three costs: a scan of the active set that only compares
+    /// end times and one sender distance each, O(transmissions on the
+    /// air), which at a fixed density grows with N; the capture kernel
+    /// over two decode rows per *in-reach* overlapping transmission; one
+    /// walk of the sender's sense row and one of its decode row. A reused
+    /// `report` allocates nothing once its vector has grown to the
+    /// densest neighbourhood, and the per-transmission scratch is one
+    /// pooled buffer the length of the sender's decode row.
     ///
     /// Why senders farther apart than `cs_range + tx_range` are skipped:
     /// a transmission by `i` can only corrupt a reception at `r` if `i`
@@ -607,6 +643,7 @@ impl Channel {
         // overlaps (its `end_tx_into` is being delivered in this same instant).
         // Only nodes inside a sender's decode range can have a reception
         // destroyed, so each direction visits that sender's decode row.
+        let ours = decode_from.row(src);
         for a in &mut self.active {
             if a.end <= now {
                 continue;
@@ -617,60 +654,63 @@ impl Channel {
             if !positions[src].within(&positions[other], self.reach) {
                 continue;
             }
-            let (theirs, ours) = (decode_from.row(other), decode_from.row(src));
+            let theirs = decode_from.row(other);
             self.capture_evals += (theirs.len() + ours.len()) as u64;
             // New tx destroys `a`'s reception at r?
-            for (hit, &r) in a.corrupted.iter_mut().zip(theirs) {
-                let r = r as usize;
-                if corrupts(positions, cfg, src, other, r) {
-                    *hit = true;
-                    if r == a.dst && src != r && !senses(positions, cfg, src, other) {
-                        a.hidden_hit = true;
-                    }
-                }
+            if capture_row(positions, cfg, src, other, theirs, a.dst, &mut a.corrupted)
+                && src != a.dst
+                && !senses(positions, cfg, src, other)
+            {
+                a.hidden_hit = true;
             }
             // `a` destroys the new tx's reception at r?
-            for (hit, &r) in corrupted.iter_mut().zip(ours) {
-                let r = r as usize;
-                if corrupts(positions, cfg, other, src, r) {
-                    *hit = true;
-                    if r == dst && other != r && !senses(positions, cfg, other, src) {
-                        hidden_hit = true;
-                    }
-                }
+            if capture_row(positions, cfg, other, src, ours, dst, &mut corrupted)
+                && other != dst
+                && !senses(positions, cfg, other, src)
+            {
+                hidden_hit = true;
             }
         }
 
         // `[now, end)` joins the unions; one whose horizon lies before
         // `now` gains a gap of the difference.
         let gap = |h: Time| now.saturating_since(h).as_micros();
-        let radio = &mut self.radio[..];
-        let own = &mut radio[src];
-        own.gap_t += gap(own.tx_until);
-        own.gap_rt += gap(own.tx_until.max(own.rx_until));
-        own.gap_st += gap(own.tx_until.max(own.sense_until));
-        own.tx_until = own.tx_until.max(end);
+        let t = &mut self.sent[src];
+        t.gap_t += gap(t.tx_until);
+        t.tx_until = t.tx_until.max(end);
+        let rt = &mut self.decodable[src];
+        rt.gap_rt += gap(rt.rt_until);
+        rt.rt_until = rt.rt_until.max(end);
+        let st = &mut self.sensed[src];
+        st.gap_st += gap(st.st_until);
+        st.st_until = st.st_until.max(end);
+        // Every receiver joins R∪T. The decode row is the sense row's
+        // `DECODES` entries, so walking it spares the sense walk a test of
+        // the bit.
+        for &r in ours {
+            let rt = &mut self.decodable[r as usize];
+            rt.gap_rt += gap(rt.rt_until);
+            rt.rt_until = rt.rt_until.max(end);
+        }
+        // One pass over the sense row (ascending, keeping `became_busy`
+        // and `holds` sorted) raises the sense horizons. The new
+        // transmission is not on `active` yet, so the busy test sees the
+        // medium as it was.
         report.became_busy.clear();
-        // decode range ⊆ sense range, so one pass over the sense row
-        // (ascending, keeping `became_busy` and `holds` sorted) covers
-        // both horizons. The new transmission is not on `active` yet, so
-        // the busy test sees the medium as it was.
         for &entry in self.sense_rows.row(src) {
-            let (r, decodes) = unpack(entry);
-            let node = &mut radio[r];
-            node.gap_st += gap(node.tx_until.max(node.sense_until));
+            let r = (entry & !DECODES) as usize;
+            let node = &mut self.sensed[r];
+            let until = node.sense_until;
+            node.gap_st += gap(node.st_until);
+            node.sense_until = until.max(end);
+            node.st_until = node.st_until.max(end);
             if self.listening[r] {
-                if !busy_at(&self.active, positions, cfg, node, r, now) {
+                if !busy_at(&self.active, positions, cfg, until, r, now) {
                     report.became_busy.push(r);
                 }
-                if end >= node.sense_until {
+                if end >= until {
                     holds.push(r as u32);
                 }
-            }
-            node.sense_until = node.sense_until.max(end);
-            if decodes {
-                node.gap_rt += gap(node.tx_until.max(node.rx_until));
-                node.rx_until = node.rx_until.max(end);
             }
         }
 
@@ -789,22 +829,22 @@ impl Channel {
     }
 }
 
-/// Whether the node `r`, whose radio is `radio`, senses a transmission on
-/// `active` at `now`: its sense horizon lies past `now`, or equals it and
-/// a transmission ending at `now` that `r` senses has not been taken off
-/// the air yet. Free-standing so the start walk can ask while it holds
-/// the radio column mutably.
+/// Whether the node `r`, whose sense horizon is `until`, senses a
+/// transmission on `active` at `now`: the horizon lies past `now`, or
+/// equals it and a transmission ending at `now` that `r` senses has not
+/// been taken off the air yet. Free-standing so the start walk can ask
+/// while it holds the sense column mutably.
 #[inline]
 fn busy_at(
     active: &[ActiveTx],
     positions: &[Position],
     cfg: &ChannelConfig,
-    radio: &Radio,
+    until: Time,
     r: usize,
     now: Time,
 ) -> bool {
-    radio.sense_until > now
-        || (radio.sense_until == now
+    until > now
+        || (until == now
             && active
                 .iter()
                 .any(|a| a.end == now && senses(positions, cfg, a.src, r)))
@@ -817,13 +857,51 @@ fn senses(positions: &[Position], cfg: &ChannelConfig, s: usize, r: usize) -> bo
     s != r && positions[s].within(&positions[r], cfg.cs_range)
 }
 
-/// Corrupt iff the interferer `i` is the receiver itself (half-duplex), or
-/// is sensed there and not far enough beyond the sender `s` for capture.
+/// Corrupt iff the interferer `i` (at `at_i`) is the receiver `r` (at
+/// `at_r`) itself (half-duplex), or is sensed there and not far enough
+/// beyond the sender (at `at_s`) for capture. Every operand is evaluated:
+/// `|` and `&` do not short-circuit, so the capture kernel runs it over a
+/// row without a branch.
+#[inline(always)]
+fn corrupts_at(
+    cfg: &ChannelConfig,
+    i: usize,
+    at_i: &Position,
+    at_s: &Position,
+    r: usize,
+    at_r: &Position,
+) -> bool {
+    (i == r)
+        | (at_i.within(at_r, cfg.cs_range)
+            & (at_i.distance(at_r) < cfg.capture_ratio * at_s.distance(at_r)))
+}
+
 fn corrupts(positions: &[Position], cfg: &ChannelConfig, i: usize, s: usize, r: usize) -> bool {
-    let at = &positions[r];
-    i == r
-        || (positions[i].within(at, cfg.cs_range)
-            && positions[i].distance(at) < cfg.capture_ratio * positions[s].distance(at))
+    corrupts_at(cfg, i, &positions[i], &positions[s], r, &positions[r])
+}
+
+/// The capture kernel: marks in `hits` every receiver of `s`'s decode
+/// `row` whose reception the interferer `i` destroys, and returns whether
+/// it destroyed the one at `dst`.
+#[inline]
+fn capture_row(
+    positions: &[Position],
+    cfg: &ChannelConfig,
+    i: usize,
+    s: usize,
+    row: &[u32],
+    dst: usize,
+    hits: &mut [bool],
+) -> bool {
+    let (at_i, at_s) = (&positions[i], &positions[s]);
+    let mut dst_hit = false;
+    for (hit, &r) in hits.iter_mut().zip(row) {
+        let r = r as usize;
+        let c = corrupts_at(cfg, i, at_i, at_s, r, &positions[r]);
+        *hit |= c;
+        dst_hit |= c & (r == dst);
+    }
+    dst_hit
 }
 
 #[cfg(test)]
@@ -1822,6 +1900,102 @@ mod tests {
         for k in [1, 16, 64] {
             assert_eq!(evals_of_one_more(k, node(7, 7)), 0, "K = {k}");
         }
+    }
+
+    /// The capture kernel against [`Channel::corrupts`], on every
+    /// (interferer, sender) pair of layouts built on the rule's edges, with
+    /// the edge entries also pinned by hand.
+    #[test]
+    fn capture_kernel_equals_the_rule() {
+        let layout = |cfg: ChannelConfig, at: &[(f64, f64)]| {
+            let pos: Vec<Position> = at.iter().map(|&(x, y)| Position::new(x, y)).collect();
+            Channel::new(&pos, cfg, LossModel::ideal())
+        };
+        // `(hits, dst hit)` of interferer `i` over `s`'s decode row, from
+        // a row already marked `prior`.
+        let kernel = |ch: &Channel, i: usize, s: usize, dst: usize, prior: bool| {
+            let row = ch.decode_from.row(s);
+            let mut hits = vec![prior; row.len()];
+            let dst_hit = capture_row(&ch.positions, &ch.cfg, i, s, row, dst, &mut hits);
+            (hits, dst_hit)
+        };
+        let agree = |ch: &Channel| {
+            let n = ch.node_count();
+            for (i, s) in (0..n).flat_map(|i| (0..n).map(move |s| (i, s))) {
+                let row = ch.decode_from.row(s);
+                let rule: Vec<bool> = row.iter().map(|&r| ch.corrupts(i, s, r as usize)).collect();
+                for dst in 0..n {
+                    let (hits, dst_hit) = kernel(ch, i, s, dst, false);
+                    assert_eq!(hits, rule, "{i} against {s}'s row");
+                    let at_dst = row.iter().zip(&rule).any(|(&r, &c)| c && r as usize == dst);
+                    assert_eq!(dst_hit, at_dst, "{i} against {s} -> {dst}");
+                }
+                let (hits, _) = kernel(ch, i, s, s, true);
+                assert!(hits.iter().all(|&h| h), "a mark is never cleared");
+            }
+        };
+        let no_capture = ChannelConfig {
+            capture_ratio: f64::INFINITY,
+            ..ChannelConfig::default()
+        };
+
+        // The interferer is the receiver: half-duplex, whatever the
+        // distances.
+        let ch = chan(3);
+        agree(&ch);
+        assert_eq!(kernel(&ch, 1, 0, 1, false), (vec![true], true));
+
+        // Capture off, receiver 1 on the sender: `d(i, r) < ∞ · 0` is
+        // `< NaN`, false, so the far interferer corrupts 2 but not 1.
+        let ch = layout(
+            no_capture,
+            &[(0.0, 0.0), (0.0, 0.0), (100.0, 0.0), (300.0, 0.0)],
+        );
+        agree(&ch);
+        assert_eq!(kernel(&ch, 3, 0, 1, false), (vec![false, true], false));
+
+        // A receiver exactly `cs_range` from the interferer is inside it
+        // (inclusive); one metre more is outside.
+        let ch = layout(
+            no_capture,
+            &[(0.0, 0.0), (250.0, 0.0), (800.0, 0.0), (801.0, 0.0)],
+        );
+        agree(&ch);
+        assert_eq!(kernel(&ch, 2, 0, 1, false), (vec![true], true));
+        assert_eq!(kernel(&ch, 3, 0, 1, false), (vec![false], false));
+
+        // A capture tie on a 50 m lattice: at ratio 2 an interferer
+        // exactly twice the sender's distance from receiver 1, in line
+        // (2) or across (4), is captured over (the test is strict); one
+        // step nearer (3) is not.
+        let ratio2 = ChannelConfig {
+            capture_ratio: 2.0,
+            ..ChannelConfig::default()
+        };
+        let at = [
+            (0.0, 0.0),
+            (100.0, 0.0),
+            (300.0, 0.0),
+            (250.0, 0.0),
+            (100.0, 200.0),
+        ];
+        let ch = layout(ratio2, &at);
+        agree(&ch);
+        assert_eq!(ch.decode_from.row(0), &[1, 3, 4]);
+        assert!(!kernel(&ch, 2, 0, 1, false).0[0]);
+        assert!(!kernel(&ch, 4, 0, 1, false).0[0]);
+        assert!(kernel(&ch, 3, 0, 1, false).0[0]);
+
+        // The work counter: both decode rows per in-reach overlapping
+        // pair. 1 -> 2 and 3 -> 4 overlap (rows of 2), then 0 -> 1
+        // overlaps both (its row of 1 against each).
+        let mut ch = chan(5);
+        let mut sr = StartReport::default();
+        on_air(&mut ch, &mut sr, t(0), 1, 2, t(100));
+        on_air(&mut ch, &mut sr, t(5), 3, 4, t(105));
+        assert_eq!(ch.capture_evaluations(), 2 + 2);
+        on_air(&mut ch, &mut sr, t(10), 0, 1, t(110));
+        assert_eq!(ch.capture_evaluations(), 4 + (2 + 1) + (2 + 1));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sampling profiler for one command, standard library only.
 
-Usage: profile.py [--] COMMAND [ARG...]
+Usage: profile.py [--within FUNCTION] [--] COMMAND [ARG...]
 
 Runs COMMAND with address-space randomisation off, samples the
 instruction pointer of each of its threads every INTERVAL_MS with
@@ -13,6 +13,11 @@ largest inclusive shares: by function and by `file:line`, where
 "inclusive" counts a sample once for every function (or line) on its
 inline chain. Frames are not unwound, so a caller that is not inlined
 gets no share of its callees' samples.
+
+`--within FUNCTION` keeps only the samples whose inline chain has a
+function whose name contains FUNCTION (`--within start_tx_into`): the
+tables then split that function's share by the functions and lines
+inlined into it, still as shares of all samples.
 
 The line-tables build it needs and a worked invocation are in DESIGN.md
 §7, "Where the time goes". x86-64 Linux only; needs permission to
@@ -154,9 +159,12 @@ def shorten(loc):
 
 def main():
     argv = sys.argv[1:]
+    within = None
+    if argv[:1] == ["--within"] and len(argv) > 1:
+        within, argv = argv[1], argv[2:]
     argv = argv[1:] if argv[:1] == ["--"] else argv
-    if not argv:
-        print("usage: profile.py [--] COMMAND [ARG...]", file=sys.stderr)
+    if not argv or within == "":
+        print("usage: profile.py [--within FUNCTION] [--] COMMAND [ARG...]", file=sys.stderr)
         return 2
 
     pid = spawn(argv)
@@ -197,6 +205,7 @@ def main():
         per_object[path][rip - start + off] += n
 
     total = sum(rips.values())
+    kept = 0
     by_func = collections.Counter()
     by_line = collections.Counter()
     for path, offs in per_object.items():
@@ -206,15 +215,21 @@ def main():
         name = os.path.basename(path)
         for off, n in offs.items():
             chain = chains.get(vaddrs[off]) or [(f"[{name}]", f"[{name}]")]
+            if within is not None and not any(within in f for f, _ in chain):
+                continue
+            kept += n
             for func in {f if f != "??" else f"[{name}]" for f, _ in chain}:
                 by_func[func] += n
             for loc in {l for _, l in chain if not l.startswith("??")}:
                 by_line[loc] += n
-    if unmapped:
+    if unmapped and within is None:
         by_func["[unmapped]"] += unmapped
 
     code = os.waitstatus_to_exitcode(status)
     print(f"{total} samples every {INTERVAL_MS} ms; command exited {code}", file=sys.stderr)
+    if within is not None:
+        share = 100.0 * kept / max(total, 1)
+        print(f"{kept} samples ({share:.1f}%) have `{within}` on their inline chain")
     for title, table in (("function", by_func), ("file:line", by_line)):
         print(f"\n{'share':>7}  inclusive, by {title}")
         for key, n in table.most_common(TOP):
