@@ -1,13 +1,12 @@
 //! **Ablations** (beyond the paper's tables): sensitivity of EZ-flow to
 //! its parameters, robustness to link loss, the hop-count stability
-//! boundary, and a controller tournament against the static penalty and
-//! an idealized DiffQ.
+//! boundary, and a controller tournament against the static penalty.
 //!
 //! Every sub-experiment is a sweep of independent runs, so each one
 //! batches its runs through the [`crate::runner::SweepRunner`] and
 //! consumes the outcomes in job order.
 
-use ezflow_core::baselines::{static_penalty_factory, DiffQController};
+use ezflow_core::baselines::static_penalty_factory;
 use ezflow_core::{EzFlowConfig, EzFlowController};
 use ezflow_net::controller::{Controller, ControllerFactory, FixedController};
 use ezflow_net::{topo, Network};
@@ -268,23 +267,24 @@ fn tournament(rep: &mut Report, scale: Scale) {
     let t = topo::chain(8, Time::ZERO, until);
     let flows = t.flows.clone();
 
-    let entries: Vec<(&str, ControllerFactory)> = vec![
-        ("802.11", Algo::Plain.factory()),
-        ("EZ-flow", Algo::EzFlow.factory()),
+    let entries: Vec<(&str, &str, ControllerFactory)> = vec![
+        ("802.11", "turbulent baseline", Algo::Plain.factory()),
         (
-            "static penalty q=1/128 [Aziz09]",
-            Box::new(static_penalty_factory(&flows, 16, 128)),
+            "EZ-flow",
+            "stable, no message passing",
+            Algo::EzFlow.factory(),
         ),
         (
-            "DiffQ (idealized, message passing)",
-            Box::new(|_| Box::new(DiffQController::new()) as Box<dyn Controller>),
+            "static penalty q=1/128 [Aziz09]",
+            "stable but topology-dependent",
+            Box::new(static_penalty_factory(&flows, 16, 128)),
         ),
     ];
 
-    let names: Vec<&str> = entries.iter().map(|(n, _)| *n).collect();
+    let labels: Vec<(&str, &str)> = entries.iter().map(|(n, e, _)| (*n, *e)).collect();
     let jobs: Vec<Job> = entries
         .into_iter()
-        .map(|(name, make)| {
+        .map(|(name, _, make)| {
             chain_job(
                 format!("ablations/tournament/{name}"),
                 8,
@@ -299,18 +299,13 @@ fn tournament(rep: &mut Report, scale: Scale) {
     let outs = run_outcomes(scale, secs, jobs);
 
     let mut results = Vec::new();
-    for (name, o) in names.iter().zip(outs) {
+    for ((name, expect), o) in labels.into_iter().zip(outs) {
         rep.row(
             format!("8-hop chain [{name}]"),
-            match *name {
-                "802.11" => "turbulent baseline",
-                "EZ-flow" => "stable, no message passing",
-                "static penalty q=1/128 [Aziz09]" => "stable but topology-dependent",
-                _ => "stable but needs message passing",
-            },
+            expect,
             format!("{:.0} kb/s, {:.2} s, b1 = {:.1}", o.kbps, o.delay, o.b1),
         );
-        results.push((*name, o));
+        results.push((name, o));
     }
     let get = |n: &str| {
         results

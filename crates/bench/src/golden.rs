@@ -402,8 +402,9 @@ fn flatten(v: &JsonValue, path: &str, out: &mut Vec<(String, String)>) {
 }
 
 /// Names the first key at which digest `got` departs from `want`, with
-/// both values — what a failed comparison prints so the failure explains
-/// itself from the log.
+/// both values, or as missing from `got` or unexpected in it when only
+/// one side has it — what a failed comparison prints so the failure
+/// explains itself from the log.
 pub fn first_divergence(want: &str, got: &str) -> String {
     let (Ok(want), Ok(got)) = (JsonValue::parse(want), JsonValue::parse(got)) else {
         return "one side is not a JSON document".to_string();
@@ -411,10 +412,15 @@ pub fn first_divergence(want: &str, got: &str) -> String {
     let (mut w, mut g) = (Vec::new(), Vec::new());
     flatten(&want, "", &mut w);
     flatten(&got, "", &mut g);
+    let has = |doc: &[(String, String)], key: &str| doc.iter().any(|(k, _)| k == key);
     match w.iter().zip(&g).find(|(a, b)| a != b) {
         Some(((wk, wv), (gk, gv))) if wk == gk => {
             format!("first diverging key: {wk}\n  expected {wv}\n  got      {gv}")
         }
+        Some(((wk, wv), _)) if !has(&g, wk) => {
+            format!("first diverging key: key {wk} (= {wv}) is missing")
+        }
+        Some((_, (gk, _))) if !has(&w, gk) => format!("first diverging key: unexpected key {gk}"),
         Some(((wk, wv), (gk, gv))) => {
             format!("first diverging key: expected {wk} = {wv}, got {gk} = {gv}")
         }
@@ -443,7 +449,14 @@ mod tests {
         );
         // A key present on one side only, and a plain length mismatch.
         let renamed = first_divergence(r#"{"a":1,"b":2}"#, r#"{"a":1,"c":2}"#);
-        assert!(renamed.contains("expected b = 2, got c = 2"), "{renamed}");
+        assert!(renamed.contains("key b (= 2) is missing"), "{renamed}");
+        let missing = first_divergence(r#"{"a":1,"b":2,"c":3}"#, r#"{"a":1,"c":3}"#);
+        assert!(missing.contains("key b (= 2) is missing"), "{missing}");
+        let unexpected = first_divergence(r#"{"a":1,"c":3}"#, r#"{"a":1,"b":2,"c":3}"#);
+        assert!(unexpected.contains("unexpected key b"), "{unexpected}");
+        // Both keys occur on both sides, in another order.
+        let swapped = first_divergence(r#"{"a":1,"b":2}"#, r#"{"b":2,"a":1}"#);
+        assert!(swapped.contains("expected a = 1, got b = 2"), "{swapped}");
         let shorter = first_divergence(r#"{"a":1,"b":2}"#, r#"{"a":1}"#);
         assert!(shorter.contains("expected 2 keys, got 1"), "{shorter}");
     }

@@ -159,8 +159,6 @@ impl Controller for EzFlowController {
                 });
                 reaction
             }
-            // EZ-flow never requests nor uses message passing.
-            ControllerEvent::NeighborBacklog { .. } => Reaction::default(),
         }
     }
 

@@ -15,9 +15,8 @@
 //!   `CWmin` between `2^4` and `2^15`.
 //!
 //! [`EzFlowController`] glues them into the [`ezflow_net::Controller`]
-//! interface; [`baselines`] provides the comparison algorithms (the
-//! topology-dependent static penalty of \[Aziz09\], and an idealized DiffQ
-//! that *does* use message passing).
+//! interface; [`baselines`] provides the comparison algorithm (the
+//! topology-dependent static penalty of \[Aziz09\]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +27,7 @@ pub mod caa;
 pub mod config;
 pub mod controller;
 
-pub use baselines::{static_penalty_factory, DiffQController};
+pub use baselines::static_penalty_factory;
 pub use boe::Boe;
 pub use caa::{Caa, CaaDecision, CaaRound};
 pub use config::EzFlowConfig;

@@ -540,12 +540,6 @@ pub(crate) fn build(
         }
     }
 
-    let successors: Vec<Vec<usize>> = (0..n).map(|id| routing.successors(id)).collect();
-    let backlog_every = nodes
-        .iter()
-        .filter_map(|nd| nd.controller.backlog_period())
-        .min();
-
     let flow_ids: Vec<u32> = spec.flows.iter().map(|f| f.id).collect();
     let metrics = Metrics::new(n, &flow_ids, spec.sample_every);
 
@@ -566,9 +560,6 @@ pub(crate) fn build(
         }
     }
     sched.schedule(Time::ZERO + spec.sample_every, Ev::Sample);
-    if let Some(p) = backlog_every {
-        sched.schedule(Time::ZERO + p, Ev::Backlog);
-    }
     // The telemetry sampler is armed *last*: with its entry resident at
     // every subsequent push, the scheduler's depth high-water mark runs
     // exactly one above the telemetry-off run's, which is what the
@@ -588,11 +579,9 @@ pub(crate) fn build(
         nodes,
         routing,
         flows,
-        successors,
         queue_cap: spec.queue_cap,
         eifs: spec.mac.eifs,
         sample_every: spec.sample_every,
-        backlog_every,
         metrics,
         flight: crate::flight::FlightRecorder::new(spec.flight_cap),
         telemetry,

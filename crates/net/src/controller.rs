@@ -13,11 +13,6 @@
 //! * [`ControllerEvent::Overheard`] — a clean data frame not addressed to
 //!   us was decoded; the broadcast medium gives it to us for free. The BOE
 //!   filters for frames *sent by our successor*.
-//! * [`ControllerEvent::NeighborBacklog`] — an explicit backlog report.
-//!   **EZ-flow never receives these.** They exist so that message-passing
-//!   baselines (DiffQ) can be expressed in the same harness; the network
-//!   layer only generates them for controllers that ask via
-//!   [`Controller::backlog_period`].
 //!
 //! [`Controller::on_event`] answers every observation with one
 //! [`Reaction`]: a `Some(cw)` in it reprograms the MAC's minimum
@@ -26,7 +21,7 @@
 //! and why the window moved, for the flight recorder and the audit.
 
 use ezflow_phy::Frame;
-use ezflow_sim::{Duration, Time};
+use ezflow_sim::Time;
 
 use crate::lifecycle::BoeVerdict;
 
@@ -45,16 +40,6 @@ pub enum ControllerEvent<'a> {
         /// The overheard frame (its `src` is the transmitter).
         frame: &'a Frame,
     },
-    /// Explicit queue-size report from a neighbour (message-passing
-    /// baselines only).
-    NeighborBacklog {
-        /// Reporting neighbour.
-        neighbor: usize,
-        /// Its total interface-queue backlog, packets.
-        backlog: usize,
-        /// This node's own backlog at the same instant (locally known).
-        own_backlog: usize,
-    },
 }
 
 /// A boxed per-node controller factory — what [`crate::Network::new`]
@@ -69,8 +54,8 @@ pub enum DecisionKind {
     Increase,
     /// The window was halved (CAA under-utilization).
     Decrease,
-    /// The window was set outright (baselines: a DiffQ band change, or a
-    /// static-penalty assignment at build time).
+    /// The window was set outright (a static-penalty assignment at build
+    /// time).
     Assign,
 }
 
@@ -96,7 +81,7 @@ impl DecisionKind {
 /// thresholds computed from the window at round entry. Baselines without
 /// that structure leave the counters/thresholds at zero and use
 /// [`DecisionKind::Assign`]; `avg` then carries the controller's own
-/// driving quantity (DiffQ: the backlog differential).
+/// driving quantity (static penalty: the assigned window).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DecisionRecord {
     /// Kind of window move.
@@ -104,8 +89,8 @@ pub struct DecisionRecord {
     /// Successor whose state drove the decision, when the controller keeps
     /// per-successor state (`None` for node-global assignments).
     pub successor: Option<usize>,
-    /// The driving quantity: averaged BOE estimate for CAA, backlog
-    /// differential for DiffQ, the assigned window for static penalties.
+    /// The driving quantity: averaged BOE estimate for CAA, the assigned
+    /// window for static penalties.
     pub avg: f64,
     /// Over-utilization charge entering the round (CAA only).
     pub countup: u32,
@@ -189,13 +174,6 @@ pub trait Controller: Send {
         None
     }
 
-    /// If `Some(p)`, the network delivers [`ControllerEvent::NeighborBacklog`]
-    /// reports from this node's successors every `p`. `None` (the default,
-    /// and EZ-flow's value) means no message passing whatsoever.
-    fn backlog_period(&self) -> Option<Duration> {
-        None
-    }
-
     /// Per-successor window override (the §7 extension: one `CWmin` per
     /// successor, as the four 802.11e hardware queues would provide).
     /// When this returns `Some(cw)` for the successor of the frame about
@@ -270,7 +248,6 @@ mod tests {
                 Reaction::default()
             );
         }
-        assert_eq!(c.backlog_period(), None);
         assert_eq!(c.initial_cw_min(), None);
         assert_eq!(c.name(), "802.11");
     }

@@ -57,7 +57,6 @@ pub(crate) enum Ev {
         node: usize,
     },
     Sample,
-    Backlog,
     /// Telemetry sampler tick (only scheduled when the spec sets
     /// `telemetry_every`). Dispatched *outside* the event accounting so
     /// telemetry-on runs snapshot byte-identically to telemetry-off ones
@@ -68,7 +67,7 @@ pub(crate) enum Ev {
 /// Number of *counted* [`Ev`] kinds, for the per-kind dispatch counters.
 /// `Ev::Telemetry` is deliberately not one of them: its slot,
 /// `EV_KINDS`, is past the counters (zero interference).
-pub(crate) const EV_KINDS: usize = 8;
+pub(crate) const EV_KINDS: usize = 7;
 
 /// Number of self-profiler slots: every counted event kind plus one for
 /// the telemetry sampler.
@@ -85,7 +84,6 @@ pub const PROFILE_NAMES: [&str; PROFILE_KINDS] = [
     "mac_nav",
     "tx_end",
     "sample",
-    "backlog",
     "telemetry",
 ];
 
@@ -98,7 +96,6 @@ fn ev_index(ev: &Ev) -> usize {
         Ev::MacNav { .. } => 4,
         Ev::TxEnd { .. } => 5,
         Ev::Sample => 6,
-        Ev::Backlog => 7,
         Ev::Telemetry => EV_KINDS,
     }
 }
@@ -195,7 +192,6 @@ impl Network {
             Ev::MacNav { node } => self.mac_event(node, MacInput::TimerNav),
             Ev::TxEnd { tx, node } => self.on_tx_end(tx, node),
             Ev::Sample => self.on_sample(),
-            Ev::Backlog => self.on_backlog(),
             Ev::Telemetry => self.on_telemetry(),
         }
     }
@@ -535,30 +531,6 @@ impl Network {
         }
         self.sched
             .schedule(self.now + self.sample_every, Ev::Sample);
-    }
-
-    fn on_backlog(&mut self) {
-        for id in 0..self.nodes.len() {
-            if self.nodes[id].controller.backlog_period().is_none() {
-                continue;
-            }
-            for si in 0..self.successors[id].len() {
-                let s = self.successors[id][si];
-                let backlog = self.hot.occupancy[s] as usize;
-                let own_backlog = self.hot.occupancy[id] as usize;
-                self.react(
-                    id,
-                    ControllerEvent::NeighborBacklog {
-                        neighbor: s,
-                        backlog,
-                        own_backlog,
-                    },
-                );
-            }
-        }
-        if let Some(p) = self.backlog_every {
-            self.sched.schedule(self.now + p, Ev::Backlog);
-        }
     }
 
     /// One telemetry sample window closing at `self.now` — reads queue

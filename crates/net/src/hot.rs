@@ -62,9 +62,9 @@ pub(crate) struct HotState {
     pub(crate) ack_timer: Vec<TimerSlot>,
     /// Total interface-queue occupancy per node, mirrored at the
     /// engine's enqueue/dequeue sites. The periodic samplers (metrics,
-    /// backlog reports, telemetry) read this array instead of walking
-    /// every node's queue `Vec`; `debug_assert`s in the sample path pin
-    /// the mirror to the queues' ground truth.
+    /// telemetry) read this array instead of walking every node's queue
+    /// `Vec`; `debug_assert`s in the sample path pin the mirror to the
+    /// queues' ground truth.
     pub(crate) occupancy: Vec<u32>,
 }
 

@@ -12,7 +12,7 @@
 //!   rate (2 Mb/s CBR saturates every topology we study, as in §5.1),
 //!   a closed-loop fixed window, or bursty on-off.
 //! * [`controller`] — the trait through which a flow-control algorithm
-//!   (EZ-flow, the static-q penalty, DiffQ, or plain 802.11) observes the
+//!   (EZ-flow, the static-q penalty, or plain 802.11) observes the
 //!   network *passively* and adapts `CWmin`.
 //! * [`node`] / [`network`] — one node = queues + DCF MAC + controller;
 //!   the [`network::Network`] owns the scheduler, the channel, and the

@@ -76,12 +76,9 @@ pub struct Network {
     /// The flows in declaration order; `Ev::Traffic` and
     /// `Ev::WindowRefresh` carry an index into it.
     pub(crate) flows: Vec<Flow>,
-    /// Successor sets per node (for backlog reports).
-    pub(crate) successors: Vec<Vec<usize>>,
     pub(crate) queue_cap: usize,
     pub(crate) eifs: bool,
     pub(crate) sample_every: Duration,
-    pub(crate) backlog_every: Option<Duration>,
     /// Recorded measurements.
     pub metrics: Metrics,
     /// Per-packet lifecycle recorder (disabled unless the spec sets

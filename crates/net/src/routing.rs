@@ -66,17 +66,6 @@ impl StaticRouting {
             .map(|&(_, next)| next)
     }
 
-    /// All distinct successors of `node` (over all destinations), sorted.
-    pub fn successors(&self, node: usize) -> Vec<usize> {
-        let mut v: Vec<usize> = match self.by_node.get(node) {
-            Some(routes) => routes.iter().map(|&(_, next)| next).collect(),
-            None => Vec::new(),
-        };
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
     /// Number of installed entries.
     pub fn len(&self) -> usize {
         self.entries
@@ -193,8 +182,7 @@ mod tests {
         r.install_path(&[12, 10, 8, 6, 4, 3, 2, 1, 0]);
         r.install_path(&[11, 9, 7, 5, 4, 3, 2, 1, 0]);
         assert_eq!(r.next_hop(4, 0), Some(3));
-        assert_eq!(r.successors(4), vec![3]);
-        assert_eq!(r.successors(12), vec![10]);
+        assert_eq!(r.next_hop(12, 0), Some(10));
     }
 
     #[test]
@@ -210,7 +198,8 @@ mod tests {
         let mut r = StaticRouting::new();
         r.install_path(&[0, 1, 2]);
         r.install_path(&[0, 1, 3]);
-        assert_eq!(r.successors(0), vec![1]);
+        assert_eq!(r.next_hop(0, 2), Some(1));
+        assert_eq!(r.next_hop(0, 3), Some(1));
     }
 
     #[test]

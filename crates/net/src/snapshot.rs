@@ -1084,7 +1084,8 @@ mod tests {
 
     /// The lenient-read guarantee: a document written by any older schema
     /// — no `schema` key (v1), no `stability`, no `controller`, no
-    /// `arena_high_water`, no telemetry perf keys — must still parse.
+    /// `arena_high_water`, no telemetry perf keys, an event kind the
+    /// engine no longer has — must still parse.
     /// Older documents are synthesised by stripping exactly the keys
     /// those generations lacked from a current snapshot.
     #[test]
@@ -1126,6 +1127,26 @@ mod tests {
         let mut old = plain();
         old.perf.arena_high_water = 0;
         assert_eq!(back, old, "lenient defaults");
+
+        // A schema-2 report from when the engine had a `backlog` event
+        // kind: the profiler map ignores the extra slot, and the open
+        // dispatch map keeps it as one more entry.
+        assert_eq!(SCHEMA_VERSION, 2);
+        let mut json = snap.to_json();
+        for map in [
+            ["perf", "handler_ns_by_kind"],
+            ["scheduler", "dispatched_by_kind"],
+        ] {
+            let JsonValue::Object(kinds) = at(&mut json, &map.map(String::from)) else {
+                unreachable!()
+            };
+            kinds.push(("backlog".into(), JsonValue::from(9u64)));
+        }
+        let back = RunSnapshot::from_json(&JsonValue::parse(&json.to_pretty()).unwrap())
+            .expect("a report with a backlog kind must parse");
+        let mut old = snap.clone();
+        old.scheduler.dispatched_by_kind.push(("backlog".into(), 9));
+        assert_eq!(back, old);
     }
 
     /// The reader's contract, key by key: removing any one key from the

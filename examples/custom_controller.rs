@@ -79,7 +79,6 @@ impl Controller for OverhearRate {
                 }
                 Reaction::default()
             }
-            ControllerEvent::NeighborBacklog { .. } => Reaction::default(),
         }
     }
 

@@ -61,9 +61,7 @@ pub use ezflow_stats as stats;
 /// The one-line import for applications.
 pub mod prelude {
     pub use ezflow_analysis::{ModelConfig, SlottedModel};
-    pub use ezflow_core::{
-        static_penalty_factory, Boe, Caa, DiffQController, EzFlowConfig, EzFlowController,
-    };
+    pub use ezflow_core::{static_penalty_factory, Boe, Caa, EzFlowConfig, EzFlowController};
     pub use ezflow_mac::MacConfig;
     pub use ezflow_net::controller::{Controller, ControllerEvent, Reaction};
     pub use ezflow_net::topo::{chain, scenario1, scenario2, testbed, FlowSpec, Topology};
