@@ -36,8 +36,8 @@
 //! under `scenarios/`, one line each.
 //!
 //! The whole command line is checked before the first experiment starts:
-//! a malformed flag value (`--seed=abc`, `--telemetry-ms=0`,
-//! `--flight-cap=0`), an unknown
+//! a malformed flag value (`--seed=abc`, `--telemetry-ms=0` or a period
+//! past the microsecond clock, `--flight-cap=0`), an unknown
 //! or bare `--flag`, an unknown id, a spec that cannot be read, does not
 //! compile or names a controller the harness lacks, one directory given to
 //! both `--trace-dir` and `--telemetry-dir`, or a `--time` factor that
@@ -136,11 +136,22 @@ fn main() -> ExitCode {
                 dirs.telemetry = Some(std::path::PathBuf::from(&s["--telemetry-dir=".len()..]));
             }
             s if s.starts_with("--telemetry-ms=") => {
-                let ms: std::num::NonZeroU64 = flag_value(
-                    "--telemetry-ms",
-                    &s["--telemetry-ms=".len()..],
-                    "a positive integer",
-                );
+                let value = &s["--telemetry-ms=".len()..];
+                let ms: std::num::NonZeroU64 =
+                    flag_value("--telemetry-ms", value, "a positive integer");
+                // The clock counts microseconds in a u64: a longer period
+                // would wrap to a short one.
+                if ms
+                    .get()
+                    .checked_mul(ezflow_sim::time::MICROS_PER_MILLI)
+                    .is_none()
+                {
+                    eprintln!(
+                        "bad value for --telemetry-ms: '{value}' (expected at most {} ms)",
+                        u64::MAX / ezflow_sim::time::MICROS_PER_MILLI
+                    );
+                    return ExitCode::from(2);
+                }
                 telemetry_ms = Some(ms.get());
             }
             s if s.starts_with("--audit-dir=") => {

@@ -383,8 +383,8 @@ pub fn document(digests: &[(&str, String)]) -> String {
 }
 
 /// Flattens a JSON document into `(dotted.path, compact leaf)` pairs in
-/// document order.
-fn flatten(v: &JsonValue, path: &str, out: &mut Vec<(String, String)>) {
+/// document order, each path prefixed by `path`.
+pub fn flatten(v: &JsonValue, path: &str, out: &mut Vec<(String, String)>) {
     match v {
         JsonValue::Object(fields) => {
             for (k, v) in fields {

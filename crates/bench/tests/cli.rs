@@ -325,6 +325,7 @@ fn malformed_flag_values_exit_2_naming_the_flag() {
         ("--flight-cap", "0"),
         ("--telemetry-ms", "x"),
         ("--telemetry-ms", "0"),
+        ("--telemetry-ms", "18446744073709552"),
     ] {
         // `fig1` would take seconds to simulate; the bad flag must end
         // the process before any experiment starts.

@@ -16,8 +16,7 @@
 //!
 //! The audit only listens, and must never change what a run computes:
 //!
-//! * it schedules no events and draws no randomness — unlike telemetry
-//!   there is nothing to compensate in the scheduler counters;
+//! * it schedules no events and draws no randomness;
 //! * controllers return their estimate and decision in every
 //!   [`crate::controller::Reaction`] (a few Copy words); the engine
 //!   hands them over — and reads the successor's occupancy mirror —

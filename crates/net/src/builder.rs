@@ -142,9 +142,6 @@ pub enum SpecError {
         /// What exactly is wrong.
         why: &'static str,
     },
-    /// The metric sampling period is zero (the sampler would re-arm at
-    /// the same instant forever).
-    ZeroSampleEvery,
     /// The telemetry sampling interval is set but zero.
     ZeroTelemetryEvery,
     /// The telemetry rings hold zero windows.
@@ -208,7 +205,6 @@ impl std::fmt::Display for SpecError {
                 "flow {flow}: window {window} exceeds the {MAX_WINDOW}-packet limit"
             ),
             SpecError::BadOnOff { flow, why } => write!(f, "flow {flow}: {why}"),
-            SpecError::ZeroSampleEvery => write!(f, "sample_every must be nonzero"),
             SpecError::ZeroTelemetryEvery => write!(f, "telemetry_every must be nonzero"),
             SpecError::ZeroTelemetryCap => write!(f, "telemetry_cap must be nonzero"),
         }
@@ -232,8 +228,6 @@ pub struct NetworkSpec {
     pub queue_cap: usize,
     /// The flows.
     pub flows: Vec<FlowSpec>,
-    /// Metric sampling period for buffer/cw traces.
-    pub sample_every: Duration,
     /// Master random seed.
     pub seed: u64,
     /// Flight-recorder capacity: the journeys of the first `flight_cap`
@@ -241,7 +235,7 @@ pub struct NetworkSpec {
     /// [`crate::flight::FlightRecorder`]).
     pub flight_cap: usize,
     /// Telemetry sampling interval (`None` disables the telemetry bus —
-    /// zero events, zero cost; see [`crate::telemetry`]). The paper-ish
+    /// no sampling, zero cost; see [`crate::telemetry`]). The paper-ish
     /// default when armed is 100 ms of simulated time.
     pub telemetry_every: Option<Duration>,
     /// Ring capacity of each telemetry time series, in sample windows.
@@ -273,7 +267,6 @@ impl NetworkSpec {
             mac: MacConfig::default(),
             queue_cap: 50,
             flows: topo.flows.clone(),
-            sample_every: Duration::from_secs(1),
             seed,
             flight_cap: 0,
             telemetry_every: None,
@@ -296,10 +289,10 @@ impl NetworkSpec {
     /// every flow path in bounds, loop-free and decodable hop by hop, flow
     /// ids unique and outside the reserved ACK space, payloads nonzero and
     /// within an 802.11 MSDU, packets at least a clock tick apart,
-    /// transport parameters sane, and the sampling
-    /// period, telemetry interval and telemetry rings nonzero. Returns
-    /// the first problem found (fields in declaration order, flows in
-    /// flow order), so the message always points at one concrete field.
+    /// transport parameters sane, and the telemetry interval and rings
+    /// nonzero. Returns the first problem found (fields in declaration
+    /// order, flows in flow order), so the message always points at one
+    /// concrete field.
     pub fn validate(&self) -> Result<(), SpecError> {
         let n = self.positions.len();
         if n == 0 {
@@ -409,9 +402,6 @@ impl NetworkSpec {
                     }
                 }
             }
-        }
-        if self.sample_every.is_zero() {
-            return Err(SpecError::ZeroSampleEvery);
         }
         if self.telemetry_every.is_some_and(Duration::is_zero) {
             return Err(SpecError::ZeroTelemetryEvery);
@@ -541,7 +531,7 @@ pub(crate) fn build(
     }
 
     let flow_ids: Vec<u32> = spec.flows.iter().map(|f| f.id).collect();
-    let metrics = Metrics::new(n, &flow_ids, spec.sample_every);
+    let metrics = Metrics::new(n, &flow_ids);
 
     // Flow RNG streams live above the per-node id space (`1 << 32` +
     // flow id): `derive` is pure, so handing a stream to a stochastic
@@ -559,15 +549,11 @@ pub(crate) fn build(
             sched.schedule(f.start + p, Ev::WindowRefresh(i));
         }
     }
-    sched.schedule(Time::ZERO + spec.sample_every, Ev::Sample);
-    // The telemetry sampler is armed *last*: with its entry resident at
-    // every subsequent push, the scheduler's depth high-water mark runs
-    // exactly one above the telemetry-off run's, which is what the
-    // snapshot compensation subtracts (see `Network::snapshot`).
     let telemetry = Telemetry::new(n, &flow_ids, spec.telemetry_every, spec.telemetry_cap);
-    if telemetry.enabled() {
-        sched.schedule(Time::ZERO + telemetry.every(), Ev::Telemetry);
-    }
+    let next_sample = Time::ZERO + Metrics::SAMPLE_EVERY;
+    let next_telemetry = spec
+        .telemetry_every
+        .map_or(Time::MAX, |every| Time::ZERO + every);
 
     Network {
         now: Time::ZERO,
@@ -581,7 +567,9 @@ pub(crate) fn build(
         flows,
         queue_cap: spec.queue_cap,
         eifs: spec.mac.eifs,
-        sample_every: spec.sample_every,
+        next_sample,
+        next_telemetry,
+        samplers_due: next_sample.min(next_telemetry),
         metrics,
         flight: crate::flight::FlightRecorder::new(spec.flight_cap),
         telemetry,
@@ -590,7 +578,6 @@ pub(crate) fn build(
         handler_ns: [0; PROFILE_KINDS],
         worklist: VecDeque::new(),
         next_seq: 0,
-        events: 0,
         dispatched: [0; EV_KINDS],
         start_report: ezflow_phy::StartReport::default(),
         end_report: ezflow_phy::EndReport::default(),
@@ -681,10 +668,6 @@ mod tests {
     fn validate_rejects_zero_sampling_periods_and_rings() {
         let zero = Duration::ZERO;
         assert_eq!(
-            validated(|s| s.sample_every = zero),
-            Err(SpecError::ZeroSampleEvery)
-        );
-        assert_eq!(
             validated(|s| s.telemetry_every = Some(zero)),
             Err(SpecError::ZeroTelemetryEvery)
         );
@@ -694,7 +677,6 @@ mod tests {
             Err(SpecError::ZeroTelemetryCap)
         );
         for (err, field) in [
-            (SpecError::ZeroSampleEvery, "sample_every"),
             (SpecError::ZeroTelemetryEvery, "telemetry_every"),
             (SpecError::ZeroTelemetryCap, "telemetry_cap"),
         ] {

@@ -30,13 +30,15 @@ use ezflow_sim::{Duration, JsonValue, Time};
 use crate::controller::ControllerEvent;
 use crate::hot::TimerSlot;
 use crate::lifecycle::{DropCause, TracePayload};
+use crate::metrics::Metrics;
 use crate::network::Network;
 use crate::snapshot::{
     LatencySnapshot, NodeSnapshot, PerfSnapshot, QueueSnapshot, RunSnapshot, SchedulerSnapshot,
 };
 use crate::transport::TRANSPORT_ACK_FLOW;
 
-/// The engine's event vocabulary.
+/// The engine's event vocabulary: the simulation's own events, counted and
+/// timed by their index. The samplers are not events (see `run_until`).
 #[derive(Clone, Debug)]
 pub(crate) enum Ev {
     /// Source generation tick of flow index `i` (all transports).
@@ -56,26 +58,24 @@ pub(crate) enum Ev {
         tx: TxId,
         node: usize,
     },
-    Sample,
-    /// Telemetry sampler tick (only scheduled when the spec sets
-    /// `telemetry_every`). Dispatched *outside* the event accounting so
-    /// telemetry-on runs snapshot byte-identically to telemetry-off ones
-    /// — see [`crate::telemetry`].
-    Telemetry,
 }
 
-/// Number of *counted* [`Ev`] kinds, for the per-kind dispatch counters.
-/// `Ev::Telemetry` is deliberately not one of them: its slot,
-/// `EV_KINDS`, is past the counters (zero interference).
-pub(crate) const EV_KINDS: usize = 7;
+/// Number of [`Ev`] kinds: the scheduler's per-kind dispatch counters,
+/// and the first `EV_KINDS` profiler slots.
+pub(crate) const EV_KINDS: usize = 6;
 
-/// Number of self-profiler slots: every counted event kind plus one for
-/// the telemetry sampler.
-pub const PROFILE_KINDS: usize = EV_KINDS + 1;
+/// Profiler slots of the two samplers, after the event kinds.
+const SAMPLE_SLOT: usize = EV_KINDS;
+const TELEMETRY_SLOT: usize = EV_KINDS + 1;
+
+/// Number of self-profiler slots: one per event kind, then one per
+/// sampler — `sample` and `telemetry`, which run between events.
+pub const PROFILE_KINDS: usize = EV_KINDS + 2;
 
 /// Names of the self-profiler slots, in slot order — the keys of the
-/// perf snapshot's `handler_ns_by_kind` object. All but the last,
-/// `telemetry`, are also the keys of the scheduler's `dispatched_by_kind`.
+/// perf snapshot's `handler_ns_by_kind` object. The event kinds come
+/// first and are also the keys of the scheduler's `dispatched_by_kind`;
+/// the last two, `sample` and `telemetry`, are the samplers.
 pub const PROFILE_NAMES: [&str; PROFILE_KINDS] = [
     "traffic",
     "window_refresh",
@@ -95,8 +95,6 @@ fn ev_index(ev: &Ev) -> usize {
         Ev::MacAckJob { .. } => 3,
         Ev::MacNav { .. } => 4,
         Ev::TxEnd { .. } => 5,
-        Ev::Sample => 6,
-        Ev::Telemetry => EV_KINDS,
     }
 }
 
@@ -120,36 +118,35 @@ const _: () = assert!(std::mem::size_of::<(usize, WorkInput)>() <= 24);
 
 impl Network {
     /// Runs the simulation up to and including instant `until`.
+    ///
+    /// The samplers (metrics every [`Metrics::SAMPLE_EVERY`], telemetry
+    /// when armed) are not events: each one due at or before a popped
+    /// event's instant runs first, at its own instant, and those due by
+    /// `until` run after the last pop. A sample at T reads the state that
+    /// the events before T left, before any event at T.
     pub fn run_until(&mut self, until: Time) {
         let t0 = std::time::Instant::now();
         while let Some((at, ev)) = self.sched.pop_before(until) {
+            if at >= self.samplers_due {
+                self.run_samplers(at);
+            }
             debug_assert!(at >= self.now, "time went backwards");
             self.now = at;
             let kind = ev_index(&ev);
-            // Zero-interference dispatch: the telemetry sampler (slot
-            // `EV_KINDS`, past the counters) never touches `events` or the
-            // per-kind counters, so a telemetry-on run's accounting equals
-            // the telemetry-off run's (its scheduler traffic is
-            // compensated in `snapshot`).
-            if kind < EV_KINDS {
-                self.events += 1;
-                self.dispatched[kind] += 1;
-            }
-            if self.profile {
-                let h0 = std::time::Instant::now();
-                self.handle(ev);
-                self.handler_ns[kind] += h0.elapsed().as_nanos() as u64;
-            } else {
-                self.handle(ev);
-            }
+            self.dispatched[kind] += 1;
+            self.profiled(kind, |net| net.handle(ev));
             debug_assert!(self.worklist.is_empty(), "undrained fan-out");
+        }
+        if until >= self.samplers_due {
+            self.run_samplers(until);
         }
         self.now = until;
         // Leak audit at quiescence: every frame the arena thinks is live
         // must be accounted for by a queue slot, a MAC holding it, or a
         // transmission still on the air. A mismatch means some terminal
         // event forgot its release (or released twice — the generation
-        // check catches that side).
+        // check catches that side). The occupancy and listening-bit
+        // mirrors must match what they mirror.
         #[cfg(debug_assertions)]
         {
             let queued: usize = self.hot.occupancy.iter().map(|&o| o as usize).sum();
@@ -162,8 +159,48 @@ impl Network {
             );
             let stale: u64 = self.nodes.iter().map(|n| n.mac.stats().stale_timers).sum();
             debug_assert_eq!(stale, 0, "a MAC timer fired that its MAC did not owe");
+            for (id, node) in self.nodes.iter().enumerate() {
+                debug_assert_eq!(
+                    self.hot.occupancy[id] as usize,
+                    node.occupancy(),
+                    "occupancy mirror drift at node {id}"
+                );
+                debug_assert_eq!(
+                    self.channel.listening(id),
+                    node.mac.counting_phase(),
+                    "listening bit drift at node {id}"
+                );
+            }
         }
         self.wall += t0.elapsed();
+    }
+
+    /// Runs every sampler due at or before `upto`, in instant order, with
+    /// `now` at each one's instant; a sampler sets its next due instant.
+    fn run_samplers(&mut self, upto: Time) {
+        while self.samplers_due <= upto {
+            self.now = self.samplers_due;
+            if self.now == self.next_sample {
+                self.profiled(SAMPLE_SLOT, Network::on_sample);
+            }
+            if self.now == self.next_telemetry {
+                self.profiled(TELEMETRY_SLOT, Network::on_telemetry);
+            }
+            self.samplers_due = self.next_sample.min(self.next_telemetry);
+        }
+    }
+
+    /// Runs `f`, adding its wall time to profiler slot `slot` when the
+    /// self-profiler is on.
+    #[inline(always)]
+    fn profiled(&mut self, slot: usize, f: impl FnOnce(&mut Network)) {
+        if self.profile {
+            let h0 = std::time::Instant::now();
+            f(self);
+            self.handler_ns[slot] += h0.elapsed().as_nanos() as u64;
+        } else {
+            f(self);
+        }
     }
 
     fn handle(&mut self, ev: Ev) {
@@ -191,8 +228,6 @@ impl Network {
             }
             Ev::MacNav { node } => self.mac_event(node, MacInput::TimerNav),
             Ev::TxEnd { tx, node } => self.on_tx_end(tx, node),
-            Ev::Sample => self.on_sample(),
-            Ev::Telemetry => self.on_telemetry(),
         }
     }
 
@@ -517,30 +552,21 @@ impl Network {
         self.mac_event(node, MacInput::TxEnded);
     }
 
+    /// One metrics sample at `self.now`: each node's occupancy and `CWmin`.
     fn on_sample(&mut self) {
         for id in 0..self.nodes.len() {
             let occ = self.hot.occupancy[id] as usize;
-            debug_assert_eq!(occ, self.nodes[id].occupancy(), "occupancy mirror drift");
-            debug_assert_eq!(
-                self.channel.listening(id),
-                self.nodes[id].mac.counting_phase(),
-                "listening bit drift at node {id}"
-            );
             let cw = self.nodes[id].mac.cw_min();
             self.metrics.on_sample(self.now, id, occ, cw);
         }
-        self.sched
-            .schedule(self.now + self.sample_every, Ev::Sample);
+        self.next_sample = self.now + Metrics::SAMPLE_EVERY;
     }
 
     /// One telemetry sample window closing at `self.now` — reads queue
     /// depths, airtime deltas, MAC counter deltas and per-flow delivered
-    /// bits into the telemetry rings, then re-arms the sampler.
-    ///
-    /// Interference-free by construction: every access is a pure read
-    /// (the airtime split is derived from the channel's horizons and
-    /// gaps, not settled), and the one push this makes is compensated in
-    /// [`Network::snapshot`].
+    /// bits into the telemetry rings. Every access is a pure read: the
+    /// airtime split is derived from the channel's horizons and gaps, not
+    /// settled.
     fn on_telemetry(&mut self) {
         self.telemetry.begin_window(self.now);
         for id in 0..self.nodes.len() {
@@ -553,8 +579,7 @@ impl Network {
             self.telemetry.flow_sample(i, series.total_bits());
         }
         self.telemetry.finish_window();
-        let next = self.now + self.telemetry.every();
-        self.sched.schedule(next, Ev::Telemetry);
+        self.next_telemetry = self.now + self.telemetry.every();
     }
 
     /// Processes queued MAC inputs until quiescence.
@@ -817,36 +842,23 @@ impl Network {
         let wall_secs = self.wall.as_secs_f64();
         let sim_secs = self.now.as_micros() as f64 / 1e6;
         let per_wall = |x: f64| if wall_secs > 0.0 { x / wall_secs } else { 0.0 };
-        // Telemetry compensation: with the sampler armed there is always
-        // exactly one resident sampler entry (popped, then re-armed
-        // before anything else is pushed), every push candidate for the
-        // depth high-water mark is therefore exactly one higher than in
-        // the telemetry-off run, and the sampler's schedule() calls are
-        // one at build plus one per window. Subtracting all three makes
-        // the scheduler block *equal* to a telemetry-off run's, not just
-        // close.
-        let tel_resident = self.telemetry.enabled() as usize;
-        let tel_pushes = if self.telemetry.enabled() {
-            self.telemetry.windows() + 1
-        } else {
-            0
-        };
         // The MAC's own check is the one place a stale timer can be seen;
         // both stale keys of the schema carry its count.
         let stale_timers: u64 = self.nodes.iter().map(|n| n.mac.stats().stale_timers).sum();
+        let dispatched = self.events_processed();
         RunSnapshot {
             label: label.to_string(),
             at_us: self.now.as_micros(),
             nodes,
             channel: self.channel.stats(),
             scheduler: SchedulerSnapshot {
-                scheduled_total: self.sched.scheduled_total() - tel_pushes,
-                dispatched_total: self.events,
+                scheduled_total: self.sched.scheduled_total(),
+                dispatched_total: dispatched,
                 stale_elided: stale_timers,
                 rescheduled_total: self.sched.rescheduled_total(),
                 removed_total: self.sched.removed_total(),
-                pending: self.sched.len() - tel_resident,
-                depth_high_water: self.sched.depth_high_water() - tel_resident,
+                pending: self.sched.len(),
+                depth_high_water: self.sched.depth_high_water(),
                 dispatched_by_kind: PROFILE_NAMES[..EV_KINDS]
                     .iter()
                     .zip(self.dispatched.iter())
@@ -858,9 +870,9 @@ impl Network {
                 PerfSnapshot {
                     wall_secs,
                     sim_secs,
-                    events_per_sec: per_wall((self.events + self.sched.rescheduled_total()) as f64),
+                    events_per_sec: per_wall((dispatched + self.sched.rescheduled_total()) as f64),
                     sim_rate: per_wall(sim_secs),
-                    sched_depth_high_water: (self.sched.depth_high_water() - tel_resident) as u64,
+                    sched_depth_high_water: self.sched.depth_high_water() as u64,
                     stale_timer_drops: stale_timers,
                     sched_rotations: wheel.rotations,
                     sched_overflow_refills: wheel.overflow_refills,

@@ -54,9 +54,12 @@ impl Metrics {
     /// Throughput bin width of every flow's series.
     pub const BIN: Duration = Duration::from_secs(10);
 
+    /// Period of the per-node buffer and `CWmin` samples.
+    pub const SAMPLE_EVERY: Duration = Duration::from_secs(1);
+
     /// Creates metrics for `nodes` nodes and the given flow ids, with
-    /// per-node samples taken every `sample_every`.
-    pub fn new(nodes: usize, flows: &[u32], sample_every: Duration) -> Self {
+    /// per-node samples taken every [`Metrics::SAMPLE_EVERY`].
+    pub fn new(nodes: usize, flows: &[u32]) -> Self {
         let mut throughput = BTreeMap::new();
         let mut delay_net = BTreeMap::new();
         let mut delivered = BTreeMap::new();
@@ -74,10 +77,10 @@ impl Metrics {
             delay_net,
             delivered,
             buffer: (0..nodes)
-                .map(|_| PeriodicSeries::new(sample_every))
+                .map(|_| PeriodicSeries::new(Self::SAMPLE_EVERY))
                 .collect(),
             cw: (0..nodes)
-                .map(|_| PeriodicSeries::new(sample_every))
+                .map(|_| PeriodicSeries::new(Self::SAMPLE_EVERY))
                 .collect(),
             queue_drops: vec![0; nodes],
             source_drops,
@@ -138,7 +141,7 @@ mod tests {
 
     #[test]
     fn delivery_updates_all_series() {
-        let mut m = Metrics::new(5, &[0], Duration::from_secs(1));
+        let mut m = Metrics::new(5, &[0]);
         let f = frame_with_times(1, 3);
         m.on_delivery(Time::from_secs(7), &f);
         assert_eq!(m.delivered[&0], 1);
@@ -149,7 +152,7 @@ mod tests {
 
     #[test]
     fn unknown_flow_is_ignored() {
-        let mut m = Metrics::new(2, &[0], Duration::from_secs(1));
+        let mut m = Metrics::new(2, &[0]);
         let mut f = frame_with_times(0, 0);
         f.flow = 99;
         m.on_delivery(Time::from_secs(1), &f);
@@ -160,7 +163,7 @@ mod tests {
 
     #[test]
     fn samples_and_window_means() {
-        let mut m = Metrics::new(2, &[0, 1], Duration::from_secs(1));
+        let mut m = Metrics::new(2, &[0, 1]);
         m.on_sample(Time::from_secs(1), 0, 10, 32);
         m.on_sample(Time::from_secs(2), 0, 20, 64);
         let sm = m.buffer[0].window(Time::ZERO, Time::from_secs(10));

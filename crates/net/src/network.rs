@@ -78,7 +78,12 @@ pub struct Network {
     pub(crate) flows: Vec<Flow>,
     pub(crate) queue_cap: usize,
     pub(crate) eifs: bool,
-    pub(crate) sample_every: Duration,
+    /// Instant of the next metrics sample.
+    pub(crate) next_sample: Time,
+    /// Instant of the next telemetry window end (`Time::MAX` while off).
+    pub(crate) next_telemetry: Time,
+    /// The earlier of the two, which the pop loop compares events with.
+    pub(crate) samplers_due: Time,
     /// Recorded measurements.
     pub metrics: Metrics,
     /// Per-packet lifecycle recorder (disabled unless the spec sets
@@ -99,7 +104,6 @@ pub struct Network {
     /// [`crate::engine::WorkInput`]); a reception carries its frame.
     pub(crate) worklist: VecDeque<(usize, WorkInput)>,
     pub(crate) next_seq: u64,
-    pub(crate) events: u64,
     /// Dispatch counts per event kind.
     pub(crate) dispatched: [u64; EV_KINDS],
     /// Scratch channel reports, refilled in place by `start_tx_into` /
@@ -156,7 +160,7 @@ impl Network {
 
     /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.events
+        self.dispatched.iter().sum()
     }
 
     /// Timer entries moved in place by keyed rescheduling — each one is a

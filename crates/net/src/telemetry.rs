@@ -1,8 +1,8 @@
 //! The telemetry bus — deterministic periodic sampling of live state.
 //!
-//! When a spec sets `telemetry_every`, the engine schedules a dedicated
-//! periodic sampler event (default 100 ms of simulated time). Two kinds
-//! of reading are kept in ring-buffered [`TimeSeries`], because the
+//! When a spec sets `telemetry_every`, the engine runs a periodic
+//! sampler between events (default every 100 ms of simulated time). Two
+//! kinds of reading are kept in ring-buffered [`TimeSeries`], because the
 //! snapshot's stability section scores them: per-node queue depth and
 //! per-flow windowed throughput. With a sink attached, the sampler also
 //! streams one JSONL record per window while the run is in flight, which
@@ -21,17 +21,15 @@
 //!   counters, throughput totals and the airtime split
 //!   ([`ezflow_phy::Channel::airtime_breakdown`], derived from horizons
 //!   and gaps, never settled) are pure reads;
-//! * the engine dispatches the sampler *outside* its event accounting
-//!   (`events`, per-kind counts), and [`Network::snapshot`] subtracts
-//!   the sampler's own scheduler traffic — `windows + 1` events
-//!   scheduled (one at build, one per window), exactly one resident
-//!   entry, exactly one unit of queue depth — so a telemetry-on snapshot
-//!   serialises byte-identically to the telemetry-off one (perf zeroed,
-//!   stability section aside);
-//! * with `telemetry_every` unset, no event is ever scheduled and the
-//!   only cost is one branch per pop.
+//! * it is not a scheduler event: [`Network::run_until`] runs it between
+//!   events, at its own instant, so it schedules nothing and is not
+//!   counted, and a telemetry-on snapshot serialises byte-identically to
+//!   the telemetry-off one (perf zeroed, stability section aside);
+//! * with `telemetry_every` unset it never runs, and the pop loop's one
+//!   comparison per event against the next sampler instant is all the
+//!   bus costs.
 //!
-//! [`Network::snapshot`]: crate::network::Network::snapshot
+//! [`Network::run_until`]: crate::network::Network::run_until
 //! [`Network`]: crate::network::Network
 
 use std::io::Write;

@@ -89,9 +89,10 @@ fn onoff_flow_shapes_offered_load_end_to_end() {
 /// — the two MAC features no committed spec arms — run under the debug
 /// profile's engine invariants: the carrier mirror of every counting MAC
 /// equals the channel's busy count at each pull (`Mac::sync_carrier`),
-/// the listening bits equal `Mac::counting_phase` at every sample, and
-/// each node's airtime buckets, derived from horizons and gaps,
-/// partition the elapsed time.
+/// the queue-occupancy mirror and the listening bits (which must equal
+/// `Mac::counting_phase`) hold at every `run_until` return, taken here
+/// every 50 ms, and each node's airtime buckets, derived from horizons
+/// and gaps, partition the elapsed time.
 #[test]
 fn mesh_slice_with_eifs_and_rts_cts_holds_the_carrier_invariants() {
     let text = r#"{"name": "mesh100", "duration_secs": 4, "seed": 5,
@@ -109,9 +110,12 @@ fn mesh_slice_with_eifs_and_rts_cts_holds_the_carrier_invariants() {
     let mut spec = NetworkSpec::from_topology(&compiled.topology, 5);
     spec.mac.eifs = true;
     spec.mac.rts_cts = true;
-    spec.sample_every = Duration::from_millis(50);
     let mut net = Network::new(spec, &|_| Box::new(ezflow_net::FixedController::standard()));
-    net.run_until(compiled.until);
+    let mut at = Time::ZERO;
+    while at < compiled.until {
+        at = (at + Duration::from_millis(50)).min(compiled.until);
+        net.run_until(at);
+    }
 
     let snap = net.snapshot("mesh100");
     assert_eq!(snap.nodes.len(), 100);

@@ -1,7 +1,8 @@
 //! Integration tests for the telemetry bus: the zero-interference
 //! guarantee (telemetry on/off produce byte-identical snapshots, across
-//! random sample intervals), ring/window accounting, JSONL streaming,
-//! and the engine self-profiler staying perf-only.
+//! random sample intervals), the samplers' tie rule, ring/window
+//! accounting, JSONL streaming, and the engine self-profiler staying
+//! perf-only.
 
 use std::sync::OnceLock;
 
@@ -9,7 +10,7 @@ use ezflow_net::controller::{Controller, FixedController};
 use ezflow_net::engine::PROFILE_KINDS;
 use ezflow_net::network::{Network, NetworkSpec};
 use ezflow_net::snapshot::PerfSnapshot;
-use ezflow_net::topo;
+use ezflow_net::topo::{self, FlowSpec};
 use ezflow_sim::{Duration, JsonValue, Time};
 use proptest::prelude::*;
 
@@ -84,11 +85,47 @@ proptest! {
     }
 }
 
+/// The samplers' tie rule: a sample at T reads the state that the
+/// events before T left, before any event at T. Flow 1→2's first tick
+/// falls at exactly 3 s, an instant both samplers share with it; every
+/// whole-second sample of node 1 must read its occupancy 1 µs earlier.
+#[test]
+fn a_sample_at_t_reads_the_state_before_the_events_at_t() {
+    let until = Time::from_secs(6);
+    for seed in 1..=5 {
+        let mut t = topo::chain(2, Time::ZERO, until);
+        let second = FlowSpec::saturating(1, vec![1, 2], Time::from_secs(3), until);
+        t.flows.push(second);
+        let mut spec = NetworkSpec::from_topology(&t, seed);
+        spec.telemetry_every = Some(Duration::from_millis(100));
+        let mut net = Network::new(spec, &std_controller);
+        for k in 1..=6u64 {
+            let at = Time::from_secs(k);
+            net.run_until(at - Duration::from_micros(1));
+            let before = net.occupancy(1) as f64;
+            net.run_until(at);
+            assert_eq!(
+                net.metrics.buffer[1].points()[k as usize - 1],
+                (k as f64, before),
+                "seed {seed}: metrics sample at {k} s"
+            );
+            let depth = net.telemetry.queue_depth(1);
+            let window = 10 * k - 1;
+            assert_eq!(depth.window_end(window), at);
+            assert_eq!(
+                depth.get(window),
+                Some(&before),
+                "seed {seed}: telemetry window at {k} s"
+            );
+        }
+    }
+}
+
 #[test]
 fn profiler_is_perf_only_and_times_every_kind() {
     // Profile + telemetry on: handler wall-times populate (including the
-    // dedicated telemetry slot past the counted kinds) yet the
-    // comparable snapshot still matches the plain off-run byte for byte.
+    // telemetry sampler's slot, the last) yet the comparable snapshot
+    // still matches the plain off-run byte for byte.
     let t = topo::scenario1();
     let mut spec = NetworkSpec::from_topology(&t, 42);
     spec.telemetry_every = Some(Duration::from_millis(100));
@@ -105,7 +142,7 @@ fn profiler_is_perf_only_and_times_every_kind() {
     );
     assert!(
         snap.perf.handler_ns[PROFILE_KINDS - 1] > 0,
-        "telemetry dispatch must be timed in its own slot"
+        "the telemetry sampler must be timed in its own slot"
     );
     assert_eq!(snap.perf.telemetry_windows, net.telemetry.windows());
     assert!(snap.perf.telemetry_windows_per_sec > 0.0);

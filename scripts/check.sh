@@ -36,7 +36,7 @@ echo "== EXPERIMENTS.md is the recorded output (experiments --markdown all, cmp)
 RECORDED="$(mktemp)"
 trap 'rm -f "$RECORDED"' EXIT
 # Everything below the "Recorded full-scale output" heading must be what
-# the command prints today (~20 s): its 44 verdicts then guard the
+# the command prints today (~20 s): its verdicts then guard the
 # paper's numbers on every push. To re-record after a deliberate change,
 # redirect the left-hand side of the cmp into EXPERIMENTS.md.
 cargo run --release -q -p ezflow-bench --bin experiments -- --markdown all \
