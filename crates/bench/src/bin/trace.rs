@@ -35,7 +35,7 @@
 //! counter and threshold that fired each one, and the worst-estimated
 //! links ranked by mean absolute estimation error.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::process::ExitCode;
 
@@ -339,6 +339,8 @@ fn load_telemetry(path: &str) -> Result<TelemetryDump, String> {
             ));
         }
         dump.interval = Duration::from_micros(us);
+        let at = |e: String| format!("{path}:{}: {e}", lineno + 1);
+        let mut nodes = Vec::new();
         for nd in rec
             .get("nodes")
             .and_then(JsonValue::as_array)
@@ -349,8 +351,9 @@ fn load_telemetry(path: &str) -> Result<TelemetryDump, String> {
                 .get("queue")
                 .and_then(JsonValue::as_f64)
                 .ok_or_else(bad)?;
-            dump.node_queue.entry(id).or_default().push(q);
+            nodes.push((id, q));
         }
+        let mut flows = Vec::new();
         for fl in rec
             .get("flows")
             .and_then(JsonValue::as_array)
@@ -359,17 +362,50 @@ fn load_telemetry(path: &str) -> Result<TelemetryDump, String> {
             let id = fl.get("flow").and_then(JsonValue::as_u64).ok_or_else(bad)?;
             // Flow ids are `u32`s: a wider one would wrap onto another
             // flow and blend the two series.
-            let id = u32::try_from(id)
-                .map_err(|_| format!("{path}:{}: flow {id} does not fit in 32 bits", lineno + 1))?;
+            let id =
+                u32::try_from(id).map_err(|_| at(format!("flow {id} does not fit in 32 bits")))?;
             let k = fl.get("kbps").and_then(JsonValue::as_f64).ok_or_else(bad)?;
-            dump.flow_kbps.entry(id).or_default().push(k);
+            flows.push((id, k));
         }
+        let first = dump.windows == 0;
+        push_window(&mut dump.node_queue, first, "node", nodes).map_err(at)?;
+        push_window(&mut dump.flow_kbps, first, "flow", flows).map_err(at)?;
         dump.windows += 1;
     }
     if dump.windows == 0 {
         return Err(format!("{path}: no telemetry windows"));
     }
     Ok(dump)
+}
+
+/// Appends one record's `(id, value)` samples to `series`. The writer
+/// lists every node and every flow in every window, so each series holds
+/// one sample per window, aligned: an id listed twice, or a set of ids
+/// other than the first record's, is refused.
+fn push_window<K: Ord + Copy + fmt::Display>(
+    series: &mut BTreeMap<K, Vec<f64>>,
+    first: bool,
+    what: &str,
+    samples: Vec<(K, f64)>,
+) -> Result<(), String> {
+    let mut ids = BTreeSet::new();
+    for &(id, _) in &samples {
+        if !ids.insert(id) {
+            return Err(format!("{what} {id} is listed twice"));
+        }
+    }
+    if !first {
+        if let Some(id) = series.keys().find(|id| !ids.contains(id)) {
+            return Err(format!("{what} {id} is missing; the first record lists it"));
+        }
+        if let Some(id) = ids.iter().find(|id| !series.contains_key(id)) {
+            return Err(format!("{what} {id} is not in the first record"));
+        }
+    }
+    for (id, v) in samples {
+        series.entry(id).or_default().push(v);
+    }
+    Ok(())
 }
 
 fn cmd_telemetry(dump: &TelemetryDump, top: usize) -> ExitCode {

@@ -421,6 +421,17 @@ fn specs_that_could_not_run_or_could_not_end_exit_2_naming_the_field() {
         )
     };
     let lossy = |per: f64| format!(r#"{{{chain}, "loss": {{"kind": "uniform", "per": {per}}}}}"#);
+    // Nodes 0, 1, 2 in a line, node 3 beside node 1; `flow_b` is the
+    // other way from 0 to 2.
+    let flow_b = r#""path": [0, 3, 2], "start_secs": 0, "stop_secs": 1"#;
+    let diamond = |flows: &str| {
+        format!(
+            r#"{{"name": "x", "duration_secs": 1,
+                "topology": {{"kind": "explicit",
+                             "positions": [[0, 0], [200, 0], [400, 0], [200, 150]]}},
+                "flows": [{flows}]}}"#
+        )
+    };
     let documents = [
         (
             "topology.kind",
@@ -504,6 +515,19 @@ fn specs_that_could_not_run_or_could_not_end_exit_2_naming_the_field() {
                             "start_secs": 0, "stop_secs": 1,
                             "mix": [{"transport": {"kind": "cbr"}}]}}"#
                 .to_string(),
+        ),
+        // Two routes toward one destination once aborted in the routing
+        // table's assert (SIGABRT), forward or on a windowed flow's ACK path.
+        (
+            "flow 1: at node 0, its route toward 2 goes via 3",
+            diamond(&format!("{{{flow}}}, {{{flow_b}}}")),
+        ),
+        (
+            "flow 0: at node 2, its route toward 0 goes via 1",
+            diamond(&format!(
+                r#"{{{flow}, "transport": {{"kind": "windowed", "window": 8}}}},
+                   {{"path": [2, 3, 0], "start_secs": 0, "stop_secs": 1}}"#
+            )),
         ),
         // 2^32 once wrapped to a zero weight and ran without that share.
         (
@@ -731,6 +755,9 @@ fn telemetry_streams_trace_cannot_rebuild_exit_1_naming_the_file() {
             r#"{{"interval_us":100000,"nodes":[{{"id":0,"queue":1}}],"flows":[{{"flow":{id},"kbps":1}}]}}"#
         )
     };
+    let nodes =
+        |listed: &str| format!(r#"{{"interval_us":100000,"nodes":[{listed}],"flows":[]}}"#) + "\n";
+    let twice = nodes(r#"{"id":0,"queue":1},{"id":0,"queue":40}"#);
     let cases = [
         ("zero", record(0), ":1: interval_us is 0"),
         (
@@ -745,6 +772,16 @@ fn telemetry_streams_trace_cannot_rebuild_exit_1_naming_the_file() {
             "wide-flow",
             format!("{}\n{}\n", flow(0), flow(1 << 32)),
             ":2: flow 4294967296 does not fit in 32 bits",
+        ),
+        // Node 0 listed twice per window once read as one node with twice
+        // the windows: 60 windows of 100 ms reported an episode of 12 s.
+        ("twice", twice.repeat(60), ":1: node 0 is listed twice"),
+        // A node missing from a later window was kept with fewer samples
+        // than windows, its series shifted against the others'.
+        (
+            "missing",
+            nodes(r#"{"id":0,"queue":1},{"id":1,"queue":2}"#) + &nodes(r#"{"id":0,"queue":1}"#),
+            ":2: node 1 is missing; the first record lists it",
         ),
         // 200,000 arrays deep once overflowed the parser's stack.
         (

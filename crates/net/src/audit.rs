@@ -19,8 +19,8 @@
 //! * it schedules no events and draws no randomness;
 //! * controllers return their estimate and decision in every
 //!   [`crate::controller::Reaction`] (a few Copy words); the engine
-//!   hands them over — and reads the successor's occupancy mirror —
-//!   only when the ledger is armed;
+//!   hands them over — and reads the successor's queue depth — only
+//!   when the ledger is armed;
 //! * with `audit_cap = 0` the only cost is one branch per record,
 //!   and the snapshot omits its `controller` section entirely, so
 //!   audit-off JSON stays byte-identical (gated by the golden test,
@@ -28,13 +28,14 @@
 //!
 //! ## Ground truth
 //!
-//! At an `Overheard` dispatch the engine is fanning out the deliveries
-//! of the successor's own forward transmission, *before* the transmitter
-//! processes its `TxEnded` (and thus before any queue pop at the
-//! successor). FIFO queues therefore make the occupancy mirror at that
-//! instant exactly the quantity BOE estimates — on a clean channel the
-//! recorded error is zero, per the paper; bursty loss (Gilbert-Elliott)
-//! makes BOE miss overhears and the error series shows it.
+//! At an `Overheard` dispatch the engine is in the first pass over the
+//! deliveries of the successor's own forward transmission, *before* the
+//! transmitter processes its `TxEnded` (and thus before any queue pop at
+//! the successor). FIFO queues therefore make the successor's queue depth
+//! at that instant exactly the quantity BOE estimates — on a clean
+//! channel the recorded error is zero, per the paper; bursty loss
+//! (Gilbert-Elliott) makes BOE miss overhears and the error series shows
+//! it.
 
 use std::collections::BTreeMap;
 use std::io::Write;

@@ -10,19 +10,17 @@
 //! once and shipped across threads — the sweep runner in `ezflow-bench`
 //! leans on exactly that.
 
-use std::collections::VecDeque;
-
 use ezflow_mac::{Mac, MacConfig};
 use ezflow_phy::geom::{distance_tests, MAX_DISTANCE_TESTS};
 use ezflow_phy::{Channel, ChannelConfig, LossModel, Position};
 use ezflow_sim::{Duration, Scheduler, SimRng, Time};
 
 use crate::controller::Controller;
-use crate::engine::{Ev, EV_KINDS, PROFILE_KINDS};
+use crate::engine::{Ev, TimerSlot, EV_KINDS, PROFILE_KINDS};
 use crate::metrics::Metrics;
 use crate::network::Network;
 use crate::node::Node;
-use crate::routing::StaticRouting;
+use crate::routing::{RouteConflict, StaticRouting};
 use crate::scenario::{MAX_PAYLOAD_BYTES, MAX_QUEUE_CAP, MAX_WINDOW};
 use crate::telemetry::Telemetry;
 use crate::topo::{FlowSpec, Topology};
@@ -84,6 +82,22 @@ pub enum SpecError {
         b: usize,
         /// Their distance in meters.
         dist: f64,
+    },
+    /// A flow's route, forward or (for a windowed flow) its ACKs' reverse
+    /// route, leaves a node toward a destination by another next hop than
+    /// an earlier route does: routes toward one destination must share
+    /// their suffix.
+    ConflictingRoute {
+        /// The flow whose route conflicts.
+        flow: u32,
+        /// The node the two routes leave by different next hops.
+        node: usize,
+        /// The destination both routes lead to.
+        dst: usize,
+        /// The next hop of the earlier route.
+        installed: usize,
+        /// The next hop of this flow's route.
+        offered: usize,
     },
     /// Two flows share an id (metrics are keyed by flow id).
     DuplicateFlowId {
@@ -178,6 +192,18 @@ impl std::fmt::Display for SpecError {
             SpecError::UndecodableHop { flow, a, b, dist } => write!(
                 f,
                 "flow {flow}: hop {a}->{b} is undecodable ({dist:.0} m apart)"
+            ),
+            SpecError::ConflictingRoute {
+                flow,
+                node,
+                dst,
+                installed,
+                offered,
+            } => write!(
+                f,
+                "flow {flow}: at node {node}, its route toward {dst} goes via {offered} but an \
+                 earlier one goes via {installed} (routes toward one destination must share \
+                 their suffix)"
             ),
             SpecError::DuplicateFlowId { id } => write!(f, "duplicate flow id {id}"),
             SpecError::ReservedFlowId { id } => write!(
@@ -289,11 +315,17 @@ impl NetworkSpec {
     /// every flow path in bounds, loop-free and decodable hop by hop, flow
     /// ids unique and outside the reserved ACK space, payloads nonzero and
     /// within an 802.11 MSDU, packets at least a clock tick apart,
-    /// transport parameters sane, and the telemetry interval and rings
-    /// nonzero. Returns the first problem found (fields in declaration
-    /// order, flows in flow order), so the message always points at one
-    /// concrete field.
+    /// transport parameters sane, routes toward one destination sharing
+    /// their suffix, and the telemetry interval and rings nonzero. Returns
+    /// the first problem found (fields in declaration order, flows in flow
+    /// order), so the message always points at one concrete field.
     pub fn validate(&self) -> Result<(), SpecError> {
+        self.routing().map(drop)
+    }
+
+    /// [`NetworkSpec::validate`]'s checks, in its order; on success, the
+    /// routing table the flows need, which `build` runs on.
+    fn routing(&self) -> Result<StaticRouting, SpecError> {
         let n = self.positions.len();
         if n == 0 {
             return Err(SpecError::EmptyTopology);
@@ -403,13 +435,35 @@ impl NetworkSpec {
                 }
             }
         }
+        // Every flow's path, then each windowed flow's reverse path (its
+        // ACKs' route): the table refuses two routes that leave one node
+        // toward one destination by different next hops.
+        let mut routing = StaticRouting::new();
+        let conflict = |flow| {
+            move |c: RouteConflict| SpecError::ConflictingRoute {
+                flow,
+                node: c.node,
+                dst: c.dst,
+                installed: c.installed,
+                offered: c.offered,
+            }
+        };
+        for f in &self.flows {
+            routing.install_path(&f.path).map_err(conflict(f.id))?;
+        }
+        for f in &self.flows {
+            if matches!(f.transport, Transport::Windowed { .. }) {
+                let back: Vec<usize> = f.path.iter().rev().copied().collect();
+                routing.install_path(&back).map_err(conflict(f.id))?;
+            }
+        }
         if self.telemetry_every.is_some_and(Duration::is_zero) {
             return Err(SpecError::ZeroTelemetryEvery);
         }
         if self.telemetry_cap == 0 {
             return Err(SpecError::ZeroTelemetryCap);
         }
-        Ok(())
+        Ok(routing)
     }
 
     /// Builds the runnable network this spec describes;
@@ -441,9 +495,9 @@ pub(crate) fn build(
     spec: NetworkSpec,
     make_controller: &dyn Fn(usize) -> Box<dyn Controller>,
 ) -> Network {
-    if let Err(e) = spec.validate() {
-        panic!("invalid network spec: {e}");
-    }
+    let routing = spec
+        .routing()
+        .unwrap_or_else(|e| panic!("invalid network spec: {e}"));
     let n = spec.positions.len();
     let master = SimRng::new(spec.seed);
     let mut channel = Channel::new(&spec.positions, spec.channel, spec.loss.clone());
@@ -453,11 +507,6 @@ pub(crate) fn build(
         channel.set_listening(id, false);
     }
     let chan_rng = master.derive(u64::MAX);
-
-    let mut routing = StaticRouting::new();
-    for f in &spec.flows {
-        routing.install_path(&f.path);
-    }
 
     let mut nodes: Vec<Node> = (0..n)
         .map(|id| {
@@ -469,15 +518,6 @@ pub(crate) fn build(
             )
         })
         .collect();
-
-    // Windowed flows need the reverse path for their end-to-end ACKs.
-    for f in &spec.flows {
-        if matches!(f.transport, Transport::Windowed { .. }) {
-            let mut rev = f.path.clone();
-            rev.reverse();
-            routing.install_path(&rev);
-        }
-    }
 
     // Create the queues each flow needs: an own-traffic queue at the
     // source, a forward queue at every relay (per successor).
@@ -561,7 +601,8 @@ pub(crate) fn build(
         channel,
         arena: ezflow_phy::FrameArena::new(),
         chan_rng,
-        hot: crate::hot::HotState::new(n),
+        tx_timer: vec![TimerSlot::Idle; n],
+        ack_timer: vec![TimerSlot::Idle; n],
         nodes,
         routing,
         flows,
@@ -576,7 +617,6 @@ pub(crate) fn build(
         audit,
         profile: spec.profile,
         handler_ns: [0; PROFILE_KINDS],
-        worklist: VecDeque::new(),
         next_seq: 0,
         dispatched: [0; EV_KINDS],
         start_report: ezflow_phy::StartReport::default(),
@@ -682,6 +722,73 @@ mod tests {
         ] {
             assert!(err.to_string().starts_with(field), "{err}");
         }
+    }
+
+    /// `validate()` of a diamond — nodes 0, 1, 2 in a line, node 3 beside
+    /// node 1 — carrying `flows` (id, path, windowed).
+    fn diamond(flows: &[(u32, &[usize], bool)]) -> Result<(), SpecError> {
+        validated(|s| {
+            let at = |x, y| Position { x, y };
+            s.positions = vec![
+                at(0.0, 0.0),
+                at(200.0, 0.0),
+                at(400.0, 0.0),
+                at(200.0, 150.0),
+            ];
+            let template = s.flows[0].clone();
+            s.flows = (flows.iter())
+                .map(|&(id, path, windowed)| FlowSpec {
+                    id,
+                    path: path.to_vec(),
+                    transport: if windowed {
+                        Transport::Windowed {
+                            window: 8,
+                            ack_payload: 40,
+                        }
+                    } else {
+                        Transport::Cbr
+                    },
+                    ..template.clone()
+                })
+                .collect();
+        })
+    }
+
+    #[test]
+    fn validate_refuses_two_routes_toward_one_destination() {
+        assert_eq!(
+            diamond(&[(0, &[0, 1, 2], false), (1, &[3, 1, 2], false)]),
+            Ok(())
+        );
+        assert_eq!(
+            diamond(&[(0, &[0, 1, 2], false), (1, &[0, 3, 2], false)]),
+            Err(SpecError::ConflictingRoute {
+                flow: 1,
+                node: 0,
+                dst: 2,
+                installed: 1,
+                offered: 3,
+            })
+        );
+    }
+
+    #[test]
+    fn validate_refuses_a_reverse_route_that_conflicts() {
+        // The windowed flow's ACKs travel 2-1-0; the CBR flow already
+        // routes node 2 toward 0 through node 3.
+        let flows: [(u32, &[usize], bool); 2] = [(0, &[0, 1, 2], true), (1, &[2, 3, 0], false)];
+        assert_eq!(
+            diamond(&flows),
+            Err(SpecError::ConflictingRoute {
+                flow: 0,
+                node: 2,
+                dst: 0,
+                installed: 3,
+                offered: 1,
+            })
+        );
+        let cbr = [(0, flows[0].1, false), flows[1]];
+        assert_eq!(diamond(&cbr), Ok(()), "without ACKs nothing goes back");
     }
 
     #[test]

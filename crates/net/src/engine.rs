@@ -7,12 +7,15 @@
 //!
 //! The engine drives four explicit interfaces and owns nothing else:
 //!
-//! * the MAC: every [`MacInput`] goes through one helper,
-//!   `Network::mac_input` (carrier pulled from the channel, outputs
-//!   handled, timer slot and listening bit brought back in line); the
-//!   carrier-sense signals go straight to `Mac::medium_busy` /
-//!   `medium_idle` / `eifs_mark`. A MAC is fed its next frame on
-//!   [`MacOutput::NeedFrame`] and at every enqueue, and nowhere else,
+//! * the MAC: every [`MacInput`] — a timer firing, an enqueue, and a
+//!   transmission end's `TxEnded`, `Rx` and `NavSet` — goes through one
+//!   helper, `Network::mac_input` (carrier pulled from the channel,
+//!   outputs handled, timer slot and listening bit brought back in line);
+//!   the carrier-sense signals of a transmission go straight to
+//!   `Mac::medium_busy` (then `Network::after_mac`), `medium_idle` (then
+//!   the timer arm it returns) and `eifs_mark`. A MAC is fed its next
+//!   frame on [`MacOutput::NeedFrame`] and at every enqueue, and nowhere
+//!   else,
 //! * the channel's `start_tx_into`/`end_tx_into` calls,
 //! * the [`crate::controller::Controller`] observation hooks,
 //! * each `transport::Flow`'s pacing state, which answers a
@@ -25,10 +28,9 @@
 
 use ezflow_mac::{MacInput, MacOutput};
 use ezflow_phy::{Frame, FrameId, FrameKind, TxId};
-use ezflow_sim::{Duration, JsonValue, Time};
+use ezflow_sim::{Duration, JsonValue, Time, TimerHandle};
 
 use crate::controller::ControllerEvent;
-use crate::hot::TimerSlot;
 use crate::lifecycle::{DropCause, TracePayload};
 use crate::metrics::Metrics;
 use crate::network::Network;
@@ -98,23 +100,37 @@ fn ev_index(ev: &Ev) -> usize {
     }
 }
 
-/// One pending input of a transmission's fan-out: a busy toggle raised
-/// by a `StartTx`, or a reservation or reception raised by a `TxEnd`.
-/// Only a timer's or a `TxEnd`'s event fills the worklist, and
-/// `mac_event` drains it before that event returns.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum WorkInput {
-    /// A listener's carrier went idle -> busy.
-    MediumBusy,
-    /// An overheard RTS/CTS reserves the medium until `until`.
-    NavSet { until: Time },
-    /// A clean frame for this node; the MAC takes the handle.
-    Rx(FrameId),
+/// State of one logical MAC timer (transmit path or ACK job): the one
+/// way a MAC timer is cancelled. The slots are the ledger of the
+/// scheduler's keyed rescheduling ([`ezflow_sim::Scheduler::reschedule`]):
+/// each MAC keeps at most one pending entry per timer, and its slot holds
+/// the live [`TimerHandle`], so a re-arm *moves* the entry and a freeze
+/// *removes* it — nothing is ever abandoned in the queue.
+///
+/// The invariant the engine maintains: whenever control returns to the
+/// pop loop, a transmit-path slot is `Armed` exactly while its MAC owes
+/// the timer (`Mac::tx_timer_pending`) — an entry the MAC stopped owing
+/// without a re-arm is parked (the scheduler entry physically removed)
+/// before the next pop — and an ACK-job slot is `Armed` exactly while its
+/// MAC holds a response job, which only a firing or a replacement arm
+/// ends. So a dispatched entry is always owed: debug builds assert that
+/// at each transmit-path dispatch and, for both timers, at every
+/// quiescence of `run_until`; in release the MAC ignores a firing it does
+/// not owe and counts it in `MacStats::stale_timers`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum TimerSlot {
+    /// No pending scheduler entry (the last one dispatched).
+    Idle,
+    /// One pending entry, keyed by its handle (for reschedule/remove).
+    Armed(TimerHandle),
+    /// The entry was physically removed while its owner is frozen (busy
+    /// medium, NAV); the next arm revives it via `reschedule(None, ..)`
+    /// so churn accounting still sees one consumed entry per park.
+    Parked,
 }
 
-// Node id, tag and one word: every fan-out entry is pushed and popped by
-// value, so a wider payload costs twice per entry.
-const _: () = assert!(std::mem::size_of::<(usize, WorkInput)>() <= 24);
+// A tag and a handle: one slot per node and timer, read on every arm.
+const _: () = assert!(std::mem::size_of::<TimerSlot>() <= 24);
 
 impl Network {
     /// Runs the simulation up to and including instant `until`.
@@ -135,21 +151,20 @@ impl Network {
             let kind = ev_index(&ev);
             self.dispatched[kind] += 1;
             self.profiled(kind, |net| net.handle(ev));
-            debug_assert!(self.worklist.is_empty(), "undrained fan-out");
         }
         if until >= self.samplers_due {
             self.run_samplers(until);
         }
         self.now = until;
-        // Leak audit at quiescence: every frame the arena thinks is live
-        // must be accounted for by a queue slot, a MAC holding it, or a
-        // transmission still on the air. A mismatch means some terminal
+        // Quiescence checks. Leak audit: every frame the arena thinks is
+        // live must be accounted for by a queue slot, a MAC holding it, or
+        // a transmission still on the air. A mismatch means some terminal
         // event forgot its release (or released twice — the generation
-        // check catches that side). The occupancy and listening-bit
-        // mirrors must match what they mirror.
+        // check catches that side). No MAC ignored a timer firing, and
+        // every listening bit equals its MAC's counting phase.
         #[cfg(debug_assertions)]
         {
-            let queued: usize = self.hot.occupancy.iter().map(|&o| o as usize).sum();
+            let queued: usize = self.nodes.iter().map(|n| n.occupancy()).sum();
             let held: usize = self.nodes.iter().map(|n| n.mac.held_frames()).sum();
             let on_air = self.channel.active_count();
             debug_assert_eq!(
@@ -160,11 +175,6 @@ impl Network {
             let stale: u64 = self.nodes.iter().map(|n| n.mac.stats().stale_timers).sum();
             debug_assert_eq!(stale, 0, "a MAC timer fired that its MAC did not owe");
             for (id, node) in self.nodes.iter().enumerate() {
-                debug_assert_eq!(
-                    self.hot.occupancy[id] as usize,
-                    node.occupancy(),
-                    "occupancy mirror drift at node {id}"
-                );
                 debug_assert_eq!(
                     self.channel.listening(id),
                     node.mac.counting_phase(),
@@ -219,14 +229,14 @@ impl Network {
                     self.nodes[node].mac.tx_timer_pending(),
                     "node {node}: a transmit-path timer fired that its MAC does not owe"
                 );
-                self.hot.tx_timer[node] = TimerSlot::Idle;
-                self.mac_event(node, MacInput::TimerTxPath)
+                self.tx_timer[node] = TimerSlot::Idle;
+                self.mac_input(node, MacInput::TimerTxPath)
             }
             Ev::MacAckJob { node } => {
-                self.hot.ack_timer[node] = TimerSlot::Idle;
-                self.mac_event(node, MacInput::TimerAckJob)
+                self.ack_timer[node] = TimerSlot::Idle;
+                self.mac_input(node, MacInput::TimerAckJob)
             }
-            Ev::MacNav { node } => self.mac_event(node, MacInput::TimerNav),
+            Ev::MacNav { node } => self.mac_input(node, MacInput::TimerNav),
             Ev::TxEnd { tx, node } => self.on_tx_end(tx, node),
         }
     }
@@ -239,8 +249,8 @@ impl Network {
     /// in the queue.
     fn arm_timer(&mut self, ev: Ev, after: Duration) {
         let slot = match ev {
-            Ev::MacTxPath { node } => &mut self.hot.tx_timer[node],
-            Ev::MacAckJob { node } => &mut self.hot.ack_timer[node],
+            Ev::MacTxPath { node } => &mut self.tx_timer[node],
+            Ev::MacAckJob { node } => &mut self.ack_timer[node],
             _ => unreachable!("{ev:?} is not a keyed MAC timer"),
         };
         let at = self.now + after;
@@ -271,32 +281,33 @@ impl Network {
     /// which [`Network::mac_input`] refreshes from the channel instead.
     fn after_mac(&mut self, id: usize) {
         let mac = &self.nodes[id].mac;
-        if let TimerSlot::Armed(h) = self.hot.tx_timer[id] {
+        if let TimerSlot::Armed(h) = self.tx_timer[id] {
             if !mac.tx_timer_pending() {
                 let found = self.sched.remove(h);
                 debug_assert!(found, "armed slot held a dead handle");
-                self.hot.tx_timer[id] = TimerSlot::Parked;
+                self.tx_timer[id] = TimerSlot::Parked;
             }
         }
         self.channel.set_listening(id, mac.counting_phase());
     }
 
     /// Feeds node `id`'s MAC one input and handles everything it
-    /// provoked — the single `input_into` site. The carrier state is
-    /// pulled from the channel first; the outputs are handled in order
-    /// through a pooled buffer; then [`Network::after_mac`] runs.
+    /// provoked — the engine's one MAC-input site, and so the single
+    /// `input_into` site. The carrier state is pulled from the channel
+    /// first; the outputs are handled in order through a pooled buffer;
+    /// then [`Network::after_mac`] runs.
     ///
     /// Why the pull is exact, not approximately right: the channel's
     /// carrier state only changes in `start_tx_into` / `end_tx_into`. A
-    /// `StartTx` is only ever produced by a timer event dispatched through
-    /// `mac_event` on an empty worklist, and the busy toggles it raises —
-    /// which produce no outputs — are all that is drained before control
-    /// returns; `on_tx_end` delivers its idle transitions before it issues
-    /// any input. So whenever an input reaches a MAC, a mirror fed every
-    /// transition would equal `Channel::is_busy` already; a MAC that was
-    /// only fed transitions while counting gets the same value written
-    /// here, and a counting MAC has it written over itself
-    /// (`Mac::sync_carrier` asserts that in debug builds).
+    /// `StartTx` is the only output of the timer input that produces it,
+    /// and its handler delivers the busy toggles — which produce no
+    /// outputs — before anything else runs; `on_tx_end` delivers its idle
+    /// transitions before it issues any input. So whenever an input
+    /// reaches a MAC, a mirror fed every transition would equal
+    /// `Channel::is_busy` already; a MAC that was only fed transitions
+    /// while counting gets the same value written here, and a counting
+    /// MAC has it written over itself (`Mac::sync_carrier` asserts that in
+    /// debug builds).
     ///
     /// No input leaves an idle MAC beside a backlogged queue: the MAC
     /// emits `NeedFrame` whenever it goes idle, and every enqueue feeds.
@@ -311,20 +322,10 @@ impl Network {
         }
         self.mac_out_pool.push(outs);
         debug_assert!(
-            !self.nodes[id].mac.is_idle() || self.hot.occupancy[id] == 0,
+            !self.nodes[id].mac.is_idle() || self.nodes[id].occupancy() == 0,
             "node {id}: an idle MAC beside a backlogged queue"
         );
         self.after_mac(id);
-    }
-
-    /// An input that arrives alone from the scheduler: fed, then the
-    /// fan-out it started (a `StartTx`'s busy toggles, a `TxEnd`'s
-    /// receivers) drained.
-    fn mac_event(&mut self, id: usize, input: MacInput) {
-        self.mac_input(id, input);
-        if !self.worklist.is_empty() {
-            self.drain();
-        }
     }
 
     fn on_traffic(&mut self, i: usize) {
@@ -400,7 +401,6 @@ impl Network {
         let id = self.arena.alloc(frame);
         let accepted = self.nodes[src].enqueue(true, id, &self.arena);
         debug_assert!(accepted, "own_queue_drop found room in the source queue");
-        self.hot.occupancy[src] += 1;
         self.record_enqueue(src, true, nh, seq, flow);
         self.try_feed(src);
         seq
@@ -448,7 +448,7 @@ impl Network {
                 j.push(self.now, id, TracePayload::BoeOverhear { verdict });
             }
             if let Some(est) = boe.estimate.filter(|_| self.audit.enabled()) {
-                let truth = self.hot.occupancy[boe.successor];
+                let truth = self.nodes[boe.successor].occupancy() as u32;
                 self.audit
                     .record_sample(self.now, id, boe.successor, est, truth);
             }
@@ -463,17 +463,24 @@ impl Network {
         }
     }
 
+    /// A transmission ends. Its fan-out runs in a fixed order: a first
+    /// pass over the deliveries (the addressee's `RxOutcome` record,
+    /// overhearing to the controllers), the frame's release if nobody
+    /// takes it, EIFS marks, idle transitions, the transmitter's
+    /// `TxEnded`, then a second pass in delivery order: the addressee's
+    /// `Rx` and, for an RTS/CTS with a NAV, each clean overhearer's
+    /// `NavSet`.
     fn on_tx_end(&mut self, tx: TxId, node: usize) {
-        // Take-out/put-back: the scratch report
-        // is refilled in place by the channel — no per-transmission Vec
-        // allocations — and must be out of `self` while deliveries fan out
-        // through `&mut self` controller/recorder calls.
+        // Take-out/put-back: the scratch report is refilled in place by
+        // the channel — no per-transmission Vec allocations — and must be
+        // out of `self` while deliveries fan out through `&mut self`
+        // controller, recorder and MAC calls.
         let mut report = std::mem::take(&mut self.end_report);
         self.channel
             .end_tx_into(self.now, tx, &mut self.chan_rng, &mut report);
         // One arena read per transmission: the fan-out below works off
         // this local copy; the id itself either transfers to the single
-        // addressed clean receiver or is released when the fan-out ends.
+        // addressed clean receiver or is released before any input.
         let frame = *self.arena.get(report.frame);
         let frame = &frame;
         let mut transferred = false;
@@ -491,36 +498,16 @@ impl Network {
                         },
                     );
                 }
-            }
-            if !d.clean {
-                continue;
-            }
-            if d.node == frame.dst {
                 // The addressed receiver takes ownership of the on-air
                 // frame itself — no copy at all; everyone else borrows the
                 // local read above.
-                transferred = true;
-                self.worklist
-                    .push_back((d.node, WorkInput::Rx(report.frame)));
-            } else {
-                match frame.kind {
-                    FrameKind::Data => {
-                        // Passive overhearing: the controller gets it for
-                        // free. The overhearing happens *before* the
-                        // transmitter's own `TxEnded`, so the occupancy
-                        // mirror still holds exactly the queue depth the
-                        // BOE estimated.
-                        self.react(d.node, ControllerEvent::Overheard { frame });
-                    }
-                    // Virtual carrier sense: overheard RTS/CTS reserve the
-                    // medium from the end of the frame.
-                    FrameKind::Rts | FrameKind::Cts if frame.nav_micros > 0 => {
-                        let until = self.now + ezflow_sim::Duration::from_micros(frame.nav_micros);
-                        self.worklist
-                            .push_back((d.node, WorkInput::NavSet { until }));
-                    }
-                    _ => {}
-                }
+                transferred |= d.clean;
+            } else if d.clean && frame.kind == FrameKind::Data {
+                // Passive overhearing: the controller gets it for free.
+                // It happens before any input of this transmission, so
+                // the transmitter's queue still holds exactly the depth
+                // the BOE estimated.
+                self.react(d.node, ControllerEvent::Overheard { frame });
             }
         }
         if !transferred {
@@ -532,8 +519,7 @@ impl Network {
         // precede the idle transitions so the resumed deferral uses the
         // extended space, and both precede the transmitter's own
         // `TxEnded`. An idle transition can arm one timer, scheduled
-        // inline; the receptions queued above drain *after* `TxEnded`,
-        // through `mac_event`.
+        // inline.
         //
         // An EIFS mark is sticky until the station's next deferral, so it
         // goes to every station that sensed the frame without decoding it,
@@ -548,14 +534,31 @@ impl Network {
                 self.arm_timer(Ev::MacTxPath { node: r }, after);
             }
         }
+        self.mac_input(node, MacInput::TxEnded);
+        // Virtual carrier sense: an overheard RTS/CTS reserves the medium
+        // from the end of the frame. Any other frame has at most one input
+        // left, the addressee's `Rx`.
+        let rx = report.frame;
+        if matches!(frame.kind, FrameKind::Rts | FrameKind::Cts) && frame.nav_micros > 0 {
+            let until = self.now + Duration::from_micros(frame.nav_micros);
+            for d in report.deliveries.iter().filter(|d| d.clean) {
+                let input = if d.node == frame.dst {
+                    MacInput::Rx { frame: rx }
+                } else {
+                    MacInput::NavSet { until }
+                };
+                self.mac_input(d.node, input);
+            }
+        } else if transferred {
+            self.mac_input(frame.dst, MacInput::Rx { frame: rx });
+        }
         self.end_report = report;
-        self.mac_event(node, MacInput::TxEnded);
     }
 
     /// One metrics sample at `self.now`: each node's occupancy and `CWmin`.
     fn on_sample(&mut self) {
         for id in 0..self.nodes.len() {
-            let occ = self.hot.occupancy[id] as usize;
+            let occ = self.nodes[id].occupancy();
             let cw = self.nodes[id].mac.cw_min();
             self.metrics.on_sample(self.now, id, occ, cw);
         }
@@ -570,7 +573,7 @@ impl Network {
     fn on_telemetry(&mut self) {
         self.telemetry.begin_window(self.now);
         for id in 0..self.nodes.len() {
-            let occ = self.hot.occupancy[id] as f64;
+            let occ = self.nodes[id].occupancy() as f64;
             let air = self.channel.airtime_breakdown(id, self.now);
             let mac = self.nodes[id].mac.stats();
             self.telemetry.node_sample(id, occ, air, mac);
@@ -580,22 +583,6 @@ impl Network {
         }
         self.telemetry.finish_window();
         self.next_telemetry = self.now + self.telemetry.every();
-    }
-
-    /// Processes queued MAC inputs until quiescence.
-    fn drain(&mut self) {
-        while let Some((id, work)) = self.worklist.pop_front() {
-            match work {
-                WorkInput::MediumBusy => {
-                    // A busy toggle freezes any running countdown: park
-                    // the invalidated timer entry.
-                    self.nodes[id].mac.medium_busy(self.now);
-                    self.after_mac(id);
-                }
-                WorkInput::NavSet { until } => self.mac_input(id, MacInput::NavSet { until }),
-                WorkInput::Rx(frame) => self.mac_input(id, MacInput::Rx { frame }),
-            }
-        }
     }
 
     fn handle_output(&mut self, id: usize, out: MacOutput) {
@@ -638,8 +625,13 @@ impl Network {
                         node: id,
                     },
                 );
-                for &r in &self.start_report.became_busy {
-                    self.worklist.push_back((r, WorkInput::MediumBusy));
+                // The listeners' busy toggles, in sense-row order: each
+                // freezes a running countdown, whose timer entry
+                // `after_mac` parks.
+                for i in 0..self.start_report.became_busy.len() {
+                    let r = self.start_report.became_busy[i];
+                    self.nodes[r].mac.medium_busy(self.now);
+                    self.after_mac(r);
                 }
             }
             MacOutput::SetTimerTxPath { after } => {
@@ -735,7 +727,6 @@ impl Network {
             self.record_drop(id, DropCause::QueueFull, f.seq);
             return;
         }
-        self.hot.occupancy[id] += 1;
         self.record_enqueue(id, false, nh, f.seq, f.flow);
         self.try_feed(id);
     }
@@ -749,7 +740,6 @@ impl Network {
         let Some(frame) = self.nodes[id].pop_round_robin() else {
             return;
         };
-        self.hot.occupancy[id] -= 1;
         let f = {
             let g = self.arena.get_mut(frame);
             if g.origin == id && g.entered_net == g.created {

@@ -41,7 +41,6 @@ pub mod calibrate;
 pub mod controller;
 pub mod engine;
 pub mod flight;
-mod hot;
 pub mod lifecycle;
 pub mod metrics;
 pub mod network;

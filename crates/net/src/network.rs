@@ -20,18 +20,20 @@
 //!
 //! ## Event flow for one data frame
 //!
+//! Each arrow is a direct call; one transmission's fan-out runs in the
+//! order drawn, its receivers in the channel report's order.
+//!
 //! ```text
 //! Traffic ─▶ enqueue(own queue) ─▶ try_feed ─▶ Mac::Enqueue
 //!   Mac ─▶ SetTimerTxPath ─▶ [scheduler] ─▶ Mac::TimerTxPath
-//!   Mac ─▶ StartTx ─▶ Channel::start_tx_into ─▶ medium_busy at listeners
+//!   Mac ─▶ StartTx ─▶ Channel::start_tx_into ─▶ [scheduler TxEnd]
+//!        └─▶ medium_busy at listeners
 //!   [scheduler TxEnd] ─▶ Channel::end_tx_into
-//!        ├─▶ medium_idle at listeners
+//!        ├─▶ Overheard to everyone else in decode range ─▶ controllers
+//!        ├─▶ eifs_mark (EIFS on), then medium_idle at listeners
 //!        ├─▶ TxEnded to the transmitter (arms ACK timeout)
-//!        ├─▶ Rx to the addressee ─▶ Deliver ─▶ forward or sink
-//!        └─▶ Overheard to everyone else in decode range ─▶ controllers
+//!        └─▶ Rx to the addressee ─▶ Deliver ─▶ forward or sink
 //! ```
-
-use std::collections::VecDeque;
 
 use ezflow_mac::MacStats;
 use ezflow_phy::{Channel, ChannelStats, FrameArena};
@@ -42,9 +44,8 @@ pub use crate::transport::TRANSPORT_ACK_FLOW;
 
 use crate::audit::AuditLedger;
 use crate::controller::Controller;
-use crate::engine::{Ev, WorkInput, EV_KINDS, PROFILE_KINDS};
+use crate::engine::{Ev, TimerSlot, EV_KINDS, PROFILE_KINDS};
 use crate::flight::FlightRecorder;
-use crate::hot::HotState;
 use crate::metrics::Metrics;
 use crate::node::Node;
 use crate::routing::StaticRouting;
@@ -57,6 +58,9 @@ use crate::transport::Flow;
 /// Construction lives in [`crate::builder`], the event loop in
 /// [`crate::engine`]; this type is the shared state they operate on and
 /// the stable public surface (`new`, `run_until`, `snapshot`, `metrics`).
+/// Per-node state lives on the nodes — a queue depth is read from the
+/// queues themselves — except the two MAC timer-slot columns, which are
+/// the scheduler's ledger, and the channel's listening bits.
 pub struct Network {
     pub(crate) now: Time,
     pub(crate) sched: Scheduler<Ev>,
@@ -69,9 +73,11 @@ pub struct Network {
     pub(crate) arena: FrameArena,
     pub(crate) chan_rng: SimRng,
     pub(crate) nodes: Vec<Node>,
-    /// Struct-of-arrays per-node hot state: pending MAC timer slots and
-    /// the queue-occupancy mirror (see [`crate::hot`]).
-    pub(crate) hot: HotState,
+    /// Pending transmit-path timer per MAC (see
+    /// [`crate::engine::TimerSlot`]).
+    pub(crate) tx_timer: Vec<TimerSlot>,
+    /// Pending ACK-job timer per MAC.
+    pub(crate) ack_timer: Vec<TimerSlot>,
     pub(crate) routing: StaticRouting,
     /// The flows in declaration order; `Ev::Traffic` and
     /// `Ev::WindowRefresh` carry an index into it.
@@ -100,9 +106,6 @@ pub struct Network {
     /// Wall-clock nanoseconds per handler kind (self-profiler; all zero
     /// when `profile` is off).
     pub(crate) handler_ns: [u64; PROFILE_KINDS],
-    /// Pending inputs of one transmission's fan-out, by node (see
-    /// [`crate::engine::WorkInput`]); a reception carries its frame.
-    pub(crate) worklist: VecDeque<(usize, WorkInput)>,
     pub(crate) next_seq: u64,
     /// Dispatch counts per event kind.
     pub(crate) dispatched: [u64; EV_KINDS],
@@ -110,8 +113,9 @@ pub struct Network {
     /// `end_tx_into` on every transmission — the steady state of the
     /// event loop allocates nothing for them.
     pub(crate) start_report: ezflow_phy::StartReport,
-    /// Taken out (`std::mem::take`) while its deliveries fan out, then
-    /// put back.
+    /// Taken out (`std::mem::take`) for the whole fan-out of a
+    /// transmission end — its controller, recorder and MAC calls borrow
+    /// `self` — then put back.
     pub(crate) end_report: ezflow_phy::EndReport,
     /// Pool of drained MAC output buffers. A pool rather than a single
     /// buffer because output handling recurses (Deliver → enqueue →

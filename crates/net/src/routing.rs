@@ -20,6 +20,16 @@ pub struct StaticRouting {
     entries: usize,
 }
 
+/// A hop [`StaticRouting::install_path`] refused: `node` already
+/// routes toward `dst` via `installed`, and the path goes via `offered`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct RouteConflict {
+    pub(crate) node: usize,
+    pub(crate) dst: usize,
+    pub(crate) installed: usize,
+    pub(crate) offered: usize,
+}
+
 impl StaticRouting {
     /// Creates an empty table.
     pub fn new() -> Self {
@@ -28,10 +38,12 @@ impl StaticRouting {
 
     /// Installs routes for every hop of `path` toward `path.last()`.
     ///
-    /// Panics if a conflicting route for the same `(node, destination)`
-    /// pair already exists — two flows to the same destination must share a
-    /// suffix, anything else is a topology specification bug.
-    pub fn install_path(&mut self, path: &[usize]) {
+    /// Refuses the first hop whose node already routes that destination
+    /// through another next hop — two flows to the same destination must
+    /// share a suffix — and returns it; the hops before it stay installed.
+    /// [`NetworkSpec::validate`](crate::builder::NetworkSpec::validate)
+    /// reports a refusal as a spec error.
+    pub(crate) fn install_path(&mut self, path: &[usize]) -> Result<(), RouteConflict> {
         assert!(path.len() >= 2, "a path needs at least two nodes");
         let dst = *path.last().expect("non-empty");
         for w in path.windows(2) {
@@ -41,20 +53,22 @@ impl StaticRouting {
             }
             let routes = &mut self.by_node[node];
             match routes.binary_search_by_key(&dst, |&(d, _)| d) {
-                Ok(i) => assert!(
-                    routes[i].1 == next,
-                    "conflicting route at node {} toward {}: {} vs {}",
-                    node,
-                    dst,
-                    routes[i].1,
-                    next
-                ),
+                Ok(i) if routes[i].1 != next => {
+                    return Err(RouteConflict {
+                        node,
+                        dst,
+                        installed: routes[i].1,
+                        offered: next,
+                    })
+                }
+                Ok(_) => {}
                 Err(i) => {
                     routes.insert(i, (dst, next));
                     self.entries += 1;
                 }
             }
         }
+        Ok(())
     }
 
     /// Next hop from `node` toward `final_dst`, if routed.
@@ -86,7 +100,7 @@ impl StaticRouting {
 /// parent id. Each node has exactly *one* parent, so every produced path
 /// toward a gateway shares its suffix with every other path through the
 /// same node — precisely the no-conflict invariant
-/// [`StaticRouting::install_path`] asserts.
+/// `StaticRouting::install_path` checks.
 #[derive(Debug, Clone)]
 pub struct GatewayRoutes {
     /// `parent[v]` = next hop toward `v`'s gateway (`usize::MAX` at
@@ -166,7 +180,7 @@ mod tests {
     #[test]
     fn installs_chain() {
         let mut r = StaticRouting::new();
-        r.install_path(&[0, 1, 2, 3]);
+        r.install_path(&[0, 1, 2, 3]).unwrap();
         assert_eq!(r.next_hop(0, 3), Some(1));
         assert_eq!(r.next_hop(1, 3), Some(2));
         assert_eq!(r.next_hop(2, 3), Some(3));
@@ -179,25 +193,31 @@ mod tests {
     fn merging_flows_share_suffix() {
         let mut r = StaticRouting::new();
         // Scenario 1: two branches merging at node 4 toward gateway 0.
-        r.install_path(&[12, 10, 8, 6, 4, 3, 2, 1, 0]);
-        r.install_path(&[11, 9, 7, 5, 4, 3, 2, 1, 0]);
+        r.install_path(&[12, 10, 8, 6, 4, 3, 2, 1, 0]).unwrap();
+        r.install_path(&[11, 9, 7, 5, 4, 3, 2, 1, 0]).unwrap();
         assert_eq!(r.next_hop(4, 0), Some(3));
         assert_eq!(r.next_hop(12, 0), Some(10));
     }
 
     #[test]
-    #[should_panic(expected = "conflicting route")]
-    fn conflicting_routes_panic() {
+    fn conflicting_routes_are_refused() {
         let mut r = StaticRouting::new();
-        r.install_path(&[0, 1, 3]);
-        r.install_path(&[0, 2, 3]);
+        r.install_path(&[0, 1, 3]).unwrap();
+        let conflict = RouteConflict {
+            node: 0,
+            dst: 3,
+            installed: 1,
+            offered: 2,
+        };
+        assert_eq!(r.install_path(&[0, 2, 3]), Err(conflict));
+        assert_eq!(r.next_hop(0, 3), Some(1), "the installed route stands");
     }
 
     #[test]
     fn successors_dedup_across_destinations() {
         let mut r = StaticRouting::new();
-        r.install_path(&[0, 1, 2]);
-        r.install_path(&[0, 1, 3]);
+        r.install_path(&[0, 1, 2]).unwrap();
+        r.install_path(&[0, 1, 3]).unwrap();
         assert_eq!(r.next_hop(0, 2), Some(1));
         assert_eq!(r.next_hop(0, 3), Some(1));
     }
@@ -205,8 +225,8 @@ mod tests {
     #[test]
     fn reinstalling_the_same_path_does_not_double_count() {
         let mut r = StaticRouting::new();
-        r.install_path(&[0, 1, 2]);
-        r.install_path(&[0, 1, 2]);
+        r.install_path(&[0, 1, 2]).unwrap();
+        r.install_path(&[0, 1, 2]).unwrap();
         assert_eq!(r.len(), 2);
         assert!(!r.is_empty());
     }
@@ -251,13 +271,13 @@ mod tests {
     #[test]
     fn gateway_trees_install_without_conflicts() {
         // Unique parents ⇒ all root-ward paths share suffixes, so
-        // installing every path into one StaticRouting must not panic.
+        // every path installs into one StaticRouting without a conflict.
         let g = GatewayRoutes::compute(&spur_adj(), &[0, 4]);
         let mut r = StaticRouting::new();
         for v in 0..6 {
             let path = g.path_from(v).unwrap();
             if path.len() >= 2 {
-                r.install_path(&path);
+                r.install_path(&path).unwrap();
             }
         }
         assert_eq!(r.next_hop(5, 0), Some(2));

@@ -6,6 +6,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use ezflow_core::EzFlowController;
 use ezflow_net::controller::{BoeReading, Controller, ControllerEvent, FixedController, Reaction};
 use std::collections::BTreeMap;
 
@@ -265,6 +266,47 @@ fn a_capped_capture_holds_the_first_packets_journeys_of_a_fuller_one() {
         });
         assert!(end.is_none_or(|i| i == journey.len() - 1), "packet {seq}");
     }
+}
+
+#[test]
+fn a_frame_end_reads_the_outcome_and_the_overhearing_before_the_addressee_takes_the_frame() {
+    // The end half of one transmission's fan-out, through the lifecycle
+    // export of a 4-hop EZ-flow chain: at the instant a hop's data frame
+    // ends, the addressee's `RxOutcome` and every `BoeOverhear` precede
+    // the addressee's `Enqueue` or `Deliver` — the BOE reads the
+    // transmitter's queue, and the audit its depth, before the frame
+    // joins the next one.
+    let t = topo::chain(4, Time::ZERO, Time::from_secs(10));
+    let mut spec = NetworkSpec::from_topology(&t, 42);
+    spec.flight_cap = 4096;
+    let ez = |_: usize| -> Box<dyn Controller> { Box::new(EzFlowController::with_defaults()) };
+    let mut net = Network::new(spec, &ez);
+    net.run_until(Time::from_secs(10));
+    let (mut hops, mut readings) = (0, 0);
+    for (seq, journey) in &journeys(&mut net) {
+        for (i, taken) in journey.iter().enumerate() {
+            if !matches!(
+                taken.payload,
+                TracePayload::Enqueue { .. } | TracePayload::Deliver { .. }
+            ) {
+                continue;
+            }
+            let mut received = false;
+            for (j, e) in journey.iter().enumerate().filter(|(_, e)| e.at == taken.at) {
+                let reading = matches!(e.payload, TracePayload::BoeOverhear { .. });
+                let outcome =
+                    matches!(e.payload, TracePayload::RxOutcome { .. }) && e.node == taken.node;
+                if reading || outcome {
+                    assert!(j < i, "packet {seq}: {e} after {taken}");
+                }
+                received |= outcome;
+                readings += reading as usize;
+            }
+            hops += received as usize;
+        }
+    }
+    assert!(hops > 100, "{hops} receptions checked");
+    assert!(readings > 100, "{readings} BOE readings checked");
 }
 
 /// Reports one ambiguous BOE reading — the first forward it overhears

@@ -89,10 +89,10 @@ fn onoff_flow_shapes_offered_load_end_to_end() {
 /// — the two MAC features no committed spec arms — run under the debug
 /// profile's engine invariants: the carrier mirror of every counting MAC
 /// equals the channel's busy count at each pull (`Mac::sync_carrier`),
-/// the queue-occupancy mirror and the listening bits (which must equal
-/// `Mac::counting_phase`) hold at every `run_until` return, taken here
-/// every 50 ms, and each node's airtime buckets, derived from horizons
-/// and gaps, partition the elapsed time.
+/// the frame arena holds no leak, no MAC ignored a timer firing and every
+/// listening bit equals `Mac::counting_phase` at every `run_until` return,
+/// taken here every 50 ms, and each node's airtime buckets, derived from
+/// horizons and gaps, partition the elapsed time.
 #[test]
 fn mesh_slice_with_eifs_and_rts_cts_holds_the_carrier_invariants() {
     let text = r#"{"name": "mesh100", "duration_secs": 4, "seed": 5,
