@@ -24,16 +24,18 @@
 //!
 //! `telemetry` reads the *other* JSONL format: the telemetry bus's
 //! one-record-per-sample-window stream (`experiments --telemetry-dir`).
-//! It rebuilds the per-node queue-depth series, runs the stability
-//! analyzer over them, and prints the worst oscillators, the sustained
-//! oscillation episodes, and one sparkline per ranked node and flow.
+//! It feeds each node's queue depths into the [`StabilityTracker`] the
+//! snapshot's stability section is scored by, and prints the worst
+//! oscillators, the sustained oscillation episodes, and one sparkline
+//! per ranked node and flow.
 //!
 //! `controller` reads a third format: the audit ledger's stream
 //! (`experiments --audit-dir`, one record per BOE estimation sample and
 //! per `CWmin` decision). It prints each node's `CWmin` timeline as a
 //! sparkline over its decision points, the decision list with the
 //! counter and threshold that fired each one, and the worst-estimated
-//! links ranked by mean absolute estimation error.
+//! links ranked by mean absolute estimation error, each link summarised
+//! by the [`EstimationTracker`] the snapshot's controller section uses.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -42,8 +44,10 @@ use std::process::ExitCode;
 use ezflow_net::lifecycle::{parse_jsonl, DropCause, TraceEvent, TracePayload};
 use ezflow_net::{group_journeys, summarize_journey, DecisionKind, JourneySummary};
 use ezflow_phy::FrameKind;
-use ezflow_sim::{Duration, JsonValue};
-use ezflow_stats::{analyze, Stability, StabilityConfig, TimeSeries};
+use ezflow_sim::{Duration, JsonValue, Time};
+use ezflow_stats::{
+    EstimationSummary, EstimationTracker, Stability, StabilityConfig, StabilityTracker,
+};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -422,16 +426,16 @@ fn cmd_telemetry(dump: &TelemetryDump, top: usize) -> ExitCode {
         cfg.min_windows,
     );
 
-    // Rebuild each node's queue ring and score it.
+    // Score each node's queue depths as the snapshot does.
     let mut scored: Vec<(usize, Stability, &Vec<f64>)> = dump
         .node_queue
         .iter()
         .map(|(&id, values)| {
-            let mut series = TimeSeries::new(dump.interval, values.len().max(1));
+            let mut tracker = StabilityTracker::new(dump.interval, cfg);
             for &v in values {
-                series.push(v);
+                tracker.push(v);
             }
-            (id, analyze(&series, &cfg), values)
+            (id, tracker.summary(), values)
         })
         .collect();
     scored.sort_by(|a, b| {
@@ -507,8 +511,9 @@ struct AuditDump {
     records: u64,
     samples: u64,
     decisions: Vec<Decision>,
-    /// (node, successor) -> signed estimation errors, in stream order.
-    link_err: BTreeMap<(usize, usize), Vec<f64>>,
+    /// (node, successor) -> the link's error tracker and its absolute
+    /// estimation errors, in stream order (for the sparkline).
+    link_err: BTreeMap<(usize, usize), (EstimationTracker, Vec<f64>)>,
 }
 
 fn load_audit(path: &str) -> Result<AuditDump, String> {
@@ -536,11 +541,17 @@ fn load_audit(path: &str) -> Result<AuditDump, String> {
         match kind {
             "sample" => {
                 let successor = u("successor")? as usize;
-                let err = u("estimate")? as f64 - u("truth")? as f64;
-                dump.link_err
-                    .entry((node, successor))
-                    .or_default()
-                    .push(err);
+                // Queue depths are `u32`s, as the tracker takes them.
+                let depth = |k: &str| {
+                    let v = u(k)?;
+                    u32::try_from(v).map_err(|_| {
+                        format!("{path}:{}: {k} {v} does not fit in 32 bits", lineno + 1)
+                    })
+                };
+                let (estimate, truth) = (depth("estimate")?, depth("truth")?);
+                let (tracker, abs) = dump.link_err.entry((node, successor)).or_default();
+                tracker.on_sample(Time::from_micros(at_us), estimate, truth);
+                abs.push((f64::from(estimate) - f64::from(truth)).abs());
                 dump.samples += 1;
             }
             _ => dump.decisions.push(Decision {
@@ -653,37 +664,28 @@ fn cmd_controller(dump: &AuditDump, top: usize) -> ExitCode {
         }
     }
 
-    // Worst-estimated links by mean absolute error:
-    // (link, bias, mae, max |error|, error series).
-    type LinkScore<'a> = (&'a (usize, usize), f64, f64, f64, &'a Vec<f64>);
-    let mut ranked: Vec<LinkScore<'_>> = dump
+    // Worst-estimated links by mean absolute error.
+    let mut ranked: Vec<(&(usize, usize), EstimationSummary, &Vec<f64>)> = dump
         .link_err
         .iter()
-        .map(|(link, errs)| {
-            let n = errs.len() as f64;
-            let bias = errs.iter().sum::<f64>() / n;
-            let mae = errs.iter().map(|e| e.abs()).sum::<f64>() / n;
-            let max = errs.iter().fold(0.0f64, |a, &e| a.max(e.abs()));
-            (link, bias, mae, max, errs)
-        })
+        .map(|(link, (tracker, abs))| (link, tracker.summary(), abs))
         .collect();
-    ranked.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(b.0)));
+    ranked.sort_by(|a, b| b.1.mae.total_cmp(&a.1.mae).then(a.0.cmp(b.0)));
     if !ranked.is_empty() {
         println!("\nworst-estimated links (estimate − truth, by mean |error|):");
         println!(
             "  {:>9} | {:>8} | {:>7} | {:>7} | {:>7} | |error| sparkline",
             "link", "samples", "bias", "mae", "max"
         );
-        for (link, bias, mae, max, errs) in ranked.iter().take(top) {
-            let abs: Vec<f64> = errs.iter().map(|e| e.abs()).collect();
+        for (link, s, abs) in ranked.iter().take(top) {
             println!(
                 "  {:>9} | {:>8} | {:>7.2} | {:>7.2} | {:>7.1} | {}",
                 format!("N{}→N{}", link.0, link.1),
-                errs.len(),
-                bias,
-                mae,
-                max,
-                sparkline(&abs, 48)
+                s.samples,
+                s.bias,
+                s.mae,
+                s.max_abs,
+                sparkline(abs, 48)
             );
         }
     }

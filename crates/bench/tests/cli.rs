@@ -746,8 +746,8 @@ fn loss_specs_naming_impossible_links_or_probabilities_exit_2_naming_the_field()
 
 #[test]
 fn telemetry_streams_trace_cannot_rebuild_exit_1_naming_the_file() {
-    // A zero interval once reached `TimeSeries::new`'s nonzero-width
-    // assert: SIGABRT under `panic = "abort"`.
+    // A zero interval once reached a nonzero-width assert: SIGABRT
+    // under `panic = "abort"`.
     let record =
         |us: u64| format!(r#"{{"interval_us":{us},"nodes":[{{"id":0,"queue":1}}],"flows":[]}}"#);
     let flow = |id: u64| {
@@ -929,6 +929,34 @@ fn an_unknown_audit_kind_exits_1_naming_the_line() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(
         stderr.contains(&format!("{file}:2: unknown audit kind 'bogus'")),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing rendered from a bad stream");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_audit_queue_depth_past_32_bits_exits_1_naming_the_line() {
+    // Estimates and truths are queue depths, `u32`s in the ledger and in
+    // the error tracker the inspector summarises each link with.
+    let sample = |estimate: u64| {
+        format!(
+            r#"{{"at_us":1,"node":0,"kind":"sample","successor":1,"estimate":{estimate},"truth":3}}"#
+        )
+    };
+    let dir = scratch("audit-depths");
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    let file = dir.join("wide.audit.jsonl");
+    let stream = format!("{}\n{}\n", sample(4), sample(1 << 32));
+    std::fs::write(&file, stream).expect("the stream is written");
+    let file = file.display().to_string();
+    let out = budget::run(TRACE, &["controller", &file]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!(
+            "{file}:2: estimate 4294967296 does not fit in 32 bits"
+        )),
         "{stderr}"
     );
     assert!(out.stdout.is_empty(), "nothing rendered from a bad stream");

@@ -81,10 +81,6 @@ pub enum MacInput {
     TimerNav,
 }
 
-// A tag and one word: the network layer queues inputs by value, so a
-// wider payload would widen every queued entry.
-const _: () = assert!(std::mem::size_of::<MacInput>() <= 16);
-
 /// Contention state behind one DCF transmission attempt, captured when
 /// the frame hits the air. This is the flight recorder's per-attempt
 /// hook: `cw`/`slots` are the window and backoff actually drawn for the

@@ -46,9 +46,7 @@ use ezflow_sim::{JsonWriter, Time};
 use ezflow_stats::{EstimationTracker, StabilityConfig};
 
 use crate::controller::DecisionRecord;
-use crate::snapshot::{
-    ControllerLinkSnapshot, ControllerNodeSnapshot, ControllerSnapshot, EpisodeSnapshot,
-};
+use crate::snapshot::{ControllerLinkSnapshot, ControllerNodeSnapshot, ControllerSnapshot};
 
 /// One audited observation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -300,15 +298,7 @@ impl AuditLedger {
                     bias: s.bias,
                     mae: s.mae,
                     max_abs: s.max_abs,
-                    episodes: s
-                        .episodes
-                        .iter()
-                        .map(|e| EpisodeSnapshot {
-                            start_us: e.start.as_micros(),
-                            end_us: e.end.as_micros(),
-                            peak_amplitude: e.peak_amplitude,
-                        })
-                        .collect(),
+                    episodes: s.episodes.iter().map(Into::into).collect(),
                 }
             })
             .collect();

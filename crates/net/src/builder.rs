@@ -158,8 +158,6 @@ pub enum SpecError {
     },
     /// The telemetry sampling interval is set but zero.
     ZeroTelemetryEvery,
-    /// The telemetry rings hold zero windows.
-    ZeroTelemetryCap,
 }
 
 impl std::fmt::Display for SpecError {
@@ -232,7 +230,6 @@ impl std::fmt::Display for SpecError {
             ),
             SpecError::BadOnOff { flow, why } => write!(f, "flow {flow}: {why}"),
             SpecError::ZeroTelemetryEvery => write!(f, "telemetry_every must be nonzero"),
-            SpecError::ZeroTelemetryCap => write!(f, "telemetry_cap must be nonzero"),
         }
     }
 }
@@ -264,8 +261,6 @@ pub struct NetworkSpec {
     /// no sampling, zero cost; see [`crate::telemetry`]). The paper-ish
     /// default when armed is 100 ms of simulated time.
     pub telemetry_every: Option<Duration>,
-    /// Ring capacity of each telemetry time series, in sample windows.
-    pub telemetry_cap: usize,
     /// Arms the controller provenance audit when nonzero; the value bounds
     /// nothing, since the ledger keeps counters and trackers and streams
     /// its records. 0 leaves it off — one branch per probe site, zero
@@ -296,7 +291,6 @@ impl NetworkSpec {
             seed,
             flight_cap: 0,
             telemetry_every: None,
-            telemetry_cap: 1 << 16,
             audit_cap: 0,
             profile: false,
         }
@@ -316,7 +310,7 @@ impl NetworkSpec {
     /// ids unique and outside the reserved ACK space, payloads nonzero and
     /// within an 802.11 MSDU, packets at least a clock tick apart,
     /// transport parameters sane, routes toward one destination sharing
-    /// their suffix, and the telemetry interval and rings nonzero. Returns
+    /// their suffix, and the telemetry interval nonzero. Returns
     /// the first problem found (fields in declaration order, flows in flow
     /// order), so the message always points at one concrete field.
     pub fn validate(&self) -> Result<(), SpecError> {
@@ -460,9 +454,6 @@ impl NetworkSpec {
         if self.telemetry_every.is_some_and(Duration::is_zero) {
             return Err(SpecError::ZeroTelemetryEvery);
         }
-        if self.telemetry_cap == 0 {
-            return Err(SpecError::ZeroTelemetryCap);
-        }
         Ok(routing)
     }
 
@@ -589,7 +580,7 @@ pub(crate) fn build(
             sched.schedule(f.start + p, Ev::WindowRefresh(i));
         }
     }
-    let telemetry = Telemetry::new(n, &flow_ids, spec.telemetry_every, spec.telemetry_cap);
+    let telemetry = Telemetry::new(n, &flow_ids, spec.telemetry_every);
     let next_sample = Time::ZERO + Metrics::SAMPLE_EVERY;
     let next_telemetry = spec
         .telemetry_every
@@ -712,16 +703,8 @@ mod tests {
             Err(SpecError::ZeroTelemetryEvery)
         );
         assert_eq!(validated(|s| s.telemetry_every = None), Ok(()));
-        assert_eq!(
-            validated(|s| s.telemetry_cap = 0),
-            Err(SpecError::ZeroTelemetryCap)
-        );
-        for (err, field) in [
-            (SpecError::ZeroTelemetryEvery, "telemetry_every"),
-            (SpecError::ZeroTelemetryCap, "telemetry_cap"),
-        ] {
-            assert!(err.to_string().starts_with(field), "{err}");
-        }
+        let err = SpecError::ZeroTelemetryEvery;
+        assert!(err.to_string().starts_with("telemetry_every"), "{err}");
     }
 
     /// `validate()` of a diamond — nodes 0, 1, 2 in a line, node 3 beside

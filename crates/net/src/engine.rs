@@ -567,7 +567,7 @@ impl Network {
 
     /// One telemetry sample window closing at `self.now` — reads queue
     /// depths, airtime deltas, MAC counter deltas and per-flow delivered
-    /// bits into the telemetry rings. Every access is a pure read: the
+    /// bits into the telemetry bus. Every access is a pure read: the
     /// airtime split is derived from the channel's horizons and gaps, not
     /// settled.
     fn on_telemetry(&mut self) {

@@ -20,7 +20,7 @@ use ezflow_phy::{Airtime, ChannelStats};
 use ezflow_sim::json::Key;
 use ezflow_sim::{JsonValue, Time};
 use ezflow_stats::hist::MAX_BUCKET;
-use ezflow_stats::LogHistogram;
+use ezflow_stats::{Episode, LogHistogram};
 
 use crate::controller::ControllerCounters;
 use crate::engine::{PROFILE_KINDS, PROFILE_NAMES};
@@ -161,7 +161,7 @@ record! {
         LATENCY => pub latency: LatencySnapshot,
         // Dead, like `perf.trace_evictions`: a literal 0 in its place.
         "trace_records" => (|_| 0u64),
-        /// Turbulence/stability verdict from the telemetry rings. `None` —
+        /// Turbulence/stability verdict from the telemetry bus. `None` —
         /// and the JSON key absent — when the run had telemetry off, keeping
         /// telemetry-off snapshots byte-identical to the pre-telemetry
         /// schema.
@@ -290,8 +290,9 @@ record! {
             [? if |p| p.telemetry_windows > 0],
     }
 
-    /// One sustained queue-oscillation episode, as detected by
-    /// `ezflow_stats::stability` over the telemetry queue-depth ring.
+    /// One sustained episode — of queue oscillation in the stability
+    /// section, of estimation divergence in the controller section — as
+    /// `ezflow_stats::stability::detect_episodes` finds it.
     #[derive(Clone, Copy, Debug, PartialEq)]
     pub struct EpisodeSnapshot {
         /// Episode start, microseconds of simulated time.
@@ -303,7 +304,7 @@ record! {
     }
 
     /// One node's stability verdict: oscillation scores over its telemetry
-    /// queue-depth ring plus the sustained episodes.
+    /// queue depths plus the sustained episodes.
     #[derive(Clone, Debug, PartialEq)]
     pub struct NodeStabilitySnapshot {
         /// Node id.
@@ -319,10 +320,10 @@ record! {
         "episodes" => pub episodes: Vec<EpisodeSnapshot>,
     }
 
-    /// The `stability` section of a [`RunSnapshot`]: the turbulence verdict
-    /// computed from the telemetry rings. Present only when the run had
-    /// telemetry armed (`telemetry_every` set) — absent, the snapshot JSON is
-    /// byte-identical to a telemetry-off run's.
+    /// The `stability` section of a [`RunSnapshot`]: the turbulence verdict,
+    /// scored from the telemetry windows as they close. Present only when
+    /// the run had telemetry armed (`telemetry_every` set) — absent, the
+    /// snapshot JSON is byte-identical to a telemetry-off run's.
     #[derive(Clone, Debug, PartialEq)]
     pub struct StabilitySnapshot {
         /// Telemetry sampling interval, microseconds.
@@ -488,6 +489,16 @@ impl RunSnapshot {
     /// value is an error naming it as a JSON pointer.
     pub fn from_json(v: &JsonValue) -> Result<RunSnapshot, String> {
         Self::read(v)
+    }
+}
+
+impl From<&Episode> for EpisodeSnapshot {
+    fn from(e: &Episode) -> Self {
+        EpisodeSnapshot {
+            start_us: e.start.as_micros(),
+            end_us: e.end.as_micros(),
+            peak_amplitude: e.peak_amplitude,
+        }
     }
 }
 

@@ -1,13 +1,14 @@
 //! The telemetry bus — deterministic periodic sampling of live state.
 //!
 //! When a spec sets `telemetry_every`, the engine runs a periodic
-//! sampler between events (default every 100 ms of simulated time). Two
-//! kinds of reading are kept in ring-buffered [`TimeSeries`], because the
-//! snapshot's stability section scores them: per-node queue depth and
-//! per-flow windowed throughput. With a sink attached, the sampler also
-//! streams one JSONL record per window while the run is in flight, which
-//! adds each node's airtime fractions and MAC counter deltas; those are
-//! written and not kept. The record is written as it is sampled —
+//! sampler between events (default every 100 ms of simulated time). The
+//! snapshot's stability section is scored as each window closes and no
+//! reading is kept: each node's queue depth feeds its
+//! [`StabilityTracker`], and the flows' windowed throughputs feed a
+//! running Jain fairness (minimum, sum). With a sink attached, the
+//! sampler also streams one JSONL record per window while the run is in
+//! flight, which adds each node's airtime fractions and MAC counter
+//! deltas. The record is written as it is sampled —
 //! header, then each node's object, then the flows — straight into one
 //! line buffer the sampler owns and reuses, and handed to the sink in a
 //! single `write_all`: a window costs its bytes (≈ 110 per node) and,
@@ -37,30 +38,30 @@ use std::io::Write;
 use ezflow_mac::MacStats;
 use ezflow_phy::Airtime;
 use ezflow_sim::{Duration, JsonWriter, Time};
-use ezflow_stats::{stability, TimeSeries};
+use ezflow_stats::{jain_index, StabilityConfig, StabilityTracker};
 
-use crate::snapshot::{EpisodeSnapshot, NodeStabilitySnapshot, StabilitySnapshot};
+use crate::snapshot::{NodeStabilitySnapshot, StabilitySnapshot};
 
-/// Per-flow telemetry state: id, previous cumulative delivered bits, and
-/// the windowed-throughput ring.
-struct FlowTelemetry {
-    id: u32,
-    prev_bits: f64,
-    kbps: TimeSeries<f64>,
-}
-
-/// The telemetry sampler's state: the rings the stability section reads,
-/// previous-counter baselines for the streamed deltas, and the optional
-/// JSONL sink. Owned by [`crate::network::Network`] as the public
-/// `telemetry` field.
+/// The telemetry sampler's state: per-node stability trackers, per-flow
+/// throughput state, the running windowed fairness, previous-counter
+/// baselines for the streamed deltas, and the optional JSONL sink.
+/// Owned by [`crate::network::Network`] as the public `telemetry` field.
 pub struct Telemetry {
     every: Option<Duration>,
     /// Completed sample windows.
     windows: u64,
-    /// Per-node queue-depth ring (total interface-queue occupancy at
-    /// each window boundary).
-    queue_depth: Vec<TimeSeries<f64>>,
-    flows: Vec<FlowTelemetry>,
+    /// Per-node queue-depth stability, scored chunk by chunk.
+    nodes: Vec<StabilityTracker>,
+    /// Flow ids, in id order; the two vectors below are indexed alike.
+    flow_ids: Vec<u32>,
+    /// Each flow's cumulative delivered bits at the last window end.
+    prev_bits: Vec<f64>,
+    /// Each flow's kb/s over the latest window.
+    kbps: Vec<f64>,
+    /// Smallest and summed per-window Jain index over the flows: with
+    /// flows, every window adds one, so the mean is over `windows`.
+    jain_min: f64,
+    jain_sum: f64,
     prev_mac: Vec<MacStats>,
     prev_air: Vec<Airtime>,
     /// The current window's JSONL record, written as the window is
@@ -71,34 +72,30 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// Creates the sampler state for `n` nodes and the given flows.
-    /// `every: None` disables telemetry entirely; `cap` bounds each ring
-    /// (oldest windows are evicted first).
-    pub(crate) fn new(n: usize, flow_ids: &[u32], every: Option<Duration>, cap: usize) -> Self {
-        let (queue_depth, flows) = match every {
+    /// `every: None` disables telemetry entirely.
+    pub(crate) fn new(n: usize, flow_ids: &[u32], every: Option<Duration>) -> Self {
+        let (nodes, flow_ids) = match every {
             Some(p) => {
                 assert!(!p.is_zero(), "telemetry interval must be nonzero");
-                let mut ids: Vec<u32> = flow_ids.to_vec();
+                let mut ids = flow_ids.to_vec();
                 ids.sort_unstable();
-                (
-                    (0..n).map(|_| TimeSeries::new(p, cap)).collect(),
-                    ids.into_iter()
-                        .map(|id| FlowTelemetry {
-                            id,
-                            prev_bits: 0.0,
-                            kbps: TimeSeries::new(p, cap),
-                        })
-                        .collect(),
-                )
+                let tracker = || StabilityTracker::new(p, StabilityConfig::default());
+                ((0..n).map(|_| tracker()).collect(), ids)
             }
             None => (Vec::new(), Vec::new()),
         };
+        let n = nodes.len();
         Telemetry {
             every,
             windows: 0,
-            queue_depth,
-            flows,
-            prev_mac: vec![MacStats::default(); if every.is_some() { n } else { 0 }],
-            prev_air: vec![Airtime::default(); if every.is_some() { n } else { 0 }],
+            nodes,
+            prev_bits: vec![0.0; flow_ids.len()],
+            kbps: vec![0.0; flow_ids.len()],
+            flow_ids,
+            jain_min: 1.0,
+            jain_sum: 0.0,
+            prev_mac: vec![MacStats::default(); n],
+            prev_air: vec![Airtime::default(); n],
             line: JsonWriter::new(),
             sink: None,
         }
@@ -117,17 +114,6 @@ impl Telemetry {
     /// Completed sample windows.
     pub fn windows(&self) -> u64 {
         self.windows
-    }
-
-    /// Per-node queue-depth ring (one value per completed window).
-    pub fn queue_depth(&self, node: usize) -> &TimeSeries<f64> {
-        &self.queue_depth[node]
-    }
-
-    /// Per-flow windowed throughput rings, `(flow id, kb/s series)`, in
-    /// flow-id order.
-    pub fn flow_kbps(&self) -> impl Iterator<Item = (u32, &TimeSeries<f64>)> {
-        self.flows.iter().map(|f| (f.id, &f.kbps))
     }
 
     /// Attaches a JSONL sink: one compact record per completed sample
@@ -159,7 +145,7 @@ impl Telemetry {
 
     /// Feeds one node's readings for the closing window.
     pub(crate) fn node_sample(&mut self, node: usize, queue: f64, air: Airtime, mac: MacStats) {
-        self.queue_depth[node].push(queue);
+        self.nodes[node].push(queue);
         if self.sink.is_some() {
             let prev_air = &self.prev_air[node];
             let d_total = air.total_us() - prev_air.total_us();
@@ -193,17 +179,22 @@ impl Telemetry {
     /// Feeds one flow's cumulative delivered bits for the closing window
     /// (`i` indexes flows in flow-id order).
     pub(crate) fn flow_sample(&mut self, i: usize, total_bits: f64) {
-        let f = &mut self.flows[i];
         let secs = self.every.expect("telemetry is enabled").as_secs_f64();
-        f.kbps.push((total_bits - f.prev_bits) / secs / 1000.0);
-        f.prev_bits = total_bits;
+        self.kbps[i] = (total_bits - self.prev_bits[i]) / secs / 1000.0;
+        self.prev_bits[i] = total_bits;
     }
 
     /// Closes the window [`Telemetry::begin_window`] opened: bumps the
-    /// window count and, with a sink attached, finishes the record with
-    /// the per-flow rates and hands the line over.
+    /// window count, folds the window's Jain index over the flows (an
+    /// all-zero window counts 1.0) and, with a sink attached, finishes
+    /// the record with the per-flow rates and hands the line over.
     pub(crate) fn finish_window(&mut self) {
         self.windows += 1;
+        if !self.kbps.is_empty() {
+            let jain = jain_index(&self.kbps);
+            self.jain_min = self.jain_min.min(jain);
+            self.jain_sum += jain;
+        }
         let Some(sink) = self.sink.as_mut() else {
             return;
         };
@@ -211,10 +202,10 @@ impl Telemetry {
         w.end_array();
         w.key("flows");
         w.begin_array();
-        for f in &self.flows {
+        for (&id, &kbps) in self.flow_ids.iter().zip(&self.kbps) {
             w.begin_object();
-            w.field("flow", f.id);
-            w.field("kbps", *f.kbps.latest().unwrap_or(&0.0));
+            w.field("flow", id);
+            w.field("kbps", kbps);
             w.end_object();
         }
         w.end_array();
@@ -224,53 +215,34 @@ impl Telemetry {
     }
 
     /// The stability section of a [`crate::snapshot::RunSnapshot`]:
-    /// per-node oscillation scores and episodes over the retained queue
-    /// rings, plus the windowed Jain fairness over the flow rings.
-    /// `None` while telemetry is disabled — the snapshot key is omitted
-    /// so telemetry-off JSON stays byte-identical.
+    /// each node's tracker verdict over every window of the run, plus
+    /// the windowed Jain fairness. `None` while telemetry is disabled —
+    /// the snapshot key is omitted so telemetry-off JSON stays
+    /// byte-identical.
     pub fn stability_snapshot(&self) -> Option<StabilitySnapshot> {
         let every = self.every?;
-        let cfg = stability::StabilityConfig::default();
-        let nodes: Vec<NodeStabilitySnapshot> = self
-            .queue_depth
-            .iter()
-            .enumerate()
-            .map(|(node, series)| {
-                let st = stability::analyze(series, &cfg);
+        let nodes: Vec<NodeStabilitySnapshot> = (self.nodes.iter().enumerate())
+            .map(|(node, tracker)| {
+                let st = tracker.summary();
                 NodeStabilitySnapshot {
                     node,
                     amplitude_mean: st.amplitude.mean,
                     amplitude_max: st.amplitude.max,
                     cv_mean: st.cv.mean,
-                    episodes: st
-                        .episodes
-                        .iter()
-                        .map(|e| EpisodeSnapshot {
-                            start_us: e.start.as_micros(),
-                            end_us: e.end.as_micros(),
-                            peak_amplitude: e.peak_amplitude,
-                        })
-                        .collect(),
+                    episodes: st.episodes.iter().map(Into::into).collect(),
                 }
             })
             .collect();
-        let flow_series: Vec<&TimeSeries<f64>> = self.flows.iter().map(|f| &f.kbps).collect();
-        let fairness = stability::windowed_jain(&flow_series);
-        let (mut f_min, mut f_sum) = (1.0f64, 0.0f64);
-        for &(_, fi) in &fairness {
-            f_min = f_min.min(fi);
-            f_sum += fi;
-        }
         Some(StabilitySnapshot {
             interval_us: every.as_micros(),
             windows: self.windows,
             episodes_total: nodes.iter().map(|n| n.episodes.len() as u64).sum(),
             worst_amplitude_mean: nodes.iter().map(|n| n.amplitude_mean).fold(0.0, f64::max),
-            fairness_min_window: f_min,
-            fairness_mean_window: if fairness.is_empty() {
+            fairness_min_window: self.jain_min,
+            fairness_mean_window: if self.kbps.is_empty() || self.windows == 0 {
                 1.0
             } else {
-                f_sum / fairness.len() as f64
+                self.jain_sum / self.windows as f64
             },
             nodes,
         })
@@ -307,6 +279,41 @@ mod tests {
         (((r + window) % 51) as f64, air, mac)
     }
 
+    /// Windowed fairness folds one Jain index per window over every flow:
+    /// an all-zero window counts 1.0, a starved flow drags its window
+    /// to 1/n, and no flows at all read 1.0.
+    #[test]
+    fn windowed_fairness_counts_every_window() {
+        let every = Duration::from_millis(100);
+        let mut tel = Telemetry::new(1, &[7, 0], Some(every));
+        // Cumulative bits per window, flows in id order (0, then 7).
+        for (window, bits) in [[0.0, 0.0], [100.0, 0.0], [200.0, 100.0]]
+            .into_iter()
+            .enumerate()
+        {
+            tel.begin_window(Time::from_micros((window as u64 + 1) * every.as_micros()));
+            tel.node_sample(0, 0.0, Airtime::default(), MacStats::default());
+            for (i, b) in bits.into_iter().enumerate() {
+                tel.flow_sample(i, b);
+            }
+            tel.finish_window();
+        }
+        let st = tel.stability_snapshot().unwrap();
+        assert_eq!(st.windows, 3);
+        assert_eq!(st.fairness_min_window, 0.5);
+        assert_eq!(st.fairness_mean_window, (1.0 + 0.5 + 1.0) / 3.0);
+
+        let mut alone = Telemetry::new(1, &[], Some(every));
+        alone.begin_window(Time::from_micros(every.as_micros()));
+        alone.node_sample(0, 0.0, Airtime::default(), MacStats::default());
+        alone.finish_window();
+        let st = alone.stability_snapshot().unwrap();
+        assert_eq!(
+            (st.fairness_min_window, st.fairness_mean_window),
+            (1.0, 1.0)
+        );
+    }
+
     proptest! {
         /// The window record streamed to the sink is, byte for byte, the
         /// compact form of the document built from the same readings —
@@ -320,7 +327,7 @@ mod tests {
         ) {
             let every = Duration::from_millis(100);
             let flow_ids: Vec<u32> = (0..flows).map(|f| f * 7).collect();
-            let mut tel = Telemetry::new(n, &flow_ids, Some(every), 8);
+            let mut tel = Telemetry::new(n, &flow_ids, Some(every));
             // Any sink arms the record; the line buffer keeps what it got.
             tel.set_sink(Box::new(std::io::sink()));
             let mut prev: Vec<(Airtime, MacStats)> = vec![Default::default(); n];

@@ -1,10 +1,10 @@
 //! Integration tests for the telemetry bus: the zero-interference
 //! guarantee (telemetry on/off produce byte-identical snapshots, across
-//! random sample intervals), the samplers' tie rule, ring/window
-//! accounting, JSONL streaming, and the engine self-profiler staying
-//! perf-only.
+//! random sample intervals), the samplers' tie rule, window accounting,
+//! JSONL streaming, and the engine self-profiler staying perf-only.
 
-use std::sync::OnceLock;
+use std::io::{self, Write};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use ezflow_net::controller::{Controller, FixedController};
 use ezflow_net::engine::PROFILE_KINDS;
@@ -22,14 +22,57 @@ fn std_controller(_id: usize) -> Box<dyn Controller> {
 /// horizon (F1 starts at 5 s, so this covers ramp-up and saturation).
 const RUN_SECS: u64 = 12;
 
-fn run_scenario1(telemetry_every: Option<Duration>, cap: usize) -> Network {
+fn run_scenario1(telemetry_every: Option<Duration>) -> Network {
+    run_scenario1_into(telemetry_every, None)
+}
+
+/// [`run_scenario1`] with the telemetry stream attached to `sink`.
+fn run_scenario1_into(telemetry_every: Option<Duration>, sink: Option<Stream>) -> Network {
     let t = topo::scenario1();
     let mut spec = NetworkSpec::from_topology(&t, 42);
     spec.telemetry_every = telemetry_every;
-    spec.telemetry_cap = cap;
     let mut net = Network::new(spec, &std_controller);
+    if let Some(sink) = sink {
+        net.telemetry.set_sink(Box::new(sink));
+    }
     net.run_until(Time::from_secs(RUN_SECS));
     net
+}
+
+/// A telemetry sink the test keeps a handle on: the records written so
+/// far, readable while the run is paused.
+#[derive(Clone, Default)]
+struct Stream(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Stream {
+    /// The window records streamed so far, parsed, in window order.
+    fn records(&self) -> Vec<JsonValue> {
+        let bytes = self.0.lock().unwrap();
+        let text = std::str::from_utf8(&bytes).expect("UTF-8 records");
+        text.lines()
+            .map(|l| JsonValue::parse(l).expect("each record parses"))
+            .collect()
+    }
+}
+
+/// `field` of each object in record `rec`'s `list` array, as a number.
+fn column(rec: &JsonValue, list: &str, field: &str) -> Vec<f64> {
+    let items = rec.get(list).and_then(JsonValue::as_array).unwrap();
+    items
+        .iter()
+        .map(|item| item.get(field).and_then(JsonValue::as_f64).unwrap())
+        .collect()
 }
 
 /// Snapshot text with the perf section zeroed and the stability section
@@ -45,7 +88,7 @@ fn comparable_text(net: &mut Network) -> String {
 /// The telemetry-off baseline, computed once per test process.
 fn off_text() -> &'static str {
     static OFF: OnceLock<String> = OnceLock::new();
-    OFF.get_or_init(|| comparable_text(&mut run_scenario1(None, 1 << 16)))
+    OFF.get_or_init(|| comparable_text(&mut run_scenario1(None)))
 }
 
 #[test]
@@ -53,7 +96,7 @@ fn telemetry_on_and_off_produce_identical_simulations() {
     // The tentpole's zero-interference guarantee at the default interval
     // and a spread of others (sub-default, odd, coarse).
     for &ms in &[100u64, 37, 250, 1000] {
-        let mut net = run_scenario1(Some(Duration::from_millis(ms)), 1 << 16);
+        let mut net = run_scenario1(Some(Duration::from_millis(ms)));
         let mut snap = net.snapshot("interference");
         assert!(
             snap.stability.is_some(),
@@ -80,7 +123,7 @@ proptest! {
     /// collide with simulation scheduling no matter where it lands.
     #[test]
     fn zero_interference_holds_for_random_sample_intervals(us in 7_001u64..3_000_000) {
-        let mut net = run_scenario1(Some(Duration::from_micros(us)), 1 << 16);
+        let mut net = run_scenario1(Some(Duration::from_micros(us)));
         prop_assert_eq!(comparable_text(&mut net), off_text());
     }
 }
@@ -99,6 +142,8 @@ fn a_sample_at_t_reads_the_state_before_the_events_at_t() {
         let mut spec = NetworkSpec::from_topology(&t, seed);
         spec.telemetry_every = Some(Duration::from_millis(100));
         let mut net = Network::new(spec, &std_controller);
+        let stream = Stream::default();
+        net.telemetry.set_sink(Box::new(stream.clone()));
         for k in 1..=6u64 {
             let at = Time::from_secs(k);
             net.run_until(at - Duration::from_micros(1));
@@ -109,12 +154,13 @@ fn a_sample_at_t_reads_the_state_before_the_events_at_t() {
                 (k as f64, before),
                 "seed {seed}: metrics sample at {k} s"
             );
-            let depth = net.telemetry.queue_depth(1);
-            let window = 10 * k - 1;
-            assert_eq!(depth.window_end(window), at);
+            let records = stream.records();
+            let rec = &records[10 * k as usize - 1];
+            let at_us = rec.get("at_us").and_then(JsonValue::as_u64);
+            assert_eq!(at_us, Some(at.as_micros()));
             assert_eq!(
-                depth.get(window),
-                Some(&before),
+                column(rec, "nodes", "queue")[1],
+                before,
                 "seed {seed}: telemetry window at {k} s"
             );
         }
@@ -149,50 +195,42 @@ fn profiler_is_perf_only_and_times_every_kind() {
     assert_eq!(comparable_text(&mut net), off_text());
 
     // Profiler off: the slots stay zero (the golden gate depends on it).
-    let mut plain = run_scenario1(Some(Duration::from_millis(100)), 1 << 16);
+    let mut plain = run_scenario1(Some(Duration::from_millis(100)));
     let psnap = plain.snapshot("profile-off");
     assert!(psnap.perf.handler_ns.iter().all(|&ns| ns == 0));
 }
 
 #[test]
 fn rings_window_the_run_and_telescope_throughput() {
-    let net = run_scenario1(Some(Duration::from_millis(100)), 1 << 16);
+    let stream = Stream::default();
+    let net = run_scenario1_into(Some(Duration::from_millis(100)), Some(stream.clone()));
     let w = net.telemetry.windows();
     assert!(
         (115..=121).contains(&w),
         "expected ~120 windows over {RUN_SECS} s, got {w}"
     );
-    for node in 0..net.node_count() {
-        assert_eq!(net.telemetry.queue_depth(node).len() as u64, w);
+    let records = stream.records();
+    assert_eq!(records.len() as u64, w);
+    for rec in &records {
+        assert_eq!(column(rec, "nodes", "queue").len(), net.node_count());
     }
-    // F1's source (N12) saturates its 50-packet queue; the ring sees it.
-    assert!(net.telemetry.queue_depth(12).iter().any(|(_, &d)| d > 0.0));
+    // F1's source (N12) saturates its 50-packet queue; the stream sees it.
+    assert!(records
+        .iter()
+        .any(|rec| column(rec, "nodes", "queue")[12] > 0.0));
 
     // The per-window throughput deltas telescope back to the cumulative
     // total — no window is lost or double-counted.
-    let (id, kbps) = net.telemetry.flow_kbps().next().unwrap();
-    assert_eq!(id, 0);
-    let summed_bits: f64 = kbps.iter().map(|(_, &k)| k * 1000.0 * 0.1).sum();
+    assert_eq!(column(&records[0], "flows", "flow")[0], 0.0);
+    let summed_bits: f64 = (records.iter())
+        .map(|rec| column(rec, "flows", "kbps")[0] * 1000.0 * 0.1)
+        .sum();
     let total_bits = net.metrics.throughput[&0].total_bits();
     assert!(total_bits > 0.0, "F1 must deliver in {RUN_SECS} s");
     assert!(
         (summed_bits - total_bits).abs() <= 1e-6 * total_bits,
         "windowed kbps must telescope: {summed_bits} vs {total_bits}"
     );
-}
-
-#[test]
-fn rings_evict_oldest_windows_at_cap() {
-    let mut net = run_scenario1(Some(Duration::from_millis(100)), 32);
-    let w = net.telemetry.windows();
-    assert!(w > 32, "run long enough to overflow the cap");
-    let ring = net.telemetry.queue_depth(0);
-    assert_eq!(ring.len(), 32);
-    assert_eq!(ring.dropped(), w - 32);
-    assert_eq!(ring.first_index(), w - 32);
-    assert_eq!(ring.next_index(), w);
-    // A capped run is still interference-free.
-    assert_eq!(comparable_text(&mut net), off_text());
 }
 
 #[test]

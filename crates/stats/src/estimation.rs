@@ -116,7 +116,7 @@ impl EstimationTracker {
     /// The summary over everything fed so far. The trailing incomplete
     /// chunk (fewer than `cfg.window` samples) contributes to the scalar
     /// statistics but not to episode detection, mirroring
-    /// [`crate::stability::window_scores`].
+    /// [`crate::stability::StabilityTracker`].
     pub fn summary(&self) -> EstimationSummary {
         let n = self.samples as f64;
         EstimationSummary {

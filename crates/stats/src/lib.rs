@@ -25,6 +25,6 @@ pub use csv::write_csv;
 pub use estimation::{EstimationSummary, EstimationTracker};
 pub use fairness::jain_index;
 pub use hist::LogHistogram;
-pub use series::{PeriodicSeries, SampleSeries, ThroughputSeries, TimeSeries};
-pub use stability::{analyze, windowed_jain, Episode, Stability, StabilityConfig};
+pub use series::{PeriodicSeries, SampleSeries, ThroughputSeries};
+pub use stability::{Episode, Stability, StabilityConfig, StabilityTracker};
 pub use summary::{mean_std, percentile, Summary};

@@ -1,127 +1,8 @@
 //! Time-binned series.
 
-use std::collections::VecDeque;
-
 use ezflow_sim::{Duration, Time};
 
 use crate::summary::{mean_std, Summary};
-
-/// A ring-buffered, fixed-interval time series — the storage behind the
-/// telemetry bus.
-///
-/// Window `i` covers simulated time `[i·interval, (i+1)·interval)` and
-/// windows are pushed in order, one value per window. At most `cap`
-/// windows are retained; pushing into a full ring evicts the oldest, so
-/// the series always holds the most recent `cap` windows and
-/// [`TimeSeries::dropped`] reports how many fell off the front. Indexing
-/// is always by *absolute* window number, so a series that has wrapped
-/// still addresses its windows by the same indices it was filled with.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TimeSeries<T> {
-    interval: Duration,
-    cap: usize,
-    dropped: u64,
-    values: VecDeque<T>,
-}
-
-impl<T> TimeSeries<T> {
-    /// Creates an empty series of `interval`-wide windows retaining at
-    /// most `cap` of them (`cap` must be nonzero).
-    pub fn new(interval: Duration, cap: usize) -> Self {
-        assert!(!interval.is_zero(), "window width must be nonzero");
-        assert!(cap > 0, "ring capacity must be nonzero");
-        TimeSeries {
-            interval,
-            cap,
-            dropped: 0,
-            values: VecDeque::new(),
-        }
-    }
-
-    /// Window width.
-    pub fn interval(&self) -> Duration {
-        self.interval
-    }
-
-    /// Maximum number of retained windows.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Windows evicted off the front of the ring so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of retained windows.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True iff no windows are retained.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Absolute index of the oldest retained window.
-    pub fn first_index(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Absolute index of the next window to be pushed.
-    pub fn next_index(&self) -> u64 {
-        self.dropped + self.values.len() as u64
-    }
-
-    /// Start instant of absolute window `index`.
-    pub fn window_start(&self, index: u64) -> Time {
-        Time::ZERO + Duration::from_micros(index * self.interval.as_micros())
-    }
-
-    /// End instant (exclusive) of absolute window `index`.
-    pub fn window_end(&self, index: u64) -> Time {
-        self.window_start(index + 1)
-    }
-
-    /// Appends the next window's value, evicting the oldest when full.
-    pub fn push(&mut self, value: T) {
-        if self.values.len() == self.cap {
-            self.values.pop_front();
-            self.dropped += 1;
-        }
-        self.values.push_back(value);
-    }
-
-    /// The value of absolute window `index`, if retained.
-    pub fn get(&self, index: u64) -> Option<&T> {
-        index
-            .checked_sub(self.dropped)
-            .and_then(|i| self.values.get(i as usize))
-    }
-
-    /// The most recently pushed value.
-    pub fn latest(&self) -> Option<&T> {
-        self.values.back()
-    }
-
-    /// Retained `(absolute index, value)` pairs, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
-        self.values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (self.dropped + i as u64, v))
-    }
-}
-
-impl TimeSeries<f64> {
-    /// Retained windows as `(window end seconds, value)` points, for the
-    /// ASCII renderer and CSV export.
-    pub fn points(&self) -> Vec<(f64, f64)> {
-        self.iter()
-            .map(|(i, &v)| (self.window_end(i).as_secs_f64(), v))
-            .collect()
-    }
-}
 
 /// Accumulates delivered bits into fixed-width time bins; reads back as a
 /// throughput (kb/s) series — the paper's Figs. 6 and the throughput
@@ -485,37 +366,6 @@ mod tests {
         let p50 = ss.percentile_in(s(10), s(20), 0.5).unwrap();
         assert!((p50 - 14.5).abs() < 1e-12);
         assert_eq!(ss.percentile_in(s(200), s(300), 0.5), None);
-    }
-
-    #[test]
-    fn time_series_ring_evicts_and_keeps_absolute_indices() {
-        let mut ts = TimeSeries::new(Duration::from_millis(100), 4);
-        for v in 0..10 {
-            ts.push(v as f64);
-        }
-        assert_eq!(ts.len(), 4);
-        assert_eq!(ts.dropped(), 6);
-        assert_eq!(ts.first_index(), 6);
-        assert_eq!(ts.next_index(), 10);
-        assert_eq!(ts.get(5), None, "evicted window");
-        assert_eq!(ts.get(6), Some(&6.0));
-        assert_eq!(ts.latest(), Some(&9.0));
-        // Absolute window 6 covers [600 ms, 700 ms).
-        assert_eq!(ts.window_start(6), Time::from_millis(600));
-        assert_eq!(ts.window_end(6), Time::from_millis(700));
-        let idx: Vec<u64> = ts.iter().map(|(i, _)| i).collect();
-        assert_eq!(idx, vec![6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn time_series_points_are_window_ends() {
-        let mut ts = TimeSeries::new(Duration::from_secs(1), 64);
-        for v in 1..=5 {
-            ts.push(v as f64);
-        }
-        let pts = ts.points();
-        assert_eq!(pts.len(), 5);
-        assert!((pts[0].0 - 1.0).abs() < 1e-12, "window end, seconds");
     }
 
     #[test]

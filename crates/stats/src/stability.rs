@@ -1,23 +1,22 @@
-//! Turbulence / stability analysis over telemetry time series.
+//! Turbulence / stability analysis of a telemetry stream.
 //!
 //! The paper's central claim is qualitative — EZ-Flow "removes
 //! turbulence", the large sustained queue-occupancy oscillations of
-//! multihop 802.11 — and this module makes it measurable. A telemetry
-//! series of per-window queue depths is chopped into consecutive
-//! analysis windows of `window` samples; each analysis window gets an
-//! **oscillation amplitude** (max − min) and a **coefficient of
-//! variation** (std / mean), and maximal runs of high-amplitude windows
-//! become **episodes** with start/end timestamps. The same windowing,
-//! applied to per-flow throughput series, yields a windowed Jain index
-//! via [`crate::fairness::jain_index`].
+//! multihop 802.11 — and this module makes it measurable. A
+//! [`StabilityTracker`] takes one queue depth per telemetry window and
+//! chops the stream into consecutive analysis chunks of `window` values;
+//! each chunk gets an **oscillation amplitude** (max − min) and a
+//! **coefficient of variation** (std / mean), and maximal runs of
+//! high-amplitude chunks become **episodes** with start/end timestamps.
+//! Only the chunk scores are kept, so a run of any length costs one
+//! score per `window` windows. The snapshot's stability section and
+//! `trace telemetry` both score through it.
 //!
 //! Everything here is a pure function of its inputs — analysis of a
 //! deterministic simulation run is itself deterministic.
 
-use ezflow_sim::Time;
+use ezflow_sim::{Duration, Time};
 
-use crate::fairness::jain_index;
-use crate::series::TimeSeries;
 use crate::summary::{mean_std, Summary};
 
 /// Parameters of the episode detector.
@@ -83,28 +82,6 @@ pub struct Stability {
     pub episodes: Vec<Episode>,
 }
 
-/// Scores `series` in consecutive non-overlapping chunks of
-/// `cfg.window` samples (incomplete trailing chunks are not scored).
-pub fn window_scores(series: &TimeSeries<f64>, cfg: &StabilityConfig) -> Vec<WindowScore> {
-    assert!(cfg.window > 0, "analysis window must be nonzero");
-    let samples: Vec<(u64, f64)> = series.iter().map(|(i, &v)| (i, v)).collect();
-    samples
-        .chunks_exact(cfg.window)
-        .map(|chunk| {
-            let vals: Vec<f64> = chunk.iter().map(|&(_, v)| v).collect();
-            let min = vals.iter().copied().fold(f64::INFINITY, f64::min);
-            let max = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let sm = mean_std(&vals);
-            WindowScore {
-                start: series.window_start(chunk[0].0),
-                end: series.window_end(chunk[chunk.len() - 1].0),
-                amplitude: max - min,
-                cv: if sm.mean > 0.0 { sm.std / sm.mean } else { 0.0 },
-            }
-        })
-        .collect()
-}
-
 /// Finds the sustained oscillation episodes in a sequence of scored
 /// windows: maximal runs of consecutive windows with `amplitude >=
 /// cfg.amp_threshold` lasting at least `cfg.min_windows` windows.
@@ -140,64 +117,90 @@ pub fn detect_episodes(scores: &[WindowScore], cfg: &StabilityConfig) -> Vec<Epi
     out
 }
 
-/// Full stability verdict for one series: window scores summarised plus
-/// the sustained episodes.
-pub fn analyze(series: &TimeSeries<f64>, cfg: &StabilityConfig) -> Stability {
-    let scores = window_scores(series, cfg);
-    let amps: Vec<f64> = scores.iter().map(|w| w.amplitude).collect();
-    let cvs: Vec<f64> = scores.iter().map(|w| w.cv).collect();
-    Stability {
-        amplitude: mean_std(&amps),
-        cv: mean_std(&cvs),
-        episodes: detect_episodes(&scores, cfg),
-    }
+/// Streaming stability scoring of one fixed-interval series: value `i`
+/// is window `[i·interval, (i+1)·interval)`'s reading.
+///
+/// Each complete chunk of [`StabilityConfig::window`] values is scored
+/// as it closes; chunk `k` spans `[k·window·interval,
+/// (k+1)·window·interval)`. Only the chunk scores and the open chunk's
+/// values are kept; an incomplete trailing chunk is not scored.
+#[derive(Clone, Debug)]
+pub struct StabilityTracker {
+    cfg: StabilityConfig,
+    interval: Duration,
+    /// The open chunk's values, in window order.
+    chunk: Vec<f64>,
+    /// Completed chunk scores.
+    scores: Vec<WindowScore>,
 }
 
-/// Jain's fairness index computed per telemetry window across flows:
-/// for every window index retained by *all* series, the index over the
-/// flows' values in that window. Returns `(absolute window index,
-/// fairness)` pairs in time order — the min over them is the
-/// `fairness_min_window` the reports carry.
-pub fn windowed_jain(flows: &[&TimeSeries<f64>]) -> Vec<(u64, f64)> {
-    let Some(first) = flows.first() else {
-        return Vec::new();
-    };
-    let lo = flows.iter().map(|s| s.first_index()).max().unwrap();
-    let hi = flows.iter().map(|s| s.next_index()).min().unwrap();
-    debug_assert!(
-        flows.iter().all(|s| s.interval() == first.interval()),
-        "windowed fairness needs aligned series"
-    );
-    (lo..hi)
-        .map(|i| {
-            let vals: Vec<f64> = flows.iter().map(|s| *s.get(i).expect("in range")).collect();
-            (i, jain_index(&vals))
-        })
-        .collect()
+impl StabilityTracker {
+    /// Creates a tracker over `interval`-wide windows (both `interval`
+    /// and `cfg.window` must be nonzero).
+    pub fn new(interval: Duration, cfg: StabilityConfig) -> Self {
+        assert!(!interval.is_zero(), "window width must be nonzero");
+        assert!(cfg.window > 0, "analysis window must be nonzero");
+        StabilityTracker {
+            cfg,
+            interval,
+            chunk: Vec::with_capacity(cfg.window),
+            scores: Vec::new(),
+        }
+    }
+
+    /// Feeds the next window's value, scoring the chunk it completes.
+    pub fn push(&mut self, value: f64) {
+        self.chunk.push(value);
+        if self.chunk.len() < self.cfg.window {
+            return;
+        }
+        let sm = mean_std(&self.chunk);
+        let span = self.interval.as_micros() * self.cfg.window as u64;
+        let k = self.scores.len() as u64;
+        self.scores.push(WindowScore {
+            start: Time::from_micros(k * span),
+            end: Time::from_micros((k + 1) * span),
+            amplitude: sm.max - sm.min,
+            cv: if sm.mean > 0.0 { sm.std / sm.mean } else { 0.0 },
+        });
+        self.chunk.clear();
+    }
+
+    /// The verdict over the chunks scored so far: chunk amplitudes and
+    /// coefficients of variation summarised, plus the sustained episodes.
+    pub fn summary(&self) -> Stability {
+        let amps: Vec<f64> = self.scores.iter().map(|w| w.amplitude).collect();
+        let cvs: Vec<f64> = self.scores.iter().map(|w| w.cv).collect();
+        Stability {
+            amplitude: mean_std(&amps),
+            cv: mean_std(&cvs),
+            episodes: detect_episodes(&self.scores, &self.cfg),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ezflow_sim::Duration;
+    use proptest::prelude::*;
 
-    fn series(vals: &[f64]) -> TimeSeries<f64> {
-        let mut ts = TimeSeries::new(Duration::from_millis(100), 1 << 16);
+    fn tracker(vals: &[f64], cfg: StabilityConfig) -> StabilityTracker {
+        let mut tr = StabilityTracker::new(Duration::from_millis(100), cfg);
         for &v in vals {
-            ts.push(v);
+            tr.push(v);
         }
-        ts
+        tr
     }
 
     #[test]
     fn window_scores_measure_amplitude_and_cv() {
         // Two complete windows of 4 samples plus an ignored partial one.
-        let ts = series(&[0.0, 10.0, 0.0, 10.0, 5.0, 5.0, 5.0, 5.0, 99.0]);
         let cfg = StabilityConfig {
             window: 4,
             ..StabilityConfig::default()
         };
-        let scores = window_scores(&ts, &cfg);
+        let tr = tracker(&[0.0, 10.0, 0.0, 10.0, 5.0, 5.0, 5.0, 5.0, 99.0], cfg);
+        let scores = &tr.scores;
         assert_eq!(scores.len(), 2);
         assert_eq!(scores[0].amplitude, 10.0);
         assert!(scores[0].cv > 0.9, "half-amplitude square wave, cv = 1");
@@ -247,14 +250,14 @@ mod tests {
     }
 
     #[test]
-    fn analyze_separates_square_wave_from_flat() {
+    fn tracker_separates_square_wave_from_flat() {
         let turbulent: Vec<f64> = (0..200)
             .map(|i| if i % 2 == 0 { 2.0 } else { 48.0 })
             .collect();
         let flat: Vec<f64> = (0..200).map(|i| 5.0 + (i % 3) as f64).collect();
         let cfg = StabilityConfig::default();
-        let t = analyze(&series(&turbulent), &cfg);
-        let f = analyze(&series(&flat), &cfg);
+        let t = tracker(&turbulent, cfg).summary();
+        let f = tracker(&flat, cfg).summary();
         assert!(!t.episodes.is_empty(), "square wave must form an episode");
         assert!(f.episodes.is_empty(), "±1 jitter must not");
         assert!(t.amplitude.mean > f.amplitude.mean);
@@ -265,23 +268,63 @@ mod tests {
         assert_eq!(t.episodes[0].end, Time::from_millis(100 * 200));
     }
 
-    #[test]
-    fn analyze_is_deterministic() {
-        let vals: Vec<f64> = (0..500).map(|i| ((i * 7919) % 50) as f64).collect();
-        let cfg = StabilityConfig::default();
-        assert_eq!(analyze(&series(&vals), &cfg), analyze(&series(&vals), &cfg));
+    /// The batch form of the scoring: the series as one slice, cut into
+    /// complete chunks of `cfg.window` values, chunk `k` starting at
+    /// window `k·cfg.window`.
+    fn batch(vals: &[f64], interval: Duration, cfg: &StabilityConfig) -> Stability {
+        let at = |window: usize| Time::from_micros(window as u64 * interval.as_micros());
+        let scores: Vec<WindowScore> = vals
+            .chunks_exact(cfg.window)
+            .enumerate()
+            .map(|(k, chunk)| {
+                let min = chunk.iter().copied().fold(f64::INFINITY, f64::min);
+                let max = chunk.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                let sm = mean_std(chunk);
+                WindowScore {
+                    start: at(k * cfg.window),
+                    end: at((k + 1) * cfg.window),
+                    amplitude: max - min,
+                    cv: if sm.mean > 0.0 { sm.std / sm.mean } else { 0.0 },
+                }
+            })
+            .collect();
+        let amps: Vec<f64> = scores.iter().map(|w| w.amplitude).collect();
+        let cvs: Vec<f64> = scores.iter().map(|w| w.cv).collect();
+        Stability {
+            amplitude: mean_std(&amps),
+            cv: mean_std(&cvs),
+            episodes: detect_episodes(&scores, cfg),
+        }
     }
 
-    #[test]
-    fn windowed_jain_runs_over_the_common_range() {
-        let a = series(&[10.0, 10.0, 10.0, 10.0]);
-        let b = series(&[10.0, 0.0, 10.0]); // one window shorter
-        let fi = windowed_jain(&[&a, &b]);
-        assert_eq!(fi.len(), 3);
-        assert!((fi[0].1 - 1.0).abs() < 1e-12);
-        assert!((fi[1].1 - 0.5).abs() < 1e-12, "one starved flow → 1/n");
-        let min = fi.iter().map(|&(_, f)| f).fold(f64::INFINITY, f64::min);
-        assert!((min - 0.5).abs() < 1e-12);
-        assert!(windowed_jain(&[]).is_empty());
+    proptest! {
+        /// The streaming tracker scores bit for bit what the batch form
+        /// scores over the whole series, for any length — a multiple of
+        /// the chunk or not — and any chunk, threshold and run length.
+        #[test]
+        fn tracker_matches_the_batch_scoring(
+            vals in prop::collection::vec(0u32..60, 0..300),
+            halves in any::<bool>(),
+            window in 1usize..25,
+            amp_threshold in 0.0..12.0f64,
+            min_windows in 1usize..5,
+            interval_us in 1u64..1_000_000,
+        ) {
+            // Whole packets, as queue depths are, or halves of them.
+            let scale = if halves { 0.5 } else { 1.0 };
+            let vals: Vec<f64> = vals.iter().map(|&v| f64::from(v) * scale).collect();
+            let cfg = StabilityConfig { window, amp_threshold, min_windows };
+            let interval = Duration::from_micros(interval_us);
+            let mut tr = StabilityTracker::new(interval, cfg);
+            for &v in &vals {
+                tr.push(v);
+            }
+            prop_assert_eq!(tr.scores.len(), vals.len() / window);
+            // Debug text tells -0.0 from 0.0, so this is bit equality.
+            prop_assert_eq!(
+                format!("{:?}", tr.summary()),
+                format!("{:?}", batch(&vals, interval, &cfg))
+            );
+        }
     }
 }
