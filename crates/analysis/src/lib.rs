@@ -43,5 +43,5 @@ pub mod regions;
 
 pub use kernel::pattern_distribution;
 pub use lyapunov::{drift_by_region, exact_drift, walk_stats, DriftReport, WalkStats};
-pub use model::{ModelConfig, SlottedModel};
+pub use model::{ModelConfig, SlottedModel, B_MAX, B_MIN, INITIAL_CW, MAX_CW, MIN_CW};
 pub use regions::{region_of, table4_distribution, Region};

@@ -4,24 +4,32 @@ use ezflow_sim::SimRng;
 
 use crate::kernel::sample_pattern;
 
-/// Parameters of the slotted model.
+/// `b_min` of Eq. 2 (paper: 0.05 — i.e. "the buffer is empty").
+pub const B_MIN: f64 = 0.05;
+
+/// `b_max` of Eq. 2 (paper: 20).
+pub const B_MAX: f64 = 20.0;
+
+/// `mincw` of Eq. 2 (2^4).
+pub const MIN_CW: u32 = 1 << 4;
+
+/// `maxcw` of Eq. 2 (2^15).
+pub const MAX_CW: u32 = 1 << 15;
+
+/// Initial window at every node: the 802.11 default `CWmin`.
+pub const INITIAL_CW: u32 = 32;
+
+/// Parameters of the slotted model. The window map's constants are the
+/// paper's (§5.1) and stated here, not read from `ezflow_core`, so the
+/// model stays an independent oracle; `tests/paper_claims.rs` pins that
+/// the two agree.
 #[derive(Clone, Copy, Debug)]
 pub struct ModelConfig {
     /// Number of hops `K` (so `K` transmitters `0..K` and `K-1` relay
     /// buffers `b_1..b_{K-1}`).
     pub hops: usize,
-    /// `b_max` of Eq. 2 (paper: 20).
-    pub b_max: f64,
-    /// `b_min` of Eq. 2 (paper: 0.05 — i.e. "the buffer is empty").
-    pub b_min: f64,
-    /// `mincw` (2^4).
-    pub min_cw: u32,
-    /// `maxcw` (2^15).
-    pub max_cw: u32,
     /// True = EZ-flow dynamics (Eq. 2); false = fixed windows (802.11).
     pub adaptive: bool,
-    /// Initial window at every node.
-    pub initial_cw: u32,
     /// `Some(n)` makes the window map act on an `n`-sample running
     /// average of the successor buffer instead of its instantaneous value
     /// — the implementation's 50-sample CAA, transplanted into the model.
@@ -33,12 +41,7 @@ impl Default for ModelConfig {
     fn default() -> Self {
         ModelConfig {
             hops: 4,
-            b_max: 20.0,
-            b_min: 0.05,
-            min_cw: 16,
-            max_cw: 32768,
             adaptive: true,
-            initial_cw: 32,
             averaging: None,
         }
     }
@@ -65,11 +68,10 @@ impl SlottedModel {
     /// Fresh model: empty buffers, uniform initial windows.
     pub fn new(cfg: ModelConfig) -> Self {
         assert!(cfg.hops >= 2);
-        assert!(cfg.initial_cw.is_power_of_two());
         SlottedModel {
             cfg,
             b: vec![0; cfg.hops],
-            cw: vec![cfg.initial_cw; cfg.hops],
+            cw: vec![INITIAL_CW; cfg.hops],
             avg_state: vec![(0.0, 0); cfg.hops],
             slots: 0,
             delivered: 0,
@@ -110,7 +112,7 @@ impl SlottedModel {
     /// Sets a transmitter window.
     pub fn set_window(&mut self, i: usize, cw: u32) {
         assert!(cw.is_power_of_two());
-        self.cw[i] = cw.clamp(self.cfg.min_cw, self.cfg.max_cw);
+        self.cw[i] = cw.clamp(MIN_CW, MAX_CW);
     }
 
     /// Advances one slot: draws a transmission pattern, moves the buffers
@@ -166,10 +168,10 @@ impl SlottedModel {
 
     /// The threshold map `f` of Eq. 2.
     fn f(&self, cw: u32, b_next: f64) -> u32 {
-        if b_next > self.cfg.b_max {
-            (cw * 2).min(self.cfg.max_cw)
-        } else if b_next < self.cfg.b_min {
-            (cw / 2).max(self.cfg.min_cw)
+        if b_next > B_MAX {
+            (cw * 2).min(MAX_CW)
+        } else if b_next < B_MIN {
+            (cw / 2).max(MIN_CW)
         } else {
             cw
         }

@@ -1,6 +1,6 @@
 //! Property-based tests for the slotted model.
 
-use ezflow_analysis::{pattern_distribution, ModelConfig, SlottedModel};
+use ezflow_analysis::{pattern_distribution, ModelConfig, SlottedModel, MAX_CW, MIN_CW};
 use ezflow_sim::SimRng;
 use proptest::prelude::*;
 
@@ -69,7 +69,7 @@ proptest! {
             m.step(&mut rng);
             for &cw in m.windows() {
                 prop_assert!(cw.is_power_of_two());
-                prop_assert!(cw >= cfg.min_cw && cw <= cfg.max_cw);
+                prop_assert!((MIN_CW..=MAX_CW).contains(&cw));
             }
         }
     }

@@ -39,9 +39,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::fs::File;
+use std::io::{self, BufRead, BufReader, Write};
 use std::process::ExitCode;
 
-use ezflow_net::lifecycle::{parse_jsonl, DropCause, TraceEvent, TracePayload};
+use ezflow_net::lifecycle::{DropCause, TraceEvent, TracePayload};
 use ezflow_net::{group_journeys, summarize_journey, DecisionKind, JourneySummary};
 use ezflow_phy::FrameKind;
 use ezflow_sim::{Duration, JsonValue, Time};
@@ -88,12 +90,29 @@ fn hops_arrow(s: &JourneySummary) -> String {
     out
 }
 
-fn load(path: &str) -> Result<Vec<TraceEvent>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_jsonl(&text).map_err(|e| format!("{path} is not a lifecycle export: {e}"))
+/// The non-blank lines of `path` with their 0-based numbers, read one
+/// at a time: a stream is never held whole.
+fn lines(path: &str) -> Result<impl Iterator<Item = Result<(usize, String), String>> + '_, String> {
+    let cannot = move |e: io::Error| format!("cannot read {path}: {e}");
+    let file = File::open(path).map_err(cannot)?;
+    let numbered = BufReader::new(file).lines().enumerate();
+    Ok(numbered.filter_map(move |(i, line)| match line {
+        Ok(line) if line.trim().is_empty() => None,
+        line => Some(line.map(|line| (i, line)).map_err(cannot)),
+    }))
 }
 
-fn cmd_journey(events: &[TraceEvent], packet: u64) -> ExitCode {
+fn load(path: &str) -> Result<Vec<TraceEvent>, String> {
+    lines(path)?
+        .map(|line| {
+            let (i, line) = line?;
+            TraceEvent::parse(&line)
+                .map_err(|e| format!("{path} is not a lifecycle export: line {}: {e}", i + 1))
+        })
+        .collect()
+}
+
+fn cmd_journey(out: &mut impl Write, events: &[TraceEvent], packet: u64) -> io::Result<ExitCode> {
     let journeys = group_journeys(events);
     let Some(evs) = journeys.get(&packet) else {
         match (journeys.keys().next(), journeys.keys().next_back()) {
@@ -102,33 +121,44 @@ fn cmd_journey(events: &[TraceEvent], packet: u64) -> ExitCode {
             ),
             _ => eprintln!("packet {packet} is not in this capture (it holds no packets)"),
         }
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
     let s = summarize_journey(packet, evs);
-    println!(
+    writeln!(
+        out,
         "packet {packet} (flow {})",
         s.flow.map_or("?".into(), |f| f.to_string())
-    );
-    println!("  path: {}", hops_arrow(&s));
-    println!("  hops: {}, DCF attempts: {}", s.hops.len(), s.attempts);
+    )?;
+    writeln!(out, "  path: {}", hops_arrow(&s))?;
+    writeln!(
+        out,
+        "  hops: {}, DCF attempts: {}",
+        s.hops.len(),
+        s.attempts
+    )?;
     match (s.delivered, s.dropped) {
         (Some((at, node)), _) => {
             let lat = s.latency_us().map_or("?".into(), fmt_us);
-            println!("  DELIVERED at N{node}, t={at}, end-to-end {lat}");
+            writeln!(out, "  DELIVERED at N{node}, t={at}, end-to-end {lat}")?;
         }
         (None, Some((at, node, cause))) => {
-            println!("  DROPPED at N{node}, t={at}, cause: {}", cause.name());
+            writeln!(out, "  DROPPED at N{node}, t={at}, cause: {}", cause.name())?;
         }
-        (None, None) => println!("  IN FLIGHT when the capture ended"),
+        (None, None) => writeln!(out, "  IN FLIGHT when the capture ended")?,
     }
-    println!();
+    writeln!(out)?;
     for ev in evs {
-        println!("  {ev}");
+        writeln!(out, "  {ev}")?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_worst(events: &[TraceEvent], flow: Option<u32>, top: usize) -> ExitCode {
+fn cmd_worst(
+    out: &mut impl Write,
+    events: &[TraceEvent],
+    flow: Option<u32>,
+    top: usize,
+) -> io::Result<ExitCode> {
     let journeys = group_journeys(events);
     let mut delivered: Vec<(u64, JourneySummary)> = journeys
         .iter()
@@ -141,30 +171,33 @@ fn cmd_worst(events: &[TraceEvent], flow: Option<u32>, top: usize) -> ExitCode {
             "no delivered journeys{} in this capture",
             flow.map_or(String::new(), |f| format!(" of flow {f}"))
         );
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     delivered.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.seq.cmp(&b.1.seq)));
-    println!(
+    writeln!(
+        out,
         "{} delivered journeys{}; {} slowest:",
         delivered.len(),
         flow.map_or(String::new(), |f| format!(" of flow {f}")),
         top.min(delivered.len())
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  {:>10} | {:>5} | {:>12} | {:>8} | path",
         "packet", "flow", "latency", "attempts"
-    );
+    )?;
     for (lat, s) in delivered.iter().take(top) {
-        println!(
+        writeln!(
+            out,
             "  {:>10} | {:>5} | {:>12} | {:>8} | {}",
             s.seq,
             s.flow.map_or("?".into(), |f| f.to_string()),
             fmt_us(*lat),
             s.attempts,
             hops_arrow(s)
-        );
+        )?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The (tx → rx) link a drop belongs to; `None` means the packet never
@@ -222,7 +255,11 @@ impl fmt::Display for Key {
 /// Two-level drop census. `key` picks a drop's group and subgroup from
 /// its link, node and cause; each group prints its total, then the
 /// count of each subgroup.
-fn census(dropped: &[(JourneySummary, &[TraceEvent])], key: fn(Key, Key, Key) -> (Key, Key)) {
+fn census(
+    out: &mut impl Write,
+    dropped: &[(JourneySummary, &[TraceEvent])],
+    key: fn(Key, Key, Key) -> (Key, Key),
+) -> io::Result<()> {
     let mut census: BTreeMap<Key, BTreeMap<Key, u64>> = BTreeMap::new();
     for (s, evs) in dropped {
         let (_, node, cause) = s.dropped.expect("filtered on dropped");
@@ -234,46 +271,55 @@ fn census(dropped: &[(JourneySummary, &[TraceEvent])], key: fn(Key, Key, Key) ->
         *census.entry(group).or_default().entry(sub).or_insert(0) += 1;
     }
     for (group, subs) in &census {
-        println!("  {group}: {}", subs.values().sum::<u64>());
+        writeln!(out, "  {group}: {}", subs.values().sum::<u64>())?;
         for (sub, n) in subs {
-            println!("    {sub}: {n}");
+            writeln!(out, "    {sub}: {n}")?;
         }
     }
+    Ok(())
 }
 
-fn cmd_drops(events: &[TraceEvent], by_cause: bool, by_node: bool, by_link: bool) -> ExitCode {
+fn cmd_drops(
+    out: &mut impl Write,
+    events: &[TraceEvent],
+    by_cause: bool,
+    by_node: bool,
+    by_link: bool,
+) -> io::Result<ExitCode> {
     let journeys = group_journeys(events);
     let dropped: Vec<(JourneySummary, &[TraceEvent])> = journeys
         .iter()
         .map(|(&seq, evs)| (summarize_journey(seq, evs), &evs[..]))
         .filter(|(s, _)| s.dropped.is_some())
         .collect();
-    println!(
+    writeln!(
+        out,
         "{} journeys, {} ended in a drop",
         journeys.len(),
         dropped.len()
-    );
+    )?;
     if by_link {
         // Which hop kills packets, then why.
-        census(&dropped, |link, _, cause| (link, cause));
+        census(out, &dropped, |link, _, cause| (link, cause))?;
     } else if by_node {
         // Where packets die, then why there.
-        census(&dropped, |_, node, cause| (node, cause));
+        census(out, &dropped, |_, node, cause| (node, cause))?;
     } else if by_cause {
-        census(&dropped, |_, node, cause| (cause, node));
+        census(out, &dropped, |_, node, cause| (cause, node))?;
     } else {
         for (s, _) in &dropped {
             let (at, node, cause) = s.dropped.expect("filtered on dropped");
-            println!(
+            writeln!(
+                out,
                 "  packet {:>8} flow {} dropped at N{node} t={at} ({}) after {}",
                 s.seq,
                 s.flow.map_or("?".into(), |f| f.to_string()),
                 cause.name(),
                 hops_arrow(s)
-            );
+            )?;
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// One-line sparkline of `values`, downsampled to at most `width`
@@ -312,18 +358,15 @@ struct TelemetryDump {
 }
 
 fn load_telemetry(path: &str) -> Result<TelemetryDump, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut dump = TelemetryDump {
         interval: Duration::from_micros(1),
         windows: 0,
         node_queue: BTreeMap::new(),
         flow_kbps: BTreeMap::new(),
     };
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let rec = JsonValue::parse(line)
+    for line in lines(path)? {
+        let (lineno, line) = line?;
+        let rec = JsonValue::parse(&line)
             .map_err(|e| format!("{path}:{}: not a telemetry record: {e}", lineno + 1))?;
         let bad = || format!("{path}:{}: not a telemetry record", lineno + 1);
         let us = rec
@@ -412,9 +455,10 @@ fn push_window<K: Ord + Copy + fmt::Display>(
     Ok(())
 }
 
-fn cmd_telemetry(dump: &TelemetryDump, top: usize) -> ExitCode {
+fn cmd_telemetry(out: &mut impl Write, dump: &TelemetryDump, top: usize) -> io::Result<ExitCode> {
     let cfg = StabilityConfig::default();
-    println!(
+    writeln!(
+        out,
         "{} sample windows of {} µs ({} nodes, {} flows); stability over \
          {}-window chunks, episode = amplitude ≥ {} for ≥ {} chunks",
         dump.windows,
@@ -424,7 +468,7 @@ fn cmd_telemetry(dump: &TelemetryDump, top: usize) -> ExitCode {
         cfg.window,
         cfg.amp_threshold,
         cfg.min_windows,
-    );
+    )?;
 
     // Score each node's queue depths as the snapshot does.
     let mut scored: Vec<(usize, Stability, &Vec<f64>)> = dump
@@ -445,13 +489,18 @@ fn cmd_telemetry(dump: &TelemetryDump, top: usize) -> ExitCode {
             .then(a.0.cmp(&b.0))
     });
 
-    println!("\nworst oscillators (queue depth, by mean chunk amplitude):");
-    println!(
+    writeln!(
+        out,
+        "\nworst oscillators (queue depth, by mean chunk amplitude):"
+    )?;
+    writeln!(
+        out,
         "  {:>5} | {:>8} | {:>8} | {:>6} | {:>8} | queue sparkline",
         "node", "amp_mean", "amp_max", "cv", "episodes"
-    );
+    )?;
     for (id, st, values) in scored.iter().take(top) {
-        println!(
+        writeln!(
+            out,
             "  {:>5} | {:>8.2} | {:>8.2} | {:>6.3} | {:>8} | {}",
             format!("N{id}"),
             st.amplitude.mean,
@@ -459,7 +508,7 @@ fn cmd_telemetry(dump: &TelemetryDump, top: usize) -> ExitCode {
             st.cv.mean,
             st.episodes.len(),
             sparkline(values, 48)
-        );
+        )?;
     }
 
     let mut episodes: Vec<(usize, &ezflow_stats::Episode)> = scored
@@ -468,27 +517,29 @@ fn cmd_telemetry(dump: &TelemetryDump, top: usize) -> ExitCode {
         .collect();
     episodes.sort_by(|a, b| a.1.start.cmp(&b.1.start).then(a.0.cmp(&b.0)));
     if episodes.is_empty() {
-        println!("\nno sustained oscillation episodes");
+        writeln!(out, "\nno sustained oscillation episodes")?;
     } else {
-        println!("\nsustained oscillation episodes:");
+        writeln!(out, "\nsustained oscillation episodes:")?;
         for (id, e) in &episodes {
-            println!(
+            writeln!(
+                out,
                 "  N{id}: {} .. {} (peak amplitude {:.1})",
                 e.start, e.end, e.peak_amplitude
-            );
+            )?;
         }
     }
 
-    println!("\nper-flow windowed throughput:");
+    writeln!(out, "\nper-flow windowed throughput:")?;
     for (flow, values) in &dump.flow_kbps {
         let mean = values.iter().sum::<f64>() / values.len() as f64;
-        println!(
+        writeln!(
+            out,
             "  flow {flow}: mean {:>7.1} kb/s | {}",
             mean,
             sparkline(values, 48)
-        );
+        )?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// One `CWmin` decision from an audit stream, with its recorded inputs.
@@ -517,18 +568,15 @@ struct AuditDump {
 }
 
 fn load_audit(path: &str) -> Result<AuditDump, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut dump = AuditDump {
         records: 0,
         samples: 0,
         decisions: Vec::new(),
         link_err: BTreeMap::new(),
     };
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let rec = JsonValue::parse(line)
+    for line in lines(path)? {
+        let (lineno, line) = line?;
+        let rec = JsonValue::parse(&line)
             .map_err(|e| format!("{path}:{}: not an audit record: {e}", lineno + 1))?;
         let bad = || format!("{path}:{}: not an audit record", lineno + 1);
         let u = |k: &str| rec.get(k).and_then(JsonValue::as_u64).ok_or_else(bad);
@@ -602,14 +650,15 @@ fn fired(d: &Decision) -> String {
     }
 }
 
-fn cmd_controller(dump: &AuditDump, top: usize) -> ExitCode {
-    println!(
+fn cmd_controller(out: &mut impl Write, dump: &AuditDump, top: usize) -> io::Result<ExitCode> {
+    writeln!(
+        out,
         "{} audit records: {} estimation samples over {} links, {} CW decisions",
         dump.records,
         dump.samples,
         dump.link_err.len(),
         dump.decisions.len(),
-    );
+    )?;
 
     // CWmin timeline per node, sampled at its decision points.
     let mut timelines: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
@@ -621,36 +670,40 @@ fn cmd_controller(dump: &AuditDump, top: usize) -> ExitCode {
         tl.push(d.cw_after as f64);
     }
     if !timelines.is_empty() {
-        println!("\nCWmin timelines (one point per decision):");
-        println!(
+        writeln!(out, "\nCWmin timelines (one point per decision):")?;
+        writeln!(
+            out,
             "  {:>5} | {:>9} | {:>8} | {:>8} | timeline",
             "node", "decisions", "cw_first", "cw_last"
-        );
+        )?;
         for (node, tl) in &timelines {
-            println!(
+            writeln!(
+                out,
                 "  {:>5} | {:>9} | {:>8} | {:>8} | {}",
                 format!("N{node}"),
                 tl.len() - 1,
                 tl.first().copied().unwrap_or(0.0),
                 tl.last().copied().unwrap_or(0.0),
                 sparkline(tl, 48)
-            );
+            )?;
         }
     }
 
     if dump.decisions.is_empty() {
-        println!("\nno CW decisions in this capture");
+        writeln!(out, "\nno CW decisions in this capture")?;
     } else {
         let shown = top.min(dump.decisions.len());
-        println!(
+        writeln!(
+            out,
             "\nlast {shown} of {} decisions (oldest first):",
             dump.decisions.len()
-        );
+        )?;
         for d in &dump.decisions[dump.decisions.len() - shown..] {
             let succ = d
                 .successor
                 .map_or(String::new(), |s| format!(" (successor N{s})"));
-            println!(
+            writeln!(
+                out,
                 "  t={:>12} N{}{}: {} CW {} → {} | avg b̂ {:.2}, {}",
                 fmt_us(d.at_us),
                 d.node,
@@ -660,7 +713,7 @@ fn cmd_controller(dump: &AuditDump, top: usize) -> ExitCode {
                 d.cw_after,
                 d.avg,
                 fired(d)
-            );
+            )?;
         }
     }
 
@@ -672,13 +725,18 @@ fn cmd_controller(dump: &AuditDump, top: usize) -> ExitCode {
         .collect();
     ranked.sort_by(|a, b| b.1.mae.total_cmp(&a.1.mae).then(a.0.cmp(b.0)));
     if !ranked.is_empty() {
-        println!("\nworst-estimated links (estimate − truth, by mean |error|):");
-        println!(
+        writeln!(
+            out,
+            "\nworst-estimated links (estimate − truth, by mean |error|):"
+        )?;
+        writeln!(
+            out,
             "  {:>9} | {:>8} | {:>7} | {:>7} | {:>7} | |error| sparkline",
             "link", "samples", "bias", "mae", "max"
-        );
+        )?;
         for (link, s, abs) in ranked.iter().take(top) {
-            println!(
+            writeln!(
+                out,
                 "  {:>9} | {:>8} | {:>7.2} | {:>7.2} | {:>7.1} | {}",
                 format!("N{}→N{}", link.0, link.1),
                 s.samples,
@@ -686,10 +744,15 @@ fn cmd_controller(dump: &AuditDump, top: usize) -> ExitCode {
                 s.mae,
                 s.max_abs,
                 sparkline(abs, 48)
-            );
+            )?;
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+fn failure(e: &str) -> ExitCode {
+    eprintln!("{e}");
+    ExitCode::FAILURE
 }
 
 fn main() -> ExitCode {
@@ -738,43 +801,42 @@ fn main() -> ExitCode {
     let Some(file) = file else {
         return usage();
     };
-    // `telemetry` reads the sample-window stream, not lifecycle events.
-    if cmd == "telemetry" {
-        return match load_telemetry(&file) {
-            Ok(dump) => cmd_telemetry(&dump, top),
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
+    let mut out = io::stdout().lock();
+    // `telemetry` and `controller` read their own streams, not lifecycle
+    // events.
+    let written = if cmd == "telemetry" {
+        match load_telemetry(&file) {
+            Ok(dump) => cmd_telemetry(&mut out, &dump, top),
+            Err(e) => return failure(&e),
+        }
+    } else if cmd == "controller" {
+        match load_audit(&file) {
+            Ok(dump) => cmd_controller(&mut out, &dump, top),
+            Err(e) => return failure(&e),
+        }
+    } else {
+        let events = match load(&file) {
+            Ok(evs) => evs,
+            Err(e) => return failure(&e),
         };
-    }
-    // `controller` reads the audit stream, also not lifecycle events.
-    if cmd == "controller" {
-        return match load_audit(&file) {
-            Ok(dump) => cmd_controller(&dump, top),
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
+        match cmd.as_str() {
+            "journey" => {
+                let Some(packet) = packet else {
+                    eprintln!("journey needs --packet=ID");
+                    return usage();
+                };
+                cmd_journey(&mut out, &events, packet)
             }
-        };
-    }
-    let events = match load(&file) {
-        Ok(evs) => evs,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
+            "worst" => cmd_worst(&mut out, &events, flow, top),
+            "drops" => cmd_drops(&mut out, &events, by_cause, by_node, by_link),
+            _ => return usage(),
         }
     };
-    match cmd.as_str() {
-        "journey" => {
-            let Some(packet) = packet else {
-                eprintln!("journey needs --packet=ID");
-                return usage();
-            };
-            cmd_journey(&events, packet)
-        }
-        "worst" => cmd_worst(&events, flow, top),
-        "drops" => cmd_drops(&events, by_cause, by_node, by_link),
-        _ => usage(),
+    match written.and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        // The reader stopped early (`trace … | head`): it has what it
+        // asked for.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => failure(&format!("cannot write to stdout: {e}")),
     }
 }

@@ -95,7 +95,7 @@ fn thresholds(rep: &mut Report, scale: Scale) {
             scale,
             0.0,
             false,
-            Box::new(move |_| Box::new(EzFlowController::new(cfg, 32))),
+            Box::new(move |_| Box::new(EzFlowController::new(cfg))),
         ));
     }
     for b_min in b_mins {
@@ -110,7 +110,7 @@ fn thresholds(rep: &mut Report, scale: Scale) {
             scale,
             0.0,
             false,
-            Box::new(move |_| Box::new(EzFlowController::new(cfg, 32))),
+            Box::new(move |_| Box::new(EzFlowController::new(cfg))),
         ));
     }
     let outs = run_outcomes(scale, secs, jobs);
@@ -578,7 +578,7 @@ fn hw_cap(rep: &mut Report, scale: Scale) {
             scale,
             0.0,
             false,
-            Box::new(|_| Box::new(EzFlowController::new(EzFlowConfig::testbed(), 32))),
+            Box::new(|_| Box::new(EzFlowController::new(EzFlowConfig::testbed()))),
         ),
         chain_job(
             "ablations/cap/2^15",

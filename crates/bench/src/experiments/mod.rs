@@ -39,12 +39,9 @@ impl Algo {
         match self {
             Algo::Plain => Box::new(|_| Box::new(FixedController::standard())),
             Algo::EzFlow => Box::new(|_| Box::new(EzFlowController::with_defaults())),
-            Algo::EzFlowTestbed => Box::new(|_| {
-                Box::new(EzFlowController::new(
-                    ezflow_core::EzFlowConfig::testbed(),
-                    32,
-                ))
-            }),
+            Algo::EzFlowTestbed => {
+                Box::new(|_| Box::new(EzFlowController::new(ezflow_core::EzFlowConfig::testbed())))
+            }
         }
     }
 

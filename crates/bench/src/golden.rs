@@ -20,7 +20,8 @@
 //!   only run that pins a mesh byte for byte.
 //! * **exports/scenario1+loss/EZ-flow** — scenario 1 under EZ-flow with
 //!   PER + Gilbert–Elliott loss and every observer armed (flight recorder
-//!   at 256 journeys, so it evicts *and* samples; telemetry and audit
+//!   capped at 256 journeys, so it tracks the first 256 packets and
+//!   skips the rest; telemetry and audit
 //!   streaming into memory). Its digest is not a snapshot but the line
 //!   count and FNV-1a of each JSONL export — the byte-for-byte pin on
 //!   what the observers write.
@@ -266,9 +267,9 @@ fn export_digest(bytes: &[u8]) -> JsonValue {
 
 /// Every observer armed on a lossy scenario 1 (the loss process of
 /// `benchmark/workloads/observed_lossy.json`), digesting what each one
-/// writes. 256 journeys against ~650 queue slots forces the recorder
-/// through eviction and stride doubling; the returned stats pin that it
-/// did.
+/// writes. The recorder's cap of 256 journeys is below the packets the
+/// run admits: the first 256 are tracked and the rest skipped, and the
+/// returned stats pin that it did.
 fn exports() -> String {
     let scale = Scale::quick();
     let (t, until) = scenario1_quick(scale);

@@ -888,6 +888,34 @@ fn trace_drops_prints_the_pinned_census_of_three_hand_written_drops() {
 }
 
 #[test]
+fn trace_ends_quietly_when_its_reader_closes_stdout() {
+    // Each packet is a one-line listing of ~80 bytes: 5,000 of them are
+    // several pipe buffers, so the writer is still printing when the
+    // reader goes. It once panicked on the broken pipe (SIGABRT under
+    // the release profile's `panic = "abort"`).
+    let dir = scratch("trace-closed-pipe");
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    let file = dir.join("drops.jsonl");
+    // THREE_DROPS's first journey (admitted, dropped at a full source
+    // queue), renumbered.
+    let journey: String = THREE_DROPS
+        .lines()
+        .take(2)
+        .map(|l| l.to_owned() + "\n")
+        .collect();
+    let lifecycle: String = (1..=5_000)
+        .map(|seq| journey.replace(r#""seq":1"#, &format!(r#""seq":{seq}"#)))
+        .collect();
+    std::fs::write(&file, lifecycle).expect("the lifecycle is written");
+    let out = budget::run_closing_stdout(TRACE, &["drops", file.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert_eq!(out.stdout, b"5000 journeys, 5000 ended in a drop\n");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn trace_journey_names_the_capture_a_missing_packet_is_not_in() {
     let dir = scratch("trace-journey");
     std::fs::create_dir_all(&dir).expect("a scratch directory");

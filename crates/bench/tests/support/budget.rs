@@ -8,8 +8,8 @@
 //! (SIGABRT is what a panic or a failed allocation looks like under the
 //! release profile's `panic = "abort"`).
 
-use std::io::Read;
-use std::process::{Command, Output, Stdio};
+use std::io::{BufRead, BufReader, Read};
+use std::process::{ChildStdout, Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 /// Wall budget per child. Every probe is meant to be rejected before
@@ -27,6 +27,29 @@ pub fn run(bin: &str, args: &[&str]) -> Output {
 /// [`run`] under a budget of the caller's choosing, for a child that is
 /// meant to simulate.
 pub fn run_within(budget: Duration, bin: &str, args: &[&str]) -> Output {
+    run_reading(budget, bin, args, to_end)
+}
+
+/// [`run`], but the reader closes the child's stdout after its first
+/// line, as `| head -1` does; the returned stdout is that line.
+pub fn run_closing_stdout(bin: &str, args: &[&str]) -> Output {
+    run_reading(BUDGET, bin, args, |pipe| {
+        let mut line = Vec::new();
+        BufReader::new(pipe)
+            .read_until(b'\n', &mut line)
+            .expect("the child's output can be read");
+        line
+    })
+}
+
+/// Runs the child with `read_stdout` consuming its stdout on a thread of
+/// its own.
+fn run_reading(
+    budget: Duration,
+    bin: &str,
+    args: &[&str],
+    read_stdout: fn(ChildStdout) -> Vec<u8>,
+) -> Output {
     let mut child = Command::new(bin)
         .args(args)
         .stdin(Stdio::null())
@@ -36,8 +59,10 @@ pub fn run_within(budget: Duration, bin: &str, args: &[&str]) -> Output {
         .unwrap_or_else(|e| panic!("{bin} does not start: {e}"));
     // Drained on their own threads, so a chatty child blocks on neither
     // pipe while this thread only watches the clock.
-    let stdout = drain(child.stdout.take().expect("stdout is piped"));
-    let stderr = drain(child.stderr.take().expect("stderr is piped"));
+    let stdout = child.stdout.take().expect("stdout is piped");
+    let stdout = std::thread::spawn(move || read_stdout(stdout));
+    let stderr = child.stderr.take().expect("stderr is piped");
+    let stderr = std::thread::spawn(move || to_end(stderr));
     let started = Instant::now();
     let status = loop {
         match child.try_wait().expect("the child can be polled") {
@@ -64,14 +89,12 @@ pub fn run_within(budget: Duration, bin: &str, args: &[&str]) -> Output {
     out
 }
 
-/// Reads `pipe` to its end on a thread of its own.
-fn drain(mut pipe: impl Read + Send + 'static) -> std::thread::JoinHandle<Vec<u8>> {
-    std::thread::spawn(move || {
-        let mut bytes = Vec::new();
-        pipe.read_to_end(&mut bytes)
-            .expect("the child's output can be read");
-        bytes
-    })
+/// Reads `pipe` to its end.
+fn to_end(mut pipe: impl Read) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    pipe.read_to_end(&mut bytes)
+        .expect("the child's output can be read");
+    bytes
 }
 
 /// Asserts the usage-error contract: exit 2, `complaint` (a flag or a

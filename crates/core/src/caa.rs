@@ -1,13 +1,13 @@
 //! The Channel Access Adaptation (§3.3, Algorithm 1).
 //!
-//! Every `samples` BOE estimates, the CAA compares their average `b̄`
+//! Every `SAMPLES` BOE estimates, the CAA compares their average `b̄`
 //! against the thresholds:
 //!
 //! * `b̄ > b_max` — the successor is over-utilized. `countup` increments;
-//!   when it reaches `log2(cw)`, `cw` doubles (bounded by `max_cw`).
+//!   when it reaches `log2(cw)`, `cw` doubles (bounded by `MAX_CW`).
 //! * `b̄ < b_min` — the successor is under-utilized. `countdown`
 //!   increments; when it reaches `15 − log2(cw)`, `cw` halves (bounded by
-//!   `min_cw`).
+//!   `MIN_CW`). The 15 is `log2(MAX_CW)`.
 //! * otherwise — the sweet spot; both counters reset.
 //!
 //! The counter thresholds are the paper's inter-flow fairness device: a
@@ -15,7 +15,7 @@
 //! sluggishly to over-utilization, and vice versa, so competing nodes
 //! converge instead of oscillating in lockstep.
 
-use crate::config::EzFlowConfig;
+use crate::config::{EzFlowConfig, MAX_CW, MIN_CW, SAMPLES};
 
 /// Outcome of feeding one sample to [`Caa::on_sample`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,7 +83,7 @@ impl Caa {
         assert!(initial_cw.is_power_of_two(), "cw must be a power of two");
         Caa {
             cfg,
-            cw: initial_cw.clamp(cfg.min_cw, cfg.effective_max_cw()),
+            cw: initial_cw.clamp(MIN_CW, cfg.effective_max_cw()),
             sum: 0.0,
             count: 0,
             countup: 0,
@@ -111,7 +111,7 @@ impl Caa {
     pub fn on_sample(&mut self, b: usize) -> Option<CaaRound> {
         self.sum += b as f64;
         self.count += 1;
-        if self.count < self.cfg.samples {
+        if self.count < SAMPLES {
             return None;
         }
         let avg = self.sum / self.count as f64;
@@ -120,7 +120,7 @@ impl Caa {
         self.rounds += 1;
         let cw_before = self.cw;
         let up_threshold = self.log_cw();
-        let down_threshold = 15u32.saturating_sub(self.log_cw());
+        let down_threshold = MAX_CW.ilog2().saturating_sub(self.log_cw());
         let countup = self.countup;
         let countdown = self.countdown;
         let decision = self.decide(avg);
@@ -157,9 +157,9 @@ impl Caa {
         } else if avg < self.cfg.b_min {
             self.countup = 0;
             self.countdown += 1;
-            if self.countdown >= 15u32.saturating_sub(self.log_cw()) {
+            if self.countdown >= MAX_CW.ilog2().saturating_sub(self.log_cw()) {
                 self.countdown = 0;
-                let next = (self.cw / 2).max(self.cfg.min_cw);
+                let next = (self.cw / 2).max(MIN_CW);
                 if next != self.cw {
                     self.cw = next;
                     return CaaDecision::Decrease(self.cw);

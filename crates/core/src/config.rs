@@ -1,42 +1,48 @@
-//! EZ-flow parameters.
+//! EZ-flow parameters: the paper's fixed values, and the three a run
+//! may set.
 
-/// All tunables of the mechanism, defaulting to the values used in the
-/// paper's simulations (§5.1: `b_min = 0.05`, `b_max = 20`,
-/// `maxcw = 2^15`) and testbed (`mincw = 2^4`, 50-sample average,
-/// 1000-packet BOE history).
+/// Default lower buffer threshold (§5.1: 0.05). Deliberately below one
+/// packet: the mean must be *essentially always zero* before a node dares
+/// to become more aggressive (§3.3: "the most important parameter to set
+/// is b_min, which has to be very small").
+pub const B_MIN: f64 = 0.05;
+
+/// Default upper buffer threshold (§5.1: 20).
+pub const B_MAX: f64 = 20.0;
+
+/// BOE samples averaged per CAA decision (§3.3: 50).
+pub const SAMPLES: usize = 50;
+
+/// Smallest `CWmin` the CAA sets (§3.3: 2^4).
+pub const MIN_CW: u32 = 1 << 4;
+
+/// Largest `CWmin` the CAA sets (§3.3, §5.1: 2^15).
+pub const MAX_CW: u32 = 1 << 15;
+
+/// BOE history length, packets (§3.2: 1000).
+pub(crate) const HISTORY: usize = 1000;
+
+/// What a run may set: the thresholds the ablations sweep, and the
+/// testbed's hardware cap. Defaults are the paper's simulation values.
 #[derive(Clone, Copy, Debug)]
 pub struct EzFlowConfig {
-    /// Lower buffer threshold. Deliberately below one packet: the mean
-    /// must be *essentially always zero* before a node dares to become
-    /// more aggressive (§3.3: "the most important parameter to set is
-    /// b_min, which has to be very small").
+    /// Lower buffer threshold ([`B_MIN`] unless swept).
     pub b_min: f64,
-    /// Upper buffer threshold.
+    /// Upper buffer threshold ([`B_MAX`] unless swept).
     pub b_max: f64,
-    /// Number of BOE samples averaged per CAA decision.
-    pub samples: usize,
-    /// Smallest allowed `CWmin` (2^4).
-    pub min_cw: u32,
-    /// Largest allowed `CWmin` (2^15).
-    pub max_cw: u32,
-    /// Optional hardware clamp below `max_cw` — the MadWifi driver of the
-    /// testbed silently ignores `CWmin` above 2^10 (§4.1); set this to
-    /// `Some(1024)` to reproduce the testbed's partially-stabilized Fig. 4.
+    /// Optional hardware clamp below [`MAX_CW`] — the MadWifi driver of
+    /// the testbed silently ignores `CWmin` above 2^10 (§4.1); set this
+    /// to `Some(1024)` to reproduce the testbed's partially-stabilized
+    /// Fig. 4.
     pub hw_cap: Option<u32>,
-    /// BOE history length, packets.
-    pub history: usize,
 }
 
 impl Default for EzFlowConfig {
     fn default() -> Self {
         EzFlowConfig {
-            b_min: 0.05,
-            b_max: 20.0,
-            samples: 50,
-            min_cw: 16,
-            max_cw: 32768,
+            b_min: B_MIN,
+            b_max: B_MAX,
             hw_cap: None,
-            history: 1000,
         }
     }
 }
@@ -53,8 +59,8 @@ impl EzFlowConfig {
     /// Effective upper bound for `CWmin` (hardware cap included).
     pub fn effective_max_cw(&self) -> u32 {
         match self.hw_cap {
-            Some(cap) => self.max_cw.min(cap),
-            None => self.max_cw,
+            Some(cap) => MAX_CW.min(cap),
+            None => MAX_CW,
         }
     }
 }
@@ -68,10 +74,10 @@ mod tests {
         let c = EzFlowConfig::default();
         assert_eq!(c.b_min, 0.05);
         assert_eq!(c.b_max, 20.0);
-        assert_eq!(c.samples, 50);
-        assert_eq!(c.min_cw, 16);
-        assert_eq!(c.max_cw, 32768);
-        assert_eq!(c.history, 1000);
+        assert_eq!(SAMPLES, 50);
+        assert_eq!(MIN_CW, 16);
+        assert_eq!(MAX_CW, 32768);
+        assert_eq!(HISTORY, 1000);
         assert_eq!(c.effective_max_cw(), 32768);
     }
 

@@ -1,5 +1,6 @@
 //! EZ-flow as a [`Controller`]: the glue between BOE, CAA and the MAC.
 
+use ezflow_mac::CW_MIN_DEFAULT;
 use ezflow_net::controller::{
     BoeReading, Controller, ControllerCounters, ControllerEvent, DecisionKind, DecisionRecord,
     Reaction,
@@ -8,7 +9,7 @@ use ezflow_sim::Time;
 
 use crate::boe::Boe;
 use crate::caa::{Caa, CaaDecision};
-use crate::config::EzFlowConfig;
+use crate::config::{EzFlowConfig, HISTORY};
 
 /// The EZ-flow program running at one node.
 ///
@@ -36,7 +37,6 @@ use crate::config::EzFlowConfig;
 /// exactly what the testbed's last relay observes.
 pub struct EzFlowController {
     cfg: EzFlowConfig,
-    start_cw: u32,
     /// `(successor, BOE, CAA)` in the order the successors were first
     /// seen. An assoc list, not a map: it is probed on every overheard
     /// frame, ACK and queue-window read, a node has a handful of
@@ -45,20 +45,19 @@ pub struct EzFlowController {
 }
 
 impl EzFlowController {
-    /// Creates the controller; `start_cw` must equal the MAC's initial
-    /// `CWmin` (the 802.11 default, 32) so the CAA's bookkeeping starts
-    /// aligned with the hardware.
-    pub fn new(cfg: EzFlowConfig, start_cw: u32) -> Self {
+    /// Creates the controller. Each CAA starts at the MAC's initial
+    /// `CWmin` ([`CW_MIN_DEFAULT`]), so its bookkeeping starts aligned
+    /// with the hardware.
+    pub fn new(cfg: EzFlowConfig) -> Self {
         EzFlowController {
             cfg,
-            start_cw,
             per_succ: Vec::new(),
         }
     }
 
-    /// Defaults: paper parameters, 802.11 default window.
+    /// Defaults: the paper's simulation parameters.
     pub fn with_defaults() -> Self {
-        Self::new(EzFlowConfig::default(), 32)
+        Self::new(EzFlowConfig::default())
     }
 
     /// Where the successor sits in `per_succ`, if it has been seen.
@@ -70,10 +69,7 @@ impl EzFlowController {
     /// created the first time it is seen.
     fn entry(&mut self, successor: usize) -> usize {
         self.slot(successor).unwrap_or_else(|| {
-            let (boe, caa) = (
-                Boe::new(self.cfg.history),
-                Caa::new(self.cfg, self.start_cw),
-            );
+            let (boe, caa) = (Boe::new(HISTORY), Caa::new(self.cfg, CW_MIN_DEFAULT));
             self.per_succ.push((successor, boe, caa));
             self.per_succ.len() - 1
         })

@@ -14,6 +14,11 @@
 //!   hysteresis counters of Algorithm 1 doubles or halves the MAC's
 //!   `CWmin` between `2^4` and `2^15`.
 //!
+//! Those numbers are constants ([`B_MIN`], [`B_MAX`], [`SAMPLES`],
+//! [`MIN_CW`], [`MAX_CW`] and the BOE's 1000-packet history); an
+//! [`EzFlowConfig`] carries only what a run varies: the two thresholds
+//! and the testbed's hardware cap.
+//!
 //! [`EzFlowController`] glues them into the [`ezflow_net::Controller`]
 //! interface; [`baselines`] provides the comparison algorithm (the
 //! topology-dependent static penalty of \[Aziz09\]).
@@ -30,5 +35,5 @@ pub mod controller;
 pub use baselines::static_penalty_factory;
 pub use boe::Boe;
 pub use caa::{Caa, CaaDecision, CaaRound};
-pub use config::EzFlowConfig;
+pub use config::{EzFlowConfig, B_MAX, B_MIN, MAX_CW, MIN_CW, SAMPLES};
 pub use controller::EzFlowController;

@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use ezflow_core::{Boe, Caa, CaaDecision, EzFlowConfig};
+use ezflow_core::{Boe, Caa, CaaDecision, EzFlowConfig, MIN_CW, SAMPLES};
 use proptest::prelude::*;
 
 /// Script actions against the (node, successor) pair.
@@ -75,7 +75,7 @@ proptest! {
     }
 
     /// The CAA's window always stays a power of two inside
-    /// [min_cw, effective max], whatever sample sequence it sees.
+    /// [MIN_CW, effective max], whatever sample sequence it sees.
     #[test]
     fn caa_window_invariants(
         samples in prop::collection::vec(0usize..60, 1..3000),
@@ -92,7 +92,7 @@ proptest! {
             }
             let cw = caa.cw();
             prop_assert!(cw.is_power_of_two());
-            prop_assert!(cw >= cfg.min_cw);
+            prop_assert!(cw >= MIN_CW);
             prop_assert!(cw <= cfg.effective_max_cw());
         }
     }
@@ -109,7 +109,7 @@ proptest! {
         for s in samples {
             window_sum += s;
             window_n += 1;
-            let complete = window_n == cfg.samples;
+            let complete = window_n == SAMPLES;
             let avg = window_sum as f64 / window_n as f64;
             let round = caa.on_sample(s);
             prop_assert_eq!(round.is_some(), complete);

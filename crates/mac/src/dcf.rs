@@ -31,7 +31,7 @@
 //!        <--ACK ok--- WaitAck <--------- frame left the air ---'
 //!          (success)     |
 //!                        '--timeout--> Contend (attempt+1, window doubled)
-//!                              ... until max_attempts -> drop
+//!                              ... until RETRY_LIMIT -> drop
 //! ```
 //!
 //! Every input that takes the MAC from busy to [`Mac::is_idle`] emits
@@ -41,7 +41,10 @@
 use ezflow_phy::{Frame, FrameArena, FrameId, FrameKind};
 use ezflow_sim::{Duration, SimRng, Time};
 
-use crate::config::MacConfig;
+use crate::config::{
+    ack_timeout, cts_timeout, data_air, eifs, rts_nav, window, MacConfig, ACK_AIR, CTS_AIR,
+    CW_MIN_DEFAULT, DIFS, RETRY_LIMIT, RTS_AIR, SIFS, SLOT,
+};
 
 /// Everything the network layer can tell the MAC through
 /// [`Mac::input_into`]. Carrier sense is not here: it enters through
@@ -274,11 +277,10 @@ pub struct Mac {
 impl Mac {
     /// Creates an idle MAC for `node`.
     pub fn new(node: usize, cfg: MacConfig) -> Self {
-        let cw_min = cfg.cw_min_default;
         Mac {
             cfg,
             node,
-            cw_min,
+            cw_min: CW_MIN_DEFAULT,
             phase: Phase::Idle,
             cur: None,
             medium_busy: false,
@@ -288,7 +290,7 @@ impl Mac {
             post_slots: 0,
             nav_until: Time::ZERO,
             eifs_pending: false,
-            current_ifs: cfg.difs,
+            current_ifs: DIFS,
             ack_job: None,
             last_rx: Vec::new(),
             stats: MacStats::default(),
@@ -375,7 +377,7 @@ impl Mac {
     }
 
     fn draw_slots(&mut self, attempt: u32, rng: &mut SimRng) -> u32 {
-        let window = self.cfg.window(self.cw_min, attempt);
+        let window = window(self.cw_min, attempt);
         let slots = rng.gen_range(window.max(1));
         self.stats.backoff_slots += slots as u64;
         slots
@@ -439,11 +441,11 @@ impl Mac {
         // EIFS applies to the first deferral after the undecodable frame.
         self.current_ifs = if std::mem::take(&mut self.eifs_pending) {
             self.stats.eifs_starts += 1;
-            self.cfg.eifs_value()
+            eifs()
         } else {
-            self.cfg.difs
+            DIFS
         };
-        Some(self.current_ifs + self.cfg.slot * slots as u64)
+        Some(self.current_ifs + SLOT * slots as u64)
     }
 
     /// Freezes the countdown at `now`, banking fully elapsed slots. The
@@ -456,7 +458,7 @@ impl Mac {
         if elapsed <= self.current_ifs {
             return;
         }
-        let consumed = (elapsed - self.current_ifs).div_floor(self.cfg.slot) as u32;
+        let consumed = (elapsed - self.current_ifs).div_floor(SLOT) as u32;
         match self.phase {
             Phase::Contend => {
                 let cur = self.cur.as_mut().expect("contend without frame");
@@ -501,7 +503,7 @@ impl Mac {
             frame,
             attempt: 0,
             slots_left,
-            cw_drawn: self.cfg.window(self.cw_min, 0),
+            cw_drawn: window(self.cw_min, 0),
             slots_drawn: slots_left,
         });
         self.phase = Phase::Contend;
@@ -577,14 +579,14 @@ impl Mac {
                 });
                 if self.cfg.rts_cts {
                     // Reserve the medium first.
-                    let nav = self.cfg.rts_nav(frame.payload_bytes);
+                    let nav = rts_nav(frame.payload_bytes);
                     let mut rts = Frame::rts_for(&frame, nav.as_micros());
                     rts.retry = frame.retry;
                     self.phase = Phase::TxRts;
                     self.radio_busy = true;
                     self.txing_kind = Some(FrameKind::Rts);
                     self.stats.rts_sent += 1;
-                    let air = self.cfg.rts_air();
+                    let air = RTS_AIR;
                     out.push(MacOutput::StartTx {
                         frame: arena.alloc(rts),
                         air,
@@ -595,7 +597,7 @@ impl Mac {
                     self.radio_busy = true;
                     self.txing_kind = Some(FrameKind::Data);
                     self.stats.tx_attempts += 1;
-                    let air = self.cfg.data_air(frame.payload_bytes);
+                    let air = data_air(frame.payload_bytes);
                     out.push(MacOutput::StartTx {
                         frame: arena.alloc(frame),
                         air,
@@ -635,7 +637,7 @@ impl Mac {
                 self.radio_busy = true;
                 self.txing_kind = Some(FrameKind::Data);
                 self.stats.tx_attempts += 1;
-                let air = self.cfg.data_air(frame.payload_bytes);
+                let air = data_air(frame.payload_bytes);
                 out.push(MacOutput::StartTx {
                     frame: arena.alloc(frame),
                     air,
@@ -652,7 +654,7 @@ impl Mac {
         let cur = self.cur.as_mut().expect("retry without frame");
         cur.attempt += 1;
         self.stats.retries += 1;
-        if cur.attempt >= self.cfg.max_attempts {
+        if cur.attempt >= RETRY_LIMIT {
             self.stats.drops_retry += 1;
             let cur = self.cur.take().expect("checked above");
             self.begin_post_backoff(now, rng, out);
@@ -664,7 +666,7 @@ impl Mac {
         } else {
             let attempt = cur.attempt;
             let slots = self.draw_slots(attempt, rng);
-            let cw = self.cfg.window(self.cw_min, attempt);
+            let cw = window(self.cw_min, attempt);
             let cur = self.cur.as_mut().expect("checked above");
             cur.slots_left = slots;
             cur.cw_drawn = cw;
@@ -697,11 +699,11 @@ impl Mac {
         let air = match kind {
             FrameKind::Cts => {
                 self.stats.cts_sent += 1;
-                self.cfg.cts_air()
+                CTS_AIR
             }
             _ => {
                 self.stats.acks_sent += 1;
-                self.cfg.ack_air()
+                ACK_AIR
             }
         };
         out.push(MacOutput::StartTx {
@@ -718,14 +720,14 @@ impl Mac {
                 debug_assert_eq!(self.phase, Phase::TxData);
                 self.phase = Phase::WaitAck;
                 out.push(MacOutput::SetTimerTxPath {
-                    after: self.cfg.ack_timeout(),
+                    after: ack_timeout(),
                 });
             }
             Some(FrameKind::Rts) => {
                 debug_assert_eq!(self.phase, Phase::TxRts);
                 self.phase = Phase::WaitCts;
                 out.push(MacOutput::SetTimerTxPath {
-                    after: self.cfg.cts_timeout(),
+                    after: cts_timeout(),
                 });
             }
             Some(FrameKind::Ack) | Some(FrameKind::Cts) => {
@@ -749,9 +751,7 @@ impl Mac {
             arena.release(old);
         }
         self.ack_job = Some(arena.alloc(Frame::ack_for(&f)));
-        out.push(MacOutput::SetTimerAckJob {
-            after: self.cfg.sifs,
-        });
+        out.push(MacOutput::SetTimerAckJob { after: SIFS });
         // Duplicate filtering: a retry repeats the most recent id from that
         // sender (per-link FIFO makes equality sufficient).
         match self.last_rx.iter_mut().find(|(src, _)| *src == f.src) {
@@ -810,16 +810,14 @@ impl Mac {
         let nav = Duration::from_micros(
             frame
                 .nav_micros
-                .saturating_sub((self.cfg.sifs + self.cfg.cts_air()).as_micros()),
+                .saturating_sub((SIFS + CTS_AIR).as_micros()),
         );
         if let Some(old) = self.ack_job.take() {
             self.stats.acks_suppressed += 1;
             arena.release(old);
         }
         self.ack_job = Some(arena.alloc(Frame::cts_for(&frame, nav.as_micros())));
-        out.push(MacOutput::SetTimerAckJob {
-            after: self.cfg.sifs,
-        });
+        out.push(MacOutput::SetTimerAckJob { after: SIFS });
     }
 
     fn on_rx_cts(&mut self, frame: FrameId, arena: &mut FrameArena, out: &mut Vec<MacOutput>) {
@@ -836,9 +834,7 @@ impl Mac {
         }
         // The SIFS timer replaces the CTS timeout.
         self.phase = Phase::SifsData;
-        out.push(MacOutput::SetTimerTxPath {
-            after: self.cfg.sifs,
-        });
+        out.push(MacOutput::SetTimerTxPath { after: SIFS });
     }
 
     fn on_nav_set(&mut self, now: Time, until: Time, out: &mut Vec<MacOutput>) {
@@ -1122,7 +1118,7 @@ mod tests {
     fn ack_timeout_retries_then_drops() {
         let (mut mac, mut rng, mut arena) = det_mac(0);
         let mut buf = Vec::new();
-        let max = MacConfig::default().max_attempts;
+        let max = RETRY_LIMIT;
         let mut now = 0u64;
         let out = feed(
             &mut mac,

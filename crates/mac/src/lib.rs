@@ -16,8 +16,33 @@
 //!
 //! RTS/CTS (with NAV virtual carrier sensing) and EIFS are implemented but
 //! **off by default**, as in the paper's setup — the `rts_cts` and `eifs`
-//! ablations measure what enabling them changes. Deliberately not modeled:
-//! rate adaptation (fixed 1 Mb/s) and beacons/management traffic.
+//! ablations measure what enabling them changes. They are the two fields
+//! of [`MacConfig`]. Deliberately not modeled: rate adaptation (fixed
+//! 1 Mb/s) and beacons/management traffic.
+//!
+//! ## Constants
+//!
+//! Everything else is fixed: the paper runs one radio configuration,
+//! IEEE 802.11b DSSS at 1 Mb/s with RTS/CTS off (§5.1), in its testbed
+//! and in ns-2 alike.
+//!
+//! | value | 802.11b | where |
+//! |---|---|---|
+//! | slot | 20 µs | [`SLOT`] |
+//! | SIFS | 10 µs | [`SIFS`] |
+//! | DIFS = SIFS + 2·slot | 50 µs | [`DIFS`] |
+//! | PLCP preamble + header | 192 µs (long, at 1 Mb/s) | [`ezflow_phy::air_time`] |
+//! | payload rate | 1 Mb/s: 8 µs a byte | [`ezflow_phy::air_time`] |
+//! | data overhead (header + FCS) | 24 + 4 bytes | `config::DATA_OVERHEAD_BYTES` |
+//! | ACK / RTS / CTS | 14 / 20 / 14 bytes | [`ACK_AIR`], `RTS_AIR`, `CTS_AIR` |
+//! | retry limit (attempts) | 7 | [`RETRY_LIMIT`] |
+//! | CWmin default | 32 slots | [`CW_MIN_DEFAULT`] |
+//! | CWmax | 1024 slots | `config::CW_MAX` |
+//!
+//! `CWmin` is the one value that moves at run time: EZ-flow doubles and
+//! halves it between 2^4 and 2^15 (§3.3, §5.1; `ezflow_core`'s
+//! `MIN_CW` / `MAX_CW`). A `CWmin` above CWmax pins the window there
+//! ([`window`]).
 //!
 //! ## Design
 //!
@@ -38,5 +63,8 @@
 pub mod config;
 pub mod dcf;
 
-pub use config::MacConfig;
+pub use config::{
+    ack_timeout, data_air, window, MacConfig, ACK_AIR, CW_MIN_DEFAULT, DIFS, RETRY_LIMIT, SIFS,
+    SLOT,
+};
 pub use dcf::{Mac, MacInput, MacOutput, MacStats, TxAttempt};

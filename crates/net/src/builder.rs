@@ -245,7 +245,7 @@ pub struct NetworkSpec {
     pub channel: ChannelConfig,
     /// Link loss process.
     pub loss: LossModel,
-    /// MAC parameters.
+    /// The MAC's two switches (RTS/CTS, EIFS).
     pub mac: MacConfig,
     /// Interface queue capacity, packets (the paper's hardware: 50).
     pub queue_cap: usize,

@@ -665,7 +665,6 @@ impl Network {
             }
             MacOutput::TxDropped { frame, .. } => {
                 let f = self.arena.release(frame);
-                self.metrics.retry_drops[id] += 1;
                 self.record_drop(id, DropCause::RetryLimit, f.seq);
             }
             MacOutput::Deliver { frame } => self.on_deliver(id, frame),

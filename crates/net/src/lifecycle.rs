@@ -344,6 +344,11 @@ impl TraceEvent {
         ])
     }
 
+    /// Parses one JSONL line of a lifecycle export.
+    pub fn parse(line: &str) -> Result<TraceEvent, String> {
+        TraceEvent::from_json(&JsonValue::parse(line).map_err(|e| e.to_string())?)
+    }
+
     /// Reads a record back from its JSONL object; the `kind` must be the
     /// one its payload's type implies.
     fn from_json(v: &JsonValue) -> Result<TraceEvent, String> {
@@ -437,8 +442,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v = JsonValue::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        out.push(TraceEvent::from_json(&v).map_err(|e| format!("line {}: {e}", i + 1))?);
+        out.push(TraceEvent::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?);
     }
     Ok(out)
 }

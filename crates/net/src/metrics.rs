@@ -40,8 +40,6 @@ pub struct Metrics {
     pub queue_drops: Vec<u64>,
     /// Per-flow packets dropped at the (full) source queue.
     pub source_drops: BTreeMap<u32, u64>,
-    /// Per-node packets dropped at the MAC retry limit.
-    pub retry_drops: Vec<u64>,
     /// Per-flow network-latency histogram (µs from first dequeue at the
     /// source to delivery) — the p50/p95/p99/p999 source for snapshots.
     pub flow_latency: BTreeMap<u32, LogHistogram>,
@@ -84,7 +82,6 @@ impl Metrics {
                 .collect(),
             queue_drops: vec![0; nodes],
             source_drops,
-            retry_drops: vec![0; nodes],
             flow_latency,
             hop_latency: (0..nodes).map(|_| LogHistogram::new()).collect(),
         }

@@ -148,7 +148,7 @@ const SCENARIO2_JSON: &str = include_str!("../../../scenarios/scenario2.json");
 /// N0..N7 sit on the x axis every 200 m; N8 (the paper's N0′, F2's
 /// source) sits 200 m off the chain next to N4. Every link is
 /// symmetric, its PER `calibrate::per_for_capacity` of its capacity for
-/// 1,000-byte payloads under the default MAC, written in shortest
+/// 1,000-byte payloads under the MAC's constants, written in shortest
 /// round-trip digits: `l0..l6` at [`TABLE1_KBPS`], and F2's access link
 /// N8–N4 (not in Table 1) at 750 kb/s, a good link at the level of
 /// `l3`/`l4`.
@@ -397,10 +397,9 @@ mod tests {
     fn testbed_document_is_the_table1_calibration() {
         use crate::calibrate::per_for_capacity;
         let t = testbed(true, true, Time::ZERO, Time::from_secs(1800));
-        let cfg = ezflow_mac::MacConfig::default();
         let links = (0..TABLE1_KBPS.len()).map(|i| (i, i + 1, TABLE1_KBPS[i]));
         for (a, b, kbps) in links.chain([(TESTBED_F2_SRC, 4, F2_ACCESS_KBPS)]) {
-            let want = per_for_capacity(&cfg, 1000, kbps).to_bits();
+            let want = per_for_capacity(1000, kbps).to_bits();
             assert_eq!(t.loss.loss_prob(a, b).to_bits(), want, "{a}->{b}");
             assert_eq!(t.loss.loss_prob(b, a).to_bits(), want, "{b}->{a}");
         }

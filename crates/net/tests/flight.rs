@@ -159,7 +159,9 @@ fn every_drop_counter_is_matched_by_trace_events() {
 
     let source: u64 = net.metrics.source_drops.values().sum();
     let queue: u64 = net.metrics.queue_drops.iter().sum();
-    let retry: u64 = net.metrics.retry_drops.iter().sum();
+    let retry: u64 = (0..net.node_count())
+        .map(|n| net.mac_stats(n).drops_retry)
+        .sum();
     // DCF freeze/restart churn strands no timer: an entry the MAC stopped
     // owing is rescheduled in place or parked before it can fire, so no
     // MAC ever sees a stale timer.

@@ -46,7 +46,7 @@ proptest! {
         let delivered = net.metrics.delivered[&0];
         let src_drops = net.metrics.source_drops[&0];
         let q_drops: u64 = net.metrics.queue_drops.iter().sum();
-        let r_drops: u64 = net.metrics.retry_drops.iter().sum();
+        let r_drops: u64 = (0..net.node_count()).map(|n| net.mac_stats(n).drops_retry).sum();
         // Queued leftovers + up to one in-service frame per node.
         let queued: u64 = (0..net.node_count()).map(|n| net.occupancy(n) as u64).sum();
         let in_flight = net.node_count() as u64;

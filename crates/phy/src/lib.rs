@@ -42,4 +42,4 @@ pub use medium::{
     Airtime, Channel, ChannelConfig, ChannelStats, DecodeOutcome, Delivery, EndReport, StartReport,
     TxId,
 };
-pub use timing::PhyTiming;
+pub use timing::air_time;

@@ -1,38 +1,22 @@
 //! PHY timing: how long a frame occupies the air.
+//!
+//! IEEE 802.11b DSSS at the fixed 1 Mb/s rate of the paper's testbed and
+//! simulations (§5.1), with the long PLCP preamble + header (144 + 48 =
+//! 192 µs, always sent at 1 Mb/s). At 1 Mb/s a byte takes exactly 8 µs,
+//! so no air time has a partial microsecond to round.
 
 use ezflow_sim::Duration;
 
-/// Air-time parameters of the radio.
-///
-/// Defaults model IEEE 802.11b DSSS at the fixed 1 Mb/s rate the paper's
-/// testbed and simulations use, with the long PLCP preamble + header
-/// (144 + 48 = 192 µs, always transmitted at 1 Mb/s).
-#[derive(Clone, Copy, Debug)]
-pub struct PhyTiming {
-    /// Payload transmission rate in bits/s.
-    pub rate_bps: u64,
-    /// PLCP preamble + header duration in microseconds.
-    pub plcp_us: u64,
-}
+/// PLCP preamble + header duration, µs.
+const PLCP_US: u64 = 192;
 
-impl Default for PhyTiming {
-    fn default() -> Self {
-        PhyTiming {
-            rate_bps: 1_000_000,
-            plcp_us: 192,
-        }
-    }
-}
+/// Air time of one payload byte at 1 Mb/s, µs.
+const US_PER_BYTE: u64 = 8;
 
-impl PhyTiming {
-    /// Air time of a frame whose MAC-level size (header + payload + FCS)
-    /// is `bytes`.
-    pub fn air_time(&self, bytes: u32) -> Duration {
-        let bits = bytes as u64 * 8;
-        // Round up: a partial microsecond still occupies the slot.
-        let us = (bits * 1_000_000).div_ceil(self.rate_bps);
-        Duration::from_micros(self.plcp_us + us)
-    }
+/// Air time of a frame whose MAC-level size (header + payload + FCS) is
+/// `bytes`.
+pub const fn air_time(bytes: u32) -> Duration {
+    Duration::from_micros(PLCP_US + bytes as u64 * US_PER_BYTE)
 }
 
 #[cfg(test)]
@@ -41,26 +25,14 @@ mod tests {
 
     #[test]
     fn one_mbps_is_8us_per_byte() {
-        let t = PhyTiming::default();
         // 1028-byte data MPDU (1000 payload + 28 header/FCS).
-        assert_eq!(t.air_time(1028), Duration::from_micros(192 + 8224));
+        assert_eq!(air_time(1028), Duration::from_micros(192 + 8224));
         // 14-byte ACK.
-        assert_eq!(t.air_time(14), Duration::from_micros(192 + 112));
-    }
-
-    #[test]
-    fn rounds_partial_microseconds_up() {
-        let t = PhyTiming {
-            rate_bps: 3_000_000,
-            plcp_us: 0,
-        };
-        // 1 byte = 8 bits at 3 Mb/s = 2.67 µs -> 3 µs.
-        assert_eq!(t.air_time(1), Duration::from_micros(3));
+        assert_eq!(air_time(14), Duration::from_micros(192 + 112));
     }
 
     #[test]
     fn zero_bytes_is_just_plcp() {
-        let t = PhyTiming::default();
-        assert_eq!(t.air_time(0), Duration::from_micros(192));
+        assert_eq!(air_time(0), Duration::from_micros(192));
     }
 }

@@ -24,7 +24,7 @@ fn main() {
         let make: Box<dyn Fn(usize) -> Box<dyn Controller>> = if ez {
             // The testbed configuration carries the MadWifi CWmin <= 2^10
             // clamp the paper had to live with.
-            Box::new(|_| Box::new(EzFlowController::new(EzFlowConfig::testbed(), 32)))
+            Box::new(|_| Box::new(EzFlowController::new(EzFlowConfig::testbed())))
         } else {
             Box::new(|_| Box::new(FixedController::standard()))
         };

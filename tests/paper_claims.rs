@@ -29,7 +29,7 @@ fn parking_lot_fairness() {
     let fi_plain = jain_index(&kp);
 
     let make_ez = |_: usize| -> Box<dyn Controller> {
-        Box::new(EzFlowController::new(EzFlowConfig::testbed(), 32))
+        Box::new(EzFlowController::new(EzFlowConfig::testbed()))
     };
     let mut ez = Network::from_topology(&topo, 5, &make_ez);
     ez.run_until(until);
@@ -94,6 +94,21 @@ fn merging_flows_adapt() {
             "node {node} still congested at the end"
         );
     }
+}
+
+/// The slotted model states Eq. 2's constants itself, so it stays an
+/// independent oracle; this pins that they are the implementation's:
+/// EZ-flow's thresholds and window bounds, and the MAC's default `CWmin`
+/// as every node's starting window.
+#[test]
+fn the_model_and_the_implementation_share_the_papers_constants() {
+    use ezflow::analysis as model;
+    use ezflow::core as ez;
+    assert_eq!(model::B_MIN, ez::B_MIN);
+    assert_eq!(model::B_MAX, ez::B_MAX);
+    assert_eq!(model::MIN_CW, ez::MIN_CW);
+    assert_eq!(model::MAX_CW, ez::MAX_CW);
+    assert_eq!(model::INITIAL_CW, ezflow::mac::CW_MIN_DEFAULT);
 }
 
 /// §6: the analytical model agrees with the packet simulator about the
